@@ -35,6 +35,9 @@ cargo check -q -p oarsmt-repro --features simd
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> e2e_bench tests (its own workspace: catches public-API breaks the root workspace cannot see)"
+cargo test --release --offline --manifest-path e2e_bench/Cargo.toml
+
 echo "==> counter determinism (bit-identical totals across thread counts, trace recorder armed)"
 cargo test -q --test parallel_determinism counter_totals
 
@@ -44,7 +47,7 @@ cargo test --release -q -p oarsmt-lint --features alloc-count,simd --test alloc_
 echo "==> route-context property tests"
 cargo test -q -p oarsmt-router --test context_properties
 
-echo "==> queue-policy equivalence (Dial == heap oracle bit-identity, A* golden pins)"
+echo "==> queue-policy equivalence (Auto/Dial == heap oracle bit-identity incl. bounded + op counts, bounded and A* golden pins)"
 cargo test -q -p oarsmt-router --test queue_equivalence
 
 echo "==> batched-path equivalence (batch == sequential bit-identity at nn/core/rl levels)"

@@ -1,5 +1,8 @@
 //! `dijkstra_bench`: the router-core queue-policy micro-bench — binary
 //! heap (oracle) vs Dial bucket queue vs A* on the Table 1 ladder rungs.
+//! The Dial lane runs `QueuePolicy::Auto`, which takes the bucket queue on
+//! every ladder layout (their integer cost ceilings are far below
+//! `DIAL_MAX_EDGE_COST`); its labels and JSON keys keep the `dial` name.
 //!
 //! Every rung routes the same deterministic layout sequence through one
 //! [`OarmstRouter`] per [`QueuePolicy`], timing the full OARMST
@@ -142,7 +145,7 @@ fn main() {
         let heap = run_lane(spec, QueuePolicy::Heap, layouts_per_rung, repeats, None);
         let dial = run_lane(
             spec,
-            QueuePolicy::Dial,
+            QueuePolicy::Auto,
             layouts_per_rung,
             repeats,
             if trace_path.is_some() {
@@ -161,6 +164,11 @@ fn main() {
             spec.name
         );
         assert_eq!(heap.routes, dial.routes);
+        assert!(
+            dial.counters.get(Counter::DijkstraBucketScans) > 0,
+            "{}: Auto did not take the Dial queue",
+            spec.name
+        );
         for c in [
             Counter::DijkstraPops,
             Counter::DijkstraRelaxations,

@@ -1,22 +1,42 @@
-//! Single- and multi-source Dijkstra over Hanan grid graphs.
+//! Multi-source Dijkstra over Hanan grid graphs.
 //!
 //! Dijkstra over the grid is the "maze router" of the paper's OARMST
 //! construction (Section 3.1): it finds the cheapest obstacle-avoiding
 //! rectilinear path, counting via costs for layer changes.
 //!
-//! [`DijkstraWorkspace`] owns the per-vertex arrays and can be reused
-//! across queries on same-sized graphs (the arrays are invalidated by an
-//! epoch counter rather than cleared); the plain free functions are
-//! one-shot conveniences and the `_in` variants thread a caller-owned
-//! workspace through for allocation-free repeated queries.
+//! Every maze query goes through one method,
+//! [`DijkstraWorkspace::shortest_path_into`], which walks a prebuilt
+//! [`GridAdjacency`] with one relaxation loop. The workspace owns the
+//! per-vertex arrays and is reused across queries (the arrays are
+//! invalidated by an epoch counter rather than cleared), so a warm query
+//! performs no allocation.
 //!
-//! Every query runs under a [`QueuePolicy`]: the binary heap (the retained
-//! oracle), Dial's bucket queue (bit-identical to the heap whenever the
-//! cost model is bounded-integer — the paper's §2.2 model always is), or
-//! A* on the heap ordered by `g + h` with a rectilinear-distance lower
-//! bound (a *documented divergence*: same per-query path cost, possibly
-//! different tie geometry). The search-order and tie-break contract all
-//! three policies obey is specified in DESIGN.md §12.
+//! The loop is generic over its frontier, chosen per query by a
+//! [`QueuePolicy`]: the binary heap (the retained oracle), Dial's bucket
+//! queue (bit-identical to the heap whenever the cost model is
+//! bounded-integer — the paper's §2.2 model always is), or A* on the heap
+//! ordered by `g + h` with a rectilinear-distance lower bound (a
+//! *documented divergence*: same per-query path cost, possibly different
+//! tie geometry). The search-order and tie-break contract all three
+//! frontiers obey is specified in DESIGN.md §12.
+//!
+//! ```
+//! use oarsmt_geom::{GridPoint, HananGraph};
+//! use oarsmt_graph::{DijkstraWorkspace, GridAdjacency, QueuePolicy};
+//!
+//! let g = HananGraph::uniform(4, 4, 1, 1.0, 1.0, 3.0);
+//! let mut adj = GridAdjacency::new();
+//! adj.ensure(&g);
+//! let mut ws = DijkstraWorkspace::new();
+//! let mut path = Vec::new();
+//! let t = g.index(GridPoint::new(3, 3, 0));
+//! let src = [GridPoint::new(0, 0, 0)];
+//! let cost =
+//!     ws.shortest_path_into(&g, &adj, &src, |i| i == t, None, QueuePolicy::Auto, &[], &mut path)?;
+//! assert_eq!(cost, 6.0);
+//! assert_eq!((path[0], path[6]), (src[0], GridPoint::new(3, 3, 0)));
+//! # Ok::<(), oarsmt_graph::GraphError>(())
+//! ```
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -25,8 +45,8 @@ use oarsmt_geom::{GridPoint, HananGraph};
 use oarsmt_telemetry::{Counter, CounterSet};
 
 use crate::bucket::BucketQueue;
+use crate::csr::GridAdjacency;
 use crate::error::GraphError;
-use crate::path::GridPath;
 
 /// Sentinel for "no predecessor".
 const NO_PREV: u32 = u32::MAX;
@@ -119,32 +139,15 @@ impl SearchBounds {
 /// query keeps `ceiling + 1` buckets) and the per-query cursor scan.
 pub const DIAL_MAX_EDGE_COST: u64 = 4096;
 
-/// Which priority queue drives a maze query (DESIGN.md §12).
+/// Which frontier drives a maze query (DESIGN.md §12).
 ///
 /// `Auto` is the default everywhere: it selects Dial's bucket queue when
 /// the graph's cost model is bounded-integer
 /// ([`HananGraph::integer_cost_ceiling`] `≤` [`DIAL_MAX_EDGE_COST`]) and
 /// the binary heap otherwise. Dial pop order is engineered to be exactly
-/// the heap's `(cost, vertex index)` order, so `Auto`, `Heap`, and `Dial`
-/// are bit-identical — the heap stays available as the oracle the
-/// equivalence property tests and benches compare against.
-///
-/// ```
-/// use oarsmt_geom::{GridPoint, HananGraph};
-/// use oarsmt_graph::dijkstra::{DijkstraWorkspace, QueuePolicy};
-///
-/// let g = HananGraph::uniform(6, 6, 1, 1.0, 1.0, 3.0);
-/// let mut ws = DijkstraWorkspace::new();
-/// let t = g.index(GridPoint::new(5, 4, 0));
-/// let src = [GridPoint::new(0, 0, 0)];
-/// let heap = ws
-///     .shortest_path_to_set_policy(&g, &src, |i| i == t, None, QueuePolicy::Heap, &[])?;
-/// let dial = ws
-///     .shortest_path_to_set_policy(&g, &src, |i| i == t, None, QueuePolicy::Dial, &[])?;
-/// assert_eq!(heap.cost.to_bits(), dial.cost.to_bits());
-/// assert_eq!(heap.points, dial.points); // bit-identical, not just equal-cost
-/// # Ok::<(), oarsmt_graph::GraphError>(())
-/// ```
+/// the heap's `(cost, vertex index)` order, so `Auto` and `Heap` are
+/// bit-identical — the heap stays available as the oracle the equivalence
+/// property tests and benches compare against.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum QueuePolicy {
     /// Bounded-integer cost model ⇒ Dial bucket queue, else binary heap.
@@ -153,13 +156,10 @@ pub enum QueuePolicy {
     Auto,
     /// The binary-heap Dijkstra — the retained oracle.
     Heap,
-    /// Dial's bucket queue; falls back to `Heap` when the cost model is
-    /// not bounded-integer. Bit-identical to `Heap` when it applies.
-    Dial,
     /// A* on the binary heap ordered by `f = g + h`, with the
     /// rectilinear-distance lower bound of [`RectilinearBound`] as `h`.
     /// Needs a non-empty target hint covering every vertex `is_target`
-    /// accepts, and a bounded-integer cost model (falls back like `Dial`
+    /// accepts, and a bounded-integer cost model (falls back like `Auto`
     /// otherwise). **Documented divergence** (DESIGN.md §12.4): each query
     /// returns a cheapest path with the same cost bits as the oracle, but
     /// possibly a different equal-cost geometry, so downstream trees may
@@ -271,46 +271,83 @@ impl RectilinearBound {
     }
 }
 
-/// Reusable Dijkstra work arrays (distance, predecessor, visit stamps).
-///
-/// Reuse a single `DijkstraWorkspace` across the many maze-routing queries
-/// of an OARMST construction to avoid repeated allocation. The workspace
-/// automatically grows when given a larger graph, and old query state is
-/// invalidated by bumping a generation counter (`epoch`) instead of an
-/// `O(n)` clear.
+/// The priority queue behind one query. `push` takes the tentative
+/// distance `g`; a frontier that orders by something else (A*'s
+/// `g + h`) derives its key itself. `pop` yields vertices in key order,
+/// stale duplicates included — the relaxation loop skips those.
+trait Frontier {
+    fn push(&mut self, g: f64, idx: u32);
+    fn pop(&mut self) -> Option<u32>;
+}
+
+/// The binary heap keyed by `g`: the oracle.
+impl Frontier for BinaryHeap<Entry> {
+    #[inline]
+    fn push(&mut self, g: f64, idx: u32) {
+        BinaryHeap::push(self, Entry { cost: g, idx });
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<u32> {
+        BinaryHeap::pop(self).map(|e| e.idx)
+    }
+}
+
+/// Dial's bucket queue keyed by the integer `g`, counting cursor scans.
+struct Dial<'a> {
+    queue: &'a mut BucketQueue,
+    scans: u64,
+}
+
+impl Frontier for Dial<'_> {
+    #[inline]
+    fn push(&mut self, g: f64, idx: u32) {
+        self.queue.push(g as u64, idx);
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<u32> {
+        self.queue.pop_min(&mut self.scans).map(|(_, idx)| idx)
+    }
+}
+
+/// The binary heap keyed by `f = g + h`; one `graph.point` per push pays
+/// for the `h` evaluation. All arithmetic stays exact (integer-valued
+/// `f64`s below 2⁵³), so the settled cost bits match the oracle's.
+struct AStar<'a> {
+    heap: &'a mut BinaryHeap<Entry>,
+    bound: &'a RectilinearBound,
+    graph: &'a HananGraph,
+}
+
+impl Frontier for AStar<'_> {
+    #[inline]
+    fn push(&mut self, g: f64, idx: u32) {
+        let h = self.bound.eval(self.graph.point(idx as usize));
+        self.heap.push(Entry {
+            cost: g + h as f64,
+            idx,
+        });
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<u32> {
+        self.heap.pop().map(|e| e.idx)
+    }
+}
+
+/// Per-vertex search state: `dist`/`prev` are valid where
+/// `stamp == epoch`, and a vertex is settled once `done == epoch`.
 #[derive(Debug, Clone, Default)]
-pub struct DijkstraWorkspace {
+struct Labels {
     dist: Vec<f64>,
     prev: Vec<u32>,
     stamp: Vec<u32>,
-    /// Settled stamp for the Dial and A* searches: a vertex is final once
-    /// `done[i] == epoch` (the heap path uses the `cost > dist` skip
-    /// instead — DESIGN.md §12.3 shows the two are equivalent).
     done: Vec<u32>,
     epoch: u32,
-    heap: BinaryHeap<Entry>,
-    /// The Dial bucket queue ([`QueuePolicy::Dial`] and `Auto` on
-    /// bounded-integer cost models).
-    bucket: BucketQueue,
-    /// The A* lower bound, rebuilt per `AStar` query.
-    bound: RectilinearBound,
-    /// Tier A telemetry: settled pops, relaxation attempts, queue pushes
-    /// and Dial cursor scans ([`Counter::DijkstraPops`] and friends).
-    /// Monotone across queries; owners read deltas (see
-    /// `oarsmt-telemetry`).
-    pub counters: CounterSet,
 }
 
-/// The pre-refactor name of [`DijkstraWorkspace`], kept as an alias so
-/// existing call sites keep compiling.
-pub type SearchSpace = DijkstraWorkspace;
-
-impl DijkstraWorkspace {
-    /// Creates an empty workspace; arrays grow on first use.
-    pub fn new() -> Self {
-        DijkstraWorkspace::default()
-    }
-
+impl Labels {
     fn prepare(&mut self, n: usize) {
         if self.dist.len() < n {
             self.dist.resize(n, f64::INFINITY);
@@ -325,695 +362,197 @@ impl DijkstraWorkspace {
             self.done.fill(0);
             self.epoch = 1;
         }
-        self.heap.clear();
     }
 
+    /// Lowers `idx`'s label to `d` via `prev` if that improves it; returns
+    /// whether it did (the caller then pushes `idx`).
     #[inline]
-    fn fresh(&self, idx: usize) -> bool {
-        self.stamp[idx] != self.epoch
+    fn improve(&mut self, idx: usize, d: f64, prev: u32) -> bool {
+        if self.stamp[idx] != self.epoch || d < self.dist[idx] {
+            self.stamp[idx] = self.epoch;
+            self.dist[idx] = d;
+            self.prev[idx] = prev;
+            return true;
+        }
+        false
     }
 
-    /// Multi-source, multi-target shortest path: from the cheapest of
-    /// `sources` (each with an initial cost of zero) to the first settled
-    /// vertex for which `is_target` returns `true`.
+    /// Seeds every unblocked source at distance 0, then runs the
+    /// relaxation loop. Returns the first settled vertex `is_target`
+    /// accepts.
+    #[allow(clippy::too_many_arguments)]
+    fn search<Q: Frontier, F: Fn(usize) -> bool>(
+        &mut self,
+        graph: &HananGraph,
+        adj: &GridAdjacency,
+        sources: &[GridPoint],
+        is_target: F,
+        bounds: Option<SearchBounds>,
+        frontier: &mut Q,
+        counters: &mut CounterSet,
+    ) -> Result<usize, GraphError> {
+        let mut any_source = false;
+        for &s in sources {
+            if graph.is_blocked(s) {
+                continue;
+            }
+            let idx = graph.index(s);
+            if self.improve(idx, 0.0, NO_PREV) {
+                counters.bump(Counter::DijkstraPushes);
+                frontier.push(0.0, idx as u32);
+            }
+            any_source = true;
+        }
+        if !any_source {
+            return Err(GraphError::BlockedSource(sources[0]));
+        }
+        // The unbounded instance gets a constant-true window, so its
+        // relaxation carries no bounds test at all.
+        let settled = match bounds {
+            None => self.settle(adj, frontier, |_| true, is_target, counters),
+            Some(b) => self.settle(
+                adj,
+                frontier,
+                |q| b.contains(graph.point(q)),
+                is_target,
+                counters,
+            ),
+        };
+        settled.ok_or(GraphError::Unreachable {
+            from: sources[0],
+            to: None,
+        })
+    }
+
+    /// The relaxation loop: pops until a target settles or the frontier
+    /// drains, relaxing the CSR neighbors `admits` lets through. One stale
+    /// rule for every frontier: a popped vertex that is already `done` is
+    /// a duplicate (for the heap this is exactly its `cost > dist` skip,
+    /// DESIGN.md §12.3).
+    #[inline]
+    fn settle<Q: Frontier, W: Fn(usize) -> bool, F: Fn(usize) -> bool>(
+        &mut self,
+        adj: &GridAdjacency,
+        frontier: &mut Q,
+        admits: W,
+        is_target: F,
+        counters: &mut CounterSet,
+    ) -> Option<usize> {
+        while let Some(idx) = frontier.pop() {
+            let idx = idx as usize;
+            if self.done[idx] == self.epoch {
+                continue;
+            }
+            self.done[idx] = self.epoch;
+            counters.bump(Counter::DijkstraPops);
+            if is_target(idx) {
+                return Some(idx);
+            }
+            let g = self.dist[idx];
+            for (q, w) in adj.neighbors(idx) {
+                let q = q as usize;
+                if !admits(q) {
+                    continue;
+                }
+                let nd = g + w;
+                counters.bump(Counter::DijkstraRelaxations);
+                if self.improve(q, nd, idx as u32) {
+                    counters.bump(Counter::DijkstraPushes);
+                    frontier.push(nd, q as u32);
+                }
+            }
+        }
+        None
+    }
+}
+
+/// Reusable Dijkstra work arrays (distance, predecessor, visit stamps) and
+/// the three frontiers.
+///
+/// Reuse a single `DijkstraWorkspace` across the many maze-routing queries
+/// of an OARMST construction to avoid repeated allocation. The workspace
+/// automatically grows when given a larger graph, and old query state is
+/// invalidated by bumping a generation counter (`epoch`) instead of an
+/// `O(n)` clear.
+#[derive(Debug, Clone, Default)]
+pub struct DijkstraWorkspace {
+    labels: Labels,
+    heap: BinaryHeap<Entry>,
+    /// The Dial bucket queue (`Auto` on bounded-integer cost models).
+    bucket: BucketQueue,
+    /// The A* lower bound, rebuilt per `AStar` query.
+    bound: RectilinearBound,
+    /// Tier A telemetry: settled pops, relaxation attempts, queue pushes
+    /// and Dial cursor scans ([`Counter::DijkstraPops`] and friends).
+    /// Monotone across queries; owners read deltas (see
+    /// `oarsmt-telemetry`).
+    pub counters: CounterSet,
+}
+
+impl DijkstraWorkspace {
+    /// Creates an empty workspace; arrays grow on first use.
+    pub fn new() -> Self {
+        DijkstraWorkspace::default()
+    }
+
+    /// The maze query: the cheapest path from any of `sources` (each at
+    /// cost zero) to the first settled vertex `is_target` accepts, written
+    /// into `out` (cleared first, source first); returns the path cost.
     ///
-    /// `bounds`, when given, restricts expansion to a rectangular grid
-    /// window (targets outside the window are unreachable).
+    /// * `adj` must be built for `graph` (call
+    ///   [`GridAdjacency::ensure`] first).
+    /// * `bounds`, when given, restricts expansion to a rectangular grid
+    ///   window (targets outside it are unreachable).
+    /// * `policy` picks the frontier. `Auto` and `Heap` return
+    ///   bit-identical results, op counters included (DESIGN.md §12.3).
+    /// * `targets` is the A* hint: under [`QueuePolicy::AStar`] it must
+    ///   include every vertex `is_target` accepts (the lower bound must be
+    ///   zero on all targets, or the first settled target is not
+    ///   guaranteed cheapest). The other policies ignore it; pass `&[]`.
+    ///   `AStar` returns the same cost bits but possibly a different
+    ///   equal-cost path (§12.4).
     ///
     /// # Errors
+    ///
+    /// On error `out` is left cleared.
     ///
     /// * [`GraphError::EmptyTerminalSet`] if `sources` is empty.
     /// * [`GraphError::BlockedSource`] if every source is blocked.
     /// * [`GraphError::Unreachable`] if no target can be reached.
-    pub fn shortest_path_to_set<F>(
-        &mut self,
-        graph: &HananGraph,
-        sources: &[GridPoint],
-        is_target: F,
-        bounds: Option<SearchBounds>,
-    ) -> Result<GridPath, GraphError>
-    where
-        F: Fn(usize) -> bool,
-    {
-        let mut points = Vec::new();
-        let cost =
-            self.shortest_path_to_set_into(graph, sources, is_target, bounds, &mut points)?;
-        Ok(GridPath { points, cost })
-    }
-
-    /// [`DijkstraWorkspace::shortest_path_to_set`] writing the path into a
-    /// caller-owned buffer (cleared first) instead of allocating a
-    /// [`GridPath`]; returns the path cost. This is the allocation-free
-    /// entry point of the maze-routing hot loop.
-    ///
-    /// # Errors
-    ///
-    /// See [`DijkstraWorkspace::shortest_path_to_set`]. On error `out` is
-    /// left cleared.
-    pub fn shortest_path_to_set_into<F>(
-        &mut self,
-        graph: &HananGraph,
-        sources: &[GridPoint],
-        is_target: F,
-        bounds: Option<SearchBounds>,
-        out: &mut Vec<GridPoint>,
-    ) -> Result<f64, GraphError>
-    where
-        F: Fn(usize) -> bool,
-    {
-        out.clear();
-        if sources.is_empty() {
-            return Err(GraphError::EmptyTerminalSet);
-        }
-        self.prepare(graph.len());
-        let mut any_source = false;
-        for &s in sources {
-            if graph.is_blocked(s) {
-                continue;
-            }
-            let idx = graph.index(s);
-            if self.fresh(idx) || self.dist[idx] > 0.0 {
-                self.stamp[idx] = self.epoch;
-                self.dist[idx] = 0.0;
-                self.prev[idx] = NO_PREV;
-                self.counters.bump(Counter::DijkstraPushes);
-                self.heap.push(Entry {
-                    cost: 0.0,
-                    idx: idx as u32,
-                });
-                any_source = true;
-            }
-        }
-        if !any_source {
-            return Err(GraphError::BlockedSource(sources[0]));
-        }
-
-        while let Some(Entry { cost, idx }) = self.heap.pop() {
-            let idx = idx as usize;
-            if cost > self.dist[idx] {
-                continue; // stale heap entry
-            }
-            self.counters.bump(Counter::DijkstraPops);
-            if is_target(idx) {
-                return Ok(self.reconstruct_into(graph, idx, out));
-            }
-            let p = graph.point(idx);
-            for (q, w) in graph.neighbors(p) {
-                if let Some(b) = bounds {
-                    if !b.contains(q) {
-                        continue;
-                    }
-                }
-                let qi = graph.index(q);
-                let nd = cost + w;
-                self.counters.bump(Counter::DijkstraRelaxations);
-                if self.fresh(qi) || nd < self.dist[qi] {
-                    self.stamp[qi] = self.epoch;
-                    self.dist[qi] = nd;
-                    self.prev[qi] = idx as u32;
-                    self.counters.bump(Counter::DijkstraPushes);
-                    self.heap.push(Entry {
-                        cost: nd,
-                        idx: qi as u32,
-                    });
-                }
-            }
-        }
-        Err(GraphError::Unreachable {
-            from: sources[0],
-            to: None,
-        })
-    }
-
-    /// [`DijkstraWorkspace::shortest_path_to_set`] driven by a prebuilt
-    /// [`GridAdjacency`](crate::csr::GridAdjacency) instead of the
-    /// point-based [`HananGraph::neighbors`] iterator.
-    ///
-    /// The CSR lists neighbors in exactly the iterator's order with the
-    /// same `f64` edge costs, so the heap sees an identical push/pop
-    /// sequence and the result is bit-identical to the unbounded
-    /// point-based search — only the per-relaxation grid arithmetic and
-    /// obstacle lookups are gone. There is no `bounds` parameter: bounded
-    /// callers keep the point-based method.
-    ///
-    /// `adj` must be built for `graph` (see
-    /// [`GridAdjacency::ensure`](crate::csr::GridAdjacency::ensure)).
-    ///
-    /// # Errors
-    ///
-    /// See [`DijkstraWorkspace::shortest_path_to_set`].
-    ///
-    /// # Panics
-    ///
-    /// Panics (on index out of range) if `adj` was built for a smaller
-    /// graph.
-    pub fn shortest_path_to_set_csr<F>(
-        &mut self,
-        graph: &HananGraph,
-        adj: &crate::csr::GridAdjacency,
-        sources: &[GridPoint],
-        is_target: F,
-    ) -> Result<GridPath, GraphError>
-    where
-        F: Fn(usize) -> bool,
-    {
-        let mut points = Vec::new();
-        let cost =
-            self.shortest_path_to_set_csr_into(graph, adj, sources, is_target, &mut points)?;
-        Ok(GridPath { points, cost })
-    }
-
-    /// [`DijkstraWorkspace::shortest_path_to_set_csr`] writing the path
-    /// into a caller-owned buffer (cleared first) instead of allocating a
-    /// [`GridPath`]; returns the path cost.
-    ///
-    /// # Errors
-    ///
-    /// See [`DijkstraWorkspace::shortest_path_to_set`]. On error `out` is
-    /// left cleared.
-    ///
-    /// # Panics
-    ///
-    /// Panics (on index out of range) if `adj` was built for a smaller
-    /// graph.
-    pub fn shortest_path_to_set_csr_into<F>(
-        &mut self,
-        graph: &HananGraph,
-        adj: &crate::csr::GridAdjacency,
-        sources: &[GridPoint],
-        is_target: F,
-        out: &mut Vec<GridPoint>,
-    ) -> Result<f64, GraphError>
-    where
-        F: Fn(usize) -> bool,
-    {
-        out.clear();
-        if sources.is_empty() {
-            return Err(GraphError::EmptyTerminalSet);
-        }
-        self.prepare(graph.len());
-        let mut any_source = false;
-        for &s in sources {
-            if graph.is_blocked(s) {
-                continue;
-            }
-            let idx = graph.index(s);
-            if self.fresh(idx) || self.dist[idx] > 0.0 {
-                self.stamp[idx] = self.epoch;
-                self.dist[idx] = 0.0;
-                self.prev[idx] = NO_PREV;
-                self.counters.bump(Counter::DijkstraPushes);
-                self.heap.push(Entry {
-                    cost: 0.0,
-                    idx: idx as u32,
-                });
-                any_source = true;
-            }
-        }
-        if !any_source {
-            return Err(GraphError::BlockedSource(sources[0]));
-        }
-
-        while let Some(Entry { cost, idx }) = self.heap.pop() {
-            let idx = idx as usize;
-            if cost > self.dist[idx] {
-                continue; // stale heap entry
-            }
-            self.counters.bump(Counter::DijkstraPops);
-            if is_target(idx) {
-                return Ok(self.reconstruct_into(graph, idx, out));
-            }
-            for (qi, w) in adj.neighbors(idx) {
-                let qi = qi as usize;
-                let nd = cost + w;
-                self.counters.bump(Counter::DijkstraRelaxations);
-                if self.fresh(qi) || nd < self.dist[qi] {
-                    self.stamp[qi] = self.epoch;
-                    self.dist[qi] = nd;
-                    self.prev[qi] = idx as u32;
-                    self.counters.bump(Counter::DijkstraPushes);
-                    self.heap.push(Entry {
-                        cost: nd,
-                        idx: qi as u32,
-                    });
-                }
-            }
-        }
-        Err(GraphError::Unreachable {
-            from: sources[0],
-            to: None,
-        })
-    }
-
-    /// [`DijkstraWorkspace::shortest_path_to_set`] under an explicit
-    /// [`QueuePolicy`].
-    ///
-    /// `targets` is the A* hint: under [`QueuePolicy::AStar`] it must
-    /// include every vertex `is_target` accepts (the lower bound must be
-    /// zero on all targets, or the first settled target is not guaranteed
-    /// cheapest). The other policies ignore it; pass `&[]`. `Auto`,
-    /// `Heap`, and `Dial` return bit-identical results (DESIGN.md §12.3);
-    /// `AStar` returns the same cost bits but possibly a different
-    /// equal-cost path (§12.4).
-    ///
-    /// # Errors
-    ///
-    /// See [`DijkstraWorkspace::shortest_path_to_set`].
-    pub fn shortest_path_to_set_policy<F>(
-        &mut self,
-        graph: &HananGraph,
-        sources: &[GridPoint],
-        is_target: F,
-        bounds: Option<SearchBounds>,
-        policy: QueuePolicy,
-        targets: &[GridPoint],
-    ) -> Result<GridPath, GraphError>
-    where
-        F: Fn(usize) -> bool,
-    {
-        let mut points = Vec::new();
-        let cost = self.shortest_path_to_set_policy_into(
-            graph,
-            sources,
-            is_target,
-            bounds,
-            policy,
-            targets,
-            &mut points,
-        )?;
-        Ok(GridPath { points, cost })
-    }
-
-    /// [`DijkstraWorkspace::shortest_path_to_set_policy`] writing the path
-    /// into a caller-owned buffer (cleared first); returns the path cost.
-    /// This is the allocation-free policy-dispatched entry point of the
-    /// maze-routing hot loop.
-    ///
-    /// # Errors
-    ///
-    /// See [`DijkstraWorkspace::shortest_path_to_set`]. On error `out` is
-    /// left cleared.
-    #[allow(clippy::too_many_arguments)]
-    pub fn shortest_path_to_set_policy_into<F>(
-        &mut self,
-        graph: &HananGraph,
-        sources: &[GridPoint],
-        is_target: F,
-        bounds: Option<SearchBounds>,
-        policy: QueuePolicy,
-        targets: &[GridPoint],
-        out: &mut Vec<GridPoint>,
-    ) -> Result<f64, GraphError>
-    where
-        F: Fn(usize) -> bool,
-    {
-        match policy.resolve(graph.integer_cost_ceiling(), !targets.is_empty()) {
-            ResolvedQueue::Heap => {
-                self.shortest_path_to_set_into(graph, sources, is_target, bounds, out)
-            }
-            ResolvedQueue::Dial(ceiling) => {
-                self.dial_search_point(graph, sources, is_target, bounds, ceiling, out)
-            }
-            ResolvedQueue::AStar => {
-                self.astar_search_point(graph, sources, is_target, bounds, targets, out)
-            }
-        }
-    }
-
-    /// [`DijkstraWorkspace::shortest_path_to_set_csr`] under an explicit
-    /// [`QueuePolicy`]. See
-    /// [`DijkstraWorkspace::shortest_path_to_set_policy`] for the
-    /// `targets` hint contract.
-    ///
-    /// # Errors
-    ///
-    /// See [`DijkstraWorkspace::shortest_path_to_set`].
-    ///
-    /// # Panics
-    ///
-    /// Panics (on index out of range) if `adj` was built for a smaller
-    /// graph.
-    pub fn shortest_path_to_set_csr_policy<F>(
-        &mut self,
-        graph: &HananGraph,
-        adj: &crate::csr::GridAdjacency,
-        sources: &[GridPoint],
-        is_target: F,
-        policy: QueuePolicy,
-        targets: &[GridPoint],
-    ) -> Result<GridPath, GraphError>
-    where
-        F: Fn(usize) -> bool,
-    {
-        let mut points = Vec::new();
-        let cost = self.shortest_path_to_set_csr_policy_into(
-            graph,
-            adj,
-            sources,
-            is_target,
-            policy,
-            targets,
-            &mut points,
-        )?;
-        Ok(GridPath { points, cost })
-    }
-
-    /// [`DijkstraWorkspace::shortest_path_to_set_csr_policy`] writing the
-    /// path into a caller-owned buffer (cleared first); returns the path
-    /// cost.
-    ///
-    /// # Errors
-    ///
-    /// See [`DijkstraWorkspace::shortest_path_to_set`]. On error `out` is
-    /// left cleared.
     ///
     /// # Panics
     ///
     /// Panics (on index out of range) if `adj` was built for a smaller
     /// graph.
     #[allow(clippy::too_many_arguments)]
-    pub fn shortest_path_to_set_csr_policy_into<F>(
+    pub fn shortest_path_into<F: Fn(usize) -> bool>(
         &mut self,
         graph: &HananGraph,
-        adj: &crate::csr::GridAdjacency,
+        adj: &GridAdjacency,
         sources: &[GridPoint],
         is_target: F,
+        bounds: Option<SearchBounds>,
         policy: QueuePolicy,
         targets: &[GridPoint],
         out: &mut Vec<GridPoint>,
-    ) -> Result<f64, GraphError>
-    where
-        F: Fn(usize) -> bool,
-    {
-        match policy.resolve(graph.integer_cost_ceiling(), !targets.is_empty()) {
-            ResolvedQueue::Heap => {
-                self.shortest_path_to_set_csr_into(graph, adj, sources, is_target, out)
-            }
-            ResolvedQueue::Dial(ceiling) => {
-                self.dial_search_csr(graph, adj, sources, is_target, ceiling, out)
-            }
-            ResolvedQueue::AStar => {
-                self.astar_search_csr(graph, adj, sources, is_target, targets, out)
-            }
-        }
-    }
-
-    /// Seeds a query's sources into `dist`/`prev` and the Dial bucket
-    /// queue (all at key 0). Returns whether any source was usable.
-    fn dial_seed(&mut self, graph: &HananGraph, sources: &[GridPoint], ceiling: u64) -> bool {
-        self.prepare(graph.len());
-        self.bucket.reset(ceiling.max(1) as usize);
-        let mut any_source = false;
-        for &s in sources {
-            if graph.is_blocked(s) {
-                continue;
-            }
-            let idx = graph.index(s);
-            if self.fresh(idx) || self.dist[idx] > 0.0 {
-                self.stamp[idx] = self.epoch;
-                self.dist[idx] = 0.0;
-                self.prev[idx] = NO_PREV;
-                self.counters.bump(Counter::DijkstraPushes);
-                self.bucket.push(0, idx as u32);
-                any_source = true;
-            }
-        }
-        any_source
-    }
-
-    /// The point-based Dial search: the heap loop of
-    /// [`DijkstraWorkspace::shortest_path_to_set_into`] with the binary
-    /// heap replaced by the bucket queue. Bit-identical to the heap path
-    /// (DESIGN.md §12.3): bucket pop order is `(cost, vertex index)` and
-    /// the `done` stamp reproduces the heap's stale-entry skip, so
-    /// `dist`/`prev`, the returned path, its cost bits, and the
-    /// pops/relaxations/pushes counters all match exactly.
-    fn dial_search_point<F>(
-        &mut self,
-        graph: &HananGraph,
-        sources: &[GridPoint],
-        is_target: F,
-        bounds: Option<SearchBounds>,
-        ceiling: u64,
-        out: &mut Vec<GridPoint>,
-    ) -> Result<f64, GraphError>
-    where
-        F: Fn(usize) -> bool,
-    {
+    ) -> Result<f64, GraphError> {
         out.clear();
-        if sources.is_empty() {
-            return Err(GraphError::EmptyTerminalSet);
+        let target = self.search(graph, adj, sources, is_target, bounds, policy, targets)?;
+        let mut cur = target;
+        loop {
+            out.push(graph.point(cur));
+            match self.labels.prev[cur] {
+                NO_PREV => break,
+                prev => cur = prev as usize,
+            }
         }
-        if !self.dial_seed(graph, sources, ceiling) {
-            return Err(GraphError::BlockedSource(sources[0]));
-        }
-        let mut scans = 0u64;
-        let result = loop {
-            let Some((_key, idx)) = self.bucket.pop_min(&mut scans) else {
-                break Err(GraphError::Unreachable {
-                    from: sources[0],
-                    to: None,
-                });
-            };
-            let idx = idx as usize;
-            if self.done[idx] == self.epoch {
-                continue; // stale duplicate (the heap's `cost > dist` skip)
-            }
-            self.done[idx] = self.epoch;
-            self.counters.bump(Counter::DijkstraPops);
-            if is_target(idx) {
-                break Ok(self.reconstruct_into(graph, idx, out));
-            }
-            let cost = self.dist[idx];
-            let p = graph.point(idx);
-            for (q, w) in graph.neighbors(p) {
-                if let Some(b) = bounds {
-                    if !b.contains(q) {
-                        continue;
-                    }
-                }
-                let qi = graph.index(q);
-                let nd = cost + w;
-                self.counters.bump(Counter::DijkstraRelaxations);
-                if self.fresh(qi) || nd < self.dist[qi] {
-                    self.stamp[qi] = self.epoch;
-                    self.dist[qi] = nd;
-                    self.prev[qi] = idx as u32;
-                    self.counters.bump(Counter::DijkstraPushes);
-                    self.bucket.push(nd as u64, qi as u32);
-                }
-            }
-        };
-        self.counters.add(Counter::DijkstraBucketScans, scans);
-        result
+        out.reverse();
+        Ok(self.labels.dist[target])
     }
 
-    /// The CSR-driven Dial search; see
-    /// [`DijkstraWorkspace::dial_search_point`] for the bit-identity
-    /// argument (the CSR lists neighbors in the iterator's order, so the
-    /// push sequence is unchanged).
-    fn dial_search_csr<F>(
-        &mut self,
-        graph: &HananGraph,
-        adj: &crate::csr::GridAdjacency,
-        sources: &[GridPoint],
-        is_target: F,
-        ceiling: u64,
-        out: &mut Vec<GridPoint>,
-    ) -> Result<f64, GraphError>
-    where
-        F: Fn(usize) -> bool,
-    {
-        out.clear();
-        if sources.is_empty() {
-            return Err(GraphError::EmptyTerminalSet);
-        }
-        if !self.dial_seed(graph, sources, ceiling) {
-            return Err(GraphError::BlockedSource(sources[0]));
-        }
-        let mut scans = 0u64;
-        let result = loop {
-            let Some((_key, idx)) = self.bucket.pop_min(&mut scans) else {
-                break Err(GraphError::Unreachable {
-                    from: sources[0],
-                    to: None,
-                });
-            };
-            let idx = idx as usize;
-            if self.done[idx] == self.epoch {
-                continue; // stale duplicate (the heap's `cost > dist` skip)
-            }
-            self.done[idx] = self.epoch;
-            self.counters.bump(Counter::DijkstraPops);
-            if is_target(idx) {
-                break Ok(self.reconstruct_into(graph, idx, out));
-            }
-            let cost = self.dist[idx];
-            for (qi, w) in adj.neighbors(idx) {
-                let qi = qi as usize;
-                let nd = cost + w;
-                self.counters.bump(Counter::DijkstraRelaxations);
-                if self.fresh(qi) || nd < self.dist[qi] {
-                    self.stamp[qi] = self.epoch;
-                    self.dist[qi] = nd;
-                    self.prev[qi] = idx as u32;
-                    self.counters.bump(Counter::DijkstraPushes);
-                    self.bucket.push(nd as u64, qi as u32);
-                }
-            }
-        };
-        self.counters.add(Counter::DijkstraBucketScans, scans);
-        result
-    }
-
-    /// Seeds a query's sources into `dist`/`prev` and the binary heap at
-    /// their `f = 0 + h` keys (the bound must already be prepared).
-    /// Returns whether any source was usable.
-    fn astar_seed(&mut self, graph: &HananGraph, sources: &[GridPoint]) -> bool {
-        let mut any_source = false;
-        for &s in sources {
-            if graph.is_blocked(s) {
-                continue;
-            }
-            let idx = graph.index(s);
-            if self.fresh(idx) || self.dist[idx] > 0.0 {
-                self.stamp[idx] = self.epoch;
-                self.dist[idx] = 0.0;
-                self.prev[idx] = NO_PREV;
-                self.counters.bump(Counter::DijkstraPushes);
-                self.heap.push(Entry {
-                    cost: self.bound.eval(s) as f64,
-                    idx: idx as u32,
-                });
-                any_source = true;
-            }
-        }
-        any_source
-    }
-
-    /// The point-based A* search: the binary heap ordered by `f = g + h`
-    /// with [`RectilinearBound`] as `h`. All arithmetic stays exact
-    /// (integer-valued `f64`s below 2⁵³), so the returned cost bits match
-    /// the oracle's; the path geometry may differ on cost ties
-    /// (DESIGN.md §12.4).
-    fn astar_search_point<F>(
-        &mut self,
-        graph: &HananGraph,
-        sources: &[GridPoint],
-        is_target: F,
-        bounds: Option<SearchBounds>,
-        targets: &[GridPoint],
-        out: &mut Vec<GridPoint>,
-    ) -> Result<f64, GraphError>
-    where
-        F: Fn(usize) -> bool,
-    {
-        out.clear();
-        if sources.is_empty() {
-            return Err(GraphError::EmptyTerminalSet);
-        }
-        self.prepare(graph.len());
-        self.bound.prepare(graph, targets);
-        if !self.astar_seed(graph, sources) {
-            return Err(GraphError::BlockedSource(sources[0]));
-        }
-        while let Some(Entry { cost: _f, idx }) = self.heap.pop() {
-            let idx = idx as usize;
-            if self.done[idx] == self.epoch {
-                continue; // stale duplicate
-            }
-            self.done[idx] = self.epoch;
-            self.counters.bump(Counter::DijkstraPops);
-            if is_target(idx) {
-                return Ok(self.reconstruct_into(graph, idx, out));
-            }
-            let g = self.dist[idx];
-            let p = graph.point(idx);
-            for (q, w) in graph.neighbors(p) {
-                if let Some(b) = bounds {
-                    if !b.contains(q) {
-                        continue;
-                    }
-                }
-                let qi = graph.index(q);
-                let nd = g + w;
-                self.counters.bump(Counter::DijkstraRelaxations);
-                if self.fresh(qi) || nd < self.dist[qi] {
-                    self.stamp[qi] = self.epoch;
-                    self.dist[qi] = nd;
-                    self.prev[qi] = idx as u32;
-                    self.counters.bump(Counter::DijkstraPushes);
-                    self.heap.push(Entry {
-                        cost: nd + self.bound.eval(q) as f64,
-                        idx: qi as u32,
-                    });
-                }
-            }
-        }
-        Err(GraphError::Unreachable {
-            from: sources[0],
-            to: None,
-        })
-    }
-
-    /// The CSR-driven A* search; one `graph.point` call per improving
-    /// relaxation pays for the `h` evaluation.
-    fn astar_search_csr<F>(
-        &mut self,
-        graph: &HananGraph,
-        adj: &crate::csr::GridAdjacency,
-        sources: &[GridPoint],
-        is_target: F,
-        targets: &[GridPoint],
-        out: &mut Vec<GridPoint>,
-    ) -> Result<f64, GraphError>
-    where
-        F: Fn(usize) -> bool,
-    {
-        out.clear();
-        if sources.is_empty() {
-            return Err(GraphError::EmptyTerminalSet);
-        }
-        self.prepare(graph.len());
-        self.bound.prepare(graph, targets);
-        if !self.astar_seed(graph, sources) {
-            return Err(GraphError::BlockedSource(sources[0]));
-        }
-        while let Some(Entry { cost: _f, idx }) = self.heap.pop() {
-            let idx = idx as usize;
-            if self.done[idx] == self.epoch {
-                continue; // stale duplicate
-            }
-            self.done[idx] = self.epoch;
-            self.counters.bump(Counter::DijkstraPops);
-            if is_target(idx) {
-                return Ok(self.reconstruct_into(graph, idx, out));
-            }
-            let g = self.dist[idx];
-            for (qi, w) in adj.neighbors(idx) {
-                let qi = qi as usize;
-                let nd = g + w;
-                self.counters.bump(Counter::DijkstraRelaxations);
-                if self.fresh(qi) || nd < self.dist[qi] {
-                    self.stamp[qi] = self.epoch;
-                    self.dist[qi] = nd;
-                    self.prev[qi] = idx as u32;
-                    self.counters.bump(Counter::DijkstraPushes);
-                    self.heap.push(Entry {
-                        cost: nd + self.bound.eval(graph.point(qi)) as f64,
-                        idx: qi as u32,
-                    });
-                }
-            }
-        }
-        Err(GraphError::Unreachable {
-            from: sources[0],
-            to: None,
-        })
-    }
-
-    /// Full single-source Dijkstra; returns the distance to every vertex
-    /// (`f64::INFINITY` where unreachable).
+    /// Full single-source distances: a heap query that never meets a
+    /// target, read out as the distance to every vertex (`f64::INFINITY`
+    /// where unreachable). `adj` must be built for `graph`.
     ///
     /// # Errors
     ///
@@ -1021,48 +560,26 @@ impl DijkstraWorkspace {
     pub fn distances_from(
         &mut self,
         graph: &HananGraph,
+        adj: &GridAdjacency,
         source: GridPoint,
     ) -> Result<Vec<f64>, GraphError> {
-        if graph.is_blocked(source) {
-            return Err(GraphError::BlockedSource(source));
+        match self.search(
+            graph,
+            adj,
+            &[source],
+            |_| false,
+            None,
+            QueuePolicy::Heap,
+            &[],
+        ) {
+            Ok(_) | Err(GraphError::Unreachable { .. }) => {}
+            Err(e) => return Err(e),
         }
-        self.prepare(graph.len());
-        let s = graph.index(source);
-        self.stamp[s] = self.epoch;
-        self.dist[s] = 0.0;
-        self.prev[s] = NO_PREV;
-        self.counters.bump(Counter::DijkstraPushes);
-        self.heap.push(Entry {
-            cost: 0.0,
-            idx: s as u32,
-        });
-        while let Some(Entry { cost, idx }) = self.heap.pop() {
-            let idx = idx as usize;
-            if cost > self.dist[idx] {
-                continue;
-            }
-            self.counters.bump(Counter::DijkstraPops);
-            let p = graph.point(idx);
-            for (q, w) in graph.neighbors(p) {
-                let qi = graph.index(q);
-                let nd = cost + w;
-                self.counters.bump(Counter::DijkstraRelaxations);
-                if self.fresh(qi) || nd < self.dist[qi] {
-                    self.stamp[qi] = self.epoch;
-                    self.dist[qi] = nd;
-                    self.prev[qi] = idx as u32;
-                    self.counters.bump(Counter::DijkstraPushes);
-                    self.heap.push(Entry {
-                        cost: nd,
-                        idx: qi as u32,
-                    });
-                }
-            }
-        }
+        let l = &self.labels;
         Ok((0..graph.len())
             .map(|i| {
-                if self.stamp[i] == self.epoch {
-                    self.dist[i]
+                if l.stamp[i] == l.epoch {
+                    l.dist[i]
                 } else {
                     f64::INFINITY
                 }
@@ -1070,97 +587,53 @@ impl DijkstraWorkspace {
             .collect())
     }
 
-    fn reconstruct_into(&self, graph: &HananGraph, target: usize, out: &mut Vec<GridPoint>) -> f64 {
-        out.clear();
-        let mut cur = target;
-        loop {
-            out.push(graph.point(cur));
-            let prev = self.prev[cur];
-            if prev == NO_PREV {
-                break;
-            }
-            cur = prev as usize;
+    /// Resolves the policy to a frontier and runs [`Labels::search`] on it.
+    #[allow(clippy::too_many_arguments)]
+    fn search<F: Fn(usize) -> bool>(
+        &mut self,
+        graph: &HananGraph,
+        adj: &GridAdjacency,
+        sources: &[GridPoint],
+        is_target: F,
+        bounds: Option<SearchBounds>,
+        policy: QueuePolicy,
+        targets: &[GridPoint],
+    ) -> Result<usize, GraphError> {
+        if sources.is_empty() {
+            return Err(GraphError::EmptyTerminalSet);
         }
-        out.reverse();
-        self.dist[target]
+        self.labels.prepare(graph.len());
+        let DijkstraWorkspace {
+            labels,
+            heap,
+            bucket,
+            bound,
+            counters,
+        } = self;
+        match policy.resolve(graph.integer_cost_ceiling(), !targets.is_empty()) {
+            ResolvedQueue::Heap => {
+                heap.clear();
+                labels.search(graph, adj, sources, is_target, bounds, heap, counters)
+            }
+            ResolvedQueue::Dial(ceiling) => {
+                bucket.reset(ceiling.max(1) as usize);
+                let mut dial = Dial {
+                    queue: bucket,
+                    scans: 0,
+                };
+                let settled =
+                    labels.search(graph, adj, sources, is_target, bounds, &mut dial, counters);
+                counters.add(Counter::DijkstraBucketScans, dial.scans);
+                settled
+            }
+            ResolvedQueue::AStar => {
+                heap.clear();
+                bound.prepare(graph, targets);
+                let mut astar = AStar { heap, bound, graph };
+                labels.search(graph, adj, sources, is_target, bounds, &mut astar, counters)
+            }
+        }
     }
-}
-
-/// One-shot shortest path between two vertices.
-///
-/// # Errors
-///
-/// See [`DijkstraWorkspace::shortest_path_to_set`].
-pub fn shortest_path(
-    graph: &HananGraph,
-    from: GridPoint,
-    to: GridPoint,
-) -> Result<GridPath, GraphError> {
-    shortest_path_in(&mut DijkstraWorkspace::new(), graph, from, to)
-}
-
-/// Shortest path between two vertices using a caller-owned workspace.
-///
-/// # Errors
-///
-/// See [`DijkstraWorkspace::shortest_path_to_set`].
-pub fn shortest_path_in(
-    ws: &mut DijkstraWorkspace,
-    graph: &HananGraph,
-    from: GridPoint,
-    to: GridPoint,
-) -> Result<GridPath, GraphError> {
-    let target_idx = graph.index(to);
-    ws.shortest_path_to_set(graph, &[from], |i| i == target_idx, None)
-        .map_err(|e| match e {
-            GraphError::Unreachable { from, .. } => GraphError::Unreachable { from, to: Some(to) },
-            other => other,
-        })
-}
-
-/// One-shot multi-source shortest path to a target set.
-///
-/// # Errors
-///
-/// See [`DijkstraWorkspace::shortest_path_to_set`].
-pub fn shortest_path_to_set<F>(
-    graph: &HananGraph,
-    sources: &[GridPoint],
-    is_target: F,
-) -> Result<GridPath, GraphError>
-where
-    F: Fn(usize) -> bool,
-{
-    DijkstraWorkspace::new().shortest_path_to_set(graph, sources, is_target, None)
-}
-
-/// Multi-source shortest path to a target set using a caller-owned
-/// workspace (equivalent to
-/// [`DijkstraWorkspace::shortest_path_to_set`] without bounds; provided for
-/// symmetry with the other `_in` entry points).
-///
-/// # Errors
-///
-/// See [`DijkstraWorkspace::shortest_path_to_set`].
-pub fn shortest_path_to_set_in<F>(
-    ws: &mut DijkstraWorkspace,
-    graph: &HananGraph,
-    sources: &[GridPoint],
-    is_target: F,
-) -> Result<GridPath, GraphError>
-where
-    F: Fn(usize) -> bool,
-{
-    ws.shortest_path_to_set(graph, sources, is_target, None)
-}
-
-/// One-shot full single-source distances.
-///
-/// # Errors
-///
-/// See [`DijkstraWorkspace::distances_from`].
-pub fn distances_from(graph: &HananGraph, source: GridPoint) -> Result<Vec<f64>, GraphError> {
-    DijkstraWorkspace::new().distances_from(graph, source)
 }
 
 #[cfg(test)]
@@ -1171,28 +644,84 @@ mod tests {
         HananGraph::uniform(h, v, m, 1.0, 1.0, 3.0)
     }
 
+    /// One maze query through a freshly built adjacency: `(cost, path)`.
+    fn query(
+        ws: &mut DijkstraWorkspace,
+        g: &HananGraph,
+        sources: &[GridPoint],
+        target: usize,
+        bounds: Option<SearchBounds>,
+        policy: QueuePolicy,
+        hint: &[GridPoint],
+    ) -> Result<(f64, Vec<GridPoint>), GraphError> {
+        let mut adj = GridAdjacency::new();
+        adj.ensure(g);
+        let mut out = Vec::new();
+        let cost = ws.shortest_path_into(
+            g,
+            &adj,
+            sources,
+            |i| i == target,
+            bounds,
+            policy,
+            hint,
+            &mut out,
+        )?;
+        Ok((cost, out))
+    }
+
+    /// Point-to-point heap query on a fresh workspace.
+    fn path(
+        g: &HananGraph,
+        from: GridPoint,
+        to: GridPoint,
+    ) -> Result<(f64, Vec<GridPoint>), GraphError> {
+        let t = g.index(to);
+        query(
+            &mut DijkstraWorkspace::new(),
+            g,
+            &[from],
+            t,
+            None,
+            QueuePolicy::Heap,
+            &[],
+        )
+    }
+
+    fn distances(g: &HananGraph, source: GridPoint) -> Result<Vec<f64>, GraphError> {
+        let mut adj = GridAdjacency::new();
+        adj.ensure(g);
+        DijkstraWorkspace::new().distances_from(g, &adj, source)
+    }
+
+    const OPS: [Counter; 3] = [
+        Counter::DijkstraPops,
+        Counter::DijkstraRelaxations,
+        Counter::DijkstraPushes,
+    ];
+
     #[test]
     fn straight_line_cost_is_manhattan() {
         let g = open_grid(5, 5, 1);
-        let p = shortest_path(&g, GridPoint::new(0, 0, 0), GridPoint::new(4, 3, 0)).unwrap();
-        assert_eq!(p.cost, 7.0);
-        assert_eq!(p.source(), GridPoint::new(0, 0, 0));
-        assert_eq!(p.target(), GridPoint::new(4, 3, 0));
+        let (cost, pts) = path(&g, GridPoint::new(0, 0, 0), GridPoint::new(4, 3, 0)).unwrap();
+        assert_eq!(cost, 7.0);
+        assert_eq!(pts[0], GridPoint::new(0, 0, 0));
+        assert_eq!(pts[pts.len() - 1], GridPoint::new(4, 3, 0));
         // Consecutive points are neighbors.
-        for (a, b) in p.edges() {
-            assert_eq!(a.grid_distance(b), 1);
+        for w in pts.windows(2) {
+            assert_eq!(w[0].grid_distance(w[1]), 1);
         }
     }
 
     #[test]
     fn path_cost_equals_sum_of_edge_costs() {
         let g = HananGraph::with_costs(4, 3, 2, vec![2.0, 5.0, 1.0], vec![4.0, 4.0], 3.0).unwrap();
-        let p = shortest_path(&g, GridPoint::new(0, 0, 0), GridPoint::new(3, 2, 1)).unwrap();
-        let sum: f64 = p
-            .edges()
-            .map(|(a, b)| g.edge_cost(a, b).expect("path edges are grid edges"))
+        let (cost, pts) = path(&g, GridPoint::new(0, 0, 0), GridPoint::new(3, 2, 1)).unwrap();
+        let sum: f64 = pts
+            .windows(2)
+            .map(|w| g.edge_cost(w[0], w[1]).expect("path edges are grid edges"))
             .sum();
-        assert!((p.cost - sum).abs() < 1e-9);
+        assert!((cost - sum).abs() < 1e-9);
     }
 
     #[test]
@@ -1202,11 +731,10 @@ mod tests {
         for v in 0..4 {
             g.add_obstacle_vertex(GridPoint::new(2, v, 0)).unwrap();
         }
-        let p = shortest_path(&g, GridPoint::new(0, 0, 0), GridPoint::new(4, 0, 0)).unwrap();
-        // Must go up to row 4, across, and back down: 4 + 4 + 4 + ... check
-        // exact: up 4, right 4, down 4 = 12.
-        assert_eq!(p.cost, 12.0);
-        assert!(p.points.iter().all(|&q| !g.is_blocked(q)));
+        let (cost, pts) = path(&g, GridPoint::new(0, 0, 0), GridPoint::new(4, 0, 0)).unwrap();
+        // Up 4, right 4, down 4 = 12.
+        assert_eq!(cost, 12.0);
+        assert!(pts.iter().all(|&q| !g.is_blocked(q)));
     }
 
     #[test]
@@ -1214,9 +742,9 @@ mod tests {
         // Fully blocked layer 0 except endpoints: path must via up and back.
         let mut g = open_grid(3, 1, 2);
         g.add_obstacle_vertex(GridPoint::new(1, 0, 0)).unwrap();
-        let p = shortest_path(&g, GridPoint::new(0, 0, 0), GridPoint::new(2, 0, 0)).unwrap();
+        let (cost, _) = path(&g, GridPoint::new(0, 0, 0), GridPoint::new(2, 0, 0)).unwrap();
         // via(3) + 2 horizontal + via(3) = 8.
-        assert_eq!(p.cost, 8.0);
+        assert_eq!(cost, 8.0);
     }
 
     #[test]
@@ -1226,7 +754,7 @@ mod tests {
         for v in 0..3 {
             g.add_obstacle_vertex(GridPoint::new(1, v, 0)).unwrap();
         }
-        let err = shortest_path(&g, GridPoint::new(0, 0, 0), GridPoint::new(2, 2, 0)).unwrap_err();
+        let err = path(&g, GridPoint::new(0, 0, 0), GridPoint::new(2, 2, 0)).unwrap_err();
         assert!(matches!(err, GraphError::Unreachable { .. }));
     }
 
@@ -1234,14 +762,19 @@ mod tests {
     fn blocked_source_is_an_error() {
         let mut g = open_grid(3, 3, 1);
         g.add_obstacle_vertex(GridPoint::new(0, 0, 0)).unwrap();
-        let err = shortest_path(&g, GridPoint::new(0, 0, 0), GridPoint::new(2, 2, 0)).unwrap_err();
+        let err = path(&g, GridPoint::new(0, 0, 0), GridPoint::new(2, 2, 0)).unwrap_err();
         assert_eq!(err, GraphError::BlockedSource(GridPoint::new(0, 0, 0)));
+        assert_eq!(
+            distances(&g, GridPoint::new(0, 0, 0)).unwrap_err(),
+            GraphError::BlockedSource(GridPoint::new(0, 0, 0))
+        );
     }
 
     #[test]
     fn empty_sources_is_an_error() {
         let g = open_grid(3, 3, 1);
-        let err = shortest_path_to_set(&g, &[], |_| true).unwrap_err();
+        let mut ws = DijkstraWorkspace::new();
+        let err = query(&mut ws, &g, &[], 0, None, QueuePolicy::Auto, &[]).unwrap_err();
         assert_eq!(err, GraphError::EmptyTerminalSet);
     }
 
@@ -1250,19 +783,22 @@ mod tests {
         let g = open_grid(10, 1, 1);
         let sources = [GridPoint::new(0, 0, 0), GridPoint::new(8, 0, 0)];
         let target = g.index(GridPoint::new(6, 0, 0));
-        let p = shortest_path_to_set(&g, &sources, |i| i == target).unwrap();
-        assert_eq!(p.cost, 2.0);
-        assert_eq!(p.source(), GridPoint::new(8, 0, 0));
+        let mut ws = DijkstraWorkspace::new();
+        let (cost, pts) =
+            query(&mut ws, &g, &sources, target, None, QueuePolicy::Auto, &[]).unwrap();
+        assert_eq!(cost, 2.0);
+        assert_eq!(pts[0], GridPoint::new(8, 0, 0));
     }
 
     #[test]
     fn source_in_target_set_gives_trivial_path() {
         let g = open_grid(3, 3, 1);
         let s = GridPoint::new(1, 1, 0);
-        let si = g.index(s);
-        let p = shortest_path_to_set(&g, &[s], |i| i == si).unwrap();
-        assert_eq!(p.cost, 0.0);
-        assert_eq!(p.points, vec![s]);
+        let mut ws = DijkstraWorkspace::new();
+        let (cost, pts) =
+            query(&mut ws, &g, &[s], g.index(s), None, QueuePolicy::Auto, &[]).unwrap();
+        assert_eq!(cost, 0.0);
+        assert_eq!(pts, vec![s]);
     }
 
     #[test]
@@ -1271,18 +807,15 @@ mod tests {
         g.add_obstacle_vertex(GridPoint::new(2, 2, 0)).unwrap();
         g.add_obstacle_vertex(GridPoint::new(3, 2, 0)).unwrap();
         let src = GridPoint::new(0, 0, 0);
-        let dist = distances_from(&g, src).unwrap();
+        let dist = distances(&g, src).unwrap();
         for idx in (0..g.len()).step_by(7) {
             let p = g.point(idx);
             if g.is_blocked(p) {
                 assert!(dist[idx].is_infinite());
                 continue;
             }
-            let path = shortest_path(&g, src, p).unwrap();
-            assert!(
-                (dist[idx] - path.cost).abs() < 1e-9,
-                "distance mismatch at {p}"
-            );
+            let (cost, _) = path(&g, src, p).unwrap();
+            assert!((dist[idx] - cost).abs() < 1e-9, "distance mismatch at {p}");
         }
     }
 
@@ -1295,16 +828,20 @@ mod tests {
             v_lo: 0,
             v_hi: 4,
         };
-        let target = g.index(GridPoint::new(9, 9, 0));
-        let err = SearchSpace::new()
-            .shortest_path_to_set(
+        let tp = GridPoint::new(9, 9, 0);
+        for policy in [QueuePolicy::Auto, QueuePolicy::Heap, QueuePolicy::AStar] {
+            let err = query(
+                &mut DijkstraWorkspace::new(),
                 &g,
                 &[GridPoint::new(0, 0, 0)],
-                |i| i == target,
+                g.index(tp),
                 Some(bounds),
+                policy,
+                &[tp],
             )
             .unwrap_err();
-        assert!(matches!(err, GraphError::Unreachable { .. }));
+            assert!(matches!(err, GraphError::Unreachable { .. }), "{policy:?}");
+        }
     }
 
     #[test]
@@ -1316,44 +853,18 @@ mod tests {
     }
 
     #[test]
-    fn csr_search_is_bit_identical_to_point_based_search() {
-        let mut g = open_grid(9, 7, 2);
-        for &(h, v, m) in &[(2, 0, 0), (2, 1, 0), (2, 2, 0), (5, 4, 1), (6, 4, 1)] {
-            g.add_obstacle_vertex(GridPoint::new(h, v, m)).unwrap();
-        }
-        let mut adj = crate::csr::GridAdjacency::new();
-        adj.ensure(&g);
-        let mut ws = DijkstraWorkspace::new();
-        let sources = [GridPoint::new(0, 0, 0), GridPoint::new(8, 6, 1)];
-        // Exercise several targets, interleaving the two methods on the
-        // same workspace so epoch reuse is covered too.
-        for target in [(4, 3, 0), (2, 6, 1), (7, 0, 0)] {
-            let t = g.index(GridPoint::new(target.0, target.1, target.2));
-            let a = ws
-                .shortest_path_to_set(&g, &sources, |i| i == t, None)
-                .unwrap();
-            let b = ws
-                .shortest_path_to_set_csr(&g, &adj, &sources, |i| i == t)
-                .unwrap();
-            assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-            assert_eq!(a.points, b.points);
-        }
-    }
-
-    #[test]
     fn counters_track_pops_relaxations_and_pushes() {
         let g = open_grid(6, 6, 1);
         let mut ws = DijkstraWorkspace::new();
         let t = g.index(GridPoint::new(5, 5, 0));
-        ws.shortest_path_to_set(&g, &[GridPoint::new(0, 0, 0)], |i| i == t, None)
-            .unwrap();
+        let src = [GridPoint::new(0, 0, 0)];
+        query(&mut ws, &g, &src, t, None, QueuePolicy::Heap, &[]).unwrap();
         let after = ws.counters;
         assert!(after.get(Counter::DijkstraPops) > 0);
         assert!(after.get(Counter::DijkstraRelaxations) >= after.get(Counter::DijkstraPops));
         assert!(after.get(Counter::DijkstraPushes) > 0);
         // A second identical query adds an identical delta.
-        ws.shortest_path_to_set(&g, &[GridPoint::new(0, 0, 0)], |i| i == t, None)
-            .unwrap();
+        query(&mut ws, &g, &src, t, None, QueuePolicy::Heap, &[]).unwrap();
         let d = ws.counters.delta_since(&after);
         assert_eq!(
             d.get(Counter::DijkstraPops),
@@ -1389,26 +900,19 @@ mod tests {
             let t = g.index(GridPoint::new(target.0, target.1, target.2));
             let before_heap = heap_ws.counters;
             let before_dial = dial_ws.counters;
-            let a = heap_ws
-                .shortest_path_to_set_policy(&g, &sources, |i| i == t, None, QueuePolicy::Heap, &[])
-                .unwrap();
-            let b = dial_ws
-                .shortest_path_to_set_policy(&g, &sources, |i| i == t, None, QueuePolicy::Dial, &[])
-                .unwrap();
-            assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-            assert_eq!(a.points, b.points);
+            let a = query(&mut heap_ws, &g, &sources, t, None, QueuePolicy::Heap, &[]).unwrap();
+            let b = query(&mut dial_ws, &g, &sources, t, None, QueuePolicy::Auto, &[]).unwrap();
+            assert_eq!(a.0.to_bits(), b.0.to_bits());
+            assert_eq!(a.1, b.1);
             // The op counters are acceptance targets: pops, relaxations,
             // and pushes must match the oracle exactly.
             let dh = heap_ws.counters.delta_since(&before_heap);
             let dd = dial_ws.counters.delta_since(&before_dial);
-            for c in [
-                Counter::DijkstraPops,
-                Counter::DijkstraRelaxations,
-                Counter::DijkstraPushes,
-            ] {
+            for c in OPS {
                 assert_eq!(dh.get(c), dd.get(c), "{c:?} diverged for {target:?}");
             }
             assert_eq!(dh.get(Counter::DijkstraBucketScans), 0);
+            assert!(dd.get(Counter::DijkstraBucketScans) > 0);
         }
     }
 
@@ -1418,19 +922,10 @@ mod tests {
         assert!(g.integer_cost_ceiling().is_some());
         let mut ws = DijkstraWorkspace::new();
         let t = g.index(GridPoint::new(7, 0, 0));
-        let before = ws.counters;
-        ws.shortest_path_to_set_policy(
-            &g,
-            &[GridPoint::new(0, 0, 0)],
-            |i| i == t,
-            None,
-            QueuePolicy::Auto,
-            &[],
-        )
-        .unwrap();
-        // The Dial path is the only one that can advance the cursor.
-        let d = ws.counters.delta_since(&before);
-        assert!(d.get(Counter::DijkstraBucketScans) > 0);
+        let src = [GridPoint::new(0, 0, 0)];
+        query(&mut ws, &g, &src, t, None, QueuePolicy::Auto, &[]).unwrap();
+        // The Dial frontier is the only one that can advance the cursor.
+        assert!(ws.counters.get(Counter::DijkstraBucketScans) > 0);
     }
 
     #[test]
@@ -1440,47 +935,75 @@ mod tests {
         assert_eq!(g.integer_cost_ceiling(), None);
         let mut ws = DijkstraWorkspace::new();
         let t = g.index(GridPoint::new(3, 3, 0));
-        let before = ws.counters;
-        let p = ws
-            .shortest_path_to_set_policy(
-                &g,
-                &[GridPoint::new(0, 0, 0)],
-                |i| i == t,
-                None,
-                QueuePolicy::Dial,
-                &[],
-            )
-            .unwrap();
-        assert_eq!(p.cost, 1.5 + 2.0 + 1.0 + 1.0 + 2.5 + 1.0);
-        let d = ws.counters.delta_since(&before);
-        assert_eq!(d.get(Counter::DijkstraBucketScans), 0, "fallback used heap");
+        let src = [GridPoint::new(0, 0, 0)];
+        let (cost, _) = query(&mut ws, &g, &src, t, None, QueuePolicy::Auto, &[]).unwrap();
+        assert_eq!(cost, 1.5 + 2.0 + 1.0 + 1.0 + 2.5 + 1.0);
+        assert_eq!(
+            ws.counters.get(Counter::DijkstraBucketScans),
+            0,
+            "fallback used heap"
+        );
     }
 
+    /// `Auto` flips from Dial to the heap exactly when the integer cost
+    /// ceiling passes [`DIAL_MAX_EDGE_COST`]; on both sides of the switch
+    /// it stays bit-identical to `Heap`, op counters included.
     #[test]
-    fn csr_policy_matches_point_policy_for_all_policies() {
+    fn auto_switch_boundary_matches_heap() {
+        for (ceiling, takes_dial) in [(DIAL_MAX_EDGE_COST, true), (DIAL_MAX_EDGE_COST + 1, false)] {
+            let top = ceiling as f64;
+            let mut g = HananGraph::with_costs(
+                6,
+                5,
+                2,
+                vec![3.0, top, 1.0, 7.0, 2.0],
+                vec![5.0, 1.0, top - 1.0, 2.0],
+                4.0,
+            )
+            .unwrap();
+            g.add_obstacle_vertex(GridPoint::new(3, 2, 0)).unwrap();
+            assert_eq!(g.integer_cost_ceiling(), Some(ceiling));
+            let sources = [GridPoint::new(0, 0, 0), GridPoint::new(5, 4, 1)];
+            let mut heap_ws = DijkstraWorkspace::new();
+            let mut auto_ws = DijkstraWorkspace::new();
+            for target in [(4, 3, 0), (1, 4, 1), (5, 0, 0)] {
+                let t = g.index(GridPoint::new(target.0, target.1, target.2));
+                let before_heap = heap_ws.counters;
+                let before_auto = auto_ws.counters;
+                let a = query(&mut heap_ws, &g, &sources, t, None, QueuePolicy::Heap, &[]).unwrap();
+                let b = query(&mut auto_ws, &g, &sources, t, None, QueuePolicy::Auto, &[]).unwrap();
+                assert_eq!(a.0.to_bits(), b.0.to_bits(), "ceiling {ceiling}");
+                assert_eq!(a.1, b.1, "ceiling {ceiling}");
+                let dh = heap_ws.counters.delta_since(&before_heap);
+                let da = auto_ws.counters.delta_since(&before_auto);
+                for c in OPS {
+                    assert_eq!(dh.get(c), da.get(c), "{c:?} at ceiling {ceiling}");
+                }
+                let scans = da.get(Counter::DijkstraBucketScans);
+                assert_eq!(scans > 0, takes_dial, "ceiling {ceiling}: {scans} scans");
+            }
+        }
+    }
+
+    /// A window covering the whole grid admits every neighbor, so the
+    /// bounded instance of the loop must reproduce the unbounded one bit
+    /// for bit — path, cost, and op counters — under every policy.
+    #[test]
+    fn whole_grid_window_matches_unbounded_search() {
         let g = costed_grid();
-        let mut adj = crate::csr::GridAdjacency::new();
-        adj.ensure(&g);
+        let all = SearchBounds::around(&g, [], 0);
         let sources = [GridPoint::new(0, 0, 0), GridPoint::new(8, 6, 1)];
-        let mut ws = DijkstraWorkspace::new();
         for target in [(4, 3, 0), (2, 6, 1)] {
             let tp = GridPoint::new(target.0, target.1, target.2);
             let t = g.index(tp);
-            let hint = [tp];
-            for policy in [
-                QueuePolicy::Auto,
-                QueuePolicy::Heap,
-                QueuePolicy::Dial,
-                QueuePolicy::AStar,
-            ] {
-                let a = ws
-                    .shortest_path_to_set_policy(&g, &sources, |i| i == t, None, policy, &hint)
-                    .unwrap();
-                let b = ws
-                    .shortest_path_to_set_csr_policy(&g, &adj, &sources, |i| i == t, policy, &hint)
-                    .unwrap();
-                assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "{policy:?}");
-                assert_eq!(a.points, b.points, "{policy:?}");
+            for policy in [QueuePolicy::Auto, QueuePolicy::Heap, QueuePolicy::AStar] {
+                let mut ws_u = DijkstraWorkspace::new();
+                let mut ws_b = DijkstraWorkspace::new();
+                let a = query(&mut ws_u, &g, &sources, t, None, policy, &[tp]).unwrap();
+                let b = query(&mut ws_b, &g, &sources, t, Some(all), policy, &[tp]).unwrap();
+                assert_eq!(a.0.to_bits(), b.0.to_bits(), "{policy:?}");
+                assert_eq!(a.1, b.1, "{policy:?}");
+                assert_eq!(ws_u.counters, ws_b.counters, "{policy:?}");
             }
         }
     }
@@ -1494,28 +1017,24 @@ mod tests {
             let tp = GridPoint::new(target.0, target.1, target.2);
             let t = g.index(tp);
             let before = ws.counters;
-            let oracle = ws
-                .shortest_path_to_set_policy(&g, &src, |i| i == t, None, QueuePolicy::Heap, &[])
-                .unwrap();
+            let oracle = query(&mut ws, &g, &src, t, None, QueuePolicy::Heap, &[]).unwrap();
             let heap_pops = ws.counters.delta_since(&before).get(Counter::DijkstraPops);
             let before = ws.counters;
-            let astar = ws
-                .shortest_path_to_set_policy(&g, &src, |i| i == t, None, QueuePolicy::AStar, &[tp])
-                .unwrap();
+            let astar = query(&mut ws, &g, &src, t, None, QueuePolicy::AStar, &[tp]).unwrap();
             let astar_pops = ws.counters.delta_since(&before).get(Counter::DijkstraPops);
             // Same cost bits (§12.4); the geometry may legally differ.
-            assert_eq!(oracle.cost.to_bits(), astar.cost.to_bits());
+            assert_eq!(oracle.0.to_bits(), astar.0.to_bits());
             assert!(
                 astar_pops <= heap_pops,
                 "A* popped {astar_pops} > oracle {heap_pops} for {target:?}"
             );
             // The A* path is still a valid grid path of the same cost.
             let sum: f64 = astar
-                .points
+                .1
                 .windows(2)
                 .map(|w| g.edge_cost(w[0], w[1]).expect("grid edge"))
                 .sum();
-            assert_eq!(sum.to_bits(), astar.cost.to_bits());
+            assert_eq!(sum.to_bits(), astar.0.to_bits());
         }
     }
 
@@ -1525,58 +1044,26 @@ mod tests {
         let mut ws = DijkstraWorkspace::new();
         let t = g.index(GridPoint::new(7, 0, 0));
         let src = [GridPoint::new(0, 0, 0)];
-        let a = ws
-            .shortest_path_to_set_policy(&g, &src, |i| i == t, None, QueuePolicy::AStar, &[])
-            .unwrap();
-        let b = ws
-            .shortest_path_to_set_policy(&g, &src, |i| i == t, None, QueuePolicy::Heap, &[])
-            .unwrap();
-        assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-        assert_eq!(a.points, b.points, "hint-less AStar must act as Dial");
-    }
-
-    #[test]
-    fn dial_respects_search_bounds() {
-        let g = open_grid(10, 10, 1);
-        let bounds = SearchBounds {
-            h_lo: 0,
-            h_hi: 4,
-            v_lo: 0,
-            v_hi: 4,
-        };
-        let target = g.index(GridPoint::new(9, 9, 0));
-        let err = DijkstraWorkspace::new()
-            .shortest_path_to_set_policy(
-                &g,
-                &[GridPoint::new(0, 0, 0)],
-                |i| i == target,
-                Some(bounds),
-                QueuePolicy::Dial,
-                &[],
-            )
-            .unwrap_err();
-        assert!(matches!(err, GraphError::Unreachable { .. }));
+        let a = query(&mut ws, &g, &src, t, None, QueuePolicy::AStar, &[]).unwrap();
+        let b = query(&mut ws, &g, &src, t, None, QueuePolicy::Heap, &[]).unwrap();
+        assert_eq!(a.0.to_bits(), b.0.to_bits());
+        assert_eq!(a.1, b.1, "hint-less AStar must act as Dial");
     }
 
     #[test]
     fn search_space_reuse_is_consistent() {
         let g = open_grid(8, 8, 2);
-        let mut space = SearchSpace::new();
+        let mut ws = DijkstraWorkspace::new();
         let t1 = g.index(GridPoint::new(7, 7, 1));
         let t2 = g.index(GridPoint::new(3, 0, 0));
-        let a = space
-            .shortest_path_to_set(&g, &[GridPoint::new(0, 0, 0)], |i| i == t1, None)
-            .unwrap();
-        let b = space
-            .shortest_path_to_set(&g, &[GridPoint::new(0, 0, 0)], |i| i == t2, None)
-            .unwrap();
+        let src = [GridPoint::new(0, 0, 0)];
+        let a = query(&mut ws, &g, &src, t1, None, QueuePolicy::Auto, &[]).unwrap();
+        let b = query(&mut ws, &g, &src, t2, None, QueuePolicy::Heap, &[]).unwrap();
         // 7 + 7 + via(3) and 3.
-        assert_eq!(a.cost, 17.0);
-        assert_eq!(b.cost, 3.0);
+        assert_eq!(a.0, 17.0);
+        assert_eq!(b.0, 3.0);
         // And again the first query, identically.
-        let a2 = space
-            .shortest_path_to_set(&g, &[GridPoint::new(0, 0, 0)], |i| i == t1, None)
-            .unwrap();
-        assert_eq!(a2.cost, a.cost);
+        let a2 = query(&mut ws, &g, &src, t1, None, QueuePolicy::Auto, &[]).unwrap();
+        assert_eq!(a2, a);
     }
 }

@@ -3,31 +3,48 @@
 //! This crate hosts the search primitives every router in the reproduction
 //! is built from:
 //!
-//! * [`dijkstra`] — single- and multi-source Dijkstra over a
+//! * [`dijkstra`] — multi-source Dijkstra over a
 //!   [`HananGraph`](oarsmt_geom::HananGraph), the "maze router" of the
-//!   paper's OARMST construction (Section 3.1, following \[14\]). Each
-//!   query picks a [`QueuePolicy`]: the retained binary-heap oracle, the
-//!   [`bucket`]-queue (Dial) fast path — bit-identical to the heap on the
-//!   paper's bounded-integer cost models — or an A\* lower-bound search
+//!   paper's OARMST construction (Section 3.1, following \[14\]). One
+//!   query method, [`DijkstraWorkspace::shortest_path_into`], runs one
+//!   relaxation loop over a [`GridAdjacency`]; its [`QueuePolicy`] picks
+//!   the frontier: the retained binary-heap oracle, the [`bucket`]-queue
+//!   (Dial) fast path — bit-identical to the heap on the paper's
+//!   bounded-integer cost models — or an A\* lower-bound search
 //!   ([`RectilinearBound`]), the one documented divergence (DESIGN.md
 //!   §12),
-//! * [`bucket`] — the circular bucket ring behind the Dial policy,
+//! * [`bucket`] — the circular bucket ring behind the Dial frontier,
 //! * [`csr`] — flattened CSR adjacency for the relaxation inner loop,
 //! * [`stamp`] — `O(1)`-reset stamped index sets,
 //! * [`mst`] — Prim's algorithm over dense terminal-distance matrices,
-//! * [`union_find`] — disjoint sets, used for tree validation,
-//! * [`path`] — grid paths with costs.
+//! * [`union_find`] — disjoint sets, used for tree validation.
 //!
 //! # Example
 //!
 //! ```
 //! use oarsmt_geom::{HananGraph, GridPoint};
-//! use oarsmt_graph::dijkstra::shortest_path;
+//! use oarsmt_graph::{DijkstraWorkspace, GridAdjacency, QueuePolicy};
 //!
-//! let g = HananGraph::uniform(4, 4, 1, 1.0, 1.0, 3.0);
-//! let path = shortest_path(&g, GridPoint::new(0, 0, 0), GridPoint::new(3, 3, 0))
-//!     .expect("open grid is connected");
-//! assert_eq!(path.cost, 6.0);
+//! let mut g = HananGraph::uniform(4, 4, 1, 1.0, 1.0, 3.0);
+//! g.add_obstacle_vertex(GridPoint::new(1, 0, 0)).unwrap();
+//! let mut adj = GridAdjacency::new();
+//! adj.ensure(&g);
+//! let (from, to) = (GridPoint::new(0, 0, 0), GridPoint::new(3, 0, 0));
+//! let mut path = Vec::new();
+//! let cost = DijkstraWorkspace::new()
+//!     .shortest_path_into(
+//!         &g,
+//!         &adj,
+//!         &[from],
+//!         |i| i == g.index(to),
+//!         None,
+//!         QueuePolicy::Auto,
+//!         &[],
+//!         &mut path,
+//!     )
+//!     .expect("the obstacle can be routed around");
+//! assert_eq!(cost, 5.0); // up, across three columns, back down
+//! assert_eq!(path.len(), 6);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -37,18 +54,13 @@ pub mod csr;
 pub mod dijkstra;
 pub mod error;
 pub mod mst;
-pub mod path;
 pub mod stamp;
 pub mod union_find;
 
 pub use bucket::BucketQueue;
 pub use csr::GridAdjacency;
-pub use dijkstra::{
-    distances_from, shortest_path, shortest_path_in, shortest_path_to_set, shortest_path_to_set_in,
-    DijkstraWorkspace, QueuePolicy, RectilinearBound, SearchSpace, DIAL_MAX_EDGE_COST,
-};
+pub use dijkstra::{DijkstraWorkspace, QueuePolicy, RectilinearBound, DIAL_MAX_EDGE_COST};
 pub use error::GraphError;
 pub use mst::{prim_mst, MstEdge};
-pub use path::GridPath;
 pub use stamp::{StampMap, StampSet};
 pub use union_find::UnionFind;

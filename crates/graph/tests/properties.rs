@@ -2,15 +2,57 @@
 
 use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
 use oarsmt_geom::{GridPoint, HananGraph};
-use oarsmt_graph::dijkstra::{distances_from, shortest_path, SearchSpace};
 use oarsmt_graph::mst::{mst_cost, prim_mst};
-use oarsmt_graph::UnionFind;
+use oarsmt_graph::{DijkstraWorkspace, GraphError, GridAdjacency, QueuePolicy, UnionFind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn random_case(seed: u64) -> HananGraph {
     CaseGenerator::new(GeneratorConfig::paper_costs(7, 6, 2, (3, 5)), seed).generate()
+}
+
+fn adjacency(graph: &HananGraph) -> GridAdjacency {
+    let mut adj = GridAdjacency::new();
+    adj.ensure(graph);
+    adj
+}
+
+/// One point-to-point maze query under `Auto`: `(cost, path)`.
+fn query(
+    ws: &mut DijkstraWorkspace,
+    graph: &HananGraph,
+    adj: &GridAdjacency,
+    a: GridPoint,
+    b: GridPoint,
+) -> Result<(f64, Vec<GridPoint>), GraphError> {
+    let target = graph.index(b);
+    let mut path = Vec::new();
+    let cost = ws.shortest_path_into(
+        graph,
+        adj,
+        &[a],
+        |i| i == target,
+        None,
+        QueuePolicy::Auto,
+        &[],
+        &mut path,
+    )?;
+    Ok((cost, path))
+}
+
+fn shortest_path(
+    graph: &HananGraph,
+    a: GridPoint,
+    b: GridPoint,
+) -> Result<(f64, Vec<GridPoint>), GraphError> {
+    query(
+        &mut DijkstraWorkspace::new(),
+        graph,
+        &adjacency(graph),
+        a,
+        b,
+    )
 }
 
 fn random_free_point(graph: &HananGraph, rng: &mut StdRng) -> GridPoint {
@@ -36,8 +78,10 @@ proptest! {
         let a = random_free_point(&g, &mut rng);
         let b = random_free_point(&g, &mut rng);
         let c = random_free_point(&g, &mut rng);
-        let da = distances_from(&g, a).unwrap();
-        let db = distances_from(&g, b).unwrap();
+        let adj = adjacency(&g);
+        let mut ws = DijkstraWorkspace::new();
+        let da = ws.distances_from(&g, &adj, a).unwrap();
+        let db = ws.distances_from(&g, &adj, b).unwrap();
         let ab = da[g.index(b)];
         let bc = db[g.index(c)];
         let ac = da[g.index(c)];
@@ -53,7 +97,7 @@ proptest! {
         let a = random_free_point(&g, &mut rng);
         let b = random_free_point(&g, &mut rng);
         match (shortest_path(&g, a, b), shortest_path(&g, b, a)) {
-            (Ok(p1), Ok(p2)) => prop_assert!((p1.cost - p2.cost).abs() < 1e-9),
+            (Ok(p1), Ok(p2)) => prop_assert!((p1.0 - p2.0).abs() < 1e-9),
             (Err(_), Err(_)) => {}
             _ => prop_assert!(false, "reachability must be symmetric"),
         }
@@ -65,14 +109,14 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 13);
         let a = random_free_point(&g, &mut rng);
         let b = random_free_point(&g, &mut rng);
-        if let Ok(path) = shortest_path(&g, a, b) {
+        if let Ok((cost, path)) = shortest_path(&g, a, b) {
             let mut sum = 0.0;
-            for (u, v) in path.edges() {
-                let w = g.edge_cost(u, v);
-                prop_assert!(w.is_some(), "consecutive points must be neighbors");
-                sum += w.unwrap();
+            for w in path.windows(2) {
+                let c = g.edge_cost(w[0], w[1]);
+                prop_assert!(c.is_some(), "consecutive points must be neighbors");
+                sum += c.unwrap();
             }
-            prop_assert!((sum - path.cost).abs() < 1e-9);
+            prop_assert!((sum - cost).abs() < 1e-9);
         }
     }
 
@@ -80,15 +124,15 @@ proptest! {
     fn reused_search_space_matches_fresh_searches(seed in 0u64..400) {
         let g = random_case(seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 21);
-        let mut space = SearchSpace::new();
+        let adj = adjacency(&g);
+        let mut space = DijkstraWorkspace::new();
         for _ in 0..4 {
             let a = random_free_point(&g, &mut rng);
             let b = random_free_point(&g, &mut rng);
-            let target = g.index(b);
-            let reused = space.shortest_path_to_set(&g, &[a], |i| i == target, None);
+            let reused = query(&mut space, &g, &adj, a, b);
             let fresh = shortest_path(&g, a, b);
             match (reused, fresh) {
-                (Ok(p1), Ok(p2)) => prop_assert!((p1.cost - p2.cost).abs() < 1e-9),
+                (Ok(p1), Ok(p2)) => prop_assert!(p1 == p2, "reuse changed the path"),
                 (Err(_), Err(_)) => {}
                 _ => prop_assert!(false, "reuse must not change reachability"),
             }

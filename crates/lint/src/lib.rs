@@ -41,8 +41,17 @@ use rules::{
 /// Directory names never descended into.
 const SKIP_DIRS: [&str; 4] = ["target", ".git", "fixtures", ".claude"];
 
+/// Whether `dir` holds a `Cargo.toml` with its own `[workspace]` table.
+/// Below the lint root such a directory is a separate project (it builds
+/// against this workspace's crates but is not one of them), so neither
+/// walk descends into it.
+fn is_workspace_root(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
+}
+
 /// Recursively collects `.rs` files under `dir` (sorted, repo-relative
-/// forward-slash paths), skipping [`SKIP_DIRS`].
+/// forward-slash paths), skipping [`SKIP_DIRS`] and nested workspaces.
 fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     let mut entries: Vec<_> = fs::read_dir(dir)?.collect::<Result<_, _>>()?;
     entries.sort_by_key(std::fs::DirEntry::file_name);
@@ -51,7 +60,7 @@ fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_ref()) {
+            if SKIP_DIRS.contains(&name.as_ref()) || is_workspace_root(&path) {
                 continue;
             }
             walk_rs(&path, out)?;
@@ -178,7 +187,10 @@ fn collect_packages(root: &Path, dir: &Path, out: &mut Vec<String>) {
     for entry in entries {
         let path = entry.path();
         let name = entry.file_name();
-        if path.is_dir() && !SKIP_DIRS.contains(&name.to_string_lossy().as_ref()) {
+        if path.is_dir()
+            && !SKIP_DIRS.contains(&name.to_string_lossy().as_ref())
+            && !is_workspace_root(&path)
+        {
             collect_packages(root, &path, out);
         }
     }

@@ -166,6 +166,30 @@ fn hot_paths_are_allocation_free_in_steady_state() {
     assert_eq!(n, 0, "A* route_in allocated {n} times in steady state");
     assert_eq!(steady_astar, warm_astar, "steady-state A* result drifted");
 
+    // --- route_in with bounded exploration: the window-filtered instance
+    // of the relaxation loop is allocation-free once warm as well. ---
+    let bounded = OarmstRouter::new().with_bounds_margin(2);
+    let mut warm_bounded = 0.0;
+    for _ in 0..3 {
+        let tree = bounded.route_in(&mut ctx, &g, &candidates).unwrap();
+        warm_bounded = tree.cost();
+        ctx.recycle_tree(tree);
+    }
+    let (n, steady_bounded) = allocs_during(|| {
+        let mut cost = 0.0;
+        for _ in 0..8 {
+            let tree = bounded.route_in(&mut ctx, &g, &candidates).unwrap();
+            cost = tree.cost();
+            ctx.recycle_tree(tree);
+        }
+        cost
+    });
+    assert_eq!(n, 0, "bounded route_in allocated {n} times in steady state");
+    assert_eq!(
+        steady_bounded, warm_bounded,
+        "steady-state bounded result drifted"
+    );
+
     // --- predict_with_fsp_in: zero allocations with a precomputed fsp. ---
     let critic = Critic::new();
     let mut median = MedianHeuristicSelector::new();

@@ -137,8 +137,8 @@ pub struct RouteContext {
     pub(crate) terminals: Vec<GridPoint>,
     pub(crate) tree_vertices: Vec<GridPoint>,
     pub(crate) kept: Vec<GridPoint>,
-    /// Maze-query result buffer (`shortest_path_to_set_*_into` writes
-    /// here), so the Prim/retrace loops never allocate a `GridPath`.
+    /// Maze-query result buffer (`shortest_path_into` writes here), so
+    /// the Prim/retrace loops never allocate a path.
     pub(crate) path_buf: Vec<GridPoint>,
     /// Currently-unconnected terminal points, maintained per Prim
     /// iteration as the A\* target hint (only filled under

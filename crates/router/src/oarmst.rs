@@ -325,11 +325,7 @@ impl OarmstRouter {
         let bounds = self
             .bounds_margin
             .map(|m| ctx.bounds_for(graph, candidates, m));
-        if bounds.is_none() {
-            // Unbounded queries run on the CSR adjacency (bit-identical,
-            // but without per-relaxation grid arithmetic).
-            ctx.adj.ensure(graph);
-        }
+        ctx.adj.ensure(graph);
 
         let first = ctx.terminals[self.start % ctx.terminals.len()];
         tree.clear();
@@ -369,26 +365,16 @@ impl OarmstRouter {
                 }
             }
             ctx.trace.begin(Span::RouteDijkstra);
-            let searched = match bounds {
-                None => ctx.space.shortest_path_to_set_csr_policy_into(
-                    graph,
-                    &ctx.adj,
-                    &ctx.tree_vertices,
-                    |i| ctx.unconnected.contains(i),
-                    self.queue_policy,
-                    &ctx.unconnected_points,
-                    &mut ctx.path_buf,
-                ),
-                Some(_) => ctx.space.shortest_path_to_set_policy_into(
-                    graph,
-                    &ctx.tree_vertices,
-                    |i| ctx.unconnected.contains(i),
-                    bounds,
-                    self.queue_policy,
-                    &ctx.unconnected_points,
-                    &mut ctx.path_buf,
-                ),
-            };
+            let searched = ctx.space.shortest_path_into(
+                graph,
+                &ctx.adj,
+                &ctx.tree_vertices,
+                |i| ctx.unconnected.contains(i),
+                bounds,
+                self.queue_policy,
+                &ctx.unconnected_points,
+                &mut ctx.path_buf,
+            );
             ctx.trace.end(Span::RouteDijkstra);
             if let Err(e) = searched {
                 // Candidates sitting in walled-off pockets are simply

@@ -13,8 +13,8 @@
 use std::fmt;
 
 use oarsmt_geom::HananGraph;
-use oarsmt_graph::dijkstra::SearchSpace;
 use oarsmt_graph::mst::prim_mst;
+use oarsmt_graph::{DijkstraWorkspace, GridAdjacency, QueuePolicy};
 
 use crate::error::RouteError;
 use crate::tree::RouteTree;
@@ -45,12 +45,14 @@ impl SpanningRouter {
         if n < 2 {
             return Err(RouteError::TooFewTerminals(n));
         }
-        let mut space = SearchSpace::new();
+        let mut adj = GridAdjacency::new();
+        adj.ensure(graph);
+        let mut space = DijkstraWorkspace::new();
 
         // Dense pairwise obstacle-avoiding distances.
         let mut dist = vec![0.0f64; n * n];
         for (i, &p) in pins.iter().enumerate() {
-            let d = space.distances_from(graph, p).map_err(RouteError::from)?;
+            let d = space.distances_from(graph, &adj, p)?;
             for (j, &q) in pins.iter().enumerate() {
                 dist[i * n + j] = d[graph.index(q)];
             }
@@ -59,13 +61,21 @@ impl SpanningRouter {
 
         // Embed each MST edge with an independent maze route.
         let mut tree = RouteTree::new();
+        let mut path = Vec::new();
         for e in &mst {
             let target = graph.index(pins[e.b]);
-            let path = space
-                .shortest_path_to_set(graph, &[pins[e.a]], |i| i == target, None)
-                .map_err(RouteError::from)?;
-            for (a, b) in path.edges() {
-                tree.add_edge(graph, a, b);
+            space.shortest_path_into(
+                graph,
+                &adj,
+                &[pins[e.a]],
+                |i| i == target,
+                None,
+                QueuePolicy::Heap,
+                &[],
+                &mut path,
+            )?;
+            for w in path.windows(2) {
+                tree.add_edge(graph, w[0], w[1]);
             }
         }
         Ok(tree)

@@ -1,13 +1,15 @@
 //! Property tests pinning the [`QueuePolicy`] contract of DESIGN.md §12:
 //!
-//! * `Dial` (and `Auto`, which resolves to it on the paper's
-//!   bounded-integer cost models) routes **bit-identically** to the
+//! * `Auto`, which takes the Dial bucket queue on the paper's
+//!   bounded-integer cost models, routes **bit-identically** to the
 //!   retained binary-heap oracle — same cost bits, same edge list, same
 //!   pruned Steiner set — across random layouts, random candidate sets,
 //!   and bounded-exploration margins; the Dijkstra op counters
 //!   (pops/relaxations/pushes) match the oracle exactly (§12.3).
-//! * On cost models that are not bounded-integer, `Dial` falls back to the
+//! * On cost models that are not bounded-integer, `Auto` falls back to the
 //!   heap (zero bucket scans) and stays identical trivially.
+//! * Golden pins freeze bounded-exploration routing (cost bits, edge
+//!   hash, op counts) and [14]'s router.
 //! * `AStar` is a *documented divergence* (§12.4): every maze query
 //!   returns the same cost bits as the oracle, but equal-cost tie geometry
 //!   may differ, so the grown tree may differ. Golden pins below freeze
@@ -16,7 +18,7 @@
 
 use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
 use oarsmt_geom::{GridPoint, HananGraph};
-use oarsmt_router::{OarmstRouter, QueuePolicy, RouteContext, RouteError, RouteTree};
+use oarsmt_router::{Lin18Router, OarmstRouter, QueuePolicy, RouteContext, RouteError, RouteTree};
 use oarsmt_telemetry::Counter;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -69,7 +71,7 @@ proptest! {
     #[test]
     fn dial_routes_bit_identically_to_heap_oracle(seed in 0u64..500) {
         let heap = OarmstRouter::new().with_queue_policy(QueuePolicy::Heap);
-        let dial = OarmstRouter::new().with_queue_policy(QueuePolicy::Dial);
+        let dial = OarmstRouter::new().with_queue_policy(QueuePolicy::Auto);
         let mut ctx_h = RouteContext::new();
         let mut ctx_d = RouteContext::new();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD1A1);
@@ -91,6 +93,7 @@ proptest! {
                 prop_assert_eq!(dh.get(c), dd.get(c), "{:?} diverged", c);
             }
             prop_assert_eq!(dh.get(Counter::DijkstraBucketScans), 0);
+            prop_assert!(dd.get(Counter::DijkstraBucketScans) > 0);
         }
     }
 
@@ -111,22 +114,31 @@ proptest! {
         assert_identical(&g, &oracle, &auto, "auto vs heap");
     }
 
-    /// Bounded-exploration queries (the point-based search family) obey
-    /// the same equivalence.
+    /// Bounded-exploration queries (the window-filtered instance of the
+    /// relaxation loop) obey the same equivalence, op counters included.
     #[test]
     fn bounded_dial_matches_bounded_heap(seed in 0u64..300, margin in 0usize..4) {
         let g = random_case(seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xB0B0);
         let cand = random_candidates(&g, &mut rng);
-        let oracle = OarmstRouter::new()
-            .with_bounds_margin(margin)
-            .with_queue_policy(QueuePolicy::Heap)
-            .route(&g, &cand);
-        let dial = OarmstRouter::new()
-            .with_bounds_margin(margin)
-            .with_queue_policy(QueuePolicy::Dial)
-            .route(&g, &cand);
+        let route = |policy: QueuePolicy| {
+            let mut ctx = RouteContext::new();
+            let tree = OarmstRouter::new()
+                .with_bounds_margin(margin)
+                .with_queue_policy(policy)
+                .route_in(&mut ctx, &g, &cand);
+            (tree, ctx.counters_total())
+        };
+        let (oracle, dh) = route(QueuePolicy::Heap);
+        let (dial, dd) = route(QueuePolicy::Auto);
         assert_identical(&g, &oracle, &dial, "bounded dial vs heap");
+        for c in [
+            Counter::DijkstraPops,
+            Counter::DijkstraRelaxations,
+            Counter::DijkstraPushes,
+        ] {
+            prop_assert_eq!(dh.get(c), dd.get(c), "{:?} diverged", c);
+        }
     }
 
     /// The A* policy always yields a valid spanning tree; its divergence
@@ -155,8 +167,8 @@ proptest! {
     }
 }
 
-/// A forced-Dial route on a fractional-cost graph must fall back to the
-/// heap (DESIGN.md §12.2 eligibility) and still match the oracle.
+/// An `Auto` route on a fractional-cost graph must fall back to the heap
+/// (DESIGN.md §12.2 eligibility) and still match the oracle.
 #[test]
 fn dial_falls_back_on_fractional_costs() {
     let mut g = HananGraph::uniform(7, 7, 2, 1.25, 1.0, 3.5);
@@ -167,7 +179,7 @@ fn dial_falls_back_on_fractional_costs() {
     let mut ctx = RouteContext::new();
     let before = ctx.counters_total();
     let dial = OarmstRouter::new()
-        .with_queue_policy(QueuePolicy::Dial)
+        .with_queue_policy(QueuePolicy::Auto)
         .route_in(&mut ctx, &g, &[]);
     let oracle = OarmstRouter::new()
         .with_queue_policy(QueuePolicy::Heap)
@@ -210,4 +222,88 @@ fn astar_golden_tie_break_pins() {
                   seed 77: astar 5362.0 oracle 5362.0; \
                   seed 123: astar 10181.0 oracle 10181.0";
     assert_eq!(got, golden, "A* tie-break behaviour changed");
+}
+
+/// FNV-1a over a tree's edge list: a compact, toolchain-stable geometry
+/// fingerprint for the golden pins below.
+fn edge_hash(tree: &RouteTree) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &(a, b) in tree.edges() {
+        for byte in a.to_le_bytes().into_iter().chain(b.to_le_bytes()) {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Golden pins for bounded-exploration routing: tree cost bits, an
+/// edge-list hash, and the Dijkstra op-count deltas of
+/// `with_bounds_margin(0..=3)` routes under `Heap` and `Auto` (which must
+/// agree), plus [14]'s `Lin18Router`, whose sweep starts bounded. Any
+/// change to how bounded maze queries expand shows up here.
+#[test]
+fn bounded_golden_pins() {
+    let mut lines = Vec::new();
+    for seed in [3u64, 11, 42, 77, 123] {
+        let g = random_case(seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x6B0D);
+        let cand = random_candidates(&g, &mut rng);
+        for margin in 0..=3usize {
+            let pin = |policy: QueuePolicy| {
+                let mut ctx = RouteContext::new();
+                let before = ctx.counters_total();
+                let tree = OarmstRouter::new()
+                    .with_bounds_margin(margin)
+                    .with_queue_policy(policy)
+                    .route_in(&mut ctx, &g, &cand);
+                let d = ctx.counters_total().delta_since(&before);
+                let ops = [
+                    Counter::DijkstraPops,
+                    Counter::DijkstraRelaxations,
+                    Counter::DijkstraPushes,
+                ]
+                .map(|c| d.get(c));
+                match tree {
+                    Ok(t) => format!("{:x} {:x} {ops:?}", t.cost().to_bits(), edge_hash(&t)),
+                    Err(e) => format!("err {e:?} {ops:?}"),
+                }
+            };
+            let heap = pin(QueuePolicy::Heap);
+            assert_eq!(heap, pin(QueuePolicy::Auto), "seed {seed} margin {margin}");
+            lines.push(format!("s{seed} m{margin} {heap}"));
+        }
+        let lin = match Lin18Router::new().route(&g) {
+            Ok(t) => format!("{:x} {:x}", t.cost().to_bits(), edge_hash(&t)),
+            Err(e) => format!("err {e:?}"),
+        };
+        lines.push(format!("s{seed} lin18 {lin}"));
+    }
+    let golden = [
+        "s3 m0 409c880000000000 614cf4889a0ebe7 [271, 1040, 356]",
+        "s3 m1 409c880000000000 614cf4889a0ebe7 [325, 1270, 427]",
+        "s3 m2 409c880000000000 614cf4889a0ebe7 [347, 1374, 459]",
+        "s3 m3 409c880000000000 614cf4889a0ebe7 [347, 1379, 464]",
+        "s3 lin18 409c880000000000 614cf4889a0ebe7",
+        "s11 m0 40a4d60000000000 3f5a015a5e332c8e [424, 1725, 612]",
+        "s11 m1 40a4d60000000000 3f5a015a5e332c8e [476, 1983, 711]",
+        "s11 m2 40a4d60000000000 3f5a015a5e332c8e [487, 2036, 731]",
+        "s11 m3 40a4d60000000000 3f5a015a5e332c8e [490, 2049, 737]",
+        "s11 lin18 40a4d60000000000 3f5a015a5e332c8e",
+        "s42 m0 40c2f70000000000 d96b5cdeb7cc34f7 [584, 2226, 790]",
+        "s42 m1 40c2f70000000000 d96b5cdeb7cc34f7 [660, 2573, 891]",
+        "s42 m2 40c2f70000000000 d96b5cdeb7cc34f7 [673, 2622, 907]",
+        "s42 m3 40c2f70000000000 d96b5cdeb7cc34f7 [673, 2622, 907]",
+        "s42 lin18 40c2f70000000000 d96b5cdeb7cc34f7",
+        "s77 m0 40b4f20000000000 c6a7988c4f945069 [403, 1342, 610]",
+        "s77 m1 40b4f20000000000 c6a7988c4f945069 [455, 1574, 710]",
+        "s77 m2 40b4f20000000000 c6a7988c4f945069 [484, 1699, 769]",
+        "s77 m3 40b4f20000000000 c6a7988c4f945069 [490, 1725, 778]",
+        "s77 lin18 40b4f20000000000 c6a7988c4f945069",
+        "s123 m0 40c3e28000000000 7ccb4230fc561828 [887, 3646, 1130]",
+        "s123 m1 40c3e28000000000 7ccb4230fc561828 [887, 3656, 1140]",
+        "s123 m2 40c3e28000000000 7ccb4230fc561828 [887, 3656, 1140]",
+        "s123 m3 40c3e28000000000 7ccb4230fc561828 [887, 3656, 1140]",
+        "s123 lin18 40c3e28000000000 7ccb4230fc561828",
+    ];
+    assert_eq!(lines, golden, "bounded routing behaviour changed");
 }
