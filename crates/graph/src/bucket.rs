@@ -4,16 +4,19 @@
 //! positive integer (PAPER.md §2.2: per-gap costs in `1..=1000`, via costs
 //! in `3..=5`), which makes Dial's bucket queue a drop-in replacement for
 //! the binary heap inside the maze router: pushes and pops become `O(1)`
-//! array operations plus a monotone cursor scan, instead of `O(log n)`
-//! sift operations over a heap that holds millions of entries on the large
-//! Table 1 rungs.
+//! array operations plus a word-at-a-time occupancy scan, instead of
+//! `O(log n)` sift operations over a heap that holds millions of entries on
+//! the large Table 1 rungs.
 //!
 //! Keys must be monotone: once an entry with key `k` has been popped, every
 //! later push must use a key `≥ k` (true for Dijkstra with non-negative
 //! edge costs). Entries alive at any instant span at most `span`
 //! consecutive keys (for Dijkstra, `span` = the largest edge cost), so the
-//! queue keeps `span + 1` buckets addressed circularly by
-//! `key % nbuckets`.
+//! queue keeps a ring of `2^⌈log₂(span + 1)⌉` (at least 64) buckets
+//! addressed by `key & (ring − 1)`. One occupancy bit per bucket lets the
+//! cursor jump to the next non-empty bucket 64 keys per word test; the
+//! gaps between distinct keys are wide (gap costs run to 1000), so a
+//! bucket-by-bucket walk would spend most of a query on empty buckets.
 //!
 //! Pop order is part of the repo's determinism contract (DESIGN.md §12):
 //! within one key, the entries present when the cursor reaches that key
@@ -41,25 +44,37 @@
 //! assert_eq!(q.pop_min(&mut scans), Some((2, 7)));
 //! assert_eq!(q.pop_min(&mut scans), Some((2, 6)));
 //! assert_eq!(q.pop_min(&mut scans), None);
+//! assert_eq!(scans, 2, "the cursor walked from key 0 to key 2");
 //! ```
+
+/// Buckets per occupancy word.
+const WORD: usize = u64::BITS as usize;
+
+/// One ring slot: only `items[pos..]` is live, and only while the slot's
+/// occupancy bit is set (a clear bit means empty; the slot is cleared when
+/// next pushed to).
+#[derive(Debug, Clone, Default)]
+struct Bucket {
+    items: Vec<u32>,
+    /// Drain position (entries before it are already popped).
+    pos: u32,
+}
 
 /// A reusable circular bucket queue over `u64` keys and `u32` payloads.
 ///
 /// Created empty; [`BucketQueue::reset`] sizes it for a query and
-/// invalidates previous contents by bumping an epoch (no `O(buckets)`
-/// clear). All storage is retained across queries, so a warm queue
-/// performs no allocation (the dynamic twin of the `oarsmt-lint`
-/// `[[zero_alloc]]` registration).
+/// invalidates previous contents by clearing the occupancy bits of the
+/// ring in use (`ring / 64` words; bucket storage is kept). All storage is
+/// retained across queries, so a warm queue performs no allocation (the
+/// dynamic twin of the `oarsmt-lint` `[[zero_alloc]]` registration).
 #[derive(Debug, Clone, Default)]
 pub struct BucketQueue {
-    /// Bucket payloads; only `buckets[b][pos[b]..]` is live.
-    buckets: Vec<Vec<u32>>,
-    /// Epoch stamp per bucket: contents are valid only when equal to
-    /// `epoch` (stale buckets are treated as empty and cleared on reuse).
-    bucket_epoch: Vec<u32>,
-    /// Drain position per bucket (entries before it are already popped).
-    pos: Vec<u32>,
-    epoch: u32,
+    buckets: Vec<Bucket>,
+    /// One bit per bucket of the ring, set iff the bucket holds live
+    /// entries.
+    occupied: Vec<u64>,
+    /// Ring size − 1 for the current query (the ring is a power of two).
+    mask: u64,
     /// Absolute key the cursor is currently draining.
     cursor: u64,
     /// The key most recently sorted-on-open (cursor keys are monotone, so
@@ -88,22 +103,17 @@ impl BucketQueue {
     /// Prepares the queue for a fresh query whose alive entries never span
     /// more than `span` consecutive keys (for Dijkstra: the largest edge
     /// cost; for A* with a consistent heuristic: twice that). Previous
-    /// contents are invalidated in `O(1)` via the epoch stamp; bucket
-    /// storage is retained.
+    /// contents are invalidated by clearing `ring / 64` occupancy words;
+    /// bucket storage is retained.
     pub fn reset(&mut self, span: usize) {
-        let need = span + 1;
-        if self.buckets.len() < need {
-            // lint: alloc-ok(grow-once: the ring only lengthens the first time a larger span appears; the new slots are capacity-0 vecs and warm resets take the epoch path)
-            self.buckets.resize_with(need, Vec::new);
-            self.bucket_epoch.resize(need, 0);
-            self.pos.resize(need, 0);
+        let ring = (span + 1).next_power_of_two().max(WORD);
+        if self.buckets.len() < ring {
+            // lint: alloc-ok(grow-once: the ring only lengthens the first time a larger span appears; the new slots are capacity-0 vecs and warm resets only clear occupancy words)
+            self.buckets.resize_with(ring, Bucket::default);
+            self.occupied.resize(ring / WORD, 0);
         }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Epoch wrapped: reset all stamps once.
-            self.bucket_epoch.fill(0);
-            self.epoch = 1;
-        }
+        self.occupied[..ring / WORD].fill(0);
+        self.mask = ring as u64 - 1;
         self.cursor = NO_KEY;
         self.opened = NO_KEY;
         self.len = 0;
@@ -139,10 +149,10 @@ impl BucketQueue {
                 self.cursor
             );
             debug_assert!(
-                key - self.cursor < self.buckets.len() as u64,
-                "bucket span exceeded: key {key}, cursor {}, buckets {}",
+                key - self.cursor <= self.mask,
+                "bucket span exceeded: key {key}, cursor {}, ring {}",
                 self.cursor,
-                self.buckets.len()
+                self.mask + 1
             );
         } else {
             // Seeding phase: the cursor starts at the smallest pushed key.
@@ -151,65 +161,81 @@ impl BucketQueue {
             {
                 self.seed_max = self.seed_max.max(key);
                 debug_assert!(
-                    self.seed_max - self.cursor < self.buckets.len() as u64,
-                    "seed span exceeded: keys {}..={}, buckets {}",
+                    self.seed_max - self.cursor <= self.mask,
+                    "seed span exceeded: keys {}..={}, ring {}",
                     self.cursor,
                     self.seed_max,
-                    self.buckets.len()
+                    self.mask + 1
                 );
             }
         }
-        let b = (key % self.buckets.len() as u64) as usize;
-        if self.bucket_epoch[b] != self.epoch {
-            self.buckets[b].clear();
-            self.pos[b] = 0;
-            self.bucket_epoch[b] = self.epoch;
+        let b = (key & self.mask) as usize;
+        let bit = 1u64 << (b % WORD);
+        let word = &mut self.occupied[b / WORD];
+        let bucket = &mut self.buckets[b];
+        if *word & bit == 0 {
+            *word |= bit;
+            bucket.items.clear();
+            bucket.pos = 0;
         }
-        self.buckets[b].push(idx);
+        bucket.items.push(idx);
         self.len += 1;
     }
 
-    /// Pops the minimum-key entry, advancing the cursor over empty buckets
-    /// (each advance adds one to `scans` — the `dijkstra_bucket_scans`
-    /// telemetry counter). Returns `None` when the queue is empty.
+    /// Pops the minimum-key entry, moving the cursor to the next occupied
+    /// bucket. `scans` grows by the number of keys the cursor advanced
+    /// (the `dijkstra_bucket_scans` telemetry counter), although the
+    /// occupancy words skip empty keys 64 at a time. Returns `None` when
+    /// the queue is empty.
     pub fn pop_min(&mut self, scans: &mut u64) -> Option<(u64, u32)> {
         if self.len == 0 {
             return None;
         }
         self.draining = true;
-        let nb = self.buckets.len() as u64;
-        loop {
-            let b = (self.cursor % nb) as usize;
-            if self.bucket_epoch[b] == self.epoch {
-                let live = self.pos[b] as usize;
-                let bucket = &mut self.buckets[b];
-                if live < bucket.len() {
-                    if self.opened != self.cursor {
-                        // First visit at this key: the entries present
-                        // drain in ascending vertex index. Entries whose
-                        // key was already drained on a previous cursor lap
-                        // sit before `pos` and are untouched.
-                        bucket[live..].sort_unstable();
-                        self.opened = self.cursor;
-                    }
-                    let idx = bucket[live];
-                    self.pos[b] += 1;
-                    self.len -= 1;
-                    return Some((self.cursor, idx));
-                }
-                // Fully drained on a previous lap or this one: reset the
-                // bucket so the next lap starts clean.
-                bucket.clear();
-                self.pos[b] = 0;
-            }
-            self.cursor += 1;
-            *scans += 1;
+        // Live keys lie in `[cursor, cursor + ring)`, one ring slot each,
+        // so the first occupied slot at or after the cursor's holds the
+        // minimum key.
+        let b = self.next_occupied((self.cursor & self.mask) as usize);
+        let step = (b as u64).wrapping_sub(self.cursor) & self.mask;
+        self.cursor += step;
+        *scans += step;
+        let bucket = &mut self.buckets[b];
+        let live = bucket.pos as usize;
+        if self.opened != self.cursor {
+            // First visit at this key: the entries present drain in
+            // ascending vertex index.
+            bucket.items[live..].sort_unstable();
+            self.opened = self.cursor;
         }
+        let idx = bucket.items[live];
+        bucket.pos += 1;
+        if live + 1 == bucket.items.len() {
+            self.occupied[b / WORD] &= !(1u64 << (b % WORD));
+        }
+        self.len -= 1;
+        Some((self.cursor, idx))
+    }
+
+    /// The first occupied ring slot at or after `from`, wrapping. Callers
+    /// guarantee the queue is non-empty, so some bit is set.
+    #[inline]
+    fn next_occupied(&self, from: usize) -> usize {
+        let last = self.mask as usize / WORD;
+        let mut w = from / WORD;
+        let mut bits = self.occupied[w] & (u64::MAX << (from % WORD));
+        while bits == 0 {
+            w = if w == last { 0 } else { w + 1 };
+            bits = self.occupied[w];
+        }
+        w * WORD + bits.trailing_zeros() as usize
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
     use super::*;
 
     #[test]
@@ -241,13 +267,20 @@ mod tests {
         q.push(4, 2);
         assert_eq!(q.pop_min(&mut scans), Some((4, 8)));
         assert_eq!(q.pop_min(&mut scans), Some((4, 1)));
+        // The open bucket drains empty; a later same-key arrival still
+        // pops unsorted, at the same key.
         assert_eq!(q.pop_min(&mut scans), Some((4, 2)));
+        q.push(4, 9);
+        q.push(4, 0);
+        assert_eq!(q.pop_min(&mut scans), Some((4, 9)));
+        assert_eq!(q.pop_min(&mut scans), Some((4, 0)));
         assert_eq!(q.pop_min(&mut scans), None);
+        assert_eq!(scans, 0);
     }
 
     #[test]
     fn circular_reuse_across_many_keys() {
-        // Far more distinct keys than buckets: the modulus wraps and the
+        // Far more distinct keys than buckets: the ring wraps and the
         // queue must keep draining correctly.
         let mut q = BucketQueue::new();
         q.reset(3);
@@ -257,18 +290,13 @@ mod tests {
         while let Some((k, i)) = q.pop_min(&mut scans) {
             assert_eq!(k, expected_key);
             assert_eq!(i, (k % 100) as u32);
-            if k < 50 {
-                // Simulate a relaxation with edge costs 2 and 3.
+            if k < 500 {
                 q.push(k + 2, ((k + 2) % 100) as u32);
                 expected_key = k + 2;
-                if q.len() == 1 {
-                    continue;
-                }
-            }
-            if q.is_empty() {
-                break;
             }
         }
+        assert_eq!(expected_key, 500);
+        assert_eq!(scans, 500);
     }
 
     #[test]
@@ -285,6 +313,17 @@ mod tests {
         assert_eq!(q.pop_min(&mut scans), None);
         q.push(7, 1);
         assert_eq!(q.pop_min(&mut scans), Some((7, 1)));
+        // A wider ring after a narrower one, and back: leftovers in either
+        // never resurface.
+        q.push(30, 5);
+        q.reset(1000);
+        q.push(64, 3);
+        q.push(900, 4);
+        assert_eq!(q.pop_min(&mut scans), Some((64, 3)));
+        q.reset(4);
+        q.push(0, 6);
+        assert_eq!(q.pop_min(&mut scans), Some((0, 6)));
+        assert_eq!(q.pop_min(&mut scans), None);
     }
 
     #[test]
@@ -300,13 +339,12 @@ mod tests {
         assert_eq!(scans, 8, "eight empty keys between 0 and 8");
     }
 
+    /// A Dijkstra-shaped workload (every push strictly above the popped
+    /// key, within `span`) against a binary heap: pop order must be exactly
+    /// `(key, index)` and the scan counter exactly the keys walked from the
+    /// first pop, for spans on both sides of one occupancy word.
     #[test]
-    fn randomized_against_sorted_reference() {
-        // Deterministic pseudo-random workload compared against a sorted
-        // reference: keys ascend in waves like a Dijkstra frontier.
-        let mut q = BucketQueue::new();
-        let span = 16usize;
-        q.reset(span);
+    fn randomized_against_heap_reference() {
         let mut state = 0x9E3779B97F4A7C15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -314,23 +352,31 @@ mod tests {
             state ^= state << 17;
             state
         };
-        q.push(0, (next() % 1000) as u32);
-        let mut popped = Vec::new();
-        let mut scans = 0;
-        let mut budget = 500;
-        while let Some((k, i)) = q.pop_min(&mut scans) {
-            popped.push((k, i));
-            if budget > 0 {
-                budget -= 1;
-                let fan = next() % 3;
-                for _ in 0..fan {
-                    q.push(k + 1 + next() % span as u64, (next() % 1000) as u32);
+        let mut q = BucketQueue::new();
+        for span in [1u64, 16, 63, 64, 65, 1000, 4096] {
+            q.reset(span as usize);
+            let mut reference = BinaryHeap::new();
+            for _ in 0..3 {
+                let e = (next() % span, (next() % 1000) as u32);
+                q.push(e.0, e.1);
+                reference.push(Reverse(e));
+            }
+            let first = reference.peek().map(|r| r.0 .0).unwrap();
+            let mut scans = 0;
+            let mut budget = 2000;
+            while let Some((k, i)) = q.pop_min(&mut scans) {
+                assert_eq!(Some(Reverse((k, i))), reference.pop(), "span {span}");
+                assert_eq!(scans, k - first, "span {span}");
+                if budget > 0 {
+                    budget -= 1;
+                    for _ in 0..next() % 3 {
+                        let e = (k + 1 + next() % span, (next() % 1000) as u32);
+                        q.push(e.0, e.1);
+                        reference.push(Reverse(e));
+                    }
                 }
             }
-        }
-        // Keys must be non-decreasing.
-        for w in popped.windows(2) {
-            assert!(w[0].0 <= w[1].0, "keys out of order: {w:?}");
+            assert!(reference.is_empty(), "span {span}");
         }
     }
 }

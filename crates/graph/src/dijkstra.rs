@@ -135,8 +135,9 @@ impl SearchBounds {
 /// Largest integer edge cost for which the Dial bucket queue is used.
 ///
 /// The paper's cost model caps gap costs at 1000 and via costs at 5; the
-/// ceiling leaves generous slack while bounding the bucket array (a Dial
-/// query keeps `ceiling + 1` buckets) and the per-query cursor scan.
+/// ceiling leaves generous slack while bounding the bucket ring (a Dial
+/// query keeps `ceiling + 1` buckets, rounded up to a power of two) and
+/// the occupancy words its reset clears.
 pub const DIAL_MAX_EDGE_COST: u64 = 4096;
 
 /// Which frontier drives a maze query (DESIGN.md §12).
@@ -293,7 +294,8 @@ impl Frontier for BinaryHeap<Entry> {
     }
 }
 
-/// Dial's bucket queue keyed by the integer `g`, counting cursor scans.
+/// Dial's bucket queue keyed by the integer `g`, counting the keys its
+/// cursor advances.
 struct Dial<'a> {
     queue: &'a mut BucketQueue,
     scans: u64,
@@ -483,8 +485,8 @@ pub struct DijkstraWorkspace {
     /// The A* lower bound, rebuilt per `AStar` query.
     bound: RectilinearBound,
     /// Tier A telemetry: settled pops, relaxation attempts, queue pushes
-    /// and Dial cursor scans ([`Counter::DijkstraPops`] and friends).
-    /// Monotone across queries; owners read deltas (see
+    /// and Dial cursor key advances ([`Counter::DijkstraPops`] and
+    /// friends). Monotone across queries; owners read deltas (see
     /// `oarsmt-telemetry`).
     pub counters: CounterSet,
 }
@@ -912,7 +914,9 @@ mod tests {
                 assert_eq!(dh.get(c), dd.get(c), "{c:?} diverged for {target:?}");
             }
             assert_eq!(dh.get(Counter::DijkstraBucketScans), 0);
-            assert!(dd.get(Counter::DijkstraBucketScans) > 0);
+            // Dial's scan counter is the number of keys its cursor walked:
+            // from key-0 seeds to the settled target, exactly its cost.
+            assert_eq!(dd.get(Counter::DijkstraBucketScans) as f64, b.0);
         }
     }
 

@@ -13,7 +13,8 @@
 //!   bounded-integer cost models — or an A\* lower-bound search
 //!   ([`RectilinearBound`]), the one documented divergence (DESIGN.md
 //!   §12),
-//! * [`bucket`] — the circular bucket ring behind the Dial frontier,
+//! * [`bucket`] — the power-of-two bucket ring and its occupancy bitmap
+//!   behind the Dial frontier,
 //! * [`csr`] — flattened CSR adjacency for the relaxation inner loop,
 //! * [`stamp`] — `O(1)`-reset stamped index sets,
 //! * [`mst`] — Prim's algorithm over dense terminal-distance matrices,

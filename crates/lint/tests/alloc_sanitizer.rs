@@ -190,6 +190,51 @@ fn hot_paths_are_allocation_free_in_steady_state() {
         "steady-state bounded result drifted"
     );
 
+    // --- route_in on a wide Dial ring: paper-scale gap costs (up to 1000)
+    // size the bucket ring at 1024 slots, so pops scan across several
+    // occupancy words; once the ring has grown, warm routes allocate
+    // nothing either. ---
+    let mut wide = HananGraph::with_costs(
+        6,
+        6,
+        2,
+        vec![1000.0, 7.0, 530.0, 64.0, 999.0],
+        vec![3.0, 880.0, 65.0, 1.0, 700.0],
+        5.0,
+    )
+    .unwrap();
+    for p in [(0, 0, 0), (5, 5, 0), (0, 5, 1), (5, 0, 1)] {
+        wide.add_pin(GridPoint::new(p.0, p.1, p.2)).unwrap();
+    }
+    let mut warm_wide = 0.0;
+    for _ in 0..3 {
+        let tree = router.route_in(&mut ctx, &wide, &candidates).unwrap();
+        warm_wide = tree.cost();
+        ctx.recycle_tree(tree);
+    }
+    let scans_before = ctx.counters_total().get(Counter::DijkstraBucketScans);
+    let (n, steady_wide) = allocs_during(|| {
+        let mut cost = 0.0;
+        for _ in 0..8 {
+            let tree = router.route_in(&mut ctx, &wide, &candidates).unwrap();
+            cost = tree.cost();
+            ctx.recycle_tree(tree);
+        }
+        cost
+    });
+    assert_eq!(
+        n, 0,
+        "wide-ring route_in allocated {n} times in steady state"
+    );
+    assert_eq!(
+        steady_wide, warm_wide,
+        "steady-state wide-ring result drifted"
+    );
+    assert!(
+        ctx.counters_total().get(Counter::DijkstraBucketScans) - scans_before > 8 * 1024,
+        "the wide-ring routes never walked past one lap of the ring"
+    );
+
     // --- predict_with_fsp_in: zero allocations with a precomputed fsp. ---
     let critic = Critic::new();
     let mut median = MedianHeuristicSelector::new();

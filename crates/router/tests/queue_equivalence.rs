@@ -9,7 +9,8 @@
 //! * On cost models that are not bounded-integer, `Auto` falls back to the
 //!   heap (zero bucket scans) and stays identical trivially.
 //! * Golden pins freeze bounded-exploration routing (cost bits, edge
-//!   hash, op counts) and [14]'s router.
+//!   hash, op counts) and [14]'s router, and every counter of the Dial
+//!   lane, bucket scans included.
 //! * `AStar` is a *documented divergence* (§12.4): every maze query
 //!   returns the same cost bits as the oracle, but equal-cost tie geometry
 //!   may differ, so the grown tree may differ. Golden pins below freeze
@@ -306,4 +307,55 @@ fn bounded_golden_pins() {
         "s123 lin18 40c3e28000000000 7ccb4230fc561828",
     ];
     assert_eq!(lines, golden, "bounded routing behaviour changed");
+}
+
+/// Golden pins for the Dial lane's counters: every op count of a default
+/// (`Auto`) route on fixed seeds, `dijkstra_bucket_scans` included, plus
+/// the cost bits and edge hash, unbounded and at margin 1. The scan count
+/// is the number of keys the bucket cursor walked (DESIGN.md §12.3), so
+/// it is a property of the pop sequence, not of how the queue finds the
+/// next occupied bucket; a change to the ring's internals must leave
+/// every number here unchanged.
+#[test]
+fn dial_counter_golden_pins() {
+    let mut lines = Vec::new();
+    for seed in [3u64, 11, 42, 77, 123] {
+        let g = random_case(seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5CA7);
+        let cand = random_candidates(&g, &mut rng);
+        for margin in [None, Some(1)] {
+            let mut router = OarmstRouter::new();
+            if let Some(m) = margin {
+                router = router.with_bounds_margin(m);
+            }
+            let mut ctx = RouteContext::new();
+            let tree = router.route_in(&mut ctx, &g, &cand).unwrap();
+            let d = ctx.counters_total();
+            let ops = [
+                Counter::DijkstraPops,
+                Counter::DijkstraRelaxations,
+                Counter::DijkstraPushes,
+                Counter::DijkstraBucketScans,
+            ]
+            .map(|c| d.get(c));
+            lines.push(format!(
+                "s{seed} {margin:?} {:x} {:x} {ops:?}",
+                tree.cost().to_bits(),
+                edge_hash(&tree)
+            ));
+        }
+    }
+    let golden = [
+        "s3 None 409c880000000000 614cf4889a0ebe7 [205, 790, 306, 6060]",
+        "s3 Some(1) 409c880000000000 614cf4889a0ebe7 [190, 714, 268, 6060]",
+        "s11 None 40a4d60000000000 3f5a015a5e332c8e [343, 1444, 578, 8112]",
+        "s11 Some(1) 40a4d60000000000 3f5a015a5e332c8e [336, 1404, 554, 8112]",
+        "s42 None 40c2f70000000000 d96b5cdeb7cc34f7 [1058, 4143, 1454, 28655]",
+        "s42 Some(1) 40c2f70000000000 d96b5cdeb7cc34f7 [1031, 4040, 1418, 28655]",
+        "s77 None 40b4f20000000000 c6a7988c4f945069 [292, 1017, 475, 6887]",
+        "s77 Some(1) 40b4f20000000000 c6a7988c4f945069 [272, 932, 440, 6887]",
+        "s123 None 40c3e28000000000 7ccb4230fc561828 [1407, 5797, 1825, 43617]",
+        "s123 Some(1) 40c3e28000000000 7ccb4230fc561828 [1407, 5797, 1825, 43617]",
+    ];
+    assert_eq!(lines, golden, "Dial counters changed");
 }

@@ -27,8 +27,10 @@ pub enum Counter {
     DijkstraRelaxations,
     /// Entries pushed onto the Dijkstra heap.
     DijkstraPushes,
-    /// Empty-bucket cursor advances of the Dial bucket queue (zero under
-    /// the binary-heap policy; the Dial overhead diagnostic).
+    /// Keys the Dial bucket queue's cursor advanced over (zero under the
+    /// binary-heap policy). Fixed by the pop order alone: the occupancy
+    /// bitmap skips empty keys 64 at a time, so this counts keys walked,
+    /// not work done.
     DijkstraBucketScans,
     /// Steiner points discarded by the irredundancy prune.
     SteinerPruned,
