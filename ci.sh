@@ -50,6 +50,9 @@ cargo test -q -p oarsmt-router --test context_properties
 echo "==> queue-policy equivalence (Auto/Dial == heap oracle bit-identity incl. bounded + op counts, bounded and A* golden pins)"
 cargo test -q -p oarsmt-router --test queue_equivalence
 
+echo "==> resumable Prim frontier equivalence (persisted-frontier builds == fresh-search-per-step reference)"
+cargo test -q -p oarsmt-router --test prim_frontier
+
 echo "==> batched-path equivalence (batch == sequential bit-identity at nn/core/rl levels)"
 cargo test -q -p oarsmt-nn batch
 cargo test -q -p oarsmt batch

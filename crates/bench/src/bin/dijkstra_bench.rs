@@ -19,6 +19,8 @@
 //! * A* checksums are recorded separately — its equal-cost tie geometry
 //!   may legally diverge (§12.4) — but its settled-pop count must not
 //!   exceed the oracle's on any rung (the lower bound can only prune).
+//!   Its Prim builds run the oracle's resumable frontier (§12.5); only
+//!   the single-target polish reroutes use A*.
 //!
 //! Emits a `BENCH_dijkstra.json` artifact with per-rung wall-clock,
 //! speedups, op-count deltas, and an embedded telemetry snapshot.

@@ -28,6 +28,12 @@
 //! open-bucket append behaviour is still defined (and tested) so the queue
 //! stays correct for cost models with zero-cost edges.
 //!
+//! A pop takes a key limit and leaves the queue untouched when its minimum
+//! lies above it, which is how the resumable Prim frontier
+//! (DESIGN.md §12.5) stops at its horizon. [`BucketQueue::advance_to`]
+//! and [`BucketQueue::fold_from`] let that frontier run each step's wave
+//! in a second ring and hand its leftovers to the persisted one.
+//!
 //! ```
 //! use oarsmt_graph::bucket::BucketQueue;
 //!
@@ -37,13 +43,14 @@
 //! q.push(0, 9);
 //! q.push(2, 4);
 //! let mut scans = 0u64;
-//! assert_eq!(q.pop_min(&mut scans), Some((0, 9)));
+//! assert_eq!(q.pop_min(u64::MAX, &mut scans), Some((0, 9)));
+//! assert_eq!(q.pop_min(1, &mut scans), None, "key 2 lies above the limit");
 //! // Key 2 drains in ascending vertex index.
-//! assert_eq!(q.pop_min(&mut scans), Some((2, 4)));
+//! assert_eq!(q.pop_min(u64::MAX, &mut scans), Some((2, 4)));
 //! q.push(2, 6); // arrived while key 2 was open: drains after the batch
-//! assert_eq!(q.pop_min(&mut scans), Some((2, 7)));
-//! assert_eq!(q.pop_min(&mut scans), Some((2, 6)));
-//! assert_eq!(q.pop_min(&mut scans), None);
+//! assert_eq!(q.pop_min(u64::MAX, &mut scans), Some((2, 7)));
+//! assert_eq!(q.pop_min(u64::MAX, &mut scans), Some((2, 6)));
+//! assert_eq!(q.pop_min(u64::MAX, &mut scans), None);
 //! assert_eq!(scans, 2, "the cursor walked from key 0 to key 2");
 //! ```
 
@@ -182,21 +189,25 @@ impl BucketQueue {
         self.len += 1;
     }
 
-    /// Pops the minimum-key entry, moving the cursor to the next occupied
-    /// bucket. `scans` grows by the number of keys the cursor advanced
-    /// (the `dijkstra_bucket_scans` telemetry counter), although the
-    /// occupancy words skip empty keys 64 at a time. Returns `None` when
-    /// the queue is empty.
-    pub fn pop_min(&mut self, scans: &mut u64) -> Option<(u64, u32)> {
+    /// Pops the minimum-key entry if its key is at most `limit`, moving
+    /// the cursor to it. `scans` grows by the number of keys the cursor
+    /// advanced (the `dijkstra_bucket_scans` telemetry counter), although
+    /// the occupancy words skip empty keys 64 at a time. Returns `None`,
+    /// and leaves the cursor where it was, when the queue is empty or its
+    /// minimum key exceeds `limit`.
+    pub fn pop_min(&mut self, limit: u64, scans: &mut u64) -> Option<(u64, u32)> {
         if self.len == 0 {
             return None;
         }
-        self.draining = true;
         // Live keys lie in `[cursor, cursor + ring)`, one ring slot each,
         // so the first occupied slot at or after the cursor's holds the
         // minimum key.
         let b = self.next_occupied((self.cursor & self.mask) as usize);
         let step = (b as u64).wrapping_sub(self.cursor) & self.mask;
+        if self.cursor + step > limit {
+            return None;
+        }
+        self.draining = true;
         self.cursor += step;
         *scans += step;
         let bucket = &mut self.buckets[b];
@@ -214,6 +225,60 @@ impl BucketQueue {
         }
         self.len -= 1;
         Some((self.cursor, idx))
+    }
+
+    /// Moves the cursor forward to `key`, adding the keys walked to
+    /// `scans`, and ends the seeding phase: from here on every push must
+    /// lie in `[key, key + span]`. No live entry may sit below `key`
+    /// (checked in debug builds). On a freshly reset queue this only sets
+    /// the cursor.
+    pub fn advance_to(&mut self, key: u64, scans: &mut u64) {
+        debug_assert!(
+            self.len == 0 || self.min_key() >= key,
+            "advance past a live entry: key {key}, minimum {}",
+            self.min_key()
+        );
+        if self.draining {
+            debug_assert!(key >= self.cursor, "cursor moved back");
+            *scans += key - self.cursor;
+        }
+        self.cursor = key;
+        self.draining = true;
+    }
+
+    /// Moves every live entry of `other` into this queue, keys kept, and
+    /// leaves `other` empty. The moved keys must obey this queue's push
+    /// contract (monotone and within `span` of its cursor). Entries that
+    /// share a key drain in ascending vertex index once that key opens,
+    /// whichever queue they came from.
+    pub fn fold_from(&mut self, other: &mut BucketQueue) {
+        let words = (other.mask as usize + 1) / WORD;
+        for w in 0..words {
+            let mut bits = other.occupied[w];
+            other.occupied[w] = 0;
+            while bits != 0 {
+                let b = w * WORD + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let key = other.key_at(b);
+                let bucket = &other.buckets[b];
+                for k in bucket.pos as usize..bucket.items.len() {
+                    self.push(key, bucket.items[k]);
+                }
+            }
+        }
+        other.len = 0;
+    }
+
+    /// The absolute key ring slot `b` holds (live keys lie in
+    /// `[cursor, cursor + ring)`).
+    #[inline]
+    fn key_at(&self, b: usize) -> u64 {
+        self.cursor + ((b as u64).wrapping_sub(self.cursor) & self.mask)
+    }
+
+    /// The minimum live key (the queue must be non-empty).
+    fn min_key(&self) -> u64 {
+        self.key_at(self.next_occupied((self.cursor & self.mask) as usize))
     }
 
     /// The first occupied ring slot at or after `from`, wrapping. Callers
@@ -247,7 +312,7 @@ mod tests {
         }
         let mut scans = 0;
         let mut out = Vec::new();
-        while let Some(e) = q.pop_min(&mut scans) {
+        while let Some(e) = q.pop_min(u64::MAX, &mut scans) {
             out.push(e);
         }
         assert_eq!(out, vec![(1, 4), (1, 11), (3, 2), (3, 9), (5, 0)]);
@@ -261,20 +326,20 @@ mod tests {
         q.push(4, 8);
         q.push(4, 3);
         let mut scans = 0;
-        assert_eq!(q.pop_min(&mut scans), Some((4, 3)));
+        assert_eq!(q.pop_min(u64::MAX, &mut scans), Some((4, 3)));
         // Key 4 is open: a same-key arrival goes behind the sorted batch.
         q.push(4, 1);
         q.push(4, 2);
-        assert_eq!(q.pop_min(&mut scans), Some((4, 8)));
-        assert_eq!(q.pop_min(&mut scans), Some((4, 1)));
+        assert_eq!(q.pop_min(u64::MAX, &mut scans), Some((4, 8)));
+        assert_eq!(q.pop_min(u64::MAX, &mut scans), Some((4, 1)));
         // The open bucket drains empty; a later same-key arrival still
         // pops unsorted, at the same key.
-        assert_eq!(q.pop_min(&mut scans), Some((4, 2)));
+        assert_eq!(q.pop_min(u64::MAX, &mut scans), Some((4, 2)));
         q.push(4, 9);
         q.push(4, 0);
-        assert_eq!(q.pop_min(&mut scans), Some((4, 9)));
-        assert_eq!(q.pop_min(&mut scans), Some((4, 0)));
-        assert_eq!(q.pop_min(&mut scans), None);
+        assert_eq!(q.pop_min(u64::MAX, &mut scans), Some((4, 9)));
+        assert_eq!(q.pop_min(u64::MAX, &mut scans), Some((4, 0)));
+        assert_eq!(q.pop_min(u64::MAX, &mut scans), None);
         assert_eq!(scans, 0);
     }
 
@@ -287,7 +352,7 @@ mod tests {
         q.push(0, 0);
         let mut scans = 0;
         let mut expected_key = 0u64;
-        while let Some((k, i)) = q.pop_min(&mut scans) {
+        while let Some((k, i)) = q.pop_min(u64::MAX, &mut scans) {
             assert_eq!(k, expected_key);
             assert_eq!(i, (k % 100) as u32);
             if k < 500 {
@@ -306,24 +371,24 @@ mod tests {
         q.push(1, 10);
         q.push(2, 20);
         let mut scans = 0;
-        assert_eq!(q.pop_min(&mut scans), Some((1, 10)));
+        assert_eq!(q.pop_min(u64::MAX, &mut scans), Some((1, 10)));
         // Abandon mid-drain; the next query must not see leftovers.
         q.reset(4);
         assert!(q.is_empty());
-        assert_eq!(q.pop_min(&mut scans), None);
+        assert_eq!(q.pop_min(u64::MAX, &mut scans), None);
         q.push(7, 1);
-        assert_eq!(q.pop_min(&mut scans), Some((7, 1)));
+        assert_eq!(q.pop_min(u64::MAX, &mut scans), Some((7, 1)));
         // A wider ring after a narrower one, and back: leftovers in either
         // never resurface.
         q.push(30, 5);
         q.reset(1000);
         q.push(64, 3);
         q.push(900, 4);
-        assert_eq!(q.pop_min(&mut scans), Some((64, 3)));
+        assert_eq!(q.pop_min(u64::MAX, &mut scans), Some((64, 3)));
         q.reset(4);
         q.push(0, 6);
-        assert_eq!(q.pop_min(&mut scans), Some((0, 6)));
-        assert_eq!(q.pop_min(&mut scans), None);
+        assert_eq!(q.pop_min(u64::MAX, &mut scans), Some((0, 6)));
+        assert_eq!(q.pop_min(u64::MAX, &mut scans), None);
     }
 
     #[test]
@@ -333,10 +398,159 @@ mod tests {
         q.push(0, 1);
         q.push(8, 2);
         let mut scans = 0;
-        q.pop_min(&mut scans);
+        q.pop_min(u64::MAX, &mut scans);
         assert_eq!(scans, 0);
-        q.pop_min(&mut scans);
+        q.pop_min(u64::MAX, &mut scans);
         assert_eq!(scans, 8, "eight empty keys between 0 and 8");
+    }
+
+    #[test]
+    fn pop_min_stops_above_the_limit_without_moving() {
+        let mut q = BucketQueue::new();
+        q.reset(100);
+        q.push(10, 3);
+        q.push(70, 1);
+        let mut scans = 0;
+        assert_eq!(q.pop_min(9, &mut scans), None);
+        assert_eq!((scans, q.len()), (0, 2), "a refused pop walks nothing");
+        assert_eq!(q.pop_min(10, &mut scans), Some((10, 3)));
+        assert_eq!(q.pop_min(69, &mut scans), None);
+        assert_eq!(scans, 0, "the cursor stays at key 10");
+        // A push below the refused key is still legal: the cursor did
+        // not move past it.
+        q.push(40, 2);
+        assert_eq!(q.pop_min(u64::MAX, &mut scans), Some((40, 2)));
+        assert_eq!(q.pop_min(u64::MAX, &mut scans), Some((70, 1)));
+        assert_eq!(scans, 60);
+    }
+
+    #[test]
+    fn advance_moves_the_cursor_and_counts_its_walk() {
+        let mut q = BucketQueue::new();
+        q.reset(16);
+        let mut scans = 0;
+        // On a fresh queue, advance only places the cursor.
+        q.advance_to(100, &mut scans);
+        assert_eq!(scans, 0);
+        q.push(110, 4);
+        q.push(101, 9);
+        assert_eq!(q.pop_min(u64::MAX, &mut scans), Some((101, 9)));
+        assert_eq!(scans, 1);
+        q.advance_to(105, &mut scans);
+        assert_eq!(scans, 5, "walked 101 -> 105");
+        q.push(120, 2); // within span of the advanced cursor
+        assert_eq!(q.pop_min(u64::MAX, &mut scans), Some((110, 4)));
+        assert_eq!(q.pop_min(u64::MAX, &mut scans), Some((120, 2)));
+        assert_eq!(scans, 20);
+    }
+
+    #[test]
+    fn fold_merges_keys_and_sorts_each_key_once() {
+        let mut main = BucketQueue::new();
+        let mut wave = BucketQueue::new();
+        main.reset(8);
+        wave.reset(8);
+        let mut scans = 0;
+        main.advance_to(20, &mut scans);
+        main.push(22, 7);
+        main.push(25, 1);
+        for &(k, i) in &[(0u64, 5u32), (3, 8), (21, 6), (22, 3), (22, 9)] {
+            wave.push(k, i);
+        }
+        assert_eq!(wave.pop_min(19, &mut scans), Some((0, 5)));
+        assert_eq!(wave.pop_min(19, &mut scans), Some((3, 8)));
+        assert_eq!(wave.pop_min(19, &mut scans), None);
+        main.fold_from(&mut wave);
+        assert!(wave.is_empty());
+        assert_eq!(wave.pop_min(u64::MAX, &mut scans), None);
+        let mut out = Vec::new();
+        while let Some(e) = main.pop_min(u64::MAX, &mut scans) {
+            out.push(e);
+        }
+        assert_eq!(out, vec![(21, 6), (22, 3), (22, 7), (22, 9), (25, 1)]);
+    }
+
+    /// Drains `q` up to `limit`, checking each pop against `reference`;
+    /// every pop spawns up to two pushes within `span` above it. Returns
+    /// the last popped key.
+    fn drain(
+        q: &mut BucketQueue,
+        limit: u64,
+        scans: &mut u64,
+        reference: &mut BinaryHeap<Reverse<(u64, u32)>>,
+        span: u64,
+        next: &mut impl FnMut() -> u64,
+    ) -> Option<u64> {
+        let mut last = None;
+        while let Some((k, i)) = q.pop_min(limit, scans) {
+            assert_eq!(reference.pop(), Some(Reverse((k, i))), "span {span}");
+            last = Some(k);
+            for _ in 0..next() % 3 {
+                let e = (k + 1 + next() % span, (next() % 500) as u32);
+                q.push(e.0, e.1);
+                reference.push(Reverse(e));
+            }
+        }
+        let min = reference.peek().map(|r| r.0 .0);
+        assert!(min.is_none_or(|m| m > limit), "span {span}");
+        last
+    }
+
+    /// The resumable Prim frontier's protocol against one binary heap
+    /// holding every entry: per step, a wave ring seeded at key 0 drains
+    /// up to the horizon, the persisted ring advances past it and folds
+    /// the wave's leftovers in, then drains up to a raised horizon. Pops
+    /// from the two rings must come out in exactly the heap's
+    /// `(key, index)` order, and the persisted ring's scans must be its
+    /// cursor's walk.
+    #[test]
+    fn wave_fold_protocol_matches_heap_reference() {
+        let mut state = 0x2545F4914F6CDD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (mut main, mut wave) = (BucketQueue::new(), BucketQueue::new());
+        for span in [1u64, 5, 63, 64, 65, 1000] {
+            main.reset(span as usize);
+            let mut reference: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+            let mut horizon = 0u64;
+            let (mut main_scans, mut main_cursor) = (0u64, None::<u64>);
+            for _ in 0..40 {
+                wave.reset(span as usize);
+                for _ in 0..1 + next() % 3 {
+                    let e = (0, (next() % 500) as u32);
+                    wave.push(e.0, e.1);
+                    reference.push(Reverse(e));
+                }
+                let mut wave_scans = 0;
+                drain(
+                    &mut wave,
+                    horizon,
+                    &mut wave_scans,
+                    &mut reference,
+                    span,
+                    &mut next,
+                );
+                main.advance_to(horizon + 1, &mut main_scans);
+                main_cursor = Some(main_cursor.map_or(horizon + 1, |c: u64| c.max(horizon + 1)));
+                main.fold_from(&mut wave);
+                horizon += next() % (span + 1);
+                if let Some(k) = drain(
+                    &mut main,
+                    horizon,
+                    &mut main_scans,
+                    &mut reference,
+                    span,
+                    &mut next,
+                ) {
+                    main_cursor = Some(k);
+                }
+                assert_eq!(Some(main_scans + 1), main_cursor, "span {span}");
+            }
+        }
     }
 
     /// A Dijkstra-shaped workload (every push strictly above the popped
@@ -364,7 +578,7 @@ mod tests {
             let first = reference.peek().map(|r| r.0 .0).unwrap();
             let mut scans = 0;
             let mut budget = 2000;
-            while let Some((k, i)) = q.pop_min(&mut scans) {
+            while let Some((k, i)) = q.pop_min(u64::MAX, &mut scans) {
                 assert_eq!(Some(Reverse((k, i))), reference.pop(), "span {span}");
                 assert_eq!(scans, k - first, "span {span}");
                 if budget > 0 {

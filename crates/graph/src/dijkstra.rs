@@ -11,6 +11,14 @@
 //! invalidated by an epoch counter rather than cleared), so a warm query
 //! performs no allocation.
 //!
+//! An OARMST build asks for the nearest unconnected terminal once per
+//! Prim step. Instead of one fresh query per step it keeps one search
+//! alive for the whole build: [`DijkstraWorkspace::prim_begin`], then
+//! [`DijkstraWorkspace::prim_step`] and
+//! [`DijkstraWorkspace::prim_path_into`] per step, which resume the same
+//! relaxation loop and return exactly what a fresh query from the whole
+//! tree would (DESIGN.md §12.5).
+//!
 //! The loop is generic over its frontier, chosen per query by a
 //! [`QueuePolicy`]: the binary heap (the retained oracle), Dial's bucket
 //! queue (bit-identical to the heap whenever the cost model is
@@ -39,6 +47,7 @@
 //! ```
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use oarsmt_geom::{GridPoint, HananGraph};
@@ -164,13 +173,15 @@ pub enum QueuePolicy {
     /// otherwise). **Documented divergence** (DESIGN.md §12.4): each query
     /// returns a cheapest path with the same cost bits as the oracle, but
     /// possibly a different equal-cost geometry, so downstream trees may
-    /// differ.
+    /// differ. The resumable Prim frontier has no single target and
+    /// resolves it like `Auto`.
     AStar,
 }
 
 /// A [`QueuePolicy`] after eligibility resolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum ResolvedQueue {
+    #[default]
     Heap,
     /// Dial with the graph's integer cost ceiling.
     Dial(u64),
@@ -275,10 +286,12 @@ impl RectilinearBound {
 /// The priority queue behind one query. `push` takes the tentative
 /// distance `g`; a frontier that orders by something else (A*'s
 /// `g + h`) derives its key itself. `pop` yields vertices in key order,
-/// stale duplicates included — the relaxation loop skips those.
+/// stale duplicates included — the relaxation loop skips those — and
+/// stops at the first key above `limit`, leaving it queued (A* is only
+/// ever driven with an infinite limit).
 trait Frontier {
     fn push(&mut self, g: f64, idx: u32);
-    fn pop(&mut self) -> Option<u32>;
+    fn pop(&mut self, limit: f64) -> Option<u32>;
 }
 
 /// The binary heap keyed by `g`: the oracle.
@@ -289,8 +302,12 @@ impl Frontier for BinaryHeap<Entry> {
     }
 
     #[inline]
-    fn pop(&mut self) -> Option<u32> {
-        BinaryHeap::pop(self).map(|e| e.idx)
+    fn pop(&mut self, limit: f64) -> Option<u32> {
+        let top = self.peek_mut()?;
+        if top.cost > limit {
+            return None;
+        }
+        Some(PeekMut::pop(top).idx)
     }
 }
 
@@ -308,8 +325,11 @@ impl Frontier for Dial<'_> {
     }
 
     #[inline]
-    fn pop(&mut self) -> Option<u32> {
-        self.queue.pop_min(&mut self.scans).map(|(_, idx)| idx)
+    fn pop(&mut self, limit: f64) -> Option<u32> {
+        // An infinite limit saturates to `u64::MAX`.
+        self.queue
+            .pop_min(limit as u64, &mut self.scans)
+            .map(|(_, idx)| idx)
     }
 }
 
@@ -333,13 +353,14 @@ impl Frontier for AStar<'_> {
     }
 
     #[inline]
-    fn pop(&mut self) -> Option<u32> {
-        self.heap.pop().map(|e| e.idx)
+    fn pop(&mut self, limit: f64) -> Option<u32> {
+        Frontier::pop(&mut *self.heap, limit)
     }
 }
 
 /// Per-vertex search state: `dist`/`prev` are valid where
-/// `stamp == epoch`, and a vertex is settled once `done == epoch`.
+/// `stamp == epoch`, and a vertex is settled — expanded at its current
+/// label — while `done == epoch`.
 #[derive(Debug, Clone, Default)]
 struct Labels {
     dist: Vec<f64>,
@@ -367,16 +388,43 @@ impl Labels {
     }
 
     /// Lowers `idx`'s label to `d` via `prev` if that improves it; returns
-    /// whether it did (the caller then pushes `idx`).
+    /// whether it did (the caller then pushes `idx`). A lowered label
+    /// unsettles the vertex: only the resumable Prim frontier ever lowers
+    /// a settled label, and the vertex must then be expanded again.
     #[inline]
     fn improve(&mut self, idx: usize, d: f64, prev: u32) -> bool {
         if self.stamp[idx] != self.epoch || d < self.dist[idx] {
             self.stamp[idx] = self.epoch;
             self.dist[idx] = d;
             self.prev[idx] = prev;
+            self.done[idx] = 0;
             return true;
         }
         false
+    }
+
+    /// Seeds every unblocked point of `points` at distance 0 (a no-op
+    /// for one already there); returns whether any was unblocked.
+    fn seed<Q: Frontier>(
+        &mut self,
+        graph: &HananGraph,
+        points: &[GridPoint],
+        frontier: &mut Q,
+        counters: &mut CounterSet,
+    ) -> bool {
+        let mut any = false;
+        for &s in points {
+            if graph.is_blocked(s) {
+                continue;
+            }
+            let idx = graph.index(s);
+            if self.improve(idx, 0.0, NO_PREV) {
+                counters.bump(Counter::DijkstraPushes);
+                frontier.push(0.0, idx as u32);
+            }
+            any = true;
+        }
+        any
     }
 
     /// Seeds every unblocked source at distance 0, then runs the
@@ -393,44 +441,57 @@ impl Labels {
         frontier: &mut Q,
         counters: &mut CounterSet,
     ) -> Result<usize, GraphError> {
-        let mut any_source = false;
-        for &s in sources {
-            if graph.is_blocked(s) {
-                continue;
-            }
-            let idx = graph.index(s);
-            if self.improve(idx, 0.0, NO_PREV) {
-                counters.bump(Counter::DijkstraPushes);
-                frontier.push(0.0, idx as u32);
-            }
-            any_source = true;
-        }
-        if !any_source {
+        if !self.seed(graph, sources, frontier, counters) {
             return Err(GraphError::BlockedSource(sources[0]));
         }
-        // The unbounded instance gets a constant-true window, so its
-        // relaxation carries no bounds test at all.
-        let settled = match bounds {
-            None => self.settle(adj, frontier, |_| true, is_target, counters),
-            Some(b) => self.settle(
-                adj,
-                frontier,
-                |q| b.contains(graph.point(q)),
-                is_target,
-                counters,
-            ),
-        };
-        settled.ok_or(GraphError::Unreachable {
+        self.settle_within(
+            graph,
+            adj,
+            frontier,
+            bounds,
+            is_target,
+            f64::INFINITY,
+            counters,
+        )
+        .ok_or(GraphError::Unreachable {
             from: sources[0],
             to: None,
         })
     }
 
+    /// [`Labels::settle`] inside an optional search window. The unbounded
+    /// instance gets a constant-true window, so its relaxation carries no
+    /// bounds test at all.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn settle_within<Q: Frontier, F: Fn(usize) -> bool>(
+        &mut self,
+        graph: &HananGraph,
+        adj: &GridAdjacency,
+        frontier: &mut Q,
+        bounds: Option<SearchBounds>,
+        is_target: F,
+        limit: f64,
+        counters: &mut CounterSet,
+    ) -> Option<usize> {
+        match bounds {
+            None => self.settle(adj, frontier, |_| true, is_target, limit, counters),
+            Some(b) => self.settle(
+                adj,
+                frontier,
+                |q| b.contains(graph.point(q)),
+                is_target,
+                limit,
+                counters,
+            ),
+        }
+    }
+
     /// The relaxation loop: pops until a target settles or the frontier
-    /// drains, relaxing the CSR neighbors `admits` lets through. One stale
-    /// rule for every frontier: a popped vertex that is already `done` is
-    /// a duplicate (for the heap this is exactly its `cost > dist` skip,
-    /// DESIGN.md §12.3).
+    /// has no entry left at or below `limit`, relaxing the CSR neighbors
+    /// `admits` lets through. One stale rule for every frontier: a popped
+    /// vertex that is already `done` is a duplicate (for the heap this is
+    /// exactly its `cost > dist` skip, DESIGN.md §12.3).
     #[inline]
     fn settle<Q: Frontier, W: Fn(usize) -> bool, F: Fn(usize) -> bool>(
         &mut self,
@@ -438,9 +499,10 @@ impl Labels {
         frontier: &mut Q,
         admits: W,
         is_target: F,
+        limit: f64,
         counters: &mut CounterSet,
     ) -> Option<usize> {
-        while let Some(idx) = frontier.pop() {
+        while let Some(idx) = frontier.pop(limit) {
             let idx = idx as usize;
             if self.done[idx] == self.epoch {
                 continue;
@@ -466,6 +528,60 @@ impl Labels {
         }
         None
     }
+
+    /// The second half of a Prim step, once every label up to `horizon`
+    /// is exact: the nearest open terminal (least `(label, index)` over
+    /// `open`) when it lies within the horizon. Otherwise settles on until
+    /// the first open terminal settles — the nearest one — then finishes
+    /// its key and raises the horizon to it. `None` when no open terminal
+    /// can be reached.
+    #[allow(clippy::too_many_arguments)]
+    fn prim_target<Q: Frontier, F: Fn(usize) -> bool>(
+        &mut self,
+        graph: &HananGraph,
+        adj: &GridAdjacency,
+        frontier: &mut Q,
+        bounds: Option<SearchBounds>,
+        open: &[u32],
+        is_open: F,
+        horizon: &mut f64,
+        counters: &mut CounterSet,
+    ) -> Option<usize> {
+        let mut best: Option<(f64, u32)> = None;
+        for &t in open {
+            if self.stamp[t as usize] != self.epoch {
+                continue;
+            }
+            let d = self.dist[t as usize];
+            if best.is_none_or(|(bd, bt)| d < bd || (d == bd && t < bt)) {
+                best = Some((d, t));
+            }
+        }
+        let limit = match best {
+            Some((d, t)) if d <= *horizon => return Some(t as usize),
+            Some((d, _)) => d,
+            None => f64::INFINITY,
+        };
+        let target = self.settle_within(graph, adj, frontier, bounds, is_open, limit, counters)?;
+        *horizon = self.dist[target];
+        self.settle_within(graph, adj, frontier, bounds, |_| false, *horizon, counters);
+        Some(target)
+    }
+}
+
+/// State of the resumable Prim frontier between
+/// [`DijkstraWorkspace::prim_step`] calls.
+#[derive(Debug, Clone, Copy, Default)]
+struct PrimState {
+    /// The frontier [`DijkstraWorkspace::prim_begin`] resolved (never
+    /// A*).
+    queue: ResolvedQueue,
+    /// Every label at or below the horizon is the exact distance from the
+    /// tree, and every queued entry lies above it.
+    horizon: f64,
+    /// The label epoch the frontier was started in (debug check that no
+    /// other query ran in between).
+    epoch: u32,
 }
 
 /// Reusable Dijkstra work arrays (distance, predecessor, visit stamps) and
@@ -480,8 +596,14 @@ impl Labels {
 pub struct DijkstraWorkspace {
     labels: Labels,
     heap: BinaryHeap<Entry>,
-    /// The Dial bucket queue (`Auto` on bounded-integer cost models).
+    /// The Dial bucket queue (`Auto` on bounded-integer cost models); the
+    /// persisted ring of the resumable Prim frontier.
     bucket: BucketQueue,
+    /// The resumable Prim frontier's per-step Dial ring: the wave from the
+    /// newly joined path runs here up to the horizon, then its leftovers
+    /// fold into `bucket`.
+    wave: BucketQueue,
+    prim: PrimState,
     /// The A* lower bound, rebuilt per `AStar` query.
     bound: RectilinearBound,
     /// Tier A telemetry: settled pops, relaxation attempts, queue pushes
@@ -589,6 +711,163 @@ impl DijkstraWorkspace {
             .collect())
     }
 
+    /// Starts a resumable Prim frontier on `graph` (DESIGN.md §12.5):
+    /// forgets every label and queued entry. [`Self::prim_step`] then
+    /// grows it one Prim step at a time; any other query on this workspace
+    /// ends it. `QueuePolicy::AStar` has no single target to aim at here
+    /// and resolves like `Auto`, so `Auto` and `Heap` frontiers stay
+    /// bit-identical, op counters included.
+    pub fn prim_begin(&mut self, graph: &HananGraph, policy: QueuePolicy) {
+        self.labels.prepare(graph.len());
+        let queue = policy.resolve(graph.integer_cost_ceiling(), false);
+        match queue {
+            ResolvedQueue::Dial(ceiling) => self.bucket.reset(ceiling.max(1) as usize),
+            _ => self.heap.clear(),
+        }
+        self.prim = PrimState {
+            queue,
+            horizon: 0.0,
+            epoch: self.labels.epoch,
+        };
+    }
+
+    /// One step of the resumable Prim frontier: seeds the `joined`
+    /// vertices (the path that just joined the tree, or the root on the
+    /// first step; vertices already on the tree are skipped) at distance
+    /// 0, resumes the persisted search and returns the nearest open
+    /// terminal — least `(distance from the tree, index)` over `open`, the
+    /// one a fresh multi-source search from the whole tree would settle
+    /// first. `None` when no open terminal can be reached.
+    ///
+    /// * `open` lists the indices of the open terminals and `is_open` tests
+    ///   membership of the same set.
+    /// * `bounds` restricts expansion like it does for
+    ///   [`Self::shortest_path_into`]; pass the same window on every step.
+    ///
+    /// Labels persist across steps and only strict improvements are
+    /// pushed, so a step re-settles only what the new path brings closer,
+    /// plus the shell up to the horizon (the largest target distance so
+    /// far). Follow with [`Self::prim_path_into`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn prim_step<F: Fn(usize) -> bool>(
+        &mut self,
+        graph: &HananGraph,
+        adj: &GridAdjacency,
+        joined: &[GridPoint],
+        bounds: Option<SearchBounds>,
+        open: &[u32],
+        is_open: F,
+    ) -> Option<usize> {
+        debug_assert_eq!(
+            self.prim.epoch, self.labels.epoch,
+            "prim_step without prim_begin"
+        );
+        let DijkstraWorkspace {
+            labels,
+            heap,
+            bucket,
+            wave,
+            prim,
+            counters,
+            ..
+        } = self;
+        let horizon = prim.horizon;
+        match prim.queue {
+            ResolvedQueue::Dial(ceiling) => {
+                // Every persisted key lies in (horizon, horizon + ceiling],
+                // but the wave starts at 0: run it in its own ring up to
+                // the horizon, then fold what is left into the main one.
+                wave.reset(ceiling.max(1) as usize);
+                let mut front = Dial {
+                    queue: wave,
+                    scans: 0,
+                };
+                labels.seed(graph, joined, &mut front, counters);
+                labels.settle_within(graph, adj, &mut front, bounds, |_| false, horizon, counters);
+                let mut scans = front.scans;
+                bucket.advance_to(horizon as u64 + 1, &mut scans);
+                bucket.fold_from(wave);
+                let mut main = Dial {
+                    queue: bucket,
+                    scans,
+                };
+                let target = labels.prim_target(
+                    graph,
+                    adj,
+                    &mut main,
+                    bounds,
+                    open,
+                    is_open,
+                    &mut prim.horizon,
+                    counters,
+                );
+                counters.add(Counter::DijkstraBucketScans, main.scans);
+                target
+            }
+            _ => {
+                labels.seed(graph, joined, heap, counters);
+                labels.settle_within(graph, adj, heap, bounds, |_| false, horizon, counters);
+                labels.prim_target(
+                    graph,
+                    adj,
+                    heap,
+                    bounds,
+                    open,
+                    is_open,
+                    &mut prim.horizon,
+                    counters,
+                )
+            }
+        }
+    }
+
+    /// Writes the path from the tree to the `target` that
+    /// [`Self::prim_step`] returned into `out` (cleared first, tree end
+    /// first) and returns its cost.
+    ///
+    /// The walk goes back from `target` to the first vertex at distance 0
+    /// (a tree vertex), taking at each vertex `v` the neighbour `u` with
+    /// `dist[u] + w == dist[v]` and the least `(dist[u], u)`. A fresh
+    /// search settles in `(dist, index)` order and keeps the first
+    /// relaxation that reaches a label, so that neighbour is exactly the
+    /// predecessor it records: the path is the one a fresh search from the
+    /// whole tree returns (DESIGN.md §12.5). The stored predecessors are
+    /// not used; they can be stale across steps.
+    pub fn prim_path_into(
+        &self,
+        graph: &HananGraph,
+        adj: &GridAdjacency,
+        target: usize,
+        out: &mut Vec<GridPoint>,
+    ) -> f64 {
+        let l = &self.labels;
+        out.clear();
+        let mut v = target;
+        out.push(graph.point(v));
+        while l.dist[v] != 0.0 {
+            let dv = l.dist[v];
+            let mut pick: Option<(f64, usize)> = None;
+            for (u, w) in adj.neighbors(v) {
+                let u = u as usize;
+                if l.stamp[u] != l.epoch {
+                    continue;
+                }
+                let du = l.dist[u];
+                if du + w == dv && pick.is_none_or(|(pd, pu)| du < pd || (du == pd && u < pu)) {
+                    pick = Some((du, u));
+                }
+            }
+            let Some((_, u)) = pick else {
+                debug_assert!(false, "no predecessor reaches the label of {v}");
+                break;
+            };
+            v = u;
+            out.push(graph.point(v));
+        }
+        out.reverse();
+        l.dist[target]
+    }
+
     /// Resolves the policy to a frontier and runs [`Labels::search`] on it.
     #[allow(clippy::too_many_arguments)]
     fn search<F: Fn(usize) -> bool>(
@@ -611,6 +890,7 @@ impl DijkstraWorkspace {
             bucket,
             bound,
             counters,
+            ..
         } = self;
         match policy.resolve(graph.integer_cost_ceiling(), !targets.is_empty()) {
             ResolvedQueue::Heap => {

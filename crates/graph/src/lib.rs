@@ -12,7 +12,8 @@
 //!   (Dial) fast path — bit-identical to the heap on the paper's
 //!   bounded-integer cost models — or an A\* lower-bound search
 //!   ([`RectilinearBound`]), the one documented divergence (DESIGN.md
-//!   §12),
+//!   §12). An OARMST build resumes one search across its Prim steps
+//!   instead ([`DijkstraWorkspace::prim_step`], §12.5),
 //! * [`bucket`] — the power-of-two bucket ring and its occupancy bitmap
 //!   behind the Dial frontier,
 //! * [`csr`] — flattened CSR adjacency for the relaxation inner loop,

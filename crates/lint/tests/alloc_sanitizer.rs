@@ -235,6 +235,49 @@ fn hot_paths_are_allocation_free_in_steady_state() {
         "the wide-ring routes never walked past one lap of the ring"
     );
 
+    // --- route_in on a 40x40x3 paper-cost layout with candidates: dozens
+    // of Prim steps per build, so the resumable frontier's persisted heap
+    // and rings, its per-step wave ring and the folds between them all
+    // reach their high-water marks in the warm-up and stay there. ---
+    let (large, large_cand) = (0u64..)
+        .find_map(|seed| {
+            let g = oarsmt_geom::gen::CaseGenerator::new(
+                oarsmt_geom::gen::GeneratorConfig::paper_costs(40, 40, 3, (12, 16)),
+                seed,
+            )
+            .generate();
+            let cand: Vec<GridPoint> = (0..12)
+                .map(|k| GridPoint::new(3 + 3 * k, 37 - 3 * k, k % 3))
+                .collect();
+            router.route(&g, &cand).is_ok().then_some((g, cand))
+        })
+        .expect("some seed yields a routable layout");
+    let mut warm_large = 0.0;
+    for _ in 0..2 {
+        let tree = router.route_in(&mut ctx, &large, &large_cand).unwrap();
+        warm_large = tree.cost();
+        ctx.recycle_tree(tree);
+    }
+    let pops_before = ctx.counters_total().get(Counter::DijkstraPops);
+    let (n, steady_large) = allocs_during(|| {
+        let mut cost = 0.0;
+        for _ in 0..3 {
+            let tree = router.route_in(&mut ctx, &large, &large_cand).unwrap();
+            cost = tree.cost();
+            ctx.recycle_tree(tree);
+        }
+        cost
+    });
+    assert_eq!(n, 0, "40x40x3 route_in allocated {n} times in steady state");
+    assert_eq!(
+        steady_large, warm_large,
+        "steady-state 40x40x3 result drifted"
+    );
+    assert!(
+        ctx.counters_total().get(Counter::DijkstraPops) - pops_before > 3 * 1000,
+        "the 40x40x3 routes settled almost nothing"
+    );
+
     // --- predict_with_fsp_in: zero allocations with a precomputed fsp. ---
     let critic = Critic::new();
     let mut median = MedianHeuristicSelector::new();

@@ -130,20 +130,21 @@ pub struct RouteContext {
     /// live graph (including obstacles) by [`GridAdjacency::ensure`], so
     /// it is *not* tied to the looser pin-set key of [`RouteContext::bind`].
     pub(crate) adj: GridAdjacency,
-    pub(crate) in_tree: StampSet,
     pub(crate) unconnected: StampSet,
     pub(crate) seen: StampSet,
     pub(crate) mark: StampSet,
     pub(crate) terminals: Vec<GridPoint>,
+    /// Sources of a polish reroute: the tree left after stripping a
+    /// terminal's branch.
     pub(crate) tree_vertices: Vec<GridPoint>,
     pub(crate) kept: Vec<GridPoint>,
-    /// Maze-query result buffer (`shortest_path_into` writes here), so
-    /// the Prim/retrace loops never allocate a path.
+    /// Maze-query result buffer (`shortest_path_into` and
+    /// `prim_path_into` write here), so the Prim/retrace loops never
+    /// allocate a path. A Prim step seeds the path its predecessor wrote.
     pub(crate) path_buf: Vec<GridPoint>,
-    /// Currently-unconnected terminal points, maintained per Prim
-    /// iteration as the A\* target hint (only filled under
-    /// [`QueuePolicy::AStar`](oarsmt_graph::QueuePolicy)).
-    pub(crate) unconnected_points: Vec<GridPoint>,
+    /// Indices of the terminals a Prim build has not connected yet (the
+    /// members of `unconnected`, as a list the frontier scans).
+    pub(crate) open: Vec<u32>,
     /// Sorted-half-edge adjacency of the tree under polish.
     pub(crate) tree_adj: TreeAdjacency,
     /// Per-vertex tree degrees of the redundant-candidate prune.

@@ -36,9 +36,10 @@ use crate::tree::RouteTree;
 /// * `queue_policy` — the [`QueuePolicy`] every maze query runs under.
 ///   The default `Auto` selects Dial's bucket queue on bounded-integer
 ///   cost models (bit-identical to the heap, DESIGN.md §12.3);
-///   `QueuePolicy::Heap` forces the oracle and `QueuePolicy::AStar` opts
-///   into the goal-directed search with its documented tie-break
-///   divergence (§12.4).
+///   `QueuePolicy::Heap` forces the oracle. `QueuePolicy::AStar` opts the
+///   single-target polish reroutes into the goal-directed search with its
+///   documented tie-break divergence (§12.4); Prim builds have no single
+///   target and run like `Auto`.
 #[derive(Debug, Clone)]
 pub struct OarmstRouter {
     max_prune_rounds: Option<usize>,
@@ -304,6 +305,12 @@ impl OarmstRouter {
 
     /// One maze-based Prim pass over `graph.pins() + candidates`, built
     /// into `tree` (cleared first) using the context's workspaces.
+    ///
+    /// Each step grows the tree by the cheapest path to the nearest
+    /// unconnected terminal. One resumable Dijkstra frontier serves the
+    /// whole pass (DESIGN.md §12.5): a step seeds only the path that just
+    /// joined, so it re-settles only what that path brings closer, and
+    /// reads out exactly the path a fresh search from the whole tree would.
     fn build_once_in(
         &self,
         ctx: &mut RouteContext,
@@ -329,10 +336,6 @@ impl OarmstRouter {
 
         let first = ctx.terminals[self.start % ctx.terminals.len()];
         tree.clear();
-        ctx.tree_vertices.clear();
-        ctx.tree_vertices.push(first);
-        ctx.in_tree.begin(graph.len());
-        ctx.in_tree.insert(graph.index(first));
         ctx.unconnected.begin(graph.len());
         // Track how many *pins* remain unconnected separately: only they
         // make an unreachable remainder fatal.
@@ -349,54 +352,49 @@ impl OarmstRouter {
         {
             unconnected_pins -= 1;
         }
-
-        let use_astar = self.queue_policy == QueuePolicy::AStar;
-        while !ctx.unconnected.is_empty() {
-            if use_astar {
-                // The A* target hint: the terminals still unconnected.
-                // Exactly the set `is_target` accepts, as the hint
-                // contract requires.
-                ctx.unconnected_points.clear();
-                for k in 0..ctx.terminals.len() {
-                    let t = ctx.terminals[k];
-                    if ctx.unconnected.contains(graph.index(t)) {
-                        ctx.unconnected_points.push(t);
-                    }
-                }
+        ctx.open.clear();
+        for k in 0..ctx.terminals.len() {
+            let idx = graph.index(ctx.terminals[k]);
+            if ctx.unconnected.contains(idx) {
+                ctx.open.push(idx as u32);
             }
+        }
+
+        // The first step seeds the root; later ones the path that joined.
+        ctx.path_buf.clear();
+        ctx.path_buf.push(first);
+        ctx.space.prim_begin(graph, self.queue_policy);
+        while !ctx.open.is_empty() {
             ctx.trace.begin(Span::RouteDijkstra);
-            let searched = ctx.space.shortest_path_into(
-                graph,
-                &ctx.adj,
-                &ctx.tree_vertices,
-                |i| ctx.unconnected.contains(i),
-                bounds,
-                self.queue_policy,
-                &ctx.unconnected_points,
-                &mut ctx.path_buf,
-            );
+            let target =
+                ctx.space
+                    .prim_step(graph, &ctx.adj, &ctx.path_buf, bounds, &ctx.open, |i| {
+                        ctx.unconnected.contains(i)
+                    });
+            if let Some(t) = target {
+                ctx.space
+                    .prim_path_into(graph, &ctx.adj, t, &mut ctx.path_buf);
+            }
             ctx.trace.end(Span::RouteDijkstra);
-            if let Err(e) = searched {
+            if target.is_none() {
                 // Candidates sitting in walled-off pockets are simply
                 // dropped; only unreachable *pins* are fatal.
                 if unconnected_pins > 0 {
-                    return Err(RouteError::from(e));
+                    return Err(RouteError::Disconnected { reached: first });
                 }
                 break;
             }
             for w in ctx.path_buf.windows(2) {
                 tree.add_edge(graph, w[0], w[1]);
             }
-            for k in 0..ctx.path_buf.len() {
-                let p = ctx.path_buf[k];
-                let idx = graph.index(p);
-                if ctx.in_tree.insert(idx) {
-                    ctx.tree_vertices.push(p);
-                }
+            for k in 1..ctx.path_buf.len() {
+                let idx = graph.index(ctx.path_buf[k]);
                 if ctx.unconnected.remove(idx) && ctx.is_pin_index(idx as u32) {
                     unconnected_pins -= 1;
                 }
             }
+            let unconnected = &ctx.unconnected;
+            ctx.open.retain(|&i| unconnected.contains(i as usize));
         }
         Ok(())
     }

@@ -27,10 +27,11 @@ pub enum Counter {
     DijkstraRelaxations,
     /// Entries pushed onto the Dijkstra heap.
     DijkstraPushes,
-    /// Keys the Dial bucket queue's cursor advanced over (zero under the
-    /// binary-heap policy). Fixed by the pop order alone: the occupancy
-    /// bitmap skips empty keys 64 at a time, so this counts keys walked,
-    /// not work done.
+    /// Keys the Dial bucket queues' cursors advanced over (zero under the
+    /// binary-heap policy); for the resumable Prim frontier, both rings
+    /// and the cursor advance between them. Fixed by the pop order alone:
+    /// the occupancy bitmap skips empty keys 64 at a time, so this counts
+    /// keys walked, not work done.
     DijkstraBucketScans,
     /// Steiner points discarded by the irredundancy prune.
     SteinerPruned,
