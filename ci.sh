@@ -53,7 +53,7 @@ cargo test -q -p oarsmt-router --test queue_equivalence
 echo "==> resumable Prim frontier equivalence (persisted-frontier builds == fresh-search-per-step reference)"
 cargo test -q -p oarsmt-router --test prim_frontier
 
-echo "==> batched-path equivalence (batch == sequential bit-identity at nn/core/rl levels)"
+echo "==> batched-path equivalence (B in {4,16} == per-sample B=1 calls of the same kernel, bit for bit, at nn/core/rl levels)"
 cargo test -q -p oarsmt-nn batch
 cargo test -q -p oarsmt batch
 cargo test -q -p oarsmt-rl --test batch_equivalence
@@ -70,7 +70,7 @@ echo "==> unet_throughput smoke (quick mode, asserts GEMM == naive oracle and ba
 cargo run --release -q -p oarsmt-bench --bin unet_throughput -- --quick \
     --out target/BENCH_unet_smoke.json
 
-echo "==> selector_batch_bench smoke (quick mode, asserts batch == single bit-identity at B in {1,4,16})"
+echo "==> selector_batch_bench smoke (quick mode, asserts B in {4,16} flushes == per-sample B=1 calls of the same kernel, bit for bit)"
 cargo run --release -q -p oarsmt-bench --bin selector_batch_bench -- --quick \
     --out target/BENCH_batch_smoke.json
 

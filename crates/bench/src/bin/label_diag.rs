@@ -11,6 +11,7 @@ use oarsmt_mcts::{CombinatorialMcts, MctsConfig};
 use oarsmt_nn::layer::Layer;
 use oarsmt_nn::loss::bce_with_logits;
 use oarsmt_nn::optim::Adam;
+use oarsmt_nn::NnWorkspace;
 use oarsmt_rl::sample::TrainingSample;
 
 fn main() {
@@ -76,16 +77,19 @@ fn main() {
 
     let mut selector = NeuralSelector::with_config(experiment_net_config());
     let mut opt = Adam::new(2e-3);
+    let mut ws = NnWorkspace::new();
     for epoch in 0..40 {
         let mut loss_sum = 0.0f32;
         for s in &samples {
             let (x, t, m) = s.to_tensors();
             let net = selector.net_mut();
             net.zero_grad();
-            let logits = net.forward(&x);
+            let (logits, cache) = net.forward(&x, &mut ws);
             let out = bce_with_logits(&logits, &t, Some(&m));
             loss_sum += out.loss;
-            net.backward(&out.grad);
+            ws.free(logits);
+            let gi = net.backward(cache.expect("training workspace"), out.grad, &mut ws);
+            ws.free(gi);
             opt.step(net);
         }
         if epoch % 10 == 0 || epoch == 39 {

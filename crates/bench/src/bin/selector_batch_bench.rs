@@ -5,8 +5,10 @@
 //! `B`). This binary pins the two promises that refactor makes, per
 //! Table-1-style size rung:
 //!
-//! 1. **Bit-identity** — `Selector::fsp_batch_into_ws` at B ∈ {1, 4, 16}
-//!    reproduces B independent `fsp_into_ws` calls bit-for-bit, and
+//! 1. **Bit-identity** — `Selector::fsp_batch_into_ws` at B ∈ {4, 16}
+//!    reproduces B per-sample `fsp_into_ws` calls bit-for-bit (each one a
+//!    B=1 pass of the same kernel; the sweep's B=1 point is that call
+//!    itself), and
 //!    `Trainer::fit_batch` walks the exact weight trajectory of
 //!    `Trainer::fit_batch_sequential` (asserted here via per-step loss
 //!    bits; the rl-level property tests also compare post-step weights).
@@ -214,7 +216,7 @@ struct RungResult {
 }
 
 /// One rung's inference arms: bitwise equivalence sweep (always scalar —
-/// see the module docs), then timed batched and single-sample loops
+/// see the module docs), then timed batched and per-sample (B=1) loops
 /// through one reused workspace on the requested kernel lane.
 fn run_fwd_rung(r: &Rung, iters: usize, repeats: usize, simd: bool) -> RungResult {
     let graph = rung_graph(r);
@@ -238,7 +240,7 @@ fn run_fwd_rung(r: &Rung, iters: usize, repeats: usize, simd: bool) -> RungResul
                 assert_eq!(
                     bv.to_bits(),
                     sv.to_bits(),
-                    "{}: B={b} state {i} diverged from single-sample at {j}",
+                    "{}: B={b} state {i} diverged from its B=1 call at {j}",
                     r.name
                 );
             }
@@ -532,7 +534,7 @@ fn main() {
     println!();
     fit_table.print();
     println!(
-        "\nchecksums: every rung bit-identical to the single-sample path at B in {{1, 4, 16}}{}",
+        "\nchecksums: every rung's B in {{4, 16}} flushes bit-identical to per-sample B=1 calls{}",
         if simd {
             " (scalar lane; timed arms ran avx2+fma)"
         } else {

@@ -4,7 +4,7 @@
 //! A *forward* is one [`UNet3d::predict_in`] over the 7-channel feature
 //! encoding of a generated layout — exactly the inference a
 //! `NeuralSelector::fsp` performs once per MCTS search. A *train step* is
-//! one `zero_grad` + `forward_in` + BCE-with-logits + `backward_in` on the
+//! one `zero_grad` + `forward` + BCE-with-logits + `backward` on the
 //! same input with a sparse synthetic label — the inner loop of
 //! `Trainer::fit_batch`.
 //!
@@ -175,17 +175,26 @@ fn f64_sum(data: &[f32]) -> f64 {
     data.iter().map(|&v| f64::from(v)).sum()
 }
 
-/// One predict + one train step through the legacy entry points (fresh
-/// workspaces), used for the naive-reference oracle pass.
-fn checksum_pass(net: &mut UNet3d, x: &Tensor, targets: &Tensor, mask: &Tensor) -> Checksums {
-    let probs = net.predict(x);
+/// One predict + one train step through `ws`: the checksums a rung
+/// records.
+fn checksum_pass(
+    net: &mut UNet3d,
+    x: &Tensor,
+    targets: &Tensor,
+    mask: &Tensor,
+    ws: &mut NnWorkspace,
+) -> Checksums {
+    let probs = net.predict_in(x, ws);
     let predict = f64_sum(probs.data()).to_bits();
+    ws.free(probs);
     net.zero_grad();
-    let logits = net.forward(x);
+    let (logits, cache) = net.forward(x, ws);
     let cs_logits = f64_sum(logits.data()).to_bits();
     let out = bce_with_logits(&logits, targets, Some(mask));
-    let grad_in = net.backward(&out.grad);
+    ws.free(logits);
+    let grad_in = net.backward(cache.expect("training workspace"), out.grad, ws);
     let cs_grad_in = f64_sum(grad_in.data()).to_bits();
+    ws.free(grad_in);
     let mut param_sum = 0.0f64;
     for p in net.params_mut() {
         param_sum += f64_sum(p.grad.data());
@@ -207,34 +216,13 @@ fn run_rung(r: &Rung, profile: bool, simd: bool) -> RungResult {
     let mut ws = NnWorkspace::new();
 
     // --- checksum pass through the GEMM + workspace path ---
-    let probs = net.predict_in(&x, &mut ws);
-    let cs_predict = f64_sum(probs.data()).to_bits();
-    let scalar_probs: Vec<f32> = probs.data().to_vec();
-    ws.free(probs);
-    net.zero_grad();
-    let logits = net.forward_in(&x, &mut ws);
-    let cs_logits = f64_sum(logits.data()).to_bits();
-    let out = bce_with_logits(&logits, &targets, Some(&mask));
-    ws.free(logits);
-    let grad_in = net.backward_in(out.grad, &mut ws);
-    let cs_grad_in = f64_sum(grad_in.data()).to_bits();
-    ws.free(grad_in);
-    let mut param_sum = 0.0f64;
-    for p in net.params_mut() {
-        param_sum += f64_sum(p.grad.data());
-    }
-    let cs = Checksums {
-        predict: cs_predict,
-        logits: cs_logits,
-        grad_in: cs_grad_in,
-        param_grads: param_sum.to_bits(),
-    };
+    let cs = checksum_pass(&mut net, &x, &targets, &mask, &mut ws);
 
     // --- in-process oracle: the naive reference loops must agree bitwise ---
     let mut ref_net = net.clone();
     ref_net.zero_grad();
     ref_net.set_naive(true);
-    let ref_cs = checksum_pass(&mut ref_net, &x, &targets, &mask);
+    let ref_cs = checksum_pass(&mut ref_net, &x, &targets, &mask, &mut NnWorkspace::new());
     assert!(
         cs == ref_cs,
         "{}: GEMM path diverged from naive reference convolutions",
@@ -246,6 +234,9 @@ fn run_rung(r: &Rung, profile: bool, simd: bool) -> RungResult {
     // the scalar lane, and the dispatch counter must prove the SIMD
     // kernels actually ran (a silent scalar fallback would fake numbers).
     if simd {
+        let scalar = net.predict_in(&x, &mut ws);
+        let scalar_probs = scalar.data().to_vec();
+        ws.free(scalar);
         ws.set_kernel_policy(KernelPolicy::Simd);
         let simd_before = ws.counters.get(Counter::GemmKernelSimd);
         let p = net.predict_in(&x, &mut ws);
@@ -267,8 +258,6 @@ fn run_rung(r: &Rung, profile: bool, simd: bool) -> RungResult {
             r.name
         );
     }
-    drop(scalar_probs);
-
     if profile {
         ws.enable_profiling();
     }
@@ -286,10 +275,10 @@ fn run_rung(r: &Rung, profile: bool, simd: bool) -> RungResult {
     let t0 = Instant::now();
     for _ in 0..r.train_iters {
         net.zero_grad();
-        let logits = net.forward_in(&x, &mut ws);
+        let (logits, cache) = net.forward(&x, &mut ws);
         let out = bce_with_logits(&logits, &targets, Some(&mask));
         ws.free(logits);
-        let g = net.backward_in(out.grad, &mut ws);
+        let g = net.backward(cache.expect("training workspace"), out.grad, &mut ws);
         std::hint::black_box(g.data()[0]);
         ws.free(g);
     }

@@ -154,8 +154,8 @@ pub fn encode_features_into(
 }
 
 /// Encodes `B` states of one Hanan graph into a channel-major
-/// `[7, B, M, H, V]` batch tensor (the layout of
-/// `oarsmt_nn::Layer::forward_batch_in`). State `b`'s extra pins are the
+/// `[7, B, M, H, V]` batch tensor (the layout `oarsmt_nn::UNet3d::predict_in`
+/// batches over). State `b`'s extra pins are the
 /// `lens[b]` points at their running offset into `pts` (a flattened
 /// state list, so callers queue states without nested allocations).
 ///

@@ -2,7 +2,6 @@
 
 use std::fmt;
 use std::path::Path;
-use std::sync::Arc;
 
 use oarsmt_geom::{GridPoint, HananGraph};
 use oarsmt_nn::serialize::{load_from_file, save_to_file};
@@ -10,14 +9,15 @@ use oarsmt_nn::unet::{UNet3d, UNetConfig};
 use oarsmt_nn::NnWorkspace;
 
 use crate::error::CoreError;
-use crate::features::{encode_features_batch_into, encode_features_into, FEATURE_CHANNELS};
+use crate::features::{encode_features_batch_into, FEATURE_CHANNELS};
 
 /// A Steiner-point selector: anything that can produce the paper's *final
 /// selected probability* `fsp(v)` for every vertex of a Hanan graph.
 ///
 /// `extra_pins` carry the already-selected Steiner points of an MCTS state,
-/// which the selector must treat as pins (Section 3.4). Implementations take
-/// `&mut self` because neural inference caches activations.
+/// which the selector must treat as pins (Section 3.4). Methods take
+/// `&mut self` so stateful selectors fit; neural inference itself is
+/// read-only (`&NeuralSelector` is a selector too).
 pub trait Selector {
     /// Per-vertex final selected probabilities, indexed like
     /// [`HananGraph::index`], each in `[0, 1]`.
@@ -217,15 +217,15 @@ impl NeuralSelector {
     }
 }
 
+/// The owned selector runs the shared-reference path: inference takes
+/// `&self` all the way down, so owning the weights changes nothing.
 impl Selector for NeuralSelector {
     fn fsp(&mut self, graph: &HananGraph, extra_pins: &[GridPoint]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(graph.len());
-        self.fsp_into(graph, extra_pins, &mut out);
-        out
+        (&*self).fsp(graph, extra_pins)
     }
 
     fn fsp_into(&mut self, graph: &HananGraph, extra_pins: &[GridPoint], out: &mut Vec<f32>) {
-        self.fsp_into_ws(graph, extra_pins, out, &mut NnWorkspace::new());
+        (&*self).fsp_into(graph, extra_pins, out);
     }
 
     fn fsp_into_ws(
@@ -235,10 +235,7 @@ impl Selector for NeuralSelector {
         out: &mut Vec<f32>,
         ws: &mut NnWorkspace,
     ) {
-        // Thin batch-of-one wrapper (wrapper-discipline D3): the real
-        // inference lives in `fsp_batch_into_ws`, whose single-state branch
-        // is the classic per-sample path.
-        self.fsp_batch_into_ws(graph, extra_pins, &[extra_pins.len() as u32], out, ws);
+        (&*self).fsp_into_ws(graph, extra_pins, out, ws);
     }
 
     fn fsp_batch_into_ws(
@@ -249,47 +246,7 @@ impl Selector for NeuralSelector {
         out: &mut Vec<f32>,
         ws: &mut NnWorkspace,
     ) {
-        if lens.len() == 1 {
-            // Single-state fast path: rank-4 tensors end to end (the MCTS
-            // B=1 hot path keeps its exact allocation and counter profile).
-            let x = encode_features_into(graph, pts, ws);
-            // The network emits a [1, M, H, V] probability volume (see the
-            // layout note in `features`); reorder it to graph-index order.
-            let probs = self.net.predict_in(&x, ws);
-            crate::features::to_graph_order_into(probs.data(), graph, out);
-            ws.free(probs);
-            ws.free(x);
-            return;
-        }
-        // True batch: channel-major [7, B, M, H, V] encodes, one network
-        // pass per chunk (GEMM N = B·spatial), per-state reorder of the
-        // contiguous [1, B, M, H, V] probability blocks. Large flushes are
-        // chunked so each pass's working set stays cache-resident (see
-        // `FLUSH_CHUNK_VOXELS`); every state's arithmetic is independent of
-        // its batch-mates, so the chunk boundary never changes a bit of
-        // output — only which GEMM panel a state's columns land in.
-        let spatial = graph.len();
-        let max_chunk = (FLUSH_CHUNK_VOXELS / spatial).max(1);
-        out.clear();
-        let mut p0 = 0;
-        let mut b0 = 0;
-        while b0 < lens.len() {
-            let b1 = (b0 + max_chunk).min(lens.len());
-            let npts: usize = lens[b0..b1].iter().map(|&l| l as usize).sum();
-            let x = encode_features_batch_into(graph, &pts[p0..p0 + npts], &lens[b0..b1], ws);
-            let probs = self.net.predict_batch_in(&x, ws);
-            for b in 0..b1 - b0 {
-                crate::features::to_graph_order_append(
-                    &probs.data()[b * spatial..(b + 1) * spatial],
-                    graph,
-                    out,
-                );
-            }
-            ws.free(probs);
-            ws.free(x);
-            p0 += npts;
-            b0 = b1;
-        }
+        (&*self).fsp_batch_into_ws(graph, pts, lens, out, ws);
     }
 }
 
@@ -307,9 +264,8 @@ impl Selector for NeuralSelector {
 const FLUSH_CHUNK_VOXELS: usize = 32 * 1024;
 
 /// Shared-reference inference: a `&NeuralSelector` is itself a selector,
-/// running the cache-free `&self` network path
-/// ([`UNet3d::infer_in`]) — bit-identical to the owned path. This is what
-/// lets parallel workers and the training harness evaluate one weight set
+/// running [`UNet3d::predict_in`] through `&self`. This is what lets
+/// parallel workers and the training harness evaluate one weight set
 /// without cloning it per thread.
 impl Selector for &NeuralSelector {
     fn fsp(&mut self, graph: &HananGraph, extra_pins: &[GridPoint]) -> Vec<f32> {
@@ -329,56 +285,48 @@ impl Selector for &NeuralSelector {
         out: &mut Vec<f32>,
         ws: &mut NnWorkspace,
     ) {
-        let x = encode_features_into(graph, extra_pins, ws);
-        let probs = self.net.infer_in(&x, ws);
-        crate::features::to_graph_order_into(probs.data(), graph, out);
-        ws.free(probs);
-        ws.free(x);
-    }
-}
-
-/// A [`NeuralSelector`] behind an [`Arc`]: cloning is a reference-count
-/// bump instead of a full weight copy, and every clone routes inference
-/// through the shared `&self` path. The selector deduplication layer of
-/// the parallel sample generators and bench harness.
-#[derive(Debug, Clone)]
-pub struct SharedSelector(Arc<NeuralSelector>);
-
-impl SharedSelector {
-    /// Wraps a selector for shared, clone-cheap use.
-    pub fn new(selector: NeuralSelector) -> Self {
-        SharedSelector(Arc::new(selector))
+        // A single state is a batch of one.
+        self.fsp_batch_into_ws(graph, extra_pins, &[extra_pins.len() as u32], out, ws);
     }
 
-    /// The shared underlying selector.
-    pub fn inner(&self) -> &NeuralSelector {
-        &self.0
-    }
-}
-
-impl From<NeuralSelector> for SharedSelector {
-    fn from(s: NeuralSelector) -> Self {
-        SharedSelector::new(s)
-    }
-}
-
-impl Selector for SharedSelector {
-    fn fsp(&mut self, graph: &HananGraph, extra_pins: &[GridPoint]) -> Vec<f32> {
-        (&*self.0).fsp(graph, extra_pins)
-    }
-
-    fn fsp_into(&mut self, graph: &HananGraph, extra_pins: &[GridPoint], out: &mut Vec<f32>) {
-        (&*self.0).fsp_into(graph, extra_pins, out);
-    }
-
-    fn fsp_into_ws(
+    fn fsp_batch_into_ws(
         &mut self,
         graph: &HananGraph,
-        extra_pins: &[GridPoint],
+        pts: &[GridPoint],
+        lens: &[u32],
         out: &mut Vec<f32>,
         ws: &mut NnWorkspace,
     ) {
-        (&*self.0).fsp_into_ws(graph, extra_pins, out, ws);
+        // Channel-major [7, B, M, H, V] encodes, one network pass per chunk
+        // (GEMM N = B·spatial), per-state reorder of the contiguous
+        // [1, B, M, H, V] probability blocks into graph-index order (see
+        // the layout note in `features`). Large flushes are chunked so each
+        // pass's working set stays cache-resident (see
+        // `FLUSH_CHUNK_VOXELS`); every state's arithmetic is independent of
+        // its batch-mates, so the chunk boundary never changes a bit of
+        // output — only which GEMM panel a state's columns land in.
+        let spatial = graph.len();
+        let max_chunk = (FLUSH_CHUNK_VOXELS / spatial).max(1);
+        out.clear();
+        let mut p0 = 0;
+        let mut b0 = 0;
+        while b0 < lens.len() {
+            let b1 = (b0 + max_chunk).min(lens.len());
+            let npts: usize = lens[b0..b1].iter().map(|&l| l as usize).sum();
+            let x = encode_features_batch_into(graph, &pts[p0..p0 + npts], &lens[b0..b1], ws);
+            let probs = self.net.predict_in(&x, ws);
+            for b in 0..b1 - b0 {
+                crate::features::to_graph_order_append(
+                    &probs.data()[b * spatial..(b + 1) * spatial],
+                    graph,
+                    out,
+                );
+            }
+            ws.free(probs);
+            ws.free(x);
+            p0 += npts;
+            b0 = b1;
+        }
     }
 }
 
@@ -602,8 +550,8 @@ mod tests {
         }
     }
 
-    /// Shared (`&NeuralSelector` / `SharedSelector`) inference must
-    /// reproduce the owned selector bit for bit.
+    /// Shared (`&NeuralSelector`) inference must reproduce the owned
+    /// selector bit for bit.
     #[test]
     fn shared_selector_matches_owned_bitwise() {
         let g = graph();
@@ -617,16 +565,29 @@ mod tests {
         let reference = owned.fsp(&g, &extra);
         let mut by_ref = &owned;
         let via_ref = by_ref.fsp(&g, &extra);
-        let mut shared = SharedSelector::new(owned);
-        let via_arc = shared.fsp(&g, &extra);
-        let cheap_clone = shared.clone();
-        assert!(
-            Arc::ptr_eq(&shared.0, &cheap_clone.0),
-            "clone shares weights"
-        );
         for i in 0..reference.len() {
             assert_eq!(reference[i].to_bits(), via_ref[i].to_bits(), "vertex {i}");
-            assert_eq!(reference[i].to_bits(), via_arc[i].to_bits(), "vertex {i}");
+        }
+    }
+
+    /// Regression: the shared path once kept U-Net skips in a fixed
+    /// 8-slot array and panicked on deeper nets that the owned path
+    /// served. Both now run one pass with no level cap.
+    #[test]
+    fn nine_level_selector_serves_shared_and_owned_alike() {
+        let g = HananGraph::uniform(3, 2, 2, 1.0, 1.0, 3.0);
+        let extra = [GridPoint::new(1, 1, 0)];
+        let mut owned = NeuralSelector::with_config(UNetConfig {
+            in_channels: 7,
+            base_channels: 1,
+            levels: 9,
+            seed: 13,
+        });
+        let reference = owned.fsp(&g, &extra);
+        let via_ref = (&owned).fsp(&g, &extra);
+        assert_eq!(reference.len(), g.len());
+        for i in 0..reference.len() {
+            assert_eq!(reference[i].to_bits(), via_ref[i].to_bits(), "vertex {i}");
         }
     }
 

@@ -269,7 +269,7 @@ mod tests {
 
             [[zero_alloc]]
             path = "crates/nn/src/conv3d.rs"
-            functions = ["forward_in"]
+            functions = ["forward"]
         "#;
         let cfg = parse(src).unwrap();
         assert_eq!(cfg.determinism_crates, vec!["crates/geom", "crates/graph"]);

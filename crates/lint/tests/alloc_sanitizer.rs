@@ -311,7 +311,8 @@ fn hot_paths_are_allocation_free_in_steady_state() {
 
     // --- fsp_batch_into_ws: the batched GEMM flush (DESIGN.md §13) is
     // allocation-free once the workspace pools and the output vector are
-    // warm, at B = 1 (the single-state fast path) and B = 4 alike. ---
+    // warm, at B = 1 and B = 4 alike (one execution path: a single state
+    // is a batch of one). ---
     let mut neural = NeuralSelector::random(0xA110C);
     let mut ws = NnWorkspace::new();
     let states: Vec<Vec<GridPoint>> = vec![
@@ -351,6 +352,41 @@ fn hot_paths_are_allocation_free_in_steady_state() {
     assert!(
         ws.counters.get(Counter::BatchFlushes) > flushes_before,
         "batch-flush counters did not advance during the zero-alloc flushes"
+    );
+
+    // --- shared-reference inference: `&NeuralSelector` (how the trainer's
+    // sample generators share one weight set) serves `fsp_into_ws` through
+    // `UNet3d::predict_in(&self)` with zero steady-state allocations. ---
+    let mut shared = &neural;
+    let mut shared_ws = NnWorkspace::new();
+    let mut shared_out = Vec::new();
+    let extra = [GridPoint::new(2, 3, 1)];
+    let mut warm_shared = 0.0f32;
+    for _ in 0..3 {
+        shared.fsp_into_ws(&g, &extra, &mut shared_out, &mut shared_ws);
+        warm_shared = shared_out.iter().sum();
+    }
+    let flushes_before = shared_ws.counters.get(Counter::BatchFlushes);
+    let (n, steady_shared) = allocs_during(|| {
+        let mut sum = 0.0f32;
+        for _ in 0..8 {
+            shared.fsp_into_ws(&g, &extra, &mut shared_out, &mut shared_ws);
+            sum = shared_out.iter().sum();
+        }
+        sum
+    });
+    assert_eq!(
+        n, 0,
+        "(&selector).fsp_into_ws allocated {n} times in steady state"
+    );
+    assert_eq!(
+        steady_shared, warm_shared,
+        "steady-state shared result drifted"
+    );
+    assert_eq!(
+        shared_ws.counters.get(Counter::BatchFlushes) - flushes_before,
+        8,
+        "one network pass per shared inference"
     );
 
     // --- the AVX2+FMA kernel lane (feature `simd`) allocates nothing

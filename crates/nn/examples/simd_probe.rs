@@ -46,10 +46,10 @@ fn bench(label: &str, shape: &[usize], policy: KernelPolicy, iters: usize) -> f6
     let t0 = Instant::now();
     let titers = iters.div_ceil(3);
     for _ in 0..titers {
-        let y = net.forward_in(&x, &mut ws);
+        let (y, cache) = net.forward(&x, &mut ws);
         ws.free(y);
         let g = ws.alloc_copy(&gseed);
-        let gi = net.backward_in(g, &mut ws);
+        let gi = net.backward(cache.expect("training workspace"), g, &mut ws);
         ws.free(gi);
     }
     let train = t0.elapsed().as_secs_f64() / titers as f64;

@@ -1,96 +1,70 @@
 //! Elementwise activations: ReLU and sigmoid.
+//!
+//! Both are shape-agnostic (any rank, so rank-4 samples and rank-5
+//! batches alike) and stateless: the backward cache is a pooled copy of
+//! the forward output, handed back only when the workspace is recording.
 
 use crate::layer::Layer;
 use crate::tensor::Tensor;
 use crate::workspace::{NnWorkspace, ProfKind};
 
 /// Rectified linear unit, `y = max(x, 0)`.
-#[derive(Debug, Clone, Default)]
-pub struct Relu {
-    mask: Option<Vec<bool>>,
-    /// Retired mask storage, recycled across forward/backward cycles.
-    spare_mask: Vec<bool>,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Relu;
 
 impl Relu {
     /// Creates a ReLU layer.
     pub fn new() -> Self {
-        Relu::default()
+        Relu
     }
 
     /// Consuming forward: clamps `x` in place (no output buffer at all).
-    /// Used by the residual blocks, which own their intermediates.
-    pub fn forward_owned(&mut self, mut x: Tensor, ws: &mut NnWorkspace) -> Tensor {
+    /// Used by the residual blocks, which own their intermediates. The
+    /// cache is the output: gradient passes exactly where it is positive.
+    pub fn forward_owned(mut x: Tensor, ws: &mut NnWorkspace) -> (Tensor, Option<Tensor>) {
         let t = ws.prof_start();
-        if ws.training() {
-            let mut mask = std::mem::take(&mut self.spare_mask);
-            mask.clear();
-            mask.extend(x.data().iter().map(|&v| v > 0.0));
-            self.mask = Some(mask);
-        } else {
-            self.mask = None;
-        }
         for v in x.data_mut() {
             *v = v.max(0.0);
         }
+        let cache = ws.training().then(|| ws.alloc_copy(&x));
         ws.prof_end(t, ProfKind::ActFwd);
-        x
+        (x, cache)
     }
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut ws = NnWorkspace::new();
-        self.forward_in(x, &mut ws)
-    }
+    /// The forward output.
+    type Cache = Tensor;
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = NnWorkspace::new();
-        let g = ws.alloc_copy(grad_out);
-        self.backward_in(g, &mut ws)
-    }
-
-    fn forward_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
+    fn forward(&self, x: &Tensor, ws: &mut NnWorkspace) -> (Tensor, Option<Tensor>) {
         let y = ws.alloc_copy(x);
-        self.forward_owned(y, ws)
+        Relu::forward_owned(y, ws)
     }
 
-    fn backward_in(&mut self, mut grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
+    fn backward(&mut self, y: Tensor, mut grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
         let t = ws.prof_start();
-        let mask = self.mask.take().expect("relu backward without forward");
-        for (gv, &keep) in grad_out.data_mut().iter_mut().zip(&mask) {
-            if !keep {
+        // `y = max(x, 0)` is never NaN, so `y <= 0` is exactly `x <= 0`
+        // or `x` NaN — where the gradient stops.
+        for (gv, &yv) in grad_out.data_mut().iter_mut().zip(y.data()) {
+            if yv <= 0.0 {
                 *gv = 0.0;
             }
         }
-        self.spare_mask = mask;
+        ws.free(y);
         ws.prof_end(t, ProfKind::ActBwd);
         grad_out
-    }
-
-    // Elementwise and shape-agnostic: the batched rank-5 layout needs no
-    // special handling, and the mask cache is a flat element vector either
-    // way.
-    fn forward_batch_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        self.forward_in(x, ws)
-    }
-
-    fn backward_batch_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        self.backward_in(grad_out, ws)
     }
 }
 
 /// Logistic sigmoid, `y = 1 / (1 + e^{-x})` — the paper's output activation
 /// ensuring every Steiner-point probability lies in `(0, 1)` (Section 3.3).
-#[derive(Debug, Clone, Default)]
-pub struct Sigmoid {
-    out: Option<Tensor>,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Sigmoid;
 
 impl Sigmoid {
     /// Creates a sigmoid layer.
     pub fn new() -> Self {
-        Sigmoid::default()
+        Sigmoid
     }
 }
 
@@ -101,53 +75,28 @@ pub fn sigmoid(x: f32) -> f32 {
 }
 
 impl Layer for Sigmoid {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut ws = NnWorkspace::new();
-        self.forward_in(x, &mut ws)
-    }
+    /// The forward output.
+    type Cache = Tensor;
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = NnWorkspace::new();
-        let g = ws.alloc_copy(grad_out);
-        self.backward_in(g, &mut ws)
-    }
-
-    fn forward_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
+    fn forward(&self, x: &Tensor, ws: &mut NnWorkspace) -> (Tensor, Option<Tensor>) {
         let t = ws.prof_start();
         let mut y = ws.alloc(x.shape());
         for (o, &v) in y.data_mut().iter_mut().zip(x.data()) {
             *o = sigmoid(v);
         }
-        if ws.training() {
-            let cache = ws.alloc_copy(&y);
-            if let Some(old) = self.out.replace(cache) {
-                ws.free(old);
-            }
-        } else {
-            self.out = None;
-        }
+        let cache = ws.training().then(|| ws.alloc_copy(&y));
         ws.prof_end(t, ProfKind::ActFwd);
-        y
+        (y, cache)
     }
 
-    fn backward_in(&mut self, mut grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
+    fn backward(&mut self, y: Tensor, mut grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
         let t = ws.prof_start();
-        let y = self.out.take().expect("sigmoid backward without forward");
         for (gv, &yv) in grad_out.data_mut().iter_mut().zip(y.data()) {
             *gv *= yv * (1.0 - yv);
         }
         ws.free(y);
         ws.prof_end(t, ProfKind::ActBwd);
         grad_out
-    }
-
-    // Elementwise and shape-agnostic, like ReLU.
-    fn forward_batch_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        self.forward_in(x, ws)
-    }
-
-    fn backward_batch_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        self.backward_in(grad_out, ws)
     }
 }
 
@@ -159,36 +108,36 @@ mod tests {
     #[test]
     fn relu_clamps_negatives() {
         let mut r = Relu::new();
+        let mut ws = NnWorkspace::new();
         let x = Tensor::from_vec(&[4], vec![-1.0, 0.0, 0.5, 3.0]).unwrap();
-        let y = r.forward(&x);
+        let (y, cache) = r.forward(&x, &mut ws);
         assert_eq!(y.data(), &[0.0, 0.0, 0.5, 3.0]);
-        let g = r.backward(&Tensor::from_vec(&[4], vec![1.0; 4]).unwrap());
+        let g = Tensor::from_vec(&[4], vec![1.0; 4]).unwrap();
+        let g = r.backward(cache.unwrap(), g, &mut ws);
         assert_eq!(g.data(), &[0.0, 0.0, 1.0, 1.0]);
     }
 
     #[test]
-    fn relu_mask_storage_is_recycled() {
-        let mut r = Relu::new();
+    fn relu_cache_is_pooled_and_skipped_in_inference() {
         let x = Tensor::from_vec(&[3], vec![-1.0, 2.0, 3.0]).unwrap();
-        let g = Tensor::from_vec(&[3], vec![1.0; 3]).unwrap();
         let mut ws = NnWorkspace::new();
-        let y = r.forward_in(&x, &mut ws);
+        let (y, cache) = Relu.forward(&x, &mut ws);
+        let cache = cache.expect("training records the cache");
+        let ptr = cache.data().as_ptr();
         ws.free(y);
-        let gi = r.backward_in(ws.alloc_copy(&g), &mut ws);
-        assert_eq!(gi.data(), &[0.0, 1.0, 1.0]);
-        let ptr = r.spare_mask.as_ptr();
-        ws.free(gi);
-        // Second cycle reuses the retired mask storage.
-        let y = r.forward_in(&x, &mut ws);
-        assert_eq!(r.mask.as_ref().unwrap().as_ptr(), ptr);
-        ws.free(y);
+        let gi = Relu.backward(cache, ws.alloc_copy(&x), &mut ws);
+        assert_eq!(gi.data(), &[0.0, 2.0, 3.0]);
+        // The retired cache storage comes straight back from the pool.
+        let (y, _) = Relu.forward(&x, &mut ws);
+        assert_eq!(y.data().as_ptr(), ptr);
+        ws.training = false;
+        assert!(Relu.forward(&x, &mut ws).1.is_none());
     }
 
     #[test]
     fn sigmoid_range_and_symmetry() {
-        let mut s = Sigmoid::new();
         let x = Tensor::from_vec(&[3], vec![-10.0, 0.0, 10.0]).unwrap();
-        let y = s.forward(&x);
+        let (y, _) = Sigmoid::new().forward(&x, &mut NnWorkspace::new());
         assert!(y.data()[0] > 0.0 && y.data()[0] < 0.001);
         assert!((y.data()[1] - 0.5).abs() < 1e-6);
         assert!(y.data()[2] < 1.0 && y.data()[2] > 0.999);

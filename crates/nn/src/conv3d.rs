@@ -15,6 +15,12 @@
 //! register-blocked micro-kernel (`MR` output channels × `NR` z lanes,
 //! K ascending).
 //!
+//! Activations are channel-major `[C, B, d1, d2, d3]` batches — a rank-4
+//! input is a batch of one, byte for byte — so the one forward and the
+//! one backward below serve inference, shared selectors and training at
+//! every batch size. The batch axis folds into the GEMM `N` axis where
+//! tiles can span samples (flat `1×1×1` GEMMs, shallow-grid panels).
+//!
 //! Every kernel in this module preserves the *per-output-element*
 //! accumulation order of the naive seven-loop implementation (kept below as
 //! the `cfg`-gated reference oracle, `Conv3d::set_naive`):
@@ -40,7 +46,7 @@
 use crate::init::Initializer;
 use crate::kernels::{self, ICT, MR, NR, WL};
 use crate::layer::{Layer, Param};
-use crate::tensor::Tensor;
+use crate::tensor::{batch_dims, Shape, Tensor};
 use crate::workspace::{NnWorkspace, ProfKind};
 use oarsmt_telemetry::Counter;
 /// Target im2col panel width in columns for the small-`d3` forward path
@@ -62,11 +68,6 @@ pub struct Conv3d {
     k: usize,
     weight: Param,
     bias: Param,
-    /// The forward input, cached for backward. Stored *padded*
-    /// (`[in_c, d1+2p, d2+2p, d3+2p]`) when `k > 1`: the forward pass
-    /// builds the padded copy anyway, so caching it costs nothing and
-    /// saves backward the rebuild.
-    cache_input: Option<Tensor>,
     /// Route through the naive reference loops instead of the GEMM kernels
     /// (bit-identity oracle for tests and the bench's integrity check).
     #[cfg(any(test, feature = "naive-ref"))]
@@ -92,7 +93,6 @@ impl Conv3d {
             k,
             weight,
             bias,
-            cache_input: None,
             #[cfg(any(test, feature = "naive-ref"))]
             use_naive: false,
         }
@@ -120,658 +120,46 @@ impl Conv3d {
         self.use_naive = on;
     }
 
-    /// The backward cache for input `x`: a plain copy for `k == 1`, the
-    /// zero-padded copy otherwise (what the GEMM path caches, so the naive
-    /// oracle sees identical state).
+    /// Oracle forward: the per-sample seven-loop kernel, each sample
+    /// gathered out of and scattered back into the batched layout.
     #[cfg(any(test, feature = "naive-ref"))]
-    fn cache_of(&self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        if self.k == 1 {
-            ws.alloc_copy(x)
-        } else {
-            pad_input(x, self.k / 2, ws)
+    fn forward_naive_batch(&self, x: &Tensor, out: &mut Tensor, ws: &mut NnWorkspace) {
+        let [_, bsz, d1, d2, d3] = batch_dims(x.shape());
+        let spatial = d1 * d2 * d3;
+        let mut xb = ws.alloc(&[self.in_c, d1, d2, d3]);
+        for b in 0..bsz {
+            gather_sample(x.data(), bsz, b, spatial, xb.data_mut());
+            let yb = self.forward_naive(&xb);
+            scatter_sample(yb.data(), bsz, b, spatial, out.data_mut());
         }
+        ws.free(xb);
     }
 
-    fn forward_impl(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let want_cache = ws.training();
-        let (out, cache) = self.forward_core(x, ws, want_cache);
-        self.cache_input = cache;
-        out
-    }
-
-    /// The shared forward machinery behind [`Layer::forward_in`] and
-    /// [`Conv3d::infer_in`]: computes the output and, when `want_cache`,
-    /// the backward cache (a plain copy for `k == 1`, the zero-padded copy
-    /// otherwise). `&self` so read-only shared selectors can run inference
-    /// without cloning weights.
-    fn forward_core(
-        &self,
-        x: &Tensor,
+    /// Oracle backward: per-sample naive backward over per-sample copies,
+    /// samples ascending — the exact sequential `+=` order on every
+    /// weight/bias-gradient element.
+    #[cfg(any(test, feature = "naive-ref"))]
+    fn backward_naive_batch(
+        &mut self,
+        xc: &Tensor,
+        grad_out: &Tensor,
+        grad_in: &mut Tensor,
         ws: &mut NnWorkspace,
-        want_cache: bool,
-    ) -> (Tensor, Option<Tensor>) {
-        let shape = x.shape();
-        assert_eq!(shape.len(), 4, "conv3d expects [c, d1, d2, d3]");
-        assert_eq!(shape[0], self.in_c, "conv3d channel mismatch");
-        let (d1, d2, d3) = (shape[1], shape[2], shape[3]);
-        // Tier A: forward multiply-accumulates, attributed to the layer the
-        // workspace is currently tagged with (same count on every path,
-        // including the naive oracle).
-        let macs =
-            (self.out_c * self.in_c * self.k * self.k * self.k) as u64 * (d1 * d2 * d3) as u64;
-        ws.counters.add_at(ws.mac_slot, macs);
-
-        #[cfg(any(test, feature = "naive-ref"))]
-        if self.use_naive {
-            let out = self.forward_naive(x);
-            let cache = want_cache.then(|| self.cache_of(x, ws));
-            return (out, cache);
-        }
-
-        let k = self.k;
-        let p = k / 2;
-        let (pd1, pd2, pd3) = (d1 + 2 * p, d2 + 2 * p, d3 + 2 * p);
-        let simd = ws.simd_active();
-        if simd {
-            ws.counters.bump(Counter::GemmKernelSimd);
-        }
-        let mut out = ws.alloc(&[self.out_c, d1, d2, d3]);
-        let w = self.weight.value.data();
-        let bias = self.bias.value.data();
-        let mut off = std::mem::take(&mut ws.tap_off);
-        tap_offsets(self.in_c, k, pd1, pd2, pd3, &mut off);
-        if p == 0 {
-            if d3 >= NR {
-                ws.counters.bump(Counter::GemmDirect);
-                conv_fwd(
-                    x.data(),
-                    &off,
-                    d2,
-                    d3,
-                    d1 * d2,
-                    d2,
-                    d3,
-                    w,
-                    bias,
-                    self.out_c,
-                    out.data_mut(),
-                    d1 * d2 * d3,
-                    0,
-                    simd,
-                );
-            } else {
-                // 1×1×1 on a shallow grid: the patch matrix is the input
-                // itself with flat `[n]` columns, so the GEMM tiles span
-                // row boundaries instead of degrading to narrow z tiles.
-                ws.counters.bump(Counter::GemmFlat);
-                let n = d1 * d2 * d3;
-                gemm_bias(
-                    self.out_c,
-                    self.in_c,
-                    n,
-                    w,
-                    bias,
-                    x.data(),
-                    n,
-                    out.data_mut(),
-                    n,
-                    0,
-                    simd,
-                );
-            }
-            let cache = want_cache.then(|| ws.alloc_copy(x));
-            ws.tap_off = off;
-            (out, cache)
-        } else {
-            let xp = pad_input(x, p, ws);
-            if d3 >= NR {
-                ws.counters.bump(Counter::GemmDirect);
-                conv_fwd(
-                    xp.data(),
-                    &off,
-                    d2,
-                    d3,
-                    d1 * d2,
-                    pd2,
-                    pd3,
-                    w,
-                    bias,
-                    self.out_c,
-                    out.data_mut(),
-                    d1 * d2 * d3,
-                    0,
-                    simd,
-                );
-            } else {
-                // Shallow grids (the pooled U-Net levels): materialize the
-                // patch panel so GEMM tiles run over flat row-spanning
-                // columns — with `d3 < NR` the implicit-im2col tiles would
-                // mostly be scalar edges.
-                ws.counters.bump(Counter::GemmPanel);
-                let n = d1 * d2 * d3;
-                let rows = d1 * d2;
-                let kd = self.in_c * k * k * k;
-                let rows_per_panel = (PANEL_COLS / d3).clamp(1, rows);
-                let mut bbuf = ws.take_im2col(kd * rows_per_panel * d3);
-                let mut r0 = 0;
-                while r0 < rows {
-                    let r1 = (r0 + rows_per_panel).min(rows);
-                    let cols = (r1 - r0) * d3;
-                    im2col_from_padded(
-                        xp.data(),
-                        &off,
-                        k,
-                        d2,
-                        d3,
-                        pd2,
-                        pd3,
-                        r0,
-                        r1,
-                        &mut bbuf,
-                        cols,
-                        0,
-                    );
-                    gemm_bias(
-                        self.out_c,
-                        kd,
-                        cols,
-                        w,
-                        bias,
-                        &bbuf,
-                        cols,
-                        out.data_mut(),
-                        n,
-                        r0 * d3,
-                        simd,
-                    );
-                    r0 = r1;
-                }
-                ws.put_im2col(bbuf);
-            }
-            let cache = if want_cache {
-                Some(xp)
-            } else {
-                ws.free(xp);
-                None
-            };
-            ws.tap_off = off;
-            (out, cache)
-        }
-    }
-
-    /// Read-only inference forward: identical arithmetic to
-    /// [`Layer::forward_in`] (bit for bit) but takes `&self` and records no
-    /// backward cache, so one selector instance can serve many workers
-    /// without cloning its weights.
-    pub fn infer_in(&self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let t = ws.prof_start();
-        let (out, cache) = self.forward_core(x, ws, false);
-        debug_assert!(cache.is_none());
-        ws.prof_end(t, ProfKind::ConvFwd);
-        out
-    }
-
-    /// Builds the sample-major zero-padded batch cache
-    /// `[B, in_c, d1+2p, d2+2p, d3+2p]` from a channel-major batched input
-    /// `[in_c, B, d1, d2, d3]`. Sample `b`'s subtensor is exactly what the
-    /// single-sample kernels consume, so backward runs the per-sample
-    /// primitives unchanged (`p == 0` degenerates to a plain re-layout).
-    fn build_xp5(&self, x: &Tensor, p: usize, ws: &mut NnWorkspace) -> Tensor {
-        let s = x.shape();
-        let (bsz, d1, d2, d3) = (s[1], s[2], s[3], s[4]);
-        let (pd1, pd2, pd3) = (d1 + 2 * p, d2 + 2 * p, d3 + 2 * p);
+    ) {
+        let [_, bsz, d1, d2, d3] = batch_dims(grad_out.shape());
         let spatial = d1 * d2 * d3;
-        let pvol = pd1 * pd2 * pd3;
-        let mut xp = ws.alloc(&[bsz, self.in_c, pd1, pd2, pd3]);
-        let xd = x.data();
-        let xpd = xp.data_mut();
+        let s = xc.shape();
+        let mut xb = ws.alloc(&s[1..]);
+        let mut gb = ws.alloc(&[self.out_c, d1, d2, d3]);
+        let vol = xb.len();
         for b in 0..bsz {
-            for ic in 0..self.in_c {
-                let sbase = (ic * bsz + b) * spatial;
-                let dbase = (b * self.in_c + ic) * pvol;
-                for x1 in 0..d1 {
-                    for y in 0..d2 {
-                        let src = sbase + (x1 * d2 + y) * d3;
-                        let dst = dbase + ((x1 + p) * pd2 + y + p) * pd3 + p;
-                        xpd[dst..dst + d3].copy_from_slice(&xd[src..src + d3]);
-                    }
-                }
-            }
+            xb.data_mut().copy_from_slice(&xc.data()[b * vol..][..vol]);
+            gather_sample(grad_out.data(), bsz, b, spatial, gb.data_mut());
+            let gi = self.backward_naive(&xb, &gb);
+            scatter_sample(gi.data(), bsz, b, spatial, grad_in.data_mut());
         }
-        xp
-    }
-
-    fn forward_batch_impl(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let s = x.shape();
-        assert_eq!(s.len(), 5, "conv3d batch expects [c, b, d1, d2, d3]");
-        assert_eq!(s[0], self.in_c, "conv3d channel mismatch");
-        let (bsz, d1, d2, d3) = (s[1], s[2], s[3], s[4]);
-        let spatial = d1 * d2 * d3;
-        // Tier A MACs: exactly the sum of the per-sample counts.
-        let macs =
-            (self.out_c * self.in_c * self.k * self.k * self.k) as u64 * (bsz * spatial) as u64;
-        ws.counters.add_at(ws.mac_slot, macs);
-
-        let k = self.k;
-        let p = k / 2;
-        let (pd1, pd2, pd3) = (d1 + 2 * p, d2 + 2 * p, d3 + 2 * p);
-        let pvol = pd1 * pd2 * pd3;
-        let mut out = ws.alloc(&[self.out_c, bsz, d1, d2, d3]);
-
-        #[cfg(any(test, feature = "naive-ref"))]
-        if self.use_naive {
-            // Oracle route: per-sample seven-loop forward, scattered into
-            // the batched layout; the cache is the batched padded copy
-            // (identical state to the GEMM route).
-            let mut xb = ws.alloc(&[self.in_c, d1, d2, d3]);
-            for b in 0..bsz {
-                gather_sample(x.data(), bsz, b, spatial, xb.data_mut());
-                let yb = self.forward_naive(&xb);
-                scatter_sample(yb.data(), bsz, b, spatial, out.data_mut());
-                ws.free(yb);
-            }
-            ws.free(xb);
-            self.cache_input = ws.training().then(|| self.build_xp5(x, p, ws));
-            return out;
-        }
-
-        let w = self.weight.value.data();
-        let bias = self.bias.value.data();
-        let simd = ws.simd_active();
-        if simd {
-            ws.counters.bump(Counter::GemmKernelSimd);
-        }
-        if p == 0 {
-            // 1×1×1: the batched input *is* the patch matrix with flat
-            // `[B·n]` columns — one GEMM serves the whole batch. Per-element
-            // accumulation (bias first, K ascending) is unchanged, so this
-            // is bit-identical to the per-sample direct/flat paths.
-            ws.counters.bump(Counter::GemmFlat);
-            let n = bsz * spatial;
-            gemm_bias(
-                self.out_c,
-                self.in_c,
-                n,
-                w,
-                bias,
-                x.data(),
-                n,
-                out.data_mut(),
-                n,
-                0,
-                simd,
-            );
-            self.cache_input = ws.training().then(|| self.build_xp5(x, 0, ws));
-        } else {
-            let xp = self.build_xp5(x, p, ws);
-            let mut off = std::mem::take(&mut ws.tap_off);
-            tap_offsets(self.in_c, k, pd1, pd2, pd3, &mut off);
-            if d3 >= NR {
-                // Deep-z grids: the implicit-im2col kernel is already
-                // tile-efficient; run it per sample, writing each sample's
-                // rows straight into the batched layout via the kernel's
-                // output stride — no staging copy.
-                ws.counters.bump(Counter::GemmDirect);
-                let n = bsz * spatial;
-                for b in 0..bsz {
-                    let xpb = &xp.data()[b * self.in_c * pvol..][..self.in_c * pvol];
-                    conv_fwd(
-                        xpb,
-                        &off,
-                        d2,
-                        d3,
-                        d1 * d2,
-                        pd2,
-                        pd3,
-                        w,
-                        bias,
-                        self.out_c,
-                        out.data_mut(),
-                        n,
-                        b * spatial,
-                        simd,
-                    );
-                }
-            } else {
-                // Shallow-z grids (the pooled U-Net levels, where batching
-                // pays most): assemble panels over *global* rows
-                // `0 .. B·rows` so GEMM tiles span sample boundaries and
-                // the ragged `d3 < NR` columns fatten up.
-                ws.counters.bump(Counter::GemmPanel);
-                let rows = d1 * d2;
-                let rows_g = bsz * rows;
-                let kd = self.in_c * k * k * k;
-                // Panels chunk *global* rows, so their upper bound is
-                // `rows_g`, not the per-sample row count — a panel spanning
-                // several samples is exactly the batching win.
-                let rows_per_panel = (PANEL_COLS / d3).clamp(1, rows_g);
-                let mut bbuf = ws.take_im2col(kd * rows_per_panel * d3);
-                let n = bsz * spatial;
-                let xpd = xp.data();
-                let mut r0g = 0;
-                while r0g < rows_g {
-                    let r1g = (r0g + rows_per_panel).min(rows_g);
-                    let cols = (r1g - r0g) * d3;
-                    // A panel may span samples: fill it from each sample's
-                    // padded volume at its column offset within the panel.
-                    let mut r = r0g;
-                    while r < r1g {
-                        let b = r / rows;
-                        let r0 = r % rows;
-                        let r1 = rows.min(r0 + (r1g - r));
-                        let xpb = &xpd[b * self.in_c * pvol..][..self.in_c * pvol];
-                        im2col_from_padded(
-                            xpb,
-                            &off,
-                            k,
-                            d2,
-                            d3,
-                            pd2,
-                            pd3,
-                            r0,
-                            r1,
-                            &mut bbuf,
-                            cols,
-                            (r - r0g) * d3,
-                        );
-                        r += r1 - r0;
-                    }
-                    gemm_bias(
-                        self.out_c,
-                        kd,
-                        cols,
-                        w,
-                        bias,
-                        &bbuf,
-                        cols,
-                        out.data_mut(),
-                        n,
-                        r0g * d3,
-                        simd,
-                    );
-                    r0g = r1g;
-                }
-                ws.put_im2col(bbuf);
-            }
-            ws.tap_off = off;
-            if ws.training() {
-                self.cache_input = Some(xp);
-            } else {
-                ws.free(xp);
-                self.cache_input = None;
-            }
-        }
-        out
-    }
-
-    fn backward_batch_impl(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        // lint: panic-ok(caller-contract guard: backward without a prior forward is API misuse and must fail loudly, not compute garbage gradients)
-        let xc = self
-            .cache_input
-            .take()
-            .expect("conv3d batched backward without forward");
-        assert_eq!(
-            xc.shape().len(),
-            5,
-            "batched backward needs a batched forward"
-        );
-        let k = self.k;
-        let p = k / 2;
-        let bsz = xc.shape()[0];
-        let (d1, d2, d3) = {
-            let s = xc.shape();
-            (s[2] - 2 * p, s[3] - 2 * p, s[4] - 2 * p)
-        };
-        let (pd1, pd2, pd3) = (d1 + 2 * p, d2 + 2 * p, d3 + 2 * p);
-        assert_eq!(grad_out.shape(), &[self.out_c, bsz, d1, d2, d3]);
-        let spatial = d1 * d2 * d3;
-        let pvol = pd1 * pd2 * pd3;
-        let rows = d1 * d2;
-        let macs = (self.out_c * self.in_c * k * k * k) as u64 * (bsz * spatial) as u64;
-        ws.counters.add_at(ws.mac_slot, 2 * macs);
-
-        #[cfg(any(test, feature = "naive-ref"))]
-        if self.use_naive {
-            // Oracle route: per-sample naive backward over per-sample
-            // copies, samples ascending — the exact sequential `+=` order
-            // on every weight/bias-gradient element.
-            let mut grad_in = ws.alloc(&[self.in_c, bsz, d1, d2, d3]);
-            let mut xb = ws.alloc(&[self.in_c, pd1, pd2, pd3]);
-            let mut gb = ws.alloc(&[self.out_c, d1, d2, d3]);
-            for b in 0..bsz {
-                xb.data_mut()
-                    .copy_from_slice(&xc.data()[b * self.in_c * pvol..][..self.in_c * pvol]);
-                gather_sample(grad_out.data(), bsz, b, spatial, gb.data_mut());
-                let gi = self.backward_naive(&xb, &gb);
-                scatter_sample(gi.data(), bsz, b, spatial, grad_in.data_mut());
-                ws.free(gi);
-            }
-            ws.free(xb);
-            ws.free(gb);
-            ws.free(xc);
-            ws.free(grad_out);
-            return grad_in;
-        }
-
-        let g = grad_out.data();
-        let n = bsz * spatial;
-        let simd = ws.simd_active();
-        if simd {
-            ws.counters.bump(Counter::GemmKernelSimd);
-        }
-
-        // Bias gradient: per element `gb[oc]`, fresh z-ascending row sums
-        // added samples-ascending then rows-ascending — the sequential
-        // per-sample order.
-        {
-            let gbias = self.bias.grad.data_mut();
-            for (oc, gbv) in gbias.iter_mut().enumerate().take(self.out_c) {
-                for b in 0..bsz {
-                    for r in 0..rows {
-                        let base = (oc * bsz + b) * spatial + r * d3;
-                        *gbv += g[base..base + d3].iter().sum::<f32>();
-                    }
-                }
-            }
-        }
-
-        // Weight gradient: one transpose of the whole batched gradient
-        // (sample `b`'s `[spatial][out_c]` block lands contiguously), then
-        // the unchanged per-sample kernel, samples ascending.
-        let mut gt = std::mem::take(&mut ws.g_t);
-        transpose_into(g, self.out_c, n, &mut gt);
-        let mut off = std::mem::take(&mut ws.tap_off);
-        tap_offsets(self.in_c, k, pd1, pd2, pd3, &mut off);
-        {
-            let gw = self.weight.grad.data_mut();
-            for b in 0..bsz {
-                let gtb = &gt[b * spatial * self.out_c..][..spatial * self.out_c];
-                let xpb = &xc.data()[b * self.in_c * pvol..][..self.in_c * pvol];
-                weight_grad(gtb, self.out_c, xpb, &off, d2, d3, rows, pd2, pd3, gw, simd);
-            }
-        }
-        ws.tap_off = off;
-        ws.g_t = gt;
-
-        // Input gradient: per sample, gather the strided batched gradient
-        // into a contiguous zero-padded copy (a plain re-layout when
-        // `p == 0`), then run the gather kernel with the batched output
-        // stride so sample `b`'s rows land straight in the `[C, B, …]`
-        // layout — no staging volume, no scatter.
-        let mut grad_in = ws.alloc(&[self.in_c, bsz, d1, d2, d3]);
-        let mut gpad = std::mem::take(&mut ws.g_pad);
-        // One memset for the whole batch: every interior cell is
-        // overwritten per sample below, so only the (always-zero) padding
-        // halo needs clearing — not once per sample.
-        gpad.clear();
-        gpad.resize(self.out_c * pvol, 0.0);
-        for b in 0..bsz {
-            for oc in 0..self.out_c {
-                for x1 in 0..d1 {
-                    for y in 0..d2 {
-                        let src = (oc * bsz + b) * spatial + (x1 * d2 + y) * d3;
-                        let dst = ((oc * pd1 + x1 + p) * pd2 + y + p) * pd3 + p;
-                        gpad[dst..dst + d3].copy_from_slice(&g[src..src + d3]);
-                    }
-                }
-            }
-            input_grad_gather(
-                &gpad,
-                self.out_c,
-                self.in_c,
-                k,
-                p,
-                d1,
-                d2,
-                d3,
-                pd1,
-                pd2,
-                pd3,
-                self.weight.value.data(),
-                grad_in.data_mut(),
-                n,
-                b * spatial,
-                simd,
-            );
-        }
-        ws.g_pad = gpad;
-        ws.free(xc);
-        ws.free(grad_out);
-        grad_in
-    }
-
-    fn backward_impl(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let xc = self
-            .cache_input
-            .take()
-            .expect("conv3d backward without forward");
-        let k = self.k;
-        let p = k / 2;
-        // The cache is padded when `k > 1`; recover the output geometry.
-        let (d1, d2, d3) = {
-            let s = xc.shape();
-            (s[1] - 2 * p, s[2] - 2 * p, s[3] - 2 * p)
-        };
-        assert_eq!(grad_out.shape(), &[self.out_c, d1, d2, d3]);
-        // Tier A: backward runs the weight-gradient and input-gradient
-        // passes, each the forward's MAC count.
-        let macs = (self.out_c * self.in_c * k * k * k) as u64 * (d1 * d2 * d3) as u64;
-        ws.counters.add_at(ws.mac_slot, 2 * macs);
-
-        #[cfg(any(test, feature = "naive-ref"))]
-        if self.use_naive {
-            let grad_in = self.backward_naive(&xc, &grad_out);
-            ws.free(xc);
-            ws.free(grad_out);
-            return grad_in;
-        }
-
-        let n = d1 * d2 * d3;
-        let rows = d1 * d2;
-        let (pd1, pd2, pd3) = (d1 + 2 * p, d2 + 2 * p, d3 + 2 * p);
-        let simd = ws.simd_active();
-        if simd {
-            ws.counters.bump(Counter::GemmKernelSimd);
-        }
-        let g = grad_out.data();
-
-        // Bias gradient: identical row-sum loop to the naive path.
-        {
-            let gb = self.bias.grad.data_mut();
-            for (oc, gbv) in gb.iter_mut().enumerate().take(self.out_c) {
-                for r in 0..rows {
-                    let base = oc * n + r * d3;
-                    *gbv += g[base..base + d3].iter().sum::<f32>();
-                }
-            }
-        }
-
-        // Weight gradient: per (row, tap, oc) fresh z-ascending dots over
-        // the padded input cache, vectorized across output-channel lanes
-        // via the transposed grad.
-        let mut gt = std::mem::take(&mut ws.g_t);
-        transpose_into(g, self.out_c, n, &mut gt);
-        let mut off = std::mem::take(&mut ws.tap_off);
-        tap_offsets(self.in_c, k, pd1, pd2, pd3, &mut off);
-        {
-            let gw = self.weight.grad.data_mut();
-            weight_grad(
-                &gt,
-                self.out_c,
-                xc.data(),
-                &off,
-                d2,
-                d3,
-                rows,
-                pd2,
-                pd3,
-                gw,
-                simd,
-            );
-        }
-        ws.tap_off = off;
-        ws.g_t = gt;
-
-        // Input gradient: register-tiled gather over the zero-padded
-        // output gradient in the naive order (oc asc, a desc ⇒ x₁ asc,
-        // b desc ⇒ y asc, c asc).
-        let mut grad_in = ws.alloc(&[self.in_c, d1, d2, d3]);
-        if p == 0 {
-            input_grad_gather(
-                g,
-                self.out_c,
-                self.in_c,
-                k,
-                p,
-                d1,
-                d2,
-                d3,
-                d1,
-                d2,
-                d3,
-                self.weight.value.data(),
-                grad_in.data_mut(),
-                n,
-                0,
-                simd,
-            );
-        } else {
-            let mut gpad = std::mem::take(&mut ws.g_pad);
-            gpad.clear();
-            gpad.resize(self.out_c * pd1 * pd2 * pd3, 0.0);
-            for oc in 0..self.out_c {
-                for x1 in 0..d1 {
-                    for y in 0..d2 {
-                        let src = oc * n + (x1 * d2 + y) * d3;
-                        let dst = ((oc * pd1 + x1 + p) * pd2 + y + p) * pd3 + p;
-                        gpad[dst..dst + d3].copy_from_slice(&g[src..src + d3]);
-                    }
-                }
-            }
-            input_grad_gather(
-                &gpad,
-                self.out_c,
-                self.in_c,
-                k,
-                p,
-                d1,
-                d2,
-                d3,
-                pd1,
-                pd2,
-                pd3,
-                self.weight.value.data(),
-                grad_in.data_mut(),
-                n,
-                0,
-                simd,
-            );
-            ws.g_pad = gpad;
-        }
-
-        ws.free(xc);
-        ws.free(grad_out);
-        grad_in
+        ws.free(xb);
+        ws.free(gb);
     }
 
     /// The original seven-loop forward, kept verbatim as the bit-identity
@@ -919,21 +307,29 @@ fn tap_range(d: usize, c: usize, p: usize) -> (usize, usize, usize) {
     (z0, z1.max(z0), i0)
 }
 
-/// Copies `x` into a fresh zero-padded `[in_c, d1+2p, d2+2p, d3+2p]`
-/// workspace tensor.
-fn pad_input(x: &Tensor, p: usize, ws: &mut NnWorkspace) -> Tensor {
-    let s = x.shape();
-    let (in_c, d1, d2, d3) = (s[0], s[1], s[2], s[3]);
+/// Builds the sample-major zero-padded cache `[B, in_c, d1+2p, d2+2p,
+/// d3+2p]` from a channel-major input `[in_c, B, d1, d2, d3]` (or a rank-4
+/// batch of one). Sample `b`'s subtensor is one contiguous padded volume,
+/// which is what the per-sample kernels consume (`p == 0` degenerates to a
+/// plain re-layout).
+fn pad_batch(x: &Tensor, p: usize, ws: &mut NnWorkspace) -> Tensor {
+    let [in_c, bsz, d1, d2, d3] = batch_dims(x.shape());
     let (pd1, pd2, pd3) = (d1 + 2 * p, d2 + 2 * p, d3 + 2 * p);
-    let mut xp = ws.alloc(&[in_c, pd1, pd2, pd3]);
+    let spatial = d1 * d2 * d3;
+    let pvol = pd1 * pd2 * pd3;
+    let mut xp = ws.alloc(&[bsz, in_c, pd1, pd2, pd3]);
     let xd = x.data();
     let xpd = xp.data_mut();
-    for ic in 0..in_c {
-        for x1 in 0..d1 {
-            for y in 0..d2 {
-                let src = ((ic * d1 + x1) * d2 + y) * d3;
-                let dst = ((ic * pd1 + x1 + p) * pd2 + y + p) * pd3 + p;
-                xpd[dst..dst + d3].copy_from_slice(&xd[src..src + d3]);
+    for b in 0..bsz {
+        for ic in 0..in_c {
+            let sbase = (ic * bsz + b) * spatial;
+            let dbase = (b * in_c + ic) * pvol;
+            for x1 in 0..d1 {
+                for y in 0..d2 {
+                    let src = sbase + (x1 * d2 + y) * d3;
+                    let dst = dbase + ((x1 + p) * pd2 + y + p) * pd3 + p;
+                    xpd[dst..dst + d3].copy_from_slice(&xd[src..src + d3]);
+                }
             }
         }
     }
@@ -961,8 +357,7 @@ fn tap_offsets(in_c: usize, k: usize, pd1: usize, pd2: usize, pd3: usize, off: &
 /// input: `bbuf[kx · cols + col0 + j]` holds tap `kx` of output voxel `j`
 /// (columns are `col0 + (row − r0) · d3 + z`). Because `xp` is zero-padded
 /// the extraction is pure row copies through the tap-offset table. `col0`
-/// lets the batched path assemble one panel from several samples' padded
-/// volumes; the single-sample path passes `0`.
+/// lets one panel be assembled from several samples' padded volumes.
 ///
 /// Taps come in `(ic, a, b)` groups of `k` consecutive z offsets
 /// (`off[g + c] == off[g] + c`), so one padded row segment of
@@ -1109,9 +504,8 @@ fn gemm_bias(
 /// with the K loop strictly ascending per output element. Register-blocked
 /// [`MR`]×[`NR`] tiles; ragged edges use narrower tiles with the same
 /// per-element order. Output channel `oc` lands at row `oc * ldo + col0`,
-/// so a batched caller can write sample `b` straight into the channel-major
-/// `[C, B, …]` layout (`ldo = B·spatial`, `col0 = b·spatial`) with no
-/// staging copy; single-sample callers pass `ldo = spatial`, `col0 = 0`.
+/// so sample `b` is written straight into the channel-major `[C, B, …]`
+/// layout (`ldo = B·spatial`, `col0 = b·spatial`) with no staging copy.
 #[allow(clippy::too_many_arguments)]
 fn conv_fwd(
     xp: &[f32],
@@ -1217,8 +611,8 @@ fn fwd_rows<const M: usize>(
 
 /// Copies sample `b` out of a channel-major batched volume (`[C, B, …]`,
 /// flat per-channel stride `bsz * spatial`) into a contiguous `[C, …]`
-/// destination. Only the batched naive-oracle routes gather whole samples;
-/// the GEMM routes read the batched layout in place.
+/// destination. Only the naive-oracle routes gather whole samples; the GEMM
+/// routes read the batched layout in place.
 #[cfg(any(test, feature = "naive-ref"))]
 fn gather_sample(src: &[f32], bsz: usize, b: usize, spatial: usize, dst: &mut [f32]) {
     let channels = dst.len() / spatial;
@@ -1294,10 +688,9 @@ fn weight_grad(
 /// of padded dims `[out_c][pd1][pd2][pd3]`. [`ICT`] input channels share
 /// each padded-row read; out-of-range `(a, b)` planes are skipped exactly
 /// as the naive loops skip them.
-/// Input-channel row `ic` lands at `ic * ldo + col0`, so a batched caller
-/// can write sample `b` straight into the channel-major `[C, B, …]` layout
-/// (`ldo = B·spatial`, `col0 = b·spatial`) with no staging copy;
-/// single-sample callers pass `ldo = spatial`, `col0 = 0`.
+/// Input-channel row `ic` lands at `ic * ldo + col0`, so sample `b` is
+/// written straight into the channel-major `[C, B, …]` layout
+/// (`ldo = B·spatial`, `col0 = b·spatial`) with no staging copy.
 #[allow(clippy::too_many_arguments)]
 fn input_grad_gather(
     gsrc: &[f32],
@@ -1394,42 +787,284 @@ fn ig_rows<const L: usize>(
 }
 
 impl Layer for Conv3d {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.forward_in(x, &mut NnWorkspace::new())
-    }
+    /// The zero-padded, sample-major input `[B, in_c, d1+2p, d2+2p,
+    /// d3+2p]` (a plain re-layout when `k == 1`): the forward builds the
+    /// padded copy anyway, so caching it costs nothing and saves backward
+    /// the rebuild.
+    type Cache = Tensor;
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = NnWorkspace::new();
-        let g = ws.alloc_copy(grad_out);
-        self.backward_in(g, &mut ws)
-    }
-
-    fn forward_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
+    fn forward(&self, x: &Tensor, ws: &mut NnWorkspace) -> (Tensor, Option<Tensor>) {
         let t = ws.prof_start();
-        let out = self.forward_impl(x, ws);
+        let [in_c, bsz, d1, d2, d3] = batch_dims(x.shape());
+        assert_eq!(in_c, self.in_c, "conv3d channel mismatch");
+        let spatial = d1 * d2 * d3;
+        let n = bsz * spatial;
+        // Tier A: forward multiply-accumulates, attributed to the layer the
+        // workspace is currently tagged with (same count on every path,
+        // including the naive oracle).
+        let macs = (self.out_c * self.in_c * self.k * self.k * self.k) as u64 * n as u64;
+        ws.counters.add_at(ws.mac_slot, macs);
+
+        let k = self.k;
+        let p = k / 2;
+        let (pd1, pd2, pd3) = (d1 + 2 * p, d2 + 2 * p, d3 + 2 * p);
+        let pvol = pd1 * pd2 * pd3;
+        let mut out = ws.alloc(Shape::of(x.shape()).with_channels(self.out_c).dims());
+
+        #[cfg(any(test, feature = "naive-ref"))]
+        if self.use_naive {
+            // Oracle route; the cache is the same padded copy as the GEMM
+            // route's (identical state for backward).
+            self.forward_naive_batch(x, &mut out, ws);
+            let cache = ws.training().then(|| pad_batch(x, p, ws));
+            ws.prof_end(t, ProfKind::ConvFwd);
+            return (out, cache);
+        }
+
+        let w = self.weight.value.data();
+        let bias = self.bias.value.data();
+        let simd = ws.simd_active();
+        if simd {
+            ws.counters.bump(Counter::GemmKernelSimd);
+        }
+        if p == 0 {
+            // 1×1×1: the input *is* the patch matrix with flat `[B·n]`
+            // columns — one GEMM serves the whole batch, with the
+            // per-element accumulation order (bias first, K ascending)
+            // of the naive loops.
+            ws.counters.bump(Counter::GemmFlat);
+            gemm_bias(
+                self.out_c,
+                self.in_c,
+                n,
+                w,
+                bias,
+                x.data(),
+                n,
+                out.data_mut(),
+                n,
+                0,
+                simd,
+            );
+            let cache = ws.training().then(|| pad_batch(x, 0, ws));
+            ws.prof_end(t, ProfKind::ConvFwd);
+            return (out, cache);
+        }
+
+        let xp = pad_batch(x, p, ws);
+        let mut off = std::mem::take(&mut ws.tap_off);
+        tap_offsets(self.in_c, k, pd1, pd2, pd3, &mut off);
+        if d3 >= NR {
+            // Deep-z grids: the implicit-im2col kernel is already
+            // tile-efficient; run it per sample, writing each sample's rows
+            // straight into the batched layout via the kernel's output
+            // stride — no staging copy.
+            ws.counters.bump(Counter::GemmDirect);
+            for b in 0..bsz {
+                let xpb = &xp.data()[b * self.in_c * pvol..][..self.in_c * pvol];
+                conv_fwd(
+                    xpb,
+                    &off,
+                    d2,
+                    d3,
+                    d1 * d2,
+                    pd2,
+                    pd3,
+                    w,
+                    bias,
+                    self.out_c,
+                    out.data_mut(),
+                    n,
+                    b * spatial,
+                    simd,
+                );
+            }
+        } else {
+            // Shallow-z grids (the pooled U-Net levels): materialize patch
+            // panels over *global* rows `0 .. B·rows` so GEMM tiles run over
+            // flat columns spanning row and sample boundaries — with
+            // `d3 < NR` the implicit-im2col tiles would mostly be scalar
+            // edges.
+            ws.counters.bump(Counter::GemmPanel);
+            let rows = d1 * d2;
+            let rows_g = bsz * rows;
+            let kd = self.in_c * k * k * k;
+            let rows_per_panel = (PANEL_COLS / d3).clamp(1, rows_g);
+            let mut bbuf = ws.take_im2col(kd * rows_per_panel * d3);
+            let xpd = xp.data();
+            let mut r0g = 0;
+            while r0g < rows_g {
+                let r1g = (r0g + rows_per_panel).min(rows_g);
+                let cols = (r1g - r0g) * d3;
+                // A panel may span samples: fill it from each sample's
+                // padded volume at its column offset within the panel.
+                let mut r = r0g;
+                while r < r1g {
+                    let b = r / rows;
+                    let r0 = r % rows;
+                    let r1 = rows.min(r0 + (r1g - r));
+                    let xpb = &xpd[b * self.in_c * pvol..][..self.in_c * pvol];
+                    im2col_from_padded(
+                        xpb,
+                        &off,
+                        k,
+                        d2,
+                        d3,
+                        pd2,
+                        pd3,
+                        r0,
+                        r1,
+                        &mut bbuf,
+                        cols,
+                        (r - r0g) * d3,
+                    );
+                    r += r1 - r0;
+                }
+                gemm_bias(
+                    self.out_c,
+                    kd,
+                    cols,
+                    w,
+                    bias,
+                    &bbuf,
+                    cols,
+                    out.data_mut(),
+                    n,
+                    r0g * d3,
+                    simd,
+                );
+                r0g = r1g;
+            }
+            ws.put_im2col(bbuf);
+        }
+        ws.tap_off = off;
+        let cache = if ws.training() {
+            Some(xp)
+        } else {
+            ws.free(xp);
+            None
+        };
         ws.prof_end(t, ProfKind::ConvFwd);
-        out
+        (out, cache)
     }
 
-    fn backward_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
+    fn backward(&mut self, xc: Tensor, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
         let t = ws.prof_start();
-        let g = self.backward_impl(grad_out, ws);
+        let k = self.k;
+        let p = k / 2;
+        let [out_c, bsz, d1, d2, d3] = batch_dims(grad_out.shape());
+        assert_eq!(out_c, self.out_c, "conv3d gradient channel mismatch");
+        let (pd1, pd2, pd3) = (d1 + 2 * p, d2 + 2 * p, d3 + 2 * p);
+        assert_eq!(
+            xc.shape(),
+            &[bsz, self.in_c, pd1, pd2, pd3],
+            "conv3d backward cache does not match the gradient"
+        );
+        let spatial = d1 * d2 * d3;
+        let n = bsz * spatial;
+        let pvol = pd1 * pd2 * pd3;
+        let rows = d1 * d2;
+        // Tier A: backward runs the weight-gradient and input-gradient
+        // passes, each the forward's MAC count.
+        let macs = (self.out_c * self.in_c * k * k * k) as u64 * n as u64;
+        ws.counters.add_at(ws.mac_slot, 2 * macs);
+        let mut grad_in = ws.alloc(Shape::of(grad_out.shape()).with_channels(self.in_c).dims());
+
+        #[cfg(any(test, feature = "naive-ref"))]
+        if self.use_naive {
+            self.backward_naive_batch(&xc, &grad_out, &mut grad_in, ws);
+            ws.free(xc);
+            ws.free(grad_out);
+            ws.prof_end(t, ProfKind::ConvBwd);
+            return grad_in;
+        }
+
+        let g = grad_out.data();
+        let simd = ws.simd_active();
+        if simd {
+            ws.counters.bump(Counter::GemmKernelSimd);
+        }
+
+        // Bias gradient: per element `gb[oc]`, fresh z-ascending row sums
+        // added samples-ascending then rows-ascending — the sequential
+        // per-sample order of the naive loops.
+        {
+            let gbias = self.bias.grad.data_mut();
+            for (oc, gbv) in gbias.iter_mut().enumerate().take(self.out_c) {
+                for b in 0..bsz {
+                    for r in 0..rows {
+                        let base = (oc * bsz + b) * spatial + r * d3;
+                        *gbv += g[base..base + d3].iter().sum::<f32>();
+                    }
+                }
+            }
+        }
+
+        // Weight gradient: one transpose of the whole gradient (sample
+        // `b`'s `[spatial][out_c]` block lands contiguously), then per
+        // (row, tap, oc) fresh z-ascending dots over the padded input
+        // cache, vectorized across output-channel lanes, samples
+        // ascending.
+        let mut gt = std::mem::take(&mut ws.g_t);
+        transpose_into(g, self.out_c, n, &mut gt);
+        let mut off = std::mem::take(&mut ws.tap_off);
+        tap_offsets(self.in_c, k, pd1, pd2, pd3, &mut off);
+        {
+            let gw = self.weight.grad.data_mut();
+            for b in 0..bsz {
+                let gtb = &gt[b * spatial * self.out_c..][..spatial * self.out_c];
+                let xpb = &xc.data()[b * self.in_c * pvol..][..self.in_c * pvol];
+                weight_grad(gtb, self.out_c, xpb, &off, d2, d3, rows, pd2, pd3, gw, simd);
+            }
+        }
+        ws.tap_off = off;
+        ws.g_t = gt;
+
+        // Input gradient: per sample, gather the strided gradient into a
+        // contiguous zero-padded copy, then run the register-tiled gather
+        // in the naive order (oc asc, a desc ⇒ x₁ asc, b desc ⇒ y asc,
+        // c asc) with the batched output stride, so sample `b`'s rows land
+        // straight in the `[C, B, …]` layout — no staging volume.
+        let mut gpad = std::mem::take(&mut ws.g_pad);
+        // One memset for the whole batch: every interior cell is
+        // overwritten per sample below, so only the (always-zero) padding
+        // halo needs clearing — not once per sample.
+        gpad.clear();
+        gpad.resize(self.out_c * pvol, 0.0);
+        for b in 0..bsz {
+            for oc in 0..self.out_c {
+                for x1 in 0..d1 {
+                    for y in 0..d2 {
+                        let src = (oc * bsz + b) * spatial + (x1 * d2 + y) * d3;
+                        let dst = ((oc * pd1 + x1 + p) * pd2 + y + p) * pd3 + p;
+                        gpad[dst..dst + d3].copy_from_slice(&g[src..src + d3]);
+                    }
+                }
+            }
+            input_grad_gather(
+                &gpad,
+                self.out_c,
+                self.in_c,
+                k,
+                p,
+                d1,
+                d2,
+                d3,
+                pd1,
+                pd2,
+                pd3,
+                self.weight.value.data(),
+                grad_in.data_mut(),
+                n,
+                b * spatial,
+                simd,
+            );
+        }
+        ws.g_pad = gpad;
+        ws.free(xc);
+        ws.free(grad_out);
         ws.prof_end(t, ProfKind::ConvBwd);
-        g
-    }
-
-    fn forward_batch_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let t = ws.prof_start();
-        let out = self.forward_batch_impl(x, ws);
-        ws.prof_end(t, ProfKind::ConvFwd);
-        out
-    }
-
-    fn backward_batch_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let t = ws.prof_start();
-        let g = self.backward_batch_impl(grad_out, ws);
-        ws.prof_end(t, ProfKind::ConvBwd);
-        g
+        grad_in
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -1446,14 +1081,31 @@ mod tests {
         Conv3d::new(in_c, out_c, k, &mut Initializer::new(seed))
     }
 
+    /// Forward through a fresh workspace, output only.
+    fn fwd(c: &Conv3d, x: &Tensor) -> Tensor {
+        c.forward(x, &mut NnWorkspace::new()).0
+    }
+
+    /// One training step (forward, then backward of `gout`) through `ws`:
+    /// returns the output and the input gradient.
+    fn step(c: &mut Conv3d, x: &Tensor, gout: &Tensor, ws: &mut NnWorkspace) -> (Tensor, Tensor) {
+        let (y, cache) = c.forward(x, ws);
+        let g = ws.alloc_copy(gout);
+        let gi = c.backward(cache.expect("training workspace records caches"), g, ws);
+        (y, gi)
+    }
+
     #[test]
     fn output_shape_preserves_spatial_dims() {
-        let mut c = conv(2, 5, 3, 0);
+        let c = conv(2, 5, 3, 0);
         let x = Tensor::zeros(&[2, 4, 6, 3]);
-        assert_eq!(c.forward(&x).shape(), &[5, 4, 6, 3]);
+        assert_eq!(fwd(&c, &x).shape(), &[5, 4, 6, 3]);
         // Also for 1x1x1 kernels and odd sizes.
-        let mut c1 = conv(2, 1, 1, 0);
-        assert_eq!(c1.forward(&x).shape(), &[1, 4, 6, 3]);
+        let c1 = conv(2, 1, 1, 0);
+        assert_eq!(fwd(&c1, &x).shape(), &[1, 4, 6, 3]);
+        // And batched inputs keep their batch axis.
+        let x5 = Tensor::zeros(&[2, 3, 4, 6, 3]);
+        assert_eq!(fwd(&c, &x5).shape(), &[5, 3, 4, 6, 3]);
     }
 
     #[test]
@@ -1468,8 +1120,7 @@ mod tests {
         c.weight.value.data_mut()[center] = 1.0;
         c.bias.value.fill(0.0);
         let x = Tensor::from_fn4(&[1, 3, 3, 2], |_, a, b, d| (a * 100 + b * 10 + d) as f32);
-        let y = c.forward(&x);
-        assert_eq!(y, x);
+        assert_eq!(fwd(&c, &x), x);
     }
 
     #[test]
@@ -1477,8 +1128,7 @@ mod tests {
         let mut c = conv(1, 1, 1, 0);
         c.weight.value.fill(0.0);
         c.bias.value.fill(2.5);
-        let x = Tensor::zeros(&[1, 2, 2, 2]);
-        let y = c.forward(&x);
+        let y = fwd(&c, &Tensor::zeros(&[1, 2, 2, 2]));
         assert!(y.data().iter().all(|&v| v == 2.5));
     }
 
@@ -1490,8 +1140,7 @@ mod tests {
         c.weight.value.fill(1.0);
         c.bias.value.fill(0.0);
         let x = Tensor::from_vec(&[1, 2, 2, 1], vec![1.0, 1.0, 1.0, 1.0]).unwrap();
-        let y = c.forward(&x);
-        assert!(y.data().iter().all(|&v| v == 4.0));
+        assert!(fwd(&c, &x).data().iter().all(|&v| v == 4.0));
     }
 
     #[test]
@@ -1550,15 +1199,12 @@ mod tests {
             let x = Initializer::new(seed ^ 1).uniform(&[in_c, d1, d2, d3], 1.0);
             let gout = Initializer::new(seed ^ 2).uniform(&[out_c, d1, d2, d3], 1.0);
 
-            let mut ws = NnWorkspace::new();
             let mut fast = proto.clone();
-            let y_fast = fast.forward_in(&x, &mut ws);
-            let gi_fast = fast.backward_in(ws.alloc_copy(&gout), &mut ws);
+            let (y_fast, gi_fast) = step(&mut fast, &x, &gout, &mut NnWorkspace::new());
 
             let mut slow = proto.clone();
             slow.set_naive(true);
-            let y_slow = slow.forward(&x);
-            let gi_slow = slow.backward(&gout);
+            let (y_slow, gi_slow) = step(&mut slow, &x, &gout, &mut NnWorkspace::new());
 
             let what = format!("case {case} ({in_c}->{out_c} k{k} {d1}x{d2}x{d3})");
             assert_bits_eq(&y_fast, &y_slow, &format!("{what} forward"));
@@ -1574,10 +1220,10 @@ mod tests {
 
     #[test]
     fn batched_path_matches_sequential_bitwise() {
-        // For every oracle case and batch size, the batched forward and
-        // backward must be bit-identical, per sample, to running the
-        // single-sample path over the samples in order — including the
-        // accumulated weight/bias gradients.
+        // For every oracle case and batch size, one batched forward and
+        // backward must be bit-identical, per sample, to per-sample B=1
+        // calls over the samples in order — including the accumulated
+        // weight/bias gradients.
         for (case, &(in_c, out_c, k, [d1, d2, d3])) in ORACLE_CASES.iter().enumerate() {
             for &bsz in &[1usize, 4, 16] {
                 let seed = 0xBA7C + case as u64;
@@ -1599,20 +1245,15 @@ mod tests {
                 // gradients accumulating.
                 let mut seq = proto.clone();
                 let mut ws = NnWorkspace::new();
-                let mut ys = Vec::new();
-                let mut gis = Vec::new();
-                for b in 0..bsz {
-                    ys.push(seq.forward_in(&xs[b], &mut ws));
-                    gis.push(seq.backward_in(ws.alloc_copy(&gs[b]), &mut ws));
-                }
+                let (ys, gis): (Vec<Tensor>, Vec<Tensor>) = (0..bsz)
+                    .map(|b| step(&mut seq, &xs[b], &gs[b], &mut ws))
+                    .unzip();
 
                 // Batched run.
                 let mut bat = proto.clone();
-                let mut wsb = NnWorkspace::new();
                 let x5 = Tensor::stack_batch(&xs.iter().collect::<Vec<_>>());
                 let g5 = Tensor::stack_batch(&gs.iter().collect::<Vec<_>>());
-                let y5 = bat.forward_batch_in(&x5, &mut wsb);
-                let gi5 = bat.backward_batch_in(wsb.alloc_copy(&g5), &mut wsb);
+                let (y5, gi5) = step(&mut bat, &x5, &g5, &mut NnWorkspace::new());
 
                 let what = format!("case {case} B{bsz} ({in_c}->{out_c} k{k} {d1}x{d2}x{d3})");
                 for b in 0..bsz {
@@ -1634,9 +1275,7 @@ mod tests {
                 // seven-loop kernels, batched layout).
                 let mut nv = proto.clone();
                 nv.set_naive(true);
-                let mut wsn = NnWorkspace::new();
-                let yn = nv.forward_batch_in(&x5, &mut wsn);
-                let gin = nv.backward_batch_in(wsn.alloc_copy(&g5), &mut wsn);
+                let (yn, gin) = step(&mut nv, &x5, &g5, &mut NnWorkspace::new());
                 assert_bits_eq(&yn, &y5, &format!("{what} naive y"));
                 assert_bits_eq(&gin, &gi5, &format!("{what} naive grad_in"));
                 assert_bits_eq(
@@ -1649,18 +1288,6 @@ mod tests {
     }
 
     #[test]
-    fn infer_in_matches_forward_without_cache() {
-        let proto = conv(3, 5, 3, 11);
-        let x = Initializer::new(12).uniform(&[3, 4, 5, 3], 1.0);
-        let mut m = proto.clone();
-        let y_ref = m.forward(&x);
-        let shared = proto.clone();
-        let mut ws = NnWorkspace::new();
-        let y = shared.infer_in(&x, &mut ws);
-        assert_bits_eq(&y, &y_ref, "infer_in");
-    }
-
-    #[test]
     fn gemm_stays_bitwise_identical_across_workspace_reuse() {
         // Repeated passes through one workspace (stale pool contents, grown
         // buffers) must not perturb results.
@@ -1668,15 +1295,13 @@ mod tests {
         let x = Initializer::new(7).uniform(&[3, 4, 5, 6], 1.0);
         let gout = Initializer::new(8).uniform(&[6, 4, 5, 6], 1.0);
         let mut fresh = proto.clone();
-        let y0 = fresh.forward(&x);
-        let gi0 = fresh.backward(&gout);
+        let (y0, gi0) = step(&mut fresh, &x, &gout, &mut NnWorkspace::new());
 
         let mut reused = proto.clone();
         let mut ws = NnWorkspace::new();
         for _ in 0..3 {
             reused.zero_grad();
-            let y = reused.forward_in(&x, &mut ws);
-            let gi = reused.backward_in(ws.alloc_copy(&gout), &mut ws);
+            let (y, gi) = step(&mut reused, &x, &gout, &mut ws);
             assert_bits_eq(&y, &y0, "reused forward");
             assert_bits_eq(&gi, &gi0, "reused grad_in");
             assert_bits_eq(&reused.weight.grad, &fresh.weight.grad, "reused grad_w");
@@ -1737,14 +1362,11 @@ mod tests {
         let gout = Initializer::new(79).uniform(&[out_c, d1, d2, d3], 1.0);
 
         let mut scalar = proto.clone();
-        let mut ws_s = NnWorkspace::new();
-        let y_s = scalar.forward_in(&x, &mut ws_s);
-        let gi_s = scalar.backward_in(ws_s.alloc_copy(&gout), &mut ws_s);
+        let (y_s, gi_s) = step(&mut scalar, &x, &gout, &mut NnWorkspace::new());
 
         let mut simd = proto.clone();
         let mut ws_v = simd_ws();
-        let y_v = simd.forward_in(&x, &mut ws_v);
-        let gi_v = simd.backward_in(ws_v.alloc_copy(&gout), &mut ws_v);
+        let (y_v, gi_v) = step(&mut simd, &x, &gout, &mut ws_v);
 
         if kernels::simd_available() {
             assert!(
@@ -1780,13 +1402,11 @@ mod tests {
 
             let mut fast = proto.clone();
             let mut ws = simd_ws();
-            let y_fast = fast.forward_in(&x, &mut ws);
-            let gi_fast = fast.backward_in(ws.alloc_copy(&gout), &mut ws);
+            let (y_fast, gi_fast) = step(&mut fast, &x, &gout, &mut ws);
 
             let mut slow = proto.clone();
             slow.set_naive(true);
-            let y_slow = slow.forward(&x);
-            let gi_slow = slow.backward(&gout);
+            let (y_slow, gi_slow) = step(&mut slow, &x, &gout, &mut NnWorkspace::new());
 
             let what = format!("simd case {case} ({in_c}->{out_c} k{k} {d1}x{d2}x{d3})");
             assert_close_ulp(&y_fast, &y_slow, &format!("{what} forward"));
@@ -1810,10 +1430,10 @@ mod tests {
         }
     }
 
-    /// Batched SIMD: the batched forward/backward under `KernelPolicy::
-    /// Simd` stays within tolerance of the batched scalar path (which is
-    /// itself bitwise-pinned to the sequential oracle above), including
-    /// the global-row panel path (`d3 < NR`).
+    /// Batched SIMD: a B=4 forward/backward under `KernelPolicy::Simd`
+    /// stays within tolerance of the scalar lane (which is itself bitwise
+    /// pinned to the per-sample calls above), including the global-row
+    /// panel path (`d3 < NR`).
     #[test]
     fn simd_batched_path_matches_scalar_within_ulp() {
         // One direct-dispatch case and one panel-dispatch case.
@@ -1835,14 +1455,11 @@ mod tests {
             let g5 = Tensor::stack_batch(&gs.iter().collect::<Vec<_>>());
 
             let mut sc = proto.clone();
-            let mut ws_s = NnWorkspace::new();
-            let y_s = sc.forward_batch_in(&x5, &mut ws_s);
-            let gi_s = sc.backward_batch_in(ws_s.alloc_copy(&g5), &mut ws_s);
+            let (y_s, gi_s) = step(&mut sc, &x5, &g5, &mut NnWorkspace::new());
 
             let mut sv = proto.clone();
             let mut ws_v = simd_ws();
-            let y_v = sv.forward_batch_in(&x5, &mut ws_v);
-            let gi_v = sv.backward_batch_in(ws_v.alloc_copy(&g5), &mut ws_v);
+            let (y_v, gi_v) = step(&mut sv, &x5, &g5, &mut ws_v);
 
             let what = format!("simd batch ({in_c}->{out_c} k{k} {d1}x{d2}x{d3})");
             assert_close_ulp(&y_v, &y_s, &format!("{what} y"));
@@ -1859,14 +1476,14 @@ mod tests {
 
     #[test]
     fn inference_workspace_skips_backward_cache() {
-        let mut c = conv(2, 2, 3, 1);
+        let c = conv(2, 2, 3, 1);
         let x = Initializer::new(2).uniform(&[2, 3, 3, 3], 1.0);
         let mut ws = NnWorkspace::new();
         ws.training = false;
-        let y_inf = c.forward_in(&x, &mut ws);
-        assert!(c.cache_input.is_none());
-        let y_train = c.forward(&x);
+        let (y_inf, cache) = c.forward(&x, &mut ws);
+        assert!(cache.is_none());
+        let (y_train, cache) = c.forward(&x, &mut NnWorkspace::new());
         assert_bits_eq(&y_inf, &y_train, "inference forward");
-        assert!(c.cache_input.is_some());
+        assert!(cache.is_some());
     }
 }

@@ -6,6 +6,7 @@
 
 use crate::layer::Layer;
 use crate::tensor::Tensor;
+use crate::workspace::NnWorkspace;
 
 /// A scalar loss for gradient checking: `L = sum(y^2) / 2`, whose gradient
 /// with respect to `y` is simply `y`.
@@ -27,18 +28,24 @@ fn loss_of(y: &Tensor) -> f64 {
 /// Panics (test-style assertion) when a gradient mismatches.
 pub fn check_layer_gradients<L: Layer>(layer: &mut L, x: &Tensor, eps: f32, tol: f32) {
     // Analytic pass.
+    let mut ws = NnWorkspace::new();
     layer.zero_grad();
-    let y = layer.forward(x);
-    let grad_in = layer.backward(&y); // dL/dy = y for our loss
+    let (y, cache) = layer.forward(x, &mut ws);
+    let cache = cache.expect("a training workspace records caches");
+    let grad_in = layer.backward(cache, y, &mut ws); // dL/dy = y for our loss
+
+    // Perturbed passes only need the output.
+    ws.training = false;
+    let mut loss_at = |layer: &L, x: &Tensor| loss_of(&layer.forward(x, &mut ws).0);
 
     // Input gradient check.
     let mut x_pert = x.clone();
     for i in 0..x.len() {
         let orig = x_pert.data()[i];
         x_pert.data_mut()[i] = orig + eps;
-        let lp = loss_of(&layer.forward(&x_pert));
+        let lp = loss_at(layer, &x_pert);
         x_pert.data_mut()[i] = orig - eps;
-        let lm = loss_of(&layer.forward(&x_pert));
+        let lm = loss_at(layer, &x_pert);
         x_pert.data_mut()[i] = orig;
         let numeric = ((lp - lm) / (2.0 * eps as f64)) as f32;
         let analytic = grad_in.data()[i];
@@ -60,9 +67,9 @@ pub fn check_layer_gradients<L: Layer>(layer: &mut L, x: &Tensor, eps: f32, tol:
         for i in 0..plen {
             let orig = layer.params_mut()[pi].value.data()[i];
             layer.params_mut()[pi].value.data_mut()[i] = orig + eps;
-            let lp = loss_of(&layer.forward(x));
+            let lp = loss_at(layer, x);
             layer.params_mut()[pi].value.data_mut()[i] = orig - eps;
-            let lm = loss_of(&layer.forward(x));
+            let lm = loss_at(layer, x);
             layer.params_mut()[pi].value.data_mut()[i] = orig;
             let numeric = ((lp - lm) / (2.0 * eps as f64)) as f32;
             let analytic = analytic_grads[pi][i];
@@ -90,17 +97,15 @@ mod tests {
     /// y = k * x with a single scalar parameter k — trivially checkable.
     struct Scale {
         k: Param,
-        cache: Option<Tensor>,
     }
 
     impl Layer for Scale {
-        fn forward(&mut self, x: &Tensor) -> Tensor {
-            self.cache = Some(x.clone());
+        type Cache = Tensor;
+        fn forward(&self, x: &Tensor, ws: &mut NnWorkspace) -> (Tensor, Option<Tensor>) {
             let k = self.k.value.data()[0];
-            x.map(|v| k * v)
+            (x.map(|v| k * v), ws.training().then(|| x.clone()))
         }
-        fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-            let x = self.cache.take().expect("forward first");
+        fn backward(&mut self, x: Tensor, grad_out: Tensor, _ws: &mut NnWorkspace) -> Tensor {
             let k = self.k.value.data()[0];
             let dk: f32 = grad_out
                 .data()
@@ -120,7 +125,6 @@ mod tests {
     fn gradcheck_accepts_correct_layer() {
         let mut layer = Scale {
             k: Param::new(Tensor::from_vec(&[1], vec![1.5]).unwrap()),
-            cache: None,
         };
         let x = Tensor::from_vec(&[4], vec![0.3, -0.7, 1.1, 0.0]).unwrap();
         check_layer_gradients(&mut layer, &x, 1e-3, 1e-3);
@@ -130,20 +134,17 @@ mod tests {
     #[should_panic(expected = "grad")]
     fn gradcheck_rejects_wrong_gradient() {
         /// Deliberately wrong backward: claims dL/dx = 0.
-        struct Broken {
-            cache: Option<Tensor>,
-        }
+        struct Broken;
         impl Layer for Broken {
-            fn forward(&mut self, x: &Tensor) -> Tensor {
-                self.cache = Some(x.clone());
-                x.map(|v| 2.0 * v)
+            type Cache = ();
+            fn forward(&self, x: &Tensor, _ws: &mut NnWorkspace) -> (Tensor, Option<()>) {
+                (x.map(|v| 2.0 * v), Some(()))
             }
-            fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-                self.cache.take().expect("forward first");
+            fn backward(&mut self, _: (), grad_out: Tensor, _ws: &mut NnWorkspace) -> Tensor {
                 grad_out.map(|_| 0.0)
             }
         }
-        let mut layer = Broken { cache: None };
+        let mut layer = Broken;
         let x = Tensor::from_vec(&[2], vec![1.0, 2.0]).unwrap();
         check_layer_gradients(&mut layer, &x, 1e-3, 1e-3);
     }

@@ -33,79 +33,32 @@ impl fmt::Display for Param {
     }
 }
 
-/// A differentiable layer with cached activations.
+/// A differentiable layer.
 ///
-/// The substrate uses define-by-run style with explicit caches: `forward`
-/// stores whatever `backward` needs, and `backward` consumes the most recent
-/// forward pass. Layers are therefore stateful and a `forward`/`backward`
-/// pair must not interleave with other passes through the same layer.
+/// One forward serves every use: it takes `&self`, accepts a rank-4
+/// `[C, d1, d2, d3]` sample or a channel-major rank-5 `[C, B, d1, d2, d3]`
+/// batch (a rank-4 input is a batch of one — the layouts are
+/// byte-identical), and hands back the backward cache only when the
+/// workspace is recording ([`NnWorkspace::training`]). Inference, shared
+/// selectors and training therefore run the same arithmetic; the caller
+/// that wants gradients keeps the cache and passes it to the one backward.
+///
+/// Per-sample results are bit-identical at every batch size: batching
+/// only regroups *independent* output elements, never the terms of one
+/// element's sum, and parameter-gradient accumulation visits samples in
+/// ascending batch order (the sequential per-sample `+=` sequence).
 pub trait Layer {
-    /// Computes the layer output, caching intermediates for `backward`.
-    fn forward(&mut self, x: &Tensor) -> Tensor;
+    /// What [`Layer::backward`] needs from the matching forward.
+    type Cache;
 
-    /// Propagates the output gradient to the input gradient, accumulating
-    /// parameter gradients along the way.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `backward` is called without a matching
-    /// preceding `forward`.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+    /// Computes the layer output from workspace-pooled storage; the cache
+    /// is `Some` iff `ws.training()`.
+    fn forward(&self, x: &Tensor, ws: &mut NnWorkspace) -> (Tensor, Option<Self::Cache>);
 
-    /// Workspace-threaded variant of [`Layer::forward`]: output (and any
-    /// backward caches) come from the workspace pool, so steady-state calls
-    /// allocate nothing. Results are bit-identical to `forward`.
-    ///
-    /// The default delegates to `forward`; optimized layers override this
-    /// and implement `forward` as a thin wrapper over a fresh workspace.
-    fn forward_in(&mut self, x: &Tensor, _ws: &mut NnWorkspace) -> Tensor {
-        self.forward(x)
-    }
-
-    /// Workspace-threaded variant of [`Layer::backward`]. Takes the output
-    /// gradient *by value* so implementations can work in place on it (the
-    /// activation layers do) or recycle its storage into the pool.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if called without a matching preceding
-    /// [`Layer::forward_in`].
-    fn backward_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let g = self.backward(&grad_out);
-        ws.free(grad_out);
-        g
-    }
-
-    /// Batched variant of [`Layer::forward_in`] over rank-5
-    /// `[C, B, d1, d2, d3]` activations (channel-major: channel `c` holds
-    /// the `B` samples' volumes back to back, so convolutions flatten the
-    /// trailing axes into one GEMM `N = B·d1·d2·d3` and a single weight
-    /// load serves every sample). Per-sample results are bit-identical to
-    /// running [`Layer::forward_in`] on each sample alone: batching only
-    /// regroups *independent* output elements, never the terms of one
-    /// element's sum.
-    ///
-    /// The default panics — every layer used inside the batched selector
-    /// stack overrides it (a generic per-sample fallback would silently
-    /// clobber single-sample caches and break `backward_batch_in`).
-    fn forward_batch_in(&mut self, _x: &Tensor, _ws: &mut NnWorkspace) -> Tensor {
-        // lint: panic-ok(deliberately loud default: every layer in the batched stack overrides it, and a silent per-sample fallback would clobber single-sample caches)
-        unimplemented!("layer has no batched forward path")
-    }
-
-    /// Batched variant of [`Layer::backward_in`] consuming a rank-5
-    /// `[C, B, d1, d2, d3]` output gradient. Parameter-gradient
-    /// accumulation visits samples in ascending batch order, so every
-    /// `+=` sequence per gradient element matches the sequential
-    /// per-sample loop bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// The default panics; implementations may panic if called without a
-    /// matching preceding [`Layer::forward_batch_in`].
-    fn backward_batch_in(&mut self, _grad_out: Tensor, _ws: &mut NnWorkspace) -> Tensor {
-        unimplemented!("layer has no batched backward path")
-    }
+    /// Propagates the output gradient (taken by value, so it can be
+    /// reused in place or recycled into the pool) to the input gradient,
+    /// accumulating parameter gradients along the way.
+    fn backward(&mut self, cache: Self::Cache, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor;
 
     /// The layer's trainable parameters (empty for activations and pooling).
     fn params_mut(&mut self) -> Vec<&mut Param> {

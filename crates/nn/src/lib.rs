@@ -12,14 +12,18 @@
 //! * ceil-mode 3D max pooling and nearest-neighbor upsampling to arbitrary
 //!   target shapes ([`pool`], [`upsample`]) — the pair that lets the U-Net
 //!   accept **any** `H × V × M` input,
-//! * residual blocks ([`residual`], optionally group-normalized via
-//!   [`norm`]) and the full 3D Residual U-Net ([`unet`]),
+//! * residual blocks ([`residual`]) and the full 3D Residual U-Net
+//!   ([`unet`]),
 //! * binary cross-entropy with logits ([`loss`]), SGD and Adam ([`optim`]),
 //! * weight (de)serialization ([`serialize`]) and finite-difference
 //!   gradient checking ([`gradcheck`]).
 //!
-//! Everything is `f32`, single-sample (mini-batches are gradient
-//! accumulation), and CPU-only — appropriate for the laptop-scale
+//! Every [`Layer`] has one forward and one backward. The forward takes
+//! `&self`, accepts a rank-4 `[C, d1, d2, d3]` sample or a channel-major
+//! rank-5 `[C, B, d1, d2, d3]` batch (a sample is a batch of one), and
+//! returns its backward cache only when the [`NnWorkspace`] is training, so
+//! inference, shared selectors and training share one execution path.
+//! Everything is `f32` and CPU-only — appropriate for the laptop-scale
 //! experiments of this reproduction.
 //!
 //! # Example
@@ -29,16 +33,22 @@
 //! use oarsmt_nn::tensor::Tensor;
 //! use oarsmt_nn::unet::{UNet3d, UNetConfig};
 //!
+//! use oarsmt_nn::NnWorkspace;
+//!
 //! let mut net = UNet3d::new(UNetConfig {
 //!     in_channels: 7,
 //!     base_channels: 4,
 //!     levels: 2,
 //!     seed: 0,
 //! });
+//! let mut ws = NnWorkspace::new();
 //! // Arbitrary spatial size: 5 x 9 x 3.
 //! let x = Tensor::zeros(&[7, 5, 9, 3]);
-//! let y = net.forward(&x);
+//! let (y, cache) = net.forward(&x, &mut ws);
 //! assert_eq!(y.shape(), &[1, 5, 9, 3]);
+//! // Training: the cache feeds the backward pass.
+//! let dx = net.backward(cache.unwrap(), y, &mut ws);
+//! assert_eq!(dx.shape(), x.shape());
 //! ```
 
 // Unsafe is forbidden except under the `simd` feature, whose AVX2+FMA
@@ -55,7 +65,6 @@ pub mod init;
 pub mod kernels;
 pub mod layer;
 pub mod loss;
-pub mod norm;
 pub mod optim;
 pub mod pool;
 pub mod residual;

@@ -182,6 +182,7 @@ mod tests {
     use super::*;
     use crate::layer::{Layer, Param};
     use crate::tensor::Tensor;
+    use crate::workspace::NnWorkspace;
 
     /// A quadratic bowl: loss = (w - 3)^2 with dL/dw = 2(w - 3).
     struct Bowl {
@@ -205,11 +206,12 @@ mod tests {
     }
 
     impl Layer for Bowl {
-        fn forward(&mut self, x: &Tensor) -> Tensor {
-            x.clone()
+        type Cache = ();
+        fn forward(&self, x: &Tensor, _ws: &mut NnWorkspace) -> (Tensor, Option<()>) {
+            (x.clone(), Some(()))
         }
-        fn backward(&mut self, g: &Tensor) -> Tensor {
-            g.clone()
+        fn backward(&mut self, _: (), g: Tensor, _ws: &mut NnWorkspace) -> Tensor {
+            g
         }
         fn params_mut(&mut self) -> Vec<&mut Param> {
             vec![&mut self.w]

@@ -7,22 +7,24 @@
 //! is what lets the network consume Hanan graphs of any `H × V × M`.
 
 use crate::layer::Layer;
-use crate::tensor::Tensor;
+use crate::tensor::{volumes, Shape, Tensor};
 use crate::workspace::{NnWorkspace, ProfKind};
 
-/// Window-2, stride-2, ceil-mode 3D max pooling.
-#[derive(Debug, Clone, Default)]
-pub struct MaxPool3d {
-    cache: Option<PoolCache>,
-    /// Retired cache storage, recycled across forward/backward cycles.
-    spare: Option<PoolCache>,
-}
+/// Window-2, stride-2, ceil-mode 3D max pooling over the trailing three
+/// axes; every leading axis (`c` for a rank-4 sample, `c·b` for a
+/// channel-major rank-5 batch) is an independent volume, so per-sample
+/// bit identity across batch sizes is structural.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MaxPool3d;
 
-#[derive(Debug, Clone, Default)]
-struct PoolCache {
-    in_shape: Vec<usize>,
-    /// For each output element, the linear input index of its maximum.
-    argmax: Vec<u32>,
+/// What [`MaxPool3d`]'s backward needs: the input shape and, per output
+/// element, which cell of its window held the maximum.
+#[derive(Debug, Clone)]
+pub struct PoolCache {
+    in_shape: Shape,
+    /// Pooled-shape tensor of window offsets `dx·4 + dy·2 + dz` (small
+    /// integers, exact in `f32`), so the cache lives in the workspace pool.
+    argmax: Tensor,
 }
 
 /// Pooled size of one axis.
@@ -34,68 +36,14 @@ pub fn pooled(d: usize) -> usize {
 impl MaxPool3d {
     /// Creates a pooling layer.
     pub fn new() -> Self {
-        MaxPool3d::default()
-    }
-
-    /// Shared forward over any rank (the trailing three axes pool, leading
-    /// axes pass through), recording the backward cache.
-    fn forward_any(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let t = ws.prof_start();
-        let (ps, pn) = pooled_shape(x.shape());
-        let mut out = ws.alloc(&ps[..pn]);
-        // `spare` is refilled by backward; inference-only callers never run
-        // one, so recycle the previous forward's cache storage instead of
-        // dropping it (both vectors are fully overwritten below).
-        let mut cache = self
-            .spare
-            .take()
-            .or_else(|| self.cache.take())
-            .unwrap_or_default();
-        cache.in_shape.clear();
-        cache.in_shape.extend_from_slice(x.shape());
-        cache.argmax.clear();
-        cache.argmax.resize(out.len(), 0);
-        pool_core(x.data(), x.shape(), out.data_mut(), Some(&mut cache.argmax));
-        self.cache = Some(cache);
-        ws.prof_end(t, ProfKind::PoolFwd);
-        out
-    }
-
-    /// Stateless pooling apply for the shared-selector inference path: same
-    /// kernel as [`Layer::forward_in`] without recording an argmax cache.
-    /// Works on rank-4 and (channel-major) rank-5 inputs alike.
-    pub fn infer_apply(x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let t = ws.prof_start();
-        let (ps, pn) = pooled_shape(x.shape());
-        let mut out = ws.alloc(&ps[..pn]);
-        pool_core(x.data(), x.shape(), out.data_mut(), None);
-        ws.prof_end(t, ProfKind::PoolFwd);
-        out
+        MaxPool3d
     }
 }
 
-/// Output shape of one pooling step: trailing three axes halve (ceil mode),
-/// leading channel (and batch) axes pass through. Returned on the stack
-/// (fixed rank ≤ 5) so the warm inference loop stays allocation-free.
-fn pooled_shape(s: &[usize]) -> ([usize; 5], usize) {
-    let n = s.len();
-    let mut out = [0usize; 5];
-    out[..n].copy_from_slice(s);
-    for d in &mut out[n - 3..n] {
-        *d = pooled(*d);
-    }
-    (out, n)
-}
-
-/// The pooling kernel over the trailing three spatial axes; every leading
-/// axis is an independent volume (`c` for rank-4, `c·b` channel-major for
-/// rank-5, making the batched pass per-sample bit-identical for free).
-/// `argmax`, when recording, receives the **absolute** linear input index
-/// of each output's maximum, so the backward scatter is layout-agnostic.
-fn pool_core(xd: &[f32], s: &[usize], out: &mut [f32], mut argmax: Option<&mut Vec<u32>>) {
-    let n = s.len();
-    let c_eff: usize = s[..n - 3].iter().product();
-    let (d1, d2, d3) = (s[n - 3], s[n - 2], s[n - 1]);
+/// The pooling kernel. `argmax`, when recording, receives each output's
+/// window offset `dx·4 + dy·2 + dz`.
+fn pool_core(xd: &[f32], s: &[usize], out: &mut [f32], mut argmax: Option<&mut [f32]>) {
+    let (c_eff, [d1, d2, d3]) = volumes(s);
     let (o1, o2, o3) = (pooled(d1), pooled(d2), pooled(d3));
     let spatial = d1 * d2 * d3;
     let mut oi = 0;
@@ -105,7 +53,7 @@ fn pool_core(xd: &[f32], s: &[usize], out: &mut [f32], mut argmax: Option<&mut V
             for y in 0..o2 {
                 for z in 0..o3 {
                     let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0usize;
+                    let mut best_code = 0usize;
                     for dx in 0..2 {
                         let ix = x1 * 2 + dx;
                         if ix >= d1 {
@@ -121,18 +69,17 @@ fn pool_core(xd: &[f32], s: &[usize], out: &mut [f32], mut argmax: Option<&mut V
                                 if iz >= d3 {
                                     continue;
                                 }
-                                let idx = base + (ix * d2 + iy) * d3 + iz;
-                                let v = xd[idx];
+                                let v = xd[base + (ix * d2 + iy) * d3 + iz];
                                 if v > best {
                                     best = v;
-                                    best_idx = idx;
+                                    best_code = dx * 4 + dy * 2 + dz;
                                 }
                             }
                         }
                     }
                     out[oi] = best;
                     if let Some(am) = argmax.as_deref_mut() {
-                        am[oi] = best_idx as u32;
+                        am[oi] = best_code as f32;
                     }
                     oi += 1;
                 }
@@ -142,52 +89,58 @@ fn pool_core(xd: &[f32], s: &[usize], out: &mut [f32], mut argmax: Option<&mut V
 }
 
 impl Layer for MaxPool3d {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut ws = NnWorkspace::new();
-        self.forward_in(x, &mut ws)
-    }
+    type Cache = PoolCache;
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = NnWorkspace::new();
-        let g = ws.alloc_copy(grad_out);
-        self.backward_in(g, &mut ws)
-    }
-
-    fn forward_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        assert_eq!(x.shape().len(), 4, "maxpool expects [c, d1, d2, d3]");
-        self.forward_any(x, ws)
-    }
-
-    fn backward_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
+    fn forward(&self, x: &Tensor, ws: &mut NnWorkspace) -> (Tensor, Option<PoolCache>) {
         let t = ws.prof_start();
-        let cache = self.cache.take().expect("maxpool backward without forward");
-        assert_eq!(grad_out.len(), cache.argmax.len());
-        let mut grad_in = ws.alloc(&cache.in_shape);
-        for (oi, &src) in cache.argmax.iter().enumerate() {
-            grad_in.data_mut()[src as usize] += grad_out.data()[oi];
+        let in_shape = Shape::of(x.shape());
+        let (_, [d1, d2, d3]) = volumes(x.shape());
+        let out_shape = in_shape.with_spatial([pooled(d1), pooled(d2), pooled(d3)]);
+        let mut out = ws.alloc(out_shape.dims());
+        if !ws.training() {
+            pool_core(x.data(), x.shape(), out.data_mut(), None);
+            ws.prof_end(t, ProfKind::PoolFwd);
+            return (out, None);
         }
-        self.spare = Some(cache);
+        let mut argmax = ws.alloc(out_shape.dims());
+        pool_core(x.data(), x.shape(), out.data_mut(), Some(argmax.data_mut()));
+        ws.prof_end(t, ProfKind::PoolFwd);
+        (out, Some(PoolCache { in_shape, argmax }))
+    }
+
+    /// Routes each output gradient to its window's maximum. Windows are
+    /// disjoint, so every input cell receives at most one term and there
+    /// is no accumulation-order question.
+    fn backward(&mut self, cache: PoolCache, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
+        let t = ws.prof_start();
+        assert_eq!(grad_out.len(), cache.argmax.len(), "maxpool gradient shape");
+        let s = cache.in_shape.dims();
+        let (c_eff, [d1, d2, d3]) = volumes(s);
+        let (o1, o2, o3) = (pooled(d1), pooled(d2), pooled(d3));
+        let spatial = d1 * d2 * d3;
+        let mut grad_in = ws.alloc(s);
+        let (gi, g, codes) = (grad_in.data_mut(), grad_out.data(), cache.argmax.data());
+        let mut oi = 0;
+        for ci in 0..c_eff {
+            for x1 in 0..o1 {
+                for y in 0..o2 {
+                    for z in 0..o3 {
+                        let code = codes[oi] as usize;
+                        let (ix, iy, iz) = (
+                            x1 * 2 + (code >> 2),
+                            y * 2 + ((code >> 1) & 1),
+                            z * 2 + (code & 1),
+                        );
+                        gi[ci * spatial + (ix * d2 + iy) * d3 + iz] += g[oi];
+                        oi += 1;
+                    }
+                }
+            }
+        }
+        ws.free(cache.argmax);
         ws.free(grad_out);
         ws.prof_end(t, ProfKind::PoolBwd);
         grad_in
-    }
-
-    // Batched `[c, b, d1, d2, d3]` pooling is the rank-4 kernel with
-    // `c·b` leading volumes (channel-major keeps each sample's volume
-    // contiguous); the absolute argmax indices make the backward scatter
-    // identical in both layouts. Windows are disjoint, so there is no
-    // accumulation-order question — per-sample bit identity is structural.
-    fn forward_batch_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        assert_eq!(
-            x.shape().len(),
-            5,
-            "maxpool batch expects [c, b, d1, d2, d3]"
-        );
-        self.forward_any(x, ws)
-    }
-
-    fn backward_batch_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        self.backward_in(grad_out, ws)
     }
 }
 
@@ -207,8 +160,7 @@ mod tests {
     #[test]
     fn pools_maxima_per_window() {
         let x = Tensor::from_fn4(&[1, 2, 2, 2], |_, a, b, c| (a * 4 + b * 2 + c) as f32);
-        let mut p = MaxPool3d::new();
-        let y = p.forward(&x);
+        let (y, _) = MaxPool3d::new().forward(&x, &mut NnWorkspace::new());
         assert_eq!(y.shape(), &[1, 1, 1, 1]);
         assert_eq!(y.data()[0], 7.0);
     }
@@ -216,8 +168,7 @@ mod tests {
     #[test]
     fn odd_axes_keep_tail_windows() {
         let x = Tensor::from_fn4(&[1, 3, 1, 1], |_, a, _, _| a as f32);
-        let mut p = MaxPool3d::new();
-        let y = p.forward(&x);
+        let (y, _) = MaxPool3d::new().forward(&x, &mut NnWorkspace::new());
         assert_eq!(y.shape(), &[1, 2, 1, 1]);
         assert_eq!(y.data(), &[1.0, 2.0]);
     }
@@ -226,17 +177,18 @@ mod tests {
     fn backward_routes_gradient_to_argmax() {
         let x = Tensor::from_vec(&[1, 2, 1, 1], vec![3.0, 5.0]).unwrap();
         let mut p = MaxPool3d::new();
-        let y = p.forward(&x);
+        let mut ws = NnWorkspace::new();
+        let (y, cache) = p.forward(&x, &mut ws);
         assert_eq!(y.data(), &[5.0]);
-        let g = p.backward(&Tensor::from_vec(&[1, 1, 1, 1], vec![2.0]).unwrap());
+        let g = Tensor::from_vec(&[1, 1, 1, 1], vec![2.0]).unwrap();
+        let g = p.backward(cache.unwrap(), g, &mut ws);
         assert_eq!(g.data(), &[0.0, 2.0]);
     }
 
     #[test]
     fn size_one_axes_pass_through() {
         let x = Tensor::from_fn4(&[2, 1, 1, 1], |c, _, _, _| c as f32);
-        let mut p = MaxPool3d::new();
-        let y = p.forward(&x);
+        let (y, _) = MaxPool3d::new().forward(&x, &mut NnWorkspace::new());
         assert_eq!(y.shape(), &[2, 1, 1, 1]);
         assert_eq!(y.data(), x.data());
     }

@@ -5,25 +5,28 @@ use crate::activation::Relu;
 use crate::conv3d::Conv3d;
 use crate::init::Initializer;
 use crate::layer::{Layer, Param};
-use crate::norm::GroupNorm;
 use crate::tensor::Tensor;
 use crate::workspace::NnWorkspace;
 
 /// A pre-activation-free residual block:
-/// `y = relu(conv2(norm?(relu(norm?(conv1(x))))) + proj(x))`,
+/// `y = relu(conv2(relu(conv1(x))) + proj(x))`,
 /// where `proj` is the identity when channel counts match and a `1×1×1`
-/// convolution otherwise, and the optional [`GroupNorm`]s are inserted by
-/// [`ResidualBlock::new_normed`].
+/// convolution otherwise.
 #[derive(Debug, Clone)]
 pub struct ResidualBlock {
     conv1: Conv3d,
-    norm1: Option<GroupNorm>,
-    relu1: Relu,
     conv2: Conv3d,
-    norm2: Option<GroupNorm>,
-    relu_out: Relu,
     projection: Option<Conv3d>,
-    forward_ran: bool,
+}
+
+/// What [`ResidualBlock`]'s backward needs: every sublayer's cache.
+#[derive(Debug)]
+pub struct ResidualCache {
+    conv1: Tensor,
+    relu1: Tensor,
+    conv2: Tensor,
+    projection: Option<Tensor>,
+    relu_out: Tensor,
 }
 
 impl ResidualBlock {
@@ -32,75 +35,14 @@ impl ResidualBlock {
     pub fn new(in_c: usize, out_c: usize, k: usize, init: &mut Initializer) -> Self {
         ResidualBlock {
             conv1: Conv3d::new(in_c, out_c, k, init),
-            norm1: None,
-            relu1: Relu::new(),
             conv2: Conv3d::new(out_c, out_c, k, init),
-            norm2: None,
-            relu_out: Relu::new(),
             projection: (in_c != out_c).then(|| Conv3d::new(in_c, out_c, 1, init)),
-            forward_ran: false,
-        }
-    }
-
-    /// Creates a residual block with a [`GroupNorm`] after each convolution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `groups` does not divide `out_c`.
-    pub fn new_normed(
-        in_c: usize,
-        out_c: usize,
-        k: usize,
-        groups: usize,
-        init: &mut Initializer,
-    ) -> Self {
-        ResidualBlock {
-            norm1: Some(GroupNorm::new(out_c, groups)),
-            norm2: Some(GroupNorm::new(out_c, groups)),
-            ..ResidualBlock::new(in_c, out_c, k, init)
         }
     }
 
     /// Output channel count.
     pub fn out_channels(&self) -> usize {
         self.conv2.out_channels()
-    }
-
-    /// Cache-free `&self` forward for the shared-selector inference path
-    /// (rank-4 single-sample only; the ReLUs clamp inline — the same
-    /// `max(0, ·)` per element as `forward_owned`, without masks).
-    /// Bit-identical to [`Layer::forward_in`].
-    pub fn infer_in(&self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let mut h = self.conv1.infer_in(x, ws);
-        if let Some(n) = &self.norm1 {
-            let y = n.infer_in(&h, ws);
-            ws.free(h);
-            h = y;
-        }
-        for v in h.data_mut() {
-            *v = v.max(0.0);
-        }
-        let y = self.conv2.infer_in(&h, ws);
-        ws.free(h);
-        h = y;
-        if let Some(n) = &self.norm2 {
-            let y = n.infer_in(&h, ws);
-            ws.free(h);
-            h = y;
-        }
-        let mut sum = h;
-        match &self.projection {
-            Some(proj) => {
-                let skip = proj.infer_in(x, ws);
-                sum.add_assign(&skip);
-                ws.free(skip);
-            }
-            None => sum.add_assign(x),
-        }
-        for v in sum.data_mut() {
-            *v = v.max(0.0);
-        }
-        sum
     }
 
     /// Routes every convolution through the naive reference loops
@@ -116,119 +58,52 @@ impl ResidualBlock {
 }
 
 impl Layer for ResidualBlock {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut ws = NnWorkspace::new();
-        self.forward_in(x, &mut ws)
-    }
+    type Cache = ResidualCache;
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = NnWorkspace::new();
-        let g = ws.alloc_copy(grad_out);
-        self.backward_in(g, &mut ws)
-    }
-
-    fn forward_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let mut h = self.conv1.forward_in(x, ws);
-        if let Some(n) = &mut self.norm1 {
-            let y = n.forward_in(&h, ws);
-            ws.free(h);
-            h = y;
-        }
-        h = self.relu1.forward_owned(h, ws);
-        let y = self.conv2.forward_in(&h, ws);
+    fn forward(&self, x: &Tensor, ws: &mut NnWorkspace) -> (Tensor, Option<ResidualCache>) {
+        let (h, conv1) = self.conv1.forward(x, ws);
+        let (h, relu1) = Relu::forward_owned(h, ws);
+        let (mut sum, conv2) = self.conv2.forward(&h, ws);
         ws.free(h);
-        h = y;
-        if let Some(n) = &mut self.norm2 {
-            let y = n.forward_in(&h, ws);
-            ws.free(h);
-            h = y;
-        }
-        let mut sum = h;
-        match &mut self.projection {
+        let projection = match &self.projection {
             Some(proj) => {
-                let skip = proj.forward_in(x, ws);
+                let (skip, cache) = proj.forward(x, ws);
                 sum.add_assign(&skip);
                 ws.free(skip);
+                cache
             }
-            None => sum.add_assign(x),
-        }
-        self.forward_ran = true;
-        self.relu_out.forward_owned(sum, ws)
-    }
-
-    fn backward_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        assert!(self.forward_ran, "residual backward without forward");
-        self.forward_ran = false;
-        let grad_sum = self.relu_out.backward_in(grad_out, ws);
-        // Main branch.
-        let mut g = ws.alloc_copy(&grad_sum);
-        if let Some(n) = &mut self.norm2 {
-            g = n.backward_in(g, ws);
-        }
-        g = self.conv2.backward_in(g, ws);
-        g = self.relu1.backward_in(g, ws);
-        if let Some(n) = &mut self.norm1 {
-            g = n.backward_in(g, ws);
-        }
-        let mut g_main = self.conv1.backward_in(g, ws);
-        // Skip branch.
-        let g_skip = match &mut self.projection {
-            Some(proj) => proj.backward_in(grad_sum, ws),
-            None => grad_sum,
+            None => {
+                sum.add_assign(x);
+                None
+            }
         };
-        g_main.add_assign(&g_skip);
-        ws.free(g_skip);
-        g_main
+        let (y, relu_out) = Relu::forward_owned(sum, ws);
+        let cache = match (conv1, relu1, conv2, relu_out) {
+            (Some(conv1), Some(relu1), Some(conv2), Some(relu_out)) => Some(ResidualCache {
+                conv1,
+                relu1,
+                conv2,
+                projection,
+                relu_out,
+            }),
+            _ => None,
+        };
+        (y, cache)
     }
 
-    // Batched passes: the same dataflow with every sublayer's batched
-    // variant (elementwise add/ReLU are layout-agnostic).
-    fn forward_batch_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let mut h = self.conv1.forward_batch_in(x, ws);
-        if let Some(n) = &mut self.norm1 {
-            let y = n.forward_batch_in(&h, ws);
-            ws.free(h);
-            h = y;
-        }
-        h = self.relu1.forward_owned(h, ws);
-        let y = self.conv2.forward_batch_in(&h, ws);
-        ws.free(h);
-        h = y;
-        if let Some(n) = &mut self.norm2 {
-            let y = n.forward_batch_in(&h, ws);
-            ws.free(h);
-            h = y;
-        }
-        let mut sum = h;
-        match &mut self.projection {
-            Some(proj) => {
-                let skip = proj.forward_batch_in(x, ws);
-                sum.add_assign(&skip);
-                ws.free(skip);
-            }
-            None => sum.add_assign(x),
-        }
-        self.forward_ran = true;
-        self.relu_out.forward_owned(sum, ws)
-    }
-
-    fn backward_batch_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        assert!(self.forward_ran, "residual backward without forward");
-        self.forward_ran = false;
-        let grad_sum = self.relu_out.backward_in(grad_out, ws);
-        let mut g = ws.alloc_copy(&grad_sum);
-        if let Some(n) = &mut self.norm2 {
-            g = n.backward_batch_in(g, ws);
-        }
-        g = self.conv2.backward_batch_in(g, ws);
-        g = self.relu1.backward_in(g, ws);
-        if let Some(n) = &mut self.norm1 {
-            g = n.backward_batch_in(g, ws);
-        }
-        let mut g_main = self.conv1.backward_batch_in(g, ws);
-        let g_skip = match &mut self.projection {
-            Some(proj) => proj.backward_batch_in(grad_sum, ws),
-            None => grad_sum,
+    fn backward(&mut self, cache: ResidualCache, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
+        let grad_sum = Relu.backward(cache.relu_out, grad_out, ws);
+        // Main branch.
+        let g = ws.alloc_copy(&grad_sum);
+        let g = self.conv2.backward(cache.conv2, g, ws);
+        let g = Relu.backward(cache.relu1, g, ws);
+        let mut g_main = self.conv1.backward(cache.conv1, g, ws);
+        // Skip branch.
+        let g_skip = match (&mut self.projection, cache.projection) {
+            (Some(proj), Some(pc)) => proj.backward(pc, grad_sum, ws),
+            (None, None) => grad_sum,
+            // lint: panic-ok(caller-contract guard: a cache from another block is API misuse and must fail loudly, not compute garbage gradients)
+            _ => panic!("residual backward with a cache from a different block"),
         };
         g_main.add_assign(&g_skip);
         ws.free(g_skip);
@@ -237,13 +112,7 @@ impl Layer for ResidualBlock {
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
         let mut ps = self.conv1.params_mut();
-        if let Some(n) = &mut self.norm1 {
-            ps.extend(n.params_mut());
-        }
         ps.extend(self.conv2.params_mut());
-        if let Some(n) = &mut self.norm2 {
-            ps.extend(n.params_mut());
-        }
         if let Some(proj) = &mut self.projection {
             ps.extend(proj.params_mut());
         }
@@ -256,12 +125,16 @@ mod tests {
     use super::*;
     use crate::gradcheck::check_layer_gradients;
 
+    fn fwd(b: &ResidualBlock, x: &Tensor) -> Tensor {
+        b.forward(x, &mut NnWorkspace::new()).0
+    }
+
     #[test]
     fn same_channel_block_has_no_projection() {
         let mut b = ResidualBlock::new(3, 3, 3, &mut Initializer::new(0));
         assert_eq!(b.params_mut().len(), 4); // two convs x (w, b)
         let x = Tensor::zeros(&[3, 2, 2, 2]);
-        assert_eq!(b.forward(&x).shape(), &[3, 2, 2, 2]);
+        assert_eq!(fwd(&b, &x).shape(), &[3, 2, 2, 2]);
     }
 
     #[test]
@@ -269,7 +142,7 @@ mod tests {
         let mut b = ResidualBlock::new(2, 5, 3, &mut Initializer::new(0));
         assert_eq!(b.params_mut().len(), 6);
         let x = Tensor::zeros(&[2, 3, 2, 1]);
-        assert_eq!(b.forward(&x).shape(), &[5, 3, 2, 1]);
+        assert_eq!(fwd(&b, &x).shape(), &[5, 3, 2, 1]);
     }
 
     #[test]
@@ -279,7 +152,7 @@ mod tests {
             p.value.fill(0.0);
         }
         let x = Tensor::from_fn4(&[2, 2, 2, 1], |c, a, bb, _| (c + a + bb) as f32 - 1.0);
-        let y = b.forward(&x);
+        let y = fwd(&b, &x);
         // With zero main branch and identity skip, y = relu(x).
         for (yv, xv) in y.data().iter().zip(x.data()) {
             assert_eq!(*yv, xv.max(0.0));
@@ -293,13 +166,6 @@ mod tests {
         check_layer_gradients(&mut b, &x, 1e-2, 3e-2);
     }
 
-    #[test]
-    fn gradcheck_normed_block() {
-        let mut b = ResidualBlock::new_normed(2, 4, 3, 2, &mut Initializer::new(11));
-        let x = Initializer::new(12).uniform(&[2, 2, 2, 1], 1.0);
-        check_layer_gradients(&mut b, &x, 1e-2, 4e-2);
-    }
-
     fn assert_bits_eq(a: &Tensor, b: &Tensor, what: &str) {
         assert_eq!(a.shape(), b.shape(), "{what}: shape");
         for (i, (p, q)) in a.data().iter().zip(b.data()).enumerate() {
@@ -307,14 +173,14 @@ mod tests {
         }
     }
 
-    /// Batched-vs-sequential bit identity through a **normed** block — the
-    /// U-Net itself carries no GroupNorms, so this is where the batched
-    /// normalization path gets its per-sample-identity coverage (per-sample
-    /// statistics, strided accumulation order, parameter gradients).
+    /// Batch-vs-per-sample bit identity through a projected block: one
+    /// batched forward/backward against B=1 calls in sample order
+    /// (outputs, input gradients, accumulated parameter gradients), and
+    /// the cache-free inference forward against the training forward.
     #[test]
-    fn normed_block_batched_matches_sequential_bitwise() {
+    fn batched_block_matches_per_sample_bitwise() {
         for &bsz in &[1usize, 3] {
-            let proto = ResidualBlock::new_normed(2, 4, 3, 2, &mut Initializer::new(21));
+            let proto = ResidualBlock::new(2, 4, 3, &mut Initializer::new(21));
             let xs: Vec<Tensor> = (0..bsz)
                 .map(|b| Initializer::new(30 + b as u64).uniform(&[2, 3, 2, 2], 1.0))
                 .collect();
@@ -327,16 +193,22 @@ mod tests {
             let mut ys = Vec::new();
             let mut gis = Vec::new();
             for b in 0..bsz {
-                ys.push(seq.forward_in(&xs[b], &mut ws));
-                gis.push(seq.backward_in(ws.alloc_copy(&gs[b]), &mut ws));
+                let (y, cache) = seq.forward(&xs[b], &mut ws);
+                gis.push(seq.backward(cache.unwrap(), ws.alloc_copy(&gs[b]), &mut ws));
+                ys.push(y);
             }
 
             let mut bat = proto.clone();
             let mut wsb = NnWorkspace::new();
             let x5 = Tensor::stack_batch(&xs.iter().collect::<Vec<_>>());
             let g5 = Tensor::stack_batch(&gs.iter().collect::<Vec<_>>());
-            let y5 = bat.forward_batch_in(&x5, &mut wsb);
-            let gi5 = bat.backward_batch_in(wsb.alloc_copy(&g5), &mut wsb);
+            let (y5, cache) = bat.forward(&x5, &mut wsb);
+            let gi5 = bat.backward(cache.unwrap(), wsb.alloc_copy(&g5), &mut wsb);
+
+            wsb.training = false;
+            let (y5_inf, none) = proto.forward(&x5, &mut wsb);
+            assert!(none.is_none(), "inference records no cache");
+            assert_bits_eq(&y5_inf, &y5, &format!("B{bsz} inference"));
 
             for b in 0..bsz {
                 assert_bits_eq(&y5.unstack_sample(b), &ys[b], &format!("B{bsz} y[{b}]"));
@@ -350,19 +222,6 @@ mod tests {
                 assert_bits_eq(&pb.grad, &ps.grad, &format!("B{bsz} param grad"));
             }
         }
-    }
-
-    /// The `&self` inference path through a normed, projected block must
-    /// match the training forward bit for bit.
-    #[test]
-    fn infer_in_matches_forward_bitwise() {
-        let proto = ResidualBlock::new_normed(2, 4, 3, 2, &mut Initializer::new(51));
-        let x = Initializer::new(52).uniform(&[2, 3, 2, 2], 1.0);
-        let mut owned = proto.clone();
-        let y_ref = owned.forward(&x);
-        let mut ws = NnWorkspace::new();
-        let y = proto.infer_in(&x, &mut ws);
-        assert_bits_eq(&y, &y_ref, "shared inference");
     }
 
     #[test]

@@ -150,6 +150,7 @@ mod tests {
     use crate::init::Initializer;
     use crate::tensor::Tensor;
     use crate::unet::{UNet3d, UNetConfig};
+    use crate::workspace::NnWorkspace;
 
     fn cfg(seed: u64) -> UNetConfig {
         UNetConfig {
@@ -170,8 +171,8 @@ mod tests {
         load_params(&mut dst, bytes.as_slice()).unwrap();
 
         let x = Initializer::new(1).uniform(&[2, 3, 3, 2], 1.0);
-        let ys = src.predict(&x);
-        let yd = dst.predict(&x);
+        let ys = src.predict_in(&x, &mut NnWorkspace::new());
+        let yd = dst.predict_in(&x, &mut NnWorkspace::new());
         assert_eq!(ys, yd, "loaded network must reproduce saved outputs");
     }
 
@@ -224,7 +225,8 @@ mod tests {
         let mut dst = UNet3d::new(cfg(4));
         load_from_file(&mut dst, &path).unwrap();
         let x = Tensor::zeros(&[2, 2, 2, 1]);
-        assert_eq!(src.predict(&x), dst.predict(&x));
+        let mut ws = NnWorkspace::new();
+        assert_eq!(src.predict_in(&x, &mut ws), dst.predict_in(&x, &mut ws));
         std::fs::remove_file(&path).ok();
     }
 }

@@ -307,6 +307,77 @@ impl Tensor {
     }
 }
 
+/// A tensor shape of rank ≤ 5 held on the stack, so layers can build
+/// output shapes and record input shapes without touching the heap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Shape {
+    dims: [usize; 5],
+    rank: usize,
+}
+
+impl Shape {
+    /// Copies a rank-1..=5 shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rank is 0 or above 5.
+    pub fn of(s: &[usize]) -> Shape {
+        assert!((1..=5).contains(&s.len()), "rank must be 1..=5, got {s:?}");
+        let mut dims = [0; 5];
+        dims[..s.len()].copy_from_slice(s);
+        Shape {
+            dims,
+            rank: s.len(),
+        }
+    }
+
+    /// The dimensions.
+    pub fn dims(&self) -> &[usize] {
+        &self.dims[..self.rank]
+    }
+
+    /// The same shape with `c` leading channels.
+    #[must_use]
+    pub fn with_channels(mut self, c: usize) -> Shape {
+        self.dims[0] = c;
+        self
+    }
+
+    /// The same shape with its trailing three (spatial) axes replaced.
+    #[must_use]
+    pub fn with_spatial(mut self, spatial: [usize; 3]) -> Shape {
+        self.dims[self.rank - 3..self.rank].copy_from_slice(&spatial);
+        self
+    }
+}
+
+/// `[C, B, d1, d2, d3]` of a channel-major batch. A rank-4
+/// `[C, d1, d2, d3]` sample reads as a batch of one: the two layouts are
+/// byte-identical, so every layer serves both through one code path.
+///
+/// # Panics
+///
+/// Panics unless the rank is 4 or 5.
+pub fn batch_dims(s: &[usize]) -> [usize; 5] {
+    assert!(
+        s.len() == 4 || s.len() == 5,
+        "expected [C, d1, d2, d3] or [C, B, d1, d2, d3], got {s:?}"
+    );
+    if s.len() == 4 {
+        [s[0], 1, s[1], s[2], s[3]]
+    } else {
+        [s[0], s[1], s[2], s[3], s[4]]
+    }
+}
+
+/// The leading-axis product (independent volumes: `c` for a rank-4
+/// sample, `c·b` for a channel-major batch) and the trailing three
+/// (spatial) axes of a shape.
+pub(crate) fn volumes(s: &[usize]) -> (usize, [usize; 3]) {
+    let n = s.len();
+    (s[..n - 3].iter().product(), [s[n - 3], s[n - 2], s[n - 1]])
+}
+
 impl fmt::Display for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "tensor {:?} ({} elements)", self.shape, self.data.len())

@@ -2,20 +2,27 @@
 //! (Section 3.3, Fig. 4).
 //!
 //! The network is image-in-image-out: a `[in_channels, H, V, M]` feature
-//! volume maps to a `[1, H, V, M]` logit volume for **any** spatial shape.
-//! Encoder levels apply a residual block then ceil-mode max pooling;
-//! the decoder upsamples back to each skip connection's exact shape,
-//! concatenates, and applies another residual block; a `1×1×1` convolution
-//! head produces per-vertex logits. Apply [`UNet3d::predict`] (sigmoid) to
-//! obtain the final selected probabilities of the paper.
+//! volume maps to a `[1, H, V, M]` logit volume for **any** spatial shape
+//! (and a channel-major `[in_channels, B, H, V, M]` batch to
+//! `[1, B, H, V, M]` — a rank-4 input is a batch of one). Encoder levels
+//! apply a residual block then ceil-mode max pooling; the decoder upsamples
+//! back to each skip connection's exact shape, concatenates, and applies
+//! another residual block; a `1×1×1` convolution head produces per-vertex
+//! logits. [`UNet3d::predict_in`] applies the sigmoid to obtain the final
+//! selected probabilities of the paper.
+//!
+//! The encoder/decoder dataflow is written once, in [`Layer::forward`]:
+//! training keeps the cache it returns for [`Layer::backward`], and
+//! `predict_in` runs the same pass with caches off through `&self`, so
+//! one network serves any number of threads without cloning weights.
 
 use crate::activation::sigmoid;
 use crate::conv3d::Conv3d;
 use crate::init::Initializer;
 use crate::layer::{Layer, Param};
-use crate::pool::MaxPool3d;
-use crate::residual::ResidualBlock;
-use crate::tensor::Tensor;
+use crate::pool::{MaxPool3d, PoolCache};
+use crate::residual::{ResidualBlock, ResidualCache};
+use crate::tensor::{batch_dims, volumes, Shape, Tensor};
 use crate::upsample::Upsample3d;
 use crate::workspace::NnWorkspace;
 use oarsmt_telemetry::Counter;
@@ -51,19 +58,24 @@ impl Default for UNetConfig {
 pub struct UNet3d {
     config: UNetConfig,
     enc: Vec<ResidualBlock>,
-    pools: Vec<MaxPool3d>,
     bottleneck: ResidualBlock,
-    ups: Vec<Upsample3d>,
     dec: Vec<ResidualBlock>,
     head: Conv3d,
     /// Channel count entering decoder level `i` from below (what gets
     /// upsampled).
     up_channels: Vec<usize>,
-    /// Whether a forward pass is pending its backward.
-    forward_ran: bool,
-    /// Reused stack: skip activations during forward, skip gradients
-    /// during backward. Always empty between passes.
-    scratch: Vec<Tensor>,
+}
+
+/// What [`UNet3d`]'s backward needs from its forward.
+#[derive(Debug)]
+pub struct UNetCache {
+    /// Per encoder level, shallowest first: block and pooling caches.
+    enc: Vec<(ResidualCache, PoolCache)>,
+    bottleneck: ResidualCache,
+    /// Per decoder level, deepest first: the upsample's input shape and
+    /// the block cache.
+    dec: Vec<(Shape, ResidualCache)>,
+    head: Tensor,
 }
 
 impl UNet3d {
@@ -78,14 +90,11 @@ impl UNet3d {
         let mut init = Initializer::new(config.seed);
         let c = |i: usize| config.base_channels << i;
         let mut enc = Vec::new();
-        let mut pools = Vec::new();
         for i in 0..config.levels {
             let in_c = if i == 0 { config.in_channels } else { c(i - 1) };
             enc.push(ResidualBlock::new(in_c, c(i), 3, &mut init));
-            pools.push(MaxPool3d::new());
         }
         let bottleneck = ResidualBlock::new(c(config.levels - 1), c(config.levels), 3, &mut init);
-        let mut ups = Vec::new();
         let mut dec = Vec::new();
         let mut up_channels = Vec::new();
         for i in 0..config.levels {
@@ -96,7 +105,6 @@ impl UNet3d {
             } else {
                 c(i + 1)
             };
-            ups.push(Upsample3d::to_shape([1, 1, 1]));
             dec.push(ResidualBlock::new(from_below + c(i), c(i), 3, &mut init));
             up_channels.push(from_below);
         }
@@ -104,14 +112,10 @@ impl UNet3d {
         UNet3d {
             config,
             enc,
-            pools,
             bottleneck,
-            ups,
             dec,
             head,
             up_channels,
-            forward_ran: false,
-            scratch: Vec::new(),
         }
     }
 
@@ -134,108 +138,24 @@ impl UNet3d {
             .fill(bias);
     }
 
-    /// Inference: per-vertex probabilities in `(0, 1)` — the "final selected
-    /// probability" array of the paper. Shape `[1, H, V, M]`.
-    pub fn predict(&mut self, x: &Tensor) -> Tensor {
-        self.predict_in(x, &mut NnWorkspace::new())
-    }
-
-    /// Workspace-threaded [`UNet3d::predict`]: runs the forward pass in
-    /// inference mode (no backward caches are recorded) with every
-    /// intermediate drawn from the workspace pool, and applies the sigmoid
-    /// in place on the logits. Bit-identical to `predict`.
-    pub fn predict_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let saved = ws.training;
-        ws.training = false;
-        let mut logits = self.forward_in(x, ws);
+    /// Inference: per-vertex probabilities in `(0, 1)` — the "final
+    /// selected probability" array of the paper — shaped `[1, H, V, M]`
+    /// for a rank-4 input and `[1, B, H, V, M]` for a channel-major batch.
+    ///
+    /// Runs [`Layer::forward`] with backward caches off and every
+    /// intermediate drawn from the workspace pool, then applies the
+    /// sigmoid in place on the logits. Takes `&self`, so owned, shared and
+    /// batched inference are this one call; sample `b` of a batch is
+    /// bit-identical to predicting it alone.
+    pub fn predict_in(&self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
+        let saved = std::mem::replace(&mut ws.training, false);
+        let (mut probs, cache) = self.forward(x, ws);
         ws.training = saved;
-        self.forward_ran = false; // inference leaves no pending backward
-        for v in logits.data_mut() {
-            *v = sigmoid(*v);
-        }
-        logits
-    }
-
-    /// Batched [`UNet3d::predict_in`] over a channel-major
-    /// `[in_channels, B, H, V, M]` stack of same-shape inputs: one pass
-    /// through the batched layers (GEMM `N = B·H·V·M`), sigmoid applied in
-    /// place. Sample `b` of the `[1, B, H, V, M]` result is bit-identical
-    /// to `predict_in` on that sample alone.
-    pub fn predict_batch_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let saved = ws.training;
-        ws.training = false;
-        let mut probs = self.forward_batch_in(x, ws);
-        ws.training = saved;
-        self.forward_ran = false; // inference leaves no pending backward
+        debug_assert!(cache.is_none(), "inference records no caches");
         for v in probs.data_mut() {
             *v = sigmoid(*v);
         }
         probs
-    }
-
-    /// Shared-selector inference: [`UNet3d::predict_in`] through `&self`,
-    /// so one network can serve many threads (or sit behind an `Arc`)
-    /// without cloning weights. No caches are written; results are
-    /// bit-identical to `predict_in`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network has more than 8 levels (fixed skip scratch).
-    pub fn infer_in(&self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        assert_eq!(x.shape().len(), 4);
-        assert_eq!(x.shape()[0], self.config.in_channels, "channel mismatch");
-        assert!(
-            self.config.levels <= 8,
-            "infer_in supports at most 8 levels"
-        );
-        ws.counters.add(Counter::GemmBatchCols, 1);
-        ws.counters.bump(Counter::BatchFlushes);
-        let outer_slot = ws.set_mac_slot(Counter::MacsOther);
-        let mut skips: [Option<Tensor>; 8] = std::array::from_fn(|_| None);
-        let mut cur: Option<Tensor> = None;
-        #[allow(clippy::needless_range_loop)] // `i` drives enc, skips, and the MAC slot
-        for i in 0..self.config.levels {
-            ws.set_mac_slot(Counter::enc_macs(i));
-            let y = self.enc[i].infer_in(cur.as_ref().unwrap_or(x), ws);
-            if let Some(t) = cur.take() {
-                ws.free(t);
-            }
-            let pooled = MaxPool3d::infer_apply(&y, ws);
-            skips[i] = Some(y);
-            cur = Some(pooled);
-        }
-        let mut cur = {
-            let t = cur.expect("levels > 0");
-            ws.set_mac_slot(Counter::MacsBottleneck);
-            let b = self.bottleneck.infer_in(&t, ws);
-            ws.free(t);
-            b
-        };
-        for i in (0..self.config.levels).rev() {
-            ws.set_mac_slot(Counter::dec_macs(i));
-            let skip = skips[i].take().expect("one skip per level");
-            let (s0, s1, s2, s3) = {
-                let s = skip.shape();
-                (s[0], s[1], s[2], s[3])
-            };
-            let up = Upsample3d::infer_apply(&cur, [s1, s2, s3], ws);
-            ws.free(cur);
-            let mut cat = ws.alloc(&[up.shape()[0] + s0, s1, s2, s3]);
-            cat.data_mut()[..up.len()].copy_from_slice(up.data());
-            cat.data_mut()[up.len()..].copy_from_slice(skip.data());
-            ws.free(up);
-            ws.free(skip);
-            cur = self.dec[i].infer_in(&cat, ws);
-            ws.free(cat);
-        }
-        ws.set_mac_slot(Counter::MacsHead);
-        let mut out = self.head.infer_in(&cur, ws);
-        ws.free(cur);
-        ws.restore_mac_slot(outer_slot);
-        for v in out.data_mut() {
-            *v = sigmoid(*v);
-        }
-        out
     }
 
     /// Routes every convolution through the naive reference loops
@@ -254,206 +174,127 @@ impl UNet3d {
 }
 
 impl Layer for UNet3d {
-    /// Forward pass producing **logits** of shape `[1, H, V, M]`.
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.forward_in(x, &mut NnWorkspace::new())
-    }
+    type Cache = UNetCache;
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = NnWorkspace::new();
-        let g = ws.alloc_copy(grad_out);
-        self.backward_in(g, &mut ws)
-    }
-
-    fn forward_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        assert_eq!(x.shape().len(), 4);
-        assert_eq!(x.shape()[0], self.config.in_channels, "channel mismatch");
-        debug_assert!(self.scratch.is_empty());
-        // A single-sample forward is a batch of one for the occupancy
-        // telemetry (`gemm_batch_cols / batch_flushes`).
-        ws.counters.add(Counter::GemmBatchCols, 1);
+    /// Forward pass producing **logits**, `[1, H, V, M]` per sample.
+    fn forward(&self, x: &Tensor, ws: &mut NnWorkspace) -> (Tensor, Option<UNetCache>) {
+        let [c, bsz, ..] = batch_dims(x.shape());
+        assert_eq!(c, self.config.in_channels, "channel mismatch");
+        // Occupancy telemetry (`gemm_batch_cols / batch_flushes`): B
+        // columns per pass, a rank-4 sample being a batch of one.
+        ws.counters.add(Counter::GemmBatchCols, bsz as u64);
         ws.counters.bump(Counter::BatchFlushes);
+        let levels = self.config.levels;
+        // lint: alloc-ok(training only: inference passes record no caches)
+        let mut enc_caches = ws.training().then(|| Vec::with_capacity(levels));
+        // lint: alloc-ok(training only: inference passes record no caches)
+        let mut dec_caches = ws.training().then(|| Vec::with_capacity(levels));
+        // Skip activations live on the workspace's reusable stack.
+        let mut skips = std::mem::take(&mut ws.skips);
+        debug_assert!(skips.is_empty());
         let outer_slot = ws.set_mac_slot(Counter::MacsOther);
         let mut cur: Option<Tensor> = None;
-        for i in 0..self.config.levels {
+        for (i, block) in self.enc.iter().enumerate() {
             ws.set_mac_slot(Counter::enc_macs(i));
-            let y = self.enc[i].forward_in(cur.as_ref().unwrap_or(x), ws);
+            let (y, block_cache) = block.forward(cur.as_ref().unwrap_or(x), ws);
             if let Some(t) = cur.take() {
                 ws.free(t);
             }
-            let pooled = self.pools[i].forward_in(&y, ws);
-            self.scratch.push(y);
+            let (pooled, pool_cache) = MaxPool3d.forward(&y, ws);
+            skips.push(y);
+            if let (Some(caches), Some(b), Some(p)) = (&mut enc_caches, block_cache, pool_cache) {
+                caches.push((b, p));
+            }
             cur = Some(pooled);
         }
-        let mut cur = {
-            // lint: panic-ok(structural: UNetConfig validates levels >= 1, so the encoder loop always ran and `cur` is Some)
-            let t = cur.expect("levels > 0");
-            ws.set_mac_slot(Counter::MacsBottleneck);
-            let b = self.bottleneck.forward_in(&t, ws);
-            ws.free(t);
-            b
-        };
-        for i in (0..self.config.levels).rev() {
+        // lint: panic-ok(structural: UNetConfig validates levels >= 1, so the encoder loop always ran and `cur` is Some)
+        let t = cur.expect("levels > 0");
+        ws.set_mac_slot(Counter::MacsBottleneck);
+        let (mut cur, bottleneck) = self.bottleneck.forward(&t, ws);
+        ws.free(t);
+        for (i, block) in self.dec.iter().enumerate().rev() {
             ws.set_mac_slot(Counter::dec_macs(i));
             // lint: panic-ok(structural: the encoder pushed exactly `levels` skips in this same call and the decoder pops each level once)
-            let skip = self.scratch.pop().expect("one skip per level");
-            let (s0, s1, s2, s3) = {
-                let s = skip.shape();
-                (s[0], s[1], s[2], s[3])
-            };
-            self.ups[i].set_target([s1, s2, s3]);
-            let up = self.ups[i].forward_in(&cur, ws);
+            let skip = skips.pop().expect("one skip per level");
+            let skip_shape = Shape::of(skip.shape());
+            let (up, up_shape) = Upsample3d::to_shape(volumes(skip.shape()).1).forward(&cur, ws);
             ws.free(cur);
-            // cat = [up ; skip] along channels, into a pooled buffer.
-            let mut cat = ws.alloc(&[up.shape()[0] + s0, s1, s2, s3]);
+            // cat = [up ; skip] along channels — two copies, because both
+            // ranks are channel-major.
+            let cat_c = up.shape()[0] + skip.shape()[0];
+            let mut cat = ws.alloc(skip_shape.with_channels(cat_c).dims());
             cat.data_mut()[..up.len()].copy_from_slice(up.data());
             cat.data_mut()[up.len()..].copy_from_slice(skip.data());
             ws.free(up);
             ws.free(skip);
-            cur = self.dec[i].forward_in(&cat, ws);
+            let (y, block_cache) = block.forward(&cat, ws);
             ws.free(cat);
+            if let (Some(caches), Some(u), Some(b)) = (&mut dec_caches, up_shape, block_cache) {
+                caches.push((u, b));
+            }
+            cur = y;
         }
-        self.forward_ran = true;
+        ws.skips = skips;
         ws.set_mac_slot(Counter::MacsHead);
-        let out = self.head.forward_in(&cur, ws);
+        let (out, head) = self.head.forward(&cur, ws);
         ws.free(cur);
         ws.restore_mac_slot(outer_slot);
-        out
+        let cache = match (enc_caches, bottleneck, dec_caches, head) {
+            (Some(enc), Some(bottleneck), Some(dec), Some(head)) => Some(UNetCache {
+                enc,
+                bottleneck,
+                dec,
+                head,
+            }),
+            _ => None,
+        };
+        (out, cache)
     }
 
-    fn backward_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        assert!(self.forward_ran, "unet backward without forward");
-        self.forward_ran = false;
-        debug_assert!(self.scratch.is_empty());
+    fn backward(&mut self, cache: UNetCache, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
+        let UNetCache {
+            enc,
+            bottleneck,
+            dec,
+            head,
+        } = cache;
+        // Skip gradients live on the workspace's reusable stack.
+        let mut skips = std::mem::take(&mut ws.skips);
+        debug_assert!(skips.is_empty());
         let outer_slot = ws.set_mac_slot(Counter::MacsHead);
-        let mut grad = self.head.backward_in(grad_out, ws);
-        for i in 0..self.config.levels {
+        let mut grad = self.head.backward(head, grad_out, ws);
+        // Decoder caches were recorded deepest first: reversed, level `i`
+        // ascends from the shallowest.
+        for (i, (up_shape, block_cache)) in dec.into_iter().rev().enumerate() {
             ws.set_mac_slot(Counter::dec_macs(i));
-            grad = self.dec[i].backward_in(grad, ws);
+            grad = self.dec[i].backward(block_cache, grad, ws);
             // Split [g_up ; g_skip] along channels (pooled buffers).
             let c0 = self.up_channels[i];
-            let s = grad.shape().to_vec();
-            assert!(c0 < s[0], "split point must leave both halves");
-            let spatial = s[1] * s[2] * s[3];
-            let mut g_up = ws.alloc(&[c0, s[1], s[2], s[3]]);
-            let mut g_skip = ws.alloc(&[s[0] - c0, s[1], s[2], s[3]]);
-            g_up.data_mut()
-                .copy_from_slice(&grad.data()[..c0 * spatial]);
-            g_skip
-                .data_mut()
-                .copy_from_slice(&grad.data()[c0 * spatial..]);
+            let shape = Shape::of(grad.shape());
+            let c = grad.shape()[0];
+            assert!(c0 < c, "split point must leave both halves");
+            let split = c0 * (grad.len() / c);
+            let mut g_up = ws.alloc(shape.with_channels(c0).dims());
+            let mut g_skip = ws.alloc(shape.with_channels(c - c0).dims());
+            g_up.data_mut().copy_from_slice(&grad.data()[..split]);
+            g_skip.data_mut().copy_from_slice(&grad.data()[split..]);
             ws.free(grad);
-            self.scratch.push(g_skip);
-            grad = self.ups[i].backward_in(g_up, ws);
+            skips.push(g_skip);
+            let mut up = Upsample3d::to_shape(volumes(g_up.shape()).1);
+            grad = up.backward(up_shape, g_up, ws);
         }
         ws.set_mac_slot(Counter::MacsBottleneck);
-        grad = self.bottleneck.backward_in(grad, ws);
-        for i in (0..self.config.levels).rev() {
+        grad = self.bottleneck.backward(bottleneck, grad, ws);
+        for (i, (block_cache, pool_cache)) in enc.into_iter().enumerate().rev() {
             ws.set_mac_slot(Counter::enc_macs(i));
-            grad = self.pools[i].backward_in(grad, ws);
-            let g_skip = self.scratch.pop().expect("one skip gradient per level");
+            grad = MaxPool3d.backward(pool_cache, grad, ws);
+            // lint: panic-ok(structural: the decoder pushed exactly one skip gradient per level in this same call)
+            let g_skip = skips.pop().expect("one skip gradient per level");
             grad.add_assign(&g_skip);
             ws.free(g_skip);
-            grad = self.enc[i].backward_in(grad, ws);
+            grad = self.enc[i].backward(block_cache, grad, ws);
         }
-        ws.restore_mac_slot(outer_slot);
-        grad
-    }
-
-    /// Batched forward over channel-major `[in_channels, B, H, V, M]`
-    /// stacks, producing `[1, B, H, V, M]` logits. Same dataflow as
-    /// [`Layer::forward_in`] with every sublayer's batched variant; the
-    /// skip concatenation stays two `copy_from_slice`s because rank-5 is
-    /// channel-major too.
-    fn forward_batch_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        assert_eq!(x.shape().len(), 5);
-        assert_eq!(x.shape()[0], self.config.in_channels, "channel mismatch");
-        debug_assert!(self.scratch.is_empty());
-        ws.counters.add(Counter::GemmBatchCols, x.shape()[1] as u64);
-        ws.counters.bump(Counter::BatchFlushes);
-        let outer_slot = ws.set_mac_slot(Counter::MacsOther);
-        let mut cur: Option<Tensor> = None;
-        for i in 0..self.config.levels {
-            ws.set_mac_slot(Counter::enc_macs(i));
-            let y = self.enc[i].forward_batch_in(cur.as_ref().unwrap_or(x), ws);
-            if let Some(t) = cur.take() {
-                ws.free(t);
-            }
-            let pooled = self.pools[i].forward_batch_in(&y, ws);
-            self.scratch.push(y);
-            cur = Some(pooled);
-        }
-        let mut cur = {
-            // lint: panic-ok(structural: UNetConfig validates levels >= 1, so the encoder loop always ran and `cur` is Some)
-            let t = cur.expect("levels > 0");
-            ws.set_mac_slot(Counter::MacsBottleneck);
-            let b = self.bottleneck.forward_batch_in(&t, ws);
-            ws.free(t);
-            b
-        };
-        for i in (0..self.config.levels).rev() {
-            ws.set_mac_slot(Counter::dec_macs(i));
-            // lint: panic-ok(structural: the encoder pushed exactly `levels` skips in this same call and the decoder pops each level once)
-            let skip = self.scratch.pop().expect("one skip per level");
-            let (s0, sb, s1, s2, s3) = {
-                let s = skip.shape();
-                (s[0], s[1], s[2], s[3], s[4])
-            };
-            self.ups[i].set_target([s1, s2, s3]);
-            let up = self.ups[i].forward_batch_in(&cur, ws);
-            ws.free(cur);
-            let mut cat = ws.alloc(&[up.shape()[0] + s0, sb, s1, s2, s3]);
-            cat.data_mut()[..up.len()].copy_from_slice(up.data());
-            cat.data_mut()[up.len()..].copy_from_slice(skip.data());
-            ws.free(up);
-            ws.free(skip);
-            cur = self.dec[i].forward_batch_in(&cat, ws);
-            ws.free(cat);
-        }
-        self.forward_ran = true;
-        ws.set_mac_slot(Counter::MacsHead);
-        let out = self.head.forward_batch_in(&cur, ws);
-        ws.free(cur);
-        ws.restore_mac_slot(outer_slot);
-        out
-    }
-
-    fn backward_batch_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        assert!(self.forward_ran, "unet backward without forward");
-        self.forward_ran = false;
-        debug_assert!(self.scratch.is_empty());
-        let outer_slot = ws.set_mac_slot(Counter::MacsHead);
-        let mut grad = self.head.backward_batch_in(grad_out, ws);
-        for i in 0..self.config.levels {
-            ws.set_mac_slot(Counter::dec_macs(i));
-            grad = self.dec[i].backward_batch_in(grad, ws);
-            let c0 = self.up_channels[i];
-            let (sc, sb, s1, s2, s3) = {
-                let s = grad.shape();
-                (s[0], s[1], s[2], s[3], s[4])
-            };
-            assert!(c0 < sc, "split point must leave both halves");
-            let stride = sb * s1 * s2 * s3;
-            let mut g_up = ws.alloc(&[c0, sb, s1, s2, s3]);
-            let mut g_skip = ws.alloc(&[sc - c0, sb, s1, s2, s3]);
-            g_up.data_mut().copy_from_slice(&grad.data()[..c0 * stride]);
-            g_skip
-                .data_mut()
-                .copy_from_slice(&grad.data()[c0 * stride..]);
-            ws.free(grad);
-            self.scratch.push(g_skip);
-            grad = self.ups[i].backward_batch_in(g_up, ws);
-        }
-        ws.set_mac_slot(Counter::MacsBottleneck);
-        grad = self.bottleneck.backward_batch_in(grad, ws);
-        for i in (0..self.config.levels).rev() {
-            ws.set_mac_slot(Counter::enc_macs(i));
-            grad = self.pools[i].backward_batch_in(grad, ws);
-            let g_skip = self.scratch.pop().expect("one skip gradient per level");
-            grad.add_assign(&g_skip);
-            ws.free(g_skip);
-            grad = self.enc[i].backward_batch_in(grad, ws);
-        }
+        ws.skips = skips;
         ws.restore_mac_slot(outer_slot);
         grad
     }
@@ -486,21 +327,34 @@ mod tests {
         })
     }
 
+    fn logits(net: &UNet3d, x: &Tensor) -> Tensor {
+        net.forward(x, &mut NnWorkspace::new()).0
+    }
+
+    /// One training pass with `dL/dy = y`: returns the logits and the
+    /// input gradient (parameter gradients accumulate in `net`).
+    fn train_pass(net: &mut UNet3d, x: &Tensor, ws: &mut NnWorkspace) -> (Tensor, Tensor) {
+        let (y, cache) = net.forward(x, ws);
+        let g = ws.alloc_copy(&y);
+        let gi = net.backward(cache.expect("training workspace records caches"), g, ws);
+        (y, gi)
+    }
+
     #[test]
     fn output_is_single_channel_same_spatial_shape() {
-        let mut net = tiny_net(0);
+        let net = tiny_net(0);
         for dims in [[4, 4, 2], [5, 3, 1], [7, 2, 3], [1, 1, 1], [9, 9, 4]] {
             let x = Tensor::zeros(&[2, dims[0], dims[1], dims[2]]);
-            let y = net.forward(&x);
+            let y = logits(&net, &x);
             assert_eq!(y.shape(), &[1, dims[0], dims[1], dims[2]], "dims {dims:?}");
         }
     }
 
     #[test]
     fn predict_outputs_probabilities() {
-        let mut net = tiny_net(1);
+        let net = tiny_net(1);
         let x = Initializer::new(2).uniform(&[2, 4, 5, 2], 1.0);
-        let p = net.predict(&x);
+        let p = net.predict_in(&x, &mut NnWorkspace::new());
         for &v in p.data() {
             assert!(v > 0.0 && v < 1.0);
         }
@@ -508,23 +362,43 @@ mod tests {
 
     #[test]
     fn deeper_nets_still_handle_tiny_inputs() {
-        let mut net = UNet3d::new(UNetConfig {
+        let net = UNet3d::new(UNetConfig {
             in_channels: 3,
             base_channels: 2,
             levels: 3,
             seed: 4,
         });
         let x = Tensor::zeros(&[3, 3, 2, 1]);
-        let y = net.forward(&x);
-        assert_eq!(y.shape(), &[1, 3, 2, 1]);
+        assert_eq!(logits(&net, &x).shape(), &[1, 3, 2, 1]);
+    }
+
+    /// No level cap: the skip stack lives in the workspace and grows with
+    /// the network, so a 9-level net runs inference and training alike.
+    #[test]
+    fn nine_level_net_predicts_and_trains() {
+        let mut net = UNet3d::new(UNetConfig {
+            in_channels: 2,
+            base_channels: 1,
+            levels: 9,
+            seed: 6,
+        });
+        let x = Initializer::new(7).uniform(&[2, 3, 2, 2], 1.0);
+        let mut ws = NnWorkspace::new();
+        let p = net.predict_in(&x, &mut ws);
+        assert_eq!(p.shape(), &[1, 3, 2, 2]);
+        let (y, gi) = train_pass(&mut net, &x, &mut ws);
+        assert_eq!(gi.shape(), x.shape());
+        for (pv, yv) in p.data().iter().zip(y.data()) {
+            assert_eq!(pv.to_bits(), sigmoid(*yv).to_bits());
+        }
     }
 
     #[test]
     fn same_seed_same_output() {
         let x = Initializer::new(11).uniform(&[2, 4, 4, 2], 1.0);
-        let ya = tiny_net(42).forward(&x);
-        let yb = tiny_net(42).forward(&x);
-        let yc = tiny_net(43).forward(&x);
+        let ya = logits(&tiny_net(42), &x);
+        let yb = logits(&tiny_net(42), &x);
+        let yc = logits(&tiny_net(43), &x);
         assert_eq!(ya, yb);
         assert_ne!(ya, yc);
     }
@@ -558,8 +432,7 @@ mod tests {
     fn backward_returns_input_shaped_gradient() {
         let mut net = tiny_net(9);
         let x = Initializer::new(10).uniform(&[2, 5, 4, 2], 1.0);
-        let y = net.forward(&x);
-        let g = net.backward(&y);
+        let (_, g) = train_pass(&mut net, &x, &mut NnWorkspace::new());
         assert_eq!(g.shape(), x.shape());
     }
 
@@ -588,13 +461,9 @@ mod tests {
             let mut naive = fast.clone();
             naive.set_naive(true);
             let x = Initializer::new(seed + 100).uniform(&[3, dims[0], dims[1], dims[2]], 1.0);
-            let mut ws = NnWorkspace::new();
-            let y_fast = fast.forward_in(&x, &mut ws);
-            let y_naive = naive.forward(&x);
+            let (y_fast, gi_fast) = train_pass(&mut fast, &x, &mut NnWorkspace::new());
+            let (y_naive, gi_naive) = train_pass(&mut naive, &x, &mut NnWorkspace::new());
             assert_bits_eq(&y_fast, &y_naive, "logits");
-            let g = ws.alloc_copy(&y_fast);
-            let gi_fast = fast.backward_in(g, &mut ws);
-            let gi_naive = naive.backward(&y_naive);
             assert_bits_eq(&gi_fast, &gi_naive, "input grad");
             for (pf, pn) in fast.params_mut().iter().zip(naive.params_mut().iter()) {
                 assert_bits_eq(&pf.grad, &pn.grad, "param grad");
@@ -602,11 +471,10 @@ mod tests {
         }
     }
 
-    /// Whole-network batched-vs-sequential bit identity: logits, input
+    /// Whole-network batch-vs-per-sample bit identity: logits, input
     /// gradients and accumulated parameter gradients of one batched pass
-    /// must equal running the single-sample pass over the samples in
-    /// order, for every batch size — and the batched naive oracle must
-    /// agree with the batched GEMM route.
+    /// must equal B=1 passes over the samples in order, for every batch
+    /// size — and the naive oracle must agree with the GEMM route.
     #[test]
     fn batched_network_matches_sequential_bitwise() {
         for (levels, dims, seed) in [
@@ -630,21 +498,12 @@ mod tests {
 
                 let mut seq = proto.clone();
                 let mut ws = NnWorkspace::new();
-                let mut ys = Vec::new();
-                let mut gis = Vec::new();
-                for x in &xs {
-                    let y = seq.forward_in(x, &mut ws);
-                    let g = ws.alloc_copy(&y);
-                    gis.push(seq.backward_in(g, &mut ws));
-                    ys.push(y);
-                }
+                let (ys, gis): (Vec<Tensor>, Vec<Tensor>) =
+                    xs.iter().map(|x| train_pass(&mut seq, x, &mut ws)).unzip();
 
                 let mut bat = proto.clone();
-                let mut wsb = NnWorkspace::new();
                 let x5 = Tensor::stack_batch(&xs.iter().collect::<Vec<_>>());
-                let y5 = bat.forward_batch_in(&x5, &mut wsb);
-                let g5 = wsb.alloc_copy(&y5);
-                let gi5 = bat.backward_batch_in(g5, &mut wsb);
+                let (y5, gi5) = train_pass(&mut bat, &x5, &mut NnWorkspace::new());
 
                 let what = format!("levels {levels} B{bsz}");
                 for b in 0..bsz {
@@ -661,36 +520,29 @@ mod tests {
 
                 let mut nv = proto.clone();
                 nv.set_naive(true);
-                let mut wsn = NnWorkspace::new();
-                let yn = nv.forward_batch_in(&x5, &mut wsn);
-                let gn = wsn.alloc_copy(&yn);
-                let gin = nv.backward_batch_in(gn, &mut wsn);
+                let (yn, gin) = train_pass(&mut nv, &x5, &mut NnWorkspace::new());
                 assert_bits_eq(&yn, &y5, &format!("{what} naive y"));
                 assert_bits_eq(&gin, &gi5, &format!("{what} naive grad_in"));
             }
         }
     }
 
-    /// `predict_batch_in` per-sample bit identity with `predict_in`, plus
-    /// the occupancy counters: B columns, one flush.
+    /// `predict_in` on a batch is bit-identical per sample to `predict_in`
+    /// on each sample alone, restores training mode, and counts B columns
+    /// in one flush.
     #[test]
-    fn predict_batch_in_matches_predict_in_per_sample() {
-        let proto = tiny_net(61);
+    fn batched_predict_matches_per_sample_predict() {
+        let net = tiny_net(61);
         let xs: Vec<Tensor> = (0..3)
             .map(|b| Initializer::new(62 + b).uniform(&[2, 5, 3, 4], 1.0))
             .collect();
-        let mut single = proto.clone();
         let mut ws = NnWorkspace::new();
-        let ps: Vec<Tensor> = xs.iter().map(|x| single.predict_in(x, &mut ws)).collect();
+        let ps: Vec<Tensor> = xs.iter().map(|x| net.predict_in(x, &mut ws)).collect();
 
-        let mut bat = proto.clone();
         let mut wsb = NnWorkspace::new();
         let x5 = Tensor::stack_batch(&xs.iter().collect::<Vec<_>>());
-        let p5 = bat.predict_batch_in(&x5, &mut wsb);
-        assert!(
-            wsb.training(),
-            "predict_batch_in must restore training mode"
-        );
+        let p5 = net.predict_in(&x5, &mut wsb);
+        assert!(wsb.training(), "predict_in must restore training mode");
         for (b, p) in ps.iter().enumerate() {
             assert_bits_eq(&p5.unstack_sample(b), p, &format!("probs[{b}]"));
         }
@@ -698,44 +550,24 @@ mod tests {
         assert_eq!(wsb.counters.get(Counter::BatchFlushes), 1);
     }
 
-    /// The `&self` shared-inference path must reproduce `predict_in`
-    /// bit for bit (and leave no caches behind by construction).
-    #[test]
-    fn infer_in_matches_predict_in() {
-        let proto = tiny_net(71);
-        let mut owned = proto.clone();
-        let mut ws = NnWorkspace::new();
-        for (i, dims) in [[4, 4, 2], [5, 3, 1], [7, 2, 3]].iter().enumerate() {
-            let x = Initializer::new(72 + i as u64).uniform(&[2, dims[0], dims[1], dims[2]], 1.0);
-            let p_ref = owned.predict_in(&x, &mut ws);
-            let shared = &proto;
-            let p = shared.infer_in(&x, &mut ws);
-            assert_bits_eq(&p, &p_ref, "shared inference");
-            ws.free(p_ref);
-            ws.free(p);
-        }
-    }
-
     /// Reusing one workspace across passes must not change any bit, and
-    /// `predict_in` must match legacy `predict`.
+    /// `predict_in` is the sigmoid of the training forward's logits.
     #[test]
     fn workspace_reuse_is_bitwise_stable() {
-        let mut legacy = tiny_net(31);
-        let mut pooled = legacy.clone();
+        let mut fresh = tiny_net(31);
+        let mut pooled = fresh.clone();
         let x = Initializer::new(32).uniform(&[2, 5, 3, 4], 1.0);
-        let y_ref = legacy.forward(&x);
-        let gi_ref = legacy.backward(&y_ref);
-        let p_ref = legacy.predict(&x);
+        let (y_ref, gi_ref) = train_pass(&mut fresh, &x, &mut NnWorkspace::new());
         let mut ws = NnWorkspace::new();
         for _ in 0..2 {
             pooled.zero_grad();
-            let y = pooled.forward_in(&x, &mut ws);
+            let (y, gi) = train_pass(&mut pooled, &x, &mut ws);
             assert_bits_eq(&y, &y_ref, "logits");
-            let g = ws.alloc_copy(&y);
-            let gi = pooled.backward_in(g, &mut ws);
             assert_bits_eq(&gi, &gi_ref, "input grad");
             let p = pooled.predict_in(&x, &mut ws);
-            assert_bits_eq(&p, &p_ref, "probabilities");
+            for (pv, yv) in p.data().iter().zip(y_ref.data()) {
+                assert_eq!(pv.to_bits(), sigmoid(*yv).to_bits(), "probabilities");
+            }
             assert!(ws.training(), "predict_in must restore training mode");
             ws.free(y);
             ws.free(gi);

@@ -7,65 +7,26 @@
 //! pass accumulates gradients onto the source cells.
 
 use crate::layer::Layer;
-use crate::tensor::Tensor;
+use crate::tensor::{volumes, Shape, Tensor};
 use crate::workspace::{NnWorkspace, ProfKind};
 
 /// Nearest-neighbor upsampling to a fixed target spatial shape.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Upsample3d {
     target: [usize; 3],
-    in_shape: Option<[usize; 4]>,
-    /// `0` after a rank-4 forward; the batch size after a batched rank-5
-    /// forward (which way to rebuild the input-gradient shape).
-    in_batch: usize,
 }
 
 impl Upsample3d {
-    /// Creates an upsampler producing `[c, target[0], target[1], target[2]]`
-    /// outputs.
+    /// Creates an upsampler mapping the trailing three axes of its input to
+    /// `target` (leading channel and batch axes pass through).
     pub fn to_shape(target: [usize; 3]) -> Self {
-        Upsample3d {
-            target,
-            in_shape: None,
-            in_batch: 0,
-        }
-    }
-
-    /// Changes the target shape (the U-Net reuses one upsampler per level
-    /// across inputs of different sizes).
-    pub fn set_target(&mut self, target: [usize; 3]) {
-        self.target = target;
+        Upsample3d { target }
     }
 
     /// Source index for an output index along one axis.
     #[inline]
     fn src(i: usize, in_d: usize, out_d: usize) -> usize {
         (i * in_d / out_d).min(in_d - 1)
-    }
-
-    /// Stateless upsample to `target` for the shared-selector inference
-    /// path. Works on rank-4 and (channel-major) rank-5 inputs alike.
-    pub fn infer_apply(x: &Tensor, target: [usize; 3], ws: &mut NnWorkspace) -> Tensor {
-        let t = ws.prof_start();
-        let s = x.shape();
-        let n = s.len();
-        let c_eff: usize = s[..n - 3].iter().product();
-        let [o1, o2, o3] = target;
-        // Fixed rank ≤ 5: build the output shape on the stack so the warm
-        // inference loop stays allocation-free.
-        let mut shape = [0usize; 5];
-        shape[..n].copy_from_slice(s);
-        shape[n - 3..n].copy_from_slice(&target);
-        let mut out = ws.alloc(&shape[..n]);
-        up_core(
-            x.data(),
-            c_eff,
-            [s[n - 3], s[n - 2], s[n - 1]],
-            [o1, o2, o3],
-            out.data_mut(),
-        );
-        ws.prof_end(t, ProfKind::UpFwd);
-        out
     }
 }
 
@@ -113,76 +74,32 @@ fn up_back_core(gd: &[f32], c_eff: usize, din: [usize; 3], dout: [usize; 3], gi:
 }
 
 impl Layer for Upsample3d {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut ws = NnWorkspace::new();
-        self.forward_in(x, &mut ws)
-    }
+    /// The input shape.
+    type Cache = Shape;
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = NnWorkspace::new();
-        let g = ws.alloc_copy(grad_out);
-        self.backward_in(g, &mut ws)
-    }
-
-    fn forward_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
+    fn forward(&self, x: &Tensor, ws: &mut NnWorkspace) -> (Tensor, Option<Shape>) {
         let t = ws.prof_start();
-        let s = x.shape();
-        assert_eq!(s.len(), 4, "upsample expects [c, d1, d2, d3]");
-        let (c, d1, d2, d3) = (s[0], s[1], s[2], s[3]);
-        let [o1, o2, o3] = self.target;
-        let mut out = ws.alloc(&[c, o1, o2, o3]);
-        up_core(x.data(), c, [d1, d2, d3], self.target, out.data_mut());
-        self.in_shape = Some([c, d1, d2, d3]);
-        self.in_batch = 0;
+        let in_shape = Shape::of(x.shape());
+        let (c_eff, din) = volumes(x.shape());
+        let mut out = ws.alloc(in_shape.with_spatial(self.target).dims());
+        up_core(x.data(), c_eff, din, self.target, out.data_mut());
         ws.prof_end(t, ProfKind::UpFwd);
-        out
+        (out, ws.training().then_some(in_shape))
     }
 
-    fn backward_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
+    fn backward(&mut self, in_shape: Shape, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
         let t = ws.prof_start();
-        let in_shape = self
-            .in_shape
-            .take()
-            .expect("upsample backward without forward");
-        let [c, d1, d2, d3] = in_shape;
-        let [o1, o2, o3] = self.target;
-        let bsz = self.in_batch;
-        let mut grad_in = if bsz == 0 {
-            assert_eq!(grad_out.shape(), &[c, o1, o2, o3]);
-            ws.alloc(&in_shape)
-        } else {
-            assert_eq!(grad_out.shape(), &[c, bsz, o1, o2, o3]);
-            ws.alloc(&[c, bsz, d1, d2, d3])
-        };
-        let c_eff = c * bsz.max(1);
-        up_back_core(
-            grad_out.data(),
-            c_eff,
-            [d1, d2, d3],
-            self.target,
-            grad_in.data_mut(),
+        assert_eq!(
+            grad_out.shape(),
+            in_shape.with_spatial(self.target).dims(),
+            "upsample gradient shape"
         );
+        let (c_eff, din) = volumes(in_shape.dims());
+        let mut grad_in = ws.alloc(in_shape.dims());
+        up_back_core(grad_out.data(), c_eff, din, self.target, grad_in.data_mut());
         ws.free(grad_out);
         ws.prof_end(t, ProfKind::UpBwd);
         grad_in
-    }
-
-    fn forward_batch_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let t = ws.prof_start();
-        let s = x.shape();
-        assert_eq!(s.len(), 5, "upsample batch expects [c, b, d1, d2, d3]");
-        let (c, bsz, d1, d2, d3) = (s[0], s[1], s[2], s[3], s[4]);
-        let [o1, o2, o3] = self.target;
-        let mut out = ws.alloc(&[c, bsz, o1, o2, o3]);
-        up_core(x.data(), c * bsz, [d1, d2, d3], self.target, out.data_mut());
-        self.in_shape = Some([c, d1, d2, d3]);
-        self.in_batch = bsz;
-        ws.prof_end(t, ProfKind::UpFwd);
-        out
-    }
-
-    fn backward_batch_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        self.backward_in(grad_out, ws)
     }
 }
 
@@ -193,8 +110,7 @@ mod tests {
     #[test]
     fn doubling_replicates_each_cell() {
         let x = Tensor::from_vec(&[1, 2, 1, 1], vec![1.0, 2.0]).unwrap();
-        let mut u = Upsample3d::to_shape([4, 1, 1]);
-        let y = u.forward(&x);
+        let (y, _) = Upsample3d::to_shape([4, 1, 1]).forward(&x, &mut NnWorkspace::new());
         assert_eq!(y.data(), &[1.0, 1.0, 2.0, 2.0]);
     }
 
@@ -202,8 +118,7 @@ mod tests {
     fn restores_odd_shapes_after_ceil_pooling() {
         // 5 pooled (ceil) -> 3; upsample back to 5.
         let x = Tensor::from_vec(&[1, 3, 1, 1], vec![10.0, 20.0, 30.0]).unwrap();
-        let mut u = Upsample3d::to_shape([5, 1, 1]);
-        let y = u.forward(&x);
+        let (y, _) = Upsample3d::to_shape([5, 1, 1]).forward(&x, &mut NnWorkspace::new());
         assert_eq!(y.shape(), &[1, 5, 1, 1]);
         // floor(i * 3 / 5): 0,0,1,1,2
         assert_eq!(y.data(), &[10.0, 10.0, 20.0, 20.0, 30.0]);
@@ -213,15 +128,17 @@ mod tests {
     fn backward_accumulates_replicated_gradients() {
         let x = Tensor::from_vec(&[1, 2, 1, 1], vec![0.0, 0.0]).unwrap();
         let mut u = Upsample3d::to_shape([4, 1, 1]);
-        u.forward(&x);
-        let g = u.backward(&Tensor::from_vec(&[1, 4, 1, 1], vec![1.0, 2.0, 3.0, 4.0]).unwrap());
+        let mut ws = NnWorkspace::new();
+        let (_, cache) = u.forward(&x, &mut ws);
+        let g = Tensor::from_vec(&[1, 4, 1, 1], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        let g = u.backward(cache.unwrap(), g, &mut ws);
         assert_eq!(g.data(), &[3.0, 7.0]);
     }
 
     #[test]
     fn identity_when_shapes_match() {
         let x = Tensor::from_fn4(&[2, 2, 3, 1], |c, a, b, _| (c * 10 + a + b) as f32);
-        let mut u = Upsample3d::to_shape([2, 3, 1]);
-        assert_eq!(u.forward(&x), x);
+        let u = Upsample3d::to_shape([2, 3, 1]);
+        assert_eq!(u.forward(&x, &mut NnWorkspace::new()).0, x);
     }
 }

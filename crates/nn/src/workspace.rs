@@ -1,7 +1,7 @@
 //! The zero-allocation scratch arena of the NN hot path.
 //!
 //! Selector inference runs once per MCTS search and selector training runs
-//! `UNet3d::forward`/`backward` once per sample; before this workspace
+//! `UNet3d::forward`/`backward` once per batch; before this workspace
 //! existed, every layer allocated fresh [`Tensor`]s (outputs, caches,
 //! clones) on each of those calls. An [`NnWorkspace`] owns all of that
 //! reusable state:
@@ -12,12 +12,12 @@
 //! * the **tap-offset table** and the padded/transposed gradient buffers
 //!   of the implicit-im2col GEMM convolution kernels (see
 //!   [`conv3d`](crate::conv3d));
-//! * GroupNorm backward scratch;
+//! * the U-Net's skip-connection stack;
 //! * the Tier A telemetry [`CounterSet`] of the NN subsystem (pool
 //!   hits/misses, GEMM dispatch mix, per-U-Net-layer MACs) plus an
 //!   optional per-layer-kind Tier B [`SpanSet`] used by the
 //!   `unet_throughput` bench to attribute time to
-//!   conv/norm/activation/pool/upsample (real durations only under the
+//!   conv/activation/pool/upsample (real durations only under the
 //!   `telemetry-timing` feature of `oarsmt-telemetry`).
 //!
 //! Ownership follows the `RouteContext` model of DESIGN.md: whoever owns an
@@ -40,10 +40,6 @@ pub enum ProfKind {
     ConvFwd,
     /// Convolution backward.
     ConvBwd,
-    /// GroupNorm forward.
-    NormFwd,
-    /// GroupNorm backward.
-    NormBwd,
     /// Activation (ReLU/sigmoid) forward.
     ActFwd,
     /// Activation backward.
@@ -65,8 +61,6 @@ impl ProfKind {
         match self {
             ProfKind::ConvFwd => Span::NnConvFwd,
             ProfKind::ConvBwd => Span::NnConvBwd,
-            ProfKind::NormFwd => Span::NnNormFwd,
-            ProfKind::NormBwd => Span::NnNormBwd,
             ProfKind::ActFwd => Span::NnActFwd,
             ProfKind::ActBwd => Span::NnActBwd,
             ProfKind::PoolFwd => Span::NnPoolFwd,
@@ -77,8 +71,8 @@ impl ProfKind {
     }
 }
 
-/// The reusable scratch arena threaded through `forward_in`/`backward_in`
-/// (see [`Layer`](crate::layer::Layer)).
+/// The reusable scratch arena threaded through every
+/// [`Layer`](crate::layer::Layer) forward and backward.
 #[derive(Debug, Clone)]
 pub struct NnWorkspace {
     /// Recycled tensor storage, LIFO. Whole tensors are pooled (shape and
@@ -95,11 +89,12 @@ pub struct NnWorkspace {
     /// `grad_out` transposed to `[spatial][out_c]` for the vectorized
     /// weight/bias-gradient kernels.
     pub(crate) g_t: Vec<f32>,
-    /// GroupNorm backward `dxhat` scratch.
-    pub(crate) dxhat: Vec<f32>,
-    /// `false` skips backward caches (inference mode). Set by
-    /// [`UNet3d::predict_in`](crate::unet::UNet3d::predict_in); defaults to
-    /// `true` so `forward_in`/`backward_in` pairs always work.
+    /// The U-Net's skip stack: encoder activations during forward, skip
+    /// gradients during backward. Always empty between passes.
+    pub(crate) skips: Vec<Tensor>,
+    /// `false` skips backward caches (inference mode). Cleared for the
+    /// duration of [`UNet3d::predict_in`](crate::unet::UNet3d::predict_in);
+    /// defaults to `true` so forward passes hand back caches for backward.
     pub(crate) training: bool,
     profiling: bool,
     spans: SpanSet,
@@ -107,8 +102,8 @@ pub struct NnWorkspace {
     /// dispatch per path, per-U-Net-layer MACs. Always on; monotone.
     pub counters: CounterSet,
     /// The counter index MACs are attributed to (`Counter::MacsOther`
-    /// outside a tagged U-Net layer; `UNet3d::forward_in`/`backward_in`
-    /// retag it per block via [`NnWorkspace::set_mac_slot`]).
+    /// outside a tagged U-Net layer; the U-Net forward and backward retag
+    /// it per block via [`NnWorkspace::set_mac_slot`]).
     pub(crate) mac_slot: usize,
     /// Which kernel family conv GEMM calls route through (default
     /// [`KernelPolicy::Scalar`], the bit-identical family).
@@ -135,7 +130,7 @@ impl NnWorkspace {
             im2col: Vec::new(),
             g_pad: Vec::new(),
             g_t: Vec::new(),
-            dxhat: Vec::new(),
+            skips: Vec::new(),
             training: true,
             profiling: false,
             spans: SpanSet::new(),

@@ -13,6 +13,7 @@ use oarsmt_nn::serialize::{load_params, save_params};
 use oarsmt_nn::tensor::Tensor;
 use oarsmt_nn::unet::{UNet3d, UNetConfig};
 use oarsmt_nn::upsample::Upsample3d;
+use oarsmt_nn::NnWorkspace;
 use proptest::prelude::*;
 
 proptest! {
@@ -39,14 +40,14 @@ proptest! {
         d3 in 1usize..5,
         levels in 1usize..4,
     ) {
-        let mut net = UNet3d::new(UNetConfig {
+        let net = UNet3d::new(UNetConfig {
             in_channels: 2,
             base_channels: 1,
             levels,
             seed: 0,
         });
         let x = Tensor::zeros(&[2, d1, d2, d3]);
-        let y = net.forward(&x);
+        let (y, _) = net.forward(&x, &mut NnWorkspace::new());
         prop_assert_eq!(y.shape(), &[1, d1, d2, d3]);
     }
 
@@ -57,11 +58,10 @@ proptest! {
         d3 in 1usize..5,
     ) {
         let x = Tensor::zeros(&[3, d1, d2, d3]);
-        let mut pool = MaxPool3d::new();
-        let pooled_t = pool.forward(&x);
+        let mut ws = NnWorkspace::new();
+        let (pooled_t, _) = MaxPool3d::new().forward(&x, &mut ws);
         prop_assert_eq!(pooled_t.shape(), &[3, pooled(d1), pooled(d2), pooled(d3)]);
-        let mut up = Upsample3d::to_shape([d1, d2, d3]);
-        let restored = up.forward(&pooled_t);
+        let (restored, _) = Upsample3d::to_shape([d1, d2, d3]).forward(&pooled_t, &mut ws);
         prop_assert_eq!(restored.shape(), x.shape());
     }
 
@@ -71,9 +71,10 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let x = Initializer::new(seed).uniform(&[len], 5.0);
-        let r = Relu::new().forward(&x);
+        let mut ws = NnWorkspace::new();
+        let (r, _) = Relu::new().forward(&x, &mut ws);
         prop_assert!(r.data().iter().all(|&v| v >= 0.0));
-        let s = Sigmoid::new().forward(&x);
+        let (s, _) = Sigmoid::new().forward(&x, &mut ws);
         prop_assert!(s.data().iter().all(|&v| v > 0.0 && v < 1.0));
         prop_assert_eq!(r.shape(), x.shape());
         prop_assert_eq!(s.shape(), x.shape());
@@ -129,13 +130,14 @@ fn training_step_reduces_loss_on_one_sample() {
         .uniform(&[1, 4, 4, 2], 0.5)
         .map(|v| v.abs().min(1.0));
     let mut opt = Adam::new(1e-2);
+    let mut ws = NnWorkspace::new();
     let mut first = None;
     let mut last = 0.0;
     for _ in 0..60 {
         net.zero_grad();
-        let logits = net.forward(&x);
+        let (logits, cache) = net.forward(&x, &mut ws);
         let out = bce_with_logits(&logits, &target, None);
-        net.backward(&out.grad);
+        net.backward(cache.unwrap(), out.grad, &mut ws);
         opt.step(&mut net);
         first.get_or_insert(out.loss);
         last = out.loss;

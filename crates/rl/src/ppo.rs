@@ -20,6 +20,7 @@ use oarsmt_nn::layer::Layer;
 use oarsmt_nn::optim::Adam;
 use oarsmt_nn::tensor::Tensor;
 use oarsmt_nn::unet::{UNet3d, UNetConfig};
+use oarsmt_nn::NnWorkspace;
 use oarsmt_router::OarmstRouter;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -106,6 +107,8 @@ pub struct PpoTrainer {
     opt_policy: Adam,
     opt_value: Adam,
     rng: StdRng,
+    /// Scratch arena of both networks' passes.
+    ws: NnWorkspace,
 }
 
 impl PpoTrainer {
@@ -120,6 +123,7 @@ impl PpoTrainer {
             opt_policy: Adam::new(config.lr_policy),
             opt_value: Adam::new(config.lr_value),
             rng: StdRng::seed_from_u64(config.seed),
+            ws: NnWorkspace::new(),
             config,
             policy,
             value,
@@ -221,7 +225,7 @@ impl PpoTrainer {
                 let x = encode_features(graph, &step.state);
 
                 // ---- value network: V(s) = masked mean of its output.
-                let value_logits = self.value.forward(&x);
+                let (value_logits, value_cache) = self.value.forward(&x, &mut self.ws);
                 let mask = valid_mask(graph, &step.state);
                 let mask_sum: f32 = mask.data().iter().sum();
                 let v: f32 = value_logits
@@ -233,18 +237,22 @@ impl PpoTrainer {
                     / mask_sum.max(1.0);
                 let v_err = v - step.ret;
                 value_loss_sum += f64::from(v_err * v_err);
-                let mut v_grad = Tensor::zeros(value_logits.shape());
+                // The logits' pooled buffer becomes the gradient (every
+                // element is overwritten).
+                let mut v_grad = value_logits;
                 for (g, &w) in v_grad.data_mut().iter_mut().zip(mask.data()) {
                     *g = 2.0 * v_err * w / mask_sum.max(1.0);
                 }
                 self.value.zero_grad();
-                self.value.backward(&v_grad);
+                let value_cache = value_cache.expect("training workspace");
+                let gi = self.value.backward(value_cache, v_grad, &mut self.ws);
+                self.ws.free(gi);
                 self.opt_value.step(&mut self.value);
 
                 // ---- policy network: clipped surrogate on the advantage.
                 let advantage = step.ret - v;
                 let net = self.policy.net_mut();
-                let logits = net.forward(&x);
+                let (logits, cache) = net.forward(&x, &mut self.ws);
                 let (probs, valid) = masked_softmax(&logits, graph, &step.state);
                 let new_logp = probs[step.action].max(1e-12).ln();
                 let ratio = (new_logp - step.old_logp).exp();
@@ -254,7 +262,8 @@ impl PpoTrainer {
                 // Gradient is zero when the clip is active against us.
                 let active = (advantage > 0.0 && ratio < 1.0 + clip)
                     || (advantage < 0.0 && ratio > 1.0 - clip);
-                let mut p_grad = Tensor::zeros(logits.shape());
+                let mut p_grad = logits;
+                p_grad.fill(0.0);
                 if active {
                     let coeff = -advantage * ratio;
                     for &i in &valid {
@@ -264,7 +273,9 @@ impl PpoTrainer {
                     }
                 }
                 net.zero_grad();
-                net.backward(&p_grad);
+                let cache = cache.expect("training workspace");
+                let gi = net.backward(cache, p_grad, &mut self.ws);
+                self.ws.free(gi);
                 self.opt_policy.step(net);
                 updates += 1;
             }
@@ -282,9 +293,10 @@ impl PpoTrainer {
         state: &[GridPoint],
     ) -> (Vec<f32>, Vec<usize>) {
         let x = encode_features(graph, state);
-        let net = self.policy.net_mut();
-        let logits = net.forward(&x);
-        masked_softmax(&logits, graph, state)
+        let (logits, _) = self.policy.net_mut().forward(&x, &mut self.ws);
+        let dist = masked_softmax(&logits, graph, state);
+        self.ws.free(logits);
+        dist
     }
 }
 

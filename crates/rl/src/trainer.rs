@@ -15,10 +15,9 @@ use oarsmt_geom::HananGraph;
 use oarsmt_mcts::alphago::{sequential_select, AlphaGoMcts};
 use oarsmt_mcts::{CombinatorialMcts, MctsConfig};
 use oarsmt_nn::layer::Layer;
-use oarsmt_nn::loss::{bce_with_logits, bce_with_logits_batch};
+use oarsmt_nn::loss::bce_with_logits_batch;
 use oarsmt_nn::optim::Adam;
-use oarsmt_nn::NnWorkspace;
-use oarsmt_nn::Tensor;
+use oarsmt_nn::{NnWorkspace, Tensor, UNet3d};
 use oarsmt_router::OarmstRouter;
 use oarsmt_telemetry::CounterSet;
 use rand::rngs::StdRng;
@@ -451,30 +450,15 @@ impl Trainer {
         if !homogeneous {
             return self.fit_batch_sequential(selector, batch);
         }
-        let ws = &mut self.ws;
         let net = selector.net_mut();
         net.zero_grad();
         let scale = 1.0 / batch.len() as f32;
-        // Per-sample encoding is identical to the sequential path; only the
-        // stacking into the rank-5 [7, B, M, H, V] layout is new.
-        let encoded: Vec<(Tensor, Tensor, Tensor)> = batch.iter().map(|s| s.to_tensors()).collect();
-        let xs: Vec<&Tensor> = encoded.iter().map(|(x, _, _)| x).collect();
-        let x = Tensor::stack_batch(&xs);
-        let logits = net.forward_batch_in(&x, ws);
-        let targets: Vec<&Tensor> = encoded.iter().map(|(_, t, _)| t).collect();
-        let masks: Vec<&Tensor> = encoded.iter().map(|(_, _, m)| m).collect();
-        let out = bce_with_logits_batch(&logits, &targets, &masks);
-        let mut grad = out.grad;
-        grad.scale(scale);
-        let grad_in = net.backward_batch_in(grad, ws);
-        ws.free(grad_in);
-        ws.free(logits);
-        ws.free(x);
+        let loss = accumulate_gradients(net, &mut self.ws, batch, scale);
         self.optimizer.step(net);
-        out.loss * scale
+        loss * scale
     }
 
-    /// The reference batch fit: one forward/backward per sample, gradients
+    /// The reference batch fit: one B=1 pass per sample, gradients
     /// accumulated in sample order. [`Trainer::fit_batch`] must match this
     /// bit-for-bit on homogeneous batches; it also serves as the fallback
     /// for mixed-size batches and as the baseline arm of
@@ -484,26 +468,46 @@ impl Trainer {
         selector: &mut NeuralSelector,
         batch: &[&TrainingSample],
     ) -> f32 {
-        let ws = &mut self.ws;
         let net = selector.net_mut();
         net.zero_grad();
         let scale = 1.0 / batch.len() as f32;
         let mut loss_sum = 0.0f32;
         for sample in batch {
-            let (x, targets, mask) = sample.to_tensors();
-            let logits = net.forward_in(&x, ws);
-            let out = bce_with_logits(&logits, &targets, Some(&mask));
-            loss_sum += out.loss;
-            let mut grad = out.grad;
-            grad.scale(scale);
-            let grad_in = net.backward_in(grad, ws);
-            ws.free(grad_in);
-            ws.free(logits);
-            ws.free(x);
+            loss_sum += accumulate_gradients(net, &mut self.ws, &[sample], scale);
         }
         self.optimizer.step(net);
         loss_sum * scale
     }
+}
+
+/// One training pass over a same-shape batch: the samples stacked into the
+/// channel-major `[7, B, M, H, V]` layout, one forward, per-sample BCE
+/// (each normalized by its own mask), and one backward of the
+/// `scale`-weighted gradient, accumulating into the network's parameter
+/// gradients. Returns the ascending-`b` sum of the per-sample mean losses.
+fn accumulate_gradients(
+    net: &mut UNet3d,
+    ws: &mut NnWorkspace,
+    batch: &[&TrainingSample],
+    scale: f32,
+) -> f32 {
+    let encoded: Vec<(Tensor, Tensor, Tensor)> = batch.iter().map(|s| s.to_tensors()).collect();
+    let xs: Vec<&Tensor> = encoded.iter().map(|(x, _, _)| x).collect();
+    let x = Tensor::stack_batch(&xs);
+    let (logits, cache) = net.forward(&x, ws);
+    let targets: Vec<&Tensor> = encoded.iter().map(|(_, t, _)| t).collect();
+    let masks: Vec<&Tensor> = encoded.iter().map(|(_, _, m)| m).collect();
+    let out = bce_with_logits_batch(&logits, &targets, &masks);
+    // The gradient rides in the logits' pooled buffer and `x` is dropped,
+    // not pooled: only pool-drawn tensors go back to the pool, so it stays
+    // at its high-water mark instead of growing by two tensors a step.
+    let mut grad = logits;
+    grad.data_mut().copy_from_slice(out.grad.data());
+    grad.scale(scale);
+    let cache = cache.expect("the trainer's workspace records backward caches");
+    let grad_in = net.backward(cache, grad, ws);
+    ws.free(grad_in);
+    out.loss
 }
 
 /// How a trained selector is applied at test time.

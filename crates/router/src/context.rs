@@ -156,8 +156,9 @@ pub struct RouteContext {
     pub fsp: Vec<f32>,
     /// Queue of same-shape selector states awaiting a batched `fsp`
     /// flush through `Selector::fsp_batch_into_ws`. MCTS leaf
-    /// evaluation pushes states here and flushes; at `B = 1` the flush
-    /// is bit- and allocation-identical to the single-sample path.
+    /// evaluation pushes states here and flushes; a `B = 1` flush is the
+    /// very call a direct `fsp_into_ws` makes (one state is a batch of
+    /// one).
     pub evals: EvalQueue,
     /// Critic completion buffer: selected Steiner points plus the top-k
     /// completion, reused across rollouts.

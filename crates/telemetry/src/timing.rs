@@ -38,10 +38,6 @@ pub enum Span {
     NnConvFwd,
     /// Convolution backward.
     NnConvBwd,
-    /// GroupNorm forward.
-    NnNormFwd,
-    /// GroupNorm backward.
-    NnNormBwd,
     /// Activation (ReLU/sigmoid) forward.
     NnActFwd,
     /// Activation backward.
@@ -71,7 +67,7 @@ pub enum Span {
 }
 
 /// Number of [`Span`] variants.
-pub const NUM_SPANS: usize = 22;
+pub const NUM_SPANS: usize = 20;
 
 /// Snake-case wire names, indexed by [`Span`] discriminant.
 pub const SPAN_NAMES: [&str; NUM_SPANS] = [
@@ -82,8 +78,6 @@ pub const SPAN_NAMES: [&str; NUM_SPANS] = [
     "critic_route",
     "nn_conv_fwd",
     "nn_conv_bwd",
-    "nn_norm_fwd",
-    "nn_norm_bwd",
     "nn_act_fwd",
     "nn_act_bwd",
     "nn_pool_fwd",
@@ -108,8 +102,6 @@ pub const ALL_SPANS: [Span; NUM_SPANS] = [
     Span::CriticRoute,
     Span::NnConvFwd,
     Span::NnConvBwd,
-    Span::NnNormFwd,
-    Span::NnNormBwd,
     Span::NnActFwd,
     Span::NnActBwd,
     Span::NnPoolFwd,
