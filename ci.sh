@@ -58,20 +58,20 @@ cargo test -q -p oarsmt-nn batch
 cargo test -q -p oarsmt batch
 cargo test -q -p oarsmt-rl --test batch_equivalence
 
-echo "==> dijkstra_bench smoke (quick mode, asserts heap/Dial checksum + op-count identity)"
-cargo run --release -q -p oarsmt-bench --bin dijkstra_bench -- --quick \
+echo "==> oarsmt_bench dijkstra smoke (quick mode, asserts heap/Dial checksum + op-count identity)"
+cargo run --release -q -p oarsmt-bench --bin oarsmt_bench -- dijkstra --quick \
     --out target/BENCH_dijkstra_smoke.json
 
-echo "==> critic_throughput smoke (quick mode, checks fresh/reused bit-identity)"
-cargo run --release -q -p oarsmt-bench --bin critic_throughput -- --quick \
+echo "==> oarsmt_bench critic smoke (quick mode, checks fresh/reused bit-identity)"
+cargo run --release -q -p oarsmt-bench --bin oarsmt_bench -- critic --quick \
     --out target/BENCH_critic_smoke.json
 
-echo "==> unet_throughput smoke (quick mode, asserts GEMM == naive oracle and baseline checksums)"
-cargo run --release -q -p oarsmt-bench --bin unet_throughput -- --quick \
+echo "==> oarsmt_bench unet smoke (quick mode, asserts GEMM == naive oracle and baseline checksums)"
+cargo run --release -q -p oarsmt-bench --bin oarsmt_bench -- unet --quick \
     --out target/BENCH_unet_smoke.json
 
-echo "==> selector_batch_bench smoke (quick mode, asserts B in {4,16} flushes == per-sample B=1 calls of the same kernel, bit for bit)"
-cargo run --release -q -p oarsmt-bench --bin selector_batch_bench -- --quick \
+echo "==> oarsmt_bench batch smoke (quick mode, asserts B in {4,16} flushes == per-sample B=1 calls of the same kernel, bit for bit)"
+cargo run --release -q -p oarsmt-bench --bin oarsmt_bench -- batch --quick \
     --out target/BENCH_batch_smoke.json
 
 echo "==> oarsmt report smoke (renders the telemetry embedded in the quick artifacts)"
@@ -109,7 +109,7 @@ cargo run --release -q -p oarsmt-repro --bin oarsmt -- \
 
 echo "==> runlog round-trip (bench writes runs/<id>/metrics.jsonl, report renders it)"
 rm -rf target/runs/ci-smoke
-cargo run --release -q -p oarsmt-bench --bin critic_throughput -- --quick \
+cargo run --release -q -p oarsmt-bench --bin oarsmt_bench -- critic --quick \
     --out target/BENCH_critic_runlog_smoke.json \
     --runlog target/runs/ci-smoke > /dev/null
 cargo run --release -q -p oarsmt-repro --bin oarsmt -- report \

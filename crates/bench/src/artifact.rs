@@ -1,14 +1,80 @@
-//! Line-based reader for the recorded `BENCH_*.json` artifacts.
+//! The recorded `BENCH_*.json` artifacts: one writer and a line-based
+//! reader.
 //!
-//! The throughput binaries (`unet_throughput`, `critic_throughput`) compare
-//! a live run against a *recorded* pre-change baseline artifact, so the
-//! reported speedups are honest (live fresh-vs-reused comparisons measure
-//! whatever both paths currently share). The artifacts are written by the
-//! binaries themselves in a fixed one-rung-per-line layout, which this
-//! module parses with plain string scanning — no JSON dependency.
+//! The `oarsmt_bench` lanes compare a live run against a *recorded*
+//! pre-change baseline artifact, so the reported speedups are honest (live
+//! fresh-vs-reused comparisons measure whatever both paths currently
+//! share). [`render`] writes every artifact in one fixed layout — header
+//! fields, one rung object per line, top-level totals, then the embedded
+//! telemetry snapshot — which [`Artifact`] parses back with plain string
+//! scanning — no JSON dependency.
 
+use std::fmt::{Display, Write as _};
 use std::io;
 use std::path::Path;
+
+use oarsmt_telemetry::{json_escape, TelemetrySnapshot};
+
+/// One `"key": value` pair of an artifact; the value is already JSON text.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Field(&'static str, String);
+
+/// An integer field.
+pub fn int(key: &'static str, value: impl Display) -> Field {
+    Field(key, value.to_string())
+}
+
+/// A float field with `places` decimals.
+pub fn num(key: &'static str, value: f64, places: usize) -> Field {
+    Field(key, format!("{value:.places$}"))
+}
+
+/// A string field (escaped).
+pub fn text(key: &'static str, value: &str) -> Field {
+    Field(key, format!("\"{}\"", json_escape(value)))
+}
+
+/// A result checksum as its 16-digit hex bit pattern.
+pub fn hex(key: &'static str, bits: u64) -> Field {
+    Field(key, format!("\"{bits:016x}\""))
+}
+
+/// Renders an artifact: `header` fields, the `rungs` array (one object per
+/// line), `totals`, and the `telemetry` array (one snapshot record per
+/// line).
+pub fn render(
+    header: &[Field],
+    rungs: &[Vec<Field>],
+    totals: &[Field],
+    telemetry: &TelemetrySnapshot,
+) -> String {
+    let mut json = String::from("{\n");
+    for Field(key, value) in header {
+        let _ = writeln!(json, "  \"{key}\": {value},");
+    }
+    json.push_str("  \"rungs\": [\n");
+    for (i, rung) in rungs.iter().enumerate() {
+        let fields: Vec<String> = rung
+            .iter()
+            .map(|Field(key, value)| format!("\"{key}\": {value}"))
+            .collect();
+        let sep = if i + 1 < rungs.len() { "," } else { "" };
+        let _ = writeln!(json, "    {{{}}}{sep}", fields.join(", "));
+    }
+    json.push_str("  ],\n");
+    for Field(key, value) in totals {
+        let _ = writeln!(json, "  \"{key}\": {value},");
+    }
+    json.push_str("  \"telemetry\": [\n");
+    let records: Vec<String> = telemetry
+        .to_jsonl()
+        .lines()
+        .map(|l| format!("    {l}"))
+        .collect();
+    json.push_str(&records.join(",\n"));
+    json.push_str("\n  ]\n}\n");
+    json
+}
 
 /// A loaded artifact file.
 #[derive(Debug, Clone)]
@@ -73,6 +139,7 @@ pub fn json_num(line: &str, key: &str) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oarsmt_telemetry::{Counter, Manifest};
 
     const SAMPLE: &str = concat!(
         "{\n  \"mode\": \"baseline\",\n  \"rungs\": [\n",
@@ -94,5 +161,39 @@ mod tests {
         assert_eq!(art.top_num("total_fwd_per_s"), Some(207.542));
         assert!(art.rung("S99").is_none());
         assert!(json_num(r, "missing").is_none());
+    }
+
+    #[test]
+    fn rendered_artifacts_read_back() {
+        let mut snap = TelemetrySnapshot {
+            manifest: Manifest {
+                run: "lane".to_string(),
+                ..Manifest::default()
+            },
+            ..TelemetrySnapshot::default()
+        };
+        snap.counters.add(Counter::DijkstraPops, 7);
+        let json = render(
+            &[text("kernel", "scalar")],
+            &[
+                vec![text("name", "S8"), num("fwd_per_s", 581.1844, 3)],
+                vec![text("name", "a\"b"), hex("cs", 0x407a_72a5_b020_0000)],
+            ],
+            &[int("total", 3)],
+            &snap,
+        );
+        assert!(json.starts_with("{\n  \"kernel\": \"scalar\",\n  \"rungs\": [\n"));
+        assert!(json.ends_with("\n  ]\n}\n"));
+        let art = Artifact { text: json };
+        assert_eq!(
+            json_num(art.rung("S8").unwrap(), "fwd_per_s"),
+            Some(581.184)
+        );
+        assert_eq!(
+            json_field(art.rung_lines().nth(1).unwrap(), "cs"),
+            Some("407a72a5b0200000")
+        );
+        assert_eq!(art.top_num("total"), Some(3.0));
+        assert_eq!(TelemetrySnapshot::from_jsonl(&art.text), Ok(snap));
     }
 }

@@ -1,9 +1,9 @@
-//! `selector_batch_bench`: batched-selector equivalence and throughput.
+//! `oarsmt_bench batch`: batched-selector equivalence and throughput.
 //!
 //! The batched path folds a batch of same-shape states into the GEMM N
 //! axis (one matrix multiply with `N = B·spatial` per conv instead of
-//! `B`). This binary pins the two promises that refactor makes, per
-//! Table-1-style size rung:
+//! `B`). This lane pins the two promises that refactor makes, per
+//! [`SIZE_LADDER`] rung:
 //!
 //! 1. **Bit-identity** — `Selector::fsp_batch_into_ws` at B ∈ {4, 16}
 //!    reproduces B per-sample `fsp_into_ws` calls bit-for-bit (each one a
@@ -49,121 +49,40 @@
 //! the scalar lane; under `--simd` the first step (identical weights) is
 //! checked tolerance-close and the trajectories must stay finite.
 //!
-//! Usage: `selector_batch_bench [--quick] [--simd] [--out PATH]
+//! Usage: `oarsmt_bench batch [--quick] [--simd] [--out PATH]
 //! [--baseline PATH]`
-
-#![forbid(unsafe_code)]
 
 use std::time::Instant;
 
-use oarsmt::selector::{MedianHeuristicSelector, NeuralSelector, Selector};
-use oarsmt::topk::{select_top_k, steiner_budget};
-use oarsmt_bench::artifact::{json_field, json_num, Artifact};
-use oarsmt_bench::Table;
-use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
+use oarsmt::selector::{NeuralSelector, Selector};
+use oarsmt_geom::gen::CaseGenerator;
 use oarsmt_geom::{GridPoint, HananGraph};
-use oarsmt_nn::unet::UNetConfig;
 use oarsmt_nn::{KernelPolicy, NnWorkspace};
 use oarsmt_rl::sample::TrainingSample;
 use oarsmt_rl::trainer::{Trainer, TrainerConfig};
-use oarsmt_telemetry::{Counter, CounterSet, Manifest, SpanSet, TelemetrySnapshot, TIMING_ENABLED};
+use oarsmt_telemetry::{Counter, CounterSet};
+
+use super::{f64_sum, heuristic_label, selector_config, SizeRung, SIZE_LADDER};
+use crate::artifact::{hex, int, json_field, json_num, num, text};
+use crate::runner::{Lane, Output, Run};
+use crate::Table;
+
+/// The `batch` lane.
+pub const LANE: Lane = Lane {
+    name: "batch",
+    producer: "selector_batch_bench",
+    seed: 0xDAC2024,
+    flags: &["--quick", "--simd", "--out", "--baseline"],
+    run: run_lane,
+};
 
 /// Batch size of the timed arms (the largest Table-1 acceptance point).
 const BATCH: usize = 16;
 
-/// Best-of repeats for every timed arm (the host shows ±15% timing noise;
-/// best-of-N treats the batched and single-sample arms identically).
-const REPEATS: usize = 3;
-
-/// One rung of the size ladder (mirrors `unet_throughput`).
-struct Rung {
-    name: &'static str,
-    h: usize,
-    v: usize,
-    m: usize,
-    pins: usize,
-    /// Timed batched flushes (each evaluates [`BATCH`] states).
-    flush_iters: usize,
-    /// Timed fit steps per arm (0 = inference-only rung).
-    fit_iters: usize,
-}
-
-const LADDER: &[Rung] = &[
-    Rung {
-        name: "S8",
-        h: 8,
-        v: 8,
-        m: 2,
-        pins: 4,
-        flush_iters: 60,
-        fit_iters: 40,
-    },
-    Rung {
-        name: "S12",
-        h: 12,
-        v: 12,
-        m: 2,
-        pins: 4,
-        flush_iters: 24,
-        fit_iters: 16,
-    },
-    Rung {
-        name: "S16",
-        h: 16,
-        v: 16,
-        m: 2,
-        pins: 5,
-        flush_iters: 12,
-        fit_iters: 8,
-    },
-    Rung {
-        name: "S24",
-        h: 24,
-        v: 24,
-        m: 2,
-        pins: 5,
-        flush_iters: 4,
-        fit_iters: 0,
-    },
-    Rung {
-        name: "S32",
-        h: 32,
-        v: 32,
-        m: 3,
-        pins: 6,
-        flush_iters: 2,
-        fit_iters: 0,
-    },
-    Rung {
-        name: "S48",
-        h: 48,
-        v: 48,
-        m: 3,
-        pins: 6,
-        flush_iters: 1,
-        fit_iters: 0,
-    },
-];
-
-/// The default selector architecture (matches `unet_throughput`).
-fn selector() -> NeuralSelector {
-    NeuralSelector::with_config(UNetConfig {
-        in_channels: 7,
-        base_channels: 8,
-        levels: 2,
-        seed: 0xDAC2024,
-    })
-}
-
-fn f64_sum(data: &[f32]) -> f64 {
-    data.iter().map(|&v| f64::from(v)).sum()
-}
-
-/// Deterministic layout for a rung.
-fn rung_graph(r: &Rung) -> HananGraph {
-    let cfg = GeneratorConfig::paper_costs(r.h, r.v, r.m, (r.pins, r.pins));
-    CaseGenerator::new(cfg, 0x5EED ^ r.h as u64).generate()
-}
+/// Timed batched flushes (each evaluates [`BATCH`] states) and timed fit
+/// steps per arm (0 = inference-only rung) per [`SIZE_LADDER`] rung, in a
+/// full run.
+const ITERS: [(usize, usize); 6] = [(60, 40), (24, 16), (12, 8), (4, 0), (2, 0), (1, 0)];
 
 /// [`BATCH`] deterministic selector states (extra-pin lists of varying
 /// length), the flattened batch the queue-and-flush protocol sees.
@@ -186,19 +105,11 @@ fn flatten(states: &[Vec<GridPoint>]) -> (Vec<GridPoint>, Vec<u32>) {
 
 /// [`BATCH`] same-size training samples with sparse median-heuristic
 /// labels (the `fit_batch` workload).
-fn fit_samples(r: &Rung) -> Vec<TrainingSample> {
-    let cfg = GeneratorConfig::paper_costs(r.h, r.v, r.m, (r.pins, r.pins));
+fn fit_samples(r: &SizeRung) -> Vec<TrainingSample> {
     (0..BATCH)
         .map(|i| {
-            let graph = CaseGenerator::new(cfg.clone(), 0xBA7C4 ^ (i as u64) << 13).generate();
-            let mut heuristic = MedianHeuristicSelector::new();
-            let fsp = heuristic.fsp(&graph, &[]);
-            let k = steiner_budget(graph.pins().len());
-            let points = select_top_k(&graph, &fsp, k, &[]);
-            let mut label = vec![0.0f32; graph.len()];
-            for p in points {
-                label[graph.index(p)] = 1.0;
-            }
+            let graph = CaseGenerator::new(r.config(), 0xBA7C4 ^ (i as u64) << 13).generate();
+            let label = heuristic_label(&graph);
             TrainingSample::new(graph, vec![], label)
         })
         .collect()
@@ -218,10 +129,10 @@ struct RungResult {
 /// One rung's inference arms: bitwise equivalence sweep (always scalar —
 /// see the module docs), then timed batched and per-sample (B=1) loops
 /// through one reused workspace on the requested kernel lane.
-fn run_fwd_rung(r: &Rung, iters: usize, repeats: usize, simd: bool) -> RungResult {
-    let graph = rung_graph(r);
+fn run_fwd_rung(r: &SizeRung, iters: usize, repeats: usize, simd: bool) -> RungResult {
+    let graph = r.graph();
     let states = rung_states(&graph);
-    let mut sel = selector();
+    let mut sel = NeuralSelector::with_config(selector_config());
     let mut ws = NnWorkspace::new();
     let mut batch_out = Vec::new();
     let mut single_out = Vec::new();
@@ -321,7 +232,7 @@ struct FitResult {
 /// differ from the sequential arm's, so only the first step (identical
 /// weights) is compared — tolerance-close — and both trajectories are
 /// required to stay finite.
-fn run_fit_rung(r: &Rung, iters: usize, repeats: usize, simd: bool) -> FitResult {
+fn run_fit_rung(r: &SizeRung, iters: usize, repeats: usize, simd: bool) -> FitResult {
     let samples = fit_samples(r);
     let refs: Vec<&TrainingSample> = samples.iter().collect();
     let cfg = TrainerConfig {
@@ -330,15 +241,15 @@ fn run_fit_rung(r: &Rung, iters: usize, repeats: usize, simd: bool) -> FitResult
     };
 
     let mut t_batch = Trainer::new(cfg.clone());
-    let mut s_batch = selector();
+    let mut s_batch = NeuralSelector::with_config(selector_config());
     let mut t_seq = Trainer::new(cfg);
-    let mut s_seq = selector();
+    let mut s_seq = NeuralSelector::with_config(selector_config());
     if simd {
         t_batch.set_kernel_policy(KernelPolicy::Simd);
         t_seq.set_kernel_policy(KernelPolicy::Simd);
     }
 
-    // Best-of-REPEATS rounds; the two arms stay in weight lockstep, so
+    // Best-of-`repeats` rounds; the two arms stay in weight lockstep, so
     // each round's loss trajectories must agree bitwise and each round
     // times the same computation on both sides.
     let mut batch_secs = f64::INFINITY;
@@ -395,38 +306,10 @@ fn run_fit_rung(r: &Rung, iters: usize, repeats: usize, simd: bool) -> FitResult
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let simd = args.iter().any(|a| a == "--simd");
-    if simd && !oarsmt_nn::simd_available() {
-        eprintln!(
-            "error: --simd needs `cargo ... -p oarsmt-bench --features simd` and an \
-             AVX2+FMA host (refusing to record SIMD-labeled scalar numbers)"
-        );
-        std::process::exit(2);
-    }
-    let arg_val = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let default_out = if simd {
-        "crates/bench/artifacts/BENCH_batch_simd.json"
-    } else {
-        "crates/bench/artifacts/BENCH_batch.json"
-    };
-    let out_path = arg_val("--out").unwrap_or_else(|| default_out.to_string());
-    let baseline_path = arg_val("--baseline")
-        .unwrap_or_else(|| "crates/bench/artifacts/BENCH_batch_baseline.json".to_string());
-    let baseline = Artifact::load(&baseline_path).ok();
-
-    let rungs: Vec<&Rung> = if quick {
-        LADDER.iter().take(3).collect()
-    } else {
-        LADDER.iter().collect()
-    };
-    let scale = if quick { 4 } else { 1 }; // quick: 1/4 of the iterations
+fn run_lane(run: &mut Run) -> Output {
+    let baseline = run.baseline();
+    let scale = if run.quick { 4 } else { 1 }; // quick: 1/4 of the iterations
+    let quick = run.quick;
 
     let mut fwd_table = Table::new([
         "rung",
@@ -438,14 +321,13 @@ fn main() {
         "fsp checksum",
     ]);
     let mut fit_table = Table::new(["rung", "batch fit/s", "seq fit/s", "live x", "vs base"]);
-    let mut fwd_rows = Vec::new();
-    let mut fit_rows = Vec::new();
-    let mut counters_tot = CounterSet::new();
+    let mut out = Output::default();
+    let mut fit_rungs = Vec::new();
 
-    for r in &rungs {
-        let iters = (r.flush_iters / scale).max(1);
-        let res = run_fwd_rung(r, iters, if quick { 1 } else { REPEATS }, simd);
-        counters_tot.merge_from(&res.counters);
+    for (r, (flush, fit)) in run.ladder(SIZE_LADDER.iter().zip(ITERS)) {
+        let iters = (flush / scale).max(1);
+        let res = run_fwd_rung(r, iters, run.repeats(), run.simd);
+        out.counters.merge_from(&res.counters);
 
         // Bit-identity vs the recorded baseline, when one exists: the
         // batched output must never drift between runs.
@@ -479,18 +361,26 @@ fn main() {
             r.name.to_string(),
             format!("{:.2}", res.batch_states_per_s),
             format!("{:.2}", res.single_states_per_s),
-            format!("{:.2}x", res.batch_states_per_s / res.single_states_per_s),
+            format!("{live:.2}x"),
             vs_base.map_or("-".to_string(), |x| format!("{x:.2}x")),
             format!("{:.1}", res.occupancy),
             format!("{:016x}", res.cs_fsp),
         ]);
-        fwd_rows.push((r.name, iters, res));
-        eprintln!("[selector_batch_bench] {} fwd done", r.name);
+        out.rungs.push(vec![
+            text("name", r.name),
+            int("bsz", BATCH),
+            int("flush_iters", iters),
+            num("batch_states_per_s", res.batch_states_per_s, 3),
+            num("single_states_per_s", res.single_states_per_s, 3),
+            num("occupancy", res.occupancy, 2),
+            hex("cs_fsp", res.cs_fsp),
+        ]);
+        run.progress(&format!("{} fwd done", r.name));
 
-        if r.fit_iters > 0 {
-            let fit_iters = (r.fit_iters / scale).max(1);
-            let fit = run_fit_rung(r, fit_iters, if quick { 1 } else { REPEATS }, simd);
-            counters_tot.merge_from(&fit.counters);
+        if fit > 0 {
+            let fit_iters = (fit / scale).max(1);
+            let fit = run_fit_rung(r, fit_iters, run.repeats(), run.simd);
+            out.counters.merge_from(&fit.counters);
             let fit_name = format!("fit{}", r.name);
             let base_seq = baseline.as_ref().and_then(|b| {
                 let line = b.rung(&fit_name)?;
@@ -512,97 +402,51 @@ fn main() {
                 fit_name.clone(),
                 format!("{:.3}", fit.batch_steps_per_s),
                 format!("{:.3}", fit.seq_steps_per_s),
-                format!("{:.2}x", fit.batch_steps_per_s / fit.seq_steps_per_s),
+                format!("{live:.2}x"),
                 vs_base.map_or("-".to_string(), |x| format!("{x:.2}x")),
             ]);
-            fit_rows.push((fit_name, fit_iters, fit));
-            eprintln!("[selector_batch_bench] {} fit done", r.name);
+            fit_rungs.push(vec![
+                text("name", &fit_name),
+                int("bsz", BATCH),
+                int("fit_iters", fit_iters),
+                num("batch_steps_per_s", fit.batch_steps_per_s, 4),
+                num("seq_steps_per_s", fit.seq_steps_per_s, 4),
+                hex("cs_loss", fit.cs_loss),
+            ]);
+            run.progress(&format!("{} fit done", r.name));
         }
     }
 
-    println!(
-        "batched selector throughput ({} mode, {} kernels, B = {BATCH}; speedups vs {})\n",
-        if quick { "quick" } else { "full" },
-        if simd { "avx2+fma" } else { "scalar" },
+    out.title = format!(
+        "batched selector throughput ({} mode, {} kernels, B = {BATCH}; speedups vs {})",
+        run.mode(),
+        if run.simd { "avx2+fma" } else { "scalar" },
         if baseline.is_some() {
-            baseline_path.as_str()
+            run.baseline_path()
         } else {
             "(no baseline recorded yet)"
         }
     );
-    fwd_table.print();
-    println!();
-    fit_table.print();
-    println!(
-        "\nchecksums: every rung's B in {{4, 16}} flushes bit-identical to per-sample B=1 calls{}",
-        if simd {
+    out.tables = vec![fwd_table, fit_table];
+    out.notes.push(format!(
+        "checksums: every rung's B in {{4, 16}} flushes bit-identical to per-sample B=1 calls{}",
+        if run.simd {
             " (scalar lane; timed arms ran avx2+fma)"
         } else {
             ""
         }
-    );
-
-    let write_artifact = |path: &str, mode: &str| {
-        let mut json = format!(
-            "{{\n  \"mode\": \"{mode}\",\n  \"kernel\": \"{}\",\n  \"rungs\": [\n",
-            if simd { "simd" } else { "scalar" }
-        );
-        let total = fwd_rows.len() + fit_rows.len();
-        for (i, (name, iters, res)) in fwd_rows.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"name\": \"{}\", \"bsz\": {BATCH}, \"flush_iters\": {}, \"batch_states_per_s\": {:.3}, \"single_states_per_s\": {:.3}, \"occupancy\": {:.2}, \"cs_fsp\": \"{:016x}\"}}{}\n",
-                name,
-                iters,
-                res.batch_states_per_s,
-                res.single_states_per_s,
-                res.occupancy,
-                res.cs_fsp,
-                if i + 1 < total { "," } else { "" }
-            ));
-        }
-        for (i, (name, iters, fit)) in fit_rows.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"name\": \"{}\", \"bsz\": {BATCH}, \"fit_iters\": {}, \"batch_steps_per_s\": {:.4}, \"seq_steps_per_s\": {:.4}, \"cs_loss\": \"{:016x}\"}}{}\n",
-                name,
-                iters,
-                fit.batch_steps_per_s,
-                fit.seq_steps_per_s,
-                fit.cs_loss,
-                if fwd_rows.len() + i + 1 < total { "," } else { "" }
-            ));
-        }
-        let snapshot = TelemetrySnapshot {
-            manifest: Manifest {
-                run: "selector_batch_bench".to_string(),
-                mode: if quick { "quick" } else { "full" }.to_string(),
-                threads: 1,
-                seed: 0xDAC2024,
-                timing: TIMING_ENABLED,
-            },
-            counters: counters_tot,
-            spans: SpanSet::new(),
-        };
-        json.push_str("  ],\n  \"telemetry\": [\n");
-        let telemetry_lines: Vec<String> = snapshot
-            .to_jsonl()
-            .lines()
-            .map(|l| format!("    {l}"))
-            .collect();
-        json.push_str(&telemetry_lines.join(",\n"));
-        json.push_str("\n  ]\n}\n");
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            std::fs::create_dir_all(dir).ok();
-        }
-        std::fs::write(path, json).expect("write artifact");
-        println!("artifact: {path}");
-    };
-
-    write_artifact(&out_path, "batch");
-    if baseline.is_none() && !quick && !simd {
+    ));
+    out.rungs.extend(fit_rungs);
+    let kernel = if run.simd { "simd" } else { "scalar" };
+    out.header = vec![text("mode", "batch"), text("kernel", kernel)];
+    if baseline.is_none() && !quick && !run.simd {
         // Bootstrap: record this run's single-sample arm as the baseline
         // for future comparisons (honest-comparison policy: the recorded
         // denominator predates any further batched-path tuning).
-        write_artifact(&baseline_path, "single-sample-baseline");
-        println!("bootstrapped baseline (speedup gate active from the next full run)");
+        out.bootstrap = Some(vec![
+            text("mode", "single-sample-baseline"),
+            text("kernel", kernel),
+        ]);
     }
+    out
 }

@@ -1,18 +1,18 @@
-//! `critic_throughput`: rollouts/sec of the MCTS critic on the Table 3
+//! `oarsmt_bench critic`: rollouts/sec of the MCTS critic on the Table 3
 //! (Table 1 ladder) layouts, with and without a reused [`RouteContext`].
 //!
 //! A *rollout* is the routing work one combinatorial-MCTS leaf expansion
 //! performs (Section 3.4): one selector inference (`fsp`), one critic
-//! completion + pruned OARMST route (`predict_with_fsp`), and one unpruned
-//! state pricing (`state_cost`). The selector is the training-independent
-//! [`MedianHeuristicSelector`] so the numbers isolate the routing/workspace
-//! cost rather than neural inference.
+//! completion + pruned OARMST route (`predict_with_fsp_in`), and one
+//! unpruned state pricing (`state_cost_in`). The selector is the
+//! training-independent [`MedianHeuristicSelector`] so the numbers isolate
+//! the routing/workspace cost rather than neural inference.
 //!
 //! Two modes run over identical layout sequences:
 //!
-//! * **fresh** — the pre-context API (`predict_with_fsp`/`state_cost`),
-//!   which allocates a new workspace for every call;
-//! * **reused** — the `_in` API through one [`RouteContext`] per rung.
+//! * **fresh** — a new selector output and a new [`RouteContext`] for
+//!   every call, so every call allocates its workspaces;
+//! * **reused** — one [`RouteContext`] and one `fsp` buffer per rung.
 //!
 //! The per-rung checksums must match bit-identically between modes (checked
 //! always, fatal on mismatch). The **headline speedup** compares the reused
@@ -25,7 +25,7 @@
 //! baseline values (quick mode runs a different workload, so only rates
 //! compare). Emits a `BENCH_critic.json` artifact.
 //!
-//! Usage: `critic_throughput [--quick] [--out PATH] [--baseline PATH]
+//! Usage: `oarsmt_bench critic [--quick] [--out PATH] [--baseline PATH]
 //! [--trace FILE] [--runlog DIR]`
 //!
 //! `--trace FILE` flight-records the reused lane (each rung as a
@@ -34,22 +34,29 @@
 //! JSON; `--runlog DIR` appends one rung record per ladder rung into
 //! `DIR/metrics.jsonl` for `oarsmt report`.
 
-#![forbid(unsafe_code)]
-
 use std::time::Instant;
 
 use oarsmt::selector::{MedianHeuristicSelector, Selector};
 use oarsmt::topk::{select_top_k, steiner_budget};
-use oarsmt_bench::artifact::{json_field, json_num, Artifact};
-use oarsmt_bench::Table;
 use oarsmt_geom::gen::TestSubsetSpec;
 use oarsmt_geom::HananGraph;
 use oarsmt_mcts::Critic;
 use oarsmt_router::RouteContext;
-use oarsmt_telemetry::runlog::RunLogger;
-use oarsmt_telemetry::{
-    Counter, CounterSet, Manifest, Span, SpanSet, SpanStart, TelemetrySnapshot, TraceRecorder,
-    TIMING_ENABLED,
+use oarsmt_telemetry::{Counter, CounterSet, Span, SpanSet, SpanStart, TraceRecorder};
+
+use crate::artifact::{int, json_field, json_num, num, text};
+use crate::runner::{Lane, Output, Run};
+use crate::Table;
+
+const SEED: u64 = 0xDAC2024;
+
+/// The `critic` lane.
+pub const LANE: Lane = Lane {
+    name: "critic",
+    producer: "critic_throughput",
+    seed: SEED,
+    flags: &["--quick", "--out", "--baseline", "--trace", "--runlog"],
+    run: run_lane,
 };
 
 #[derive(Clone, Copy, PartialEq)]
@@ -67,7 +74,7 @@ struct ModeResult {
     /// carry identical instrumentation, so the api ratio stays fair.
     spans: SpanSet,
     /// Counter totals of the rung's routing work (reused mode only: the
-    /// fresh-mode entry points build and discard internal workspaces).
+    /// fresh mode's throwaway contexts take their counters with them).
     counters: CounterSet,
 }
 
@@ -97,8 +104,12 @@ fn sweep_layout(
                 let fsp = selector.fsp(graph, selected);
                 spans.stop(t, Span::CriticSelect);
                 let t = SpanStart::now();
-                let predicted = critic.predict_with_fsp(graph, selected, &fsp).ok()?;
-                let cost = critic.state_cost(graph, selected).ok()?;
+                let predicted = critic
+                    .predict_with_fsp_in(&mut RouteContext::new(), graph, selected, &fsp)
+                    .ok()?;
+                let cost = critic
+                    .state_cost_in(&mut RouteContext::new(), graph, selected)
+                    .ok()?;
                 spans.stop(t, Span::CriticRoute);
                 *checksum += predicted + cost;
             }
@@ -139,7 +150,7 @@ fn run_rung(
     }
     ctx.trace.begin(Span::BenchRung);
     let mut fsp_buf = Vec::new();
-    let mut gen = spec.generator(0xDAC2024);
+    let mut gen = spec.generator(SEED);
     let mut rollouts = 0usize;
     let mut layouts = 0usize;
     let mut checksum = 0.0f64;
@@ -185,53 +196,11 @@ fn run_rung(
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let arg_val = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let out_path =
-        arg_val("--out").unwrap_or_else(|| "crates/bench/artifacts/BENCH_critic.json".to_string());
-    let baseline_path = arg_val("--baseline")
-        .unwrap_or_else(|| "crates/bench/artifacts/BENCH_critic_baseline.json".to_string());
-    let baseline = Artifact::load(&baseline_path)
-        .map_err(|e| format!("{baseline_path}: {e}"))
-        .expect("recorded baseline artifact");
-    let trace_path = arg_val("--trace");
-    let mut rec = TraceRecorder::new();
-    if trace_path.is_some() {
-        rec.enable(1 << 16);
-    }
-    let mut runlog = arg_val("--runlog").map(|dir| {
-        let p = std::path::Path::new(&dir);
-        let root = p.parent().filter(|r| !r.as_os_str().is_empty());
-        let id = p.file_name().and_then(|s| s.to_str()).unwrap_or("critic");
-        RunLogger::create(root.unwrap_or_else(|| std::path::Path::new(".")), id)
-            .expect("create runlog directory")
-    });
-
-    let ladder = TestSubsetSpec::ladder();
-    let rungs: Vec<TestSubsetSpec> = if quick {
-        ladder.into_iter().take(3).collect()
-    } else {
-        ladder
-    };
-    let layouts_per_rung = if quick { 2 } else { 4 };
-    let repeats = if quick { 1 } else { 3 };
-
-    let manifest = Manifest {
-        run: "critic_throughput".to_string(),
-        mode: if quick { "quick" } else { "full" }.to_string(),
-        threads: 1,
-        seed: 0xDAC2024,
-        timing: TIMING_ENABLED,
-    };
-    if let Some(l) = runlog.as_mut() {
-        l.log_manifest(&manifest).expect("write runlog manifest");
-    }
+fn run_lane(run: &mut Run) -> Output {
+    let baseline = run.require_baseline();
+    let rungs = run.ladder(TestSubsetSpec::ladder());
+    let layouts_per_rung = if run.quick { 2 } else { 4 };
+    let repeats = run.repeats();
 
     let mut table = Table::new([
         "subset",
@@ -242,23 +211,11 @@ fn main() {
         "select share",
         "vs baseline",
     ]);
-    let mut rows = Vec::new();
+    let mut out = Output::default();
     let mut tot = (0usize, 0.0f64, 0.0f64); // rollouts, fresh secs, reused secs
-    let mut spans_tot = SpanSet::new();
-    let mut counters_tot = CounterSet::new();
     for spec in &rungs {
         let fresh = run_rung(spec, Mode::Fresh, layouts_per_rung, repeats, None);
-        let reused = run_rung(
-            spec,
-            Mode::Reused,
-            layouts_per_rung,
-            repeats,
-            if trace_path.is_some() {
-                Some(&mut rec)
-            } else {
-                None
-            },
-        );
+        let reused = run_rung(spec, Mode::Reused, layouts_per_rung, repeats, run.trace());
         assert_eq!(
             fresh.checksum.to_bits(),
             reused.checksum.to_bits(),
@@ -266,12 +223,13 @@ fn main() {
             spec.name
         );
         assert_eq!(fresh.rollouts, reused.rollouts);
+        let fresh_rps = fresh.rollouts as f64 / fresh.secs;
         let reused_rps = reused.rollouts as f64 / reused.secs;
-        let api_ratio = reused_rps / (fresh.rollouts as f64 / fresh.secs);
+        let api_ratio = reused_rps / fresh_rps;
         let base_line = baseline
             .rung(spec.name)
-            .unwrap_or_else(|| panic!("{}: missing from {baseline_path}", spec.name));
-        if !quick {
+            .unwrap_or_else(|| panic!("{}: missing from {}", spec.name, run.baseline_path()));
+        if !run.quick {
             // Same workload as the recorded run: results must match exactly
             // (the artifact stores the checksum with 6 decimals).
             let recorded = json_field(base_line, "checksum").expect("baseline checksum");
@@ -294,121 +252,74 @@ fn main() {
         table.row([
             spec.name.to_string(),
             fresh.rollouts.to_string(),
-            format!("{:.1}", fresh.rollouts as f64 / fresh.secs),
+            format!("{fresh_rps:.1}"),
             format!("{reused_rps:.1}"),
             format!("{api_ratio:.2}x"),
             select_share,
             format!("{speedup:.2}x"),
         ]);
+        out.rungs.push(vec![
+            text("name", spec.name),
+            int("rollouts", fresh.rollouts),
+            num("fresh_secs", fresh.secs, 6),
+            num("fresh_rps", fresh_rps, 3),
+            num("reused_secs", reused.secs, 6),
+            num("reused_rps", reused_rps, 3),
+            num("speedup", speedup, 3),
+            int("select_ns", reused.spans.get(Span::CriticSelect).total_ns),
+            int("route_ns", reused.spans.get(Span::CriticRoute).total_ns),
+            int("dijkstra_pops", reused.counters.get(Counter::DijkstraPops)),
+            num("checksum", fresh.checksum, 6),
+        ]);
         tot.0 += fresh.rollouts;
         tot.1 += fresh.secs;
         tot.2 += reused.secs;
-        spans_tot.merge_from(&reused.spans);
-        counters_tot.merge_from(&reused.counters);
-        if let Some(l) = runlog.as_mut() {
-            l.log_rung(
-                spec.name,
-                "reused_rps",
-                reused_rps,
-                reused.secs,
-                &reused.counters,
-            )
-            .expect("write runlog rung");
-        }
-        rows.push((spec.name, fresh, reused, speedup));
-        eprintln!("[critic_throughput] {} done", spec.name);
-    }
-
-    if let Some(path) = &trace_path {
-        let events = rec.events_in_order();
-        std::fs::write(
-            path,
-            oarsmt_telemetry::tracing::to_chrome_json(&events, rec.dropped()),
-        )
-        .expect("write trace");
-        eprintln!(
-            "[critic_throughput] trace ({} events, {} dropped) -> {path}",
-            events.len(),
-            rec.dropped()
+        out.spans.merge_from(&reused.spans);
+        out.counters.merge_from(&reused.counters);
+        run.log_rung(
+            spec.name,
+            "reused_rps",
+            reused_rps,
+            reused.secs,
+            &reused.counters,
         );
-    }
-    if let Some(l) = &runlog {
-        eprintln!("[critic_throughput] runlog -> {}", l.dir().display());
+        run.progress(&format!("{} done", spec.name));
     }
 
-    println!(
-        "critic throughput ({} mode)\n",
-        if quick { "quick" } else { "full" }
-    );
-    table.print();
     let fresh_rps = tot.0 as f64 / tot.1;
     let reused_rps = tot.0 as f64 / tot.2;
-    println!(
-        "\ntotal: {} rollouts; fresh {:.1} r/s, reused {:.1} r/s, api ratio {:.2}x",
-        tot.0,
-        fresh_rps,
-        reused_rps,
-        reused_rps / fresh_rps
-    );
-    if !quick {
-        if let Some(base_rps) = baseline.top_num("total_rps") {
-            println!(
-                "overall speedup vs {}: {:.2}x",
-                baseline_path,
-                reused_rps / base_rps
-            );
-        }
-    }
-    let sel_tot = spans_tot.total_secs(Span::CriticSelect);
-    let route_tot = spans_tot.total_secs(Span::CriticRoute);
-    if sel_tot + route_tot > 0.0 {
-        println!(
-            "attribution (reused lane): select {:.1}%, route {:.1}% of rollout time",
-            100.0 * sel_tot / (sel_tot + route_tot),
-            100.0 * route_tot / (sel_tot + route_tot)
-        );
-    }
-
-    let mut json = String::from("{\n  \"rungs\": [\n");
-    for (i, (name, fresh, reused, speedup)) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"rollouts\": {}, \"fresh_secs\": {:.6}, \"fresh_rps\": {:.3}, \"reused_secs\": {:.6}, \"reused_rps\": {:.3}, \"speedup\": {:.3}, \"select_ns\": {}, \"route_ns\": {}, \"dijkstra_pops\": {}, \"checksum\": {:.6}}}{}\n",
-            name,
-            fresh.rollouts,
-            fresh.secs,
-            fresh.rollouts as f64 / fresh.secs,
-            reused.secs,
-            reused.rollouts as f64 / reused.secs,
-            speedup,
-            reused.spans.get(Span::CriticSelect).total_ns,
-            reused.spans.get(Span::CriticRoute).total_ns,
-            reused.counters.get(Counter::DijkstraPops),
-            fresh.checksum,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    let snapshot = TelemetrySnapshot {
-        manifest,
-        counters: counters_tot,
-        spans: spans_tot,
-    };
-    json.push_str(&format!(
-        "  ],\n  \"total_rollouts\": {},\n  \"fresh_rps\": {:.3},\n  \"reused_rps\": {:.3},\n  \"speedup\": {:.3},\n  \"telemetry\": [\n",
+    out.title = format!("critic throughput ({} mode)", run.mode());
+    out.tables.push(table);
+    out.notes.push(format!(
+        "total: {} rollouts; fresh {:.1} r/s, reused {:.1} r/s, api ratio {:.2}x",
         tot.0,
         fresh_rps,
         reused_rps,
         reused_rps / fresh_rps
     ));
-    let telemetry_lines: Vec<String> = snapshot
-        .to_jsonl()
-        .lines()
-        .map(|l| format!("    {l}"))
-        .collect();
-    json.push_str(&telemetry_lines.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        std::fs::create_dir_all(dir).ok();
+    if !run.quick {
+        if let Some(base_rps) = baseline.top_num("total_rps") {
+            out.notes.push(format!(
+                "overall speedup vs {}: {:.2}x",
+                run.baseline_path(),
+                reused_rps / base_rps
+            ));
+        }
     }
-    std::fs::write(&out_path, json).expect("write artifact");
-    println!("artifact: {out_path}");
+    let sel_tot = out.spans.total_secs(Span::CriticSelect);
+    let route_tot = out.spans.total_secs(Span::CriticRoute);
+    if sel_tot + route_tot > 0.0 {
+        out.notes.push(format!(
+            "attribution (reused lane): select {:.1}%, route {:.1}% of rollout time",
+            100.0 * sel_tot / (sel_tot + route_tot),
+            100.0 * route_tot / (sel_tot + route_tot)
+        ));
+    }
+    out.totals = vec![
+        int("total_rollouts", tot.0),
+        num("fresh_rps", fresh_rps, 3),
+        num("reused_rps", reused_rps, 3),
+        num("speedup", reused_rps / fresh_rps, 3),
+    ];
+    out
 }

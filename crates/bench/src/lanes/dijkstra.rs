@@ -1,13 +1,13 @@
-//! `dijkstra_bench`: the router-core queue-policy micro-bench — binary
-//! heap (oracle) vs Dial bucket queue vs A* on the Table 1 ladder rungs.
-//! The Dial lane runs `QueuePolicy::Auto`, which takes the bucket queue on
-//! every ladder layout (their integer cost ceilings are far below
+//! `oarsmt_bench dijkstra`: the router-core queue-policy micro-bench —
+//! binary heap (oracle) vs Dial bucket queue vs A* on the Table 1 ladder
+//! rungs. The Dial lane runs `QueuePolicy::Auto`, which takes the bucket
+//! queue on every ladder layout (their integer cost ceilings are far below
 //! `DIAL_MAX_EDGE_COST`); its labels and JSON keys keep the `dial` name.
 //!
 //! Every rung routes the same deterministic layout sequence through one
 //! [`OarmstRouter`] per [`QueuePolicy`], timing the full OARMST
 //! construction (Prim + prune + polish) whose wall-clock is dominated by
-//! the maze queries. All three lanes run inside the *same* binary on the
+//! the maze queries. All three lanes run inside the *same* process on the
 //! same layouts, so heap-vs-dial is an honest like-for-like comparison
 //! (unlike cross-artifact speedups, which also pick up unrelated drift).
 //!
@@ -25,21 +25,31 @@
 //! Emits a `BENCH_dijkstra.json` artifact with per-rung wall-clock,
 //! speedups, op-count deltas, and an embedded telemetry snapshot.
 //!
-//! Usage: `dijkstra_bench [--quick] [--out PATH] [--trace FILE]`
+//! Usage: `oarsmt_bench dijkstra [--quick] [--out PATH] [--trace FILE]`
 //!
 //! `--trace FILE` flight-records the Dial lane (each rung as a
 //! `bench_rung` span over the router's prepare/dijkstra/retrace phases)
 //! and exports Chrome `trace_event` JSON.
 
-#![forbid(unsafe_code)]
-
 use std::time::Instant;
 
-use oarsmt_bench::Table;
 use oarsmt_geom::gen::TestSubsetSpec;
 use oarsmt_router::{OarmstRouter, QueuePolicy, RouteContext};
-use oarsmt_telemetry::{
-    Counter, CounterSet, Manifest, Span, SpanSet, TelemetrySnapshot, TraceRecorder, TIMING_ENABLED,
+use oarsmt_telemetry::{Counter, CounterSet, Span, TraceRecorder};
+
+use crate::artifact::{int, num, text};
+use crate::runner::{Lane, Output, Run};
+use crate::Table;
+
+const SEED: u64 = 0xD1A17;
+
+/// The `dijkstra` lane.
+pub const LANE: Lane = Lane {
+    name: "dijkstra",
+    producer: "dijkstra_bench",
+    seed: SEED,
+    flags: &["--quick", "--out", "--trace"],
+    run: run_lane,
 };
 
 struct LaneResult {
@@ -53,7 +63,7 @@ struct LaneResult {
 /// Routes the rung's deterministic layout sequence under one policy.
 /// Layouts any policy cannot connect are skipped by seed (reachability is
 /// policy-independent, so every lane skips the same ones).
-fn run_lane(
+fn run_policy(
     spec: &TestSubsetSpec,
     policy: QueuePolicy,
     layouts_per_rung: usize,
@@ -66,7 +76,7 @@ fn run_lane(
         std::mem::swap(&mut ctx.trace, rec);
     }
     ctx.trace.begin(Span::BenchRung);
-    let mut gen = spec.generator(0xD1A17);
+    let mut gen = spec.generator(SEED);
     let before = ctx.counters_total();
     let mut routes = 0usize;
     let mut layouts = 0usize;
@@ -105,31 +115,10 @@ fn run_lane(
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "crates/bench/artifacts/BENCH_dijkstra.json".to_string());
-    let trace_path = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1).cloned());
-    let mut rec = TraceRecorder::new();
-    if trace_path.is_some() {
-        rec.enable(1 << 16);
-    }
-
-    let ladder = TestSubsetSpec::ladder();
-    let rungs: Vec<TestSubsetSpec> = if quick {
-        ladder.into_iter().take(3).collect()
-    } else {
-        ladder
-    };
-    let layouts_per_rung = if quick { 2 } else { 4 };
-    let repeats = if quick { 1 } else { 3 };
+fn run_lane(run: &mut Run) -> Output {
+    let rungs = run.ladder(TestSubsetSpec::ladder());
+    let layouts_per_rung = if run.quick { 2 } else { 4 };
+    let repeats = run.repeats();
 
     let mut table = Table::new([
         "subset",
@@ -140,23 +129,18 @@ fn main() {
         "dial speedup",
         "astar pop save",
     ]);
-    let mut rows = Vec::new();
-    let mut counters_tot = CounterSet::new();
+    let mut out = Output::default();
     let mut tot = (0usize, 0.0f64, 0.0f64, 0.0f64); // routes, heap, dial, astar secs
     for spec in &rungs {
-        let heap = run_lane(spec, QueuePolicy::Heap, layouts_per_rung, repeats, None);
-        let dial = run_lane(
+        let heap = run_policy(spec, QueuePolicy::Heap, layouts_per_rung, repeats, None);
+        let dial = run_policy(
             spec,
             QueuePolicy::Auto,
             layouts_per_rung,
             repeats,
-            if trace_path.is_some() {
-                Some(&mut rec)
-            } else {
-                None
-            },
+            run.trace(),
         );
-        let astar = run_lane(spec, QueuePolicy::AStar, layouts_per_rung, repeats, None);
+        let astar = run_policy(spec, QueuePolicy::AStar, layouts_per_rung, repeats, None);
 
         // §12.3: Dial is the heap, bit for bit — results and op counts.
         assert_eq!(
@@ -203,93 +187,55 @@ fn main() {
             format!("{:.2}x", heap.secs / dial.secs),
             format!("{:.1}%", 100.0 * pop_save),
         ]);
+        out.rungs.push(vec![
+            text("name", spec.name),
+            int("routes", heap.routes),
+            num("heap_secs", heap.secs, 6),
+            num("dial_secs", dial.secs, 6),
+            num("astar_secs", astar.secs, 6),
+            num("dial_speedup", heap.secs / dial.secs, 3),
+            int("dijkstra_pops", dial.counters.get(Counter::DijkstraPops)),
+            int(
+                "dijkstra_relaxations",
+                dial.counters.get(Counter::DijkstraRelaxations),
+            ),
+            int(
+                "dijkstra_pushes",
+                dial.counters.get(Counter::DijkstraPushes),
+            ),
+            int(
+                "dijkstra_bucket_scans",
+                dial.counters.get(Counter::DijkstraBucketScans),
+            ),
+            int("astar_pops", astar.counters.get(Counter::DijkstraPops)),
+            num("checksum", heap.checksum, 6),
+            num("astar_checksum", astar.checksum, 6),
+        ]);
         tot.0 += heap.routes;
         tot.1 += heap.secs;
         tot.2 += dial.secs;
         tot.3 += astar.secs;
-        counters_tot.merge_from(&dial.counters);
-        rows.push((spec.name, heap, dial, astar));
-        eprintln!("[dijkstra_bench] {} done", spec.name);
+        out.counters.merge_from(&dial.counters);
+        run.progress(&format!("{} done", spec.name));
     }
 
-    if let Some(path) = &trace_path {
-        let events = rec.events_in_order();
-        std::fs::write(
-            path,
-            oarsmt_telemetry::tracing::to_chrome_json(&events, rec.dropped()),
-        )
-        .expect("write trace");
-        eprintln!(
-            "[dijkstra_bench] trace ({} events, {} dropped) -> {path}",
-            events.len(),
-            rec.dropped()
-        );
-    }
-
-    println!(
-        "dijkstra queue-policy bench ({} mode)\n",
-        if quick { "quick" } else { "full" }
-    );
-    table.print();
-    println!(
-        "\ntotal: {} routes; heap {:.3}s, dial {:.3}s ({:.2}x), astar {:.3}s ({:.2}x)",
+    out.title = format!("dijkstra queue-policy bench ({} mode)", run.mode());
+    out.tables.push(table);
+    out.notes.push(format!(
+        "total: {} routes; heap {:.3}s, dial {:.3}s ({:.2}x), astar {:.3}s ({:.2}x)",
         tot.0,
         tot.1,
         tot.2,
         tot.1 / tot.2,
         tot.3,
         tot.1 / tot.3,
-    );
-
-    let mut json = String::from("{\n  \"rungs\": [\n");
-    for (i, (name, heap, dial, astar)) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"routes\": {}, \"heap_secs\": {:.6}, \"dial_secs\": {:.6}, \"astar_secs\": {:.6}, \"dial_speedup\": {:.3}, \"dijkstra_pops\": {}, \"dijkstra_relaxations\": {}, \"dijkstra_pushes\": {}, \"dijkstra_bucket_scans\": {}, \"astar_pops\": {}, \"checksum\": {:.6}, \"astar_checksum\": {:.6}}}{}\n",
-            name,
-            heap.routes,
-            heap.secs,
-            dial.secs,
-            astar.secs,
-            heap.secs / dial.secs,
-            dial.counters.get(Counter::DijkstraPops),
-            dial.counters.get(Counter::DijkstraRelaxations),
-            dial.counters.get(Counter::DijkstraPushes),
-            dial.counters.get(Counter::DijkstraBucketScans),
-            astar.counters.get(Counter::DijkstraPops),
-            heap.checksum,
-            astar.checksum,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    let snapshot = TelemetrySnapshot {
-        manifest: Manifest {
-            run: "dijkstra_bench".to_string(),
-            mode: if quick { "quick" } else { "full" }.to_string(),
-            threads: 1,
-            seed: 0xD1A17,
-            timing: TIMING_ENABLED,
-        },
-        counters: counters_tot,
-        spans: SpanSet::new(),
-    };
-    json.push_str(&format!(
-        "  ],\n  \"total_routes\": {},\n  \"heap_secs\": {:.6},\n  \"dial_secs\": {:.6},\n  \"dial_speedup\": {:.3},\n  \"astar_secs\": {:.6},\n  \"telemetry\": [\n",
-        tot.0,
-        tot.1,
-        tot.2,
-        tot.1 / tot.2,
-        tot.3,
     ));
-    let telemetry_lines: Vec<String> = snapshot
-        .to_jsonl()
-        .lines()
-        .map(|l| format!("    {l}"))
-        .collect();
-    json.push_str(&telemetry_lines.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        std::fs::create_dir_all(dir).ok();
-    }
-    std::fs::write(&out_path, json).expect("write artifact");
-    println!("artifact: {out_path}");
+    out.totals = vec![
+        int("total_routes", tot.0),
+        num("heap_secs", tot.1, 6),
+        num("dial_secs", tot.2, 6),
+        num("dial_speedup", tot.1 / tot.2, 3),
+        num("astar_secs", tot.3, 6),
+    ];
+    out
 }

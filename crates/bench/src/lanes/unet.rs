@@ -1,5 +1,5 @@
-//! `unet_throughput`: selector-forward and train-step throughput of the
-//! 3D Residual U-Net on a ladder of layout sizes.
+//! `oarsmt_bench unet`: selector-forward and train-step throughput of the
+//! 3D Residual U-Net on the [`SIZE_LADDER`].
 //!
 //! A *forward* is one [`UNet3d::predict_in`] over the 7-channel feature
 //! encoding of a generated layout — exactly the inference a
@@ -8,7 +8,7 @@
 //! same input with a sparse synthetic label — the inner loop of
 //! `Trainer::fit_batch`.
 //!
-//! Per rung the binary records an output checksum (forward logits) and
+//! Per rung the lane records an output checksum (forward logits) and
 //! gradient checksums (input gradient, concatenated parameter gradients) as
 //! exact `f64` bit patterns, and asserts three bit-identity properties:
 //!
@@ -29,124 +29,44 @@
 //! ran, and the artifact defaults to `BENCH_unet_simd.json` (recorded
 //! checksums remain the scalar anchors; `kernel` names the timed lane).
 //!
-//! Usage: `unet_throughput [--quick] [--profile] [--simd] [--out PATH]
+//! Usage: `oarsmt_bench unet [--quick] [--profile] [--simd] [--out PATH]
 //! [--baseline PATH]`
-
-#![forbid(unsafe_code)]
 
 use std::time::Instant;
 
-use oarsmt::features::{encode_features, valid_mask};
-use oarsmt::selector::Selector;
-use oarsmt::topk::{select_top_k, steiner_budget};
-use oarsmt_bench::artifact::{json_field, json_num, Artifact};
-use oarsmt_bench::Table;
-use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
-use oarsmt_geom::HananGraph;
+use oarsmt::features::{encode_features, from_graph_order, valid_mask};
 use oarsmt_nn::layer::Layer;
 use oarsmt_nn::loss::bce_with_logits;
 use oarsmt_nn::tensor::Tensor;
-use oarsmt_nn::unet::{UNet3d, UNetConfig};
+use oarsmt_nn::unet::UNet3d;
 use oarsmt_nn::{KernelPolicy, NnWorkspace};
-use oarsmt_telemetry::{Counter, CounterSet, Manifest, SpanSet, TelemetrySnapshot, TIMING_ENABLED};
+use oarsmt_telemetry::{Counter, CounterSet, SpanSet, TIMING_ENABLED};
 
-/// One rung of the size ladder.
-struct Rung {
-    name: &'static str,
-    h: usize,
-    v: usize,
-    m: usize,
-    pins: usize,
-    /// Timed forward (predict) iterations.
-    fwd_iters: usize,
-    /// Timed train-step iterations.
-    train_iters: usize,
-}
+use super::{f64_sum, heuristic_label, selector_config, SizeRung, SIZE_LADDER};
+use crate::artifact::{hex, int, json_field, json_num, num, text};
+use crate::runner::{Lane, Output, Run};
+use crate::Table;
 
-const LADDER: &[Rung] = &[
-    Rung {
-        name: "S8",
-        h: 8,
-        v: 8,
-        m: 2,
-        pins: 4,
-        fwd_iters: 300,
-        train_iters: 120,
-    },
-    Rung {
-        name: "S12",
-        h: 12,
-        v: 12,
-        m: 2,
-        pins: 4,
-        fwd_iters: 150,
-        train_iters: 60,
-    },
-    Rung {
-        name: "S16",
-        h: 16,
-        v: 16,
-        m: 2,
-        pins: 5,
-        fwd_iters: 80,
-        train_iters: 32,
-    },
-    Rung {
-        name: "S24",
-        h: 24,
-        v: 24,
-        m: 2,
-        pins: 5,
-        fwd_iters: 50,
-        train_iters: 20,
-    },
-    Rung {
-        name: "S32",
-        h: 32,
-        v: 32,
-        m: 3,
-        pins: 6,
-        fwd_iters: 30,
-        train_iters: 12,
-    },
-    Rung {
-        name: "S48",
-        h: 48,
-        v: 48,
-        m: 3,
-        pins: 6,
-        fwd_iters: 16,
-        train_iters: 6,
-    },
-];
+/// The `unet` lane.
+pub const LANE: Lane = Lane {
+    name: "unet",
+    producer: "unet_throughput",
+    seed: 0xDAC2024,
+    flags: &["--quick", "--profile", "--simd", "--out", "--baseline"],
+    run: run_lane,
+};
 
-/// The default selector architecture (7 feature channels, laptop width).
-fn net() -> UNet3d {
-    UNet3d::new(UNetConfig {
-        in_channels: 7,
-        base_channels: 8,
-        levels: 2,
-        seed: 0xDAC2024,
-    })
-}
+/// Timed forward (predict) and train-step iterations per
+/// [`SIZE_LADDER`] rung, in a full run.
+const ITERS: [(usize, usize); 6] = [(300, 120), (150, 60), (80, 32), (50, 20), (30, 12), (16, 6)];
 
-/// Deterministic layout + feature tensor + sparse label/mask for a rung.
-fn rung_inputs(r: &Rung) -> (HananGraph, Tensor, Tensor, Tensor) {
-    let cfg = GeneratorConfig::paper_costs(r.h, r.v, r.m, (r.pins, r.pins));
-    let graph = CaseGenerator::new(cfg, 0x5EED ^ r.h as u64).generate();
+/// Layout feature tensor + sparse label/mask for a rung.
+fn rung_inputs(r: &SizeRung) -> (Tensor, Tensor, Tensor) {
+    let graph = r.graph();
     let x = encode_features(&graph, &[]);
-    // Sparse synthetic label: the median heuristic's top-k Steiner points.
-    let mut heuristic = oarsmt::selector::MedianHeuristicSelector::new();
-    let fsp = heuristic.fsp(&graph, &[]);
-    let k = steiner_budget(graph.pins().len());
-    let points = select_top_k(&graph, &fsp, k, &[]);
-    let mut labels = vec![0.0f32; graph.len()];
-    for p in points {
-        labels[graph.index(p)] = 1.0;
-    }
-    let targets = oarsmt::features::from_graph_order(&labels, &graph);
+    let targets = from_graph_order(&heuristic_label(&graph), &graph);
     let mask = valid_mask(&graph, &[]);
-    (graph, x, targets, mask)
+    (x, targets, mask)
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -169,10 +89,6 @@ struct RungResult {
     /// Tier A counters for the whole rung (checksum pass + timed loops;
     /// the naive oracle routes through its own discarded workspaces).
     counters: CounterSet,
-}
-
-fn f64_sum(data: &[f32]) -> f64 {
-    data.iter().map(|&v| f64::from(v)).sum()
 }
 
 /// One predict + one train step through `ws`: the checksums a rung
@@ -210,9 +126,15 @@ fn checksum_pass(
 /// Runs one rung: oracle + checksum passes first (untimed, always on the
 /// scalar lane — the bit-identity contract lives there), then timing
 /// loops through one reused workspace on the requested kernel lane.
-fn run_rung(r: &Rung, profile: bool, simd: bool) -> RungResult {
-    let (_graph, x, targets, mask) = rung_inputs(r);
-    let mut net = net();
+fn run_rung(
+    r: &SizeRung,
+    fwd_iters: usize,
+    train_iters: usize,
+    profile: bool,
+    simd: bool,
+) -> RungResult {
+    let (x, targets, mask) = rung_inputs(r);
+    let mut net = UNet3d::new(selector_config());
     let mut ws = NnWorkspace::new();
 
     // --- checksum pass through the GEMM + workspace path ---
@@ -264,7 +186,7 @@ fn run_rung(r: &Rung, profile: bool, simd: bool) -> RungResult {
 
     // --- forward (inference) timing ---
     let t0 = Instant::now();
-    for _ in 0..r.fwd_iters {
+    for _ in 0..fwd_iters {
         let p = net.predict_in(&x, &mut ws);
         std::hint::black_box(p.data()[0]);
         ws.free(p);
@@ -273,7 +195,7 @@ fn run_rung(r: &Rung, profile: bool, simd: bool) -> RungResult {
 
     // --- train-step timing ---
     let t0 = Instant::now();
-    for _ in 0..r.train_iters {
+    for _ in 0..train_iters {
         net.zero_grad();
         let (logits, cache) = net.forward(&x, &mut ws);
         let out = bce_with_logits(&logits, &targets, Some(&mask));
@@ -311,41 +233,9 @@ fn assert_baseline_checksums(name: &str, line: &str, cs: &Checksums) {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let profile = args.iter().any(|a| a == "--profile");
-    let simd = args.iter().any(|a| a == "--simd");
-    if simd && !oarsmt_nn::simd_available() {
-        eprintln!(
-            "error: --simd needs `cargo ... -p oarsmt-bench --features simd` and an \
-             AVX2+FMA host (refusing to record SIMD-labeled scalar numbers)"
-        );
-        std::process::exit(2);
-    }
-    let arg_val = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let default_out = if simd {
-        "crates/bench/artifacts/BENCH_unet_simd.json"
-    } else {
-        "crates/bench/artifacts/BENCH_unet.json"
-    };
-    let out_path = arg_val("--out").unwrap_or_else(|| default_out.to_string());
-    let baseline_path = arg_val("--baseline")
-        .unwrap_or_else(|| "crates/bench/artifacts/BENCH_unet_baseline.json".to_string());
-    let baseline = Artifact::load(&baseline_path)
-        .map_err(|e| format!("{baseline_path}: {e}"))
-        .expect("recorded baseline artifact");
-
-    let rungs: Vec<&Rung> = if quick {
-        LADDER.iter().take(3).collect()
-    } else {
-        LADDER.iter().collect()
-    };
-    let scale = if quick { 4 } else { 1 }; // quick: 1/4 of the iterations
+fn run_lane(run: &mut Run) -> Output {
+    let baseline = run.require_baseline();
+    let scale = if run.quick { 4 } else { 1 }; // quick: 1/4 of the iterations
 
     let mut table = Table::new([
         "rung",
@@ -356,25 +246,21 @@ fn main() {
         "gemm d/p/f",
         "logits checksum",
     ]);
-    let mut rows = Vec::new();
+    let mut out = Output::default();
     let mut tot = (0usize, 0.0f64, 0usize, 0.0f64);
-    let mut spans_tot = SpanSet::new();
-    let mut counters_tot = CounterSet::new();
-    for r in &rungs {
-        let scaled = Rung {
-            fwd_iters: (r.fwd_iters / scale).max(2),
-            train_iters: (r.train_iters / scale).max(1),
-            ..**r
-        };
-        let res = run_rung(&scaled, profile, simd);
+    for (r, (fwd, train)) in run.ladder(SIZE_LADDER.iter().zip(ITERS)) {
+        let fwd_iters = (fwd / scale).max(2);
+        let train_iters = (train / scale).max(1);
+        let res = run_rung(r, fwd_iters, train_iters, run.profile, run.simd);
         let base_line = baseline
             .rung(r.name)
-            .unwrap_or_else(|| panic!("{}: missing from {baseline_path}", r.name));
+            .unwrap_or_else(|| panic!("{}: missing from {}", r.name, run.baseline_path()));
         assert_baseline_checksums(r.name, base_line, &res.cs);
-        let fwd_per_s = scaled.fwd_iters as f64 / res.fwd_secs;
-        let train_per_s = scaled.train_iters as f64 / res.train_secs;
+        let fwd_per_s = fwd_iters as f64 / res.fwd_secs;
+        let train_per_s = train_iters as f64 / res.train_secs;
         let base_fwd = json_num(base_line, "fwd_per_s").expect("baseline fwd_per_s");
         let base_train = json_num(base_line, "train_per_s").expect("baseline train_per_s");
+        let c = &res.counters;
         table.row([
             r.name.to_string(),
             format!("{fwd_per_s:.2}"),
@@ -383,61 +269,80 @@ fn main() {
             format!("{:.2}x", train_per_s / base_train),
             format!(
                 "{}/{}/{}",
-                res.counters.get(Counter::GemmDirect),
-                res.counters.get(Counter::GemmPanel),
-                res.counters.get(Counter::GemmFlat)
+                c.get(Counter::GemmDirect),
+                c.get(Counter::GemmPanel),
+                c.get(Counter::GemmFlat)
             ),
             format!("{:016x}", res.cs.logits),
         ]);
-        tot.0 += scaled.fwd_iters;
+        out.rungs.push(vec![
+            text("name", r.name),
+            int("fwd_iters", fwd_iters),
+            num("fwd_secs", res.fwd_secs, 6),
+            num("fwd_per_s", fwd_per_s, 3),
+            int("train_iters", train_iters),
+            num("train_secs", res.train_secs, 6),
+            num("train_per_s", train_per_s, 3),
+            int("gemm_direct", c.get(Counter::GemmDirect)),
+            int("gemm_panel", c.get(Counter::GemmPanel)),
+            int("gemm_flat", c.get(Counter::GemmFlat)),
+            int("gemm_simd", c.get(Counter::GemmKernelSimd)),
+            int("macs", c.total_macs()),
+            hex("cs_predict", res.cs.predict),
+            hex("cs_logits", res.cs.logits),
+            hex("cs_grad_in", res.cs.grad_in),
+            hex("cs_param_grads", res.cs.param_grads),
+        ]);
+        tot.0 += fwd_iters;
         tot.1 += res.fwd_secs;
-        tot.2 += scaled.train_iters;
+        tot.2 += train_iters;
         tot.3 += res.train_secs;
-        spans_tot.merge_from(&res.spans);
-        counters_tot.merge_from(&res.counters);
-        rows.push((r.name, scaled, res, fwd_per_s, train_per_s));
-        eprintln!("[unet_throughput] {} done", r.name);
+        out.spans.merge_from(&res.spans);
+        out.counters.merge_from(&res.counters);
+        run.progress(&format!("{} done", r.name));
     }
 
-    println!(
-        "unet selector throughput ({} mode, {} kernels; speedups vs {})\n",
-        if quick { "quick" } else { "full" },
-        if simd { "avx2+fma" } else { "scalar" },
-        baseline_path
+    let kernel = if run.simd { "simd" } else { "scalar" };
+    out.title = format!(
+        "unet selector throughput ({} mode, {} kernels; speedups vs {})",
+        run.mode(),
+        if run.simd { "avx2+fma" } else { "scalar" },
+        run.baseline_path()
     );
-    table.print();
+    out.tables.push(table);
     let tot_fwd = tot.0 as f64 / tot.1;
     let tot_train = tot.2 as f64 / tot.3;
-    println!("\ntotal: fwd {tot_fwd:.2}/s, train {tot_train:.2}/s");
+    out.notes
+        .push(format!("total: fwd {tot_fwd:.2}/s, train {tot_train:.2}/s"));
     if let (Some(base_fwd), Some(base_train)) = (
         baseline.top_num("total_fwd_per_s"),
         baseline.top_num("total_train_per_s"),
     ) {
         // Quick mode runs a rung subset, so only the full ladder compares
         // cleanly against the recorded totals.
-        if !quick {
-            println!(
+        if !run.quick {
+            out.notes.push(format!(
                 "overall speedup: fwd {:.2}x, train {:.2}x",
                 tot_fwd / base_fwd,
                 tot_train / base_train
-            );
+            ));
         }
     }
-    if simd {
-        println!(
+    out.notes.push(if run.simd {
+        format!(
             "checksums: scalar lane bit-identical to naive reference and recorded \
              baseline; SIMD forward within {} ULPs / {} abs of scalar on every rung",
             oarsmt_nn::kernels::MAX_ULP,
             oarsmt_nn::kernels::ABS_TOL
-        );
+        )
     } else {
-        println!("checksums: all rungs bit-identical to naive reference and recorded baseline");
-    }
+        "checksums: all rungs bit-identical to naive reference and recorded baseline".to_string()
+    });
 
-    if profile {
-        let total: f64 = spans_tot.iter().map(|(_, h)| h.total_ns as f64 / 1e9).sum();
+    if run.profile {
+        let total: f64 = out.spans.iter().map(|(_, h)| h.total_ns as f64 / 1e9).sum();
         let mut pt = Table::new(["layer kind", "secs", "share"]);
-        for (name, h) in spans_tot.iter() {
+        for (name, h) in out.spans.iter() {
             if h.count == 0 {
                 continue;
             }
@@ -448,64 +353,21 @@ fn main() {
                 format!("{:.1}%", 100.0 * secs / total.max(1e-12)),
             ]);
         }
-        println!("\nper-layer time split (timed loops, all rungs)\n");
-        if !TIMING_ENABLED {
-            println!("(telemetry-timing feature off: spans recorded as zero-duration events)\n");
-        }
-        pt.print();
-    }
-
-    let mut json = format!(
-        "{{\n  \"mode\": \"gemm-workspace\",\n  \"kernel\": \"{}\",\n  \"rungs\": [\n",
-        if simd { "simd" } else { "scalar" }
-    );
-    for (i, (name, scaled, res, fwd_per_s, train_per_s)) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"fwd_iters\": {}, \"fwd_secs\": {:.6}, \"fwd_per_s\": {:.3}, \"train_iters\": {}, \"train_secs\": {:.6}, \"train_per_s\": {:.3}, \"gemm_direct\": {}, \"gemm_panel\": {}, \"gemm_flat\": {}, \"gemm_simd\": {}, \"macs\": {}, \"cs_predict\": \"{:016x}\", \"cs_logits\": \"{:016x}\", \"cs_grad_in\": \"{:016x}\", \"cs_param_grads\": \"{:016x}\"}}{}\n",
-            name,
-            scaled.fwd_iters,
-            res.fwd_secs,
-            fwd_per_s,
-            scaled.train_iters,
-            res.train_secs,
-            train_per_s,
-            res.counters.get(Counter::GemmDirect),
-            res.counters.get(Counter::GemmPanel),
-            res.counters.get(Counter::GemmFlat),
-            res.counters.get(Counter::GemmKernelSimd),
-            res.counters.total_macs(),
-            res.cs.predict,
-            res.cs.logits,
-            res.cs.grad_in,
-            res.cs.param_grads,
-            if i + 1 < rows.len() { "," } else { "" }
+        out.notes.push(format!(
+            "\nper-layer time split (timed loops, all rungs)\n\n{}{}",
+            if TIMING_ENABLED {
+                ""
+            } else {
+                "(telemetry-timing feature off: spans recorded as zero-duration events)\n\n"
+            },
+            pt.render().trim_end()
         ));
     }
-    let snapshot = TelemetrySnapshot {
-        manifest: Manifest {
-            run: "unet_throughput".to_string(),
-            mode: if quick { "quick" } else { "full" }.to_string(),
-            threads: 1,
-            seed: 0xDAC2024,
-            timing: TIMING_ENABLED,
-        },
-        counters: counters_tot,
-        spans: spans_tot,
-    };
-    json.push_str(&format!(
-        "  ],\n  \"total_fwd_per_s\": {:.3},\n  \"total_train_per_s\": {:.3},\n  \"telemetry\": [\n",
-        tot_fwd, tot_train
-    ));
-    let telemetry_lines: Vec<String> = snapshot
-        .to_jsonl()
-        .lines()
-        .map(|l| format!("    {l}"))
-        .collect();
-    json.push_str(&telemetry_lines.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        std::fs::create_dir_all(dir).ok();
-    }
-    std::fs::write(&out_path, json).expect("write artifact");
-    println!("artifact: {out_path}");
+
+    out.header = vec![text("mode", "gemm-workspace"), text("kernel", kernel)];
+    out.totals = vec![
+        num("total_fwd_per_s", tot_fwd, 3),
+        num("total_train_per_s", tot_train, 3),
+    ];
+    out
 }

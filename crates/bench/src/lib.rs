@@ -12,17 +12,29 @@
 //! | `fig11`  | Fig. 11 — ST-to-MST vs training time (small layouts) |
 //! | `fig12`  | Fig. 12 — ST-to-MST vs training time (larger layouts) |
 //!
-//! Criterion micro-benchmarks (`cargo bench`) back the runtime claims:
-//! Hanan reduction, router scaling, one-shot vs sequential inference, and
-//! combinatorial vs conventional MCTS sample generation.
+//! The `oarsmt_bench` runner backs the runtime claims with recorded
+//! `BENCH_*.json` artifacts. Each lane ([`lanes`]) is one throughput
+//! micro-bench over a ladder of layout sizes, and each asserts its bit-identity
+//! oracles while it times:
 //!
-//! Run any table with `cargo run --release -p oarsmt-bench --bin table2`.
+//! | lane | measures |
+//! |---|---|
+//! | `critic` | MCTS critic rollouts/s, fresh vs reused `RouteContext` |
+//! | `unet` | U-Net forward and train-step throughput |
+//! | `batch` | batched vs per-sample selector inference and fitting |
+//! | `dijkstra` | heap vs Dial vs A* queue policies on OARMST builds |
+//!
+//! Run any table with `cargo run --release -p oarsmt-bench --bin table2`,
+//! and any lane with `cargo run --release -p oarsmt-bench --bin
+//! oarsmt_bench -- critic --quick`.
 
 #![forbid(unsafe_code)]
 
 pub mod artifact;
 pub mod harness;
+pub mod lanes;
 pub mod report;
+pub mod runner;
 
 pub use harness::{pretrained_selector, SubsetResult};
 pub use report::Table;

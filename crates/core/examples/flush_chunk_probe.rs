@@ -1,6 +1,6 @@
 //! Chunk-size A/B for the batched selector flush. Not a recorded
 //! benchmark — the honest numbers live in `oarsmt-bench`
-//! (`selector_batch_bench`); this exists to pick `FLUSH_CHUNK_VOXELS`
+//! (`oarsmt_bench batch`); this exists to pick `FLUSH_CHUNK_VOXELS`
 //! empirically: it emulates chunked flushes of a B = 16 `EvalQueue`
 //! batch by slicing the `(pts, lens)` convention externally and timing
 //! each chunk width at the large rungs.

@@ -12,11 +12,10 @@ use std::fmt;
 
 use oarsmt_geom::HananGraph;
 use oarsmt_router::{OarmstRouter, RouteError, RouteTree};
-use serde::{Deserialize, Serialize};
 
 /// Accumulator comparing a baseline cost `a` against our cost `b` across
 /// layouts (Table 2 semantics: improvement is `(a − b) / a`).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CostComparison {
     count: usize,
     sum_a: f64,
@@ -122,7 +121,7 @@ pub fn st_to_mst_ratio(graph: &HananGraph, tree: &RouteTree) -> Result<f64, Rout
 }
 
 /// The Fig. 10 curve: improvement ratios binned by layout obstacle ratio.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ObstacleRatioCurve {
     edges: Vec<f64>,
     sums: Vec<f64>,

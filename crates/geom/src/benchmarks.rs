@@ -12,7 +12,6 @@ use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::coord::GridPoint;
 use crate::hanan::{HananGraph, VertexKind};
@@ -22,7 +21,7 @@ use crate::hanan::{HananGraph, VertexKind};
 pub const SCALE: usize = 8;
 
 /// Static description of one public benchmark layout (one row of Table 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BenchmarkSpec {
     /// Benchmark name (`rt1`…`rt5`, `ind1`…`ind3`).
     pub name: &'static str,

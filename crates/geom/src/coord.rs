@@ -2,15 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A physical 2D coordinate on a routing layer (database units).
 ///
 /// Physical coordinates describe the original layout before Hanan reduction;
 /// after reduction, positions are addressed by [`GridPoint`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Coord {
     /// Horizontal position.
     pub x: i64,
@@ -68,9 +64,7 @@ impl From<(i64, i64)> for Coord {
 /// let b = GridPoint::new(2, 0, 0);
 /// assert!(a < b); // a has higher selection priority
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct GridPoint {
     /// Horizontal grid index (column), in `0..H`.
     pub h: usize,

@@ -14,7 +14,6 @@ use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::coord::GridPoint;
 use crate::hanan::{HananGraph, VertexKind};
@@ -24,7 +23,7 @@ use crate::hanan::{HananGraph, VertexKind};
 /// Defaults mirror the paper's `16×16×4` training configuration
 /// (Section 3.6): edge costs 1–1000, via cost 3–5, obstacles of length 3 or
 /// 4 placed horizontally or vertically, possibly overlapping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneratorConfig {
     /// Horizontal grid dimension `H`.
     pub h: usize,
@@ -235,7 +234,7 @@ impl CaseGenerator {
 /// Specification of one randomly generated test subset (one row of the
 /// paper's Table 1), with both the paper's original parameters and the
 /// scaled parameters used by this reproduction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TestSubsetSpec {
     /// Subset name, e.g. `"T32"`.
     pub name: &'static str,

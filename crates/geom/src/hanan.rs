@@ -11,15 +11,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::coord::{Coord, GridPoint};
 use crate::error::GeomError;
 use crate::layout::Layout;
 
 /// Classification of a Hanan-graph vertex (Section 2.2: "a vertex can be a
 /// pin, an obstacle, or an empty location to place a Steiner point").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum VertexKind {
     /// Free vertex; a Steiner point may be placed here.
     #[default]
@@ -69,7 +67,7 @@ impl fmt::Display for VertexKind {
 /// assert_eq!(g.via_cost(), 3.0);
 /// # Ok::<(), oarsmt_geom::GeomError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HananGraph {
     h: usize,
     v: usize,

@@ -7,14 +7,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::coord::Coord;
 use crate::error::GeomError;
 use crate::rect::Obstacle;
 
 /// A pin to be connected: a physical coordinate on a routing layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Pin {
     /// Physical position of the pin.
     pub at: Coord,
@@ -51,7 +49,7 @@ impl fmt::Display for Pin {
 /// assert_eq!(layout.pins().len(), 2);
 /// layout.validate().unwrap();
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Layout {
     layers: usize,
     pins: Vec<Pin>,

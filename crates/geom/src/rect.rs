@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::coord::Coord;
 
 /// A closed axis-aligned rectangle `[x_lo, x_hi] × [y_lo, y_hi]` in physical
@@ -13,7 +11,7 @@ use crate::coord::Coord;
 /// collectively "obstacles" in the ML-OARSMT formulation. A rectangle is
 /// allowed to be degenerate (a segment or a point), which models pre-routed
 /// wires of zero width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rect {
     x_lo: i64,
     y_lo: i64,
@@ -111,7 +109,7 @@ impl fmt::Display for Rect {
 /// landing on them. A multi-layer macro is modelled as one `Obstacle` per
 /// occupied layer, and obstacles are allowed to overlap, forming rectilinear
 /// shapes (Section 3.6 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Obstacle {
     /// The blocked region in physical coordinates.
     pub rect: Rect,

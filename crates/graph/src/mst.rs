@@ -4,13 +4,11 @@
 //! terminals (pins plus Steiner candidates) whose pairwise obstacle-avoiding
 //! distances were computed by maze routing.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::GraphError;
 
 /// An edge of a terminal-level minimum spanning tree, naming terminals by
 /// their indices in the caller's terminal list.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MstEdge {
     /// First terminal index.
     pub a: usize,

@@ -32,25 +32,10 @@ pub struct ActionProb {
 ///   `None` at the root. Only vertices with a strictly larger index (lower
 ///   selection priority) are valid actions.
 ///
-/// Returns an empty vector when no valid action exists. Probabilities sum
-/// to 1 otherwise.
-///
-/// # Panics
-///
-/// Panics if `fsp.len() != graph.len()`.
-pub fn action_policy(
-    graph: &HananGraph,
-    fsp: &[f32],
-    last_selected: Option<u32>,
-) -> Vec<ActionProb> {
-    let mut out = Vec::new();
-    action_policy_into(graph, fsp, last_selected, &mut out);
-    out
-}
-
-/// [`action_policy`] into a caller-owned buffer, which is cleared first.
-/// The search reuses one buffer per expansion instead of allocating a
-/// policy vector on every simulation.
+/// `out` is cleared first; it is left empty when no valid action exists,
+/// and its probabilities sum to 1 otherwise. The search reuses one buffer
+/// per expansion instead of allocating a policy vector on every
+/// simulation.
 ///
 /// # Panics
 ///
@@ -112,6 +97,13 @@ mod tests {
 
     fn line_graph(len: usize) -> HananGraph {
         HananGraph::uniform(len, 1, 1, 1.0, 1.0, 3.0)
+    }
+
+    /// The policy into a fresh buffer.
+    fn action_policy(g: &HananGraph, fsp: &[f32], last: Option<u32>) -> Vec<ActionProb> {
+        let mut out = Vec::new();
+        action_policy_into(g, fsp, last, &mut out);
+        out
     }
 
     #[test]

@@ -3,10 +3,9 @@
 use std::fmt;
 
 use oarsmt_geom::HananGraph;
-use serde::{Deserialize, Serialize};
 
 /// Configuration shared by the combinatorial and conventional searches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MctsConfig {
     /// Exploration iterations per executed action for the reference layout
     /// size. The paper uses `α = 2000` for `16×16×4` layouts "scaling it

@@ -7,7 +7,6 @@
 //! runs the OARMST router over pins + all Steiner points, and reports the
 //! resulting cost.
 
-use oarsmt::selector::Selector;
 use oarsmt::topk::{select_top_k_into, steiner_budget};
 use oarsmt_geom::{GridPoint, HananGraph};
 use oarsmt_router::{OarmstRouter, QueuePolicy, RouteContext, RouteError};
@@ -43,24 +42,9 @@ impl Critic {
 
     /// Predicts the final routing cost of a state given the selector's
     /// `fsp` for that state (so callers can reuse one inference for both
-    /// the actor and the critic).
-    ///
-    /// # Errors
-    ///
-    /// Propagates OARMST routing failures.
-    pub fn predict_with_fsp(
-        &self,
-        graph: &HananGraph,
-        selected: &[GridPoint],
-        fsp: &[f32],
-    ) -> Result<f64, RouteError> {
-        self.predict_with_fsp_in(&mut RouteContext::new(), graph, selected, fsp)
-    }
-
-    /// [`Critic::predict_with_fsp`] through a caller-owned
-    /// [`RouteContext`]: the completed state is assembled in the context's
-    /// completion buffer and priced with the context's routing workspaces —
-    /// no per-call allocation on the MCTS simulation hot path.
+    /// the actor and the critic). The completed state is assembled in the
+    /// context's completion buffer and priced with the context's routing
+    /// workspaces — no per-call allocation on the MCTS simulation hot path.
     ///
     /// # Errors
     ///
@@ -92,39 +76,10 @@ impl Critic {
         cost
     }
 
-    /// Predicts the final routing cost of a state, running the selector
-    /// itself.
-    ///
-    /// # Errors
-    ///
-    /// Propagates OARMST routing failures.
-    pub fn predict<S: Selector>(
-        &self,
-        graph: &HananGraph,
-        selected: &[GridPoint],
-        selector: &mut S,
-    ) -> Result<f64, RouteError> {
-        let fsp = selector.fsp(graph, selected);
-        self.predict_with_fsp(graph, selected, &fsp)
-    }
-
     /// The raw routing cost of a state *without* completion: pins plus the
     /// already-selected Steiner points (unpruned). Used instead of the
     /// prediction during early curriculum stages and for the terminal
-    /// rules.
-    ///
-    /// # Errors
-    ///
-    /// Propagates OARMST routing failures.
-    pub fn state_cost(
-        &self,
-        graph: &HananGraph,
-        selected: &[GridPoint],
-    ) -> Result<f64, RouteError> {
-        self.state_cost_in(&mut RouteContext::new(), graph, selected)
-    }
-
-    /// [`Critic::state_cost`] through a caller-owned [`RouteContext`].
+    /// rules. Routes through a caller-owned [`RouteContext`].
     ///
     /// # Errors
     ///
@@ -142,7 +97,7 @@ impl Critic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oarsmt::selector::{MedianHeuristicSelector, UniformSelector};
+    use oarsmt::selector::{MedianHeuristicSelector, Selector, UniformSelector};
     use oarsmt_geom::GridPoint;
 
     fn cross() -> HananGraph {
@@ -158,7 +113,10 @@ mod tests {
         let g = cross();
         let critic = Critic::new();
         let mut good = MedianHeuristicSelector::new();
-        let predicted = critic.predict(&g, &[], &mut good).unwrap();
+        let fsp = good.fsp(&g, &[]);
+        let predicted = critic
+            .predict_with_fsp_in(&mut RouteContext::new(), &g, &[], &fsp)
+            .unwrap();
         // The heuristic puts the center first; a 4-pin cross with the
         // center costs 8.
         assert_eq!(predicted, 8.0);
@@ -173,7 +131,10 @@ mod tests {
         // With the center already fixed, completion adds at most 1 more
         // point; the state's final cost can't exceed the unpruned cost of
         // center + one extra stub... but must at least span the cross.
-        let cost = critic.predict(&g, &[center], &mut sel).unwrap();
+        let fsp = sel.fsp(&g, &[center]);
+        let cost = critic
+            .predict_with_fsp_in(&mut RouteContext::new(), &g, &[center], &fsp)
+            .unwrap();
         assert!(cost >= 8.0);
     }
 
@@ -181,12 +142,17 @@ mod tests {
     fn state_cost_is_unpruned() {
         let g = cross();
         let critic = Critic::new();
-        let empty = critic.state_cost(&g, &[]).unwrap();
-        let with_center = critic.state_cost(&g, &[GridPoint::new(2, 2, 0)]).unwrap();
+        let mut ctx = RouteContext::new();
+        let empty = critic.state_cost_in(&mut ctx, &g, &[]).unwrap();
+        let with_center = critic
+            .state_cost_in(&mut ctx, &g, &[GridPoint::new(2, 2, 0)])
+            .unwrap();
         assert_eq!(with_center, 8.0);
         assert!(empty >= with_center);
         // A bad Steiner point strictly increases the unpruned cost.
-        let with_bad = critic.state_cost(&g, &[GridPoint::new(4, 4, 0)]).unwrap();
+        let with_bad = critic
+            .state_cost_in(&mut ctx, &g, &[GridPoint::new(4, 4, 0)])
+            .unwrap();
         assert!(with_bad > with_center);
     }
 }

@@ -8,10 +8,9 @@
 //! UCT-guided search takes `v` when it has the opportunity.
 
 use oarsmt_geom::HananGraph;
-use serde::{Deserialize, Serialize};
 
 /// Per-vertex selection/opportunity counters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LabelCounters {
     n_sel: Vec<u32>,
     n_opp: Vec<u32>,

@@ -28,7 +28,7 @@ pub mod label;
 pub mod search;
 pub mod terminal;
 
-pub use actor::action_policy;
+pub use actor::action_policy_into;
 pub use alphago::{AlphaGoMcts, AlphaGoSample};
 pub use config::MctsConfig;
 pub use critic::Critic;

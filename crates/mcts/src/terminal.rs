@@ -10,10 +10,8 @@
 //! These rules prune combinations that cannot help, which is where much of
 //! the search-efficiency win over conventional MCTS comes from.
 
-use serde::{Deserialize, Serialize};
-
 /// Why a node is terminal (or [`TerminalReason::NotTerminal`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TerminalReason {
     /// The node is expandable.
     NotTerminal,

@@ -4,8 +4,9 @@
 use oarsmt::selector::{MedianHeuristicSelector, Selector, UniformSelector};
 use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
 use oarsmt_geom::VertexKind;
-use oarsmt_mcts::actor::action_policy;
+use oarsmt_mcts::actor::action_policy_into;
 use oarsmt_mcts::{AlphaGoMcts, CombinatorialMcts, Critic, MctsConfig};
+use oarsmt_router::RouteContext;
 use proptest::prelude::*;
 
 fn config(size: usize, alpha: usize) -> MctsConfig {
@@ -68,10 +69,13 @@ proptest! {
         let g = gen.generate();
         let critic = Critic::new();
         let mut sel = MedianHeuristicSelector::new();
-        let Ok(state_cost) = critic.state_cost(&g, &[]) else {
+        let Ok(state_cost) = critic.state_cost_in(&mut RouteContext::new(), &g, &[]) else {
             return Ok(());
         };
-        let predicted = critic.predict(&g, &[], &mut sel).unwrap();
+        let fsp = sel.fsp(&g, &[]);
+        let predicted = critic
+            .predict_with_fsp_in(&mut RouteContext::new(), &g, &[], &fsp)
+            .unwrap();
         prop_assert!(predicted.is_finite() && predicted > 0.0);
         // Completion prunes redundant candidates, so the prediction stays
         // near the bare state cost (an irredundant-but-harmful candidate
@@ -84,7 +88,8 @@ proptest! {
         let mut gen = CaseGenerator::new(GeneratorConfig::paper_costs(5, 5, 1, (3, 4)), seed);
         let g = gen.generate();
         let fsp = UniformSelector::new(scale).fsp(&g, &[]);
-        let policy = action_policy(&g, &fsp, None);
+        let mut policy = Vec::new();
+        action_policy_into(&g, &fsp, None, &mut policy);
         // Manual recomputation of eq. (1).
         let mut manual: Vec<(u32, f64)> = Vec::new();
         let mut skip = 1.0f64;

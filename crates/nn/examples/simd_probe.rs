@@ -1,6 +1,6 @@
 //! Quick scalar-vs-SIMD forward/backward throughput probe at selector
 //! scale. Not a recorded benchmark — the honest numbers live in
-//! `oarsmt-bench` (`unet_throughput --simd`); this exists to sanity-check
+//! `oarsmt-bench` (`oarsmt_bench unet --simd`); this exists to sanity-check
 //! kernel dispatch and speedup interactively:
 //! `cargo run --release -p oarsmt-nn --features simd --example simd_probe`.
 

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::NnError;
 
 /// A dense row-major tensor of `f32` values.
@@ -11,7 +9,7 @@ use crate::error::NnError;
 /// The network code works mostly with 4-D tensors shaped
 /// `[channels, d1, d2, d3]` where the spatial axes map to the Hanan graph's
 /// `H`, `V` and `M` dimensions; the type itself supports any rank.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,

@@ -16,7 +16,7 @@
 //! * the Tier A telemetry [`CounterSet`] of the NN subsystem (pool
 //!   hits/misses, GEMM dispatch mix, per-U-Net-layer MACs) plus an
 //!   optional per-layer-kind Tier B [`SpanSet`] used by the
-//!   `unet_throughput` bench to attribute time to
+//!   `oarsmt_bench unet` lane to attribute time to
 //!   conv/activation/pool/upsample (real durations only under the
 //!   `telemetry-timing` feature of `oarsmt-telemetry`).
 //!

@@ -462,7 +462,7 @@ impl Trainer {
     /// accumulated in sample order. [`Trainer::fit_batch`] must match this
     /// bit-for-bit on homogeneous batches; it also serves as the fallback
     /// for mixed-size batches and as the baseline arm of
-    /// `selector_batch_bench`.
+    /// the `oarsmt_bench batch` lane.
     pub fn fit_batch_sequential(
         &mut self,
         selector: &mut NeuralSelector,

@@ -238,22 +238,9 @@ impl OarmstRouter {
         Ok(cost)
     }
 
-    /// Builds the OARMST once, without pruning. Exposed so callers (e.g.
-    /// MCTS critics) can price intermediate states cheaply.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`OarmstRouter::route`].
-    pub fn route_unpruned(
-        &self,
-        graph: &HananGraph,
-        candidates: &[GridPoint],
-    ) -> Result<RouteTree, RouteError> {
-        self.route_unpruned_in(&mut RouteContext::new(), graph, candidates)
-    }
-
-    /// [`OarmstRouter::route_unpruned`] through a caller-owned
-    /// [`RouteContext`].
+    /// Builds the OARMST once, without pruning, through a caller-owned
+    /// [`RouteContext`]. Exposed so callers (e.g. MCTS critics) can price
+    /// intermediate states cheaply.
     ///
     /// # Errors
     ///
@@ -553,7 +540,7 @@ mod tests {
     fn route_unpruned_keeps_degree_stubs() {
         let g = grid_with_pins(6, 6, 1, &[(0, 0, 0), (5, 0, 0)]);
         let unpruned = OarmstRouter::new()
-            .route_unpruned(&g, &[GridPoint::new(2, 3, 0)])
+            .route_unpruned_in(&mut RouteContext::new(), &g, &[GridPoint::new(2, 3, 0)])
             .unwrap();
         // The stub to the off-path candidate is kept.
         assert!(unpruned.cost() > 5.0);

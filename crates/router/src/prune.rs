@@ -18,13 +18,13 @@ use crate::tree::RouteTree;
 ///
 /// ```
 /// use oarsmt_geom::{HananGraph, GridPoint};
-/// use oarsmt_router::{oarmst::OarmstRouter, prune::redundant_candidates};
+/// use oarsmt_router::{oarmst::OarmstRouter, prune::redundant_candidates, RouteContext};
 ///
 /// let mut g = HananGraph::uniform(6, 1, 1, 1.0, 1.0, 3.0);
 /// g.add_pin(GridPoint::new(0, 0, 0))?;
 /// g.add_pin(GridPoint::new(5, 0, 0))?;
 /// let cand = [GridPoint::new(3, 0, 0)];
-/// let tree = OarmstRouter::new().route_unpruned(&g, &cand)?;
+/// let tree = OarmstRouter::new().route_unpruned_in(&mut RouteContext::new(), &g, &cand)?;
 /// // The on-path candidate has degree 2: redundant.
 /// assert_eq!(redundant_candidates(&g, &tree, &cand), vec![cand[0]]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -90,6 +90,7 @@ pub fn partition_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::RouteContext;
     use crate::oarmst::OarmstRouter;
 
     #[test]
@@ -99,7 +100,9 @@ mod tests {
             g.add_pin(GridPoint::new(h, v, 0)).unwrap();
         }
         let center = GridPoint::new(2, 2, 0);
-        let tree = OarmstRouter::new().route_unpruned(&g, &[center]).unwrap();
+        let tree = OarmstRouter::new()
+            .route_unpruned_in(&mut RouteContext::new(), &g, &[center])
+            .unwrap();
         let (keep, drop) = partition_candidates(&g, &tree, &[center]);
         assert_eq!(keep, vec![center]);
         assert!(drop.is_empty());
@@ -114,7 +117,9 @@ mod tests {
         let center = GridPoint::new(2, 2, 0);
         let stray = GridPoint::new(4, 4, 0);
         let cands = [center, stray];
-        let tree = OarmstRouter::new().route_unpruned(&g, &cands).unwrap();
+        let tree = OarmstRouter::new()
+            .route_unpruned_in(&mut RouteContext::new(), &g, &cands)
+            .unwrap();
         let redundant = redundant_candidates(&g, &tree, &cands);
         let mut kept = cands.to_vec();
         let mut degrees = StampMap::new();
@@ -130,7 +135,9 @@ mod tests {
         let mut g = HananGraph::uniform(4, 1, 1, 1.0, 1.0, 3.0);
         g.add_pin(GridPoint::new(0, 0, 0)).unwrap();
         g.add_pin(GridPoint::new(3, 0, 0)).unwrap();
-        let tree = OarmstRouter::new().route_unpruned(&g, &[]).unwrap();
+        let tree = OarmstRouter::new()
+            .route_unpruned_in(&mut RouteContext::new(), &g, &[])
+            .unwrap();
         let ghost = GridPoint::new(1, 0, 0);
         // ghost lies on the path with degree 2 -> redundant; a vertex not in
         // the tree at all is degree 0 -> redundant too.

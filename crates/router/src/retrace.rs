@@ -152,23 +152,10 @@ fn reroute_with_adj(
     Ok(Some(stripped))
 }
 
-/// One polish round: reassess every terminal's branch once, keeping
-/// improvements. Returns the (possibly unchanged) best tree and whether any
-/// reroute improved it.
-///
-/// # Errors
-///
-/// See [`reroute_terminal`].
-pub fn polish_round(
-    graph: &HananGraph,
-    tree: RouteTree,
-    terminals: &[GridPoint],
-) -> Result<(RouteTree, bool), RouteError> {
-    polish_round_in(&mut RouteContext::new(), graph, tree, terminals)
-}
-
-/// [`polish_round`] through a caller-owned [`RouteContext`]; rejected
-/// reroute candidates go back to the context's tree pool.
+/// One polish round through a caller-owned [`RouteContext`]: reassess
+/// every terminal's branch once, keeping improvements. Returns the
+/// (possibly unchanged) best tree and whether any reroute improved it;
+/// rejected reroute candidates go back to the context's tree pool.
 ///
 /// # Errors
 ///
@@ -251,8 +238,9 @@ mod tests {
         }
         let tree = OarmstRouter::new().route(&g, &[]).unwrap();
         let pins = g.pins().to_vec();
-        let (t1, _) = polish_round(&g, tree, &pins).unwrap();
-        let (t2, improved2) = polish_round(&g, t1.clone(), &pins).unwrap();
+        let (t1, _) = polish_round_in(&mut RouteContext::new(), &g, tree, &pins).unwrap();
+        let (t2, improved2) =
+            polish_round_in(&mut RouteContext::new(), &g, t1.clone(), &pins).unwrap();
         if !improved2 {
             assert_eq!(t1.cost(), t2.cost());
         }

@@ -7,13 +7,12 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use oarsmt_geom::{Coord, GridPoint, HananGraph};
-use serde::{Deserialize, Serialize};
 
 use crate::tree::RouteTree;
 
 /// A maximal straight wire segment on one routing layer, in physical
 /// coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WireSegment {
     /// Start coordinate (lexicographically smaller end).
     pub from: Coord,
@@ -42,7 +41,7 @@ impl fmt::Display for WireSegment {
 }
 
 /// A via between two adjacent routing layers at one physical location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Via {
     /// Physical location.
     pub at: Coord,
@@ -63,7 +62,7 @@ impl fmt::Display for Via {
 }
 
 /// The physical geometry of a routed tree: merged wire segments plus vias.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RouteGeometry {
     /// Maximal straight wire segments (collinear grid edges merged).
     pub wires: Vec<WireSegment>,

@@ -5,7 +5,6 @@ use std::fmt;
 
 use oarsmt_geom::{GridPoint, HananGraph};
 use oarsmt_graph::UnionFind;
-use serde::{Deserialize, Serialize};
 
 /// A rectilinear routing tree embedded in a Hanan grid graph: a set of grid
 /// edges (each between adjacent vertices) plus the total routing cost.
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// The tree is built by routers in this crate; its invariants (acyclicity,
 /// connectivity, spanning the terminals) can be checked with
 /// [`RouteTree::is_tree`] and [`RouteTree::spans_in`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RouteTree {
     /// Grid edges as `(min_index, max_index)` pairs of linear vertex
     /// indices; each pair appears once.

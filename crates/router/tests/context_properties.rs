@@ -88,7 +88,7 @@ proptest! {
                 (a, b) => return Err(TestCaseError::fail(format!("route {a:?} vs cost {b:?}"))),
             }
             match (
-                router.route_unpruned(&g, &cand),
+                router.route_unpruned_in(&mut RouteContext::new(), &g, &cand),
                 router.cost_unpruned_in(&mut ctx, &g, &cand),
             ) {
                 (Ok(t), Ok(c)) => prop_assert_eq!(t.cost().to_bits(), c.to_bits()),

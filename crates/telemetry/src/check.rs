@@ -24,7 +24,7 @@
 use std::path::Path;
 
 use crate::counters::{Counter, COUNTER_NAMES};
-use crate::TelemetrySnapshot;
+use crate::{json_escape, TelemetrySnapshot};
 
 /// Tolerance policy for one wall-clock metric.
 #[derive(Debug, Clone, PartialEq)]
@@ -443,7 +443,8 @@ pub fn summary(dir: &Path) -> Result<String, String> {
             Err(_) => "-".to_string(),
         };
         rows.push(format!(
-            "{{\"file\": \"{name}\", \"metric\": \"{metric}\", \"value\": {value}, \"checksums\": \"fnv:{:016x}\", \"snapshot\": \"{snap_hash}\"}}",
+            "{{\"file\": \"{}\", \"metric\": \"{metric}\", \"value\": {value}, \"checksums\": \"fnv:{:016x}\", \"snapshot\": \"{snap_hash}\"}}",
+            json_escape(name),
             fnv1a(checksums.as_bytes())
         ));
     }

@@ -52,7 +52,7 @@ pub mod tracing;
 pub use check::{CheckReport, MetricPolicy, Policy, Violation};
 pub use counters::{Counter, CounterSet, COUNTER_NAMES, NUM_COUNTERS};
 pub use runlog::{RunLog, RunLogger, RungRecord, StageRecord, StageStats};
-pub use snapshot::{Manifest, TelemetrySnapshot};
+pub use snapshot::{json_escape, Manifest, TelemetrySnapshot};
 pub use timing::{Span, SpanHist, SpanSet, SpanStart, NUM_SPANS, SPAN_BUCKETS, SPAN_NAMES};
 pub use tracing::{SpanAgg, TraceEvent, TraceKind, TraceRecorder};
 

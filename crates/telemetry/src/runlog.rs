@@ -25,7 +25,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::counters::{Counter, CounterSet};
-use crate::snapshot::{json_f64, json_str, json_u64};
+use crate::snapshot::{json_escape, json_f64, json_str, json_u64};
 use crate::timing::{Span, SPAN_NAMES};
 use crate::Manifest;
 
@@ -51,11 +51,6 @@ pub struct StageStats {
 pub struct RunLogger {
     dir: PathBuf,
     file: std::fs::File,
-}
-
-/// Escapes the string subset we emit (mirrors the snapshot writer).
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Serializes a counter set as an inline `{"name":value,…}` object,
@@ -131,8 +126,8 @@ impl RunLogger {
     pub fn log_manifest(&mut self, m: &Manifest) -> std::io::Result<()> {
         self.write_line(&format!(
             "{{\"record\":\"manifest\",\"run\":\"{}\",\"mode\":\"{}\",\"threads\":{},\"seed\":{},\"timing\":{}}}",
-            esc(&m.run),
-            esc(&m.mode),
+            json_escape(&m.run),
+            json_escape(&m.mode),
             m.threads,
             m.seed,
             m.timing
@@ -188,8 +183,8 @@ impl RunLogger {
     ) -> std::io::Result<()> {
         self.write_line(&format!(
             "{{\"record\":\"rung\",\"name\":\"{}\",\"metric\":\"{}\",\"value\":{value},\"secs\":{secs},\"counters\":{}}}",
-            esc(name),
-            esc(metric),
+            json_escape(name),
+            json_escape(metric),
             counters_obj(counter_delta)
         ))
     }

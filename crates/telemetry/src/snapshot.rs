@@ -16,7 +16,7 @@ use crate::timing::{Span, SpanHist, SpanSet, SPAN_BUCKETS};
 /// Identity of one telemetry-producing run.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Manifest {
-    /// Producing program (e.g. `critic_throughput`).
+    /// Producing program (e.g. `critic_throughput`, the `oarsmt_bench critic` lane).
     pub run: String,
     /// Free-form mode/configuration tag (e.g. `reused` or `full`).
     pub mode: String,
@@ -40,9 +40,26 @@ pub struct TelemetrySnapshot {
     pub spans: SpanSet,
 }
 
-/// Escapes a string for a JSON string literal (the subset we emit).
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// Escapes `s` for the inside of a JSON string literal: `"` and `\`
+/// are backslash-escaped, and so is every control character (`\n`, `\t`
+/// and `\r` by name, the rest as `\u00XX`), so an escaped value can never
+/// split a JSONL record. The snapshot and runlog readers decode what this
+/// encodes.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Truncates a payload for an error message (parse failures quote the
@@ -57,7 +74,8 @@ fn trunc(line: &str) -> String {
     }
 }
 
-/// Extracts the string value of `"key":"…"` from a JSON line.
+/// Extracts and unescapes the string value of `"key":"…"` from a JSON
+/// line (the inverse of [`json_escape`]).
 pub(crate) fn json_str(line: &str, key: &str) -> Option<String> {
     let pat = format!("\"{key}\":\"");
     let start = line.find(&pat)? + pat.len();
@@ -67,7 +85,18 @@ pub(crate) fn json_str(line: &str, key: &str) -> Option<String> {
     while let Some(c) = chars.next() {
         match c {
             '"' => return Some(out),
-            '\\' => out.push(chars.next()?),
+            '\\' => out.push(match chars.next()? {
+                'n' => '\n',
+                't' => '\t',
+                'r' => '\r',
+                'b' => '\u{8}',
+                'f' => '\u{c}',
+                'u' => {
+                    let hex: String = chars.by_ref().take(4).collect();
+                    char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?
+                }
+                other => other,
+            }),
             _ => out.push(c),
         }
     }
@@ -137,8 +166,8 @@ impl TelemetrySnapshot {
         let m = &self.manifest;
         out.push_str(&format!(
             "{{\"record\":\"manifest\",\"run\":\"{}\",\"mode\":\"{}\",\"threads\":{},\"seed\":{},\"timing\":{}}}\n",
-            esc(&m.run),
-            esc(&m.mode),
+            json_escape(&m.run),
+            json_escape(&m.mode),
             m.threads,
             m.seed,
             m.timing
@@ -383,5 +412,26 @@ mod tests {
         let snap = sample();
         let back = TelemetrySnapshot::from_jsonl(&snap.to_jsonl()).unwrap();
         assert_eq!(back.manifest.mode, "reused \"quick\"");
+    }
+
+    #[test]
+    fn quotes_backslashes_and_newlines_in_manifest_strings_round_trip() {
+        let mut snap = sample();
+        snap.manifest.run = "crit\"ic\\run\nid".to_string();
+        snap.manifest.mode = "quick\n\"x\"\\\t\r\u{1}".to_string();
+        let wire = snap.to_jsonl();
+        assert_eq!(wire.lines().count(), 1 + 3 + 2, "a record split: {wire}");
+        assert_eq!(TelemetrySnapshot::from_jsonl(&wire).unwrap(), snap);
+    }
+
+    #[test]
+    fn escaper_leaves_no_control_character_unescaped() {
+        let raw: String = (0u8..0x20).map(char::from).chain("\"\\é".chars()).collect();
+        let escaped = json_escape(&raw);
+        assert!(!escaped.chars().any(char::is_control), "{escaped:?}");
+        assert!(escaped.starts_with("\\u0000"));
+        assert!(escaped.ends_with("\\\"\\\\é"));
+        let line = format!("{{\"k\":\"{escaped}\"}}");
+        assert_eq!(json_str(&line, "k").as_deref(), Some(raw.as_str()));
     }
 }

@@ -5,7 +5,7 @@ use oarsmt::selector::{Selector, UniformSelector};
 use oarsmt::topk::select_top_k;
 use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
 use oarsmt_geom::{Coord, HananGraph, Layout, Obstacle, Pin, Rect, VertexKind};
-use oarsmt_mcts::actor::action_policy;
+use oarsmt_mcts::actor::action_policy_into;
 use oarsmt_mcts::{CombinatorialMcts, MctsConfig};
 use oarsmt_rl::augment::{transform_sample, Symmetry};
 use oarsmt_rl::sample::TrainingSample;
@@ -107,7 +107,8 @@ proptest! {
         let mut gen = CaseGenerator::new(GeneratorConfig::tiny(6, 6, 2, (3, 5)), seed);
         let graph = gen.generate();
         let fsp = UniformSelector::new(p).fsp(&graph, &[]);
-        let policy = action_policy(&graph, &fsp, None);
+        let mut policy = Vec::new();
+        action_policy_into(&graph, &fsp, None, &mut policy);
         let total: f64 = policy.iter().map(|a| a.prob).sum();
         prop_assert!((total - 1.0).abs() < 1e-9);
         for a in &policy {
