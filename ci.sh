@@ -25,12 +25,10 @@ cargo check -q --workspace --no-default-features
 cargo check -q -p oarsmt-telemetry --features telemetry-timing
 cargo test -q -p oarsmt-telemetry --features telemetry-timing
 
-echo "==> simd lane (AVX2+FMA kernels build, lint clean, tests pass on any host)"
-cargo clippy -q -p oarsmt-nn --all-targets --features simd -- -D warnings
-cargo test -q -p oarsmt-nn --features simd
-cargo test -q -p oarsmt --features simd batch
-cargo check -q -p oarsmt-bench --features simd
-cargo check -q -p oarsmt-repro --features simd
+echo "==> kernel lanes (default build: AVX2 tiles == scalar tiles bit for bit; no-default-features: scalar-only forbid(unsafe_code) build)"
+cargo clippy -q -p oarsmt-nn --all-targets -- -D warnings
+cargo test -q -p oarsmt-nn
+cargo test -q -p oarsmt-nn --no-default-features --features naive-ref
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
@@ -41,8 +39,8 @@ cargo test --release --offline --manifest-path e2e_bench/Cargo.toml
 echo "==> counter determinism (bit-identical totals across thread counts, trace recorder armed)"
 cargo test -q --test parallel_determinism counter_totals
 
-echo "==> allocation sanitizer (zero steady-state allocs on registered hot paths, both kernel lanes)"
-cargo test --release -q -p oarsmt-lint --features alloc-count,simd --test alloc_sanitizer
+echo "==> allocation sanitizer (zero steady-state allocs on registered hot paths, on the default kernel lane)"
+cargo test --release -q -p oarsmt-lint --features alloc-count --test alloc_sanitizer
 
 echo "==> route-context property tests"
 cargo test -q -p oarsmt-router --test context_properties

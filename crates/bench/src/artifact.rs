@@ -112,23 +112,49 @@ impl Artifact {
     }
 }
 
-/// The raw value token of `"key": <value>` in `line` (quotes stripped for
-/// string values).
+/// The raw value token of `"key": <value>` in `line`: a string value
+/// without its quotes (escapes left as written), any other value up to the
+/// next `,` or `}`, trimmed. One forward scan skips every string whole,
+/// honoring `\"` escapes, so an escaped quote never ends a string and a
+/// `,` or `}` inside one never ends a value.
 pub fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":");
-    let start = line.find(&tag)? + tag.len();
-    let rest = line[start..].trim_start();
-    let end = rest
-        .char_indices()
-        .find(|&(i, c)| (c == ',' || c == '}') && !in_string(rest, i))
-        .map(|(i, _)| i)
-        .unwrap_or(rest.len());
-    Some(rest[..end].trim().trim_matches('"'))
+    let bytes = line.as_bytes();
+    let mut i = 0;
+    while i < bytes.len() {
+        if bytes[i] != b'"' {
+            i += 1;
+            continue;
+        }
+        let end = string_end(bytes, i + 1)?;
+        if &line[i + 1..end] == key {
+            if let Some(value) = line[end + 1..].trim_start().strip_prefix(':') {
+                let value = value.trim_start();
+                if let Some(body) = value.strip_prefix('"') {
+                    let close = string_end(body.as_bytes(), 0).unwrap_or(body.len());
+                    return Some(&body[..close]);
+                }
+                let stop = value.find([',', '}']).unwrap_or(value.len());
+                return Some(value[..stop].trim());
+            }
+        }
+        i = end + 1;
+    }
+    None
 }
 
-/// Whether byte offset `i` of `s` falls inside a double-quoted string.
-fn in_string(s: &str, i: usize) -> bool {
-    s[..i].bytes().filter(|&b| b == b'"').count() % 2 == 1
+/// The index of the unescaped `"` closing a string whose body starts at
+/// byte `from`.
+fn string_end(bytes: &[u8], from: usize) -> Option<usize> {
+    let mut escaped = false;
+    for (i, &b) in bytes.iter().enumerate().skip(from) {
+        match b {
+            _ if escaped => escaped = false,
+            b'\\' => escaped = true,
+            b'"' => return Some(i),
+            _ => {}
+        }
+    }
+    None
 }
 
 /// A numeric field of a rung line.
@@ -161,6 +187,20 @@ mod tests {
         assert_eq!(art.top_num("total_fwd_per_s"), Some(207.542));
         assert!(art.rung("S99").is_none());
         assert!(json_num(r, "missing").is_none());
+    }
+
+    #[test]
+    fn escaped_quotes_stay_inside_string_values() {
+        let line = r#"{"note": "a \"b\", c", "x": 1}"#;
+        assert_eq!(json_field(line, "note"), Some(r#"a \"b\", c"#));
+        assert_eq!(json_num(line, "x"), Some(1.0));
+        let line = r#"{"note": "say \"hi, bye", "x": 3}"#;
+        assert_eq!(json_field(line, "note"), Some(r#"say \"hi, bye"#));
+        assert_eq!(json_num(line, "x"), Some(3.0));
+        assert_eq!(
+            json_field(r#"{"s": "ends in \\"}"#, "s"),
+            Some(r"ends in \\")
+        );
     }
 
     #[test]

@@ -37,32 +37,28 @@
 //! a CPU fit speedup — so the fit gate here is a no-regression floor,
 //! not the 1.3× the inference flush clears.
 //!
-//! With `--simd` (requires building `-p oarsmt-bench --features simd` on
-//! an AVX2+FMA host) the *timed* arms run through the wide GEMM kernels
-//! (DESIGN.md §9 opt-out) and the artifact defaults to
-//! `BENCH_batch_simd.json`. The bit-identity sweeps stay on the scalar
-//! lane — batch-vs-single bitwise equality is a scalar-lane contract
-//! (the SIMD tiles land on different column boundaries at different
-//! batch offsets, so cross-B agreement there is tolerance-bounded, not
-//! bitwise) — and the `cs_fsp` baseline pin therefore still holds. The
-//! fit arms' per-step loss trajectories likewise only compare bitwise on
-//! the scalar lane; under `--simd` the first step (identical weights) is
-//! checked tolerance-close and the trajectories must stay finite.
+//! Sweeps and timed arms all run on the default kernel lane — the AVX2
+//! tiles wherever the host has them, which give every output element the
+//! scalar tiles' bits whatever column boundary it lands on (DESIGN.md §9)
+//! — and the artifact's `kernel` field names the lane that ran. The
+//! `cs_fsp` and `cs_loss` checksums are therefore lane-independent.
 //!
-//! Usage: `oarsmt_bench batch [--quick] [--simd] [--out PATH]
-//! [--baseline PATH]`
+//! Usage: `oarsmt_bench batch [--quick] [--out PATH] [--baseline PATH]`
 
 use std::time::Instant;
 
 use oarsmt::selector::{NeuralSelector, Selector};
 use oarsmt_geom::gen::CaseGenerator;
 use oarsmt_geom::{GridPoint, HananGraph};
-use oarsmt_nn::{KernelPolicy, NnWorkspace};
+use oarsmt_nn::NnWorkspace;
 use oarsmt_rl::sample::TrainingSample;
 use oarsmt_rl::trainer::{Trainer, TrainerConfig};
 use oarsmt_telemetry::{Counter, CounterSet};
 
-use super::{f64_sum, heuristic_label, selector_config, SizeRung, SIZE_LADDER};
+use super::{
+    assert_lane_dispatched, f64_sum, heuristic_label, kernel_lane, selector_config, SizeRung,
+    SIZE_LADDER,
+};
 use crate::artifact::{hex, int, json_field, json_num, num, text};
 use crate::runner::{Lane, Output, Run};
 use crate::Table;
@@ -72,7 +68,7 @@ pub const LANE: Lane = Lane {
     name: "batch",
     producer: "selector_batch_bench",
     seed: 0xDAC2024,
-    flags: &["--quick", "--simd", "--out", "--baseline"],
+    flags: &["--quick", "--out", "--baseline"],
     run: run_lane,
 };
 
@@ -126,10 +122,9 @@ struct RungResult {
     counters: CounterSet,
 }
 
-/// One rung's inference arms: bitwise equivalence sweep (always scalar —
-/// see the module docs), then timed batched and per-sample (B=1) loops
-/// through one reused workspace on the requested kernel lane.
-fn run_fwd_rung(r: &SizeRung, iters: usize, repeats: usize, simd: bool) -> RungResult {
+/// One rung's inference arms: bitwise equivalence sweep, then timed
+/// batched and per-sample (B=1) loops through one reused workspace.
+fn run_fwd_rung(r: &SizeRung, iters: usize, repeats: usize) -> RungResult {
     let graph = r.graph();
     let states = rung_states(&graph);
     let mut sel = NeuralSelector::with_config(selector_config());
@@ -161,19 +156,8 @@ fn run_fwd_rung(r: &SizeRung, iters: usize, repeats: usize, simd: bool) -> RungR
         }
     }
 
-    // --- switch the timed arms to the wide kernels; the dispatch counter
-    // must prove they actually ran (a silent scalar fallback would fake
-    // SIMD-labeled numbers). ---
-    if simd {
-        ws.set_kernel_policy(KernelPolicy::Simd);
-        let simd_before = ws.counters.get(Counter::GemmKernelSimd);
-        sel.fsp_into_ws(&graph, &states[0], &mut single_out, &mut ws);
-        assert!(
-            ws.counters.get(Counter::GemmKernelSimd) > simd_before,
-            "{}: --simd given but the wide kernels never dispatched",
-            r.name
-        );
-    }
+    // The sweep ran on the lane the timed arms will use.
+    assert_lane_dispatched(r.name, &ws.counters);
 
     // --- timed arms (B = 16 per flush, best of `repeats`) ---
     // The two arms are interleaved per repeat: host slowdowns on this box
@@ -226,13 +210,9 @@ struct FitResult {
 }
 
 /// One rung's fit arms: both start from identical weights and Adam state,
-/// so the (bit-identical on the scalar lane) trajectories make the timing
-/// an apples-to-apples comparison of the same computation. Under `simd`
-/// both arms run the wide kernels; the batched arm's tile boundaries then
-/// differ from the sequential arm's, so only the first step (identical
-/// weights) is compared — tolerance-close — and both trajectories are
-/// required to stay finite.
-fn run_fit_rung(r: &SizeRung, iters: usize, repeats: usize, simd: bool) -> FitResult {
+/// so the bit-identical trajectories make the timing an apples-to-apples
+/// comparison of the same computation.
+fn run_fit_rung(r: &SizeRung, iters: usize, repeats: usize) -> FitResult {
     let samples = fit_samples(r);
     let refs: Vec<&TrainingSample> = samples.iter().collect();
     let cfg = TrainerConfig {
@@ -244,10 +224,6 @@ fn run_fit_rung(r: &SizeRung, iters: usize, repeats: usize, simd: bool) -> FitRe
     let mut s_batch = NeuralSelector::with_config(selector_config());
     let mut t_seq = Trainer::new(cfg);
     let mut s_seq = NeuralSelector::with_config(selector_config());
-    if simd {
-        t_batch.set_kernel_policy(KernelPolicy::Simd);
-        t_seq.set_kernel_policy(KernelPolicy::Simd);
-    }
 
     // Best-of-`repeats` rounds; the two arms stay in weight lockstep, so
     // each round's loss trajectories must agree bitwise and each round
@@ -268,30 +244,11 @@ fn run_fit_rung(r: &SizeRung, iters: usize, repeats: usize, simd: bool) -> FitRe
             .collect();
         seq_secs = seq_secs.min(t0.elapsed().as_secs_f64());
 
-        if simd {
-            let (b0, s0) = (
-                f32::from_bits(batch_losses[0]),
-                f32::from_bits(seq_losses[0]),
-            );
-            assert!(
-                (b0 - s0).abs() <= 1e-3,
-                "{}: SIMD first-step losses diverged beyond tolerance ({b0} vs {s0})",
-                r.name
-            );
-            for &bits in batch_losses.iter().chain(&seq_losses) {
-                assert!(
-                    f32::from_bits(bits).is_finite(),
-                    "{}: non-finite loss in a SIMD fit trajectory",
-                    r.name
-                );
-            }
-        } else {
-            assert_eq!(
-                batch_losses, seq_losses,
-                "{}: fit_batch loss trajectory diverged from sequential",
-                r.name
-            );
-        }
+        assert_eq!(
+            batch_losses, seq_losses,
+            "{}: fit_batch loss trajectory diverged from sequential",
+            r.name
+        );
         cs_loss = batch_losses
             .iter()
             .fold(cs_loss, |acc, &b| acc.rotate_left(7) ^ u64::from(b));
@@ -326,7 +283,7 @@ fn run_lane(run: &mut Run) -> Output {
 
     for (r, (flush, fit)) in run.ladder(SIZE_LADDER.iter().zip(ITERS)) {
         let iters = (flush / scale).max(1);
-        let res = run_fwd_rung(r, iters, run.repeats(), run.simd);
+        let res = run_fwd_rung(r, iters, run.repeats());
         out.counters.merge_from(&res.counters);
 
         // Bit-identity vs the recorded baseline, when one exists: the
@@ -379,7 +336,7 @@ fn run_lane(run: &mut Run) -> Output {
 
         if fit > 0 {
             let fit_iters = (fit / scale).max(1);
-            let fit = run_fit_rung(r, fit_iters, run.repeats(), run.simd);
+            let fit = run_fit_rung(r, fit_iters, run.repeats());
             out.counters.merge_from(&fit.counters);
             let fit_name = format!("fit{}", r.name);
             let base_seq = baseline.as_ref().and_then(|b| {
@@ -417,10 +374,10 @@ fn run_lane(run: &mut Run) -> Output {
         }
     }
 
+    let kernel = kernel_lane();
     out.title = format!(
-        "batched selector throughput ({} mode, {} kernels, B = {BATCH}; speedups vs {})",
+        "batched selector throughput ({} mode, {kernel} kernels, B = {BATCH}; speedups vs {})",
         run.mode(),
-        if run.simd { "avx2+fma" } else { "scalar" },
         if baseline.is_some() {
             run.baseline_path()
         } else {
@@ -429,17 +386,12 @@ fn run_lane(run: &mut Run) -> Output {
     );
     out.tables = vec![fwd_table, fit_table];
     out.notes.push(format!(
-        "checksums: every rung's B in {{4, 16}} flushes bit-identical to per-sample B=1 calls{}",
-        if run.simd {
-            " (scalar lane; timed arms ran avx2+fma)"
-        } else {
-            ""
-        }
+        "checksums: every rung's B in {{4, 16}} flushes on the {kernel} lane bit-identical \
+         to per-sample B=1 calls"
     ));
     out.rungs.extend(fit_rungs);
-    let kernel = if run.simd { "simd" } else { "scalar" };
     out.header = vec![text("mode", "batch"), text("kernel", kernel)];
-    if baseline.is_none() && !quick && !run.simd {
+    if baseline.is_none() && !quick {
         // Bootstrap: record this run's single-sample arm as the baseline
         // for future comparisons (honest-comparison policy: the recorded
         // denominator predates any further batched-path tuning).

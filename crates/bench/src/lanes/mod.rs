@@ -91,3 +91,28 @@ pub fn heuristic_label(graph: &HananGraph) -> Vec<f32> {
 pub fn f64_sum(data: &[f32]) -> f64 {
     data.iter().map(|&v| f64::from(v)).sum()
 }
+
+/// The kernel lane every `NnWorkspace` on this host runs, as the U-Net
+/// lanes' artifacts name it (`kernel`). Both lanes give the same bits.
+pub fn kernel_lane() -> &'static str {
+    if oarsmt_nn::simd_available() {
+        "avx2"
+    } else {
+        "scalar"
+    }
+}
+
+/// Asserts that the wide tiles ran through `counters` exactly when the
+/// host has them, so a silent scalar fallback cannot pass as wide-lane
+/// numbers.
+///
+/// # Panics
+///
+/// Panics when the dispatch counter disagrees with the host.
+pub fn assert_lane_dispatched(rung: &str, counters: &oarsmt_telemetry::CounterSet) {
+    assert_eq!(
+        counters.get(oarsmt_telemetry::Counter::GemmKernelSimd) > 0,
+        oarsmt_nn::simd_available(),
+        "{rung}: the wide tiles must dispatch exactly when the host has them"
+    );
+}

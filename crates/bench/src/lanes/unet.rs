@@ -8,28 +8,26 @@
 //! same input with a sparse synthetic label — the inner loop of
 //! `Trainer::fit_batch`.
 //!
-//! Per rung the lane records an output checksum (forward logits) and
-//! gradient checksums (input gradient, concatenated parameter gradients) as
-//! exact `f64` bit patterns, and asserts three bit-identity properties:
+//! Everything runs on the default kernel lane — the AVX2 tiles wherever
+//! the host has them, bit-identical to the scalar tiles (DESIGN.md §9) —
+//! and the artifact's `kernel` field names the lane that ran. Per rung the
+//! lane records an output checksum (forward logits) and gradient checksums
+//! (input gradient, concatenated parameter gradients) as exact `f64` bit
+//! patterns, and asserts:
 //!
-//! 1. against the in-process **naive reference convolutions**
-//!    (`set_naive`, the pre-GEMM loops kept as an oracle);
-//! 2. against the **recorded baseline artifact**
-//!    (`BENCH_unet_baseline.json`, captured before the GEMM/workspace
-//!    rewrite) — also the denominator of the reported speedups;
-//! 3. implicitly, across workspace reuse (the timed loops reuse one
-//!    workspace; any drift would change the artifact checksums).
+//! 1. bit identity against the in-process **naive reference
+//!    convolutions** (`set_naive`, the pre-GEMM loops kept as an oracle);
+//! 2. bit identity against the **recorded baseline artifact**
+//!    (`BENCH_unet_baseline.json`, captured on the scalar lane before the
+//!    GEMM/workspace rewrite) — also the denominator of the reported
+//!    speedups;
+//! 3. implicitly, bit identity across workspace reuse (the timed loops
+//!    reuse one workspace; any drift would change the artifact
+//!    checksums);
+//! 4. that the wide tiles dispatched (`gemm_simd > 0`) exactly when
+//!    [`oarsmt_nn::simd_available`] holds.
 //!
-//! With `--simd` (requires building `-p oarsmt-bench --features simd` on
-//! an AVX2+FMA host) the *timed* loops run through the wide GEMM kernels
-//! (DESIGN.md §9 opt-out): the untimed checksum pass stays on the scalar
-//! lane so all three bit-identity properties above still hold and are
-//! still asserted, the SIMD forward output is checked ULP-close to the
-//! scalar one, the dispatch counter must prove the wide kernels actually
-//! ran, and the artifact defaults to `BENCH_unet_simd.json` (recorded
-//! checksums remain the scalar anchors; `kernel` names the timed lane).
-//!
-//! Usage: `oarsmt_bench unet [--quick] [--profile] [--simd] [--out PATH]
+//! Usage: `oarsmt_bench unet [--quick] [--profile] [--out PATH]
 //! [--baseline PATH]`
 
 use std::time::Instant;
@@ -39,10 +37,13 @@ use oarsmt_nn::layer::Layer;
 use oarsmt_nn::loss::bce_with_logits;
 use oarsmt_nn::tensor::Tensor;
 use oarsmt_nn::unet::UNet3d;
-use oarsmt_nn::{KernelPolicy, NnWorkspace};
+use oarsmt_nn::NnWorkspace;
 use oarsmt_telemetry::{Counter, CounterSet, SpanSet, TIMING_ENABLED};
 
-use super::{f64_sum, heuristic_label, selector_config, SizeRung, SIZE_LADDER};
+use super::{
+    assert_lane_dispatched, f64_sum, heuristic_label, kernel_lane, selector_config, SizeRung,
+    SIZE_LADDER,
+};
 use crate::artifact::{hex, int, json_field, json_num, num, text};
 use crate::runner::{Lane, Output, Run};
 use crate::Table;
@@ -52,7 +53,7 @@ pub const LANE: Lane = Lane {
     name: "unet",
     producer: "unet_throughput",
     seed: 0xDAC2024,
-    flags: &["--quick", "--profile", "--simd", "--out", "--baseline"],
+    flags: &["--quick", "--profile", "--out", "--baseline"],
     run: run_lane,
 };
 
@@ -123,16 +124,9 @@ fn checksum_pass(
     }
 }
 
-/// Runs one rung: oracle + checksum passes first (untimed, always on the
-/// scalar lane — the bit-identity contract lives there), then timing
-/// loops through one reused workspace on the requested kernel lane.
-fn run_rung(
-    r: &SizeRung,
-    fwd_iters: usize,
-    train_iters: usize,
-    profile: bool,
-    simd: bool,
-) -> RungResult {
+/// Runs one rung: oracle + checksum passes first (untimed), then timing
+/// loops through one reused workspace.
+fn run_rung(r: &SizeRung, fwd_iters: usize, train_iters: usize, profile: bool) -> RungResult {
     let (x, targets, mask) = rung_inputs(r);
     let mut net = UNet3d::new(selector_config());
     let mut ws = NnWorkspace::new();
@@ -151,35 +145,7 @@ fn run_rung(
         r.name
     );
 
-    // --- switch the timed loops to the wide kernels, with two checks:
-    // the forward output must stay within the DESIGN.md §9 tolerance of
-    // the scalar lane, and the dispatch counter must prove the SIMD
-    // kernels actually ran (a silent scalar fallback would fake numbers).
-    if simd {
-        let scalar = net.predict_in(&x, &mut ws);
-        let scalar_probs = scalar.data().to_vec();
-        ws.free(scalar);
-        ws.set_kernel_policy(KernelPolicy::Simd);
-        let simd_before = ws.counters.get(Counter::GemmKernelSimd);
-        let p = net.predict_in(&x, &mut ws);
-        let ulp = oarsmt_nn::kernels::max_ulp_distance(p.data(), &scalar_probs);
-        let close = p
-            .data()
-            .iter()
-            .zip(&scalar_probs)
-            .all(|(&a, &b)| oarsmt_nn::kernels::close_enough(a, b));
-        assert!(
-            close,
-            "{}: SIMD forward outside the ULP contract (max {ulp} ULPs)",
-            r.name
-        );
-        ws.free(p);
-        assert!(
-            ws.counters.get(Counter::GemmKernelSimd) > simd_before,
-            "{}: --simd given but the wide kernels never dispatched",
-            r.name
-        );
-    }
+    assert_lane_dispatched(r.name, &ws.counters);
     if profile {
         ws.enable_profiling();
     }
@@ -251,7 +217,7 @@ fn run_lane(run: &mut Run) -> Output {
     for (r, (fwd, train)) in run.ladder(SIZE_LADDER.iter().zip(ITERS)) {
         let fwd_iters = (fwd / scale).max(2);
         let train_iters = (train / scale).max(1);
-        let res = run_rung(r, fwd_iters, train_iters, run.profile, run.simd);
+        let res = run_rung(r, fwd_iters, train_iters, run.profile);
         let base_line = baseline
             .rung(r.name)
             .unwrap_or_else(|| panic!("{}: missing from {}", r.name, run.baseline_path()));
@@ -302,11 +268,10 @@ fn run_lane(run: &mut Run) -> Output {
         run.progress(&format!("{} done", r.name));
     }
 
-    let kernel = if run.simd { "simd" } else { "scalar" };
+    let kernel = kernel_lane();
     out.title = format!(
-        "unet selector throughput ({} mode, {} kernels; speedups vs {})",
+        "unet selector throughput ({} mode, {kernel} kernels; speedups vs {})",
         run.mode(),
-        if run.simd { "avx2+fma" } else { "scalar" },
         run.baseline_path()
     );
     out.tables.push(table);
@@ -328,16 +293,10 @@ fn run_lane(run: &mut Run) -> Output {
             ));
         }
     }
-    out.notes.push(if run.simd {
-        format!(
-            "checksums: scalar lane bit-identical to naive reference and recorded \
-             baseline; SIMD forward within {} ULPs / {} abs of scalar on every rung",
-            oarsmt_nn::kernels::MAX_ULP,
-            oarsmt_nn::kernels::ABS_TOL
-        )
-    } else {
-        "checksums: all rungs bit-identical to naive reference and recorded baseline".to_string()
-    });
+    out.notes.push(format!(
+        "checksums: all rungs on the {kernel} lane bit-identical to naive reference and \
+         recorded baseline"
+    ));
 
     if run.profile {
         let total: f64 = out.spans.iter().map(|(_, h)| h.total_ns as f64 / 1e9).sum();

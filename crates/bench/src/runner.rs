@@ -8,7 +8,7 @@
 //! [`artifact::render`].
 //!
 //! Usage: `oarsmt_bench <critic|unet|batch|dijkstra> [--quick] [--out PATH]
-//! [--baseline PATH] [--trace FILE] [--runlog DIR] [--profile] [--simd]`.
+//! [--baseline PATH] [--trace FILE] [--runlog DIR] [--profile]`.
 //! A lane given a flag it does not take exits with status 2; each lane's
 //! module documents the flags it takes.
 
@@ -33,7 +33,7 @@ const QUICK_RUNGS: usize = 3;
 const VALUE_FLAGS: [&str; 4] = ["--out", "--baseline", "--trace", "--runlog"];
 
 /// Flags that are switches.
-const SWITCHES: [&str; 3] = ["--quick", "--profile", "--simd"];
+const SWITCHES: [&str; 2] = ["--quick", "--profile"];
 
 /// One lane of the runner.
 #[derive(Debug)]
@@ -82,8 +82,6 @@ pub struct Run {
     pub quick: bool,
     /// `--profile`: per-layer span timing.
     pub profile: bool,
-    /// `--simd`: the timed loops run the wide GEMM kernels.
-    pub simd: bool,
     out: String,
     baseline: String,
     trace: Option<(String, TraceRecorder)>,
@@ -97,9 +95,8 @@ impl Run {
     /// # Errors
     ///
     /// Returns a message for an unknown lane, an unknown flag, a flag the
-    /// lane does not take, a value flag without a value, `--simd` on a
-    /// build or host without the wide kernels, or an uncreatable runlog
-    /// directory.
+    /// lane does not take, a value flag without a value, or an
+    /// uncreatable runlog directory.
     pub fn parse(args: &[String]) -> Result<Run, String> {
         let (name, flags) = args.split_first().ok_or("missing lane")?;
         let lane = LANES
@@ -132,14 +129,6 @@ impl Run {
                 .map(|(_, v)| v.clone())
         };
         let quick = switches.contains(&"--quick");
-        let simd = switches.contains(&"--simd");
-        if simd && !oarsmt_nn::simd_available() {
-            return Err(
-                "--simd needs `cargo ... -p oarsmt-bench --features simd` and an \
-                        AVX2+FMA host (refusing to record SIMD-labeled scalar numbers)"
-                    .to_string(),
-            );
-        }
         let manifest = Manifest {
             run: lane.producer.to_string(),
             mode: if quick { "quick" } else { "full" }.to_string(),
@@ -170,9 +159,7 @@ impl Run {
             lane,
             quick,
             profile: switches.contains(&"--profile"),
-            simd,
-            out: value("--out")
-                .unwrap_or_else(|| format!("{stem}{}.json", if simd { "_simd" } else { "" })),
+            out: value("--out").unwrap_or_else(|| format!("{stem}.json")),
             baseline: value("--baseline").unwrap_or_else(|| format!("{stem}_baseline.json")),
             trace,
             runlog,
@@ -345,7 +332,7 @@ mod tests {
     #[test]
     fn flags_parse_per_lane() {
         let run = Run::parse(&args("critic --quick --out x.json --baseline b.json")).unwrap();
-        assert!(run.quick && !run.simd && !run.profile);
+        assert!(run.quick && !run.profile);
         assert_eq!(run.out, "x.json");
         assert_eq!(run.baseline_path(), "b.json");
         assert_eq!(run.manifest.run, "critic_throughput");
@@ -368,7 +355,7 @@ mod tests {
             "dijkstra --runlog runs/x",
             "batch --trace t.json",
             "unet --runlog runs/x",
-            "critic --simd",
+            "unet --simd",
             "critic --profile",
             "critic --bogus",
             "critic --out",

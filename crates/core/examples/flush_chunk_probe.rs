@@ -6,7 +6,6 @@
 //! each chunk width at the large rungs.
 //!
 //! `cargo run --release -p oarsmt --example flush_chunk_probe`
-//! (add `--features oarsmt-nn/simd` to probe the wide-kernel lane).
 
 use std::time::Instant;
 
@@ -14,7 +13,7 @@ use oarsmt::selector::{NeuralSelector, Selector};
 use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
 use oarsmt_geom::{GridPoint, HananGraph};
 use oarsmt_nn::unet::UNetConfig;
-use oarsmt_nn::{KernelPolicy, NnWorkspace};
+use oarsmt_nn::NnWorkspace;
 
 const BATCH: usize = 16;
 
@@ -50,39 +49,30 @@ fn main() {
             levels: 2,
             seed: 0xDAC2024,
         });
-        for policy in [KernelPolicy::Scalar, KernelPolicy::Simd] {
-            let mut ws = NnWorkspace::new();
-            ws.set_kernel_policy(policy);
-            let mut out = Vec::new();
-            print!("{name} spatial={:5} {policy:?}:", graph.len());
-            for chunk in [16usize, 8, 4, 2, 1] {
-                // Warm the pool for this chunk shape.
+        let mut ws = NnWorkspace::new();
+        let mut out = Vec::new();
+        print!("{name} spatial={:5}:", graph.len());
+        for chunk in [16usize, 8, 4, 2, 1] {
+            // Warm the pool for this chunk shape.
+            for c0 in (0..BATCH).step_by(chunk) {
+                let c1 = (c0 + chunk).min(BATCH);
+                let p0: usize = lens[..c0].iter().map(|&l| l as usize).sum();
+                let p1: usize = lens[..c1].iter().map(|&l| l as usize).sum();
+                sel.fsp_batch_into_ws(&graph, &pts[p0..p1], &lens[c0..c1], &mut out, &mut ws);
+            }
+            let t0 = Instant::now();
+            for _ in 0..iters {
                 for c0 in (0..BATCH).step_by(chunk) {
                     let c1 = (c0 + chunk).min(BATCH);
                     let p0: usize = lens[..c0].iter().map(|&l| l as usize).sum();
                     let p1: usize = lens[..c1].iter().map(|&l| l as usize).sum();
                     sel.fsp_batch_into_ws(&graph, &pts[p0..p1], &lens[c0..c1], &mut out, &mut ws);
+                    std::hint::black_box(out[0]);
                 }
-                let t0 = Instant::now();
-                for _ in 0..iters {
-                    for c0 in (0..BATCH).step_by(chunk) {
-                        let c1 = (c0 + chunk).min(BATCH);
-                        let p0: usize = lens[..c0].iter().map(|&l| l as usize).sum();
-                        let p1: usize = lens[..c1].iter().map(|&l| l as usize).sum();
-                        sel.fsp_batch_into_ws(
-                            &graph,
-                            &pts[p0..p1],
-                            &lens[c0..c1],
-                            &mut out,
-                            &mut ws,
-                        );
-                        std::hint::black_box(out[0]);
-                    }
-                }
-                let per_state = t0.elapsed().as_secs_f64() / (iters * BATCH) as f64;
-                print!("  c{chunk}={:7.3}ms", per_state * 1e3);
             }
-            println!();
+            let per_state = t0.elapsed().as_secs_f64() / (iters * BATCH) as f64;
+            print!("  c{chunk}={:7.3}ms", per_state * 1e3);
         }
+        println!();
     }
 }

@@ -816,7 +816,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             "D4 — unsafe hygiene. Every `unsafe` token needs a `// SAFETY:` comment on\n\
              the same or the three preceding lines (D4-safety). Unsafe-free packages\n\
              must declare `#![forbid(unsafe_code)]` in every crate/binary root\n\
-             (D4-forbid); packages with opt-in unsafe (e.g. simd kernels) must gate it:\n\
+             (D4-forbid); packages with feature-gated unsafe (e.g. simd kernels) must gate it:\n\
              `#![cfg_attr(not(feature = \"…\"), forbid(unsafe_code))]` (D4-gate)."
         }
         "D5-panic" => {
@@ -976,8 +976,8 @@ pub fn has_forbid_unsafe(f: &FileAnalysis) -> bool {
 
 /// Whether a crate/binary root declares a *feature-gated* forbid:
 /// `#![cfg_attr(not(feature = "…"), forbid(unsafe_code))]`. This is the
-/// sanctioned shape for a crate whose `unsafe` is confined to an opt-in
-/// feature (e.g. `oarsmt-nn`'s `simd` kernels): the default build still
+/// sanctioned shape for a crate whose `unsafe` is confined to one feature
+/// (e.g. `oarsmt-nn`'s `simd` kernels): the build without that feature
 /// forbids `unsafe_code` outright, and the feature build keeps per-site
 /// `// SAFETY:` duty under D4-safety. The scan is token-order based
 /// (inner `cfg_attr` attribute containing `not`, `feature`, `forbid`,

@@ -1,33 +1,38 @@
-//! AVX2+FMA ports of the register tiles in [`scalar`](super::scalar).
+//! AVX2 ports of the register tiles in [`scalar`](super::scalar),
+//! bit-identical to them.
 //!
 //! Each kernel keeps the scalar tile's loop structure and per-element
-//! accumulation *sequence* exactly — the only arithmetic difference is
-//! that `_mm256_fmadd_ps` fuses every multiply-add into a single rounding,
-//! which is why this lane is ULP-bounded rather than bit-identical
-//! (DESIGN.md §9). One 8-wide `__m256` register covers the `NR = 8` z
-//! lanes (forward, panel GEMM, gather) or the `WL = 8` output-channel
-//! lanes (weight grad), so the tile geometry is unchanged.
+//! accumulation *sequence* exactly, and each step is a separate
+//! `_mm256_mul_ps` then `_mm256_add_ps` — two roundings, the same two the
+//! scalar `acc += w * x` performs. FMA is deliberately not in the enabled
+//! target features, so codegen has no fused instruction to contract the
+//! pair into (and Rust never contracts floating-point ops on its own):
+//! every lane computes the scalar tile's bits (DESIGN.md §9). One 8-wide
+//! `__m256` register covers the `NR = 8` z lanes (forward, panel GEMM,
+//! gather) or the `WL = 8` output-channel lanes (weight grad), so the tile
+//! geometry is unchanged.
 //!
 //! # Safety
 //!
-//! Every function here carries `#[target_feature(enable = "avx2,fma")]`,
-//! so calling one is `unsafe` with the contract *the running CPU supports
-//! AVX2 and FMA* — the dispatchers in [`super`] establish that via the
-//! cached [`simd_available`](super::simd_available) probe. The pointer
+//! Every function here carries `#[target_feature(enable = "avx2")]`, so
+//! calling one is `unsafe` with the contract *the running CPU supports
+//! AVX2* — the dispatchers in [`super`] establish that via the cached
+//! [`simd_available`](super::simd_available) probe. The pointer
 //! arithmetic inside touches exactly the indices the scalar tiles address
 //! through checked slices; each `unsafe` block states the bound it relies
 //! on, and debug builds re-check the tile's outermost bounds with
 //! `debug_assert!`.
 
 use core::arch::x86_64::{
-    _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
+    _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
+    _mm256_storeu_ps,
 };
 
 use super::{ICT, MR, NR, WL};
 
 /// Forward tile, `MR = 4` output channels × `NR = 8` z lanes: SIMD twin
 /// of [`scalar::fwd_tile`](super::scalar::fwd_tile)`::<4, 8>`.
-#[target_feature(enable = "avx2,fma")]
+#[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fwd_tile_4x8(
     xp: &[f32],
@@ -54,7 +59,10 @@ pub(crate) fn fwd_tile_4x8(
         // through a checked slice; the caller passes the same `off`/`src_base`.
         let src = unsafe { _mm256_loadu_ps(xp.as_ptr().add(o + src_base)) };
         for (i, a) in acc.iter_mut().enumerate() {
-            *a = _mm256_fmadd_ps(_mm256_set1_ps(w[(oc0 + i) * kd + kx]), src, *a);
+            *a = _mm256_add_ps(
+                *a,
+                _mm256_mul_ps(_mm256_set1_ps(w[(oc0 + i) * kd + kx]), src),
+            );
         }
     }
     for (i, a) in acc.iter().enumerate() {
@@ -66,8 +74,8 @@ pub(crate) fn fwd_tile_4x8(
 }
 
 /// Columns a wide GEMM tile covers: two `__m256` per row, eight
-/// accumulator registers per `MR`-row block — enough independent FMA
-/// chains to cover the fused-multiply-add latency that the 8-column tile
+/// accumulator registers per `MR`-row block — enough independent
+/// multiply-add chains to cover the add latency that the 8-column tile
 /// leaves on the table.
 const NW: usize = 2 * NR;
 
@@ -79,7 +87,7 @@ const NW: usize = 2 * NR;
 /// the accumulation is still one bias-first K-ascending chain; only the
 /// tile traversal order differs from the scalar lane, and traversal order
 /// never touches element values.
-#[target_feature(enable = "avx2,fma")]
+#[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_bias_wide(
     m: usize,
@@ -122,10 +130,10 @@ pub(crate) fn gemm_bias_wide(
 }
 
 /// Wide GEMM tile, `MR = 4` rows × [`NW`]` = 16` columns: each of the
-/// eight accumulators is an independent FMA chain, and each broadcast of
-/// `a[i][k]` feeds two fused multiply-adds.
+/// eight accumulators is an independent multiply-add chain, and each
+/// broadcast of `a[i][k]` feeds two of them.
 #[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2,fma")]
+#[target_feature(enable = "avx2")]
 fn gemm_tile_4x16(
     a: &[f32],
     bias: &[f32],
@@ -158,8 +166,8 @@ fn gemm_tile_4x16(
         let b1 = unsafe { _mm256_loadu_ps(b.as_ptr().add(base + 8)) };
         for i in 0..MR {
             let av = _mm256_set1_ps(a[(i0 + i) * kd + kx]);
-            lo[i] = _mm256_fmadd_ps(av, b0, lo[i]);
-            hi[i] = _mm256_fmadd_ps(av, b1, hi[i]);
+            lo[i] = _mm256_add_ps(lo[i], _mm256_mul_ps(av, b0));
+            hi[i] = _mm256_add_ps(hi[i], _mm256_mul_ps(av, b1));
         }
     }
     for i in 0..MR {
@@ -176,7 +184,7 @@ fn gemm_tile_4x16(
 /// remainder of [`gemm_bias_wide`]: SIMD twin of
 /// [`scalar::gemm_tile`](super::scalar::gemm_tile).
 #[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2,fma")]
+#[target_feature(enable = "avx2")]
 fn gemm_tile_4x8(
     a: &[f32],
     bias: &[f32],
@@ -202,7 +210,10 @@ fn gemm_tile_4x8(
         // checked slice; bounds re-checked by the debug_assert above.
         let brow = unsafe { _mm256_loadu_ps(b.as_ptr().add(kx * ldb + j0)) };
         for (i, v) in acc.iter_mut().enumerate() {
-            *v = _mm256_fmadd_ps(_mm256_set1_ps(a[(i0 + i) * kd + kx]), brow, *v);
+            *v = _mm256_add_ps(
+                *v,
+                _mm256_mul_ps(_mm256_set1_ps(a[(i0 + i) * kd + kx]), brow),
+            );
         }
     }
     for (i, v) in acc.iter().enumerate() {
@@ -214,7 +225,7 @@ fn gemm_tile_4x8(
 
 /// Weight-gradient lanes, `WL = 8` output channels: SIMD twin of
 /// [`scalar::wg_lanes`](super::scalar::wg_lanes)`::<8>`.
-#[target_feature(enable = "avx2,fma")]
+#[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn wg_lanes_8(
     xrow: &[f32],
@@ -233,7 +244,7 @@ pub(crate) fn wg_lanes_8(
         // SAFETY: the scalar kernel reads `gt[lane .. lane + 8]` through a
         // checked slice; bounds re-checked by the debug_assert above.
         let g = unsafe { _mm256_loadu_ps(gt.as_ptr().add(lane)) };
-        acc = _mm256_fmadd_ps(_mm256_set1_ps(xv), g, acc);
+        acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(xv), g));
     }
     let mut lanes = [0.0f32; WL];
     // SAFETY: `lanes` is exactly 8 floats.
@@ -246,7 +257,7 @@ pub(crate) fn wg_lanes_8(
 /// Input-gradient gather tile, `ICT = 4` input channels × `NR = 8` z
 /// lanes: SIMD twin of [`scalar::ig_tile`](super::scalar::ig_tile)
 /// `::<4, 8>` (same `oc asc, a desc, b desc, c asc` sweep).
-#[target_feature(enable = "avx2,fma")]
+#[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn ig_tile_4x8(
     gsrc: &[f32],
@@ -293,7 +304,7 @@ pub(crate) fn ig_tile_4x8(
                     let g = unsafe { _mm256_loadu_ps(gsrc.as_ptr().add(g_base)) };
                     for (l, accl) in acc.iter_mut().enumerate() {
                         let wv = _mm256_set1_ps(w[w_base + l * kk + c]);
-                        *accl = _mm256_fmadd_ps(wv, g, *accl);
+                        *accl = _mm256_add_ps(*accl, _mm256_mul_ps(wv, g));
                     }
                 }
             }

@@ -5,28 +5,23 @@
 //! channels × `NR` z lanes), the panel GEMM tile (same geometry over a
 //! materialized patch panel), the weight-gradient lanes (`WL` output
 //! channels) and the input-gradient gather tile (`ICT` input channels ×
-//! `NR` z lanes). This module owns those tiles in two flavors:
+//! `NR` z lanes). This module owns those tiles in two lanes:
 //!
-//! * `scalar` — the default. Bit-identical to the naive seven-loop
-//!   oracle (the per-element accumulation-order contract of DESIGN.md §9).
-//! * `avx2` — AVX2+FMA ports of the same tiles, compiled only under the
-//!   `simd` cargo feature on `x86_64`. FMA contracts each
-//!   multiply-then-add into one rounding, so this lane is a **documented
-//!   opt-out of the bit-identity guarantee**: results agree with the
-//!   scalar tiles to a small ULP bound (see [`close_enough`]) but not bit
-//!   for bit.
+//! * `scalar` — bit-identical to the naive seven-loop oracle (the
+//!   per-element accumulation-order contract of DESIGN.md §9), and the
+//!   fallback on every host without AVX2.
+//! * `avx2` — AVX2 ports of the same tiles, compiled under the default
+//!   `simd` cargo feature on `x86_64`. Each step is a separate multiply
+//!   then add, in the scalar tile's per-element order, so the wide lane
+//!   is bit-identical to the scalar one — not an approximation of it.
 //!
-//! Selection is explicit and never automatic: callers set a
-//! [`KernelPolicy`] on their [`NnWorkspace`](crate::workspace::NnWorkspace)
-//! (default [`KernelPolicy::Scalar`]), and [`KernelPolicy::Simd`] engages
-//! the wide tiles only when [`simd_available`] — a cached
-//! `is_x86_feature_detected!` probe — confirms AVX2 and FMA at runtime.
-//! On any other host (or with the feature off) the policy silently
-//! resolves back to the scalar tiles, so requesting SIMD is always safe
-//! and always deterministic for a given host. The telemetry counter
-//! `gemm_kernel_simd` records each conv kernel entry that actually ran
-//! the wide lane, making the dispatch observable in tests and bench
-//! artifacts.
+//! Dispatch is automatic: [`NnWorkspace::new`](crate::workspace::NnWorkspace::new)
+//! resolves the lane once from [`simd_available`] — a cached
+//! `is_x86_feature_detected!` probe — and the kernels branch on that
+//! plain `bool`. Because both lanes produce the same bits, the choice is
+//! invisible in every result; the telemetry counter `gemm_kernel_simd`
+//! records each conv kernel entry that ran the wide lane, making the
+//! dispatch observable in tests and bench artifacts.
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 pub(crate) mod avx2;
@@ -42,112 +37,23 @@ pub(crate) const WL: usize = 8;
 /// gradient-row read across `ICT` register accumulator rows).
 pub(crate) const ICT: usize = 4;
 
-/// Which micro-kernel family a workspace routes conv GEMM calls through.
-///
-/// `Scalar` is the default and the only policy that preserves the
-/// bit-identity contract against the naive oracle. `Simd` *requests* the
-/// AVX2+FMA tiles; it engages only when the crate was built with the
-/// `simd` feature **and** [`simd_available`] holds on this host, and
-/// falls back to the scalar tiles (bit-identical results) otherwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelPolicy {
-    /// Scalar register tiles; bit-identical to the naive oracle.
-    #[default]
-    Scalar,
-    /// AVX2+FMA register tiles where supported; ULP-bounded, not
-    /// bit-identical (DESIGN.md §9 opt-out).
-    Simd,
-}
-
-/// Whether the AVX2+FMA kernel lane can run on this build and host:
-/// `true` iff the `simd` feature is compiled in, the target is `x86_64`,
-/// and the CPU reports both `avx2` and `fma`. The CPUID probe runs once
-/// and is cached in a process-wide dispatch table (`OnceLock`), so the
-/// hot path pays one relaxed atomic load, not a CPUID.
+/// Whether the AVX2 kernel lane can run on this build and host: `true`
+/// iff the `simd` feature is compiled in, the target is `x86_64`, and the
+/// CPU reports `avx2`. The CPUID probe runs once and is cached in a
+/// process-wide dispatch table (`OnceLock`), so creating a workspace pays
+/// one atomic load, not a CPUID.
 #[must_use]
 pub fn simd_available() -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
         use std::sync::OnceLock;
         static AVAIL: OnceLock<bool> = OnceLock::new();
-        *AVAIL.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-        })
+        *AVAIL.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
     }
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     {
         false
     }
-}
-
-/// Resolves a policy against the build and host: `true` means the wide
-/// tiles will actually run.
-/// [`NnWorkspace::set_kernel_policy`](crate::workspace::NnWorkspace::set_kernel_policy)
-/// calls this once per policy change and caches the answer, so kernels
-/// branch on a plain `bool`.
-#[must_use]
-pub fn resolve(policy: KernelPolicy) -> bool {
-    match policy {
-        KernelPolicy::Scalar => false,
-        KernelPolicy::Simd => simd_available(),
-    }
-}
-
-/// Maps a float onto a monotonically ordered integer line (negative
-/// floats mirror below zero, `-0.0` and `+0.0` both map to `0`), so ULP
-/// distance is a plain integer difference.
-fn ordered(x: f32) -> i64 {
-    let b = i64::from(x.to_bits() as i32);
-    if b < 0 {
-        i64::from(i32::MIN) - b
-    } else {
-        b
-    }
-}
-
-/// Distance between `a` and `b` in units-in-the-last-place: the number of
-/// representable `f32` values strictly between them (0 when equal, with
-/// `-0.0 == +0.0`). `u64::MAX` if either is NaN.
-#[must_use]
-pub fn ulp_distance(a: f32, b: f32) -> u64 {
-    if a.is_nan() || b.is_nan() {
-        return u64::MAX;
-    }
-    ordered(a).abs_diff(ordered(b))
-}
-
-/// The SIMD validation tolerance (DESIGN.md §9): values agree when they
-/// are within [`MAX_ULP`] units-in-the-last-place *or* within
-/// [`ABS_TOL`] absolutely (the absolute escape covers cancellation, where
-/// a tiny absolute difference can be an unbounded relative one).
-pub const MAX_ULP: u64 = 512;
-/// Absolute tolerance partner of [`MAX_ULP`].
-pub const ABS_TOL: f32 = 1e-5;
-
-/// Whether `a` and `b` agree under the documented SIMD tolerance
-/// ([`MAX_ULP`] ULPs or [`ABS_TOL`] absolute). NaNs never agree.
-#[must_use]
-pub fn close_enough(a: f32, b: f32) -> bool {
-    if a.is_nan() || b.is_nan() {
-        return false;
-    }
-    (a - b).abs() <= ABS_TOL || ulp_distance(a, b) <= MAX_ULP
-}
-
-/// The largest elementwise ULP distance between two equal-length slices.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[must_use]
-pub fn max_ulp_distance(a: &[f32], b: &[f32]) -> u64 {
-    assert_eq!(a.len(), b.len(), "ULP comparison needs equal shapes");
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| ulp_distance(x, y))
-        .max()
-        .unwrap_or(0)
 }
 
 /// Dispatches the forward register tile: `M` output channels × `N` z
@@ -170,8 +76,8 @@ pub(crate) fn fwd_tile<const M: usize, const N: usize>(
 ) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if simd && M == MR && N == NR {
-        // SAFETY: `simd` is only true when `resolve` observed
-        // `simd_available()`, i.e. the running CPU supports AVX2+FMA.
+        // SAFETY: `simd` is only true when the workspace observed
+        // `simd_available()`, i.e. the running CPU supports AVX2.
         unsafe { avx2::fwd_tile_4x8(xp, off, src_base, w, bias, oc0, out, ldo, out_base) };
         return;
     }
@@ -203,8 +109,8 @@ pub(crate) fn gemm_bias(
 ) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if simd {
-        // SAFETY: `simd` is only true when `resolve` observed
-        // `simd_available()`, i.e. the running CPU supports AVX2+FMA.
+        // SAFETY: `simd` is only true when the workspace observed
+        // `simd_available()`, i.e. the running CPU supports AVX2.
         unsafe { avx2::gemm_bias_wide(m, kd, n, a, bias, b, ldb, out, ldo, col0) };
         return;
     }
@@ -216,7 +122,7 @@ pub(crate) fn gemm_bias(
 /// `L` output-channel lanes of tap `kx`. The AVX2 lane runs only for the
 /// full `WL`-lane geometry **and** a z run deep enough (`ICT` taps) to
 /// amortize its horizontal spill — on the shallow pooled grids the spill
-/// costs more than the fused multiply-adds save.
+/// costs more than the wide multiply-adds save.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn wg_lanes<const L: usize>(
@@ -232,8 +138,8 @@ pub(crate) fn wg_lanes<const L: usize>(
 ) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if simd && L == WL && xrow.len() >= ICT {
-        // SAFETY: `simd` is only true when `resolve` observed
-        // `simd_available()`, i.e. the running CPU supports AVX2+FMA.
+        // SAFETY: `simd` is only true when the workspace observed
+        // `simd_available()`, i.e. the running CPU supports AVX2.
         unsafe { avx2::wg_lanes_8(xrow, gt, gt_base, out_c, oc0, gw, kd, kx) };
         return;
     }
@@ -271,8 +177,8 @@ pub(crate) fn ig_tile<const L: usize, const N: usize>(
 ) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if simd && L == ICT && N == NR {
-        // SAFETY: `simd` is only true when `resolve` observed
-        // `simd_available()`, i.e. the running CPU supports AVX2+FMA.
+        // SAFETY: `simd` is only true when the workspace observed
+        // `simd_available()`, i.e. the running CPU supports AVX2.
         unsafe {
             avx2::ig_tile_4x8(
                 gsrc, out_c, in_c, k, p, d1, d2, d3, pd1, pd2, pd3, w, gi, ic0, ix, iy, zc, ldo,
@@ -289,58 +195,180 @@ pub(crate) fn ig_tile<const L: usize, const N: usize>(
 
 #[cfg(test)]
 mod tests {
+    //! Wide lane == scalar lane, bit for bit, per dispatcher. Each test
+    //! runs the dispatcher twice on the same random inputs, once with the
+    //! wide lane requested and once forced scalar, over full tiles,
+    //! ragged `m`/`n` edges and empty reductions (`kd = 0`). On a host or
+    //! build without the wide lane there is nothing to compare.
+
     use super::*;
 
-    #[test]
-    fn scalar_policy_never_resolves_to_simd() {
-        assert!(!resolve(KernelPolicy::Scalar));
+    /// Deterministic values in `[-1, 1)` (splitmix64 bits), with every
+    /// seventh one a `-0.0` to exercise signed-zero handling.
+    fn values(seed: u64, len: usize) -> Vec<f32> {
+        let mut z = seed;
+        (0..len)
+            .map(|i| {
+                z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut x = z;
+                x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                x ^= x >> 31;
+                if i % 7 == 6 {
+                    -0.0
+                } else {
+                    (x >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+                }
+            })
+            .collect()
     }
 
-    #[test]
-    fn simd_policy_resolves_to_availability() {
-        // Without the feature this is always false; with it, it matches
-        // the (cached) CPUID probe — either way the two must agree.
-        assert_eq!(resolve(KernelPolicy::Simd), simd_available());
-        #[cfg(not(feature = "simd"))]
-        assert!(
-            !simd_available(),
-            "simd_available is false without the feature"
+    fn assert_bits(wide: &[f32], scalar: &[f32], what: &str) {
+        assert_eq!(wide.len(), scalar.len(), "{what}: length");
+        for (i, (w, s)) in wide.iter().zip(scalar).enumerate() {
+            assert_eq!(
+                w.to_bits(),
+                s.to_bits(),
+                "{what}: element {i} ({w:e} vs {s:e})"
+            );
+        }
+    }
+
+    fn fwd_case<const M: usize, const N: usize>(kd: usize, seed: u64) {
+        let (oc0, src_base, out_base, ldo) = (1, 3, 2, N + 5);
+        let off: Vec<usize> = (0..kd).map(|k| (k * 5) % 13).collect();
+        let xp = values(seed, 13 + src_base + N);
+        let w = values(seed ^ 1, (oc0 + M) * kd);
+        let bias = values(seed ^ 2, oc0 + M);
+        let fresh = values(seed ^ 3, (oc0 + M) * ldo);
+        let run = |simd: bool| {
+            let mut out = fresh.clone();
+            fwd_tile::<M, N>(
+                simd, &xp, &off, src_base, &w, &bias, oc0, &mut out, ldo, out_base,
+            );
+            out
+        };
+        assert_bits(
+            &run(true),
+            &run(false),
+            &format!("fwd_tile {M}x{N} kd {kd}"),
         );
     }
 
     #[test]
-    fn default_policy_is_scalar() {
-        assert_eq!(KernelPolicy::default(), KernelPolicy::Scalar);
+    fn fwd_tile_wide_equals_scalar_bitwise() {
+        if !simd_available() {
+            return;
+        }
+        for (i, kd) in [0usize, 1, 7, 27, 81].into_iter().enumerate() {
+            let seed = 0xF00 + i as u64;
+            fwd_case::<MR, NR>(kd, seed);
+            fwd_case::<3, NR>(kd, seed);
+            fwd_case::<MR, 5>(kd, seed);
+            fwd_case::<1, 1>(kd, seed);
+        }
     }
 
     #[test]
-    fn ulp_distance_basics() {
-        assert_eq!(ulp_distance(1.0, 1.0), 0);
-        assert_eq!(ulp_distance(0.0, -0.0), 0);
-        assert_eq!(ulp_distance(1.0, f32::from_bits(1.0f32.to_bits() + 1)), 1);
-        // Symmetric across zero: 1 ULP below +min_positive is -min_positive? No —
-        // one step below the smallest positive subnormal is zero, then the
-        // negative line continues.
-        let tiny = f32::from_bits(1); // smallest positive subnormal
-        assert_eq!(ulp_distance(tiny, 0.0), 1);
-        assert_eq!(ulp_distance(tiny, -tiny), 2);
-        assert_eq!(ulp_distance(f32::NAN, 1.0), u64::MAX);
-        assert!(ulp_distance(1.0, -1.0) > 1 << 30, "opposite signs are far");
+    fn gemm_bias_wide_equals_scalar_bitwise() {
+        if !simd_available() {
+            return;
+        }
+        let mut seed = 0x6E33;
+        for m in [1usize, 3, 4, 5, 8, 9] {
+            for n in [1usize, 7, 8, 9, 15, 16, 17, 24, 33] {
+                for kd in [0usize, 1, 6, 27] {
+                    seed += 1;
+                    let (ldb, col0) = (n + 3, 2);
+                    let ldo = col0 + n + 1;
+                    let a = values(seed, m * kd);
+                    let bias = values(seed ^ 1, m);
+                    let b = values(seed ^ 2, kd * ldb);
+                    let fresh = values(seed ^ 3, m * ldo);
+                    let run = |simd: bool| {
+                        let mut out = fresh.clone();
+                        gemm_bias(simd, m, kd, n, &a, &bias, &b, ldb, &mut out, ldo, col0);
+                        out
+                    };
+                    assert_bits(
+                        &run(true),
+                        &run(false),
+                        &format!("gemm_bias {m}x{n} kd {kd}"),
+                    );
+                }
+            }
+        }
+    }
+
+    fn wg_case<const L: usize>(z_len: usize, seed: u64) {
+        let (out_c, oc0, kd, kx, gt_base) = (L + 3, 2, 5, 3, 4);
+        let xrow = values(seed, z_len);
+        let gt = values(seed ^ 1, gt_base + z_len * out_c + oc0 + L);
+        let fresh = values(seed ^ 2, (oc0 + L) * kd);
+        let run = |simd: bool| {
+            let mut gw = fresh.clone();
+            wg_lanes::<L>(simd, &xrow, &gt, gt_base, out_c, oc0, &mut gw, kd, kx);
+            gw
+        };
+        assert_bits(&run(true), &run(false), &format!("wg_lanes {L} z {z_len}"));
     }
 
     #[test]
-    fn close_enough_accepts_tolerance_and_rejects_gross_error() {
-        assert!(close_enough(1.0, 1.0));
-        assert!(close_enough(1.0, 1.0 + 1e-6), "abs escape");
-        assert!(close_enough(1e20, 1e20 * (1.0 + 1e-6)), "ulp escape");
-        assert!(!close_enough(1.0, 1.1));
-        assert!(!close_enough(f32::NAN, f32::NAN));
+    fn wg_lanes_wide_equals_scalar_bitwise() {
+        if !simd_available() {
+            return;
+        }
+        for (i, z_len) in [0usize, 1, 3, 4, 5, 8, 17, 64].into_iter().enumerate() {
+            let seed = 0x3617 + i as u64;
+            wg_case::<WL>(z_len, seed);
+            wg_case::<3>(z_len, seed);
+        }
+    }
+
+    fn ig_case<const L: usize, const N: usize>(k: usize, d3: usize, seed: u64) {
+        let (out_c, in_c, ic0, d1, d2, col0) = (3, L + 2, 1, 3, 4, 5);
+        let p = k / 2;
+        let (pd1, pd2, pd3) = (d1 + 2 * p, d2 + 2 * p, d3 + 2 * p);
+        let ldo = col0 + d1 * d2 * d3 + 3;
+        let gsrc = values(seed, out_c * pd1 * pd2 * pd3);
+        let w = values(seed ^ 1, out_c * in_c * k * k * k);
+        let fresh = values(seed ^ 2, in_c * ldo);
+        let run = |simd: bool| {
+            let mut gi = fresh.clone();
+            for ix in 0..d1 {
+                for iy in 0..d2 {
+                    let mut zc = 0;
+                    while zc + N <= d3 {
+                        ig_tile::<L, N>(
+                            simd, &gsrc, out_c, in_c, k, p, d1, d2, d3, pd1, pd2, pd3, &w, &mut gi,
+                            ic0, ix, iy, zc, ldo, col0,
+                        );
+                        zc += N;
+                    }
+                }
+            }
+            gi
+        };
+        assert_bits(
+            &run(true),
+            &run(false),
+            &format!("ig_tile {L}x{N} k {k} d3 {d3}"),
+        );
     }
 
     #[test]
-    fn max_ulp_distance_scans_elementwise() {
-        let a = [1.0f32, 2.0, 3.0];
-        let b = [1.0f32, f32::from_bits(2.0f32.to_bits() + 3), 3.0];
-        assert_eq!(max_ulp_distance(&a, &b), 3);
+    fn ig_tile_wide_equals_scalar_bitwise() {
+        if !simd_available() {
+            return;
+        }
+        for (i, (k, d3)) in [(3usize, 16usize), (3, 21), (1, 8), (5, 9)]
+            .into_iter()
+            .enumerate()
+        {
+            let seed = 0x1617 + i as u64;
+            ig_case::<ICT, NR>(k, d3, seed);
+            ig_case::<3, NR>(k, d3, seed);
+            ig_case::<ICT, 5>(k, d3, seed);
+        }
     }
 }

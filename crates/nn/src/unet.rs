@@ -471,6 +471,47 @@ mod tests {
         }
     }
 
+    /// The default kernel lane (AVX2 wherever the host has it) against
+    /// the forced-scalar lane and the naive oracle, over one whole
+    /// forward, backward and Adam step of a selector-shaped network wide
+    /// enough to fill every register tile: logits, input gradients and
+    /// the updated parameters must agree bit for bit.
+    #[test]
+    fn default_lane_matches_scalar_and_naive_through_an_adam_step() {
+        use crate::optim::Adam;
+        let proto = UNet3d::new(UNetConfig {
+            in_channels: 7,
+            base_channels: 8,
+            levels: 2,
+            seed: 71,
+        });
+        let x = Initializer::new(72).uniform(&[7, 9, 10, 16], 1.0);
+        let run = |lane: &str| {
+            let mut net = proto.clone();
+            let mut ws = NnWorkspace::new();
+            match lane {
+                "scalar" => ws.force_scalar(),
+                "naive" => net.set_naive(true),
+                _ => {}
+            }
+            let (y, gi) = train_pass(&mut net, &x, &mut ws);
+            Adam::new(1e-2).step(&mut net);
+            let wide = ws.counters.get(Counter::GemmKernelSimd);
+            (net, y, gi, wide)
+        };
+        let (mut net, y, gi, wide) = run("default");
+        assert_eq!(wide > 0, crate::simd_available(), "default lane dispatch");
+        for lane in ["scalar", "naive"] {
+            let (mut other, y_o, gi_o, wide_o) = run(lane);
+            assert_eq!(wide_o, 0, "{lane}: the wide tiles must not run");
+            assert_bits_eq(&y, &y_o, &format!("{lane} logits"));
+            assert_bits_eq(&gi, &gi_o, &format!("{lane} input grad"));
+            for (p, q) in net.params_mut().iter().zip(other.params_mut().iter()) {
+                assert_bits_eq(&p.value, &q.value, &format!("{lane} param after Adam"));
+            }
+        }
+    }
+
     /// Whole-network batch-vs-per-sample bit identity: logits, input
     /// gradients and accumulated parameter gradients of one batched pass
     /// must equal B=1 passes over the samples in order, for every batch

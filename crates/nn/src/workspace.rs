@@ -29,7 +29,7 @@
 
 use oarsmt_telemetry::{Counter, CounterSet, Span, SpanSet, SpanStart};
 
-use crate::kernels::{self, KernelPolicy};
+use crate::kernels;
 use crate::tensor::Tensor;
 
 /// Layer-kind/direction buckets for the optional profile (mapped onto the
@@ -105,13 +105,10 @@ pub struct NnWorkspace {
     /// outside a tagged U-Net layer; the U-Net forward and backward retag
     /// it per block via [`NnWorkspace::set_mac_slot`]).
     pub(crate) mac_slot: usize,
-    /// Which kernel family conv GEMM calls route through (default
-    /// [`KernelPolicy::Scalar`], the bit-identical family).
-    kernel_policy: KernelPolicy,
-    /// The policy resolved against the build and host, cached at
-    /// [`NnWorkspace::set_kernel_policy`] time: `true` iff the AVX2+FMA
-    /// lane will actually run (the kernels branch on this plain bool, not
-    /// on a CPUID probe).
+    /// The kernel lane, resolved once at [`NnWorkspace::new`] from the
+    /// cached [`kernels::simd_available`] probe: `true` iff conv GEMM
+    /// calls run the AVX2 tiles (the kernels branch on this plain bool,
+    /// not on a CPUID probe). Both lanes produce the same bits.
     simd_active: bool,
 }
 
@@ -136,32 +133,22 @@ impl NnWorkspace {
             spans: SpanSet::new(),
             counters: CounterSet::new(),
             mac_slot: Counter::MacsOther as usize,
-            kernel_policy: KernelPolicy::Scalar,
-            simd_active: false,
+            simd_active: kernels::simd_available(),
         }
     }
 
-    /// Selects the kernel family for conv GEMM calls through this
-    /// workspace. [`KernelPolicy::Simd`] engages the AVX2+FMA tiles only
-    /// when the `simd` feature is compiled in and the host supports them
-    /// (checked once here, cached in [`NnWorkspace::simd_active`]);
-    /// otherwise it silently falls back to the scalar tiles, so results
-    /// stay bit-identical to the naive oracle.
-    pub fn set_kernel_policy(&mut self, policy: KernelPolicy) {
-        self.kernel_policy = policy;
-        self.simd_active = kernels::resolve(policy);
+    /// Pins conv GEMM calls through this workspace to the scalar tiles.
+    /// The lanes are bit-identical, so this changes speed only; it exists
+    /// so tests can run the scalar lane on a host with AVX2. Oracle hook
+    /// only, like `Conv3d::set_naive`.
+    #[cfg(any(test, feature = "naive-ref"))]
+    pub fn force_scalar(&mut self) {
+        self.simd_active = false;
     }
 
-    /// The requested kernel policy (not necessarily what runs — see
-    /// [`NnWorkspace::simd_active`]).
-    #[must_use]
-    pub fn kernel_policy(&self) -> KernelPolicy {
-        self.kernel_policy
-    }
-
-    /// Whether conv GEMM calls through this workspace run the AVX2+FMA
-    /// lane: the requested policy resolved against build features and the
-    /// host CPU.
+    /// Whether conv GEMM calls through this workspace run the AVX2 lane:
+    /// the `simd` build feature and the host CPU, resolved at
+    /// [`NnWorkspace::new`].
     #[inline]
     #[must_use]
     pub fn simd_active(&self) -> bool {

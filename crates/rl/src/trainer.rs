@@ -179,17 +179,6 @@ impl Trainer {
         total
     }
 
-    /// Sets the GEMM kernel policy for the fit loop's reused workspace
-    /// (see `oarsmt_nn::KernelPolicy`). Sample-generation workers keep
-    /// the scalar default — their searches feed the replay buffer, and
-    /// the thread-count bit-identity guarantee is anchored there. With
-    /// `KernelPolicy::Simd` the fitted weights follow the documented
-    /// ULP-bounded opt-out (DESIGN.md §9): deterministic for a fixed
-    /// policy, not bit-identical across policies.
-    pub fn set_kernel_policy(&mut self, policy: oarsmt_nn::KernelPolicy) {
-        self.ws.set_kernel_policy(policy);
-    }
-
     /// Runs all configured stages, returning one report per stage.
     ///
     /// # Errors

@@ -64,10 +64,11 @@ pub enum Counter {
     GemmBatchCols,
     /// Selector-network forward passes (a batch of any width counts once).
     BatchFlushes,
-    /// Conv3d kernel entries (forward or backward) that ran the AVX2+FMA
-    /// register tiles instead of the scalar bit-identity tiles. Zero
-    /// whenever the workspace kernel policy is `Scalar`, the `simd`
-    /// feature is off, or the host lacks AVX2+FMA.
+    /// Conv3d kernel entries (forward or backward) that ran the wide AVX2
+    /// register tiles on this host. The wide tiles are bit-identical to
+    /// the scalar ones, so this counts speed, not results; it is zero
+    /// when the host lacks AVX2 or `oarsmt-nn` is built without its
+    /// `simd` feature.
     GemmKernelSimd,
     /// Multiply-accumulates in encoder level 0 (deeper levels clamp to 3).
     MacsEnc0,

@@ -4,8 +4,7 @@
 //! oarsmt gen H V M PINS SEED [FILE]   generate a random case (stdout or FILE)
 //! oarsmt route FILE [--selector W]    route a case, print stats + ASCII art
 //! oarsmt compare FILE                 run all routers on a case
-//! oarsmt train OUT.bin [STAGES] [--threads N] [--simd]
-//!              [--trace FILE] [--run-id ID]
+//! oarsmt train OUT.bin [STAGES] [--threads N] [--trace FILE] [--run-id ID]
 //!                                     train a selector, save weights
 //! oarsmt trace CASE [--out FILE] [--cap N] [--repeat N]
 //! oarsmt trace --verify FILE          flight-record a route / check a trace
@@ -19,9 +18,9 @@
 //! parallelizes sample generation across `--threads` workers (default: the
 //! `OARSMT_THREADS` environment variable, else all cores); generated
 //! samples — and therefore the trained weights — are bit-identical for
-//! every thread count. `--simd` opts the fit loop into the AVX2+FMA GEMM
-//! kernels (build with `--features simd`; see DESIGN.md §9 — weights stay
-//! deterministic for a fixed policy but are not bit-identical to scalar).
+//! every thread count, and on every host: the fit loop runs the AVX2 GEMM
+//! kernels where the CPU has them, which are bit-identical to the scalar
+//! ones (DESIGN.md §9).
 //!
 //! Observability (DESIGN.md §14): `--trace` exports a Chrome
 //! `trace_event` JSON viewable in `chrome://tracing` / Perfetto
@@ -66,7 +65,7 @@ fn main() -> ExitCode {
         Some("report") => cmd_report(&args[1..]),
         _ => {
             eprintln!(
-                "usage:\n  oarsmt gen H V M PINS SEED [FILE]\n  oarsmt route FILE [--selector WEIGHTS.bin]\n  oarsmt compare FILE\n  oarsmt train OUT.bin [STAGES] [--threads N] [--simd] [--trace FILE] [--run-id ID]\n  oarsmt trace CASE [--out FILE] [--cap N] [--repeat N]\n  oarsmt trace --verify FILE\n  oarsmt report FILE-or-RUNDIR [FILE2-or-RUNDIR2]\n  oarsmt report --check CURRENT BASELINE [--policy report.toml]\n  oarsmt report --summary DIR [--out FILE]\n\nreport renders the telemetry snapshot embedded in a BENCH_*.json artifact\n(or a raw .jsonl snapshot, or a runs/<id> directory); with two arguments\nit prints a diff. --check exits nonzero when counters drift or wall-clock\nleaves the policy band. trace exports Chrome trace_event JSON\n(chrome://tracing; real timestamps need --features telemetry-timing).\nOARSMT_THREADS=N sets the default worker count."
+                "usage:\n  oarsmt gen H V M PINS SEED [FILE]\n  oarsmt route FILE [--selector WEIGHTS.bin]\n  oarsmt compare FILE\n  oarsmt train OUT.bin [STAGES] [--threads N] [--trace FILE] [--run-id ID]\n  oarsmt trace CASE [--out FILE] [--cap N] [--repeat N]\n  oarsmt trace --verify FILE\n  oarsmt report FILE-or-RUNDIR [FILE2-or-RUNDIR2]\n  oarsmt report --check CURRENT BASELINE [--policy report.toml]\n  oarsmt report --summary DIR [--out FILE]\n\nreport renders the telemetry snapshot embedded in a BENCH_*.json artifact\n(or a raw .jsonl snapshot, or a runs/<id> directory); with two arguments\nit prints a diff. --check exits nonzero when counters drift or wall-clock\nleaves the policy band. trace exports Chrome trace_event JSON\n(chrome://tracing; real timestamps need --features telemetry-timing).\nOARSMT_THREADS=N sets the default worker count."
             );
             return ExitCode::from(2);
         }
@@ -181,22 +180,10 @@ fn cmd_train(args: &[String], threads_flag: Option<usize>) -> CliResult {
     let mut args = args.to_vec();
     let trace_path = take_value_flag(&mut args, "--trace")?;
     let run_id = take_value_flag(&mut args, "--run-id")?;
-    let simd = args.iter().any(|a| a == "--simd");
-    args.retain(|a| a != "--simd");
     let out = args.first().ok_or("train expects an output path")?.clone();
     let stages: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(6);
     let threads = oarsmt::parallel::thread_count(threads_flag);
     eprintln!("[train] generating samples on {threads} worker(s)");
-    if simd {
-        if oarsmt_nn::simd_available() {
-            eprintln!("[train] fit loop: avx2+fma GEMM kernels (ULP-bounded vs scalar)");
-        } else {
-            eprintln!(
-                "[train] --simd requested but unavailable (needs the `simd` build \
-                 feature and an AVX2+FMA host); using scalar kernels"
-            );
-        }
-    }
     let config = oarsmt_rl::trainer::TrainerConfig {
         stages,
         threads,
@@ -209,13 +196,15 @@ fn cmd_train(args: &[String], threads_flag: Option<usize>) -> CliResult {
         seed: 1,
     });
     let mut trainer = oarsmt_rl::Trainer::new(config);
-    if simd {
-        trainer.set_kernel_policy(oarsmt_nn::KernelPolicy::Simd);
-    }
 
     let manifest = oarsmt_telemetry::Manifest {
         run: "train".to_string(),
-        mode: if simd { "simd" } else { "scalar" }.to_string(),
+        mode: if oarsmt_nn::simd_available() {
+            "avx2"
+        } else {
+            "scalar"
+        }
+        .to_string(),
         threads,
         seed: 1,
         timing: oarsmt_telemetry::TIMING_ENABLED,
