@@ -36,7 +36,7 @@ cargo test -q --workspace
 echo "==> e2e_bench tests (its own workspace: catches public-API breaks the root workspace cannot see)"
 cargo test --release --offline --manifest-path e2e_bench/Cargo.toml
 
-echo "==> counter determinism (bit-identical totals across thread counts, trace recorder armed)"
+echo "==> counter determinism (bit-identical totals across thread counts, span recorder armed)"
 cargo test -q --test parallel_determinism counter_totals
 
 echo "==> allocation sanitizer (zero steady-state allocs on registered hot paths, on the default kernel lane)"
@@ -104,6 +104,13 @@ cargo run --release -q -p oarsmt-repro --bin oarsmt -- \
     trace target/trace_case.json --out target/trace_smoke.json > /dev/null
 cargo run --release -q -p oarsmt-repro --bin oarsmt -- \
     trace --verify target/trace_smoke.json
+
+echo "==> lane trace export (oarsmt_bench critic --trace through the rung contexts, then verify the Chrome JSON)"
+cargo run --release -q -p oarsmt-bench --bin oarsmt_bench -- critic --quick \
+    --out target/BENCH_critic_trace_smoke.json \
+    --trace target/critic_trace.json > /dev/null
+cargo run --release -q -p oarsmt-repro --bin oarsmt -- \
+    trace --verify target/critic_trace.json
 
 echo "==> runlog round-trip (bench writes runs/<id>/metrics.jsonl, report renders it)"
 rm -rf target/runs/ci-smoke

@@ -6,13 +6,14 @@
 //! fresh-vs-reused comparisons measure whatever both paths currently
 //! share). [`render`] writes every artifact in one fixed layout — header
 //! fields, one rung object per line, top-level totals, then the embedded
-//! telemetry snapshot — which [`Artifact`] parses back with plain string
-//! scanning — no JSON dependency.
+//! telemetry snapshot — which [`Artifact`] parses back with the telemetry
+//! crate's one field scanner ([`json_field`]) — no JSON dependency.
 
 use std::fmt::{Display, Write as _};
 use std::io;
 use std::path::Path;
 
+pub use oarsmt_telemetry::json_field;
 use oarsmt_telemetry::{json_escape, TelemetrySnapshot};
 
 /// One `"key": value` pair of an artifact; the value is already JSON text.
@@ -112,51 +113,6 @@ impl Artifact {
     }
 }
 
-/// The raw value token of `"key": <value>` in `line`: a string value
-/// without its quotes (escapes left as written), any other value up to the
-/// next `,` or `}`, trimmed. One forward scan skips every string whole,
-/// honoring `\"` escapes, so an escaped quote never ends a string and a
-/// `,` or `}` inside one never ends a value.
-pub fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let bytes = line.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'"' {
-            i += 1;
-            continue;
-        }
-        let end = string_end(bytes, i + 1)?;
-        if &line[i + 1..end] == key {
-            if let Some(value) = line[end + 1..].trim_start().strip_prefix(':') {
-                let value = value.trim_start();
-                if let Some(body) = value.strip_prefix('"') {
-                    let close = string_end(body.as_bytes(), 0).unwrap_or(body.len());
-                    return Some(&body[..close]);
-                }
-                let stop = value.find([',', '}']).unwrap_or(value.len());
-                return Some(value[..stop].trim());
-            }
-        }
-        i = end + 1;
-    }
-    None
-}
-
-/// The index of the unescaped `"` closing a string whose body starts at
-/// byte `from`.
-fn string_end(bytes: &[u8], from: usize) -> Option<usize> {
-    let mut escaped = false;
-    for (i, &b) in bytes.iter().enumerate().skip(from) {
-        match b {
-            _ if escaped => escaped = false,
-            b'\\' => escaped = true,
-            b'"' => return Some(i),
-            _ => {}
-        }
-    }
-    None
-}
-
 /// A numeric field of a rung line.
 pub fn json_num(line: &str, key: &str) -> Option<f64> {
     json_field(line, key)?.parse().ok()
@@ -187,20 +143,6 @@ mod tests {
         assert_eq!(art.top_num("total_fwd_per_s"), Some(207.542));
         assert!(art.rung("S99").is_none());
         assert!(json_num(r, "missing").is_none());
-    }
-
-    #[test]
-    fn escaped_quotes_stay_inside_string_values() {
-        let line = r#"{"note": "a \"b\", c", "x": 1}"#;
-        assert_eq!(json_field(line, "note"), Some(r#"a \"b\", c"#));
-        assert_eq!(json_num(line, "x"), Some(1.0));
-        let line = r#"{"note": "say \"hi, bye", "x": 3}"#;
-        assert_eq!(json_field(line, "note"), Some(r#"say \"hi, bye"#));
-        assert_eq!(json_num(line, "x"), Some(3.0));
-        assert_eq!(
-            json_field(r#"{"s": "ends in \\"}"#, "s"),
-            Some(r"ends in \\")
-        );
     }
 
     #[test]

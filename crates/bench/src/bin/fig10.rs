@@ -12,6 +12,7 @@ use oarsmt::eval::ObstacleRatioCurve;
 use oarsmt::parallel;
 use oarsmt_bench::{harness, Table};
 use oarsmt_geom::gen::TestSubsetSpec;
+use oarsmt_telemetry::SpanRecorder;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -22,9 +23,10 @@ fn main() {
     let threads = parallel::thread_count(flag);
     println!("Fig. 10: avg improvement ratio vs obstacle ratio, per subset ({threads} threads)\n");
     let selector = harness::pretrained_selector();
+    let mut spans = SpanRecorder::new();
     for spec in TestSubsetSpec::ladder() {
-        let result =
-            harness::run_subset(&spec, &selector, 0xF160, threads).expect("subset must route");
+        let result = harness::run_subset(&spec, &selector, 0xF160, threads, &mut spans)
+            .expect("subset must route");
         let max_ratio = result
             .obstacle_points
             .iter()

@@ -10,6 +10,7 @@
 use oarsmt::parallel;
 use oarsmt_bench::{harness, Table};
 use oarsmt_geom::gen::TestSubsetSpec;
+use oarsmt_telemetry::SpanRecorder;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -30,9 +31,10 @@ fn main() {
         "win",
         "loss",
     ]);
+    let mut spans = SpanRecorder::new();
     for spec in TestSubsetSpec::ladder() {
-        let result =
-            harness::run_subset(&spec, &selector, 0xDAC2024, threads).expect("subset must route");
+        let result = harness::run_subset(&spec, &selector, 0xDAC2024, threads, &mut spans)
+            .expect("subset must route");
         let c = &result.comparison;
         table.row([
             result.name.to_string(),

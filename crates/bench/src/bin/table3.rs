@@ -8,17 +8,16 @@
 //! pin count).
 
 //! `--trace FILE` exports a Chrome `trace_event` JSON of the ladder: one
-//! `bench_rung` span per subset, decomposed into the baseline/select/route
-//! phase totals the harness already times (reconstructed via
-//! `begin_at`/`end_at`, so it works in every build; per-layout detail is
-//! not recorded).
+//! `bench_rung` span per subset holding each layout's baseline/select/route
+//! phases as the harness records them (measured per layout, so they carry
+//! real durations in every build).
 
 #![forbid(unsafe_code)]
 
 use oarsmt::parallel;
 use oarsmt_bench::{harness, Table};
 use oarsmt_geom::gen::TestSubsetSpec;
-use oarsmt_telemetry::{tracing, Span, TraceRecorder};
+use oarsmt_telemetry::{tracing, Span, SpanRecorder};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -31,11 +30,10 @@ fn main() {
         .iter()
         .position(|a| a == "--trace")
         .and_then(|i| args.get(i + 1).cloned());
-    let mut rec = TraceRecorder::new();
+    let mut rec = SpanRecorder::new();
     if trace_path.is_some() {
-        rec.enable(1024);
+        rec.arm(1 << 16);
     }
-    let mut t_ns: u64 = 0;
     println!("Table 3: runtime comparison between [14] and our router ({threads} threads)\n");
     let selector = harness::pretrained_selector();
     let mut table = Table::new([
@@ -48,8 +46,8 @@ fn main() {
         "speedup (a/b)",
     ]);
     for spec in TestSubsetSpec::ladder() {
-        let result =
-            harness::run_subset(&spec, &selector, 0xDAC2024, threads).expect("subset must route");
+        let result = harness::run_subset(&spec, &selector, 0xDAC2024, threads, &mut rec)
+            .expect("subset must route");
         let n = result.comparison.count().max(1) as f64;
         let base = result.spans.total_secs(Span::PhaseBaseline) / n;
         let select = result.spans.total_secs(Span::PhaseSelect) / n;
@@ -64,20 +62,6 @@ fn main() {
             format!("{total:.5}"),
             format!("{:.1}x", base / total),
         ]);
-        let base_ns = result.spans.get(Span::PhaseBaseline).total_ns;
-        let select_ns = result.spans.get(Span::PhaseSelect).total_ns;
-        let route_ns = result.spans.get(Span::PhaseRoute).total_ns;
-        rec.begin_at(Span::BenchRung, t_ns);
-        rec.begin_at(Span::PhaseBaseline, t_ns);
-        rec.end_at(Span::PhaseBaseline, t_ns + base_ns);
-        t_ns += base_ns;
-        rec.begin_at(Span::PhaseSelect, t_ns);
-        rec.end_at(Span::PhaseSelect, t_ns + select_ns);
-        t_ns += select_ns;
-        rec.begin_at(Span::PhaseRoute, t_ns);
-        rec.end_at(Span::PhaseRoute, t_ns + route_ns);
-        t_ns += route_ns;
-        rec.end_at(Span::BenchRung, t_ns);
         eprintln!("[table3] {} done", result.name);
     }
     table.print();

@@ -12,7 +12,7 @@ use oarsmt_nn::unet::UNetConfig;
 use oarsmt_rl::schedule::laptop_schedule;
 use oarsmt_rl::Trainer;
 use oarsmt_router::{Lin18Router, RouteError};
-use oarsmt_telemetry::{CounterSet, Span, SpanSet};
+use oarsmt_telemetry::{CounterSet, Span, SpanRecorder, SpanSet};
 
 /// Architecture of the experiment selector (small enough to train in
 /// minutes on one core, wide enough to learn the 3–6-pin patterns).
@@ -65,11 +65,11 @@ pub struct SubsetResult {
     pub name: &'static str,
     /// Cost statistics (baseline = \[14\], ours = RL router).
     pub comparison: CostComparison,
-    /// Per-phase wall-clock histograms ([`Span::PhaseBaseline`] /
-    /// [`Span::PhaseSelect`] / [`Span::PhaseRoute`]), one record per layout,
-    /// summed over workers when the subset ran on a pool. The nanoseconds
-    /// are measured inside each job and folded deterministically, so the
-    /// spans populate regardless of the `telemetry-timing` feature.
+    /// What this subset added to the caller's recorder: one
+    /// [`Span::BenchRung`] and per layout one [`Span::PhaseBaseline`] /
+    /// [`Span::PhaseSelect`] / [`Span::PhaseRoute`] record. The phase
+    /// nanoseconds are measured inside each job and folded in index order,
+    /// so they populate regardless of the `telemetry-timing` feature.
     pub spans: SpanSet,
     /// Deterministic work counters, per-job deltas folded in index order.
     pub counters: CounterSet,
@@ -97,6 +97,11 @@ enum LayoutOutcome {
 /// baseline and with our RL router on a pool of `threads` workers, and
 /// accumulates cost, runtime and obstacle-ratio statistics.
 ///
+/// The subset is one [`Span::BenchRung`] in `spans`, opened live. Each
+/// layout's three phase times, measured on its worker, are laid end to end
+/// inside it with explicit timestamps, so an armed recorder holds the
+/// subset as a per-layout timeline.
+///
 /// Layout `i` is generated from `parallel::derive_seed(seed, i)` and the
 /// per-layout results are folded in index order, so costs, win/loss tallies
 /// and obstacle points are **bit-identical for every thread count**; only
@@ -114,7 +119,11 @@ pub fn run_subset(
     selector: &NeuralSelector,
     seed: u64,
     threads: usize,
+    spans: &mut SpanRecorder,
 ) -> Result<SubsetResult, RouteError> {
+    let before = *spans.hists();
+    let mut t = spans.now();
+    let rung = spans.begin(Span::BenchRung, t);
     let lin18 = Lin18Router::new();
     let outcomes = parallel::run_seeded_with(
         spec.layouts,
@@ -172,7 +181,6 @@ pub fn run_subset(
     // Fold in submission order: f64 accumulation and the counter reduction
     // see a fixed visit order.
     let mut comparison = CostComparison::new();
-    let mut spans = SpanSet::new();
     let mut counters = CounterSet::new();
     let mut obstacle_points = Vec::new();
     let mut skipped = 0usize;
@@ -188,17 +196,23 @@ pub fn run_subset(
                 obstacle_point,
             } => {
                 comparison.record(base_cost, ours_cost);
-                spans.record_ns(Span::PhaseBaseline, phase_ns[0]);
-                spans.record_ns(Span::PhaseSelect, phase_ns[1]);
-                spans.record_ns(Span::PhaseRoute, phase_ns[2]);
+                for (span, ns) in [Span::PhaseBaseline, Span::PhaseSelect, Span::PhaseRoute]
+                    .into_iter()
+                    .zip(phase_ns)
+                {
+                    let phase = spans.begin(span, t);
+                    t += ns;
+                    spans.end(phase, t);
+                }
                 obstacle_points.push(obstacle_point);
             }
         }
     }
+    spans.end(rung, t.max(spans.now()));
     Ok(SubsetResult {
         name: spec.name,
         comparison,
-        spans,
+        spans: spans.hists().delta_since(&before),
         counters,
         obstacle_points,
         skipped,
@@ -406,10 +420,22 @@ mod tests {
             levels: 1,
             seed: 0,
         });
-        let result = run_subset(&spec, &selector, 99, 1).unwrap();
+        let mut spans = SpanRecorder::new();
+        spans.arm(256);
+        let result = run_subset(&spec, &selector, 99, 1, &mut spans).unwrap();
         assert!(result.comparison.count() + result.skipped == 4);
         assert!(result.comparison.count() > 0);
         assert_eq!(result.obstacle_points.len(), result.comparison.count());
+        // One rung holding one span per phase per routed layout, in the
+        // ring exactly as in the histograms.
+        let n = result.comparison.count() as u64;
+        assert_eq!(result.spans.get(Span::BenchRung).count, 1);
+        assert_eq!(result.spans.get(Span::PhaseSelect).count, n);
+        let events = spans.events_in_order();
+        assert_eq!(events.len() as u64, 2 + 6 * n);
+        for agg in oarsmt_telemetry::tracing::summarize(&events) {
+            assert_eq!(agg.total_ns, result.spans.get(agg.span).total_ns);
+        }
     }
 
     #[test]
@@ -431,8 +457,8 @@ mod tests {
             levels: 1,
             seed: 3,
         });
-        let one = run_subset(&spec, &selector, 7, 1).unwrap();
-        let four = run_subset(&spec, &selector, 7, 4).unwrap();
+        let one = run_subset(&spec, &selector, 7, 1, &mut SpanRecorder::new()).unwrap();
+        let four = run_subset(&spec, &selector, 7, 4, &mut SpanRecorder::new()).unwrap();
         assert_eq!(one.comparison, four.comparison);
         assert_eq!(one.obstacle_points, four.obstacle_points);
         assert_eq!(one.skipped, four.skipped);

@@ -29,9 +29,9 @@
 //! [--trace FILE] [--runlog DIR]`
 //!
 //! `--trace FILE` flight-records the reused lane (each rung as a
-//! `bench_rung` span decomposing into the router's
-//! prepare/dijkstra/retrace phases) and exports Chrome `trace_event`
-//! JSON; `--runlog DIR` appends one rung record per ladder rung into
+//! `bench_rung` span decomposing into `critic_select` / `critic_route`
+//! and the router's prepare/dijkstra/retrace phases) and exports Chrome
+//! `trace_event` JSON; `--runlog DIR` appends one rung record per ladder rung into
 //! `DIR/metrics.jsonl` for `oarsmt report`.
 
 use std::time::Instant;
@@ -42,7 +42,7 @@ use oarsmt_geom::gen::TestSubsetSpec;
 use oarsmt_geom::HananGraph;
 use oarsmt_mcts::Critic;
 use oarsmt_router::RouteContext;
-use oarsmt_telemetry::{Counter, CounterSet, Span, SpanSet, SpanStart, TraceRecorder};
+use oarsmt_telemetry::{Counter, CounterSet, Span, SpanRecorder, SpanSet};
 
 use crate::artifact::{int, json_field, json_num, num, text};
 use crate::runner::{Lane, Output, Run};
@@ -69,9 +69,11 @@ struct ModeResult {
     rollouts: usize,
     secs: f64,
     checksum: f64,
-    /// [`Span::CriticSelect`] / [`Span::CriticRoute`] wall-clock split
-    /// (zero-duration events unless `telemetry-timing` is on). Both modes
-    /// carry identical instrumentation, so the api ratio stays fair.
+    /// The rung's span histograms: the [`Span::CriticSelect`] /
+    /// [`Span::CriticRoute`] wall-clock split (zero-duration events unless
+    /// `telemetry-timing` is on), plus the router phases in reused mode.
+    /// Both modes carry the same select/route brackets, so the api ratio
+    /// stays fair.
     spans: SpanSet,
     /// Counter totals of the rung's routing work (reused mode only: the
     /// fresh mode's throwaway contexts take their counters with them).
@@ -79,9 +81,9 @@ struct ModeResult {
 }
 
 /// Runs the level sweep on one layout: every prefix of the heuristic's
-/// top-k combination is priced exactly as an MCTS leaf would be.
-/// `ctx`/`fsp_buf` are used only in reused mode.
-#[allow(clippy::too_many_arguments)]
+/// top-k combination is priced exactly as an MCTS leaf would be. Spans go
+/// to `ctx`'s recorder in both modes; `ctx` routes and `fsp_buf` is used
+/// only in reused mode.
 fn sweep_layout(
     critic: &Critic,
     selector: &mut MedianHeuristicSelector,
@@ -90,7 +92,6 @@ fn sweep_layout(
     ctx: &mut RouteContext,
     fsp_buf: &mut Vec<f32>,
     checksum: &mut f64,
-    spans: &mut SpanSet,
 ) -> Option<usize> {
     let budget = steiner_budget(graph.pins().len());
     let fsp0 = selector.fsp(graph, &[]);
@@ -98,64 +99,63 @@ fn sweep_layout(
     let mut rollouts = 0usize;
     for level in 0..=combo.len() {
         let selected = &combo[..level];
-        match mode {
+        let t = ctx.nn.spans.begin(Span::CriticSelect, ctx.nn.spans.now());
+        let fresh_fsp;
+        let fsp: &[f32] = match mode {
             Mode::Fresh => {
-                let t = SpanStart::now();
-                let fsp = selector.fsp(graph, selected);
-                spans.stop(t, Span::CriticSelect);
-                let t = SpanStart::now();
-                let predicted = critic
-                    .predict_with_fsp_in(&mut RouteContext::new(), graph, selected, &fsp)
-                    .ok()?;
-                let cost = critic
-                    .state_cost_in(&mut RouteContext::new(), graph, selected)
-                    .ok()?;
-                spans.stop(t, Span::CriticRoute);
-                *checksum += predicted + cost;
+                fresh_fsp = selector.fsp(graph, selected);
+                &fresh_fsp
             }
             Mode::Reused => {
-                let t = SpanStart::now();
                 selector.fsp_into(graph, selected, fsp_buf);
-                spans.stop(t, Span::CriticSelect);
-                let t = SpanStart::now();
-                let predicted = critic
-                    .predict_with_fsp_in(ctx, graph, selected, fsp_buf)
-                    .ok()?;
-                let cost = critic.state_cost_in(ctx, graph, selected).ok()?;
-                spans.stop(t, Span::CriticRoute);
-                *checksum += predicted + cost;
+                fsp_buf
             }
-        }
+        };
+        ctx.nn.spans.end(t, ctx.nn.spans.now());
+        let t = ctx.nn.spans.begin(Span::CriticRoute, ctx.nn.spans.now());
+        let priced = match mode {
+            Mode::Fresh => critic
+                .predict_with_fsp_in(&mut RouteContext::new(), graph, selected, fsp)
+                .and_then(|p| {
+                    Ok(p + critic.state_cost_in(&mut RouteContext::new(), graph, selected)?)
+                }),
+            Mode::Reused => critic
+                .predict_with_fsp_in(ctx, graph, selected, fsp)
+                .and_then(|p| Ok(p + critic.state_cost_in(ctx, graph, selected)?)),
+        };
+        // Closed before a disconnected layout bails out, so the ring
+        // stays balanced.
+        ctx.nn.spans.end(t, ctx.nn.spans.now());
+        *checksum += priced.ok()?;
         rollouts += 1;
     }
     Some(rollouts)
 }
 
-/// Runs one rung in one mode over the deterministic layout sequence.
-/// With `trace`, the caller's flight recorder rides inside the rung's
-/// context (swapped in and out), bracketing the rung in a
-/// [`Span::BenchRung`] span.
+/// Runs one rung in one mode over the deterministic layout sequence,
+/// bracketed in a [`Span::BenchRung`] span. With `trace`, the caller's
+/// armed recorder rides inside the rung's context (swapped in and out).
 fn run_rung(
     spec: &TestSubsetSpec,
     mode: Mode,
     layouts_per_rung: usize,
     repeats: usize,
-    mut trace: Option<&mut TraceRecorder>,
+    mut trace: Option<&mut SpanRecorder>,
 ) -> ModeResult {
     let critic = Critic::new();
     let mut selector = MedianHeuristicSelector::new();
     let mut ctx = RouteContext::new();
     if let Some(rec) = trace.as_deref_mut() {
-        std::mem::swap(&mut ctx.trace, rec);
+        std::mem::swap(&mut ctx.nn.spans, rec);
     }
-    ctx.trace.begin(Span::BenchRung);
+    let before = *ctx.nn.spans.hists();
+    let rung = ctx.nn.spans.begin(Span::BenchRung, ctx.nn.spans.now());
     let mut fsp_buf = Vec::new();
     let mut gen = spec.generator(SEED);
     let mut rollouts = 0usize;
     let mut layouts = 0usize;
     let mut checksum = 0.0f64;
     let mut secs = 0.0f64;
-    let mut spans = SpanSet::new();
     while layouts < layouts_per_rung {
         let graph = gen.generate();
         let t0 = Instant::now();
@@ -169,7 +169,6 @@ fn run_rung(
                 &mut ctx,
                 &mut fsp_buf,
                 &mut checksum,
-                &mut spans,
             ) {
                 Some(r) => rollouts += r,
                 None => {
@@ -183,9 +182,10 @@ fn run_rung(
             layouts += 1;
         }
     }
-    ctx.trace.end(Span::BenchRung);
+    ctx.nn.spans.end(rung, ctx.nn.spans.now());
+    let spans = ctx.nn.spans.hists().delta_since(&before);
     if let Some(rec) = trace {
-        std::mem::swap(&mut ctx.trace, rec);
+        std::mem::swap(&mut ctx.nn.spans, rec);
     }
     ModeResult {
         rollouts,

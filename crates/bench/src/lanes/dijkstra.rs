@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use oarsmt_geom::gen::TestSubsetSpec;
 use oarsmt_router::{OarmstRouter, QueuePolicy, RouteContext};
-use oarsmt_telemetry::{Counter, CounterSet, Span, TraceRecorder};
+use oarsmt_telemetry::{Counter, CounterSet, Span, SpanRecorder};
 
 use crate::artifact::{int, num, text};
 use crate::runner::{Lane, Output, Run};
@@ -68,14 +68,14 @@ fn run_policy(
     policy: QueuePolicy,
     layouts_per_rung: usize,
     repeats: usize,
-    mut trace: Option<&mut TraceRecorder>,
+    mut trace: Option<&mut SpanRecorder>,
 ) -> LaneResult {
     let router = OarmstRouter::new().with_queue_policy(policy);
     let mut ctx = RouteContext::new();
     if let Some(rec) = trace.as_deref_mut() {
-        std::mem::swap(&mut ctx.trace, rec);
+        std::mem::swap(&mut ctx.nn.spans, rec);
     }
-    ctx.trace.begin(Span::BenchRung);
+    let rung = ctx.nn.spans.begin(Span::BenchRung, ctx.nn.spans.now());
     let mut gen = spec.generator(SEED);
     let before = ctx.counters_total();
     let mut routes = 0usize;
@@ -103,9 +103,9 @@ fn run_policy(
             layouts += 1;
         }
     }
-    ctx.trace.end(Span::BenchRung);
+    ctx.nn.spans.end(rung, ctx.nn.spans.now());
     if let Some(rec) = trace {
-        std::mem::swap(&mut ctx.trace, rec);
+        std::mem::swap(&mut ctx.nn.spans, rec);
     }
     LaneResult {
         routes,

@@ -27,8 +27,11 @@
 //! 4. that the wide tiles dispatched (`gemm_simd > 0`) exactly when
 //!    [`oarsmt_nn::simd_available`] holds.
 //!
-//! Usage: `oarsmt_bench unet [--quick] [--profile] [--out PATH]
-//! [--baseline PATH]`
+//! The report always ends with a per-layer-kind time split of the timed
+//! loops, read off the workspace's span histograms (real durations under
+//! `telemetry-timing`, the bench default).
+//!
+//! Usage: `oarsmt_bench unet [--quick] [--out PATH] [--baseline PATH]`
 
 use std::time::Instant;
 
@@ -53,7 +56,7 @@ pub const LANE: Lane = Lane {
     name: "unet",
     producer: "unet_throughput",
     seed: 0xDAC2024,
-    flags: &["--quick", "--profile", "--out", "--baseline"],
+    flags: &["--quick", "--out", "--baseline"],
     run: run_lane,
 };
 
@@ -84,8 +87,8 @@ struct RungResult {
     fwd_secs: f64,
     train_secs: f64,
     cs: Checksums,
-    /// Tier B per-layer spans (empty unless `--profile` and the
-    /// `telemetry-timing` feature are both on).
+    /// Tier B per-layer spans of the timed loops (zero durations unless
+    /// the `telemetry-timing` feature is on).
     spans: SpanSet,
     /// Tier A counters for the whole rung (checksum pass + timed loops;
     /// the naive oracle routes through its own discarded workspaces).
@@ -126,7 +129,7 @@ fn checksum_pass(
 
 /// Runs one rung: oracle + checksum passes first (untimed), then timing
 /// loops through one reused workspace.
-fn run_rung(r: &SizeRung, fwd_iters: usize, train_iters: usize, profile: bool) -> RungResult {
+fn run_rung(r: &SizeRung, fwd_iters: usize, train_iters: usize) -> RungResult {
     let (x, targets, mask) = rung_inputs(r);
     let mut net = UNet3d::new(selector_config());
     let mut ws = NnWorkspace::new();
@@ -146,9 +149,7 @@ fn run_rung(r: &SizeRung, fwd_iters: usize, train_iters: usize, profile: bool) -
     );
 
     assert_lane_dispatched(r.name, &ws.counters);
-    if profile {
-        ws.enable_profiling();
-    }
+    let untimed = *ws.spans.hists();
 
     // --- forward (inference) timing ---
     let t0 = Instant::now();
@@ -176,7 +177,7 @@ fn run_rung(r: &SizeRung, fwd_iters: usize, train_iters: usize, profile: bool) -
         fwd_secs,
         train_secs,
         cs,
-        spans: ws.take_spans(),
+        spans: ws.spans.hists().delta_since(&untimed),
         counters: ws.counters,
     }
 }
@@ -217,7 +218,7 @@ fn run_lane(run: &mut Run) -> Output {
     for (r, (fwd, train)) in run.ladder(SIZE_LADDER.iter().zip(ITERS)) {
         let fwd_iters = (fwd / scale).max(2);
         let train_iters = (train / scale).max(1);
-        let res = run_rung(r, fwd_iters, train_iters, run.profile);
+        let res = run_rung(r, fwd_iters, train_iters);
         let base_line = baseline
             .rung(r.name)
             .unwrap_or_else(|| panic!("{}: missing from {}", r.name, run.baseline_path()));
@@ -298,30 +299,28 @@ fn run_lane(run: &mut Run) -> Output {
          recorded baseline"
     ));
 
-    if run.profile {
-        let total: f64 = out.spans.iter().map(|(_, h)| h.total_ns as f64 / 1e9).sum();
-        let mut pt = Table::new(["layer kind", "secs", "share"]);
-        for (name, h) in out.spans.iter() {
-            if h.count == 0 {
-                continue;
-            }
-            let secs = h.total_ns as f64 / 1e9;
-            pt.row([
-                name.to_string(),
-                format!("{secs:.4}"),
-                format!("{:.1}%", 100.0 * secs / total.max(1e-12)),
-            ]);
+    let total: f64 = out.spans.iter().map(|(_, h)| h.total_ns as f64 / 1e9).sum();
+    let mut pt = Table::new(["layer kind", "secs", "share"]);
+    for (name, h) in out.spans.iter() {
+        if h.count == 0 {
+            continue;
         }
-        out.notes.push(format!(
-            "\nper-layer time split (timed loops, all rungs)\n\n{}{}",
-            if TIMING_ENABLED {
-                ""
-            } else {
-                "(telemetry-timing feature off: spans recorded as zero-duration events)\n\n"
-            },
-            pt.render().trim_end()
-        ));
+        let secs = h.total_ns as f64 / 1e9;
+        pt.row([
+            name.to_string(),
+            format!("{secs:.4}"),
+            format!("{:.1}%", 100.0 * secs / total.max(1e-12)),
+        ]);
     }
+    out.notes.push(format!(
+        "\nper-layer time split (timed loops, all rungs)\n\n{}{}",
+        if TIMING_ENABLED {
+            ""
+        } else {
+            "(telemetry-timing feature off: spans recorded as zero-duration events)\n\n"
+        },
+        pt.render().trim_end()
+    ));
 
     out.header = vec![text("mode", "gemm-workspace"), text("kernel", kernel)];
     out.totals = vec![

@@ -8,7 +8,7 @@
 //! [`artifact::render`].
 //!
 //! Usage: `oarsmt_bench <critic|unet|batch|dijkstra> [--quick] [--out PATH]
-//! [--baseline PATH] [--trace FILE] [--runlog DIR] [--profile]`.
+//! [--baseline PATH] [--trace FILE] [--runlog DIR]`.
 //! A lane given a flag it does not take exits with status 2; each lane's
 //! module documents the flags it takes.
 
@@ -16,7 +16,7 @@ use std::path::Path;
 
 use oarsmt_telemetry::runlog::RunLogger;
 use oarsmt_telemetry::{
-    CounterSet, Manifest, SpanSet, TelemetrySnapshot, TraceRecorder, TIMING_ENABLED,
+    CounterSet, Manifest, SpanRecorder, SpanSet, TelemetrySnapshot, TIMING_ENABLED,
 };
 
 use crate::artifact::{self, Artifact, Field};
@@ -33,7 +33,7 @@ const QUICK_RUNGS: usize = 3;
 const VALUE_FLAGS: [&str; 4] = ["--out", "--baseline", "--trace", "--runlog"];
 
 /// Flags that are switches.
-const SWITCHES: [&str; 2] = ["--quick", "--profile"];
+const SWITCHES: [&str; 1] = ["--quick"];
 
 /// One lane of the runner.
 #[derive(Debug)]
@@ -80,11 +80,9 @@ pub struct Run {
     lane: &'static Lane,
     /// `--quick`: the first three rungs of a ladder, fewer repeats.
     pub quick: bool,
-    /// `--profile`: per-layer span timing.
-    pub profile: bool,
     out: String,
     baseline: String,
-    trace: Option<(String, TraceRecorder)>,
+    trace: Option<(String, SpanRecorder)>,
     runlog: Option<RunLogger>,
     manifest: Manifest,
 }
@@ -137,8 +135,8 @@ impl Run {
             timing: TIMING_ENABLED,
         };
         let trace = value("--trace").map(|path| {
-            let mut rec = TraceRecorder::new();
-            rec.enable(1 << 16);
+            let mut rec = SpanRecorder::new();
+            rec.arm(1 << 16);
             (path, rec)
         });
         let runlog = match value("--runlog") {
@@ -158,7 +156,6 @@ impl Run {
         Ok(Run {
             lane,
             quick,
-            profile: switches.contains(&"--profile"),
             out: value("--out").unwrap_or_else(|| format!("{stem}.json")),
             baseline: value("--baseline").unwrap_or_else(|| format!("{stem}_baseline.json")),
             trace,
@@ -210,8 +207,8 @@ impl Run {
             .expect("recorded baseline artifact")
     }
 
-    /// The flight recorder, armed when `--trace` was given.
-    pub fn trace(&mut self) -> Option<&mut TraceRecorder> {
+    /// The span recorder, armed when `--trace` was given.
+    pub fn trace(&mut self) -> Option<&mut SpanRecorder> {
         self.trace.as_mut().map(|(_, rec)| rec)
     }
 
@@ -332,7 +329,7 @@ mod tests {
     #[test]
     fn flags_parse_per_lane() {
         let run = Run::parse(&args("critic --quick --out x.json --baseline b.json")).unwrap();
-        assert!(run.quick && !run.profile);
+        assert!(run.quick);
         assert_eq!(run.out, "x.json");
         assert_eq!(run.baseline_path(), "b.json");
         assert_eq!(run.manifest.run, "critic_throughput");
@@ -342,10 +339,9 @@ mod tests {
         assert_eq!(run.manifest.seed, 0xD1A17);
         assert_eq!(run.ladder(0..6), vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(run.repeats(), 3);
-        let quick = Run::parse(&args("unet --quick --profile")).unwrap();
+        let quick = Run::parse(&args("unet --quick")).unwrap();
         assert_eq!(quick.ladder(0..6), vec![0, 1, 2]);
         assert_eq!(quick.repeats(), 1);
-        assert!(quick.profile);
     }
 
     #[test]
@@ -356,6 +352,7 @@ mod tests {
             "batch --trace t.json",
             "unet --runlog runs/x",
             "unet --simd",
+            "unet --quick --profile",
             "critic --profile",
             "critic --bogus",
             "critic --out",

@@ -610,4 +610,45 @@ mod tests {
         assert_eq!(a.fsp(&g, &[]), b.fsp(&g, &[]));
         std::fs::remove_file(&path).ok();
     }
+
+    /// One recorder per context: arming a `RouteContext` records the
+    /// selector's U-Net layers and the router's phases in one ring, in
+    /// call order, as a balanced export whose summary equals the
+    /// histograms.
+    #[test]
+    fn an_armed_context_records_selection_and_routing_in_one_ring() {
+        use oarsmt_router::{OarmstRouter, RouteContext};
+        use oarsmt_telemetry::tracing::{summarize, to_chrome_json, verify_chrome};
+        use oarsmt_telemetry::{Span, TraceKind};
+
+        let mut s = NeuralSelector::with_config(UNetConfig {
+            in_channels: 7,
+            base_channels: 2,
+            levels: 2,
+            seed: 0,
+        });
+        let g = graph();
+        let mut ctx = RouteContext::new();
+        ctx.nn.spans.arm(4096);
+        s.fsp_into_ws(&g, &[], &mut ctx.fsp, &mut ctx.nn);
+        let tree = OarmstRouter::new().route_in(&mut ctx, &g, &[]).unwrap();
+        ctx.recycle_tree(tree);
+
+        let rec = &ctx.nn.spans;
+        assert_eq!(rec.dropped(), 0);
+        let events = rec.events_in_order();
+        let first = |span: Span| {
+            events
+                .iter()
+                .position(|e| e.span == span && e.kind == TraceKind::Begin)
+                .unwrap_or_else(|| panic!("{span:?} never reached the ring"))
+        };
+        assert!(first(Span::NnConvFwd) < first(Span::RouteDijkstra));
+        for agg in summarize(&events) {
+            let h = rec.hists().get(agg.span);
+            assert_eq!((agg.count, agg.total_ns), (h.count, h.total_ns));
+        }
+        let check = verify_chrome(&to_chrome_json(&events, rec.dropped())).unwrap();
+        assert_eq!(check.events, events.len());
+    }
 }

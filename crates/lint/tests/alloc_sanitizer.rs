@@ -27,7 +27,7 @@ use oarsmt_geom::{GridPoint, HananGraph};
 use oarsmt_mcts::{CombinatorialMcts, Critic, MctsConfig};
 use oarsmt_nn::NnWorkspace;
 use oarsmt_router::{OarmstRouter, RouteContext};
-use oarsmt_telemetry::Counter;
+use oarsmt_telemetry::{Counter, Span};
 
 /// Counts every allocation and reallocation made through the global
 /// allocator. Deallocations are not counted: a hot path that frees memory
@@ -119,29 +119,45 @@ fn hot_paths_are_allocation_free_in_steady_state() {
         "Tier A counters did not advance during the zero-alloc routes"
     );
 
-    // --- route_in with the flight recorder live: recording begin/end
-    // events into the preallocated ring is free — the warm loop stays at
-    // zero allocations with tracing enabled, and events actually land. ---
-    ctx.trace.enable(1024); // the one allocating call, outside the window
-    let tree = router.route_in(&mut ctx, &g, &candidates).unwrap();
-    ctx.recycle_tree(tree); // warm again post-enable
-    let traced_before = ctx.trace.len();
+    // --- selection + routing with the span recorder armed: one warm
+    // `fsp_into_ws` + `route_in` loop writes U-Net layer and routing
+    // phase events into the context's one preallocated ring, with zero
+    // allocations, and both kinds of event actually land. ---
+    let mut traced_sel = NeuralSelector::random(0x7ACE);
+    ctx.nn.spans.arm(1 << 14); // the one allocating call, outside the window
+    let mut warm_traced = 0.0;
+    for _ in 0..3 {
+        traced_sel.fsp_into_ws(&g, &[], &mut ctx.fsp, &mut ctx.nn);
+        let tree = router.route_in(&mut ctx, &g, &candidates).unwrap();
+        warm_traced = tree.cost();
+        ctx.recycle_tree(tree);
+    }
+    let hists_before = *ctx.nn.spans.hists();
     let (n, traced_cost) = allocs_during(|| {
         let mut cost = 0.0;
         for _ in 0..8 {
+            traced_sel.fsp_into_ws(&g, &[], &mut ctx.fsp, &mut ctx.nn);
             let tree = router.route_in(&mut ctx, &g, &candidates).unwrap();
             cost = tree.cost();
             ctx.recycle_tree(tree);
         }
         cost
     });
-    assert_eq!(n, 0, "route_in allocated {n} times with tracing enabled");
-    assert_eq!(traced_cost, warm_cost, "tracing changed routing results");
-    assert!(
-        ctx.trace.len() > traced_before || ctx.trace.dropped() > 0,
-        "flight recorder recorded nothing during the traced routes"
+    assert_eq!(n, 0, "traced selection + route_in allocated {n} times");
+    assert_eq!(traced_cost, warm_traced, "tracing changed routing results");
+    assert_eq!(
+        traced_cost, warm_cost,
+        "the selector pass changed the route"
     );
-    ctx.trace.disable();
+    let landed = ctx.nn.spans.hists().delta_since(&hists_before);
+    let events = ctx.nn.spans.events_in_order();
+    for span in [Span::NnConvFwd, Span::RouteDijkstra] {
+        assert!(landed.get(span).count >= 8, "{span:?} never recorded");
+        assert!(
+            events.iter().any(|e| e.span == span),
+            "{span:?} never reached the ring"
+        );
+    }
 
     // --- route_in under QueuePolicy::AStar: the f = g + h heap search and
     // its per-iteration target-hint rebuild are also allocation-free once

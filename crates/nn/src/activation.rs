@@ -6,7 +6,8 @@
 
 use crate::layer::Layer;
 use crate::tensor::Tensor;
-use crate::workspace::{NnWorkspace, ProfKind};
+use crate::workspace::NnWorkspace;
+use oarsmt_telemetry::Span;
 
 /// Rectified linear unit, `y = max(x, 0)`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -22,12 +23,12 @@ impl Relu {
     /// Used by the residual blocks, which own their intermediates. The
     /// cache is the output: gradient passes exactly where it is positive.
     pub fn forward_owned(mut x: Tensor, ws: &mut NnWorkspace) -> (Tensor, Option<Tensor>) {
-        let t = ws.prof_start();
+        let t = ws.spans.begin(Span::NnActFwd, ws.spans.now());
         for v in x.data_mut() {
             *v = v.max(0.0);
         }
         let cache = ws.training().then(|| ws.alloc_copy(&x));
-        ws.prof_end(t, ProfKind::ActFwd);
+        ws.spans.end(t, ws.spans.now());
         (x, cache)
     }
 }
@@ -42,7 +43,7 @@ impl Layer for Relu {
     }
 
     fn backward(&mut self, y: Tensor, mut grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let t = ws.prof_start();
+        let t = ws.spans.begin(Span::NnActBwd, ws.spans.now());
         // `y = max(x, 0)` is never NaN, so `y <= 0` is exactly `x <= 0`
         // or `x` NaN — where the gradient stops.
         for (gv, &yv) in grad_out.data_mut().iter_mut().zip(y.data()) {
@@ -51,7 +52,7 @@ impl Layer for Relu {
             }
         }
         ws.free(y);
-        ws.prof_end(t, ProfKind::ActBwd);
+        ws.spans.end(t, ws.spans.now());
         grad_out
     }
 }
@@ -79,23 +80,23 @@ impl Layer for Sigmoid {
     type Cache = Tensor;
 
     fn forward(&self, x: &Tensor, ws: &mut NnWorkspace) -> (Tensor, Option<Tensor>) {
-        let t = ws.prof_start();
+        let t = ws.spans.begin(Span::NnActFwd, ws.spans.now());
         let mut y = ws.alloc(x.shape());
         for (o, &v) in y.data_mut().iter_mut().zip(x.data()) {
             *o = sigmoid(v);
         }
         let cache = ws.training().then(|| ws.alloc_copy(&y));
-        ws.prof_end(t, ProfKind::ActFwd);
+        ws.spans.end(t, ws.spans.now());
         (y, cache)
     }
 
     fn backward(&mut self, y: Tensor, mut grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let t = ws.prof_start();
+        let t = ws.spans.begin(Span::NnActBwd, ws.spans.now());
         for (gv, &yv) in grad_out.data_mut().iter_mut().zip(y.data()) {
             *gv *= yv * (1.0 - yv);
         }
         ws.free(y);
-        ws.prof_end(t, ProfKind::ActBwd);
+        ws.spans.end(t, ws.spans.now());
         grad_out
     }
 }

@@ -47,8 +47,8 @@ use crate::init::Initializer;
 use crate::kernels::{self, ICT, MR, NR, WL};
 use crate::layer::{Layer, Param};
 use crate::tensor::{batch_dims, Shape, Tensor};
-use crate::workspace::{NnWorkspace, ProfKind};
-use oarsmt_telemetry::Counter;
+use crate::workspace::NnWorkspace;
+use oarsmt_telemetry::{Counter, Span};
 /// Target im2col panel width in columns for the small-`d3` forward path
 /// (panels are whole output rows, so the actual width is the nearest
 /// multiple of `d3`). Keeps the patch panel cache-resident.
@@ -794,7 +794,7 @@ impl Layer for Conv3d {
     type Cache = Tensor;
 
     fn forward(&self, x: &Tensor, ws: &mut NnWorkspace) -> (Tensor, Option<Tensor>) {
-        let t = ws.prof_start();
+        let t = ws.spans.begin(Span::NnConvFwd, ws.spans.now());
         let [in_c, bsz, d1, d2, d3] = batch_dims(x.shape());
         assert_eq!(in_c, self.in_c, "conv3d channel mismatch");
         let spatial = d1 * d2 * d3;
@@ -817,7 +817,7 @@ impl Layer for Conv3d {
             // route's (identical state for backward).
             self.forward_naive_batch(x, &mut out, ws);
             let cache = ws.training().then(|| pad_batch(x, p, ws));
-            ws.prof_end(t, ProfKind::ConvFwd);
+            ws.spans.end(t, ws.spans.now());
             return (out, cache);
         }
 
@@ -847,7 +847,7 @@ impl Layer for Conv3d {
                 simd,
             );
             let cache = ws.training().then(|| pad_batch(x, 0, ws));
-            ws.prof_end(t, ProfKind::ConvFwd);
+            ws.spans.end(t, ws.spans.now());
             return (out, cache);
         }
 
@@ -944,12 +944,12 @@ impl Layer for Conv3d {
             ws.free(xp);
             None
         };
-        ws.prof_end(t, ProfKind::ConvFwd);
+        ws.spans.end(t, ws.spans.now());
         (out, cache)
     }
 
     fn backward(&mut self, xc: Tensor, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let t = ws.prof_start();
+        let t = ws.spans.begin(Span::NnConvBwd, ws.spans.now());
         let k = self.k;
         let p = k / 2;
         let [out_c, bsz, d1, d2, d3] = batch_dims(grad_out.shape());
@@ -975,7 +975,7 @@ impl Layer for Conv3d {
             self.backward_naive_batch(&xc, &grad_out, &mut grad_in, ws);
             ws.free(xc);
             ws.free(grad_out);
-            ws.prof_end(t, ProfKind::ConvBwd);
+            ws.spans.end(t, ws.spans.now());
             return grad_in;
         }
 
@@ -1063,7 +1063,7 @@ impl Layer for Conv3d {
         ws.g_pad = gpad;
         ws.free(xc);
         ws.free(grad_out);
-        ws.prof_end(t, ProfKind::ConvBwd);
+        ws.spans.end(t, ws.spans.now());
         grad_in
     }
 

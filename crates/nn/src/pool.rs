@@ -8,7 +8,8 @@
 
 use crate::layer::Layer;
 use crate::tensor::{volumes, Shape, Tensor};
-use crate::workspace::{NnWorkspace, ProfKind};
+use crate::workspace::NnWorkspace;
+use oarsmt_telemetry::Span;
 
 /// Window-2, stride-2, ceil-mode 3D max pooling over the trailing three
 /// axes; every leading axis (`c` for a rank-4 sample, `c·b` for a
@@ -92,19 +93,19 @@ impl Layer for MaxPool3d {
     type Cache = PoolCache;
 
     fn forward(&self, x: &Tensor, ws: &mut NnWorkspace) -> (Tensor, Option<PoolCache>) {
-        let t = ws.prof_start();
+        let t = ws.spans.begin(Span::NnPoolFwd, ws.spans.now());
         let in_shape = Shape::of(x.shape());
         let (_, [d1, d2, d3]) = volumes(x.shape());
         let out_shape = in_shape.with_spatial([pooled(d1), pooled(d2), pooled(d3)]);
         let mut out = ws.alloc(out_shape.dims());
         if !ws.training() {
             pool_core(x.data(), x.shape(), out.data_mut(), None);
-            ws.prof_end(t, ProfKind::PoolFwd);
+            ws.spans.end(t, ws.spans.now());
             return (out, None);
         }
         let mut argmax = ws.alloc(out_shape.dims());
         pool_core(x.data(), x.shape(), out.data_mut(), Some(argmax.data_mut()));
-        ws.prof_end(t, ProfKind::PoolFwd);
+        ws.spans.end(t, ws.spans.now());
         (out, Some(PoolCache { in_shape, argmax }))
     }
 
@@ -112,7 +113,7 @@ impl Layer for MaxPool3d {
     /// disjoint, so every input cell receives at most one term and there
     /// is no accumulation-order question.
     fn backward(&mut self, cache: PoolCache, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let t = ws.prof_start();
+        let t = ws.spans.begin(Span::NnPoolBwd, ws.spans.now());
         assert_eq!(grad_out.len(), cache.argmax.len(), "maxpool gradient shape");
         let s = cache.in_shape.dims();
         let (c_eff, [d1, d2, d3]) = volumes(s);
@@ -139,7 +140,7 @@ impl Layer for MaxPool3d {
         }
         ws.free(cache.argmax);
         ws.free(grad_out);
-        ws.prof_end(t, ProfKind::PoolBwd);
+        ws.spans.end(t, ws.spans.now());
         grad_in
     }
 }

@@ -8,7 +8,8 @@
 
 use crate::layer::Layer;
 use crate::tensor::{volumes, Shape, Tensor};
-use crate::workspace::{NnWorkspace, ProfKind};
+use crate::workspace::NnWorkspace;
+use oarsmt_telemetry::Span;
 
 /// Nearest-neighbor upsampling to a fixed target spatial shape.
 #[derive(Debug, Clone, Copy)]
@@ -78,17 +79,17 @@ impl Layer for Upsample3d {
     type Cache = Shape;
 
     fn forward(&self, x: &Tensor, ws: &mut NnWorkspace) -> (Tensor, Option<Shape>) {
-        let t = ws.prof_start();
+        let t = ws.spans.begin(Span::NnUpFwd, ws.spans.now());
         let in_shape = Shape::of(x.shape());
         let (c_eff, din) = volumes(x.shape());
         let mut out = ws.alloc(in_shape.with_spatial(self.target).dims());
         up_core(x.data(), c_eff, din, self.target, out.data_mut());
-        ws.prof_end(t, ProfKind::UpFwd);
+        ws.spans.end(t, ws.spans.now());
         (out, ws.training().then_some(in_shape))
     }
 
     fn backward(&mut self, in_shape: Shape, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let t = ws.prof_start();
+        let t = ws.spans.begin(Span::NnUpBwd, ws.spans.now());
         assert_eq!(
             grad_out.shape(),
             in_shape.with_spatial(self.target).dims(),
@@ -98,7 +99,7 @@ impl Layer for Upsample3d {
         let mut grad_in = ws.alloc(in_shape.dims());
         up_back_core(grad_out.data(), c_eff, din, self.target, grad_in.data_mut());
         ws.free(grad_out);
-        ws.prof_end(t, ProfKind::UpBwd);
+        ws.spans.end(t, ws.spans.now());
         grad_in
     }
 }

@@ -14,11 +14,14 @@
 //!   [`conv3d`](crate::conv3d));
 //! * the U-Net's skip-connection stack;
 //! * the Tier A telemetry [`CounterSet`] of the NN subsystem (pool
-//!   hits/misses, GEMM dispatch mix, per-U-Net-layer MACs) plus an
-//!   optional per-layer-kind Tier B [`SpanSet`] used by the
-//!   `oarsmt_bench unet` lane to attribute time to
-//!   conv/activation/pool/upsample (real durations only under the
-//!   `telemetry-timing` feature of `oarsmt-telemetry`).
+//!   hits/misses, GEMM dispatch mix, per-U-Net-layer MACs) and the
+//!   context's Tier B [`SpanRecorder`]: every layer brackets itself in a
+//!   `Span::Nn*` span (conv/activation/pool/upsample, forward/backward),
+//!   always feeding the per-kind histograms and, when the recorder is
+//!   armed, its event ring. `RouteContext` records its routing phases
+//!   into this same recorder, so one ring holds a whole route. Durations
+//!   are real only under the `telemetry-timing` feature of
+//!   `oarsmt-telemetry`.
 //!
 //! Ownership follows the `RouteContext` model of DESIGN.md: whoever owns an
 //! inference or training loop owns one workspace (`RouteContext` embeds one
@@ -27,49 +30,10 @@
 //! never shared across threads. All workspace state is scratch: reusing a
 //! workspace never changes results, only allocation behavior.
 
-use oarsmt_telemetry::{Counter, CounterSet, Span, SpanSet, SpanStart};
+use oarsmt_telemetry::{Counter, CounterSet, SpanRecorder};
 
 use crate::kernels;
 use crate::tensor::Tensor;
-
-/// Layer-kind/direction buckets for the optional profile (mapped onto the
-/// statically registered `oarsmt-telemetry` [`Span`]s).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProfKind {
-    /// Convolution forward (incl. `1×1×1` heads and projections).
-    ConvFwd,
-    /// Convolution backward.
-    ConvBwd,
-    /// Activation (ReLU/sigmoid) forward.
-    ActFwd,
-    /// Activation backward.
-    ActBwd,
-    /// Max-pool forward.
-    PoolFwd,
-    /// Max-pool backward.
-    PoolBwd,
-    /// Upsample forward.
-    UpFwd,
-    /// Upsample backward.
-    UpBwd,
-}
-
-impl ProfKind {
-    /// The telemetry span this bucket records into.
-    #[must_use]
-    pub fn span(self) -> Span {
-        match self {
-            ProfKind::ConvFwd => Span::NnConvFwd,
-            ProfKind::ConvBwd => Span::NnConvBwd,
-            ProfKind::ActFwd => Span::NnActFwd,
-            ProfKind::ActBwd => Span::NnActBwd,
-            ProfKind::PoolFwd => Span::NnPoolFwd,
-            ProfKind::PoolBwd => Span::NnPoolBwd,
-            ProfKind::UpFwd => Span::NnUpFwd,
-            ProfKind::UpBwd => Span::NnUpBwd,
-        }
-    }
-}
 
 /// The reusable scratch arena threaded through every
 /// [`Layer`](crate::layer::Layer) forward and backward.
@@ -96,8 +60,9 @@ pub struct NnWorkspace {
     /// duration of [`UNet3d::predict_in`](crate::unet::UNet3d::predict_in);
     /// defaults to `true` so forward passes hand back caches for backward.
     pub(crate) training: bool,
-    profiling: bool,
-    spans: SpanSet,
+    /// The context's span recorder: layer spans here, and the routing
+    /// phases of an enclosing `RouteContext`.
+    pub spans: SpanRecorder,
     /// Tier A telemetry of the NN subsystem: pool hits/misses, GEMM
     /// dispatch per path, per-U-Net-layer MACs. Always on; monotone.
     pub counters: CounterSet,
@@ -129,8 +94,7 @@ impl NnWorkspace {
             g_t: Vec::new(),
             skips: Vec::new(),
             training: true,
-            profiling: false,
-            spans: SpanSet::new(),
+            spans: SpanRecorder::new(),
             counters: CounterSet::new(),
             mac_slot: Counter::MacsOther as usize,
             simd_active: kernels::simd_available(),
@@ -206,40 +170,6 @@ impl NnWorkspace {
         self.im2col = b;
     }
 
-    /// Enables per-layer-kind profiling (cleared stats). Durations are
-    /// non-zero only when `oarsmt-telemetry` is built with its
-    /// `telemetry-timing` feature; counts are recorded either way.
-    pub fn enable_profiling(&mut self) {
-        self.profiling = true;
-        self.spans = SpanSet::new();
-    }
-
-    /// Disables profiling, returning the accumulated per-layer spans.
-    pub fn take_spans(&mut self) -> SpanSet {
-        self.profiling = false;
-        std::mem::take(&mut self.spans)
-    }
-
-    /// Starts a profiled span; pair with [`NnWorkspace::prof_end`]. The
-    /// clock read (if any) happens inside `oarsmt-telemetry` behind its
-    /// feature gate — this crate never observes time.
-    #[inline]
-    pub(crate) fn prof_start(&self) -> SpanStart {
-        if self.profiling {
-            SpanStart::now()
-        } else {
-            SpanStart::disabled()
-        }
-    }
-
-    /// Ends a profiled span started by [`NnWorkspace::prof_start`].
-    #[inline]
-    pub(crate) fn prof_end(&mut self, start: SpanStart, kind: ProfKind) {
-        if self.profiling {
-            self.spans.stop(start, kind.span());
-        }
-    }
-
     /// Retags the MAC-attribution counter slot, returning the previous tag
     /// (callers restore it on the way out of a layer).
     #[inline]
@@ -279,25 +209,6 @@ mod tests {
         let src = Tensor::from_vec(&[4], vec![1.0, -2.0, 3.0, 4.0]).unwrap();
         let c = ws.alloc_copy(&src);
         assert_eq!(c, src);
-    }
-
-    #[test]
-    fn profiling_accumulates_spans() {
-        let mut ws = NnWorkspace::new();
-        let t = ws.prof_start();
-        ws.prof_end(t, ProfKind::ConvFwd);
-        assert!(
-            ws.take_spans().is_empty(),
-            "disabled profiling records nothing"
-        );
-        ws.enable_profiling();
-        let t = ws.prof_start();
-        ws.prof_end(t, ProfKind::ConvFwd);
-        let spans = ws.take_spans();
-        assert_eq!(spans.get(Span::NnConvFwd).count, 1);
-        let t = ws.prof_start();
-        ws.prof_end(t, ProfKind::ConvFwd);
-        assert!(ws.take_spans().is_empty(), "take_spans disables profiling");
     }
 
     #[test]

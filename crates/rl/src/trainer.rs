@@ -19,7 +19,7 @@ use oarsmt_nn::loss::bce_with_logits_batch;
 use oarsmt_nn::optim::Adam;
 use oarsmt_nn::{NnWorkspace, Tensor, UNet3d};
 use oarsmt_router::OarmstRouter;
-use oarsmt_telemetry::CounterSet;
+use oarsmt_telemetry::{CounterSet, Span, SpanRecorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -179,6 +179,13 @@ impl Trainer {
         total
     }
 
+    /// The span recorder of the fit loop: its U-Net layer spans, and each
+    /// stage's `TrainStage` / `TrainGen` / `TrainFit` split. Arm it to
+    /// flight-record training.
+    pub fn spans_mut(&mut self) -> &mut SpanRecorder {
+        &mut self.ws.spans
+    }
+
     /// Runs all configured stages, returning one report per stage.
     ///
     /// # Errors
@@ -208,11 +215,20 @@ impl Trainer {
         selector: &mut NeuralSelector,
         stage: usize,
     ) -> Result<StageReport, oarsmt_router::RouteError> {
+        // The gen/fit split is measured here and injected into the fit
+        // loop's recorder, so the stage spans carry real durations in
+        // every build and nest around the fit loop's layer spans.
+        let t0 = self.ws.spans.now();
+        let stage_span = self.ws.spans.begin(Span::TrainStage, t0);
+        let gen_span = self.ws.spans.begin(Span::TrainGen, t0);
         // lint: timing-ok(reported wall-clock metadata; never feeds results)
         let gen_start = Instant::now();
         let (samples, mcts_cost_ratio) = self.generate_samples(selector, stage)?;
         let sample_gen_time = gen_start.elapsed();
+        let t1 = t0 + sample_gen_time.as_nanos() as u64;
+        self.ws.spans.end(gen_span, t1);
 
+        let fit_span = self.ws.spans.begin(Span::TrainFit, t1);
         // lint: timing-ok(reported wall-clock metadata; never feeds results)
         let fit_start = Instant::now();
         let expanded: Vec<TrainingSample> = if self.config.augment {
@@ -232,13 +248,17 @@ impl Trainer {
             }
             last_epoch_loss = (epoch_loss / batches.max(1) as f64) as f32;
         }
+        let train_time = fit_start.elapsed();
+        let t2 = t1 + train_time.as_nanos() as u64;
+        self.ws.spans.end(fit_span, t2);
+        self.ws.spans.end(stage_span, t2);
         Ok(StageReport {
             stage,
             samples: sample_count,
             avg_loss: last_epoch_loss,
             mcts_cost_ratio,
             sample_gen_time,
-            train_time: fit_start.elapsed(),
+            train_time,
         })
     }
 

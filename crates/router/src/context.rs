@@ -22,7 +22,7 @@ use oarsmt_geom::{GridPoint, HananGraph};
 use oarsmt_graph::dijkstra::{DijkstraWorkspace, SearchBounds};
 use oarsmt_graph::{GridAdjacency, StampMap, StampSet};
 use oarsmt_nn::NnWorkspace;
-use oarsmt_telemetry::{Counter, CounterSet, TraceRecorder};
+use oarsmt_telemetry::{Counter, CounterSet};
 
 use crate::tree::{RouteTree, TreeAdjacency};
 
@@ -173,17 +173,16 @@ pub struct RouteContext {
     pub selected_points: Vec<GridPoint>,
     /// Neural-network scratch arena for the selector inference path
     /// (`Selector::fsp_into_ws` threads this through `UNet3d::predict_in`
-    /// so repeated inference performs no tensor allocation).
+    /// so repeated inference performs no tensor allocation). Its span
+    /// recorder (`nn.spans`) is the context's one recorder: the routing
+    /// phases (prepare / Dijkstra / retrace) are bracketed into it next
+    /// to the U-Net layers, so arming it with `ctx.nn.spans.arm(cap)`
+    /// flight-records selection and routing in one ring.
     pub nn: NnWorkspace,
     /// Tier A telemetry owned at the router level (pruned Steiner points,
     /// tree-pool hits/misses, merged MCTS counters). Read the whole
     /// context's totals with [`RouteContext::counters_total`].
     pub counters: CounterSet,
-    /// Flight recorder for the routing phases (prepare / Dijkstra /
-    /// retrace). Disabled (capacity 0) by default so the hot path pays one
-    /// branch per phase; enable with `ctx.trace.enable(cap)` before the
-    /// queries of interest and export via `oarsmt trace`.
-    pub trace: TraceRecorder,
 }
 
 impl RouteContext {

@@ -161,11 +161,11 @@ impl OarmstRouter {
         if pins.len() < 2 {
             return Err(RouteError::TooFewTerminals(pins.len()));
         }
-        ctx.trace.begin(Span::RoutePrepare);
+        let span = ctx.nn.spans.begin(Span::RoutePrepare, ctx.nn.spans.now());
         ctx.bind(graph);
         let mut kept = std::mem::take(&mut ctx.kept);
         dedup_candidates_in(ctx, graph, candidates, &mut kept);
-        ctx.trace.end(Span::RoutePrepare);
+        ctx.nn.spans.end(span, ctx.nn.spans.now());
         let max_rounds = self.max_prune_rounds.unwrap_or(8);
         let mut tree = ctx.take_tree();
         if let Err(e) = self.build_once_in(ctx, graph, &kept, &mut tree) {
@@ -194,7 +194,7 @@ impl OarmstRouter {
         terminals.extend_from_slice(&kept);
         ctx.kept = kept;
         for _ in 0..self.polish_rounds {
-            ctx.trace.begin(Span::RouteRetrace);
+            let span = ctx.nn.spans.begin(Span::RouteRetrace, ctx.nn.spans.now());
             let round = crate::retrace::polish_round_policy_in(
                 ctx,
                 graph,
@@ -202,7 +202,7 @@ impl OarmstRouter {
                 &terminals,
                 self.queue_policy,
             );
-            ctx.trace.end(Span::RouteRetrace);
+            ctx.nn.spans.end(span, ctx.nn.spans.now());
             match round {
                 Ok((polished, improved)) => {
                     tree = polished;
@@ -255,11 +255,11 @@ impl OarmstRouter {
         if pins.len() < 2 {
             return Err(RouteError::TooFewTerminals(pins.len()));
         }
-        ctx.trace.begin(Span::RoutePrepare);
+        let span = ctx.nn.spans.begin(Span::RoutePrepare, ctx.nn.spans.now());
         ctx.bind(graph);
         let mut kept = std::mem::take(&mut ctx.kept);
         dedup_candidates_in(ctx, graph, candidates, &mut kept);
-        ctx.trace.end(Span::RoutePrepare);
+        ctx.nn.spans.end(span, ctx.nn.spans.now());
         let mut tree = ctx.take_tree();
         let built = self.build_once_in(ctx, graph, &kept, &mut tree);
         ctx.kept = kept;
@@ -352,7 +352,7 @@ impl OarmstRouter {
         ctx.path_buf.push(first);
         ctx.space.prim_begin(graph, self.queue_policy);
         while !ctx.open.is_empty() {
-            ctx.trace.begin(Span::RouteDijkstra);
+            let span = ctx.nn.spans.begin(Span::RouteDijkstra, ctx.nn.spans.now());
             let target =
                 ctx.space
                     .prim_step(graph, &ctx.adj, &ctx.path_buf, bounds, &ctx.open, |i| {
@@ -362,7 +362,7 @@ impl OarmstRouter {
                 ctx.space
                     .prim_path_into(graph, &ctx.adj, t, &mut ctx.path_buf);
             }
-            ctx.trace.end(Span::RouteDijkstra);
+            ctx.nn.spans.end(span, ctx.nn.spans.now());
             if target.is_none() {
                 // Candidates sitting in walled-off pockets are simply
                 // dropped; only unreachable *pins* are fatal.

@@ -70,8 +70,9 @@ fn fold_pool_splits_reconciles_cold_and_warm_contexts() {
     assert_eq!(cold_folded.get(Counter::TreePoolMisses), 0);
 }
 
-/// Routing with the flight recorder enabled records balanced phase spans
-/// and changes neither results nor deterministic counters.
+/// Routing with the flight recorder armed records balanced phase spans
+/// whose ring summary equals the histograms, and changes neither results
+/// nor deterministic counters.
 #[test]
 fn trace_recorder_is_invisible_to_results_and_counters() {
     let router = OarmstRouter::new();
@@ -81,7 +82,7 @@ fn trace_recorder_is_invisible_to_results_and_counters() {
     let plain_costs = route_all(&router, &mut plain, &cases);
 
     let mut traced = RouteContext::new();
-    traced.trace.enable(4096);
+    traced.nn.spans.arm(4096);
     let traced_costs = route_all(&router, &mut traced, &cases);
 
     assert_eq!(plain_costs, traced_costs, "tracing never changes results");
@@ -91,16 +92,21 @@ fn trace_recorder_is_invisible_to_results_and_counters() {
         "tracing never changes Tier A counters"
     );
 
-    assert!(!traced.trace.is_empty(), "phases were recorded");
-    let events = traced.trace.events_in_order();
+    assert!(!traced.nn.spans.is_empty(), "phases were recorded");
+    let events = traced.nn.spans.events_in_order();
     let aggs = summarize(&events);
+    assert_eq!(traced.nn.spans.dropped(), 0);
     for span in [Span::RoutePrepare, Span::RouteDijkstra, Span::RouteRetrace] {
-        assert!(
-            aggs.iter().any(|a| a.span == span && a.count > 0),
-            "{span:?} missing from trace summary"
+        let agg = aggs.iter().find(|a| a.span == span);
+        let hist = traced.nn.spans.hists().get(span);
+        assert!(hist.count > 0, "{span:?} missing from trace summary");
+        assert_eq!(
+            agg.map(|a| (a.count, a.total_ns)),
+            Some((hist.count, hist.total_ns)),
+            "{span:?}: ring and histogram disagree"
         );
     }
-    let json = to_chrome_json(&events, traced.trace.dropped());
+    let json = to_chrome_json(&events, traced.nn.spans.dropped());
     let check = verify_chrome(&json).expect("recorder output is balanced");
     assert_eq!(check.events, events.len());
 }
@@ -111,10 +117,10 @@ fn trace_recorder_is_invisible_to_results_and_counters() {
 fn truncated_ring_exports_balanced_chrome_json() {
     let router = OarmstRouter::new();
     let mut ctx = RouteContext::new();
-    ctx.trace.enable(8);
+    ctx.nn.spans.arm(8);
     route_all(&router, &mut ctx, &cases(4));
-    assert!(ctx.trace.dropped() > 0, "ring must actually overflow");
-    let events = ctx.trace.events_in_order();
-    let json = to_chrome_json(&events, ctx.trace.dropped());
+    assert!(ctx.nn.spans.dropped() > 0, "ring must actually overflow");
+    let events = ctx.nn.spans.events_in_order();
+    let json = to_chrome_json(&events, ctx.nn.spans.dropped());
     verify_chrome(&json).expect("truncated export stays balanced");
 }

@@ -24,6 +24,7 @@
 use std::path::Path;
 
 use crate::counters::{Counter, COUNTER_NAMES};
+use crate::snapshot::json_pairs;
 use crate::{json_escape, TelemetrySnapshot};
 
 /// Tolerance policy for one wall-clock metric.
@@ -188,30 +189,19 @@ impl CheckReport {
     }
 }
 
-/// Extracts the *last* `"key": <number>` occurrence from artifact text
-/// (top-level summary fields come after the per-rung lines), tolerating
-/// whitespace after the colon. Returns the raw value text.
+/// The *last* numeric `"key": <number>` in artifact text (top-level
+/// summary fields come after the per-rung lines), as its raw number text.
 fn last_field(text: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\"");
-    let mut found = None;
-    let mut from = 0;
-    while let Some(pos) = text[from..].find(&pat) {
-        let start = from + pos + pat.len();
-        from = start;
-        let rest = text[start..].trim_start();
-        let Some(rest) = rest.strip_prefix(':') else {
-            continue;
-        };
-        let rest = rest.trim_start();
-        let value: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-            .collect();
-        if !value.is_empty() {
-            found = Some(value);
-        }
-    }
-    found
+    text.lines()
+        .flat_map(json_pairs)
+        .filter(|&(k, raw)| k == key && !raw.starts_with('"'))
+        .map(|(_, raw)| {
+            raw.chars()
+                .take_while(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
+                .collect::<String>()
+        })
+        .filter(|v| !v.is_empty())
+        .last()
 }
 
 /// Compares `current` against `baseline` artifact text under `policy`.
@@ -340,53 +330,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// `(key, value-text)` pairs scanned from one artifact line.
-fn fields_of(line: &str) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let bytes = line.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'"' {
-            i += 1;
-            continue;
-        }
-        let Some(close) = line[i + 1..].find('"') else {
-            break;
-        };
-        let key = &line[i + 1..i + 1 + close];
-        let mut j = i + 1 + close + 1;
-        while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-            j += 1;
-        }
-        if j >= bytes.len() || bytes[j] != b':' {
-            i = j;
-            continue;
-        }
-        j += 1;
-        while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-            j += 1;
-        }
-        let vstart = j;
-        if j < bytes.len() && bytes[j] == b'"' {
-            j += 1;
-            while j < bytes.len() && bytes[j] != b'"' {
-                j += 1;
-            }
-            j = (j + 1).min(bytes.len());
-        } else {
-            while j < bytes.len() && !matches!(bytes[j], b',' | b'}' | b']') {
-                j += 1;
-            }
-        }
-        out.push((
-            key.to_string(),
-            line[vstart..j].trim().trim_matches('"').to_string(),
-        ));
-        i = j;
-    }
-    out
-}
-
 /// Headline-metric priority for the summary rows: the first of these found
 /// (last occurrence in the file = top-level summary) names the artifact.
 const HEADLINE_METRICS: [&str; 6] = [
@@ -428,14 +371,12 @@ pub fn summary(dir: &Path) -> Result<String, String> {
             .find_map(|m| last_field(&text, m).map(|v| ((*m).to_string(), v)))
             .unwrap_or_else(|| ("-".to_string(), "0".to_string()));
         let mut checksums = String::new();
-        for line in text.lines() {
-            for (key, val) in fields_of(line) {
-                if key.contains("checksum") || key.starts_with("cs_") {
-                    checksums.push_str(&key);
-                    checksums.push('=');
-                    checksums.push_str(&val);
-                    checksums.push(';');
-                }
+        for (key, raw) in text.lines().flat_map(json_pairs) {
+            if key.contains("checksum") || key.starts_with("cs_") {
+                checksums.push_str(key);
+                checksums.push('=');
+                checksums.push_str(raw.trim_matches('"'));
+                checksums.push(';');
             }
         }
         let snap_hash = match TelemetrySnapshot::from_jsonl(&text) {
@@ -607,6 +548,27 @@ mod tests {
         let text = artifact("critic", 1, 0, 42.5);
         assert_eq!(last_field(&text, "reused_rps").as_deref(), Some("42.5"));
         assert_eq!(last_field(&text, "missing"), None);
+    }
+
+    #[test]
+    fn escaped_quotes_never_hide_a_later_field() {
+        let dir = std::env::temp_dir().join(format!("oarsmt_escape_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let escaped = "{\"note\": \"say \\\"hi, bye\", \"x\": 3, \"cs_y\": \"ab\"}\n";
+        std::fs::write(dir.join("BENCH_e.json"), escaped).unwrap();
+        std::fs::write(dir.join("BENCH_f.json"), "{\"x\": 3, \"cs_y\": \"ab\"}\n").unwrap();
+        let rows = summary(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let hashes: Vec<&str> = rows
+            .lines()
+            .filter_map(|l| crate::json_field(l, "checksums"))
+            .collect();
+        assert_eq!(hashes.len(), 2);
+        assert_eq!(
+            hashes[0], hashes[1],
+            "cs_y after an escaped quote was dropped"
+        );
+        assert_eq!(last_field(escaped, "x").as_deref(), Some("3"));
     }
 
     #[test]

@@ -13,12 +13,14 @@
 //!   `u64` addition is commutative, so per-job counter deltas folded in
 //!   index order by `oarsmt::parallel` are **bit-identical for any thread
 //!   count**.
-//! * **Tier B — span timing** ([`timing`]): scoped wall-clock spans with
-//!   fixed log2-nanosecond-bucket histograms ([`SpanSet`]). The clock reads
-//!   are compiled in only under the `telemetry-timing` feature and live in
-//!   this crate alone, behind `timing-ok` lint markers at the tier
-//!   boundary; result-affecting crates record spans through the no-op API
-//!   and never observe time.
+//! * **Tier B — span timing** ([`timing`], [`tracing`]): one
+//!   [`SpanRecorder`] per workspace whose every begin/end pair feeds fixed
+//!   log2-nanosecond-bucket histograms ([`SpanSet`]) and, when armed, a
+//!   bounded ring of begin/end events. The clock reads are compiled in
+//!   only under the `telemetry-timing` feature and live in this crate
+//!   alone, behind `timing-ok` lint markers at the tier boundary;
+//!   result-affecting crates record spans through the same API and never
+//!   observe time.
 //!
 //! [`snapshot`] bundles a run [`Manifest`], a counter set and a span set
 //! into a [`TelemetrySnapshot`] with a line-oriented JSONL wire form that
@@ -27,10 +29,10 @@
 //!
 //! Three observability subsystems build on those tiers:
 //!
-//! * [`tracing`] — a bounded, pre-allocated ring-buffer flight recorder of
-//!   begin/end span events ([`TraceRecorder`]) with parent attribution and
-//!   Chrome `trace_event` JSON export (`oarsmt trace`). Recording is
-//!   alloc-free; timestamps are real only under `telemetry-timing`.
+//! * [`tracing`] — the armed [`SpanRecorder`]'s ring as a flight
+//!   recorder: parent attribution ([`tracing::summarize`]) and Chrome
+//!   `trace_event` JSON export (`oarsmt trace`). Recording is alloc-free;
+//!   timestamps are real only under `telemetry-timing`.
 //! * [`runlog`] — append-only JSONL run-metrics streams
 //!   (`runs/<run-id>/metrics.jsonl`): one [`StageStats`] record per
 //!   training stage / bench rung, plus counter deltas, rendered and diffed
@@ -52,12 +54,12 @@ pub mod tracing;
 pub use check::{CheckReport, MetricPolicy, Policy, Violation};
 pub use counters::{Counter, CounterSet, COUNTER_NAMES, NUM_COUNTERS};
 pub use runlog::{RunLog, RunLogger, RungRecord, StageRecord, StageStats};
-pub use snapshot::{json_escape, Manifest, TelemetrySnapshot};
-pub use timing::{Span, SpanHist, SpanSet, SpanStart, NUM_SPANS, SPAN_BUCKETS, SPAN_NAMES};
-pub use tracing::{SpanAgg, TraceEvent, TraceKind, TraceRecorder};
+pub use snapshot::{json_escape, json_field, Manifest, TelemetrySnapshot};
+pub use timing::{Span, SpanHist, SpanSet, NUM_SPANS, SPAN_BUCKETS, SPAN_NAMES};
+pub use tracing::{SpanAgg, SpanMark, SpanRecorder, TraceEvent, TraceKind};
 
 /// Whether Tier B actually reads clocks in this build (the
-/// `telemetry-timing` feature). When `false`, [`SpanStart::now`] and
-/// [`SpanStart::elapsed_ns`] are free no-ops and every recorded duration is
-/// zero; counters (Tier A) are unaffected.
+/// `telemetry-timing` feature). When `false`, [`SpanRecorder::now`] is a
+/// free no-op reading zero, so every live duration is zero (injected
+/// timestamps still record); counters (Tier A) are unaffected.
 pub const TIMING_ENABLED: bool = cfg!(feature = "telemetry-timing");

@@ -171,6 +171,7 @@ mod tests {
     use crate::counters::Counter;
     use crate::snapshot::Manifest;
     use crate::timing::Span;
+    use crate::tracing::SpanRecorder;
 
     fn snap(pops: u64, ns: u64) -> TelemetrySnapshot {
         let mut s = TelemetrySnapshot {
@@ -185,7 +186,10 @@ mod tests {
         };
         s.counters.add(Counter::DijkstraPops, pops);
         if ns > 0 {
-            s.spans.record_ns(Span::NnConvFwd, ns);
+            let mut rec = SpanRecorder::new();
+            let m = rec.begin(Span::NnConvFwd, 0);
+            rec.end(m, ns);
+            s.spans = *rec.hists();
         }
         s
     }

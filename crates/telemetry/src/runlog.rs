@@ -25,7 +25,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::counters::{Counter, CounterSet};
-use crate::snapshot::{json_escape, json_f64, json_str, json_u64};
+use crate::snapshot::{json_escape, json_str, json_value};
 use crate::timing::{Span, SPAN_NAMES};
 use crate::Manifest;
 
@@ -267,21 +267,21 @@ impl RunLog {
                     log.manifest = Some(Manifest {
                         run: json_str(line, "run").ok_or_else(|| bad("manifest missing `run`"))?,
                         mode: json_str(line, "mode").unwrap_or_default(),
-                        threads: json_u64(line, "threads").unwrap_or(0) as usize,
-                        seed: json_u64(line, "seed").unwrap_or(0),
+                        threads: json_value(line, "threads").unwrap_or(0),
+                        seed: json_value(line, "seed").unwrap_or(0),
                         timing: line.contains("\"timing\":true"),
                     });
                 }
                 "stage" => {
                     let stats = StageStats {
-                        stage: json_u64(line, "stage")
-                            .ok_or_else(|| bad("stage missing `stage`"))?
-                            as usize,
-                        samples: json_u64(line, "samples").unwrap_or(0) as usize,
-                        loss: json_f64(line, "loss").ok_or_else(|| bad("stage missing `loss`"))?,
-                        mcts_cost_ratio: json_f64(line, "mcts_cost_ratio").unwrap_or(0.0),
-                        gen_secs: json_f64(line, "gen_secs").unwrap_or(0.0),
-                        fit_secs: json_f64(line, "fit_secs").unwrap_or(0.0),
+                        stage: json_value(line, "stage")
+                            .ok_or_else(|| bad("stage missing `stage`"))?,
+                        samples: json_value(line, "samples").unwrap_or(0),
+                        loss: json_value(line, "loss")
+                            .ok_or_else(|| bad("stage missing `loss`"))?,
+                        mcts_cost_ratio: json_value(line, "mcts_cost_ratio").unwrap_or(0.0),
+                        gen_secs: json_value(line, "gen_secs").unwrap_or(0.0),
+                        fit_secs: json_value(line, "fit_secs").unwrap_or(0.0),
                     };
                     let mut spans = Vec::new();
                     if let Some(start) = line.find("\"spans\":{") {
@@ -309,9 +309,9 @@ impl RunLog {
                     log.rungs.push(RungRecord {
                         name: json_str(line, "name").ok_or_else(|| bad("rung missing `name`"))?,
                         metric: json_str(line, "metric").unwrap_or_default(),
-                        value: json_f64(line, "value")
+                        value: json_value(line, "value")
                             .ok_or_else(|| bad("rung missing `value`"))?,
-                        secs: json_f64(line, "secs").unwrap_or(0.0),
+                        secs: json_value(line, "secs").unwrap_or(0.0),
                         counters: parse_counters_obj(line),
                     });
                 }

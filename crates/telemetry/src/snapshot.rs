@@ -62,6 +62,76 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
+/// Every `"key": value` pair of one JSON line, in order, as `(key, raw)`:
+/// `raw` is a string value *with* its quotes (escapes as written), a flat
+/// array with its brackets, or any other value up to the next `,`, `}` or
+/// `]`, trimmed. Strings are
+/// skipped whole, honoring `\"` escapes. The one field scanner of the
+/// artifact readers, the `check` gate and the `BENCH_summary.json` hashes.
+pub(crate) fn json_pairs(line: &str) -> impl Iterator<Item = (&str, &str)> + '_ {
+    let bytes = line.as_bytes();
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        while i < bytes.len() {
+            if bytes[i] != b'"' {
+                i += 1;
+                continue;
+            }
+            let end = string_end(bytes, i + 1)?;
+            let key = &line[i + 1..end];
+            i = end + 1;
+            let Some(value) = line[i..].trim_start().strip_prefix(':') else {
+                continue;
+            };
+            let value = value.trim_start();
+            let raw = if value.starts_with('"') {
+                let close = string_end(value.as_bytes(), 1).map_or(value.len(), |c| c + 1);
+                &value[..close]
+            } else if value.starts_with('[') {
+                &value[..value.find(']').map_or(value.len(), |c| c + 1)]
+            } else {
+                let stop = value.find([',', '}', ']']).unwrap_or(value.len());
+                value[..stop].trim()
+            };
+            return Some((key, raw));
+        }
+        None
+    })
+}
+
+/// The raw value of the first `"key"` in `line` (see [`json_pairs`]).
+fn json_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    json_pairs(line)
+        .find(|&(k, _)| k == key)
+        .map(|(_, raw)| raw)
+}
+
+/// The value of the first `"key": <value>` in `line`, a string without
+/// its quotes; scanned like every artifact field, honoring `\"` escapes.
+#[must_use]
+pub fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let raw = json_raw(line, key)?;
+    Some(match raw.strip_prefix('"') {
+        Some(body) => &body[..string_end(body.as_bytes(), 0).unwrap_or(body.len())],
+        None => raw,
+    })
+}
+
+/// The index of the unescaped `"` closing a string whose body starts at
+/// byte `from`.
+fn string_end(bytes: &[u8], from: usize) -> Option<usize> {
+    let mut escaped = false;
+    for (i, &b) in bytes.iter().enumerate().skip(from) {
+        match b {
+            _ if escaped => escaped = false,
+            b'\\' => escaped = true,
+            b'"' => return Some(i),
+            _ => {}
+        }
+    }
+    None
+}
+
 /// Truncates a payload for an error message (parse failures quote the
 /// offending line, but artifact lines can be arbitrarily long).
 fn trunc(line: &str) -> String {
@@ -74,18 +144,15 @@ fn trunc(line: &str) -> String {
     }
 }
 
-/// Extracts and unescapes the string value of `"key":"…"` from a JSON
-/// line (the inverse of [`json_escape`]).
+/// The unescaped string value of `"key": "…"` in a JSON line (the inverse
+/// of [`json_escape`]); `None` when the value is not a string.
 pub(crate) fn json_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
+    let raw = json_raw(line, key)?;
+    let mut chars = raw.strip_prefix('"')?.strip_suffix('"')?.chars();
     let mut out = String::new();
-    let mut chars = rest.chars();
     while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => out.push(match chars.next()? {
+        out.push(match c {
+            '\\' => match chars.next()? {
                 'n' => '\n',
                 't' => '\t',
                 'r' => '\r',
@@ -96,64 +163,29 @@ pub(crate) fn json_str(line: &str, key: &str) -> Option<String> {
                     char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?
                 }
                 other => other,
-            }),
-            _ => out.push(c),
-        }
-    }
-    None
-}
-
-/// Extracts the numeric value of `"key":<digits>` from a JSON line.
-pub(crate) fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Extracts the numeric value of `"key":<number>` from a JSON line,
-/// accepting the full float syntax (sign, fraction, exponent).
-pub(crate) fn json_f64(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-        .collect();
-    digits.parse().ok()
-}
-
-/// Extracts the boolean value of `"key":true|false` from a JSON line.
-fn json_bool(line: &str, key: &str) -> Option<bool> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// Extracts the u64 array value of `"key":[…]` from a JSON line.
-fn json_u64_array(line: &str, key: &str) -> Option<Vec<u64>> {
-    let pat = format!("\"{key}\":[");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find(']')? + start;
-    let mut out = Vec::new();
-    for piece in line[start..end].split(',') {
-        let piece = piece.trim();
-        if piece.is_empty() {
-            continue;
-        }
-        out.push(piece.parse().ok()?);
+            },
+            c => c,
+        });
     }
     Some(out)
+}
+
+/// The value of `"key": <token>` in a JSON line parsed as `T` (a number or
+/// a boolean); `None` when missing, quoted or malformed.
+pub(crate) fn json_value<T: std::str::FromStr>(line: &str, key: &str) -> Option<T> {
+    json_raw(line, key)?.parse().ok()
+}
+
+/// The value of `"key": [n, …]` in a JSON line as `u64`s.
+fn json_u64_array(line: &str, key: &str) -> Option<Vec<u64>> {
+    let raw = json_raw(line, key)?;
+    let inner = raw.strip_prefix('[')?.strip_suffix(']')?;
+    inner
+        .split(',')
+        .map(str::trim)
+        .filter(|p| !p.is_empty())
+        .map(|p| p.parse().ok())
+        .collect()
 }
 
 impl TelemetrySnapshot {
@@ -231,9 +263,9 @@ impl TelemetrySnapshot {
                             format!("line {lineno}: manifest missing `run` in `{}`", trunc(line))
                         })?,
                         mode: json_str(line, "mode").unwrap_or_default(),
-                        threads: json_u64(line, "threads").unwrap_or(0) as usize,
-                        seed: json_u64(line, "seed").unwrap_or(0),
-                        timing: json_bool(line, "timing").unwrap_or(false),
+                        threads: json_value(line, "threads").unwrap_or(0),
+                        seed: json_value(line, "seed").unwrap_or(0),
+                        timing: json_value(line, "timing").unwrap_or(false),
                     };
                     saw_manifest = true;
                 }
@@ -241,7 +273,7 @@ impl TelemetrySnapshot {
                     let name = json_str(line, "name").ok_or_else(|| {
                         format!("line {lineno}: counter missing `name` in `{}`", trunc(line))
                     })?;
-                    let value = json_u64(line, "value").ok_or_else(|| {
+                    let value = json_value(line, "value").ok_or_else(|| {
                         format!(
                             "line {lineno}: counter missing `value` in `{}`",
                             trunc(line)
@@ -255,10 +287,10 @@ impl TelemetrySnapshot {
                     let name = json_str(line, "name").ok_or_else(|| {
                         format!("line {lineno}: span missing `name` in `{}`", trunc(line))
                     })?;
-                    let count = json_u64(line, "count").ok_or_else(|| {
+                    let count = json_value(line, "count").ok_or_else(|| {
                         format!("line {lineno}: span missing `count` in `{}`", trunc(line))
                     })?;
-                    let total_ns = json_u64(line, "total_ns").ok_or_else(|| {
+                    let total_ns = json_value(line, "total_ns").ok_or_else(|| {
                         format!(
                             "line {lineno}: span missing `total_ns` in `{}`",
                             trunc(line)
@@ -294,6 +326,7 @@ mod tests {
     use super::*;
     use crate::counters::Counter;
     use crate::timing::Span;
+    use crate::tracing::SpanRecorder;
 
     fn sample() -> TelemetrySnapshot {
         let mut snap = TelemetrySnapshot {
@@ -309,9 +342,16 @@ mod tests {
         snap.counters.add(Counter::DijkstraPops, 123_456);
         snap.counters.add(Counter::GemmPanel, 78);
         snap.counters.add(Counter::MacsEnc0, 9_000_000_000);
-        snap.spans.record_ns(Span::CriticRoute, 1_500);
-        snap.spans.record_ns(Span::CriticRoute, 3_000);
-        snap.spans.record_ns(Span::CriticSelect, 250);
+        let mut rec = SpanRecorder::new();
+        for (span, ns) in [
+            (Span::CriticRoute, 1_500),
+            (Span::CriticRoute, 3_000),
+            (Span::CriticSelect, 250),
+        ] {
+            let m = rec.begin(span, 0);
+            rec.end(m, ns);
+        }
+        snap.spans = *rec.hists();
         snap
     }
 
@@ -433,5 +473,19 @@ mod tests {
         assert!(escaped.ends_with("\\\"\\\\é"));
         let line = format!("{{\"k\":\"{escaped}\"}}");
         assert_eq!(json_str(&line, "k").as_deref(), Some(raw.as_str()));
+    }
+
+    #[test]
+    fn escaped_quotes_stay_inside_string_values() {
+        let line = r#"{"note": "a \"b\", c", "x": 1}"#;
+        assert_eq!(json_field(line, "note"), Some(r#"a \"b\", c"#));
+        assert_eq!(json_field(line, "x"), Some("1"));
+        let line = r#"{"note": "say \"hi, bye", "x": 3}"#;
+        let pairs: Vec<(&str, &str)> = json_pairs(line).collect();
+        assert_eq!(pairs, [("note", r#""say \"hi, bye""#), ("x", "3")]);
+        assert_eq!(
+            json_field(r#"{"s": "ends in \\"}"#, "s"),
+            Some(r"ends in \\")
+        );
     }
 }

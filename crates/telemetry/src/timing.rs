@@ -1,18 +1,16 @@
-//! Tier B: feature-gated scoped span timing with log2 histograms.
+//! Tier B: the span registry, the feature-gated clock, and the log2
+//! histograms spans accumulate into.
 //!
 //! Spans are statically registered in the [`Span`] enum, like Tier A
 //! counters, and accumulate into fixed-size [`SpanHist`] log2-nanosecond
-//! histograms — no allocation, no dynamic registration. The *only* clock
-//! reads live in this module, behind `cfg(feature = "telemetry-timing")`
-//! and `timing-ok` lint markers: that pair of gates is the tier boundary.
-//! Without the feature, [`SpanStart::now`] is a unit value and
-//! [`SpanStart::elapsed_ns`] returns zero, so result-affecting crates can
-//! keep their span calls compiled in (they cost two function calls that
-//! fold to nothing) without ever observing time.
-//!
-//! [`SpanSet::record_ns`] itself is *not* feature-gated: it is a
-//! deterministic function of its arguments, which lets harnesses measure
-//! durations on one side of a thread boundary and fold them on the other.
+//! histograms — no allocation, no dynamic registration. Recording goes
+//! through the one recorder, [`SpanRecorder`](crate::tracing::SpanRecorder).
+//! The *only* clock reads live in this module, behind
+//! `cfg(feature = "telemetry-timing")` and `timing-ok` lint markers: that
+//! pair of gates is the tier boundary. Without the feature, the
+//! recorder's clock origin is a unit value whose elapsed reading is zero,
+//! so result-affecting crates can keep their span calls compiled in
+//! without ever observing time.
 
 /// Number of log2 buckets per span histogram. Bucket `i` counts durations
 /// with `floor(log2(ns)) == i` (bucket 0 also takes 0 ns), so the top
@@ -20,11 +18,13 @@
 pub const SPAN_BUCKETS: usize = 40;
 
 /// Every Tier B span. The discriminant is the index into [`SpanSet`] /
-/// [`SPAN_NAMES`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// [`SPAN_NAMES`]. The default is only the blank slot value of the
+/// recorder's ring, never observable through its API.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[repr(usize)]
 pub enum Span {
     /// Harness: the \[14\] baseline router, per layout.
+    #[default]
     PhaseBaseline,
     /// Harness: Steiner-point selection (encode + U-Net + top-k).
     PhaseSelect,
@@ -117,14 +117,6 @@ pub const ALL_SPANS: [Span; NUM_SPANS] = [
     Span::BenchRung,
 ];
 
-/// Default span (the zeroed slot value of the trace ring buffer; never
-/// observable through the recorder API, which tracks the valid prefix).
-impl Default for Span {
-    fn default() -> Self {
-        Span::PhaseBaseline
-    }
-}
-
 impl Span {
     /// Parses a wire name back to the span.
     #[must_use]
@@ -136,13 +128,13 @@ impl Span {
     }
 }
 
-/// A span start mark. With `telemetry-timing` this holds the start
-/// instant; without it, it is a zero-sized token and every elapsed reading
-/// is zero.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpanStart {
+/// The recorder's clock origin. With `telemetry-timing` this holds the
+/// start instant; without it, it is a zero-sized token and every elapsed
+/// reading is zero.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SpanStart {
     #[cfg(feature = "telemetry-timing")]
-    at: Option<std::time::Instant>,
+    at: std::time::Instant,
 }
 
 impl SpanStart {
@@ -150,34 +142,22 @@ impl SpanStart {
     /// the feature.
     #[inline]
     #[must_use]
-    pub fn now() -> SpanStart {
+    pub(crate) fn now() -> SpanStart {
         SpanStart {
             #[cfg(feature = "telemetry-timing")]
             // lint: timing-ok(Tier B boundary: feature-gated span clock; results never depend on it)
-            at: Some(std::time::Instant::now()),
+            at: std::time::Instant::now(),
         }
     }
 
-    /// A start mark that always reads as zero elapsed (used to represent
-    /// "timing disabled" uniformly).
+    /// Nanoseconds since [`SpanStart::now`]; zero when timing is disabled.
     #[inline]
     #[must_use]
-    pub fn disabled() -> SpanStart {
-        SpanStart::default()
-    }
-
-    /// Nanoseconds since [`SpanStart::now`]; zero when timing is disabled
-    /// or for a [`SpanStart::disabled`] mark.
-    #[inline]
-    #[must_use]
-    pub fn elapsed_ns(&self) -> u64 {
+    pub(crate) fn elapsed_ns(&self) -> u64 {
         #[cfg(feature = "telemetry-timing")]
         {
-            match self.at {
-                // lint: timing-ok(Tier B boundary: feature-gated span clock; results never depend on it)
-                Some(t0) => u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                None => 0,
-            }
+            // lint: timing-ok(Tier B boundary: feature-gated span clock; results never depend on it)
+            u64::try_from(self.at.elapsed().as_nanos()).unwrap_or(u64::MAX)
         }
         #[cfg(not(feature = "telemetry-timing"))]
         {
@@ -209,9 +189,10 @@ impl Default for SpanHist {
 }
 
 impl SpanHist {
-    /// Records one duration.
+    /// Records one duration (only the recorder records: see
+    /// [`SpanRecorder::end`](crate::tracing::SpanRecorder::end)).
     #[inline]
-    pub fn record_ns(&mut self, ns: u64) {
+    pub(crate) fn record_ns(&mut self, ns: u64) {
         self.count += 1;
         self.total_ns = self.total_ns.saturating_add(ns);
         let bucket = if ns == 0 {
@@ -232,7 +213,7 @@ impl SpanHist {
 /// A full set of Tier B span histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SpanSet {
-    hists: [SpanHist; NUM_SPANS],
+    pub(crate) hists: [SpanHist; NUM_SPANS],
 }
 
 impl SpanSet {
@@ -240,20 +221,6 @@ impl SpanSet {
     #[must_use]
     pub fn new() -> Self {
         SpanSet::default()
-    }
-
-    /// Ends a scoped span: records the elapsed time of `start` under `s`.
-    /// With timing disabled this records a zero-duration event.
-    #[inline]
-    pub fn stop(&mut self, start: SpanStart, s: Span) {
-        self.record_ns(s, start.elapsed_ns());
-    }
-
-    /// Records an externally measured duration under `s`. Deterministic in
-    /// its arguments; not feature-gated (see module docs).
-    #[inline]
-    pub fn record_ns(&mut self, s: Span, ns: u64) {
-        self.hists[s as usize].record_ns(ns);
     }
 
     /// Reads one span's histogram.
@@ -282,6 +249,21 @@ impl SpanSet {
                 *x += *y;
             }
         }
+    }
+
+    /// What was recorded since `before` was read off the same set, slot
+    /// by slot (the span analogue of `CounterSet::delta_since`).
+    #[must_use]
+    pub fn delta_since(&self, before: &SpanSet) -> SpanSet {
+        let mut out = *self;
+        for (a, b) in out.hists.iter_mut().zip(before.hists.iter()) {
+            a.count = a.count.saturating_sub(b.count);
+            a.total_ns = a.total_ns.saturating_sub(b.total_ns);
+            for (x, y) in a.buckets.iter_mut().zip(b.buckets.iter()) {
+                *x = x.saturating_sub(*y);
+            }
+        }
+        out
     }
 
     /// Whether nothing has been recorded.
@@ -330,18 +312,21 @@ mod tests {
     }
 
     #[test]
-    fn record_and_merge_accumulate() {
+    fn merge_and_delta_are_inverse() {
         let mut a = SpanSet::new();
         let mut b = SpanSet::new();
-        a.record_ns(Span::PhaseRoute, 100);
-        b.record_ns(Span::PhaseRoute, 300);
-        b.record_ns(Span::CriticSelect, 50);
+        a.hists[Span::PhaseRoute as usize].record_ns(100);
+        b.hists[Span::PhaseRoute as usize].record_ns(300);
+        b.hists[Span::CriticSelect as usize].record_ns(50);
+        let before = a;
         a.merge_from(&b);
         assert_eq!(a.get(Span::PhaseRoute).count, 2);
         assert_eq!(a.get(Span::PhaseRoute).total_ns, 400);
         assert_eq!(a.get(Span::PhaseRoute).mean_ns(), 200);
         assert_eq!(a.get(Span::CriticSelect).count, 1);
         assert!(!a.is_empty());
+        assert_eq!(a.delta_since(&before), b);
+        assert!(a.delta_since(&a).is_empty());
     }
 
     #[test]
@@ -354,14 +339,5 @@ mod tests {
         } else {
             assert_eq!(ns, 0);
         }
-        assert_eq!(SpanStart::disabled().elapsed_ns(), 0);
-    }
-
-    #[test]
-    fn stop_records_one_event() {
-        let mut s = SpanSet::new();
-        let t = SpanStart::now();
-        s.stop(t, Span::NnConvFwd);
-        assert_eq!(s.get(Span::NnConvFwd).count, 1);
     }
 }

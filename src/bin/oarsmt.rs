@@ -217,16 +217,13 @@ fn cmd_train(args: &[String], threads_flag: Option<usize>) -> CliResult {
         }
         None => None,
     };
-    // The train trace is reconstructed from the per-stage wall-clock the
-    // trainer already reports (via `begin_at`/`end_at`), so it works in
-    // every build; stage boundaries are exact, sub-stage detail is not
-    // recorded here.
-    let mut rec = oarsmt_telemetry::TraceRecorder::new();
+    // The trainer records each stage's gen/fit split and the fit loop's
+    // layer spans into one recorder; arming it flight-records the run. A
+    // laptop-schedule stage is ~13k events, so 2^20 keeps dozens of stages.
     if trace_path.is_some() {
-        rec.enable(16 + stages * 8);
+        trainer.spans_mut().arm(1 << 20);
     }
     let mut prev = trainer.counters();
-    let mut t_ns: u64 = 0;
     for stage in 0..stages {
         let report = trainer.run_stage(&mut selector, stage)?;
         println!("{report}");
@@ -235,13 +232,6 @@ fn cmd_train(args: &[String], threads_flag: Option<usize>) -> CliResult {
         prev = total;
         let gen_ns = report.sample_gen_time.as_nanos() as u64;
         let fit_ns = report.train_time.as_nanos() as u64;
-        rec.begin_at(Span::TrainStage, t_ns);
-        rec.begin_at(Span::TrainGen, t_ns);
-        rec.end_at(Span::TrainGen, t_ns + gen_ns);
-        rec.begin_at(Span::TrainFit, t_ns + gen_ns);
-        rec.end_at(Span::TrainFit, t_ns + gen_ns + fit_ns);
-        rec.end_at(Span::TrainStage, t_ns + gen_ns + fit_ns);
-        t_ns += gen_ns + fit_ns;
         if let Some(l) = logger.as_mut() {
             l.log_stage(
                 &StageStats {
@@ -258,6 +248,7 @@ fn cmd_train(args: &[String], threads_flag: Option<usize>) -> CliResult {
         }
     }
     if let Some(path) = &trace_path {
+        let rec = trainer.spans_mut();
         let events = rec.events_in_order();
         std::fs::write(path, tracing::to_chrome_json(&events, rec.dropped()))?;
         eprintln!("[train] trace ({} events) written to {path}", events.len());
@@ -304,21 +295,22 @@ fn cmd_trace(args: &[String]) -> CliResult {
     }
     let router = oarsmt_router::OarmstRouter::new();
     let mut ctx = oarsmt_router::RouteContext::new();
-    ctx.trace.enable(cap);
+    ctx.nn.spans.arm(cap);
     for _ in 0..repeat.max(1) {
         let tree = router.route_in(&mut ctx, &graph, &[])?;
         ctx.recycle_tree(tree);
     }
-    let events = ctx.trace.events_in_order();
+    let rec = &ctx.nn.spans;
+    let events = rec.events_in_order();
     print!("{}", tracing::render_summary(&tracing::summarize(&events)));
-    if ctx.trace.dropped() > 0 {
+    if rec.dropped() > 0 {
         println!(
             "({} older events dropped; raise --cap to keep them)",
-            ctx.trace.dropped()
+            rec.dropped()
         );
     }
     if let Some(out) = out {
-        let json = tracing::to_chrome_json(&events, ctx.trace.dropped());
+        let json = tracing::to_chrome_json(&events, rec.dropped());
         tracing::verify_chrome(&json).map_err(|e| format!("internal: {e}"))?;
         std::fs::write(&out, json)?;
         println!("trace ({} events) written to {out}", events.len());

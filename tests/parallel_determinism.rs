@@ -119,7 +119,7 @@ fn search_counters_traced(threads: usize, trace_cap: usize) -> (CounterSet, u64)
         || {
             let mut ctx = RouteContext::new();
             if trace_cap > 0 {
-                ctx.trace.enable(trace_cap);
+                ctx.nn.spans.arm(trace_cap);
             }
             (ctx, small_selector(7))
         },
@@ -129,7 +129,7 @@ fn search_counters_traced(threads: usize, trace_cap: usize) -> (CounterSet, u64)
             let mcts = CombinatorialMcts::new(config.clone());
             let before = ctx.counters_total();
             let _ = mcts.search_in(ctx, &graph, sel);
-            let events = ctx.trace.len() as u64 + ctx.trace.dropped();
+            let events = ctx.nn.spans.len() as u64 + ctx.nn.spans.dropped();
             (ctx.counters_total().delta_since(&before), events)
         },
     );
