@@ -122,7 +122,9 @@ pub fn run_subset(
     spans: &mut SpanRecorder,
 ) -> Result<SubsetResult, RouteError> {
     let before = *spans.hists();
-    let mut t = spans.now();
+    // A pool's phases laid end to end can outrun the wall clock, so an
+    // earlier rung may have ended ahead of `now()`: start after it.
+    let mut t = spans.now().max(spans.latest_ns());
     let rung = spans.begin(Span::BenchRung, t);
     let lin18 = Lin18Router::new();
     let outcomes = parallel::run_seeded_with(
@@ -458,7 +460,15 @@ mod tests {
             seed: 3,
         });
         let one = run_subset(&spec, &selector, 7, 1, &mut SpanRecorder::new()).unwrap();
-        let four = run_subset(&spec, &selector, 7, 4, &mut SpanRecorder::new()).unwrap();
+        let mut spans = SpanRecorder::new();
+        spans.arm(1024);
+        let four = run_subset(&spec, &selector, 7, 4, &mut spans).unwrap();
+        // A second rung on the same recorder: the ladder's timeline never
+        // goes backwards, even where four workers' phases outran the wall.
+        run_subset(&spec, &selector, 8, 4, &mut spans).unwrap();
+        let events = spans.events_in_order();
+        assert_eq!(spans.dropped(), 0);
+        assert!(events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
         assert_eq!(one.comparison, four.comparison);
         assert_eq!(one.obstacle_points, four.obstacle_points);
         assert_eq!(one.skipped, four.skipped);

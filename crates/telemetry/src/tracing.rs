@@ -77,6 +77,8 @@ pub struct SpanRecorder {
     wrapped: bool,
     /// Events overwritten after the ring filled.
     dropped: u64,
+    /// Latest timestamp written to the ring.
+    latest_ns: u64,
     armed: bool,
     /// Timestamp origin, marked at creation.
     origin: SpanStart,
@@ -98,6 +100,7 @@ impl SpanRecorder {
             next: 0,
             wrapped: false,
             dropped: 0,
+            latest_ns: 0,
             armed: false,
             origin: SpanStart::now(),
         }
@@ -114,6 +117,7 @@ impl SpanRecorder {
         self.next = 0;
         self.wrapped = false;
         self.dropped = 0;
+        self.latest_ns = 0;
         self.hists = SpanSet::new();
         self.armed = capacity > 0;
     }
@@ -163,6 +167,7 @@ impl SpanRecorder {
         if self.wrapped {
             self.dropped += 1;
         }
+        self.latest_ns = self.latest_ns.max(event.ts_ns);
         let next = self.next;
         if let Some(slot) = self.ring.get_mut(next) {
             *slot = event;
@@ -200,6 +205,16 @@ impl SpanRecorder {
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped
+    }
+
+    /// The latest timestamp written to the ring since it was armed (zero
+    /// when unarmed). Injected spans can run ahead of the live clock (a
+    /// pool's per-job times laid end to end sum past the wall time); a
+    /// caller that opens a span at `now().max(latest_ns())` keeps the
+    /// ring's timeline from going backwards.
+    #[must_use]
+    pub fn latest_ns(&self) -> u64 {
+        self.latest_ns
     }
 
     /// The held events, oldest first (unwraps the ring).
@@ -501,6 +516,14 @@ mod tests {
         }
         assert_views_agree(&r);
         assert_eq!(r.hists().get(Span::RouteDijkstra).count, 12);
+        // Live timestamps come from one monotonic clock: they never
+        // decrease, and the rung > dijkstra > conv nest exports 3 deep.
+        let live = r.events_in_order();
+        assert_eq!(live.len(), 2 * (3 + 12 + 12));
+        assert!(live.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
+        let check = verify_chrome(&to_chrome_json(&live, r.dropped())).unwrap();
+        assert_eq!(check.max_depth, 3);
+        assert_eq!(r.latest_ns(), live.last().unwrap().ts_ns);
 
         // Injected spans, interleaved with live ones on the same ring.
         let t = r.now();

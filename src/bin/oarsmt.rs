@@ -219,9 +219,14 @@ fn cmd_train(args: &[String], threads_flag: Option<usize>) -> CliResult {
     };
     // The trainer records each stage's gen/fit split and the fit loop's
     // layer spans into one recorder; arming it flight-records the run. A
-    // laptop-schedule stage is ~13k events, so 2^20 keeps dozens of stages.
+    // laptop-schedule stage writes ~13k events (at most 1152 samples, 108
+    // batches), so 2^14 per stage keeps every stage of a run up to 64
+    // stages; a longer run exports its most recent 2^20 events (24 MB) and
+    // reports how many it dropped.
     if trace_path.is_some() {
-        trainer.spans_mut().arm(1 << 20);
+        trainer
+            .spans_mut()
+            .arm(stages.max(1).saturating_mul(1 << 14).min(1 << 20));
     }
     let mut prev = trainer.counters();
     for stage in 0..stages {
@@ -251,7 +256,11 @@ fn cmd_train(args: &[String], threads_flag: Option<usize>) -> CliResult {
         let rec = trainer.spans_mut();
         let events = rec.events_in_order();
         std::fs::write(path, tracing::to_chrome_json(&events, rec.dropped()))?;
-        eprintln!("[train] trace ({} events) written to {path}", events.len());
+        eprintln!(
+            "[train] trace ({} events, {} earlier ones dropped) written to {path}",
+            events.len(),
+            rec.dropped()
+        );
     }
     if let Some(l) = &logger {
         eprintln!("[train] metrics in {}", l.dir().display());
