@@ -45,7 +45,7 @@ cargo test --release -q -p oarsmt-lint --features alloc-count --test alloc_sanit
 echo "==> route-context property tests"
 cargo test -q -p oarsmt-router --test context_properties
 
-echo "==> queue-policy equivalence (Auto/Dial == heap oracle bit-identity incl. bounded + op counts, bounded and A* golden pins)"
+echo "==> queue-policy equivalence (Auto == heap oracle trees bit for bit incl. bounded; exact op counts polish-free, no more pops with A* polish; golden pins)"
 cargo test -q -p oarsmt-router --test queue_equivalence
 
 echo "==> resumable Prim frontier equivalence (persisted-frontier builds == fresh-search-per-step reference)"
@@ -56,7 +56,7 @@ cargo test -q -p oarsmt-nn batch
 cargo test -q -p oarsmt batch
 cargo test -q -p oarsmt-rl --test batch_equivalence
 
-echo "==> oarsmt_bench dijkstra smoke (quick mode, asserts heap/Dial checksum + op-count identity)"
+echo "==> oarsmt_bench dijkstra smoke (quick mode, asserts heap/Auto checksum identity, Auto pops <= heap, polish-free op-count identity)"
 cargo run --release -q -p oarsmt-bench --bin oarsmt_bench -- dijkstra --quick \
     --out target/BENCH_dijkstra_smoke.json
 

@@ -22,7 +22,7 @@
 //! | `critic` | MCTS critic rollouts/s, fresh vs reused `RouteContext` |
 //! | `unet` | U-Net forward and train-step throughput |
 //! | `batch` | batched vs per-sample selector inference and fitting |
-//! | `dijkstra` | heap vs Dial vs A* queue policies on OARMST builds |
+//! | `dijkstra` | heap vs `Auto` (Dial builds, A* reroutes) on OARMST routes |
 //!
 //! Run any table with `cargo run --release -p oarsmt-bench --bin table2`,
 //! and any lane with `cargo run --release -p oarsmt-bench --bin

@@ -27,6 +27,15 @@ pub enum GeomError {
     },
     /// An edge or via cost is not finite or not positive.
     InvalidCost(f64),
+    /// The grid has more vertices than [`MAX_VERTICES`](crate::hanan::MAX_VERTICES)
+    /// (or `h · v · m` overflows); nothing was allocated.
+    TooManyVertices {
+        /// Requested dimensions `(h, v, m)`.
+        dims: (usize, usize, usize),
+    },
+    /// A path cost could overflow `f64`: the largest edge cost (carried)
+    /// times the vertex count is not finite.
+    PathCostOverflow(f64),
     /// A layout has fewer than two pins, so no routing tree exists.
     TooFewPins(usize),
     /// The layout geometry produced no Hanan cuts (no pins or obstacles).
@@ -53,6 +62,17 @@ impl fmt::Display for GeomError {
             GeomError::InvalidCost(c) => {
                 write!(f, "routing cost {c} is not finite and positive")
             }
+            GeomError::TooManyVertices { dims } => write!(
+                f,
+                "grid dimensions {}x{}x{} exceed {} vertices",
+                dims.0,
+                dims.1,
+                dims.2,
+                crate::hanan::MAX_VERTICES
+            ),
+            GeomError::PathCostOverflow(c) => {
+                write!(f, "routing cost {c} lets a path cost overflow")
+            }
             GeomError::TooFewPins(n) => {
                 write!(f, "layout has {n} pins but routing needs at least 2")
             }
@@ -78,6 +98,10 @@ mod tests {
             GeomError::DuplicatePin(GridPoint::new(1, 1, 0)),
             GeomError::EmptyDimension { dims: (0, 4, 2) },
             GeomError::InvalidCost(f64::NAN),
+            GeomError::TooManyVertices {
+                dims: (1 << 20, 1 << 20, 1),
+            },
+            GeomError::PathCostOverflow(1e308),
             GeomError::TooFewPins(1),
             GeomError::NoCuts,
         ];

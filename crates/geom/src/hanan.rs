@@ -87,16 +87,45 @@ pub struct HananGraph {
     pins: Vec<GridPoint>,
 }
 
+/// The largest vertex count a [`HananGraph`] may have.
+///
+/// Vertex indices are `u32` throughout the search crates, so the limit
+/// must stay below `u32::MAX`; at `2^24` every per-vertex array of a
+/// route (vertex kinds, search labels, the CSR adjacency) stays within a
+/// few hundred megabytes. Dimensions past it are rejected with
+/// [`GeomError::TooManyVertices`] before anything is allocated.
+pub const MAX_VERTICES: usize = 1 << 24;
+
 impl HananGraph {
+    /// The vertex count `h · v · m` of a grid with these dimensions,
+    /// checked before anything is allocated.
+    ///
+    /// # Errors
+    ///
+    /// * [`GeomError::EmptyDimension`] if any of `h`, `v`, `m` is zero.
+    /// * [`GeomError::TooManyVertices`] if the product overflows or
+    ///   exceeds [`MAX_VERTICES`].
+    pub fn checked_len(h: usize, v: usize, m: usize) -> Result<usize, GeomError> {
+        if h == 0 || v == 0 || m == 0 {
+            return Err(GeomError::EmptyDimension { dims: (h, v, m) });
+        }
+        h.checked_mul(v)
+            .and_then(|n| n.checked_mul(m))
+            .filter(|&n| n <= MAX_VERTICES)
+            .ok_or(GeomError::TooManyVertices { dims: (h, v, m) })
+    }
+
     /// Creates a synthetic uniform grid: `h × v × m` vertices, every
     /// horizontal gap costing `x_cost`, every vertical gap `y_cost`, and the
     /// given `via_cost`. Physical coordinates default to the grid indices.
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero or any cost is not finite and
-    /// positive; use [`HananGraph::with_costs`] for fallible construction.
+    /// Panics if [`HananGraph::with_costs`] would return an error (checked
+    /// before the cost vectors are allocated); use it for fallible
+    /// construction.
     pub fn uniform(h: usize, v: usize, m: usize, x_cost: f64, y_cost: f64, via_cost: f64) -> Self {
+        HananGraph::checked_len(h, v, m).expect("uniform grid dimensions must be valid");
         HananGraph::with_costs(
             h,
             v,
@@ -114,10 +143,13 @@ impl HananGraph {
     ///
     /// # Errors
     ///
-    /// * [`GeomError::EmptyDimension`] if any of `h`, `v`, `m` is zero.
+    /// * [`GeomError::EmptyDimension`] / [`GeomError::TooManyVertices`] as
+    ///   for [`HananGraph::checked_len`].
     /// * [`GeomError::InvalidCost`] if any gap or via cost is not finite and
     ///   positive, or a cost vector has the wrong length (reported with the
     ///   offending length as the cost value `-1.0`).
+    /// * [`GeomError::PathCostOverflow`] if a path cost could overflow
+    ///   `f64` ([`HananGraph::path_cost_bound`] is not finite).
     pub fn with_costs(
         h: usize,
         v: usize,
@@ -126,9 +158,7 @@ impl HananGraph {
         y_costs: Vec<f64>,
         via_cost: f64,
     ) -> Result<Self, GeomError> {
-        if h == 0 || v == 0 || m == 0 {
-            return Err(GeomError::EmptyDimension { dims: (h, v, m) });
-        }
+        let n = HananGraph::checked_len(h, v, m)?;
         if x_costs.len() != h - 1 || y_costs.len() != v - 1 {
             return Err(GeomError::InvalidCost(-1.0));
         }
@@ -140,7 +170,7 @@ impl HananGraph {
         if !via_cost.is_finite() || via_cost <= 0.0 {
             return Err(GeomError::InvalidCost(via_cost));
         }
-        Ok(HananGraph {
+        let g = HananGraph {
             h,
             v,
             m,
@@ -149,9 +179,20 @@ impl HananGraph {
             x_costs,
             y_costs,
             via_cost,
-            kind: vec![VertexKind::Empty; h * v * m],
+            kind: vec![VertexKind::Empty; n],
             pins: Vec::new(),
-        })
+        };
+        g.check_path_costs()?;
+        Ok(g)
+    }
+
+    /// Rejects a cost model whose path costs could overflow `f64`.
+    fn check_path_costs(&self) -> Result<(), GeomError> {
+        if self.path_cost_bound().is_finite() {
+            Ok(())
+        } else {
+            Err(GeomError::PathCostOverflow(self.max_cost()))
+        }
     }
 
     /// Builds the 3D Hanan grid graph of a physical [`Layout`], following
@@ -162,7 +203,8 @@ impl HananGraph {
     /// # Errors
     ///
     /// Propagates [`Layout::validate`] errors, and returns
-    /// [`GeomError::NoCuts`] if the layout is empty.
+    /// [`GeomError::NoCuts`] if the layout is empty and the errors of
+    /// [`HananGraph::with_costs`] for oversized grids or costs.
     pub fn from_layout(layout: &Layout) -> Result<Self, GeomError> {
         layout.validate()?;
         let mut xs: Vec<i64> = Vec::new();
@@ -187,6 +229,7 @@ impl HananGraph {
         let h = xs.len();
         let v = ys.len();
         let m = layout.layers();
+        let n = HananGraph::checked_len(h, v, m)?;
         let x_costs = xs.windows(2).map(|w| (w[1] - w[0]) as f64).collect();
         let y_costs = ys.windows(2).map(|w| (w[1] - w[0]) as f64).collect();
         let mut g = HananGraph {
@@ -198,9 +241,10 @@ impl HananGraph {
             x_costs,
             y_costs,
             via_cost: layout.via_cost(),
-            kind: vec![VertexKind::Empty; h * v * m],
+            kind: vec![VertexKind::Empty; n],
             pins: Vec::new(),
         };
+        g.check_path_costs()?;
         // Obstacles first so pin/obstacle collisions are caught by add_pin.
         for ob in layout.obstacles() {
             let (x0, x1) = ob.rect.x_range();
@@ -473,6 +517,16 @@ impl HananGraph {
     /// by Fig. 10 of the paper.
     pub fn obstacle_ratio(&self) -> f64 {
         self.obstacle_count() as f64 / self.len() as f64
+    }
+
+    /// An upper bound on the cost of any simple path: `(len − 1) ×`
+    /// [`Self::max_cost`], since a simple path has fewer edges than the
+    /// graph has vertices. Finite for every constructed graph; the maze
+    /// router's A* runs only while it is below 2⁵³, where every integer
+    /// path cost is an exact `f64`.
+    #[must_use]
+    pub fn path_cost_bound(&self) -> f64 {
+        (self.len() - 1) as f64 * self.max_cost()
     }
 
     /// The maximum over all gap costs and the via cost; the normalization

@@ -176,6 +176,9 @@ pub fn parse_case(text: &str) -> Result<HananGraph, ParseCaseError> {
     }
 
     let (h, v, m) = dims.ok_or(ParseCaseError::MissingHeader)?;
+    // Oversized dimensions must fail before the default cost vectors or
+    // the vertex array are allocated.
+    HananGraph::checked_len(h, v, m)?;
     let xcosts = xcosts.unwrap_or_else(|| vec![1.0; h.saturating_sub(1)]);
     let ycosts = ycosts.unwrap_or_else(|| vec![1.0; v.saturating_sub(1)]);
     let mut graph = HananGraph::with_costs(h, v, m, xcosts, ycosts, via)?;
@@ -246,6 +249,41 @@ mod tests {
         // Out-of-bounds pin.
         let err = parse_case("hanan 3 3 1\npin 9 9 9\n").unwrap_err();
         assert!(matches!(err, ParseCaseError::Geometry(_)));
+    }
+
+    /// Hostile sizes and costs get typed errors: nothing is allocated for
+    /// an oversized grid (an allocation failure would abort the process),
+    /// and costs whose path sums overflow never reach a router.
+    #[test]
+    fn oversized_grids_and_overflowing_costs_are_rejected() {
+        for text in ["hanan 100000 100000 100000\n", "hanan 4000000000 2 1\n"] {
+            assert!(
+                matches!(
+                    parse_case(text),
+                    Err(ParseCaseError::Geometry(GeomError::TooManyVertices { .. }))
+                ),
+                "{text}"
+            );
+        }
+        let overflow = "hanan 3 3 1\nxcosts 1e308 1e308\npin 0 0 0\npin 2 2 0\n";
+        assert_eq!(
+            parse_case(overflow),
+            Err(ParseCaseError::Geometry(GeomError::PathCostOverflow(1e308)))
+        );
+        let via = "hanan 2 2 2\nvia 1e308\n";
+        assert!(matches!(
+            parse_case(via),
+            Err(ParseCaseError::Geometry(GeomError::PathCostOverflow(_)))
+        ));
+        // The limit itself is admitted, one vertex past it is not (checked
+        // without building a graph that large).
+        let max = crate::hanan::MAX_VERTICES;
+        assert_eq!(HananGraph::checked_len(max / 4, 2, 2), Ok(max));
+        let past = format!("hanan {} 1 1\n", max + 1);
+        assert!(matches!(
+            parse_case(&past),
+            Err(ParseCaseError::Geometry(GeomError::TooManyVertices { .. }))
+        ));
     }
 
     #[test]

@@ -109,7 +109,7 @@ impl BucketQueue {
 
     /// Prepares the queue for a fresh query whose alive entries never span
     /// more than `span` consecutive keys (for Dijkstra: the largest edge
-    /// cost; for A* with a consistent heuristic: twice that). Previous
+    /// cost). Previous
     /// contents are invalidated by clearing `ring / 64` occupancy words;
     /// bucket storage is retained.
     pub fn reset(&mut self, span: usize) {

@@ -20,13 +20,13 @@
 //! tree would (DESIGN.md §12.5).
 //!
 //! The loop is generic over its frontier, chosen per query by a
-//! [`QueuePolicy`]: the binary heap (the retained oracle), Dial's bucket
-//! queue (bit-identical to the heap whenever the cost model is
-//! bounded-integer — the paper's §2.2 model always is), or A* on the heap
-//! ordered by `g + h` with a rectilinear-distance lower bound (a
-//! *documented divergence*: same per-query path cost, possibly different
-//! tie geometry). The search-order and tie-break contract all three
-//! frontiers obey is specified in DESIGN.md §12.
+//! [`QueuePolicy`]: the binary heap (the retained oracle) or `Auto`, which
+//! takes A* on the heap for a query with a target hint and Dial's bucket
+//! queue otherwise, whenever the cost model is integer. Every query reads
+//! its path out with one canonical walk (the least `(distance, index)`
+//! predecessor), so `Auto` returns the oracle's path bit for bit; A* only
+//! settles fewer vertices. The search-order and tie-break contract is
+//! specified in DESIGN.md §12.
 //!
 //! ```
 //! use oarsmt_geom::{GridPoint, HananGraph};
@@ -56,9 +56,6 @@ use oarsmt_telemetry::{Counter, CounterSet};
 use crate::bucket::BucketQueue;
 use crate::csr::GridAdjacency;
 use crate::error::GraphError;
-
-/// Sentinel for "no predecessor".
-const NO_PREV: u32 = u32::MAX;
 
 /// Heap entry ordered by smallest cost first.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -149,33 +146,31 @@ impl SearchBounds {
 /// the occupancy words its reset clears.
 pub const DIAL_MAX_EDGE_COST: u64 = 4096;
 
+/// Largest path-cost bound for which A* runs: below 2⁵³ every integer
+/// `g + h` the search compares is an exact `f64` (DESIGN.md §12.4).
+const ASTAR_MAX_PATH_COST: f64 = (1u64 << 53) as f64;
+
 /// Which frontier drives a maze query (DESIGN.md §12).
 ///
-/// `Auto` is the default everywhere: it selects Dial's bucket queue when
-/// the graph's cost model is bounded-integer
-/// ([`HananGraph::integer_cost_ceiling`] `≤` [`DIAL_MAX_EDGE_COST`]) and
-/// the binary heap otherwise. Dial pop order is engineered to be exactly
-/// the heap's `(cost, vertex index)` order, so `Auto` and `Heap` are
-/// bit-identical — the heap stays available as the oracle the equivalence
-/// property tests and benches compare against.
+/// `Auto` is the default everywhere. On an integer cost model
+/// ([`HananGraph::integer_cost_ceiling`]) it takes A* on the binary heap
+/// for a query with a target hint, when every path cost is an exact
+/// `f64` integer ([`HananGraph::path_cost_bound`] below 2⁵³), and Dial's
+/// bucket queue for a query without one, when the ceiling is at most
+/// [`DIAL_MAX_EDGE_COST`]. Otherwise it takes the heap. Paths, costs and
+/// trees are bit-identical to `Heap` either way: Dial pops in exactly the
+/// heap's `(cost, vertex index)` order, and A* settles every vertex on
+/// every shortest path before the canonical read-out walks it
+/// (DESIGN.md §12.3–§12.4). The heap stays available as the oracle the
+/// equivalence property tests and benches compare against.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum QueuePolicy {
-    /// Bounded-integer cost model ⇒ Dial bucket queue, else binary heap.
+    /// A* or Dial on integer cost models, else the binary heap.
     /// Bit-identical to `Heap` either way. The default.
     #[default]
     Auto,
     /// The binary-heap Dijkstra — the retained oracle.
     Heap,
-    /// A* on the binary heap ordered by `f = g + h`, with the
-    /// rectilinear-distance lower bound of [`RectilinearBound`] as `h`.
-    /// Needs a non-empty target hint covering every vertex `is_target`
-    /// accepts, and a bounded-integer cost model (falls back like `Auto`
-    /// otherwise). **Documented divergence** (DESIGN.md §12.4): each query
-    /// returns a cheapest path with the same cost bits as the oracle, but
-    /// possibly a different equal-cost geometry, so downstream trees may
-    /// differ. The resumable Prim frontier has no single target and
-    /// resolves it like `Auto`.
-    AStar,
 }
 
 /// A [`QueuePolicy`] after eligibility resolution.
@@ -189,15 +184,19 @@ enum ResolvedQueue {
 }
 
 impl QueuePolicy {
-    /// Resolves the policy against a graph's integer-cost ceiling and the
+    /// Resolves the policy against the graph's cost model and the
     /// presence of a target hint. Pure function of the query inputs, so
     /// the choice is deterministic.
-    fn resolve(self, ceiling: Option<u64>, have_targets: bool) -> ResolvedQueue {
-        let eligible = ceiling.filter(|&c| c <= DIAL_MAX_EDGE_COST);
-        match (self, eligible) {
-            (QueuePolicy::Heap, _) | (_, None) => ResolvedQueue::Heap,
-            (QueuePolicy::AStar, Some(_)) if have_targets => ResolvedQueue::AStar,
-            (_, Some(c)) => ResolvedQueue::Dial(c),
+    fn resolve(self, graph: &HananGraph, have_targets: bool) -> ResolvedQueue {
+        if self == QueuePolicy::Heap {
+            return ResolvedQueue::Heap;
+        }
+        match graph.integer_cost_ceiling() {
+            Some(_) if have_targets && graph.path_cost_bound() < ASTAR_MAX_PATH_COST => {
+                ResolvedQueue::AStar
+            }
+            Some(c) if c <= DIAL_MAX_EDGE_COST => ResolvedQueue::Dial(c),
+            _ => ResolvedQueue::Heap,
         }
     }
 }
@@ -230,8 +229,9 @@ pub struct RectilinearBound {
 
 impl RectilinearBound {
     /// Rebuilds the prefix sums and the target bounding box for a query.
-    /// Requires a bounded-integer cost model (the caller resolves that via
-    /// [`HananGraph::integer_cost_ceiling`]) and a non-empty target set.
+    /// Requires an integer cost model whose path costs stay below 2⁵³
+    /// (the caller resolves that, see [`QueuePolicy`]) and a non-empty
+    /// target set.
     fn prepare(&mut self, graph: &HananGraph, targets: &[GridPoint]) {
         debug_assert!(!targets.is_empty());
         self.px.clear();
@@ -285,10 +285,10 @@ impl RectilinearBound {
 
 /// The priority queue behind one query. `push` takes the tentative
 /// distance `g`; a frontier that orders by something else (A*'s
-/// `g + h`) derives its key itself. `pop` yields vertices in key order,
-/// stale duplicates included — the relaxation loop skips those — and
-/// stops at the first key above `limit`, leaving it queued (A* is only
-/// ever driven with an infinite limit).
+/// `g + h`) derives its key itself, and `limit` is then a bound on that
+/// key. `pop` yields vertices in key order, stale duplicates included —
+/// the relaxation loop skips those — and stops at the first key above
+/// `limit`, leaving it queued.
 trait Frontier {
     fn push(&mut self, g: f64, idx: u32);
     fn pop(&mut self, limit: f64) -> Option<u32>;
@@ -334,8 +334,9 @@ impl Frontier for Dial<'_> {
 }
 
 /// The binary heap keyed by `f = g + h`; one `graph.point` per push pays
-/// for the `h` evaluation. All arithmetic stays exact (integer-valued
-/// `f64`s below 2⁵³), so the settled cost bits match the oracle's.
+/// for the `h` evaluation. Every key at or below the target's is an exact
+/// integer-valued `f64` (path costs stay below 2⁵³), so the settled labels
+/// are the oracle's bit for bit.
 struct AStar<'a> {
     heap: &'a mut BinaryHeap<Entry>,
     bound: &'a RectilinearBound,
@@ -358,13 +359,13 @@ impl Frontier for AStar<'_> {
     }
 }
 
-/// Per-vertex search state: `dist`/`prev` are valid where
-/// `stamp == epoch`, and a vertex is settled — expanded at its current
-/// label — while `done == epoch`.
+/// Per-vertex search state: `dist` is valid where `stamp == epoch`, and
+/// a vertex is settled — expanded at its current label — while
+/// `done == epoch`. No predecessor is stored: paths are read out by
+/// [`Labels::path_into`].
 #[derive(Debug, Clone, Default)]
 struct Labels {
     dist: Vec<f64>,
-    prev: Vec<u32>,
     stamp: Vec<u32>,
     done: Vec<u32>,
     epoch: u32,
@@ -374,7 +375,6 @@ impl Labels {
     fn prepare(&mut self, n: usize) {
         if self.dist.len() < n {
             self.dist.resize(n, f64::INFINITY);
-            self.prev.resize(n, NO_PREV);
             self.stamp.resize(n, 0);
             self.done.resize(n, 0);
         }
@@ -387,16 +387,15 @@ impl Labels {
         }
     }
 
-    /// Lowers `idx`'s label to `d` via `prev` if that improves it; returns
-    /// whether it did (the caller then pushes `idx`). A lowered label
-    /// unsettles the vertex: only the resumable Prim frontier ever lowers
-    /// a settled label, and the vertex must then be expanded again.
+    /// Lowers `idx`'s label to `d` if that improves it; returns whether
+    /// it did (the caller then pushes `idx`). A lowered label unsettles
+    /// the vertex: only the resumable Prim frontier ever lowers a settled
+    /// label, and the vertex must then be expanded again.
     #[inline]
-    fn improve(&mut self, idx: usize, d: f64, prev: u32) -> bool {
+    fn improve(&mut self, idx: usize, d: f64) -> bool {
         if self.stamp[idx] != self.epoch || d < self.dist[idx] {
             self.stamp[idx] = self.epoch;
             self.dist[idx] = d;
-            self.prev[idx] = prev;
             self.done[idx] = 0;
             return true;
         }
@@ -418,7 +417,7 @@ impl Labels {
                 continue;
             }
             let idx = graph.index(s);
-            if self.improve(idx, 0.0, NO_PREV) {
+            if self.improve(idx, 0.0) {
                 counters.bump(Counter::DijkstraPushes);
                 frontier.push(0.0, idx as u32);
             }
@@ -520,7 +519,7 @@ impl Labels {
                 }
                 let nd = g + w;
                 counters.bump(Counter::DijkstraRelaxations);
-                if self.improve(q, nd, idx as u32) {
+                if self.improve(q, nd) {
                     counters.bump(Counter::DijkstraPushes);
                     frontier.push(nd, q as u32);
                 }
@@ -567,6 +566,52 @@ impl Labels {
         self.settle_within(graph, adj, frontier, bounds, |_| false, *horizon, counters);
         Some(target)
     }
+
+    /// Writes the path from the sources to `target` into `out` (cleared
+    /// first, source end first) and returns its cost: the one read-out of
+    /// every query (DESIGN.md §12.3–§12.5).
+    ///
+    /// The walk goes back from `target` to the first vertex at distance 0
+    /// (a source), taking at each vertex `v` the settled neighbour `u` with
+    /// `dist[u] + w == dist[v]` and the least `(dist[u], u)`. The heap
+    /// settles in `(dist, index)` order and keeps the first relaxation that
+    /// reaches a label, so that neighbour is exactly the predecessor the
+    /// heap oracle's search reaches `v` by. It needs every predecessor on a
+    /// shortest path to `target` settled at its exact label, which every
+    /// frontier guarantees when its search ends.
+    fn path_into(
+        &self,
+        graph: &HananGraph,
+        adj: &GridAdjacency,
+        target: usize,
+        out: &mut Vec<GridPoint>,
+    ) -> f64 {
+        out.clear();
+        let mut v = target;
+        out.push(graph.point(v));
+        while self.dist[v] != 0.0 {
+            let dv = self.dist[v];
+            let mut pick: Option<(f64, usize)> = None;
+            for (u, w) in adj.neighbors(v) {
+                let u = u as usize;
+                if self.done[u] != self.epoch {
+                    continue;
+                }
+                let du = self.dist[u];
+                if du + w == dv && pick.is_none_or(|(pd, pu)| du < pd || (du == pd && u < pu)) {
+                    pick = Some((du, u));
+                }
+            }
+            let Some((_, u)) = pick else {
+                debug_assert!(false, "no predecessor reaches the label of {v}");
+                break;
+            };
+            v = u;
+            out.push(graph.point(v));
+        }
+        out.reverse();
+        self.dist[target]
+    }
 }
 
 /// State of the resumable Prim frontier between
@@ -574,7 +619,7 @@ impl Labels {
 #[derive(Debug, Clone, Copy, Default)]
 struct PrimState {
     /// The frontier [`DijkstraWorkspace::prim_begin`] resolved (never
-    /// A*).
+    /// A*: a Prim step has no target hint).
     queue: ResolvedQueue,
     /// Every label at or below the horizon is the exact distance from the
     /// tree, and every queued entry lies above it.
@@ -584,8 +629,8 @@ struct PrimState {
     epoch: u32,
 }
 
-/// Reusable Dijkstra work arrays (distance, predecessor, visit stamps) and
-/// the three frontiers.
+/// Reusable Dijkstra work arrays (distance and visit stamps) and the
+/// three frontiers.
 ///
 /// Reuse a single `DijkstraWorkspace` across the many maze-routing queries
 /// of an OARMST construction to avoid repeated allocation. The workspace
@@ -596,15 +641,16 @@ struct PrimState {
 pub struct DijkstraWorkspace {
     labels: Labels,
     heap: BinaryHeap<Entry>,
-    /// The Dial bucket queue (`Auto` on bounded-integer cost models); the
-    /// persisted ring of the resumable Prim frontier.
+    /// The Dial bucket queue (`Auto` on bounded-integer cost models
+    /// without a target hint); the persisted ring of the resumable Prim
+    /// frontier.
     bucket: BucketQueue,
     /// The resumable Prim frontier's per-step Dial ring: the wave from the
     /// newly joined path runs here up to the horizon, then its leftovers
     /// fold into `bucket`.
     wave: BucketQueue,
     prim: PrimState,
-    /// The A* lower bound, rebuilt per `AStar` query.
+    /// The A* lower bound, rebuilt per A* query.
     bound: RectilinearBound,
     /// Tier A telemetry: settled pops, relaxation attempts, queue pushes
     /// and Dial cursor key advances ([`Counter::DijkstraPops`] and
@@ -628,13 +674,13 @@ impl DijkstraWorkspace {
     /// * `bounds`, when given, restricts expansion to a rectangular grid
     ///   window (targets outside it are unreachable).
     /// * `policy` picks the frontier. `Auto` and `Heap` return
-    ///   bit-identical results, op counters included (DESIGN.md §12.3).
-    /// * `targets` is the A* hint: under [`QueuePolicy::AStar`] it must
-    ///   include every vertex `is_target` accepts (the lower bound must be
-    ///   zero on all targets, or the first settled target is not
-    ///   guaranteed cheapest). The other policies ignore it; pass `&[]`.
-    ///   `AStar` returns the same cost bits but possibly a different
-    ///   equal-cost path (§12.4).
+    ///   bit-identical paths and costs (DESIGN.md §12.3–§12.4); the op
+    ///   counters match too unless `Auto` takes A*, which pops no more.
+    /// * `targets` is the target hint: it must include every vertex
+    ///   `is_target` accepts (the A* lower bound must be zero on all
+    ///   targets, or the first settled target is not guaranteed
+    ///   cheapest). A non-empty hint lets `Auto` take A*; pass `&[]` for
+    ///   none.
     ///
     /// # Errors
     ///
@@ -662,16 +708,7 @@ impl DijkstraWorkspace {
     ) -> Result<f64, GraphError> {
         out.clear();
         let target = self.search(graph, adj, sources, is_target, bounds, policy, targets)?;
-        let mut cur = target;
-        loop {
-            out.push(graph.point(cur));
-            match self.labels.prev[cur] {
-                NO_PREV => break,
-                prev => cur = prev as usize,
-            }
-        }
-        out.reverse();
-        Ok(self.labels.dist[target])
+        Ok(self.labels.path_into(graph, adj, target, out))
     }
 
     /// Full single-source distances: a heap query that never meets a
@@ -714,12 +751,12 @@ impl DijkstraWorkspace {
     /// Starts a resumable Prim frontier on `graph` (DESIGN.md §12.5):
     /// forgets every label and queued entry. [`Self::prim_step`] then
     /// grows it one Prim step at a time; any other query on this workspace
-    /// ends it. `QueuePolicy::AStar` has no single target to aim at here
-    /// and resolves like `Auto`, so `Auto` and `Heap` frontiers stay
+    /// ends it. A Prim step has no target hint, so `Auto` takes Dial or
+    /// the heap, never A*, and `Auto` and `Heap` frontiers stay
     /// bit-identical, op counters included.
     pub fn prim_begin(&mut self, graph: &HananGraph, policy: QueuePolicy) {
         self.labels.prepare(graph.len());
-        let queue = policy.resolve(graph.integer_cost_ceiling(), false);
+        let queue = policy.resolve(graph, false);
         match queue {
             ResolvedQueue::Dial(ceiling) => self.bucket.reset(ceiling.max(1) as usize),
             _ => self.heap.clear(),
@@ -823,16 +860,10 @@ impl DijkstraWorkspace {
 
     /// Writes the path from the tree to the `target` that
     /// [`Self::prim_step`] returned into `out` (cleared first, tree end
-    /// first) and returns its cost.
-    ///
-    /// The walk goes back from `target` to the first vertex at distance 0
-    /// (a tree vertex), taking at each vertex `v` the neighbour `u` with
-    /// `dist[u] + w == dist[v]` and the least `(dist[u], u)`. A fresh
-    /// search settles in `(dist, index)` order and keeps the first
-    /// relaxation that reaches a label, so that neighbour is exactly the
-    /// predecessor it records: the path is the one a fresh search from the
-    /// whole tree returns (DESIGN.md §12.5). The stored predecessors are
-    /// not used; they can be stale across steps.
+    /// first) and returns its cost. This is the read-out every query
+    /// uses: every label up to the horizon is exact and settled, so the
+    /// path is the one a fresh search from the whole tree returns
+    /// (DESIGN.md §12.5).
     pub fn prim_path_into(
         &self,
         graph: &HananGraph,
@@ -840,35 +871,14 @@ impl DijkstraWorkspace {
         target: usize,
         out: &mut Vec<GridPoint>,
     ) -> f64 {
-        let l = &self.labels;
-        out.clear();
-        let mut v = target;
-        out.push(graph.point(v));
-        while l.dist[v] != 0.0 {
-            let dv = l.dist[v];
-            let mut pick: Option<(f64, usize)> = None;
-            for (u, w) in adj.neighbors(v) {
-                let u = u as usize;
-                if l.stamp[u] != l.epoch {
-                    continue;
-                }
-                let du = l.dist[u];
-                if du + w == dv && pick.is_none_or(|(pd, pu)| du < pd || (du == pd && u < pu)) {
-                    pick = Some((du, u));
-                }
-            }
-            let Some((_, u)) = pick else {
-                debug_assert!(false, "no predecessor reaches the label of {v}");
-                break;
-            };
-            v = u;
-            out.push(graph.point(v));
-        }
-        out.reverse();
-        l.dist[target]
+        self.labels.path_into(graph, adj, target, out)
     }
 
-    /// Resolves the policy to a frontier and runs [`Labels::search`] on it.
+    /// Resolves the policy to a frontier and runs [`Labels::search`] on
+    /// it. A* then settles on until the least key passes the settled
+    /// target's label `f*`, which leaves every vertex of every shortest
+    /// path settled at its exact label, and returns the least
+    /// `(label, index)` target — the one the heap settles first.
     #[allow(clippy::too_many_arguments)]
     fn search<F: Fn(usize) -> bool>(
         &mut self,
@@ -892,7 +902,7 @@ impl DijkstraWorkspace {
             counters,
             ..
         } = self;
-        match policy.resolve(graph.integer_cost_ceiling(), !targets.is_empty()) {
+        match policy.resolve(graph, !targets.is_empty()) {
             ResolvedQueue::Heap => {
                 heap.clear();
                 labels.search(graph, adj, sources, is_target, bounds, heap, counters)
@@ -912,7 +922,18 @@ impl DijkstraWorkspace {
                 heap.clear();
                 bound.prepare(graph, targets);
                 let mut astar = AStar { heap, bound, graph };
-                labels.search(graph, adj, sources, is_target, bounds, &mut astar, counters)
+                let first = labels.search(
+                    graph, adj, sources, &is_target, bounds, &mut astar, counters,
+                )?;
+                let f_star = labels.dist[first];
+                labels.settle_within(graph, adj, &mut astar, bounds, |_| false, f_star, counters);
+                let l = &*labels;
+                Ok(targets
+                    .iter()
+                    .map(|&p| graph.index(p))
+                    .filter(|&t| l.done[t] == l.epoch && is_target(t))
+                    .min_by(|&a, &b| l.dist[a].total_cmp(&l.dist[b]).then(a.cmp(&b)))
+                    .unwrap_or(first))
             }
         }
     }
@@ -1111,7 +1132,7 @@ mod tests {
             v_hi: 4,
         };
         let tp = GridPoint::new(9, 9, 0);
-        for policy in [QueuePolicy::Auto, QueuePolicy::Heap, QueuePolicy::AStar] {
+        for policy in [QueuePolicy::Auto, QueuePolicy::Heap] {
             let err = query(
                 &mut DijkstraWorkspace::new(),
                 &g,
@@ -1271,7 +1292,8 @@ mod tests {
 
     /// A window covering the whole grid admits every neighbor, so the
     /// bounded instance of the loop must reproduce the unbounded one bit
-    /// for bit — path, cost, and op counters — under every policy.
+    /// for bit — path, cost, and op counters — under every policy, with
+    /// and without a target hint.
     #[test]
     fn whole_grid_window_matches_unbounded_search() {
         let g = costed_grid();
@@ -1280,11 +1302,15 @@ mod tests {
         for target in [(4, 3, 0), (2, 6, 1)] {
             let tp = GridPoint::new(target.0, target.1, target.2);
             let t = g.index(tp);
-            for policy in [QueuePolicy::Auto, QueuePolicy::Heap, QueuePolicy::AStar] {
+            for (policy, hint) in [
+                (QueuePolicy::Auto, &[tp][..]),
+                (QueuePolicy::Auto, &[]),
+                (QueuePolicy::Heap, &[]),
+            ] {
                 let mut ws_u = DijkstraWorkspace::new();
                 let mut ws_b = DijkstraWorkspace::new();
-                let a = query(&mut ws_u, &g, &sources, t, None, policy, &[tp]).unwrap();
-                let b = query(&mut ws_b, &g, &sources, t, Some(all), policy, &[tp]).unwrap();
+                let a = query(&mut ws_u, &g, &sources, t, None, policy, hint).unwrap();
+                let b = query(&mut ws_b, &g, &sources, t, Some(all), policy, hint).unwrap();
                 assert_eq!(a.0.to_bits(), b.0.to_bits(), "{policy:?}");
                 assert_eq!(a.1, b.1, "{policy:?}");
                 assert_eq!(ws_u.counters, ws_b.counters, "{policy:?}");
@@ -1292,46 +1318,130 @@ mod tests {
         }
     }
 
-    #[test]
-    fn astar_matches_oracle_cost_bits_with_fewer_pops() {
-        let g = costed_grid();
-        let mut ws = DijkstraWorkspace::new();
-        let src = [GridPoint::new(0, 0, 0)];
-        for target in [(8, 6, 1), (4, 3, 0), (7, 0, 0)] {
-            let tp = GridPoint::new(target.0, target.1, target.2);
-            let t = g.index(tp);
-            let before = ws.counters;
-            let oracle = query(&mut ws, &g, &src, t, None, QueuePolicy::Heap, &[]).unwrap();
-            let heap_pops = ws.counters.delta_since(&before).get(Counter::DijkstraPops);
-            let before = ws.counters;
-            let astar = query(&mut ws, &g, &src, t, None, QueuePolicy::AStar, &[tp]).unwrap();
-            let astar_pops = ws.counters.delta_since(&before).get(Counter::DijkstraPops);
-            // Same cost bits (§12.4); the geometry may legally differ.
-            assert_eq!(oracle.0.to_bits(), astar.0.to_bits());
-            assert!(
-                astar_pops <= heap_pops,
-                "A* popped {astar_pops} > oracle {heap_pops} for {target:?}"
+    /// Runs `query` under `Heap` and under `Auto` with `hint`; asserts the
+    /// oracle's path and cost bits and returns `(heap, auto)` pops and the
+    /// bucket scans `Auto` made.
+    fn heap_vs_hinted_auto(
+        g: &HananGraph,
+        sources: &[GridPoint],
+        targets: &[GridPoint],
+    ) -> (u64, u64, u64) {
+        let tset: Vec<usize> = targets.iter().map(|&p| g.index(p)).collect();
+        let mut adj = GridAdjacency::new();
+        adj.ensure(g);
+        let run = |policy: QueuePolicy, hint: &[GridPoint]| {
+            let mut ws = DijkstraWorkspace::new();
+            let mut out = Vec::new();
+            let cost = ws.shortest_path_into(
+                g,
+                &adj,
+                sources,
+                |i| tset.contains(&i),
+                None,
+                policy,
+                hint,
+                &mut out,
             );
-            // The A* path is still a valid grid path of the same cost.
-            let sum: f64 = astar
-                .1
-                .windows(2)
-                .map(|w| g.edge_cost(w[0], w[1]).expect("grid edge"))
-                .sum();
-            assert_eq!(sum.to_bits(), astar.0.to_bits());
-        }
+            (cost.map(f64::to_bits), out, ws.counters)
+        };
+        let heap = run(QueuePolicy::Heap, &[]);
+        let auto = run(QueuePolicy::Auto, targets);
+        assert_eq!(heap.0, auto.0, "cost bits for {targets:?}");
+        assert_eq!(heap.1, auto.1, "path for {targets:?}");
+        (
+            heap.2.get(Counter::DijkstraPops),
+            auto.2.get(Counter::DijkstraPops),
+            auto.2.get(Counter::DijkstraBucketScans),
+        )
     }
 
+    /// A target hint makes `Auto` take A* on the heap (no bucket scans):
+    /// the oracle's path and cost bits, fewer pops. One target or several,
+    /// one source or several.
     #[test]
-    fn astar_without_hint_falls_back_to_dial() {
+    fn hinted_auto_takes_astar_at_oracle_bits() {
         let g = costed_grid();
-        let mut ws = DijkstraWorkspace::new();
-        let t = g.index(GridPoint::new(7, 0, 0));
+        let one = [GridPoint::new(0, 0, 0)];
+        let two = [GridPoint::new(0, 0, 0), GridPoint::new(8, 6, 1)];
+        let mut saved = 0;
+        for sources in [&one[..], &two] {
+            for target in [(8, 6, 1), (4, 3, 0), (7, 0, 0), (2, 6, 1)] {
+                let tp = GridPoint::new(target.0, target.1, target.2);
+                let (heap, astar, scans) = heap_vs_hinted_auto(&g, sources, &[tp]);
+                assert!(
+                    astar <= heap,
+                    "A* popped {astar} > oracle {heap} for {target:?}"
+                );
+                assert_eq!(scans, 0, "A* runs on the heap");
+                saved += heap - astar;
+            }
+        }
+        assert!(saved > 0, "the lower bound pruned nothing");
+        let targets = [GridPoint::new(4, 3, 0), GridPoint::new(7, 0, 0)];
+        heap_vs_hinted_auto(&g, &two, &targets);
+    }
+
+    /// Two targets at the same distance: A* can settle the one with the
+    /// larger index first, since the other's only way in is from outside
+    /// the target box at `f = f*` through a vertex of larger index still.
+    /// After the settle-on, the query must return the least
+    /// `(distance, index)` target, the one the heap settles first.
+    #[test]
+    fn hinted_auto_returns_the_heaps_first_target() {
+        let mut g = open_grid(5, 3, 1);
+        g.add_obstacle_vertex(GridPoint::new(2, 1, 0)).unwrap();
+        let sources = [GridPoint::new(4, 0, 0), GridPoint::new(0, 2, 0)];
+        let targets = [GridPoint::new(2, 0, 0), GridPoint::new(2, 2, 0)];
+        heap_vs_hinted_auto(&g, &sources, &targets);
+    }
+
+    /// A* needs integer costs but not Dial's ceiling: DBU-scaled costs
+    /// (every cost ×8, past [`DIAL_MAX_EDGE_COST`]) still take it.
+    #[test]
+    fn astar_runs_past_the_dial_ceiling() {
+        let base = costed_grid();
+        let big = DIAL_MAX_EDGE_COST as f64;
+        let scale = |c: &[f64]| c.iter().map(|&x| x * big).collect::<Vec<_>>();
+        let mut g = HananGraph::with_costs(
+            9,
+            7,
+            2,
+            scale(base.x_costs()),
+            scale(base.y_costs()),
+            base.via_cost() * big,
+        )
+        .unwrap();
+        for idx in 0..base.len() {
+            if base.kind_at(idx) == oarsmt_geom::VertexKind::Obstacle {
+                g.add_obstacle_vertex(base.point(idx)).unwrap();
+            }
+        }
+        assert!(g.integer_cost_ceiling().unwrap() > DIAL_MAX_EDGE_COST);
         let src = [GridPoint::new(0, 0, 0)];
-        let a = query(&mut ws, &g, &src, t, None, QueuePolicy::AStar, &[]).unwrap();
-        let b = query(&mut ws, &g, &src, t, None, QueuePolicy::Heap, &[]).unwrap();
-        assert_eq!(a.0.to_bits(), b.0.to_bits());
-        assert_eq!(a.1, b.1, "hint-less AStar must act as Dial");
+        let (heap, astar, _) = heap_vs_hinted_auto(&g, &src, &[GridPoint::new(8, 6, 1)]);
+        assert!(astar < heap, "A* popped {astar}, oracle {heap}");
+    }
+
+    /// A* eligibility at the 2⁵³ path-cost boundary: just below, a hinted
+    /// `Auto` query takes A*; one unit of edge cost above, the heap. Only
+    /// the resolution runs, so the 4M-vertex grid is never searched.
+    #[test]
+    fn astar_eligibility_boundary_at_two_to_the_53() {
+        let (h, v) = (2048, 2048);
+        for (top, expect) in [
+            ((1u64 << 31) + 512, ResolvedQueue::AStar),
+            ((1u64 << 31) + 513, ResolvedQueue::Heap),
+        ] {
+            let mut xs = vec![1.0; h - 1];
+            xs[0] = top as f64;
+            let g = HananGraph::with_costs(h, v, 1, xs, vec![1.0; v - 1], 1.0).unwrap();
+            let bound = (g.len() as u128 - 1) * u128::from(top);
+            assert_eq!(bound < 1 << 53, expect == ResolvedQueue::AStar, "{bound}");
+            assert_eq!(QueuePolicy::Auto.resolve(&g, true), expect, "top {top}");
+            assert_eq!(QueuePolicy::Heap.resolve(&g, true), ResolvedQueue::Heap);
+            // Without a hint the ceiling is far past Dial's: the heap.
+            assert_eq!(QueuePolicy::Auto.resolve(&g, false), ResolvedQueue::Heap);
+        }
     }
 
     #[test]

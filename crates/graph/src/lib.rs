@@ -8,12 +8,14 @@
 //!   paper's OARMST construction (Section 3.1, following \[14\]). One
 //!   query method, [`DijkstraWorkspace::shortest_path_into`], runs one
 //!   relaxation loop over a [`GridAdjacency`]; its [`QueuePolicy`] picks
-//!   the frontier: the retained binary-heap oracle, the [`bucket`]-queue
-//!   (Dial) fast path — bit-identical to the heap on the paper's
-//!   bounded-integer cost models — or an A\* lower-bound search
-//!   ([`RectilinearBound`]), the one documented divergence (DESIGN.md
-//!   §12). An OARMST build resumes one search across its Prim steps
-//!   instead ([`DijkstraWorkspace::prim_step`], §12.5),
+//!   the frontier: the retained binary-heap oracle, or `Auto` — on
+//!   integer cost models an A\* search ([`RectilinearBound`]) for a query
+//!   with a target hint, the [`bucket`]-queue (Dial) fast path for one
+//!   without. One canonical read-out (the least `(distance, index)`
+//!   predecessor) serves every query, so `Auto` returns the heap's paths
+//!   bit for bit (DESIGN.md §12). An OARMST build resumes one search
+//!   across its Prim steps instead ([`DijkstraWorkspace::prim_step`],
+//!   §12.5),
 //! * [`bucket`] — the power-of-two bucket ring and its occupancy bitmap
 //!   behind the Dial frontier,
 //! * [`csr`] — flattened CSR adjacency for the relaxation inner loop,

@@ -2,8 +2,10 @@
 
 use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
 use oarsmt_geom::{GridPoint, HananGraph};
+use oarsmt_graph::dijkstra::SearchBounds;
 use oarsmt_graph::mst::{mst_cost, prim_mst};
 use oarsmt_graph::{DijkstraWorkspace, GraphError, GridAdjacency, QueuePolicy, UnionFind};
+use oarsmt_telemetry::Counter;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -68,8 +70,113 @@ fn random_free_point(graph: &HananGraph, rng: &mut StdRng) -> GridPoint {
     }
 }
 
+/// `graph` with every cost multiplied by `k` (DBU scaling) and the same
+/// obstacles.
+fn scaled(graph: &HananGraph, k: f64) -> HananGraph {
+    let (h, v, m) = graph.dims();
+    let times = |c: &[f64]| c.iter().map(|&x| x * k).collect();
+    let mut g = HananGraph::with_costs(
+        h,
+        v,
+        m,
+        times(graph.x_costs()),
+        times(graph.y_costs()),
+        graph.via_cost() * k,
+    )
+    .unwrap();
+    for idx in 0..graph.len() {
+        let p = graph.point(idx);
+        if graph.is_blocked(p) {
+            g.add_obstacle_vertex(p).unwrap();
+        }
+    }
+    g
+}
+
+/// A uniform unit-cost grid with a few random obstacles: nearly every
+/// vertex of the source–target box lies on some shortest path.
+fn tie_heavy_case(seed: u64) -> HananGraph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut g = HananGraph::uniform(9, 8, 2, 1.0, 1.0, 1.0);
+    for _ in 0..rng.gen_range(0..12usize) {
+        let p = random_free_point(&g, &mut rng);
+        g.add_obstacle_vertex(p).unwrap();
+    }
+    g
+}
+
+/// One maze query to `targets` with them as the hint under `Auto` against
+/// the unhinted heap oracle: identical path points and cost bits (or the
+/// same error); for one target, no more pops.
+fn hinted_auto_matches_heap(
+    graph: &HananGraph,
+    sources: &[GridPoint],
+    targets: &[GridPoint],
+    bounds: Option<SearchBounds>,
+) -> Result<(), TestCaseError> {
+    let adj = adjacency(graph);
+    let tset: Vec<usize> = targets.iter().map(|&p| graph.index(p)).collect();
+    let run = |policy: QueuePolicy, hint: &[GridPoint]| {
+        let mut ws = DijkstraWorkspace::new();
+        let mut path = Vec::new();
+        let cost = ws.shortest_path_into(
+            graph,
+            &adj,
+            sources,
+            |i| tset.contains(&i),
+            bounds,
+            policy,
+            hint,
+            &mut path,
+        );
+        (cost.map(f64::to_bits), path, ws.counters)
+    };
+    let (heap_cost, heap_path, heap_ops) = run(QueuePolicy::Heap, &[]);
+    let (auto_cost, auto_path, auto_ops) = run(QueuePolicy::Auto, targets);
+    prop_assert_eq!(heap_cost, auto_cost);
+    prop_assert_eq!(heap_path, auto_path);
+    let (hp, ap) = (
+        heap_ops.get(Counter::DijkstraPops),
+        auto_ops.get(Counter::DijkstraPops),
+    );
+    // Several targets make `h` zero on their whole bounding box, so only
+    // a single target is guaranteed to settle a subset of the heap's.
+    prop_assert!(
+        targets.len() > 1 || ap <= hp,
+        "Auto popped {} > heap {}",
+        ap,
+        hp
+    );
+    // A hinted query on integer costs is A* on the heap, never Dial.
+    prop_assert_eq!(auto_ops.get(Counter::DijkstraBucketScans), 0);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A hinted `Auto` query (A* with the canonical read-out) returns the
+    /// heap oracle's path bit for bit: multi-source seeds, obstacles,
+    /// tie-heavy uniform grids, search windows, ×8 DBU-scaled costs and
+    /// several targets.
+    #[test]
+    fn hinted_auto_paths_are_the_heap_oracle_paths(seed in 0u64..800, margin in 0usize..4) {
+        let paper = random_case(seed);
+        let cases = [scaled(&paper, 8.0), paper, tie_heavy_case(seed)];
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xA57A);
+        for g in &cases {
+            for _ in 0..3 {
+                let sources: Vec<GridPoint> =
+                    (0..rng.gen_range(1..5usize)).map(|_| random_free_point(g, &mut rng)).collect();
+                let targets: Vec<GridPoint> =
+                    (0..rng.gen_range(1..4usize)).map(|_| random_free_point(g, &mut rng)).collect();
+                let window = SearchBounds::around(g, sources.iter().chain(&targets).copied(), margin);
+                hinted_auto_matches_heap(g, &sources, &targets[..1], None)?;
+                hinted_auto_matches_heap(g, &sources, &targets[..1], Some(window))?;
+                hinted_auto_matches_heap(g, &sources, &targets, None)?;
+            }
+        }
+    }
 
     #[test]
     fn dijkstra_distances_satisfy_triangle_inequality(seed in 0u64..800) {

@@ -159,28 +159,59 @@ fn hot_paths_are_allocation_free_in_steady_state() {
         );
     }
 
-    // --- route_in under QueuePolicy::AStar: the f = g + h heap search and
-    // its per-iteration target-hint rebuild are also allocation-free once
-    // warm (the Auto default above already exercised the Dial bucket
-    // queue — integral costs make this graph Dial-eligible). ---
-    let astar = OarmstRouter::new().with_queue_policy(oarsmt_router::QueuePolicy::AStar);
-    let mut warm_astar = 0.0;
+    // --- route_in with polish rounds: every reroute is a single-target
+    // query with a target hint, so `Auto` runs it as A* on the heap (the
+    // f = g + h search, its per-query bound rebuild, the settle-on up to
+    // the target's f and the canonical read-out), allocation-free once
+    // warm. The same routes pop fewer vertices than under the heap
+    // oracle, which shows A* actually ran. ---
+    let polished = OarmstRouter::new().with_polish_rounds(4);
+    let mut warm_polished = 0.0;
     for _ in 0..3 {
-        let tree = astar.route_in(&mut ctx, &g, &candidates).unwrap();
-        warm_astar = tree.cost();
+        let tree = polished.route_in(&mut ctx, &g, &candidates).unwrap();
+        warm_polished = tree.cost();
         ctx.recycle_tree(tree);
     }
-    let (n, steady_astar) = allocs_during(|| {
+    let routes = |ctx: &mut RouteContext, router: &OarmstRouter| {
         let mut cost = 0.0;
         for _ in 0..8 {
-            let tree = astar.route_in(&mut ctx, &g, &candidates).unwrap();
+            let tree = router.route_in(ctx, &g, &candidates).unwrap();
             cost = tree.cost();
             ctx.recycle_tree(tree);
         }
         cost
-    });
-    assert_eq!(n, 0, "A* route_in allocated {n} times in steady state");
-    assert_eq!(steady_astar, warm_astar, "steady-state A* result drifted");
+    };
+    let before = ctx.counters_total();
+    let (n, steady_polished) = allocs_during(|| routes(&mut ctx, &polished));
+    assert_eq!(
+        n, 0,
+        "polished route_in allocated {n} times in steady state"
+    );
+    assert_eq!(
+        steady_polished, warm_polished,
+        "steady-state polished result drifted"
+    );
+    let auto_pops = ctx
+        .counters_total()
+        .delta_since(&before)
+        .get(Counter::DijkstraPops);
+    let oracle = polished
+        .clone()
+        .with_queue_policy(oarsmt_router::QueuePolicy::Heap);
+    let before = ctx.counters_total();
+    assert_eq!(
+        routes(&mut ctx, &oracle),
+        steady_polished,
+        "A* polish left the oracle's tree"
+    );
+    let heap_pops = ctx
+        .counters_total()
+        .delta_since(&before)
+        .get(Counter::DijkstraPops);
+    assert!(
+        auto_pops < heap_pops,
+        "A* never ran: {auto_pops} pops vs heap {heap_pops}"
+    );
 
     // --- route_in with bounded exploration: the window-filtered instance
     // of the relaxation loop is allocation-free once warm as well. ---

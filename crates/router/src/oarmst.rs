@@ -34,12 +34,10 @@ use crate::tree::RouteTree;
 ///   remaining terminals expanded by the margin (used by the \[14\]
 ///   baseline; `None` searches the whole grid),
 /// * `queue_policy` — the [`QueuePolicy`] every maze query runs under.
-///   The default `Auto` selects Dial's bucket queue on bounded-integer
-///   cost models (bit-identical to the heap, DESIGN.md §12.3);
-///   `QueuePolicy::Heap` forces the oracle. `QueuePolicy::AStar` opts the
-///   single-target polish reroutes into the goal-directed search with its
-///   documented tie-break divergence (§12.4); Prim builds have no single
-///   target and run like `Auto`.
+///   The default `Auto` runs Prim builds on Dial's bucket queue and the
+///   single-target polish reroutes as A*, on integer cost models,
+///   bit-identical to the heap either way (DESIGN.md §12.3–§12.4);
+///   `QueuePolicy::Heap` forces the oracle.
 #[derive(Debug, Clone)]
 pub struct OarmstRouter {
     max_prune_rounds: Option<usize>,

@@ -392,27 +392,3 @@ fn frontier_matches_on_walled_off_candidates_and_pins() {
         }
     }
 }
-
-/// `AStar` does not drive builds: an A* router's unpruned tree is the
-/// `Auto` reference build.
-#[test]
-fn astar_builds_match_the_reference() {
-    let mut ctx = RouteContext::new();
-    for seed in 0..12u64 {
-        let g = CaseGenerator::new(GeneratorConfig::paper_costs(10, 9, 2, (3, 8)), seed).generate();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xA5);
-        let cand = random_candidates(&g, &mut rng, 6);
-        let auto = Setup {
-            margin: None,
-            start: 0,
-            policy: QueuePolicy::Auto,
-        };
-        let reference = reference_build(&g, &dedup(&g, &cand), auto);
-        let astar = OarmstRouter::new().with_queue_policy(QueuePolicy::AStar);
-        assert_same(
-            &format!("astar seed {seed}"),
-            &reference,
-            &astar.route_unpruned_in(&mut ctx, &g, &cand),
-        );
-    }
-}

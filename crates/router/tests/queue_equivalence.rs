@@ -1,22 +1,20 @@
 //! Property tests pinning the [`QueuePolicy`] contract of DESIGN.md §12:
 //!
-//! * `Auto`, which takes the Dial bucket queue on the paper's
-//!   bounded-integer cost models, routes **bit-identically** to the
-//!   retained binary-heap oracle — same cost bits, same edge list, same
-//!   pruned Steiner set — across random layouts, random candidate sets,
-//!   and bounded-exploration margins; the Dijkstra op counters
-//!   (pops/relaxations/pushes) match the oracle exactly (§12.3).
-//! * On cost models that are not bounded-integer, `Auto` falls back to the
-//!   heap (zero bucket scans) and stays identical trivially.
+//! * `Auto` routes **bit-identically** to the retained binary-heap oracle —
+//!   same cost bits, same edge list, same pruned Steiner set — across
+//!   random layouts, random candidate sets, and bounded-exploration
+//!   margins. On the paper's bounded-integer cost models its Prim builds
+//!   take the Dial bucket queue and its single-target polish reroutes take
+//!   A* with the canonical read-out (§12.4).
+//! * Op counters: a polish-free route (`with_polish_rounds(0)`) runs only
+//!   Dial and matches the oracle's pops/relaxations/pushes exactly
+//!   (§12.3); a full route pops no more than the oracle, since A* settles
+//!   a subset of what the heap settles.
+//! * On cost models that are not integer, `Auto` falls back to the heap
+//!   (zero bucket scans) and stays identical trivially.
 //! * Golden pins freeze bounded-exploration routing (cost bits, edge
-//!   hash, op counts) and [14]'s router, and every counter of the Dial
-//!   lane, bucket scans included.
-//! * `AStar` is a *documented divergence* (§12.4): every single-target
-//!   polish reroute returns the same cost bits as the oracle, but
-//!   equal-cost tie geometry may differ, so the polished tree may differ.
-//!   Prim builds have no single target and run like `Auto` (§12.5).
-//!   Golden pins below freeze its current behaviour so any accidental
-//!   change to the tie-break rules is caught.
+//!   hash, heap and `Auto` op counts) and \[14\]'s router, and every counter
+//!   of the default lane, bucket scans included.
 //!
 //! The Prim build itself is checked against a fresh-search-per-step
 //! reference in `prim_frontier.rs`.
@@ -24,7 +22,7 @@
 use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
 use oarsmt_geom::{GridPoint, HananGraph};
 use oarsmt_router::{Lin18Router, OarmstRouter, QueuePolicy, RouteContext, RouteError, RouteTree};
-use oarsmt_telemetry::Counter;
+use oarsmt_telemetry::{Counter, CounterSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -67,38 +65,65 @@ fn assert_identical(
     }
 }
 
+const OPS: [Counter; 3] = [
+    Counter::DijkstraPops,
+    Counter::DijkstraRelaxations,
+    Counter::DijkstraPushes,
+];
+
+/// One route on a fresh context: the tree and the route's counter delta.
+fn route(
+    router: &OarmstRouter,
+    graph: &HananGraph,
+    cand: &[GridPoint],
+) -> (Result<RouteTree, RouteError>, CounterSet) {
+    let mut ctx = RouteContext::new();
+    let tree = router.route_in(&mut ctx, graph, cand);
+    (tree, ctx.counters_total())
+}
+
+/// `Auto` against the heap oracle under `router`'s settings: identical
+/// trees always; on a polish-free route identical pops/relaxations/pushes
+/// and a Dial frontier, on a full route no more pops than the oracle.
+fn assert_auto_matches_heap(
+    router: OarmstRouter,
+    graph: &HananGraph,
+    cand: &[GridPoint],
+    label: &str,
+) {
+    for polish in [0, 1] {
+        let r = router.clone().with_polish_rounds(polish);
+        let (oracle, dh) = route(&r.clone().with_queue_policy(QueuePolicy::Heap), graph, cand);
+        let (auto, da) = route(&r.with_queue_policy(QueuePolicy::Auto), graph, cand);
+        assert_identical(graph, &oracle, &auto, &format!("{label} polish {polish}"));
+        assert_eq!(dh.get(Counter::DijkstraBucketScans), 0, "{label}");
+        if polish == 0 {
+            for c in OPS {
+                assert_eq!(dh.get(c), da.get(c), "{label}: {c:?} diverged");
+            }
+            if oracle.is_ok() {
+                assert!(da.get(Counter::DijkstraBucketScans) > 0, "{label}: no Dial");
+            }
+        } else {
+            let (ph, pa) = (dh.get(Counter::DijkstraPops), da.get(Counter::DijkstraPops));
+            assert!(pa <= ph, "{label}: Auto popped {pa} > oracle {ph}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The tentpole acceptance property: Dial ≡ heap oracle bit for bit,
-    /// and the op-count telemetry (pops, relaxations, pushes) matches the
-    /// oracle exactly, on random paper-cost layouts.
+    /// The acceptance property: `Auto` ≡ heap oracle bit for bit on
+    /// random paper-cost layouts; op counts equal on polish-free routes,
+    /// pops no greater on full ones.
     #[test]
-    fn dial_routes_bit_identically_to_heap_oracle(seed in 0u64..500) {
-        let heap = OarmstRouter::new().with_queue_policy(QueuePolicy::Heap);
-        let dial = OarmstRouter::new().with_queue_policy(QueuePolicy::Auto);
-        let mut ctx_h = RouteContext::new();
-        let mut ctx_d = RouteContext::new();
+    fn auto_routes_bit_identically_to_heap_oracle(seed in 0u64..500) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD1A1);
         let g = random_case(seed);
         for _ in 0..2 {
             let cand = random_candidates(&g, &mut rng);
-            let before_h = ctx_h.counters_total();
-            let before_d = ctx_d.counters_total();
-            let a = heap.route_in(&mut ctx_h, &g, &cand);
-            let b = dial.route_in(&mut ctx_d, &g, &cand);
-            assert_identical(&g, &a, &b, "dial vs heap");
-            let dh = ctx_h.counters_total().delta_since(&before_h);
-            let dd = ctx_d.counters_total().delta_since(&before_d);
-            for c in [
-                Counter::DijkstraPops,
-                Counter::DijkstraRelaxations,
-                Counter::DijkstraPushes,
-            ] {
-                prop_assert_eq!(dh.get(c), dd.get(c), "{:?} diverged", c);
-            }
-            prop_assert_eq!(dh.get(Counter::DijkstraBucketScans), 0);
-            prop_assert!(dd.get(Counter::DijkstraBucketScans) > 0);
+            assert_auto_matches_heap(OarmstRouter::new(), &g, &cand, "auto vs heap");
         }
     }
 
@@ -120,54 +145,14 @@ proptest! {
     }
 
     /// Bounded-exploration queries (the window-filtered instance of the
-    /// relaxation loop) obey the same equivalence, op counters included.
+    /// relaxation loop) obey the same equivalence.
     #[test]
-    fn bounded_dial_matches_bounded_heap(seed in 0u64..300, margin in 0usize..4) {
+    fn bounded_auto_matches_bounded_heap(seed in 0u64..300, margin in 0usize..4) {
         let g = random_case(seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xB0B0);
         let cand = random_candidates(&g, &mut rng);
-        let route = |policy: QueuePolicy| {
-            let mut ctx = RouteContext::new();
-            let tree = OarmstRouter::new()
-                .with_bounds_margin(margin)
-                .with_queue_policy(policy)
-                .route_in(&mut ctx, &g, &cand);
-            (tree, ctx.counters_total())
-        };
-        let (oracle, dh) = route(QueuePolicy::Heap);
-        let (dial, dd) = route(QueuePolicy::Auto);
-        assert_identical(&g, &oracle, &dial, "bounded dial vs heap");
-        for c in [
-            Counter::DijkstraPops,
-            Counter::DijkstraRelaxations,
-            Counter::DijkstraPushes,
-        ] {
-            prop_assert_eq!(dh.get(c), dd.get(c), "{:?} diverged", c);
-        }
-    }
-
-    /// The A* policy always yields a valid spanning tree; its divergence
-    /// from the oracle is limited to the equal-cost tie geometry of polish
-    /// reroutes (each is individually optimal), and it agrees with the
-    /// oracle about unreachability.
-    #[test]
-    fn astar_yields_valid_trees(seed in 0u64..300) {
-        let g = random_case(seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xA57A);
-        let cand = random_candidates(&g, &mut rng);
-        let astar = OarmstRouter::new().with_queue_policy(QueuePolicy::AStar);
-        match astar.route(&g, &cand) {
-            Ok(t) => {
-                prop_assert!(t.is_tree());
-                prop_assert!(t.spans_in(&g, g.pins()));
-            }
-            Err(RouteError::Disconnected { .. }) => {
-                // Must agree with the oracle about unreachability.
-                let oracle = OarmstRouter::new().route(&g, &cand);
-                prop_assert!(matches!(oracle, Err(RouteError::Disconnected { .. })));
-            }
-            Err(e) => return Err(TestCaseError::fail(format!("unexpected error: {e}"))),
-        }
+        let router = OarmstRouter::new().with_bounds_margin(margin);
+        assert_auto_matches_heap(router, &g, &cand, "bounded auto vs heap");
     }
 }
 
@@ -197,37 +182,6 @@ fn dial_falls_back_on_fractional_costs() {
     );
 }
 
-/// Golden tie-break pins for the documented A* divergence (DESIGN.md
-/// §12.4): the exact tree costs A* produces on fixed seeds. If a change
-/// to the search order alters these, it changed the specified tie-break
-/// behaviour and must update both this pin and §12.4.
-#[test]
-fn astar_golden_tie_break_pins() {
-    let astar = OarmstRouter::new().with_queue_policy(QueuePolicy::AStar);
-    let oracle = OarmstRouter::new();
-    let mut lines = Vec::new();
-    for seed in [3u64, 11, 42, 77, 123] {
-        let g = random_case(seed);
-        let a = astar.route(&g, &[]);
-        let o = oracle.route(&g, &[]);
-        let fmt = |r: &Result<RouteTree, RouteError>| match r {
-            Ok(t) => format!("{:.1}", t.cost()),
-            Err(_) => "err".to_string(),
-        };
-        lines.push(format!("seed {seed}: astar {} oracle {}", fmt(&a), fmt(&o)));
-    }
-    let got = lines.join("; ");
-    // On these seeds the A* growth order happens to land on equal-cost
-    // trees; divergence would show up as a different astar number with an
-    // unchanged oracle number.
-    let golden = "seed 3: astar 1826.0 oracle 1826.0; \
-                  seed 11: astar 2667.0 oracle 2667.0; \
-                  seed 42: astar 9710.0 oracle 9710.0; \
-                  seed 77: astar 5362.0 oracle 5362.0; \
-                  seed 123: astar 10181.0 oracle 10181.0";
-    assert_eq!(got, golden, "A* tie-break behaviour changed");
-}
-
 /// FNV-1a over a tree's edge list: a compact, toolchain-stable geometry
 /// fingerprint for the golden pins below.
 fn edge_hash(tree: &RouteTree) -> u64 {
@@ -242,9 +196,10 @@ fn edge_hash(tree: &RouteTree) -> u64 {
 
 /// Golden pins for bounded-exploration routing: tree cost bits, an
 /// edge-list hash, and the Dijkstra op-count deltas of
-/// `with_bounds_margin(0..=3)` routes under `Heap` and `Auto` (which must
-/// agree), plus [14]'s `Lin18Router`, whose sweep starts bounded. Any
-/// change to how bounded maze queries expand shows up here.
+/// `with_bounds_margin(0..=3)` routes under `Heap` and under `Auto` (whose
+/// trees must agree; its A* polish pops less), plus [14]'s `Lin18Router`,
+/// whose sweep starts bounded. Any change to how bounded maze queries
+/// expand shows up here.
 #[test]
 fn bounded_golden_pins() {
     let mut lines = Vec::new();
@@ -261,20 +216,19 @@ fn bounded_golden_pins() {
                     .with_queue_policy(policy)
                     .route_in(&mut ctx, &g, &cand);
                 let d = ctx.counters_total().delta_since(&before);
-                let ops = [
-                    Counter::DijkstraPops,
-                    Counter::DijkstraRelaxations,
-                    Counter::DijkstraPushes,
-                ]
-                .map(|c| d.get(c));
-                match tree {
-                    Ok(t) => format!("{:x} {:x} {ops:?}", t.cost().to_bits(), edge_hash(&t)),
-                    Err(e) => format!("err {e:?} {ops:?}"),
-                }
+                let ops = OPS.map(|c| d.get(c));
+                let tree = match tree {
+                    Ok(t) => format!("{:x} {:x}", t.cost().to_bits(), edge_hash(&t)),
+                    Err(e) => format!("err {e:?}"),
+                };
+                (tree, ops)
             };
-            let heap = pin(QueuePolicy::Heap);
-            assert_eq!(heap, pin(QueuePolicy::Auto), "seed {seed} margin {margin}");
-            lines.push(format!("s{seed} m{margin} {heap}"));
+            let (heap, heap_ops) = pin(QueuePolicy::Heap);
+            let (auto, auto_ops) = pin(QueuePolicy::Auto);
+            assert_eq!(heap, auto, "seed {seed} margin {margin}");
+            lines.push(format!(
+                "s{seed} m{margin} {heap} {heap_ops:?} {auto_ops:?}"
+            ));
         }
         let lin = match Lin18Router::new().route(&g) {
             Ok(t) => format!("{:x} {:x}", t.cost().to_bits(), edge_hash(&t)),
@@ -283,42 +237,42 @@ fn bounded_golden_pins() {
         lines.push(format!("s{seed} lin18 {lin}"));
     }
     let golden = [
-        "s3 m0 409c880000000000 614cf4889a0ebe7 [209, 789, 280]",
-        "s3 m1 409c880000000000 614cf4889a0ebe7 [251, 978, 340]",
-        "s3 m2 409c880000000000 614cf4889a0ebe7 [273, 1082, 372]",
-        "s3 m3 409c880000000000 614cf4889a0ebe7 [273, 1087, 377]",
+        "s3 m0 409c880000000000 614cf4889a0ebe7 [209, 789, 280] [153, 554, 192]",
+        "s3 m1 409c880000000000 614cf4889a0ebe7 [251, 978, 340] [195, 743, 252]",
+        "s3 m2 409c880000000000 614cf4889a0ebe7 [273, 1082, 372] [217, 847, 284]",
+        "s3 m3 409c880000000000 614cf4889a0ebe7 [273, 1087, 377] [217, 852, 289]",
         "s3 lin18 409c880000000000 614cf4889a0ebe7",
-        "s11 m0 40a4d60000000000 3f5a015a5e332c8e [262, 1068, 391]",
-        "s11 m1 40a4d60000000000 3f5a015a5e332c8e [300, 1249, 457]",
-        "s11 m2 40a4d60000000000 3f5a015a5e332c8e [314, 1315, 480]",
-        "s11 m3 40a4d60000000000 3f5a015a5e332c8e [317, 1331, 489]",
+        "s11 m0 40a4d60000000000 3f5a015a5e332c8e [262, 1068, 391] [190, 744, 272]",
+        "s11 m1 40a4d60000000000 3f5a015a5e332c8e [300, 1249, 457] [228, 925, 338]",
+        "s11 m2 40a4d60000000000 3f5a015a5e332c8e [314, 1315, 480] [242, 991, 361]",
+        "s11 m3 40a4d60000000000 3f5a015a5e332c8e [317, 1331, 489] [245, 1007, 370]",
         "s11 lin18 40a4d60000000000 3f5a015a5e332c8e",
-        "s42 m0 40c2f70000000000 d96b5cdeb7cc34f7 [500, 1913, 673]",
-        "s42 m1 40c2f70000000000 d96b5cdeb7cc34f7 [540, 2092, 724]",
-        "s42 m2 40c2f70000000000 d96b5cdeb7cc34f7 [548, 2123, 735]",
-        "s42 m3 40c2f70000000000 d96b5cdeb7cc34f7 [548, 2123, 735]",
+        "s42 m0 40c2f70000000000 d96b5cdeb7cc34f7 [500, 1913, 673] [126, 432, 254]",
+        "s42 m1 40c2f70000000000 d96b5cdeb7cc34f7 [540, 2092, 724] [166, 611, 305]",
+        "s42 m2 40c2f70000000000 d96b5cdeb7cc34f7 [548, 2123, 735] [174, 642, 316]",
+        "s42 m3 40c2f70000000000 d96b5cdeb7cc34f7 [548, 2123, 735] [174, 642, 316]",
         "s42 lin18 40c2f70000000000 d96b5cdeb7cc34f7",
-        "s77 m0 40b4f20000000000 c6a7988c4f945069 [332, 1118, 484]",
-        "s77 m1 40b4f20000000000 c6a7988c4f945069 [416, 1433, 590]",
-        "s77 m2 40b4f20000000000 c6a7988c4f945069 [474, 1662, 662]",
-        "s77 m3 40b4f20000000000 c6a7988c4f945069 [492, 1744, 685]",
+        "s77 m0 40b4f20000000000 c6a7988c4f945069 [332, 1118, 484] [189, 603, 290]",
+        "s77 m1 40b4f20000000000 c6a7988c4f945069 [416, 1433, 590] [273, 918, 396]",
+        "s77 m2 40b4f20000000000 c6a7988c4f945069 [474, 1662, 662] [331, 1147, 468]",
+        "s77 m3 40b4f20000000000 c6a7988c4f945069 [492, 1744, 685] [349, 1229, 491]",
         "s77 lin18 40b4f20000000000 c6a7988c4f945069",
-        "s123 m0 40c3e28000000000 7ccb4230fc561828 [668, 2747, 815]",
-        "s123 m1 40c3e28000000000 7ccb4230fc561828 [668, 2753, 821]",
-        "s123 m2 40c3e28000000000 7ccb4230fc561828 [668, 2753, 821]",
-        "s123 m3 40c3e28000000000 7ccb4230fc561828 [668, 2753, 821]",
+        "s123 m0 40c3e28000000000 7ccb4230fc561828 [668, 2747, 815] [381, 1552, 540]",
+        "s123 m1 40c3e28000000000 7ccb4230fc561828 [668, 2753, 821] [381, 1558, 546]",
+        "s123 m2 40c3e28000000000 7ccb4230fc561828 [668, 2753, 821] [381, 1558, 546]",
+        "s123 m3 40c3e28000000000 7ccb4230fc561828 [668, 2753, 821] [381, 1558, 546]",
         "s123 lin18 40c3e28000000000 7ccb4230fc561828",
     ];
     assert_eq!(lines, golden, "bounded routing behaviour changed");
 }
 
-/// Golden pins for the Dial lane's counters: every op count of a default
-/// (`Auto`) route on fixed seeds, `dijkstra_bucket_scans` included, plus
-/// the cost bits and edge hash, unbounded and at margin 1. The scan count
-/// is the number of keys the bucket cursor walked (DESIGN.md §12.3), so
-/// it is a property of the pop sequence, not of how the queue finds the
-/// next occupied bucket; a change to the ring's internals must leave
-/// every number here unchanged.
+/// Golden pins for the default lane's counters: every op count of an
+/// `Auto` route (Dial builds, A* polish) on fixed seeds,
+/// `dijkstra_bucket_scans` included, plus the cost bits and edge hash,
+/// unbounded and at margin 1. The scan count is the number of keys the
+/// bucket cursor walked (DESIGN.md §12.3), so it is a property of the pop
+/// sequence, not of how the queue finds the next occupied bucket; a
+/// change to the ring's internals must leave every number here unchanged.
 #[test]
 fn dial_counter_golden_pins() {
     let mut lines = Vec::new();
@@ -349,16 +303,16 @@ fn dial_counter_golden_pins() {
         }
     }
     let golden = [
-        "s3 None 409c880000000000 614cf4889a0ebe7 [174, 678, 269, 5753]",
-        "s3 Some(1) 409c880000000000 614cf4889a0ebe7 [161, 611, 237, 5715]",
-        "s11 None 40a4d60000000000 3f5a015a5e332c8e [262, 1109, 433, 9342]",
-        "s11 Some(1) 40a4d60000000000 3f5a015a5e332c8e [252, 1051, 401, 9293]",
-        "s42 None 40c2f70000000000 d96b5cdeb7cc34f7 [718, 2758, 947, 29095]",
-        "s42 Some(1) 40c2f70000000000 d96b5cdeb7cc34f7 [696, 2675, 921, 28841]",
-        "s77 None 40b4f20000000000 c6a7988c4f945069 [318, 1126, 470, 8979]",
-        "s77 Some(1) 40b4f20000000000 c6a7988c4f945069 [271, 932, 411, 7653]",
-        "s123 None 40c3e28000000000 7ccb4230fc561828 [925, 3811, 1163, 44939]",
-        "s123 Some(1) 40c3e28000000000 7ccb4230fc561828 [925, 3811, 1163, 44939]",
+        "s3 None 409c880000000000 614cf4889a0ebe7 [118, 443, 181, 3927]",
+        "s3 Some(1) 409c880000000000 614cf4889a0ebe7 [105, 376, 149, 3889]",
+        "s11 None 40a4d60000000000 3f5a015a5e332c8e [190, 785, 314, 7801]",
+        "s11 Some(1) 40a4d60000000000 3f5a015a5e332c8e [180, 727, 282, 7752]",
+        "s42 None 40c2f70000000000 d96b5cdeb7cc34f7 [344, 1277, 528, 22184]",
+        "s42 Some(1) 40c2f70000000000 d96b5cdeb7cc34f7 [322, 1194, 502, 21930]",
+        "s77 None 40b4f20000000000 c6a7988c4f945069 [175, 611, 276, 7454]",
+        "s77 Some(1) 40b4f20000000000 c6a7988c4f945069 [128, 417, 217, 6128]",
+        "s123 None 40c3e28000000000 7ccb4230fc561828 [638, 2616, 888, 37455]",
+        "s123 Some(1) 40c3e28000000000 7ccb4230fc561828 [638, 2616, 888, 37455]",
     ];
     assert_eq!(lines, golden, "Dial counters changed");
 }
