@@ -500,6 +500,126 @@ mod tests {
         );
     }
 
+    /// FNV-1a over every sample's state coordinates and label bits.
+    fn samples_hash(samples: &[AlphaGoSample]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for s in samples {
+            eat(s.state.len() as u64);
+            for p in &s.state {
+                eat(p.h as u64);
+                eat(p.v as u64);
+                eat(p.m as u64);
+            }
+            eat(s.label.len() as u64);
+            for &l in &s.label {
+                eat(u64::from(l.to_bits()));
+            }
+        }
+        h
+    }
+
+    /// Pins the conventional search's whole trajectory (tree size, executed
+    /// moves, final cost and every per-move sample) so a refactor of the
+    /// shared engine cannot move it by a bit. Mirrors
+    /// `visit_tallies_match_pre_refactor_goldens` for the combinatorial
+    /// search.
+    #[test]
+    fn conventional_search_matches_goldens() {
+        use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
+        let check = |out: AlphaGoOutcome,
+                     nodes: usize,
+                     sims: usize,
+                     executed: &[(usize, usize)],
+                     cost_bits: u64,
+                     hash: u64| {
+            let executed: Vec<GridPoint> = executed
+                .iter()
+                .map(|&(h, v)| GridPoint::new(h, v, 0))
+                .collect();
+            assert_eq!(out.nodes_created, nodes);
+            assert_eq!(out.simulations, sims);
+            assert_eq!(out.executed, executed);
+            assert_eq!(out.final_cost.to_bits(), cost_bits);
+            assert_eq!(samples_hash(&out.samples), hash);
+        };
+        let g = cross();
+        let mcts = AlphaGoMcts::new(MctsConfig::tiny());
+        let out = mcts.search(&g, &mut UniformSelector::new(0.4)).unwrap();
+        check(
+            out,
+            8,
+            2,
+            &[(0, 0), (1, 2)],
+            0x4026_0000_0000_0000,
+            0x9b86_5197_9bb5_8831,
+        );
+        let out = mcts
+            .search(&g, &mut MedianHeuristicSelector::new())
+            .unwrap();
+        check(
+            out,
+            3,
+            2,
+            &[(2, 2), (1, 2)],
+            0x4020_0000_0000_0000,
+            0x6153_0375_630f_2c64,
+        );
+
+        let g = CaseGenerator::new(GeneratorConfig::tiny(6, 6, 1, (4, 6)), 17).generate();
+        let out = mcts.search(&g, &mut UniformSelector::new(0.5)).unwrap();
+        check(
+            out,
+            4,
+            1,
+            &[(0, 2)],
+            0x404d_8000_0000_0000,
+            0x3847_d01c_de4c_c09c,
+        );
+        // A deeper search on the same layout: many ties in visit count
+        // under the uniform prior, so the executed-move tie-break shows.
+        let cfg = MctsConfig {
+            base_iterations: 32,
+            base_size: g.len(),
+            ..MctsConfig::default()
+        };
+        let out = AlphaGoMcts::new(cfg)
+            .search(&g, &mut UniformSelector::new(0.5))
+            .unwrap();
+        check(
+            out,
+            58,
+            10,
+            &[(3, 1), (4, 2)],
+            0x404b_0000_0000_0000,
+            0xff2f_9bb5_5a5a_cbb8,
+        );
+    }
+
+    #[test]
+    fn search_in_with_reused_context_matches_fresh_search() {
+        use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
+        let mut gen = CaseGenerator::new(GeneratorConfig::tiny(6, 6, 2, (4, 6)), 11);
+        let mcts = AlphaGoMcts::new(MctsConfig::tiny());
+        let mut ctx = RouteContext::new(); // reused across every layout
+        for g in gen.generate_many(6) {
+            let mut sel = MedianHeuristicSelector::new();
+            let Ok(fresh) = mcts.search(&g, &mut sel) else {
+                continue;
+            };
+            let reused = mcts.search_in(&mut ctx, &g, &mut sel).unwrap();
+            assert_eq!(fresh.executed, reused.executed);
+            assert_eq!(fresh.final_cost.to_bits(), reused.final_cost.to_bits());
+            assert_eq!(samples_hash(&fresh.samples), samples_hash(&reused.samples));
+            assert_eq!(fresh.nodes_created, reused.nodes_created);
+            assert_eq!(fresh.simulations, reused.simulations);
+        }
+    }
+
     #[test]
     fn executed_cost_never_exceeds_initial() {
         let g = cross();
