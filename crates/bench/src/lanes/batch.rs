@@ -263,7 +263,7 @@ fn run_fit_rung(r: &SizeRung, iters: usize, repeats: usize) -> FitResult {
     }
 }
 
-fn run_lane(run: &mut Run) -> Output {
+fn run_lane(run: &mut Run) -> Result<Output, String> {
     let baseline = run.baseline();
     let scale = if run.quick { 4 } else { 1 }; // quick: 1/4 of the iterations
     let quick = run.quick;
@@ -400,5 +400,5 @@ fn run_lane(run: &mut Run) -> Output {
             text("kernel", kernel),
         ]);
     }
-    out
+    Ok(out)
 }

@@ -196,8 +196,8 @@ fn run_rung(
     }
 }
 
-fn run_lane(run: &mut Run) -> Output {
-    let baseline = run.require_baseline();
+fn run_lane(run: &mut Run) -> Result<Output, String> {
+    let baseline = run.require_baseline()?;
     let rungs = run.ladder(TestSubsetSpec::ladder());
     let layouts_per_rung = if run.quick { 2 } else { 4 };
     let repeats = run.repeats();
@@ -321,5 +321,5 @@ fn run_lane(run: &mut Run) -> Output {
         num("reused_rps", reused_rps, 3),
         num("speedup", reused_rps / fresh_rps, 3),
     ];
-    out
+    Ok(out)
 }

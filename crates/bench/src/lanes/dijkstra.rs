@@ -112,7 +112,7 @@ fn run_policy(
     }
 }
 
-fn run_lane(run: &mut Run) -> Output {
+fn run_lane(run: &mut Run) -> Result<Output, String> {
     let rungs = run.ladder(TestSubsetSpec::ladder());
     let layouts_per_rung = if run.quick { 2 } else { 4 };
     let repeats = run.repeats();
@@ -242,5 +242,5 @@ fn run_lane(run: &mut Run) -> Output {
         num("dial_secs", tot.2, 6),
         num("dial_speedup", tot.1 / tot.2, 3),
     ];
-    out
+    Ok(out)
 }

@@ -200,8 +200,8 @@ fn assert_baseline_checksums(name: &str, line: &str, cs: &Checksums) {
     }
 }
 
-fn run_lane(run: &mut Run) -> Output {
-    let baseline = run.require_baseline();
+fn run_lane(run: &mut Run) -> Result<Output, String> {
+    let baseline = run.require_baseline()?;
     let scale = if run.quick { 4 } else { 1 }; // quick: 1/4 of the iterations
 
     let mut table = Table::new([
@@ -327,5 +327,5 @@ fn run_lane(run: &mut Run) -> Output {
         num("total_fwd_per_s", tot_fwd, 3),
         num("total_train_per_s", tot_train, 3),
     ];
-    out
+    Ok(out)
 }

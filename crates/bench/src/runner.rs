@@ -46,8 +46,9 @@ pub struct Lane {
     pub seed: u64,
     /// Every flag the lane takes.
     pub flags: &'static [&'static str],
-    /// Runs the lane's workload.
-    pub run: fn(&mut Run) -> Output,
+    /// Runs the lane's workload; an `Err` is reported like a usage error
+    /// (e.g. a missing recorded baseline).
+    pub run: fn(&mut Run) -> Result<Output, String>,
 }
 
 /// What a lane hands back to the runner.
@@ -153,11 +154,18 @@ impl Run {
             None => None,
         };
         let stem = format!("{ARTIFACT_DIR}/BENCH_{}", lane.name);
+        // The recorded baseline is read, not written over, so its default
+        // must not depend on the working directory.
+        let baseline = format!(
+            "{}/artifacts/BENCH_{}_baseline.json",
+            env!("CARGO_MANIFEST_DIR"),
+            lane.name
+        );
         Ok(Run {
             lane,
             quick,
             out: value("--out").unwrap_or_else(|| format!("{stem}.json")),
-            baseline: value("--baseline").unwrap_or_else(|| format!("{stem}_baseline.json")),
+            baseline: value("--baseline").unwrap_or(baseline),
             trace,
             runlog,
             manifest,
@@ -197,14 +205,17 @@ impl Run {
 
     /// The recorded baseline artifact.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if it cannot be read: a lane that calls this has no
-    /// meaningful result without it.
-    pub fn require_baseline(&self) -> Artifact {
-        Artifact::load(&self.baseline)
-            .map_err(|e| format!("{}: {e}", self.baseline))
-            .expect("recorded baseline artifact")
+    /// Returns a message naming the path if it cannot be read: a lane that
+    /// calls this has no meaningful result without it.
+    pub fn require_baseline(&self) -> Result<Artifact, String> {
+        Artifact::load(&self.baseline).map_err(|e| {
+            format!(
+                "cannot read the recorded baseline `{}` ({e}); pass `--baseline PATH`",
+                self.baseline
+            )
+        })
     }
 
     /// The span recorder, armed when `--trace` was given.
@@ -302,15 +313,16 @@ fn usage() -> String {
 }
 
 /// Runs `oarsmt_bench <lane> [flags…]`; returns the process exit status
-/// (2 on a usage error). A lane whose results diverge from an oracle or a
-/// recorded baseline panics.
+/// (2 on a usage error or an unreadable recorded baseline). A lane whose
+/// results diverge from an oracle or a recorded baseline panics.
 pub fn main(args: &[String]) -> i32 {
-    match Run::parse(args) {
-        Ok(mut run) => {
-            let out = (run.lane.run)(&mut run);
-            run.finish(out);
-            0
-        }
+    let result = Run::parse(args).and_then(|mut run| {
+        let out = (run.lane.run)(&mut run)?;
+        run.finish(out);
+        Ok(())
+    });
+    match result {
+        Ok(()) => 0,
         Err(e) => {
             eprintln!("error: {e}\n{}", usage());
             2
@@ -361,5 +373,25 @@ mod tests {
         ] {
             assert!(Run::parse(&args(bad)).is_err(), "`{bad}` parsed");
         }
+    }
+
+    #[test]
+    fn baseline_resolves_independently_of_the_working_directory() {
+        let run = Run::parse(&args("critic --quick")).unwrap();
+        assert!(Path::new(run.baseline_path()).is_absolute());
+        assert!(run.require_baseline().is_ok(), "{}", run.baseline_path());
+    }
+
+    #[test]
+    fn a_missing_baseline_is_a_usage_error_naming_the_path() {
+        let missing = "no/such/dir/BENCH_critic_baseline.json";
+        let run = Run::parse(&args(&format!("critic --quick --baseline {missing}"))).unwrap();
+        let err = run.require_baseline().unwrap_err();
+        assert!(err.contains(missing), "{err}");
+        // The lane stops before any work or artifact write: exit 2.
+        let out = "no/such/dir/BENCH_critic.json";
+        let argv = format!("critic --quick --baseline {missing} --out {out}");
+        assert_eq!(main(&args(&argv)), 2);
+        assert!(!Path::new(out).exists());
     }
 }

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use oarsmt::selector::{MedianHeuristicSelector, NeuralSelector, Selector, UniformSelector};
 use oarsmt_geom::{GridPoint, HananGraph};
-use oarsmt_mcts::{CombinatorialMcts, Critic, MctsConfig};
+use oarsmt_mcts::{AlphaGoMcts, CombinatorialMcts, Critic, MctsConfig};
 use oarsmt_nn::NnWorkspace;
 use oarsmt_router::{OarmstRouter, RouteContext};
 use oarsmt_telemetry::{Counter, Span};
@@ -468,5 +468,29 @@ fn hot_paths_are_allocation_free_in_steady_state() {
     // deltas, and nonzero ones: the counters observed real work.
     let (da, db) = (c1.delta_since(&c0), c2.delta_since(&c1));
     assert_eq!(da, db, "counter deltas differ between identical searches");
+    assert!(da.get(Counter::MctsRollouts) > 0);
+
+    // The conventional scheme runs the same engine under the same
+    // contract: its per-move samples are owned output, nothing grows.
+    let conventional = AlphaGoMcts::new(MctsConfig::tiny());
+    for _ in 0..2 {
+        conventional.search_in(&mut ctx, &g, &mut uniform).unwrap();
+    }
+    let c0 = ctx.counters_total();
+    let (a, first) = allocs_during(|| conventional.search_in(&mut ctx, &g, &mut uniform).unwrap());
+    let c1 = ctx.counters_total();
+    let (b, second) = allocs_during(|| conventional.search_in(&mut ctx, &g, &mut uniform).unwrap());
+    let c2 = ctx.counters_total();
+    assert_eq!(
+        a, b,
+        "AlphaGoMcts::search_in allocation count changed between identical runs ({a} vs {b})"
+    );
+    assert_eq!(first.final_cost, second.final_cost);
+    assert_eq!(first.executed, second.executed);
+    let (da, db) = (c1.delta_since(&c0), c2.delta_since(&c1));
+    assert_eq!(
+        da, db,
+        "counter deltas differ between identical conventional searches"
+    );
     assert!(da.get(Counter::MctsRollouts) > 0);
 }

@@ -90,6 +90,44 @@ pub fn action_policy_into(
     }
 }
 
+/// Computes the conventional (AlphaGo-like, Section 4.2) prior for a
+/// state: `fsp` normalized over **every** valid vertex not in `selected`,
+/// in index order, with no priority cutoff and no Eq. 1 re-weighting.
+/// Zero-probability vertices stay actions; when the probabilities sum to
+/// 0 every action gets the uniform prior.
+///
+/// `out` is cleared first and left empty when no valid action exists —
+/// the same reused-buffer contract as [`action_policy_into`].
+///
+/// # Panics
+///
+/// Panics if `fsp.len() != graph.len()`.
+pub fn conventional_policy_into(
+    graph: &HananGraph,
+    fsp: &[f32],
+    selected: &[u32],
+    out: &mut Vec<ActionProb>,
+) {
+    assert_eq!(fsp.len(), graph.len());
+    out.clear();
+    out.extend(
+        fsp.iter()
+            .enumerate()
+            .filter(|&(i, _)| {
+                graph.kind_at(i) == VertexKind::Empty && !selected.contains(&(i as u32))
+            })
+            .map(|(i, &f)| ActionProb {
+                vertex: i as u32,
+                prob: f64::from(f.clamp(0.0, 1.0)),
+            }),
+    );
+    let total: f64 = out.iter().map(|a| a.prob).sum();
+    let n = out.len() as f64;
+    for a in out.iter_mut() {
+        a.prob = if total > 0.0 { a.prob / total } else { 1.0 / n };
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,6 +207,33 @@ mod tests {
         let g = line_graph(3);
         let fsp = vec![0.5; 3];
         assert!(action_policy(&g, &fsp, Some(2)).is_empty());
+    }
+
+    #[test]
+    fn conventional_prior_spans_every_unselected_valid_vertex() {
+        let mut g = line_graph(5);
+        g.add_pin(GridPoint::new(1, 0, 0)).unwrap();
+        let fsp = vec![0.5, 1.0, 0.0, 0.25, 0.25];
+        let mut out = Vec::new();
+        conventional_policy_into(&g, &fsp, &[3], &mut out);
+        // No priority cutoff: vertex 0 is an action even after 3 was
+        // selected; the pin (1) and the selected vertex (3) are not, and
+        // the zero-probability vertex 2 stays an action.
+        let vertices: Vec<u32> = out.iter().map(|a| a.vertex).collect();
+        assert_eq!(vertices, vec![0, 2, 4]);
+        assert_eq!(out[0].prob, 0.5 / 0.75);
+        assert_eq!(out[1].prob, 0.0);
+        assert_eq!(out[2].prob, 0.25 / 0.75);
+
+        conventional_policy_into(&g, &[0.0; 5], &[], &mut out);
+        assert_eq!(out.len(), 4);
+        assert!(
+            out.iter().all(|a| a.prob == 0.25),
+            "all-zero falls back to uniform"
+        );
+
+        conventional_policy_into(&g, &fsp, &[0, 2, 3, 4], &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

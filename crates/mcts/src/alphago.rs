@@ -14,13 +14,11 @@
 
 use oarsmt::selector::Selector;
 use oarsmt::topk::steiner_budget;
-use oarsmt_geom::{GridPoint, HananGraph, VertexKind};
+use oarsmt_geom::{GridPoint, HananGraph};
 use oarsmt_router::{RouteContext, RouteError};
-use oarsmt_telemetry::{Counter, CounterSet};
 
 use crate::config::MctsConfig;
-use crate::critic::Critic;
-use crate::terminal::{terminal_reason, TerminalReason};
+use crate::engine::{Engine, Scheme};
 
 /// One per-move training sample of the conventional scheme: the state
 /// (already-selected Steiner points, to be encoded as extra pins) and the
@@ -52,106 +50,17 @@ pub struct AlphaGoOutcome {
     pub simulations: usize,
 }
 
-#[derive(Debug, Clone)]
-struct Edge {
-    action: u32,
-    child: Option<u32>,
-    n: u32,
-    w: f64,
-    p: f64,
-}
-
-impl Edge {
-    fn q(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.w / self.n as f64
-        }
-    }
-}
-
-/// Like the combinatorial search's node, the selected combination is not
-/// stored: children record `(parent, action)` and the combination is
-/// rebuilt by walking parent pointers (in selection order, which here is
-/// *not* sorted).
-#[derive(Debug, Clone)]
-struct Node {
-    parent: Option<u32>,
-    action: u32,
-    depth: u32,
-    cost: f64,
-    flat_run: u32,
-    terminal: TerminalReason,
-    expanded: bool,
-    edges: Vec<Edge>,
-    value: Option<f64>,
-}
-
-/// Rebuilds `node`'s selected vertices (selection order) into `out`.
-fn reconstruct_selected(nodes: &[Node], node: u32, out: &mut Vec<u32>) {
-    out.clear();
-    let mut cur = &nodes[node as usize];
-    while let Some(parent) = cur.parent {
-        out.push(cur.action);
-        cur = &nodes[parent as usize];
-    }
-    out.reverse();
-}
-
-/// Scratch borrowed out of the [`RouteContext`] for one search.
-#[derive(Debug, Default)]
-struct SearchBuffers {
-    sel_idx: Vec<u32>,
-    sel_pts: Vec<GridPoint>,
-    fsp: Vec<f32>,
-    /// Selection path of one exploration iteration, reused across all
-    /// `α` iterations of a search.
-    path: Vec<(u32, usize)>,
-    /// Search-side telemetry (expansions, rollouts, backprop steps);
-    /// folded into `ctx.counters` when the buffers are restored.
-    counters: CounterSet,
-}
-
-impl SearchBuffers {
-    fn take_from(ctx: &mut RouteContext) -> Self {
-        SearchBuffers {
-            sel_idx: std::mem::take(&mut ctx.selected_idx),
-            sel_pts: std::mem::take(&mut ctx.selected_points),
-            fsp: std::mem::take(&mut ctx.fsp),
-            path: Vec::new(),
-            counters: CounterSet::new(),
-        }
-    }
-
-    fn restore_to(self, ctx: &mut RouteContext) {
-        ctx.selected_idx = self.sel_idx;
-        ctx.selected_points = self.sel_pts;
-        ctx.fsp = self.fsp;
-        ctx.counters.merge_from(&self.counters);
-    }
-
-    fn load_state(&mut self, nodes: &[Node], node: u32, graph: &HananGraph) {
-        reconstruct_selected(nodes, node, &mut self.sel_idx);
-        self.sel_pts.clear();
-        self.sel_pts
-            .extend(self.sel_idx.iter().map(|&i| graph.point(i as usize)));
-    }
-}
-
 /// The conventional MCTS driver.
 #[derive(Debug)]
 pub struct AlphaGoMcts {
-    config: MctsConfig,
-    critic: Critic,
+    engine: Engine,
 }
 
 impl AlphaGoMcts {
     /// Creates a driver with the given configuration.
     pub fn new(config: MctsConfig) -> Self {
         AlphaGoMcts {
-            config,
-            critic: Critic::new(),
+            engine: Engine::new(config),
         }
     }
 
@@ -181,247 +90,18 @@ impl AlphaGoMcts {
         graph: &HananGraph,
         selector: &mut S,
     ) -> Result<AlphaGoOutcome, RouteError> {
-        let mut bufs = SearchBuffers::take_from(ctx);
-        let result = self.search_impl(ctx, &mut bufs, graph, selector);
-        bufs.restore_to(ctx);
-        result
-    }
-
-    fn search_impl<S: Selector>(
-        &self,
-        ctx: &mut RouteContext,
-        bufs: &mut SearchBuffers,
-        graph: &HananGraph,
-        selector: &mut S,
-    ) -> Result<AlphaGoOutcome, RouteError> {
-        let budget = steiner_budget(graph.pins().len());
-        let alpha = self.config.iterations_for(graph);
-        let initial_cost = self.critic.state_cost_in(ctx, graph, &[])?;
-        let mut nodes = vec![Node {
-            parent: None,
-            action: 0,
-            depth: 0,
-            cost: initial_cost,
-            flat_run: 0,
-            terminal: terminal_reason(0, budget, None, initial_cost, 0, self.config.max_flat_run),
-            expanded: false,
-            edges: Vec::new(),
-            value: None,
-        }];
         let mut samples = Vec::new();
-        let mut simulations = 0usize;
-        let mut root: u32 = 0;
-
-        while !nodes[root as usize].terminal.is_terminal() {
-            for _ in 0..alpha {
-                self.explore(
-                    ctx,
-                    bufs,
-                    graph,
-                    selector,
-                    &mut nodes,
-                    root,
-                    budget,
-                    initial_cost,
-                    &mut simulations,
-                )?;
-            }
-            let node = &nodes[root as usize];
-            if node.edges.is_empty() {
-                break;
-            }
-            // Per-move label: normalized visit counts.
-            let total: u32 = node.edges.iter().map(|e| e.n).sum();
-            if total > 0 {
-                let mut label = vec![0.0f32; graph.len()];
-                for e in &node.edges {
-                    label[e.action as usize] = e.n as f32 / total as f32;
-                }
-                bufs.load_state(&nodes, root, graph);
-                samples.push(AlphaGoSample {
-                    state: bufs.sel_pts.clone(),
-                    label,
-                });
-            }
-            let node = &nodes[root as usize];
-            // lint: panic-ok(unreachable: the is_empty break above already filtered the edgeless case and nothing mutates the node in between)
-            let best_edge = (0..node.edges.len())
-                .max_by(|&a, &b| {
-                    let ea = &node.edges[a];
-                    let eb = &node.edges[b];
-                    ea.n.cmp(&eb.n).then(ea.q().total_cmp(&eb.q()))
-                })
-                .expect("non-empty edges");
-            root = self.materialize_child(ctx, bufs, graph, &mut nodes, root, best_edge, budget)?;
-        }
-
-        bufs.load_state(&nodes, root, graph);
+        let run =
+            self.engine
+                .search_in(ctx, graph, selector, Scheme::Conventional(&mut samples))?;
         Ok(AlphaGoOutcome {
             samples,
-            executed: bufs.sel_pts.clone(),
-            final_cost: nodes[root as usize].cost,
-            initial_cost,
-            nodes_created: nodes.len(),
-            simulations,
+            executed: run.executed,
+            final_cost: run.final_cost,
+            initial_cost: run.initial_cost,
+            nodes_created: run.nodes_created,
+            simulations: run.simulations,
         })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn explore<S: Selector>(
-        &self,
-        ctx: &mut RouteContext,
-        bufs: &mut SearchBuffers,
-        graph: &HananGraph,
-        selector: &mut S,
-        nodes: &mut Vec<Node>,
-        root: u32,
-        budget: usize,
-        initial_cost: f64,
-        simulations: &mut usize,
-    ) -> Result<(), RouteError> {
-        // Taken (not borrowed) so `bufs` stays free for the calls below.
-        let mut path = std::mem::take(&mut bufs.path);
-        path.clear();
-        let mut cur = root;
-        loop {
-            let node = &nodes[cur as usize];
-            if node.terminal.is_terminal() || !node.expanded || node.edges.is_empty() {
-                break;
-            }
-            let sum_n: u32 = node.edges.iter().map(|e| e.n).sum();
-            let sqrt_sum = (sum_n as f64).sqrt();
-            let mut best = 0usize;
-            let mut best_score = f64::NEG_INFINITY;
-            for (i, e) in node.edges.iter().enumerate() {
-                let u = self.config.exploration * e.p * sqrt_sum / (1.0 + e.n as f64);
-                let score = e.q() + u + 1e-12 * e.p;
-                if score > best_score {
-                    best_score = score;
-                    best = i;
-                }
-            }
-            path.push((cur, best));
-            cur = self.materialize_child(ctx, bufs, graph, nodes, cur, best, budget)?;
-        }
-
-        let value = if let Some(v) = nodes[cur as usize].value {
-            v
-        } else {
-            let v = if nodes[cur as usize].terminal.is_terminal() {
-                (initial_cost - nodes[cur as usize].cost) / initial_cost
-            } else {
-                bufs.load_state(nodes, cur, graph);
-                // Same queue-and-flush protocol as `search.rs` (B = 1).
-                ctx.evals.clear();
-                ctx.evals.push_state(&bufs.sel_pts);
-                selector.fsp_batch_into_ws(
-                    graph,
-                    ctx.evals.pts(),
-                    ctx.evals.lens(),
-                    &mut bufs.fsp,
-                    &mut ctx.nn,
-                );
-                let fsp = &bufs.fsp;
-                // Conventional prior: fsp normalized over ALL valid
-                // vertices, no priority cutoff.
-                let selected_set = &bufs.sel_idx;
-                let valid: Vec<(u32, f64)> = (0..graph.len())
-                    .filter(|&i| {
-                        graph.kind_at(i) == VertexKind::Empty && !selected_set.contains(&(i as u32))
-                    })
-                    .map(|i| (i as u32, f64::from(fsp[i].clamp(0.0, 1.0))))
-                    .collect();
-                let total: f64 = valid.iter().map(|&(_, p)| p).sum();
-                if valid.is_empty() {
-                    nodes[cur as usize].terminal = TerminalReason::NoActions;
-                } else {
-                    let n = valid.len() as f64;
-                    nodes[cur as usize].edges = valid
-                        .iter()
-                        .map(|&(action, p)| Edge {
-                            action,
-                            child: None,
-                            n: 0,
-                            w: 0.0,
-                            p: if total > 0.0 { p / total } else { 1.0 / n },
-                        })
-                        .collect();
-                    nodes[cur as usize].expanded = true;
-                    bufs.counters.bump(Counter::MctsExpansions);
-                }
-                *simulations += 1;
-                bufs.counters.bump(Counter::MctsRollouts);
-                let predicted = if self.config.use_critic {
-                    self.critic
-                        .predict_with_fsp_in(ctx, graph, &bufs.sel_pts, &bufs.fsp)?
-                } else {
-                    nodes[cur as usize].cost
-                };
-                (initial_cost - predicted) / initial_cost
-            };
-            nodes[cur as usize].value = Some(v);
-            v
-        };
-
-        bufs.counters
-            .add(Counter::MctsBackpropSteps, path.len() as u64);
-        for &(node_id, edge_idx) in &path {
-            let e = &mut nodes[node_id as usize].edges[edge_idx];
-            e.n += 1;
-            e.w += value;
-        }
-        bufs.path = path;
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn materialize_child(
-        &self,
-        ctx: &mut RouteContext,
-        bufs: &mut SearchBuffers,
-        graph: &HananGraph,
-        nodes: &mut Vec<Node>,
-        parent: u32,
-        edge_idx: usize,
-        budget: usize,
-    ) -> Result<u32, RouteError> {
-        if let Some(c) = nodes[parent as usize].edges[edge_idx].child {
-            return Ok(c);
-        }
-        let action = nodes[parent as usize].edges[edge_idx].action;
-        bufs.load_state(nodes, parent, graph);
-        bufs.sel_idx.push(action); // selection order preserved (not sorted)
-        bufs.sel_pts.push(graph.point(action as usize));
-        let cost = self.critic.state_cost_in(ctx, graph, &bufs.sel_pts)?;
-        let parent_cost = nodes[parent as usize].cost;
-        let flat_run = if (cost - parent_cost).abs() <= 1e-9 {
-            nodes[parent as usize].flat_run + 1
-        } else {
-            0
-        };
-        let depth = nodes[parent as usize].depth + 1;
-        let terminal = terminal_reason(
-            depth as usize,
-            budget,
-            Some(parent_cost),
-            cost,
-            flat_run,
-            self.config.max_flat_run,
-        );
-        let id = nodes.len() as u32;
-        nodes.push(Node {
-            parent: Some(parent),
-            action,
-            depth,
-            cost,
-            flat_run,
-            terminal,
-            expanded: false,
-            edges: Vec::new(),
-            value: None,
-        });
-        nodes[parent as usize].edges[edge_idx].child = Some(id);
-        Ok(id)
     }
 }
 

@@ -14,13 +14,20 @@ use oarsmt_router::{OarmstRouter, QueuePolicy, RouteContext, RouteError};
 /// The critic built on top of a Steiner-point selector.
 #[derive(Debug)]
 pub struct Critic {
+    /// Prices completed states: the full OARMST step (prune and polish).
     oarmst: OarmstRouter,
+    /// Prices raw states: the same router with prune and polish off, built
+    /// once so the hot path never clones a router.
+    unpruned: OarmstRouter,
 }
 
 impl Default for Critic {
     fn default() -> Self {
         Critic {
             oarmst: OarmstRouter::new(),
+            unpruned: OarmstRouter::new()
+                .with_max_prune_rounds(0)
+                .with_polish_rounds(0),
         }
     }
 }
@@ -37,6 +44,7 @@ impl Critic {
     #[must_use]
     pub fn with_queue_policy(mut self, policy: QueuePolicy) -> Self {
         self.oarmst = self.oarmst.with_queue_policy(policy);
+        self.unpruned = self.unpruned.with_queue_policy(policy);
         self
     }
 
@@ -90,7 +98,7 @@ impl Critic {
         graph: &HananGraph,
         selected: &[GridPoint],
     ) -> Result<f64, RouteError> {
-        self.oarmst.cost_unpruned_in(ctx, graph, selected)
+        self.unpruned.route_cost_in(ctx, graph, selected)
     }
 }
 

@@ -17,6 +17,12 @@
 //! (any valid vertex at every level) and emits one visit-distribution label
 //! per executed move — the scheme of \[4\]/AlphaGo that the paper compares
 //! against in Figs. 11–12.
+//!
+//! Both drivers run one private engine (tree, UCT descent, expansion,
+//! critic simulation, backup). The schemes differ only in the expansion
+//! prior ([`action_policy_into`] vs [`conventional_policy_into`]), the
+//! label they record, and how a visit-count tie on the executed root move
+//! is broken.
 
 #![forbid(unsafe_code)]
 
@@ -24,11 +30,12 @@ pub mod actor;
 pub mod alphago;
 pub mod config;
 pub mod critic;
+mod engine;
 pub mod label;
 pub mod search;
 pub mod terminal;
 
-pub use actor::action_policy_into;
+pub use actor::{action_policy_into, conventional_policy_into};
 pub use alphago::{AlphaGoMcts, AlphaGoSample};
 pub use config::MctsConfig;
 pub use critic::Critic;

@@ -3,16 +3,12 @@
 use std::fmt;
 
 use oarsmt::selector::Selector;
-use oarsmt::topk::steiner_budget;
 use oarsmt_geom::{GridPoint, HananGraph};
 use oarsmt_router::{RouteContext, RouteError};
-use oarsmt_telemetry::{Counter, CounterSet};
 
-use crate::actor::{action_policy_into, ActionProb};
 use crate::config::MctsConfig;
-use crate::critic::Critic;
+use crate::engine::{Engine, Scheme};
 use crate::label::LabelCounters;
-use crate::terminal::{terminal_reason, TerminalReason};
 
 /// Result of one complete combinatorial MCTS on an initial layout.
 #[derive(Debug, Clone)]
@@ -49,130 +45,23 @@ impl fmt::Display for SearchOutcome {
     }
 }
 
-/// An edge of the search tree: the `(s, a)` record with visit count `N`,
-/// total value `W`, mean value `Q` and prior `P` (Section 3.4).
-#[derive(Debug, Clone)]
-struct Edge {
-    action: u32,
-    child: Option<u32>,
-    n: u32,
-    w: f64,
-    p: f64,
-}
-
-impl Edge {
-    fn q(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.w / self.n as f64
-        }
-    }
-}
-
-/// A node of the search tree: a unique combination of selected vertices.
-///
-/// The combination itself is **not stored**: a node records only its parent
-/// and the action that created it, and [`reconstruct_selected`] rebuilds the
-/// combination by walking parent pointers. Creating a child is therefore
-/// O(1) instead of cloning the parent's selection vector.
-#[derive(Debug, Clone)]
-struct Node {
-    /// Parent node, or `None` at the root of the search tree.
-    parent: Option<u32>,
-    /// The action (vertex index) executed from `parent` to reach this node;
-    /// meaningless at the root.
-    action: u32,
-    /// Number of selected vertices in this state (= tree depth).
-    depth: u32,
-    /// Routing cost of this state (pins + selected, unpruned OARMST).
-    cost: f64,
-    /// Consecutive cost-flat actions ending at this node.
-    flat_run: u32,
-    terminal: TerminalReason,
-    expanded: bool,
-    edges: Vec<Edge>,
-    /// Cached leaf value, so terminal nodes are simulated once.
-    value: Option<f64>,
-}
-
-/// Rebuilds `node`'s selected combination (vertex indices in selection
-/// order, which for the combinatorial search is ascending priority order)
-/// into `out` by walking parent pointers root-ward and reversing.
-fn reconstruct_selected(nodes: &[Node], node: u32, out: &mut Vec<u32>) {
-    out.clear();
-    let mut cur = &nodes[node as usize];
-    while let Some(parent) = cur.parent {
-        out.push(cur.action);
-        cur = &nodes[parent as usize];
-    }
-    out.reverse();
-}
-
-/// Scratch buffers borrowed out of the [`RouteContext`] for the duration of
-/// one search, so `ctx` stays free for the critic's routing calls.
-#[derive(Debug, Default)]
-struct SearchBuffers {
-    sel_idx: Vec<u32>,
-    sel_pts: Vec<GridPoint>,
-    fsp: Vec<f32>,
-    policy: Vec<ActionProb>,
-    /// Selection path of one exploration iteration, reused across all
-    /// `α` iterations of a search.
-    path: Vec<(u32, usize)>,
-    /// Search-side telemetry (expansions, rollouts, backprop steps);
-    /// folded into `ctx.counters` when the buffers are restored.
-    counters: CounterSet,
-}
-
-impl SearchBuffers {
-    fn take_from(ctx: &mut RouteContext) -> Self {
-        SearchBuffers {
-            sel_idx: std::mem::take(&mut ctx.selected_idx),
-            sel_pts: std::mem::take(&mut ctx.selected_points),
-            fsp: std::mem::take(&mut ctx.fsp),
-            policy: Vec::new(),
-            path: Vec::new(),
-            counters: CounterSet::new(),
-        }
-    }
-
-    fn restore_to(self, ctx: &mut RouteContext) {
-        ctx.selected_idx = self.sel_idx;
-        ctx.selected_points = self.sel_pts;
-        ctx.fsp = self.fsp;
-        ctx.counters.merge_from(&self.counters);
-    }
-
-    /// Rebuilds the selected combination of `node` into `sel_idx` /
-    /// `sel_pts`.
-    fn load_state(&mut self, nodes: &[Node], node: u32, graph: &HananGraph) {
-        reconstruct_selected(nodes, node, &mut self.sel_idx);
-        self.sel_pts.clear();
-        self.sel_pts
-            .extend(self.sel_idx.iter().map(|&i| graph.point(i as usize)));
-    }
-}
-
 /// The combinatorial MCTS driver.
 #[derive(Debug)]
 pub struct CombinatorialMcts {
-    config: MctsConfig,
-    critic: Critic,
+    engine: Engine,
 }
 
 impl CombinatorialMcts {
     /// Creates a search driver with the given configuration.
     pub fn new(config: MctsConfig) -> Self {
         CombinatorialMcts {
-            config,
-            critic: Critic::new(),
+            engine: Engine::new(config),
         }
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &MctsConfig {
-        &self.config
+        &self.engine.config
     }
 
     /// Runs the full search on an initial layout: repeated `α`-iteration
@@ -206,255 +95,19 @@ impl CombinatorialMcts {
         graph: &HananGraph,
         selector: &mut S,
     ) -> Result<SearchOutcome, RouteError> {
-        let mut bufs = SearchBuffers::take_from(ctx);
-        let result = self.search_impl(ctx, &mut bufs, graph, selector);
-        bufs.restore_to(ctx);
-        result
-    }
-
-    fn search_impl<S: Selector>(
-        &self,
-        ctx: &mut RouteContext,
-        bufs: &mut SearchBuffers,
-        graph: &HananGraph,
-        selector: &mut S,
-    ) -> Result<SearchOutcome, RouteError> {
-        let budget = steiner_budget(graph.pins().len());
-        let alpha = self.config.iterations_for(graph);
-        let initial_cost = self.critic.state_cost_in(ctx, graph, &[])?;
-
-        let mut nodes: Vec<Node> = Vec::new();
-        nodes.push(Node {
-            parent: None,
-            action: 0,
-            depth: 0,
-            cost: initial_cost,
-            flat_run: 0,
-            terminal: terminal_reason(0, budget, None, initial_cost, 0, self.config.max_flat_run),
-            expanded: false,
-            edges: Vec::new(),
-            value: None,
-        });
         let mut counters = LabelCounters::new(graph);
-        let mut simulations = 0usize;
-        let mut root: u32 = 0;
-
-        while !nodes[root as usize].terminal.is_terminal() {
-            for _ in 0..alpha {
-                self.explore(
-                    ctx,
-                    bufs,
-                    graph,
-                    selector,
-                    &mut nodes,
-                    root,
-                    budget,
-                    initial_cost,
-                    &mut counters,
-                    &mut simulations,
-                )?;
-            }
-            // Execute the most visited root action.
-            let best_edge = {
-                let node = &nodes[root as usize];
-                if node.edges.is_empty() {
-                    break; // expansion found no actions
-                }
-                // lint: panic-ok(unreachable: the is_empty break above already filtered the edgeless case)
-                (0..node.edges.len())
-                    .max_by(|&a, &b| {
-                        let ea = &node.edges[a];
-                        let eb = &node.edges[b];
-                        ea.n.cmp(&eb.n)
-                            .then(ea.q().total_cmp(&eb.q()))
-                            .then(eb.action.cmp(&ea.action))
-                    })
-                    .expect("non-empty edges")
-            };
-            root = self.materialize_child(ctx, bufs, graph, &mut nodes, root, best_edge, budget)?;
-        }
-
-        bufs.load_state(&nodes, root, graph);
-        let executed: Vec<GridPoint> = bufs.sel_pts.clone();
-        let final_cost = nodes[root as usize].cost;
+        let run =
+            self.engine
+                .search_in(ctx, graph, selector, Scheme::Combinatorial(&mut counters))?;
         Ok(SearchOutcome {
             label: counters.label(),
             counters,
-            executed,
-            final_cost,
-            initial_cost,
-            nodes_created: nodes.len(),
-            simulations,
+            executed: run.executed,
+            final_cost: run.final_cost,
+            initial_cost: run.initial_cost,
+            nodes_created: run.nodes_created,
+            simulations: run.simulations,
         })
-    }
-
-    /// One exploration iteration: selection, expansion, simulation,
-    /// backpropagation (Fig. 6).
-    #[allow(clippy::too_many_arguments)]
-    fn explore<S: Selector>(
-        &self,
-        ctx: &mut RouteContext,
-        bufs: &mut SearchBuffers,
-        graph: &HananGraph,
-        selector: &mut S,
-        nodes: &mut Vec<Node>,
-        root: u32,
-        budget: usize,
-        initial_cost: f64,
-        counters: &mut LabelCounters,
-        simulations: &mut usize,
-    ) -> Result<(), RouteError> {
-        // Taken (not borrowed) so `bufs` stays free for the calls below;
-        // an early `?` return drops the capacity, which only matters on the
-        // error path where the whole search aborts anyway.
-        let mut path = std::mem::take(&mut bufs.path);
-        path.clear();
-        let mut cur = root;
-
-        // Selection: descend by Q + U until a leaf (unexpanded or terminal).
-        loop {
-            let node = &nodes[cur as usize];
-            if node.terminal.is_terminal() || !node.expanded {
-                break;
-            }
-            if node.edges.is_empty() {
-                break;
-            }
-            let sum_n: u32 = node.edges.iter().map(|e| e.n).sum();
-            let sqrt_sum = (sum_n as f64).sqrt();
-            let mut best = 0usize;
-            let mut best_score = f64::NEG_INFINITY;
-            for (i, e) in node.edges.iter().enumerate() {
-                let u = self.config.exploration * e.p * sqrt_sum / (1.0 + e.n as f64);
-                let score = e.q() + u + 1e-12 * e.p; // prior as deterministic tie-break
-                if score > best_score {
-                    best_score = score;
-                    best = i;
-                }
-            }
-            counters.record_step(node.edges[best].action, node.edges.iter().map(|e| e.action));
-            path.push((cur, best));
-            cur = self.materialize_child(ctx, bufs, graph, nodes, cur, best, budget)?;
-        }
-
-        // Expansion + simulation at the leaf.
-        let value = if let Some(v) = nodes[cur as usize].value {
-            v
-        } else {
-            let v = if nodes[cur as usize].terminal.is_terminal() {
-                // Terminal: value from the state's own routing cost.
-                (initial_cost - nodes[cur as usize].cost) / initial_cost
-            } else {
-                bufs.load_state(nodes, cur, graph);
-                // Leaf evals go through the context's eval queue so the
-                // selector sees the batched entry point; at B = 1 the
-                // flush is bit-identical to a direct `fsp_into_ws` call.
-                ctx.evals.clear();
-                ctx.evals.push_state(&bufs.sel_pts);
-                selector.fsp_batch_into_ws(
-                    graph,
-                    ctx.evals.pts(),
-                    ctx.evals.lens(),
-                    &mut bufs.fsp,
-                    &mut ctx.nn,
-                );
-                let last = bufs.sel_idx.last().copied();
-                action_policy_into(graph, &bufs.fsp, last, &mut bufs.policy);
-                if bufs.policy.is_empty() {
-                    nodes[cur as usize].terminal = TerminalReason::NoActions;
-                } else {
-                    nodes[cur as usize].edges = bufs
-                        .policy
-                        .iter()
-                        .map(|a| Edge {
-                            action: a.vertex,
-                            child: None,
-                            n: 0,
-                            w: 0.0,
-                            p: a.prob,
-                        })
-                        .collect();
-                    nodes[cur as usize].expanded = true;
-                    bufs.counters.bump(Counter::MctsExpansions);
-                }
-                *simulations += 1;
-                bufs.counters.bump(Counter::MctsRollouts);
-                let predicted = if self.config.use_critic {
-                    self.critic
-                        .predict_with_fsp_in(ctx, graph, &bufs.sel_pts, &bufs.fsp)?
-                } else {
-                    nodes[cur as usize].cost
-                };
-                (initial_cost - predicted) / initial_cost
-            };
-            nodes[cur as usize].value = Some(v);
-            v
-        };
-
-        // Backpropagation: N += 1, W += v, Q = W / N along the path.
-        bufs.counters
-            .add(Counter::MctsBackpropSteps, path.len() as u64);
-        for &(node_id, edge_idx) in &path {
-            let e = &mut nodes[node_id as usize].edges[edge_idx];
-            e.n += 1;
-            e.w += value;
-        }
-        bufs.path = path;
-        Ok(())
-    }
-
-    /// Creates (or fetches) the child node behind `edge_idx` of `parent`.
-    /// A new child stores only `(parent, action)` — no clone of the
-    /// parent's combination.
-    #[allow(clippy::too_many_arguments)]
-    fn materialize_child(
-        &self,
-        ctx: &mut RouteContext,
-        bufs: &mut SearchBuffers,
-        graph: &HananGraph,
-        nodes: &mut Vec<Node>,
-        parent: u32,
-        edge_idx: usize,
-        budget: usize,
-    ) -> Result<u32, RouteError> {
-        if let Some(c) = nodes[parent as usize].edges[edge_idx].child {
-            return Ok(c);
-        }
-        let action = nodes[parent as usize].edges[edge_idx].action;
-        bufs.load_state(nodes, parent, graph);
-        debug_assert!(bufs.sel_idx.last().is_none_or(|&l| l < action));
-        bufs.sel_idx.push(action);
-        bufs.sel_pts.push(graph.point(action as usize));
-        let cost = self.critic.state_cost_in(ctx, graph, &bufs.sel_pts)?;
-        let parent_cost = nodes[parent as usize].cost;
-        let flat_run = if (cost - parent_cost).abs() <= 1e-9 {
-            nodes[parent as usize].flat_run + 1
-        } else {
-            0
-        };
-        let depth = nodes[parent as usize].depth + 1;
-        let terminal = terminal_reason(
-            depth as usize,
-            budget,
-            Some(parent_cost),
-            cost,
-            flat_run,
-            self.config.max_flat_run,
-        );
-        let id = nodes.len() as u32;
-        nodes.push(Node {
-            parent: Some(parent),
-            action,
-            depth,
-            cost,
-            flat_run,
-            terminal,
-            expanded: false,
-            edges: Vec::new(),
-            value: None,
-        });
-        nodes[parent as usize].edges[edge_idx].child = Some(id);
-        Ok(id)
     }
 }
 
@@ -464,6 +117,7 @@ mod tests {
     use oarsmt::selector::{MedianHeuristicSelector, UniformSelector};
     use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
     use oarsmt_geom::VertexKind;
+    use oarsmt_telemetry::Counter;
 
     fn cross() -> HananGraph {
         let mut g = HananGraph::uniform(5, 5, 1, 1.0, 1.0, 3.0);
@@ -619,6 +273,25 @@ mod tests {
             out.executed,
             vec![GridPoint::new(1, 2, 0), GridPoint::new(2, 2, 0)]
         );
+    }
+
+    /// An all-zero selector gives every action the uniform prior, so root
+    /// edges tie on visits and `Q`; the combinatorial scheme then executes
+    /// the smaller action (the largest one would be `(0, 2)` here).
+    #[test]
+    fn root_move_ties_break_toward_the_smaller_action() {
+        let g = CaseGenerator::new(GeneratorConfig::tiny(6, 6, 1, (4, 6)), 17)
+            .generate_many(3)
+            .remove(2);
+        let cfg = MctsConfig {
+            use_critic: false,
+            ..MctsConfig::tiny()
+        };
+        let out = CombinatorialMcts::new(cfg)
+            .search(&g, &mut UniformSelector::new(0.0))
+            .unwrap();
+        assert_eq!(out.executed, vec![GridPoint::new(0, 0, 0)]);
+        assert_eq!(out.nodes_created, 4);
     }
 
     #[test]

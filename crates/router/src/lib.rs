@@ -40,7 +40,6 @@ pub mod prune;
 pub mod retrace;
 pub mod segments;
 pub mod spanning;
-pub mod sweep;
 pub mod tree;
 
 pub use context::{EvalQueue, RouteContext};
@@ -52,5 +51,4 @@ pub use oarmst::OarmstRouter;
 // `oarsmt-graph` directly.
 pub use oarsmt_graph::QueuePolicy;
 pub use spanning::SpanningRouter;
-pub use sweep::SweepSchedule;
 pub use tree::{RouteTree, TreeAdjacency};

@@ -21,11 +21,11 @@
 
 use std::fmt;
 
-use oarsmt_geom::HananGraph;
+use oarsmt_geom::{GridPoint, HananGraph};
 
+use crate::context::RouteContext;
 use crate::error::RouteError;
 use crate::oarmst::OarmstRouter;
-use crate::sweep::SweepSchedule;
 use crate::tree::RouteTree;
 
 /// The \[14\]-style algorithmic ML-OARSMT router.
@@ -99,12 +99,8 @@ impl Lin18Router {
     /// back to an unbounded search before reporting
     /// [`RouteError::Disconnected`].
     pub fn route(&self, graph: &HananGraph) -> Result<RouteTree, RouteError> {
-        // [14]'s bounded→unbounded fallback, expressed as the general
-        // escalating-sweep schedule (identical behaviour: one bounded
-        // stage, unbounded only on disconnection).
-        let base = OarmstRouter::new();
-        let sweep = SweepSchedule::bounded_then_unbounded(self.margin);
-        let mut best = sweep.route(&base, graph, &[])?;
+        let mut ctx = RouteContext::new();
+        let mut best = self.bounded_route_in(&mut ctx, graph, &[])?;
 
         // Path-assessed retracing: for each pin, rip up its branch (the
         // degree-≤2 path from the pin to the first branch vertex or other
@@ -134,7 +130,7 @@ impl Lin18Router {
             if implied.is_empty() {
                 break;
             }
-            let retraced = sweep.route(&base, graph, &implied)?;
+            let retraced = self.bounded_route_in(&mut ctx, graph, &implied)?;
             if retraced.cost() + 1e-9 < best.cost() {
                 best = retraced;
             } else {
@@ -142,6 +138,24 @@ impl Lin18Router {
             }
         }
         Ok(best)
+    }
+
+    /// \[14\]'s bounded exploration: one OARMST build restricted to the
+    /// terminals' bounding box plus the margin, retried unbounded only
+    /// when that window cannot connect the pins.
+    fn bounded_route_in(
+        &self,
+        ctx: &mut RouteContext,
+        graph: &HananGraph,
+        candidates: &[GridPoint],
+    ) -> Result<RouteTree, RouteError> {
+        let bounded = OarmstRouter::new().with_bounds_margin(self.margin);
+        match bounded.route_in(ctx, graph, candidates) {
+            Err(RouteError::Disconnected { .. }) => {
+                OarmstRouter::new().route_in(ctx, graph, candidates)
+            }
+            other => other,
+        }
     }
 }
 
@@ -194,8 +208,16 @@ mod tests {
             g.add_obstacle_vertex(GridPoint::new(4, v, 0)).unwrap();
         }
         pins(&mut g, &[(3, 0, 0), (5, 0, 0)]);
+        assert!(matches!(
+            OarmstRouter::new().with_bounds_margin(1).route(&g, &[]),
+            Err(RouteError::Disconnected { .. })
+        ));
         let t = Lin18Router::new().with_margin(1).route(&g).unwrap();
         assert!(t.spans_in(&g, g.pins()));
+        // The fallback is exactly an unbounded route, bit for bit.
+        let unbounded = OarmstRouter::new().route(&g, &[]).unwrap();
+        assert_eq!(t.cost().to_bits(), unbounded.cost().to_bits());
+        assert_eq!(t.edges(), unbounded.edges());
     }
 
     #[test]

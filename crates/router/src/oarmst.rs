@@ -88,16 +88,6 @@ impl OarmstRouter {
         self
     }
 
-    /// Removes any bounded-exploration margin, restoring whole-grid
-    /// searches (builder style; used by
-    /// [`SweepSchedule`](crate::sweep::SweepSchedule) to derive the
-    /// unbounded fallback stage from a bounded base router).
-    #[must_use]
-    pub fn without_bounds_margin(mut self) -> Self {
-        self.bounds_margin = None;
-        self
-    }
-
     /// Selects the [`QueuePolicy`] for every maze query this router issues,
     /// including the polish pass (builder style; default
     /// [`QueuePolicy::Auto`]).
@@ -231,58 +221,6 @@ impl OarmstRouter {
         candidates: &[GridPoint],
     ) -> Result<f64, RouteError> {
         let tree = self.route_in(ctx, graph, candidates)?;
-        let cost = tree.cost();
-        ctx.recycle_tree(tree);
-        Ok(cost)
-    }
-
-    /// Builds the OARMST once, without pruning, through a caller-owned
-    /// [`RouteContext`]. Exposed so callers (e.g. MCTS critics) can price
-    /// intermediate states cheaply.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`OarmstRouter::route`].
-    pub fn route_unpruned_in(
-        &self,
-        ctx: &mut RouteContext,
-        graph: &HananGraph,
-        candidates: &[GridPoint],
-    ) -> Result<RouteTree, RouteError> {
-        let pins = graph.pins();
-        if pins.len() < 2 {
-            return Err(RouteError::TooFewTerminals(pins.len()));
-        }
-        let span = ctx.nn.spans.begin(Span::RoutePrepare, ctx.nn.spans.now());
-        ctx.bind(graph);
-        let mut kept = std::mem::take(&mut ctx.kept);
-        dedup_candidates_in(ctx, graph, candidates, &mut kept);
-        ctx.nn.spans.end(span, ctx.nn.spans.now());
-        let mut tree = ctx.take_tree();
-        let built = self.build_once_in(ctx, graph, &kept, &mut tree);
-        ctx.kept = kept;
-        match built {
-            Ok(()) => Ok(tree),
-            Err(e) => {
-                ctx.recycle_tree(tree);
-                Err(e)
-            }
-        }
-    }
-
-    /// [`OarmstRouter::route_unpruned_in`] returning only the cost, keeping
-    /// the tree pooled (used to price MCTS states).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`OarmstRouter::route`].
-    pub fn cost_unpruned_in(
-        &self,
-        ctx: &mut RouteContext,
-        graph: &HananGraph,
-        candidates: &[GridPoint],
-    ) -> Result<f64, RouteError> {
-        let tree = self.route_unpruned_in(ctx, graph, candidates)?;
         let cost = tree.cost();
         ctx.recycle_tree(tree);
         Ok(cost)
@@ -538,7 +476,9 @@ mod tests {
     fn route_unpruned_keeps_degree_stubs() {
         let g = grid_with_pins(6, 6, 1, &[(0, 0, 0), (5, 0, 0)]);
         let unpruned = OarmstRouter::new()
-            .route_unpruned_in(&mut RouteContext::new(), &g, &[GridPoint::new(2, 3, 0)])
+            .with_max_prune_rounds(0)
+            .with_polish_rounds(0)
+            .route(&g, &[GridPoint::new(2, 3, 0)])
             .unwrap();
         // The stub to the off-path candidate is kept.
         assert!(unpruned.cost() > 5.0);

@@ -18,13 +18,17 @@ use crate::tree::RouteTree;
 ///
 /// ```
 /// use oarsmt_geom::{HananGraph, GridPoint};
-/// use oarsmt_router::{oarmst::OarmstRouter, prune::redundant_candidates, RouteContext};
+/// use oarsmt_router::{oarmst::OarmstRouter, prune::redundant_candidates};
 ///
 /// let mut g = HananGraph::uniform(6, 1, 1, 1.0, 1.0, 3.0);
 /// g.add_pin(GridPoint::new(0, 0, 0))?;
 /// g.add_pin(GridPoint::new(5, 0, 0))?;
 /// let cand = [GridPoint::new(3, 0, 0)];
-/// let tree = OarmstRouter::new().route_unpruned_in(&mut RouteContext::new(), &g, &cand)?;
+/// // Prune and polish off: the bare Prim build.
+/// let tree = OarmstRouter::new()
+///     .with_max_prune_rounds(0)
+///     .with_polish_rounds(0)
+///     .route(&g, &cand)?;
 /// // The on-path candidate has degree 2: redundant.
 /// assert_eq!(redundant_candidates(&g, &tree, &cand), vec![cand[0]]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -90,7 +94,6 @@ pub fn partition_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::RouteContext;
     use crate::oarmst::OarmstRouter;
 
     #[test]
@@ -101,7 +104,9 @@ mod tests {
         }
         let center = GridPoint::new(2, 2, 0);
         let tree = OarmstRouter::new()
-            .route_unpruned_in(&mut RouteContext::new(), &g, &[center])
+            .with_max_prune_rounds(0)
+            .with_polish_rounds(0)
+            .route(&g, &[center])
             .unwrap();
         let (keep, drop) = partition_candidates(&g, &tree, &[center]);
         assert_eq!(keep, vec![center]);
@@ -118,7 +123,9 @@ mod tests {
         let stray = GridPoint::new(4, 4, 0);
         let cands = [center, stray];
         let tree = OarmstRouter::new()
-            .route_unpruned_in(&mut RouteContext::new(), &g, &cands)
+            .with_max_prune_rounds(0)
+            .with_polish_rounds(0)
+            .route(&g, &cands)
             .unwrap();
         let redundant = redundant_candidates(&g, &tree, &cands);
         let mut kept = cands.to_vec();
@@ -136,7 +143,9 @@ mod tests {
         g.add_pin(GridPoint::new(0, 0, 0)).unwrap();
         g.add_pin(GridPoint::new(3, 0, 0)).unwrap();
         let tree = OarmstRouter::new()
-            .route_unpruned_in(&mut RouteContext::new(), &g, &[])
+            .with_max_prune_rounds(0)
+            .with_polish_rounds(0)
+            .route(&g, &[])
             .unwrap();
         let ghost = GridPoint::new(1, 0, 0);
         // ghost lies on the path with degree 2 -> redundant; a vertex not in

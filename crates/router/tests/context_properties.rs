@@ -87,10 +87,8 @@ proptest! {
                 (Err(a), Err(b)) => prop_assert_eq!(a, b),
                 (a, b) => return Err(TestCaseError::fail(format!("route {a:?} vs cost {b:?}"))),
             }
-            match (
-                router.route_unpruned_in(&mut RouteContext::new(), &g, &cand),
-                router.cost_unpruned_in(&mut ctx, &g, &cand),
-            ) {
+            let build_only = router.clone().with_max_prune_rounds(0).with_polish_rounds(0);
+            match (build_only.route(&g, &cand), build_only.route_cost_in(&mut ctx, &g, &cand)) {
                 (Ok(t), Ok(c)) => prop_assert_eq!(t.cost().to_bits(), c.to_bits()),
                 (Err(a), Err(b)) => prop_assert_eq!(a, b),
                 (a, b) => return Err(TestCaseError::fail(format!("unpruned {a:?} vs {b:?}"))),

@@ -5,8 +5,10 @@
 //! maze-router Prim: every step runs one fresh multi-source
 //! `shortest_path_into` seeded with the whole current tree. Both must
 //! return the same trees — cost bits and edge list — and the same errors,
-//! through `route_in` (prune and polish included), `route_unpruned_in` and
-//! `cost_unpruned_in`. Covered: random paper-cost layouts under every
+//! through `route_in` (prune and polish included), and through `route_in`
+//! and `route_cost_in` of the same router with prune and polish off
+//! (`with_max_prune_rounds(0).with_polish_rounds(0)`, the MCTS critic's
+//! state pricer). Covered: random paper-cost layouts under every
 //! bounds margin and start terminal, `Heap` and `Auto`; tie-heavy
 //! all-equal-cost grids; fractional costs, which take the heap; and
 //! walled-off candidates and pins.
@@ -159,8 +161,9 @@ fn assert_same(
     }
 }
 
-/// Checks all three build entry points of one router against the
-/// reference, through one warm context (reuse must not leak state).
+/// Checks one router, and the same router with prune and polish off,
+/// against the reference, through one warm context (reuse must not leak
+/// state).
 fn check(
     label: &str,
     ctx: &mut RouteContext,
@@ -178,12 +181,13 @@ fn check(
     } else {
         reference_build(graph, &dedup(graph, cand), setup)
     };
+    let build_only = router.with_max_prune_rounds(0).with_polish_rounds(0);
     assert_same(
         &format!("{label} unpruned"),
         &unpruned,
-        &router.route_unpruned_in(ctx, graph, cand),
+        &build_only.route_in(ctx, graph, cand),
     );
-    let cost = router.cost_unpruned_in(ctx, graph, cand);
+    let cost = build_only.route_cost_in(ctx, graph, cand);
     match (&unpruned, cost) {
         (Ok(t), Ok(c)) => assert_eq!(t.cost().to_bits(), c.to_bits(), "{label}: unpruned cost"),
         (Err(a), Err(b)) => assert_eq!(*a, b, "{label}: unpruned cost error"),
