@@ -8,10 +8,12 @@
 #![forbid(unsafe_code)]
 
 use oarsmt::rl_router::RlRouter;
-use oarsmt::selector::MedianHeuristicSelector;
+use oarsmt::selector::{MedianHeuristicSelector, Selector};
+use oarsmt::topk::{select_top_k_into, steiner_budget};
 use oarsmt_bench::Table;
 use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
 use oarsmt_geom::HananGraph;
+use oarsmt_nn::NnWorkspace;
 use oarsmt_router::exact::steiner_exact_cost;
 use oarsmt_router::{Lin18Router, OarmstRouter};
 
@@ -110,12 +112,28 @@ fn main() {
         cases
             .iter()
             .map(|g| {
-                RlRouter::new(MedianHeuristicSelector::new())
-                    .without_refine()
-                    .without_safeguard()
-                    .route(g)
+                // One inference, the top n - 2 vertices, one OARMST build.
+                let mut fsp = Vec::new();
+                MedianHeuristicSelector::new().fsp_into_ws(
+                    g,
+                    &[],
+                    &mut fsp,
+                    &mut NnWorkspace::new(),
+                );
+                let mut points = Vec::new();
+                select_top_k_into(
+                    g,
+                    &fsp,
+                    steiner_budget(g.pins().len()),
+                    &[],
+                    &mut Vec::new(),
+                    &mut Vec::new(),
+                    &mut points,
+                );
+                OarmstRouter::new()
+                    .with_polish_rounds(0)
+                    .route(g, &points)
                     .unwrap()
-                    .tree
                     .cost()
             })
             .collect(),

@@ -9,6 +9,8 @@
 #![forbid(unsafe_code)]
 
 use oarsmt::eval::ObstacleRatioCurve;
+use std::io::Write as _;
+
 use oarsmt::parallel;
 use oarsmt_bench::{harness, Table};
 use oarsmt_geom::gen::TestSubsetSpec;
@@ -17,7 +19,11 @@ use oarsmt_telemetry::SpanRecorder;
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let flag = parallel::take_threads_flag(&mut args).unwrap_or_else(|e| {
-        eprintln!("{e}\nusage: fig10 [--threads N]   (or OARSMT_THREADS=N)");
+        // A closed stderr pipe must not turn this status 2 into a panic.
+        let _ = writeln!(
+            std::io::stderr(),
+            "{e}\nusage: fig10 [--threads N]   (or OARSMT_THREADS=N)"
+        );
         std::process::exit(2);
     });
     let threads = parallel::thread_count(flag);

@@ -103,8 +103,9 @@ fn main() {
     let mut num = 0.0f64;
     let mut den_p = 0.0f64;
     let mut den_l = 0.0f64;
+    let mut fsp = Vec::new();
     for s in &samples {
-        let fsp = selector.fsp(&s.graph, &[]);
+        selector.fsp_into_ws(&s.graph, &[], &mut fsp, &mut ws);
         let n = fsp.len() as f64;
         let mp = fsp.iter().map(|&p| p as f64).sum::<f64>() / n;
         let ml = s.label.iter().map(|&l| l as f64).sum::<f64>() / n;

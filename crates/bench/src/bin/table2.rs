@@ -7,6 +7,8 @@
 
 #![forbid(unsafe_code)]
 
+use std::io::Write as _;
+
 use oarsmt::parallel;
 use oarsmt_bench::{harness, Table};
 use oarsmt_geom::gen::TestSubsetSpec;
@@ -15,7 +17,11 @@ use oarsmt_telemetry::SpanRecorder;
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let flag = parallel::take_threads_flag(&mut args).unwrap_or_else(|e| {
-        eprintln!("{e}\nusage: table2 [--threads N]   (or OARSMT_THREADS=N)");
+        // A closed stderr pipe must not turn this status 2 into a panic.
+        let _ = writeln!(
+            std::io::stderr(),
+            "{e}\nusage: table2 [--threads N]   (or OARSMT_THREADS=N)"
+        );
         std::process::exit(2);
     });
     let threads = parallel::thread_count(flag);

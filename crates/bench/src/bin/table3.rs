@@ -14,6 +14,8 @@
 
 #![forbid(unsafe_code)]
 
+use std::io::Write as _;
+
 use oarsmt::parallel;
 use oarsmt_bench::{harness, Table};
 use oarsmt_geom::gen::TestSubsetSpec;
@@ -22,7 +24,11 @@ use oarsmt_telemetry::{tracing, Span, SpanRecorder};
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let flag = parallel::take_threads_flag(&mut args).unwrap_or_else(|e| {
-        eprintln!("{e}\nusage: table3 [--threads N] [--trace FILE]   (or OARSMT_THREADS=N)");
+        // A closed stderr pipe must not turn this status 2 into a panic.
+        let _ = writeln!(
+            std::io::stderr(),
+            "{e}\nusage: table3 [--threads N] [--trace FILE]   (or OARSMT_THREADS=N)"
+        );
         std::process::exit(2);
     });
     let threads = parallel::thread_count(flag);

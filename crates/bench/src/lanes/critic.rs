@@ -37,7 +37,7 @@
 use std::time::Instant;
 
 use oarsmt::selector::{MedianHeuristicSelector, Selector};
-use oarsmt::topk::{select_top_k, steiner_budget};
+use oarsmt::topk::{select_top_k_into, steiner_budget};
 use oarsmt_geom::gen::TestSubsetSpec;
 use oarsmt_geom::HananGraph;
 use oarsmt_mcts::Critic;
@@ -94,23 +94,33 @@ fn sweep_layout(
     checksum: &mut f64,
 ) -> Option<usize> {
     let budget = steiner_budget(graph.pins().len());
-    let fsp0 = selector.fsp(graph, &[]);
-    let combo = select_top_k(graph, &fsp0, budget, &[]);
+    // The heuristic ignores the NN workspace; setup allocates afresh in
+    // both modes, as every fresh-mode query does.
+    let mut fsp0 = Vec::with_capacity(graph.len());
+    selector.fsp_into_ws(graph, &[], &mut fsp0, &mut ctx.nn);
+    let mut combo = Vec::new();
+    select_top_k_into(
+        graph,
+        &fsp0,
+        budget,
+        &[],
+        &mut Vec::new(),
+        &mut Vec::new(),
+        &mut combo,
+    );
     let mut rollouts = 0usize;
     for level in 0..=combo.len() {
         let selected = &combo[..level];
         let t = ctx.nn.spans.begin(Span::CriticSelect, ctx.nn.spans.now());
-        let fresh_fsp;
-        let fsp: &[f32] = match mode {
+        let mut fresh_fsp;
+        let fsp: &mut Vec<f32> = match mode {
             Mode::Fresh => {
-                fresh_fsp = selector.fsp(graph, selected);
-                &fresh_fsp
+                fresh_fsp = Vec::with_capacity(graph.len());
+                &mut fresh_fsp
             }
-            Mode::Reused => {
-                selector.fsp_into(graph, selected, fsp_buf);
-                fsp_buf
-            }
+            Mode::Reused => fsp_buf,
         };
+        selector.fsp_into_ws(graph, selected, fsp, &mut ctx.nn);
         ctx.nn.spans.end(t, ctx.nn.spans.now());
         let t = ctx.nn.spans.begin(Span::CriticRoute, ctx.nn.spans.now());
         let priced = match mode {

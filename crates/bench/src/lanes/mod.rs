@@ -7,10 +7,11 @@ pub mod dijkstra;
 pub mod unet;
 
 use oarsmt::selector::{MedianHeuristicSelector, Selector};
-use oarsmt::topk::{select_top_k, steiner_budget};
+use oarsmt::topk::{select_top_k_into, steiner_budget};
 use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
 use oarsmt_geom::HananGraph;
 use oarsmt_nn::unet::UNetConfig;
+use oarsmt_nn::NnWorkspace;
 
 use crate::runner::Lane;
 
@@ -77,11 +78,20 @@ pub fn selector_config() -> UNetConfig {
 /// A sparse synthetic label in graph order: 1 at the median heuristic's
 /// top-k Steiner points, 0 elsewhere.
 pub fn heuristic_label(graph: &HananGraph) -> Vec<f32> {
-    let mut heuristic = MedianHeuristicSelector::new();
-    let fsp = heuristic.fsp(graph, &[]);
-    let k = steiner_budget(graph.pins().len());
+    let mut fsp = Vec::new();
+    MedianHeuristicSelector::new().fsp_into_ws(graph, &[], &mut fsp, &mut NnWorkspace::new());
+    let mut top = Vec::new();
+    select_top_k_into(
+        graph,
+        &fsp,
+        steiner_budget(graph.pins().len()),
+        &[],
+        &mut Vec::new(),
+        &mut Vec::new(),
+        &mut top,
+    );
     let mut label = vec![0.0f32; graph.len()];
-    for p in select_top_k(graph, &fsp, k, &[]) {
+    for p in top {
         label[graph.index(p)] = 1.0;
     }
     label

@@ -3,9 +3,9 @@
 //!
 //! A *forward* is one [`UNet3d::predict_in`] over the 7-channel feature
 //! encoding of a generated layout — exactly the inference a
-//! `NeuralSelector::fsp` performs once per MCTS search. A *train step* is
-//! one `zero_grad` + `forward` + BCE-with-logits + `backward` on the
-//! same input with a sparse synthetic label — the inner loop of
+//! `NeuralSelector::fsp_into_ws` performs once per MCTS search. A *train
+//! step* is one `zero_grad` + `forward` + BCE-with-logits + `backward` on
+//! the same input with a sparse synthetic label — the inner loop of
 //! `Trainer::fit_batch`.
 //!
 //! Everything runs on the default kernel lane — the AVX2 tiles wherever
@@ -35,7 +35,7 @@
 
 use std::time::Instant;
 
-use oarsmt::features::{encode_features, from_graph_order, valid_mask};
+use oarsmt::features::{encode_features_into, from_graph_order, valid_mask};
 use oarsmt_nn::layer::Layer;
 use oarsmt_nn::loss::bce_with_logits;
 use oarsmt_nn::tensor::Tensor;
@@ -67,7 +67,7 @@ const ITERS: [(usize, usize); 6] = [(300, 120), (150, 60), (80, 32), (50, 20), (
 /// Layout feature tensor + sparse label/mask for a rung.
 fn rung_inputs(r: &SizeRung) -> (Tensor, Tensor, Tensor) {
     let graph = r.graph();
-    let x = encode_features(&graph, &[]);
+    let x = encode_features_into(&graph, &[], &mut NnWorkspace::new());
     let targets = from_graph_order(&heuristic_label(&graph), &graph);
     let mask = valid_mask(&graph, &[]);
     (x, targets, mask)

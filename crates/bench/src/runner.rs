@@ -12,6 +12,7 @@
 //! A lane given a flag it does not take exits with status 2; each lane's
 //! module documents the flags it takes.
 
+use std::io::Write as _;
 use std::path::Path;
 
 use oarsmt_telemetry::runlog::RunLogger;
@@ -324,7 +325,9 @@ pub fn main(args: &[String]) -> i32 {
     match result {
         Ok(()) => 0,
         Err(e) => {
-            eprintln!("error: {e}\n{}", usage());
+            // Not `eprintln!`: it panics on a closed stderr pipe, which
+            // would turn this exit status 2 into 101.
+            let _ = writeln!(std::io::stderr(), "error: {e}\n{}", usage());
             2
         }
     }

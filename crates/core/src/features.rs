@@ -21,7 +21,7 @@
 //! Feature tensors are shaped `[7, M, H, V]` — the layer axis first and the
 //! long `V` axis last, so convolution inner loops run over long contiguous
 //! rows (Hanan layer counts are small). Use [`tensor_offset`] /
-//! [`to_graph_order`] / [`from_graph_order`] to translate between the
+//! [`to_graph_order_into`] / [`from_graph_order`] to translate between the
 //! tensor's spatial flattening and [`HananGraph::index`] order.
 
 use oarsmt_geom::{GridPoint, HananGraph, VertexKind};
@@ -39,19 +39,8 @@ pub fn tensor_offset(graph: &HananGraph, p: GridPoint) -> usize {
 }
 
 /// Reorders one tensor channel (flat `[M, H, V]` data) into
-/// [`HananGraph::index`] order.
-///
-/// # Panics
-///
-/// Panics if `channel.len() != graph.len()`.
-pub fn to_graph_order(channel: &[f32], graph: &HananGraph) -> Vec<f32> {
-    let mut out = Vec::with_capacity(graph.len());
-    to_graph_order_into(channel, graph, &mut out);
-    out
-}
-
-/// [`to_graph_order`] into a caller-owned buffer, which is cleared first.
-/// The buffer's allocation is reused across calls (see
+/// [`HananGraph::index`] order, in a caller-owned buffer which is cleared
+/// first. The buffer's allocation is reused across calls (see
 /// `oarsmt_router::RouteContext`).
 ///
 /// # Panics
@@ -75,7 +64,7 @@ pub fn to_graph_order_append(channel: &[f32], graph: &HananGraph, out: &mut Vec<
 }
 
 /// Builds a `[1, M, H, V]` tensor from per-vertex values given in
-/// [`HananGraph::index`] order — the inverse of [`to_graph_order`].
+/// [`HananGraph::index`] order — the inverse of [`to_graph_order_into`].
 ///
 /// # Panics
 ///
@@ -96,13 +85,10 @@ pub fn from_graph_order(values: &[f32], graph: &HananGraph) -> Tensor {
 /// `extra_pins` are encoded as pins in channel 0 on top of the graph's own
 /// pins — this is how MCTS states ("previously selected Steiner points are
 /// ... treated as normal pins", Section 3.4) are presented to the selector.
-pub fn encode_features(graph: &HananGraph, extra_pins: &[GridPoint]) -> Tensor {
-    encode_features_into(graph, extra_pins, &mut NnWorkspace::new())
-}
-
-/// [`encode_features`] with the tensor drawn from a workspace pool, so the
-/// inference hot path (see `oarsmt_router::RouteContext::nn`) encodes
-/// without allocating. Free the returned tensor back into `ws` after use.
+///
+/// The tensor is drawn from the workspace pool, so the inference hot path
+/// (see `oarsmt_router::RouteContext::nn`) encodes without allocating. Free
+/// the returned tensor back into `ws` after use.
 pub fn encode_features_into(
     graph: &HananGraph,
     extra_pins: &[GridPoint],
@@ -235,10 +221,14 @@ mod tests {
         g
     }
 
+    fn encode(g: &HananGraph, extra: &[GridPoint]) -> Tensor {
+        encode_features_into(g, extra, &mut NnWorkspace::new())
+    }
+
     #[test]
     fn shape_and_channel_semantics() {
         let g = sample_graph();
-        let t = encode_features(&g, &[]);
+        let t = encode(&g, &[]);
         assert_eq!(t.shape(), &[7, 2, 3, 3]); // [C, M, H, V]
                                               // Pin channel (indexed as c, m, h, v).
         assert_eq!(t.at4(0, 0, 0, 0), 1.0);
@@ -252,7 +242,7 @@ mod tests {
     #[test]
     fn cost_channels_are_normalized_by_max() {
         let g = sample_graph();
-        let t = encode_features(&g, &[]);
+        let t = encode(&g, &[]);
         // max cost is 8; right cost from h=0 is 2 -> 0.25.
         assert_eq!(t.at4(2, 0, 0, 0), 0.25);
         // left of h=0 doesn't exist.
@@ -275,7 +265,7 @@ mod tests {
     fn extra_pins_appear_in_pin_channel() {
         let g = sample_graph();
         let extra = GridPoint::new(2, 0, 0);
-        let t = encode_features(&g, &[extra]);
+        let t = encode(&g, &[extra]);
         assert_eq!(t.at4(0, 0, 2, 0), 1.0);
     }
 
@@ -285,7 +275,8 @@ mod tests {
         let values: Vec<f32> = (0..g.len()).map(|i| i as f32).collect();
         let tensor = from_graph_order(&values, &g);
         assert_eq!(tensor.shape(), &[1, 2, 3, 3]);
-        let back = to_graph_order(tensor.data(), &g);
+        let mut back = vec![-1.0; 2]; // stale contents must be cleared
+        to_graph_order_into(tensor.data(), &g, &mut back);
         assert_eq!(back, values);
         // Spot-check the offset mapping.
         let p = GridPoint::new(2, 1, 1);

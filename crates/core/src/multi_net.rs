@@ -84,6 +84,36 @@ impl fmt::Display for MultiNetOutcome {
     }
 }
 
+impl MultiNetOutcome {
+    fn with_capacity(nets: usize) -> Self {
+        MultiNetOutcome {
+            nets: Vec::with_capacity(nets),
+            total_cost: 0.0,
+            failed: 0,
+        }
+    }
+
+    /// Records one net's result. A routed tree is committed: every tree
+    /// vertex becomes an obstacle on `base` for the remaining nets
+    /// (pre-routed wire).
+    fn commit(&mut self, base: &mut HananGraph, net: &Net, tree: Option<RouteTree>) {
+        match &tree {
+            Some(t) => {
+                self.total_cost += t.cost();
+                // lint: ordered-ok(marking a vertex set as obstacles is order-insensitive)
+                for v in t.vertices() {
+                    let _ = base.add_obstacle_vertex(base.point(v as usize));
+                }
+            }
+            None => self.failed += 1,
+        }
+        self.nets.push(NetResult {
+            name: net.name.clone(),
+            tree,
+        });
+    }
+}
+
 /// Routes several nets sequentially, committing each tree as obstacles.
 #[derive(Debug)]
 pub struct MultiNetRouter<S> {
@@ -127,58 +157,12 @@ impl<S: Selector> MultiNetRouter<S> {
         }
         // Start from an un-pinned copy of the template.
         let mut base = strip_pins(template);
-        let mut results = Vec::with_capacity(nets.len());
-        let mut total_cost = 0.0;
-        let mut failed = 0usize;
+        let mut out = MultiNetOutcome::with_capacity(nets.len());
         for &i in &order {
-            let net = &nets[i];
-            // Place this net's pins on the current (obstacle-augmented) graph.
-            let mut graph = base.clone();
-            let mut placeable = true;
-            for &p in &net.pins {
-                if graph.add_pin(p).is_err() {
-                    placeable = false;
-                    break;
-                }
-            }
-            if !placeable {
-                failed += 1;
-                results.push(NetResult {
-                    name: net.name.clone(),
-                    tree: None,
-                });
-                continue;
-            }
-            match self.router.route(&graph) {
-                Ok(out) => {
-                    total_cost += out.tree.cost();
-                    // Commit: every tree vertex becomes an obstacle for the
-                    // remaining nets (pre-routed wire).
-                    // lint: ordered-ok(marking a vertex set as obstacles is order-insensitive)
-                    for v in out.tree.vertices() {
-                        let p = graph.point(v as usize);
-                        let _ = base.add_obstacle_vertex(p);
-                    }
-                    results.push(NetResult {
-                        name: net.name.clone(),
-                        tree: Some(out.tree),
-                    });
-                }
-                Err(CoreError::Route(_)) => {
-                    failed += 1;
-                    results.push(NetResult {
-                        name: net.name.clone(),
-                        tree: None,
-                    });
-                }
-                Err(e) => return Err(e),
-            }
+            let tree = route_one(&mut self.router, &base, &nets[i])?;
+            out.commit(&mut base, &nets[i], tree);
         }
-        Ok(MultiNetOutcome {
-            nets: results,
-            total_cost,
-            failed,
-        })
+        Ok(out)
     }
 }
 
@@ -214,9 +198,7 @@ impl<S: Selector + Clone + Send + Sync> MultiNetRouter<S> {
             pending.sort_by_key(|&i| (nets[i].hpwl(), nets[i].pins.len()));
         }
         let mut base = strip_pins(template);
-        let mut results = Vec::with_capacity(nets.len());
-        let mut total_cost = 0.0;
-        let mut failed = 0usize;
+        let mut out = MultiNetOutcome::with_capacity(nets.len());
 
         while !pending.is_empty() {
             // Greedy wave: the longest prefix-respecting set of nets whose
@@ -264,33 +246,10 @@ impl<S: Selector + Clone + Send + Sync> MultiNetRouter<S> {
                         tree = route_one(&mut self.router, &base, net)?;
                     }
                 }
-                match tree {
-                    Some(t) => {
-                        total_cost += t.cost();
-                        // lint: ordered-ok(marking a vertex set as obstacles is order-insensitive)
-                        for v in t.vertices() {
-                            let _ = base.add_obstacle_vertex(base.point(v as usize));
-                        }
-                        results.push(NetResult {
-                            name: net.name.clone(),
-                            tree: Some(t),
-                        });
-                    }
-                    None => {
-                        failed += 1;
-                        results.push(NetResult {
-                            name: net.name.clone(),
-                            tree: None,
-                        });
-                    }
-                }
+                out.commit(&mut base, net, tree);
             }
         }
-        Ok(MultiNetOutcome {
-            nets: results,
-            total_cost,
-            failed,
-        })
+        Ok(out)
     }
 }
 

@@ -40,11 +40,13 @@ impl fmt::Display for RouteOutcome {
 
 /// The RL router: a Steiner-point [`Selector`] feeding the OARMST router.
 ///
-/// With `safeguard` enabled (the default), the router also builds the
-/// pins-only OARMST and returns whichever tree is cheaper, so a poorly
+/// Two passes follow the selected build. The safeguard also builds the
+/// pins-only OARMST and keeps whichever tree is cheaper, so a poorly
 /// trained selector can never make the result worse than no Steiner points
-/// at all. Disable it with [`RlRouter::without_safeguard`] to measure the
-/// raw selector quality (as the ST-to-MST experiments of Figs. 11–12 do).
+/// at all. Refinement then alternates path-assessed polish with rebuilds
+/// over the implied Steiner vertices. Raw selector quality (the ST-to-MST
+/// ratio of Figs. 11–12) is measured without this router, by
+/// `oarsmt_rl::trainer::st_to_mst_over_cases` on the bare OARMST builder.
 #[derive(Debug, Clone)]
 pub struct RlRouter<S> {
     selector: S,
@@ -54,8 +56,6 @@ pub struct RlRouter<S> {
     /// One router (and hence one context) lives on each worker thread in
     /// the parallel evaluation paths.
     ctx: RouteContext,
-    safeguard: bool,
-    refine: bool,
 }
 
 impl<S: Selector> RlRouter<S> {
@@ -67,29 +67,7 @@ impl<S: Selector> RlRouter<S> {
             // OARMST builds skip theirs.
             oarmst: OarmstRouter::new().with_polish_rounds(0),
             ctx: RouteContext::new(),
-            safeguard: true,
-            refine: true,
         }
-    }
-
-    /// Disables the pins-only safeguard (builder style).
-    #[must_use]
-    pub fn without_safeguard(mut self) -> Self {
-        self.safeguard = false;
-        self
-    }
-
-    /// Disables the implied-Steiner refinement pass (builder style).
-    ///
-    /// Refinement promotes grid vertices that emerged with degree ≥ 3 in
-    /// the first tree to Steiner candidates and rebuilds once, keeping the
-    /// cheaper tree — the "remove redundant Steiner points ... and then
-    /// reconstruct" step of the OARMST router generalized to also *add*
-    /// discovered branch points.
-    #[must_use]
-    pub fn without_refine(mut self) -> Self {
-        self.refine = false;
-        self
     }
 
     /// Access to the wrapped selector.
@@ -114,7 +92,8 @@ impl<S: Selector> RlRouter<S> {
     }
 
     /// Routes a layout: one selector inference, top `n − 2` Steiner points,
-    /// OARMST construction with pruning.
+    /// OARMST construction with pruning, the pins-only safeguard, and
+    /// refinement.
     ///
     /// # Errors
     ///
@@ -141,50 +120,46 @@ impl<S: Selector> RlRouter<S> {
         let mut tree = self
             .oarmst
             .route_in(&mut self.ctx, graph, &steiner_points)?;
-        if self.safeguard {
-            let plain = self.oarmst.route_in(&mut self.ctx, graph, &[])?;
-            if plain.cost() < tree.cost() {
-                self.ctx.recycle_tree(std::mem::replace(&mut tree, plain));
-            } else {
-                self.ctx.recycle_tree(plain);
-            }
+        let plain = self.oarmst.route_in(&mut self.ctx, graph, &[])?;
+        if plain.cost() < tree.cost() {
+            self.ctx.recycle_tree(std::mem::replace(&mut tree, plain));
+        } else {
+            self.ctx.recycle_tree(plain);
         }
-        if self.refine {
-            // Alternate path-assessed polish (to convergence) with
-            // reconstruction over the discovered branch vertices plus the
-            // selector's candidates — the OARMST step follows [14], whose
-            // retracing interleaves both moves until the tree stabilizes.
-            for round in 0..4 {
-                let mut terminals: Vec<GridPoint> = graph.pins().to_vec();
-                terminals.extend(tree.steiner_vertices(graph, graph.pins()));
-                for _ in 0..8 {
-                    let (polished, improved) = oarsmt_router::retrace::polish_round_in(
-                        &mut self.ctx,
-                        graph,
-                        tree,
-                        &terminals,
-                    )?;
-                    tree = polished;
-                    if !improved {
-                        break;
-                    }
-                }
-                let mut promoted = tree.steiner_vertices(graph, graph.pins());
-                promoted.extend_from_slice(&steiner_points);
-                // Rotate the Prim start terminal per round: alternate
-                // construction orders explore different equal-cost path
-                // choices.
-                let rebuilt = self.oarmst.clone().with_start(round).route_in(
+        // Alternate path-assessed polish (to convergence) with
+        // reconstruction over the discovered branch vertices plus the
+        // selector's candidates — the OARMST step follows [14], whose
+        // retracing interleaves both moves until the tree stabilizes.
+        for round in 0..4 {
+            let mut terminals: Vec<GridPoint> = graph.pins().to_vec();
+            terminals.extend(tree.steiner_vertices(graph, graph.pins()));
+            for _ in 0..8 {
+                let (polished, improved) = oarsmt_router::retrace::polish_round_in(
                     &mut self.ctx,
                     graph,
-                    &promoted,
+                    tree,
+                    &terminals,
                 )?;
-                if rebuilt.cost() + 1e-9 < tree.cost() {
-                    self.ctx.recycle_tree(std::mem::replace(&mut tree, rebuilt));
-                } else {
-                    self.ctx.recycle_tree(rebuilt);
+                tree = polished;
+                if !improved {
                     break;
                 }
+            }
+            let mut promoted = tree.steiner_vertices(graph, graph.pins());
+            promoted.extend_from_slice(&steiner_points);
+            // Rotate the Prim start terminal per round: alternate
+            // construction orders explore different equal-cost path
+            // choices.
+            let rebuilt =
+                self.oarmst
+                    .clone()
+                    .with_start(round)
+                    .route_in(&mut self.ctx, graph, &promoted)?;
+            if rebuilt.cost() + 1e-9 < tree.cost() {
+                self.ctx.recycle_tree(std::mem::replace(&mut tree, rebuilt));
+            } else {
+                self.ctx.recycle_tree(rebuilt);
+                break;
             }
         }
         Ok(RouteOutcome {
@@ -199,7 +174,7 @@ impl<S: Selector> RlRouter<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::selector::{MedianHeuristicSelector, NeuralSelector, UniformSelector};
+    use crate::selector::{MedianHeuristicSelector, NeuralSelector};
     use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
     use oarsmt_nn::unet::UNetConfig;
 
@@ -244,16 +219,6 @@ mod tests {
             assert!(out.tree.spans_in(&g, g.pins()));
             assert!(out.tree.is_tree());
         }
-    }
-
-    #[test]
-    fn without_safeguard_reports_raw_selector_quality() {
-        let g = cross_graph();
-        // Uniform selector picks by tie-break priority — likely bad points,
-        // but OARMST pruning removes redundant ones, so the tree is valid.
-        let mut router = RlRouter::new(UniformSelector::new(0.5)).without_safeguard();
-        let out = router.route(&g).unwrap();
-        assert!(out.tree.spans_in(&g, g.pins()));
     }
 
     #[test]

@@ -18,36 +18,24 @@ use crate::features::{encode_features_batch_into, FEATURE_CHANNELS};
 /// which the selector must treat as pins (Section 3.4). Methods take
 /// `&mut self` so stateful selectors fit; neural inference itself is
 /// read-only (`&NeuralSelector` is a selector too).
+///
+/// Every inference runs against a caller-owned output buffer and a
+/// neural-network scratch arena. Hot paths (the MCTS critic, the RL router)
+/// pass the `fsp` buffer and the `nn` workspace of their
+/// `oarsmt_router::RouteContext`, so repeated inference allocates nothing;
+/// a one-off caller passes `&mut Vec::new()` and `&mut NnWorkspace::new()`.
 pub trait Selector {
     /// Per-vertex final selected probabilities, indexed like
-    /// [`HananGraph::index`], each in `[0, 1]`.
-    fn fsp(&mut self, graph: &HananGraph, extra_pins: &[GridPoint]) -> Vec<f32>;
-
-    /// [`Selector::fsp`] into a caller-owned buffer, which is cleared first.
-    ///
-    /// Hot paths (the MCTS critic, the RL router) call this with a scratch
-    /// buffer from their `oarsmt_router::RouteContext` so repeated inference
-    /// reuses one allocation. The default delegates to [`Selector::fsp`];
-    /// implementations with allocation-free output paths should override it.
-    fn fsp_into(&mut self, graph: &HananGraph, extra_pins: &[GridPoint], out: &mut Vec<f32>) {
-        *out = self.fsp(graph, extra_pins);
-    }
-
-    /// [`Selector::fsp_into`] with a neural-network scratch arena. Neural
-    /// selectors run the whole inference (feature encoding, every layer's
-    /// activations) out of `ws`, so repeated calls allocate nothing; other
-    /// selectors ignore `ws`. Callers on the MCTS/routing hot path pass
-    /// `oarsmt_router::RouteContext::nn`.
+    /// [`HananGraph::index`], each in `[0, 1]`, written to `out` (cleared
+    /// first). Neural selectors run the whole inference (feature encoding,
+    /// every layer's activations) out of `ws`; other selectors ignore it.
     fn fsp_into_ws(
         &mut self,
         graph: &HananGraph,
         extra_pins: &[GridPoint],
         out: &mut Vec<f32>,
         ws: &mut NnWorkspace,
-    ) {
-        let _ = ws;
-        self.fsp_into(graph, extra_pins, out);
-    }
+    );
 
     /// Batched [`Selector::fsp_into_ws`] over several MCTS states of **one**
     /// graph. State `b`'s extra pins are the `lens[b]` points at their
@@ -89,31 +77,12 @@ pub trait Selector {
             out.extend_from_slice(&tmp);
         }
     }
-
-    /// [`Selector::fsp_batch_into_ws`] with a throwaway workspace — test
-    /// and offline convenience.
-    fn fsp_batch_into(
-        &mut self,
-        graph: &HananGraph,
-        pts: &[GridPoint],
-        lens: &[u32],
-        out: &mut Vec<f32>,
-    ) {
-        self.fsp_batch_into_ws(graph, pts, lens, out, &mut NnWorkspace::new());
-    }
 }
 
 /// Mutable references are selectors too, so routers can borrow a selector
-/// without taking ownership.
+/// without taking ownership. Both methods forward: a `&mut S` that fell
+/// back to the default batch loop would lose the batched kernels.
 impl<S: Selector + ?Sized> Selector for &mut S {
-    fn fsp(&mut self, graph: &HananGraph, extra_pins: &[GridPoint]) -> Vec<f32> {
-        (**self).fsp(graph, extra_pins)
-    }
-
-    fn fsp_into(&mut self, graph: &HananGraph, extra_pins: &[GridPoint], out: &mut Vec<f32>) {
-        (**self).fsp_into(graph, extra_pins, out);
-    }
-
     fn fsp_into_ws(
         &mut self,
         graph: &HananGraph,
@@ -124,8 +93,6 @@ impl<S: Selector + ?Sized> Selector for &mut S {
         (**self).fsp_into_ws(graph, extra_pins, out, ws);
     }
 
-    // The batch methods must forward explicitly too, or a `&mut S` would
-    // fall back to the sequential default and lose the batched kernels.
     fn fsp_batch_into_ws(
         &mut self,
         graph: &HananGraph,
@@ -135,16 +102,6 @@ impl<S: Selector + ?Sized> Selector for &mut S {
         ws: &mut NnWorkspace,
     ) {
         (**self).fsp_batch_into_ws(graph, pts, lens, out, ws);
-    }
-
-    fn fsp_batch_into(
-        &mut self,
-        graph: &HananGraph,
-        pts: &[GridPoint],
-        lens: &[u32],
-        out: &mut Vec<f32>,
-    ) {
-        (**self).fsp_batch_into(graph, pts, lens, out);
     }
 }
 
@@ -220,14 +177,6 @@ impl NeuralSelector {
 /// The owned selector runs the shared-reference path: inference takes
 /// `&self` all the way down, so owning the weights changes nothing.
 impl Selector for NeuralSelector {
-    fn fsp(&mut self, graph: &HananGraph, extra_pins: &[GridPoint]) -> Vec<f32> {
-        (&*self).fsp(graph, extra_pins)
-    }
-
-    fn fsp_into(&mut self, graph: &HananGraph, extra_pins: &[GridPoint], out: &mut Vec<f32>) {
-        (&*self).fsp_into(graph, extra_pins, out);
-    }
-
     fn fsp_into_ws(
         &mut self,
         graph: &HananGraph,
@@ -268,16 +217,6 @@ const FLUSH_CHUNK_VOXELS: usize = 32 * 1024;
 /// parallel workers and the training harness evaluate one weight set
 /// without cloning it per thread.
 impl Selector for &NeuralSelector {
-    fn fsp(&mut self, graph: &HananGraph, extra_pins: &[GridPoint]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(graph.len());
-        self.fsp_into(graph, extra_pins, &mut out);
-        out
-    }
-
-    fn fsp_into(&mut self, graph: &HananGraph, extra_pins: &[GridPoint], out: &mut Vec<f32>) {
-        self.fsp_into_ws(graph, extra_pins, out, &mut NnWorkspace::new());
-    }
-
     fn fsp_into_ws(
         &mut self,
         graph: &HananGraph,
@@ -362,13 +301,13 @@ impl UniformSelector {
 }
 
 impl Selector for UniformSelector {
-    fn fsp(&mut self, graph: &HananGraph, extra_pins: &[GridPoint]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(graph.len());
-        self.fsp_into(graph, extra_pins, &mut out);
-        out
-    }
-
-    fn fsp_into(&mut self, graph: &HananGraph, _extra_pins: &[GridPoint], out: &mut Vec<f32>) {
+    fn fsp_into_ws(
+        &mut self,
+        graph: &HananGraph,
+        _extra_pins: &[GridPoint],
+        out: &mut Vec<f32>,
+        _ws: &mut NnWorkspace,
+    ) {
         out.clear();
         out.resize(graph.len(), self.p);
     }
@@ -389,13 +328,13 @@ impl MedianHeuristicSelector {
 }
 
 impl Selector for MedianHeuristicSelector {
-    fn fsp(&mut self, graph: &HananGraph, extra_pins: &[GridPoint]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(graph.len());
-        self.fsp_into(graph, extra_pins, &mut out);
-        out
-    }
-
-    fn fsp_into(&mut self, graph: &HananGraph, extra_pins: &[GridPoint], out: &mut Vec<f32>) {
+    fn fsp_into_ws(
+        &mut self,
+        graph: &HananGraph,
+        extra_pins: &[GridPoint],
+        out: &mut Vec<f32>,
+        _ws: &mut NnWorkspace,
+    ) {
         out.clear();
         let mut pins: Vec<GridPoint> = graph.pins().to_vec();
         pins.extend_from_slice(extra_pins);
@@ -431,6 +370,13 @@ mod tests {
         g
     }
 
+    /// One inference into a fresh buffer through a throwaway workspace.
+    fn fsp<S: Selector>(mut s: S, g: &HananGraph, extra: &[GridPoint]) -> Vec<f32> {
+        let mut out = Vec::new();
+        s.fsp_into_ws(g, extra, &mut out, &mut NnWorkspace::new());
+        out
+    }
+
     #[test]
     fn neural_selector_outputs_probabilities_for_any_size() {
         let mut s = NeuralSelector::with_config(UNetConfig {
@@ -441,7 +387,7 @@ mod tests {
         });
         for (h, v, m) in [(5, 5, 2), (3, 7, 1), (9, 4, 3)] {
             let g = HananGraph::uniform(h, v, m, 1.0, 1.0, 3.0);
-            let fsp = s.fsp(&g, &[]);
+            let fsp = fsp(&mut s, &g, &[]);
             assert_eq!(fsp.len(), g.len());
             assert!(fsp.iter().all(|&p| p > 0.0 && p < 1.0));
         }
@@ -456,16 +402,15 @@ mod tests {
             seed: 1,
         });
         let g = graph();
-        let base = s.fsp(&g, &[]);
-        let with_extra = s.fsp(&g, &[GridPoint::new(3, 3, 1)]);
+        let base = fsp(&mut s, &g, &[]);
+        let with_extra = fsp(&mut s, &g, &[GridPoint::new(3, 3, 1)]);
         assert_ne!(base, with_extra);
     }
 
     #[test]
     fn median_heuristic_peaks_at_the_median() {
-        let mut s = MedianHeuristicSelector::new();
         let g = graph();
-        let fsp = s.fsp(&g, &[]);
+        let fsp = fsp(MedianHeuristicSelector::new(), &g, &[]);
         // Median of pins (0,2,0),(4,2,0),(2,0,0) is (2,2,0).
         let at_median = fsp[g.index(GridPoint::new(2, 2, 0))];
         for &p in &fsp {
@@ -475,31 +420,33 @@ mod tests {
 
     #[test]
     fn uniform_selector_is_flat() {
-        let mut s = UniformSelector::new(0.3);
         let g = graph();
-        let fsp = s.fsp(&g, &[]);
+        let fsp = fsp(UniformSelector::new(0.3), &g, &[]);
         assert!(fsp.iter().all(|&p| p == 0.3));
     }
 
     #[test]
-    fn fsp_into_matches_fsp_for_every_selector() {
+    fn fsp_into_ws_overwrites_a_stale_buffer_for_every_selector() {
         let g = graph();
         let extra = [GridPoint::new(3, 3, 1)];
-        let mut buf = vec![1.0f32; 3]; // stale contents must be cleared
+        let mut ws = NnWorkspace::new();
         let mut neural = NeuralSelector::with_config(UNetConfig {
             in_channels: 7,
             base_channels: 2,
             levels: 1,
             seed: 3,
         });
-        neural.fsp_into(&g, &extra, &mut buf);
-        assert_eq!(buf, neural.fsp(&g, &extra));
+        let mut buf = vec![1.0f32; 3]; // stale contents must be cleared
+        neural.fsp_into_ws(&g, &extra, &mut buf, &mut ws);
+        assert_eq!(buf, fsp(&mut neural, &g, &extra));
         let mut median = MedianHeuristicSelector::new();
-        median.fsp_into(&g, &extra, &mut buf);
-        assert_eq!(buf, median.fsp(&g, &extra));
+        let mut buf = vec![1.0f32; 3];
+        median.fsp_into_ws(&g, &extra, &mut buf, &mut ws);
+        assert_eq!(buf, fsp(median, &g, &extra));
         let mut uniform = UniformSelector::new(0.7);
-        uniform.fsp_into(&g, &extra, &mut buf);
-        assert_eq!(buf, uniform.fsp(&g, &extra));
+        let mut buf = vec![1.0f32; 3];
+        uniform.fsp_into_ws(&g, &extra, &mut buf, &mut ws);
+        assert_eq!(buf, fsp(uniform, &g, &extra));
     }
 
     /// The batched neural path must be bit-identical, per state, to the
@@ -544,10 +491,36 @@ mod tests {
         // Heuristic selectors ride the default loop.
         let mut median = MedianHeuristicSelector::new();
         let mut mb = Vec::new();
-        median.fsp_batch_into(&g, &pts, &lens, &mut mb);
+        median.fsp_batch_into_ws(&g, &pts, &lens, &mut mb, &mut ws);
         for (b, s) in states.iter().enumerate() {
-            assert_eq!(&mb[b * g.len()..(b + 1) * g.len()], &median.fsp(&g, s)[..]);
+            assert_eq!(&mb[b * g.len()..(b + 1) * g.len()], &fsp(median, &g, s)[..]);
         }
+    }
+
+    /// A borrowed neural selector keeps the batched kernels: three states
+    /// through `&mut NeuralSelector` are one network pass of three columns,
+    /// not three passes of one.
+    #[test]
+    fn borrowed_neural_selector_batches_in_one_pass() {
+        use oarsmt_telemetry::Counter;
+
+        fn flush<S: Selector>(mut s: S, g: &HananGraph, pts: &[GridPoint], lens: &[u32]) {
+            let mut ws = NnWorkspace::new();
+            let mut out = Vec::new();
+            s.fsp_batch_into_ws(g, pts, lens, &mut out, &mut ws);
+            assert_eq!(out.len(), lens.len() * g.len());
+            assert_eq!(ws.counters.get(Counter::BatchFlushes), 1);
+            assert_eq!(ws.counters.get(Counter::GemmBatchCols), 3);
+        }
+        let g = graph();
+        let pts = [GridPoint::new(3, 3, 1), GridPoint::new(1, 4, 0)];
+        let mut neural = NeuralSelector::with_config(UNetConfig {
+            in_channels: 7,
+            base_channels: 2,
+            levels: 1,
+            seed: 5,
+        });
+        flush(&mut neural, &g, &pts, &[0, 1, 1]);
     }
 
     /// Shared (`&NeuralSelector`) inference must reproduce the owned
@@ -562,9 +535,8 @@ mod tests {
             levels: 2,
             seed: 9,
         });
-        let reference = owned.fsp(&g, &extra);
-        let mut by_ref = &owned;
-        let via_ref = by_ref.fsp(&g, &extra);
+        let reference = fsp(&mut owned, &g, &extra);
+        let via_ref = fsp(&owned, &g, &extra);
         for i in 0..reference.len() {
             assert_eq!(reference[i].to_bits(), via_ref[i].to_bits(), "vertex {i}");
         }
@@ -583,8 +555,8 @@ mod tests {
             levels: 9,
             seed: 13,
         });
-        let reference = owned.fsp(&g, &extra);
-        let via_ref = (&owned).fsp(&g, &extra);
+        let reference = fsp(&mut owned, &g, &extra);
+        let via_ref = fsp(&owned, &g, &extra);
         assert_eq!(reference.len(), g.len());
         for i in 0..reference.len() {
             assert_eq!(reference[i].to_bits(), via_ref[i].to_bits(), "vertex {i}");
@@ -607,7 +579,7 @@ mod tests {
         let mut b = NeuralSelector::with_config(UNetConfig { seed: 8, ..cfg });
         b.load(&path).unwrap();
         let g = graph();
-        assert_eq!(a.fsp(&g, &[]), b.fsp(&g, &[]));
+        assert_eq!(fsp(&mut a, &g, &[]), fsp(&mut b, &g, &[]));
         std::fs::remove_file(&path).ok();
     }
 

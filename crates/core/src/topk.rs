@@ -8,39 +8,16 @@
 
 use oarsmt_geom::{GridPoint, HananGraph, VertexKind};
 
-/// Selects the `k` valid vertices with the highest probabilities.
+/// Selects the `k` valid vertices with the highest probabilities through
+/// caller-owned scratch buffers: `scored` and `excl_idx` are cleared and
+/// reused, and the selection is **appended** to `out`, the appended suffix
+/// sorted by selection priority. Appending lets a caller keep
+/// already-fixed Steiner points in `out` and extend them with the
+/// completion in place.
 ///
 /// `exclude` marks additional invalid vertices (e.g. Steiner points already
-/// fixed by an MCTS state). Returns fewer than `k` points when fewer valid
-/// vertices exist. The result is sorted by selection priority.
-///
-/// # Panics
-///
-/// Panics if `fsp.len() != graph.len()`.
-pub fn select_top_k(
-    graph: &HananGraph,
-    fsp: &[f32],
-    k: usize,
-    exclude: &[GridPoint],
-) -> Vec<GridPoint> {
-    let mut out = Vec::new();
-    select_top_k_into(
-        graph,
-        fsp,
-        k,
-        exclude,
-        &mut Vec::new(),
-        &mut Vec::new(),
-        &mut out,
-    );
-    out
-}
-
-/// [`select_top_k`] through caller-owned scratch buffers: `scored` and
-/// `excl_idx` are cleared and reused, and the selection is **appended** to
-/// `out` (the appended suffix sorted by selection priority, like
-/// [`select_top_k`]'s result). Appending lets a caller keep already-fixed
-/// Steiner points in `out` and extend them with the completion in place.
+/// fixed by an MCTS state). Fewer than `k` points are appended when fewer
+/// valid vertices exist.
 ///
 /// # Panics
 ///
@@ -97,6 +74,21 @@ pub fn steiner_budget(pin_count: usize) -> usize {
 mod tests {
     use super::*;
 
+    /// The selection into fresh buffers.
+    fn top_k(graph: &HananGraph, fsp: &[f32], k: usize, exclude: &[GridPoint]) -> Vec<GridPoint> {
+        let mut out = Vec::new();
+        select_top_k_into(
+            graph,
+            fsp,
+            k,
+            exclude,
+            &mut Vec::new(),
+            &mut Vec::new(),
+            &mut out,
+        );
+        out
+    }
+
     fn graph() -> HananGraph {
         let mut g = HananGraph::uniform(3, 3, 1, 1.0, 1.0, 3.0);
         g.add_pin(GridPoint::new(0, 0, 0)).unwrap();
@@ -113,7 +105,7 @@ mod tests {
         // Tempt with invalid vertices:
         fsp[g.index(GridPoint::new(0, 0, 0))] = 1.0; // pin
         fsp[g.index(GridPoint::new(2, 2, 0))] = 1.0; // obstacle
-        let sel = select_top_k(&g, &fsp, 2, &[]);
+        let sel = top_k(&g, &fsp, 2, &[]);
         assert_eq!(sel, vec![GridPoint::new(1, 1, 0), GridPoint::new(2, 0, 0)]);
     }
 
@@ -123,7 +115,7 @@ mod tests {
         let mut fsp = vec![0.5f32; g.len()];
         let hot = GridPoint::new(1, 1, 0);
         fsp[g.index(hot)] = 0.99;
-        let sel = select_top_k(&g, &fsp, 1, &[hot]);
+        let sel = top_k(&g, &fsp, 1, &[hot]);
         assert!(!sel.contains(&hot));
         assert_eq!(sel.len(), 1);
     }
@@ -132,7 +124,7 @@ mod tests {
     fn ties_break_by_priority() {
         let g = graph();
         let fsp = vec![0.5f32; g.len()];
-        let sel = select_top_k(&g, &fsp, 2, &[]);
+        let sel = top_k(&g, &fsp, 2, &[]);
         // First two valid vertices in priority order: (0,1,0) then (0,2,0).
         assert_eq!(sel, vec![GridPoint::new(0, 1, 0), GridPoint::new(0, 2, 0)]);
     }
@@ -141,7 +133,7 @@ mod tests {
     fn k_larger_than_valid_count_returns_all_valid() {
         let g = graph();
         let fsp = vec![0.5f32; g.len()];
-        let sel = select_top_k(&g, &fsp, 100, &[]);
+        let sel = top_k(&g, &fsp, 100, &[]);
         // 9 vertices - 1 pin - 1 obstacle = 7 valid.
         assert_eq!(sel.len(), 7);
     }
@@ -150,7 +142,7 @@ mod tests {
     fn zero_k_returns_empty() {
         let g = graph();
         let fsp = vec![0.5f32; g.len()];
-        assert!(select_top_k(&g, &fsp, 0, &[]).is_empty());
+        assert!(top_k(&g, &fsp, 0, &[]).is_empty());
     }
 
     #[test]
@@ -162,13 +154,13 @@ mod tests {
     }
 
     #[test]
-    fn into_variant_appends_and_matches_allocating_form() {
+    fn reused_buffers_append_after_a_kept_prefix() {
         let g = graph();
         let mut fsp = vec![0.1f32; g.len()];
         fsp[g.index(GridPoint::new(1, 1, 0))] = 0.9;
         fsp[g.index(GridPoint::new(2, 0, 0))] = 0.8;
         let fixed = GridPoint::new(0, 1, 0);
-        let expected = select_top_k(&g, &fsp, 2, &[fixed]);
+        let expected = top_k(&g, &fsp, 2, &[fixed]);
 
         let mut scored = vec![(0.0, 99)];
         let mut excl = vec![42];
@@ -184,7 +176,7 @@ mod tests {
         let mut fsp = vec![0.0f32; g.len()];
         fsp[g.index(GridPoint::new(2, 1, 0))] = 0.9;
         fsp[g.index(GridPoint::new(0, 1, 0))] = 0.5;
-        let sel = select_top_k(&g, &fsp, 2, &[]);
+        let sel = top_k(&g, &fsp, 2, &[]);
         assert_eq!(sel, vec![GridPoint::new(0, 1, 0), GridPoint::new(2, 1, 0)]);
     }
 }

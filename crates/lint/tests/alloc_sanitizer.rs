@@ -329,7 +329,8 @@ fn hot_paths_are_allocation_free_in_steady_state() {
     let critic = Critic::new();
     let mut median = MedianHeuristicSelector::new();
     let selected = [GridPoint::new(2, 2, 0)];
-    let fsp = median.fsp(&g, &selected);
+    let mut fsp = Vec::new();
+    median.fsp_into_ws(&g, &selected, &mut fsp, &mut NnWorkspace::new());
     let mut warm_value = 0.0;
     for _ in 0..3 {
         warm_value = critic

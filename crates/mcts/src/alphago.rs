@@ -13,7 +13,7 @@
 //!   inferences per layout).
 
 use oarsmt::selector::Selector;
-use oarsmt::topk::steiner_budget;
+use oarsmt::topk::{select_top_k_into, steiner_budget};
 use oarsmt_geom::{GridPoint, HananGraph};
 use oarsmt_router::{RouteContext, RouteError};
 
@@ -108,13 +108,29 @@ impl AlphaGoMcts {
 /// Sequential inference with a trained (or heuristic) selector: select one
 /// Steiner point at a time, feeding each selection back as a pin — the
 /// test-time behaviour of the AlphaGo-like and PPO baselines, requiring
-/// `n − 2` network inferences. Returns the selected points.
-pub fn sequential_select<S: Selector>(graph: &HananGraph, selector: &mut S) -> Vec<GridPoint> {
+/// `n − 2` network inferences. Every inference and top-1 pick runs out of
+/// `ctx`'s `fsp`/`scored`/`excluded` buffers and its `nn` workspace.
+/// Returns the selected points.
+pub fn sequential_select<S: Selector>(
+    ctx: &mut RouteContext,
+    graph: &HananGraph,
+    selector: &mut S,
+) -> Vec<GridPoint> {
     let budget = steiner_budget(graph.pins().len());
-    let mut selected: Vec<GridPoint> = Vec::new();
+    let mut selected: Vec<GridPoint> = Vec::with_capacity(budget);
+    let mut next = Vec::with_capacity(1);
     for _ in 0..budget {
-        let fsp = selector.fsp(graph, &selected);
-        let next = oarsmt::topk::select_top_k(graph, &fsp, 1, &selected);
+        selector.fsp_into_ws(graph, &selected, &mut ctx.fsp, &mut ctx.nn);
+        next.clear();
+        select_top_k_into(
+            graph,
+            &ctx.fsp,
+            1,
+            &selected,
+            &mut ctx.scored,
+            &mut ctx.excluded,
+            &mut next,
+        );
         match next.first() {
             Some(&p) => selected.push(p),
             None => break,
@@ -317,9 +333,15 @@ mod tests {
             calls: usize,
         }
         impl Selector for Counting {
-            fn fsp(&mut self, g: &HananGraph, e: &[GridPoint]) -> Vec<f32> {
+            fn fsp_into_ws(
+                &mut self,
+                g: &HananGraph,
+                e: &[GridPoint],
+                out: &mut Vec<f32>,
+                ws: &mut oarsmt_nn::NnWorkspace,
+            ) {
                 self.calls += 1;
-                self.inner.fsp(g, e)
+                self.inner.fsp_into_ws(g, e, out, ws);
             }
         }
         let g = cross(); // 4 pins -> budget 2
@@ -327,7 +349,7 @@ mod tests {
             inner: MedianHeuristicSelector::new(),
             calls: 0,
         };
-        let pts = sequential_select(&g, &mut s);
+        let pts = sequential_select(&mut RouteContext::new(), &g, &mut s);
         assert_eq!(pts.len(), 2);
         assert_eq!(s.calls, 2, "sequential agents pay n-2 inferences");
     }

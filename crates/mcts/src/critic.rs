@@ -120,11 +120,10 @@ mod tests {
     fn critic_with_good_selector_predicts_low_cost() {
         let g = cross();
         let critic = Critic::new();
-        let mut good = MedianHeuristicSelector::new();
-        let fsp = good.fsp(&g, &[]);
-        let predicted = critic
-            .predict_with_fsp_in(&mut RouteContext::new(), &g, &[], &fsp)
-            .unwrap();
+        let mut ctx = RouteContext::new();
+        let mut fsp = Vec::new();
+        MedianHeuristicSelector::new().fsp_into_ws(&g, &[], &mut fsp, &mut ctx.nn);
+        let predicted = critic.predict_with_fsp_in(&mut ctx, &g, &[], &fsp).unwrap();
         // The heuristic puts the center first; a 4-pin cross with the
         // center costs 8.
         assert_eq!(predicted, 8.0);
@@ -139,9 +138,11 @@ mod tests {
         // With the center already fixed, completion adds at most 1 more
         // point; the state's final cost can't exceed the unpruned cost of
         // center + one extra stub... but must at least span the cross.
-        let fsp = sel.fsp(&g, &[center]);
+        let mut ctx = RouteContext::new();
+        let mut fsp = Vec::new();
+        sel.fsp_into_ws(&g, &[center], &mut fsp, &mut ctx.nn);
         let cost = critic
-            .predict_with_fsp_in(&mut RouteContext::new(), &g, &[center], &fsp)
+            .predict_with_fsp_in(&mut ctx, &g, &[center], &fsp)
             .unwrap();
         assert!(cost >= 8.0);
     }

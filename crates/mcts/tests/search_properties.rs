@@ -6,6 +6,7 @@ use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
 use oarsmt_geom::VertexKind;
 use oarsmt_mcts::actor::action_policy_into;
 use oarsmt_mcts::{AlphaGoMcts, CombinatorialMcts, Critic, MctsConfig};
+use oarsmt_nn::NnWorkspace;
 use oarsmt_router::RouteContext;
 use proptest::prelude::*;
 
@@ -72,9 +73,11 @@ proptest! {
         let Ok(state_cost) = critic.state_cost_in(&mut RouteContext::new(), &g, &[]) else {
             return Ok(());
         };
-        let fsp = sel.fsp(&g, &[]);
+        let mut ctx = RouteContext::new();
+        let mut fsp = Vec::new();
+        sel.fsp_into_ws(&g, &[], &mut fsp, &mut ctx.nn);
         let predicted = critic
-            .predict_with_fsp_in(&mut RouteContext::new(), &g, &[], &fsp)
+            .predict_with_fsp_in(&mut ctx, &g, &[], &fsp)
             .unwrap();
         prop_assert!(predicted.is_finite() && predicted > 0.0);
         // Completion prunes redundant candidates, so the prediction stays
@@ -87,7 +90,8 @@ proptest! {
     fn actor_policy_matches_manual_telescoping(seed in 0u64..400, scale in 0.02f32..0.3) {
         let mut gen = CaseGenerator::new(GeneratorConfig::paper_costs(5, 5, 1, (3, 4)), seed);
         let g = gen.generate();
-        let fsp = UniformSelector::new(scale).fsp(&g, &[]);
+        let mut fsp = Vec::new();
+        UniformSelector::new(scale).fsp_into_ws(&g, &[], &mut fsp, &mut NnWorkspace::new());
         let mut policy = Vec::new();
         action_policy_into(&g, &fsp, None, &mut policy);
         // Manual recomputation of eq. (1).

@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use oarsmt::features::{encode_features, tensor_offset, to_graph_order, valid_mask};
+use oarsmt::features::{encode_features_into, tensor_offset, to_graph_order_into, valid_mask};
 use oarsmt::selector::NeuralSelector;
 use oarsmt::topk::steiner_budget;
 use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
@@ -222,7 +222,7 @@ impl PpoTrainer {
         for _ in 0..self.config.epochs {
             for step in steps {
                 let graph = &graphs[step.graph_idx];
-                let x = encode_features(graph, &step.state);
+                let x = encode_features_into(graph, &step.state, &mut self.ws);
 
                 // ---- value network: V(s) = masked mean of its output.
                 let (value_logits, value_cache) = self.value.forward(&x, &mut self.ws);
@@ -277,6 +277,7 @@ impl PpoTrainer {
                 let gi = net.backward(cache, p_grad, &mut self.ws);
                 self.ws.free(gi);
                 self.opt_policy.step(net);
+                self.ws.free(x);
                 updates += 1;
             }
         }
@@ -292,10 +293,11 @@ impl PpoTrainer {
         graph: &HananGraph,
         state: &[GridPoint],
     ) -> (Vec<f32>, Vec<usize>) {
-        let x = encode_features(graph, state);
+        let x = encode_features_into(graph, state, &mut self.ws);
         let (logits, _) = self.policy.net_mut().forward(&x, &mut self.ws);
         let dist = masked_softmax(&logits, graph, state);
         self.ws.free(logits);
+        self.ws.free(x);
         dist
     }
 }
@@ -308,7 +310,8 @@ fn masked_softmax(
     graph: &HananGraph,
     state: &[GridPoint],
 ) -> (Vec<f32>, Vec<usize>) {
-    let lg = to_graph_order(logits.data(), graph);
+    let mut lg = Vec::with_capacity(graph.len());
+    to_graph_order_into(logits.data(), graph, &mut lg);
     let selected: Vec<usize> = state.iter().map(|&p| graph.index(p)).collect();
     let valid: Vec<usize> = (0..graph.len())
         .filter(|&i| graph.kind_at(i) == oarsmt_geom::VertexKind::Empty && !selected.contains(&i))

@@ -3,9 +3,9 @@
 
 use std::fmt;
 
-use oarsmt::features::{encode_features, from_graph_order, valid_mask};
+use oarsmt::features::{encode_features_into, from_graph_order, valid_mask};
 use oarsmt_geom::{GridPoint, HananGraph};
-use oarsmt_nn::Tensor;
+use oarsmt_nn::{NnWorkspace, Tensor};
 
 /// One supervised training sample for the Steiner-point selector.
 ///
@@ -53,7 +53,9 @@ impl TrainingSample {
     /// training: features `[7, M, H, V]`, targets and mask `[1, M, H, V]`
     /// (the tensor layout of [`oarsmt::features`]).
     pub fn to_tensors(&self) -> (Tensor, Tensor, Tensor) {
-        let features = encode_features(&self.graph, &self.state);
+        // The features are stacked into a training batch and dropped, never
+        // pooled, so they come from a throwaway workspace.
+        let features = encode_features_into(&self.graph, &self.state, &mut NnWorkspace::new());
         let targets = from_graph_order(&self.label, &self.graph);
         let mask = valid_mask(&self.graph, &self.state);
         (features, targets, mask)

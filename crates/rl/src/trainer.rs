@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use oarsmt::parallel;
 use oarsmt::selector::{NeuralSelector, Selector};
-use oarsmt::topk::steiner_budget;
+use oarsmt::topk::{select_top_k_into, steiner_budget};
 use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
 use oarsmt_geom::HananGraph;
 use oarsmt_mcts::alphago::{sequential_select, AlphaGoMcts};
@@ -551,10 +551,19 @@ pub fn st_to_mst_over_cases<S: Selector>(
         let points = match mode {
             InferenceMode::OneShot => {
                 selector.fsp_into_ws(graph, &[], &mut ctx.fsp, &mut ctx.nn);
-                let k = steiner_budget(graph.pins().len());
-                oarsmt::topk::select_top_k(graph, &ctx.fsp, k, &[])
+                let mut points = Vec::new();
+                select_top_k_into(
+                    graph,
+                    &ctx.fsp,
+                    steiner_budget(graph.pins().len()),
+                    &[],
+                    &mut ctx.scored,
+                    &mut ctx.excluded,
+                    &mut points,
+                );
+                points
             }
-            InferenceMode::Sequential => sequential_select(graph, selector),
+            InferenceMode::Sequential => sequential_select(&mut ctx, graph, selector),
         };
         let Ok(st) = oarmst.route_in(&mut ctx, graph, &points) else {
             continue;
@@ -581,6 +590,13 @@ mod tests {
             levels: 1,
             seed,
         })
+    }
+
+    /// The selector's inference on `g` (no extra pins).
+    fn fsp(selector: &mut NeuralSelector, g: &HananGraph) -> Vec<f32> {
+        let mut out = Vec::new();
+        selector.fsp_into_ws(g, &[], &mut out, &mut NnWorkspace::new());
+        out
     }
 
     fn tiny_config() -> TrainerConfig {
@@ -655,7 +671,7 @@ mod tests {
             outputs.push((
                 report.samples,
                 report.mcts_cost_ratio,
-                selector.fsp(&g, &[]),
+                fsp(&mut selector, &g),
             ));
         }
         assert_eq!(outputs[0].0, outputs[1].0, "sample counts differ");
@@ -706,12 +722,11 @@ mod tests {
         // meaningful guarantee is that weights+optimizer round-trip exactly
         // at the checkpoint boundary.
         let g = oarsmt_geom::HananGraph::uniform(5, 5, 1, 1.0, 1.0, 3.0);
-        use oarsmt::selector::Selector;
-        let before = s2.fsp(&g, &[]);
+        let before = fsp(&mut s2, &g);
         let mut s4 = tiny_selector(999);
         let mut t4 = Trainer::new(tiny_config());
         t4.load_checkpoint(&mut s4, &path).unwrap();
-        assert_eq!(before, s4.fsp(&g, &[]));
+        assert_eq!(before, fsp(&mut s4, &g));
         std::fs::remove_file(&path).ok();
     }
 

@@ -152,7 +152,7 @@ pub struct RouteContext {
     tree_pool: Vec<RouteTree>,
 
     // --- inference scratch (public: owned here, filled by oarsmt/oarsmt-mcts) ---
-    /// Selector-output scratch (`Selector::fsp_into` writes here).
+    /// Selector-output scratch (`Selector::fsp_into_ws` writes here).
     pub fsp: Vec<f32>,
     /// Queue of same-shape selector states awaiting a batched `fsp`
     /// flush through `Selector::fsp_batch_into_ws`. MCTS leaf

@@ -113,11 +113,17 @@ impl Lin18Router {
         let k = graph.pins().len();
         for _ in 0..self.reassess_rounds(k) {
             for pin_idx in 0..k {
-                if let Some(better) =
-                    crate::retrace::reroute_terminal(graph, &best, graph.pins(), pin_idx)?
-                {
+                if let Some(better) = crate::retrace::reroute_terminal_in(
+                    &mut ctx,
+                    graph,
+                    &best,
+                    graph.pins(),
+                    pin_idx,
+                )? {
                     if better.cost() + 1e-9 < best.cost() {
-                        best = better;
+                        ctx.recycle_tree(std::mem::replace(&mut best, better));
+                    } else {
+                        ctx.recycle_tree(better);
                     }
                 }
             }

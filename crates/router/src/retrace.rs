@@ -12,7 +12,9 @@ use crate::tree::{RouteTree, TreeAdjacency};
 
 /// Rips up `terminal`'s branch — the degree-≤2 chain from the terminal to
 /// the first branch vertex or other terminal — and reroutes the terminal
-/// against the remaining tree.
+/// against the remaining tree. The Dijkstra workspace, stamped sets, and
+/// candidate tree all come from the caller's [`RouteContext`] instead of
+/// per-call allocation.
 ///
 /// Returns `None` when the terminal is an interior vertex (tree degree ≠ 1)
 /// or the stripped tree would be empty; the returned tree is never more
@@ -23,28 +25,6 @@ use crate::tree::{RouteTree, TreeAdjacency};
 ///
 /// Propagates graph-search failures (cannot normally occur: the original
 /// branch is always a valid route back).
-pub fn reroute_terminal(
-    graph: &HananGraph,
-    tree: &RouteTree,
-    terminals: &[GridPoint],
-    terminal_idx: usize,
-) -> Result<Option<RouteTree>, RouteError> {
-    reroute_terminal_in(
-        &mut RouteContext::new(),
-        graph,
-        tree,
-        terminals,
-        terminal_idx,
-    )
-}
-
-/// [`reroute_terminal`] through a caller-owned [`RouteContext`]: the
-/// Dijkstra workspace, stamped sets, and candidate tree all come from the
-/// context instead of per-call allocation.
-///
-/// # Errors
-///
-/// See [`reroute_terminal`].
 pub fn reroute_terminal_in(
     ctx: &mut RouteContext,
     graph: &HananGraph,
@@ -159,7 +139,7 @@ fn reroute_with_adj(
 ///
 /// # Errors
 ///
-/// See [`reroute_terminal`].
+/// See [`reroute_terminal_in`].
 pub fn polish_round_in(
     ctx: &mut RouteContext,
     graph: &HananGraph,
@@ -175,7 +155,7 @@ pub fn polish_round_in(
 ///
 /// # Errors
 ///
-/// See [`reroute_terminal`].
+/// See [`reroute_terminal_in`].
 pub fn polish_round_policy_in(
     ctx: &mut RouteContext,
     graph: &HananGraph,
@@ -222,8 +202,9 @@ mod tests {
         }
         let tree = OarmstRouter::new().route(&g, &[]).unwrap();
         let pins = g.pins().to_vec();
+        let mut ctx = RouteContext::new();
         for idx in 0..pins.len() {
-            if let Some(t) = reroute_terminal(&g, &tree, &pins, idx).unwrap() {
+            if let Some(t) = reroute_terminal_in(&mut ctx, &g, &tree, &pins, idx).unwrap() {
                 assert!(t.spans_in(&g, &pins), "terminal {idx}");
                 assert!(t.cost() <= tree.cost() + 1e-9);
             }
@@ -257,6 +238,10 @@ mod tests {
         let tree = OarmstRouter::new().route(&g, &[]).unwrap();
         let pins = g.pins().to_vec();
         // Middle pin (index 1) is interior.
-        assert!(reroute_terminal(&g, &tree, &pins, 1).unwrap().is_none());
+        assert!(
+            reroute_terminal_in(&mut RouteContext::new(), &g, &tree, &pins, 1)
+                .unwrap()
+                .is_none()
+        );
     }
 }

@@ -33,6 +33,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -47,12 +48,14 @@ use oarsmt_router::{Lin18Router, Liu14Router, SpanningRouter};
 use oarsmt_telemetry::runlog::{RunLog, RunLogger, StageStats};
 use oarsmt_telemetry::{tracing, Span};
 
+/// Error and usage reports ignore a failed stderr write: `eprintln!`
+/// panics on a closed pipe, which would turn exit status 1 or 2 into 101.
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let threads_flag = match oarsmt::parallel::take_threads_flag(&mut args) {
         Ok(flag) => flag,
         Err(e) => {
-            eprintln!("error: {e}");
+            let _ = writeln!(io::stderr(), "error: {e}");
             return ExitCode::from(2);
         }
     };
@@ -64,7 +67,8 @@ fn main() -> ExitCode {
         Some("trace") => cmd_trace(&args[1..]),
         Some("report") => cmd_report(&args[1..]),
         _ => {
-            eprintln!(
+            let _ = writeln!(
+                io::stderr(),
                 "usage:\n  oarsmt gen H V M PINS SEED [FILE]\n  oarsmt route FILE [--selector WEIGHTS.bin]\n  oarsmt compare FILE\n  oarsmt train OUT.bin [STAGES] [--threads N] [--trace FILE] [--run-id ID]\n  oarsmt trace CASE [--out FILE] [--cap N] [--repeat N]\n  oarsmt trace --verify FILE\n  oarsmt report FILE-or-RUNDIR [FILE2-or-RUNDIR2]\n  oarsmt report --check CURRENT BASELINE [--policy report.toml]\n  oarsmt report --summary DIR [--out FILE]\n\nreport renders the telemetry snapshot embedded in a BENCH_*.json artifact\n(or a raw .jsonl snapshot, or a runs/<id> directory); with two arguments\nit prints a diff. --check exits nonzero when counters drift or wall-clock\nleaves the policy band. trace exports Chrome trace_event JSON\n(chrome://tracing; real timestamps need --features telemetry-timing).\nOARSMT_THREADS=N sets the default worker count."
             );
             return ExitCode::from(2);
@@ -73,7 +77,7 @@ fn main() -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}");
+            let _ = writeln!(io::stderr(), "error: {e}");
             ExitCode::FAILURE
         }
     }

@@ -2,11 +2,12 @@
 //! invariants, augmentation symmetries, actor policies, MCTS labels.
 
 use oarsmt::selector::{Selector, UniformSelector};
-use oarsmt::topk::select_top_k;
+use oarsmt::topk::select_top_k_into;
 use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
 use oarsmt_geom::{Coord, HananGraph, Layout, Obstacle, Pin, Rect, VertexKind};
 use oarsmt_mcts::actor::action_policy_into;
 use oarsmt_mcts::{CombinatorialMcts, MctsConfig};
+use oarsmt_nn::NnWorkspace;
 use oarsmt_rl::augment::{transform_sample, Symmetry};
 use oarsmt_rl::sample::TrainingSample;
 use oarsmt_router::{OarmstRouter, RouteError};
@@ -106,7 +107,8 @@ proptest! {
     fn actor_policy_is_a_distribution_over_valid_actions(seed in 0u64..500, p in 0.01f32..0.9) {
         let mut gen = CaseGenerator::new(GeneratorConfig::tiny(6, 6, 2, (3, 5)), seed);
         let graph = gen.generate();
-        let fsp = UniformSelector::new(p).fsp(&graph, &[]);
+        let mut fsp = Vec::new();
+        UniformSelector::new(p).fsp_into_ws(&graph, &[], &mut fsp, &mut NnWorkspace::new());
         let mut policy = Vec::new();
         action_policy_into(&graph, &fsp, None, &mut policy);
         let total: f64 = policy.iter().map(|a| a.prob).sum();
@@ -121,8 +123,10 @@ proptest! {
     fn top_k_selection_returns_valid_sorted_points(seed in 0u64..500, k in 0usize..8) {
         let mut gen = CaseGenerator::new(GeneratorConfig::tiny(6, 6, 2, (3, 6)), seed);
         let graph = gen.generate();
-        let fsp = UniformSelector::new(0.3).fsp(&graph, &[]);
-        let sel = select_top_k(&graph, &fsp, k, &[]);
+        let mut fsp = Vec::new();
+        UniformSelector::new(0.3).fsp_into_ws(&graph, &[], &mut fsp, &mut NnWorkspace::new());
+        let mut sel = Vec::new();
+        select_top_k_into(&graph, &fsp, k, &[], &mut Vec::new(), &mut Vec::new(), &mut sel);
         prop_assert!(sel.len() <= k);
         for w in sel.windows(2) {
             prop_assert!(w[0] < w[1]);

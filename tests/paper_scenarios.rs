@@ -9,7 +9,8 @@ use oarsmt_geom::{GridPoint, HananGraph};
 use oarsmt_mcts::alphago::sequential_select;
 use oarsmt_mcts::{CombinatorialMcts, MctsConfig};
 use oarsmt_nn::unet::UNetConfig;
-use oarsmt_router::OarmstRouter;
+use oarsmt_nn::NnWorkspace;
+use oarsmt_router::{OarmstRouter, RouteContext};
 
 /// Section 2.1: "a layout with n pins needs at most n−2 irredundant Steiner
 /// points" — the router must never propose more.
@@ -32,9 +33,15 @@ fn one_shot_vs_sequential_inference_counts() {
         calls: usize,
     }
     impl<S: Selector> Selector for Counting<S> {
-        fn fsp(&mut self, g: &HananGraph, e: &[GridPoint]) -> Vec<f32> {
+        fn fsp_into_ws(
+            &mut self,
+            g: &HananGraph,
+            e: &[GridPoint],
+            out: &mut Vec<f32>,
+            ws: &mut NnWorkspace,
+        ) {
             self.calls += 1;
-            self.inner.fsp(g, e)
+            self.inner.fsp_into_ws(g, e, out, ws);
         }
     }
     let mut g = HananGraph::uniform(8, 8, 1, 1.0, 1.0, 3.0);
@@ -54,7 +61,7 @@ fn one_shot_vs_sequential_inference_counts() {
         inner: MedianHeuristicSelector::new(),
         calls: 0,
     };
-    let pts = sequential_select(&g, &mut counting);
+    let pts = sequential_select(&mut RouteContext::new(), &g, &mut counting);
     assert_eq!(pts.len(), 4);
     assert_eq!(counting.calls, 4, "sequential agents infer n-2 times");
 }
@@ -69,9 +76,11 @@ fn one_network_many_sizes() {
         levels: 2,
         seed: 5,
     });
+    let mut ws = NnWorkspace::new();
+    let mut fsp = Vec::new();
     for (h, v, m) in [(4, 7, 1), (12, 12, 4), (9, 3, 2), (16, 5, 3)] {
         let g = HananGraph::uniform(h, v, m, 1.0, 1.0, 3.0);
-        let fsp = selector.fsp(&g, &[]);
+        selector.fsp_into_ws(&g, &[], &mut fsp, &mut ws);
         assert_eq!(fsp.len(), h * v * m);
         assert!(fsp.iter().all(|p| (0.0..=1.0).contains(p)));
     }
