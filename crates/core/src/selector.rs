@@ -523,6 +523,41 @@ mod tests {
         flush(&mut neural, &g, &pts, &[0, 1, 1]);
     }
 
+    /// Pins the exact output bits of one `&NeuralSelector` inference: an
+    /// FNV-1a hash over every `f32::to_bits` of the fsp, for a 2-layer
+    /// graph with no extra pins and with two. Any change to the inference
+    /// sequence (encode, U-Net pass, reorder) must leave these unchanged.
+    #[test]
+    fn neural_fsp_bits_match_goldens() {
+        fn fnv(xs: &[f32]) -> u64 {
+            xs.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, x| {
+                x.to_bits()
+                    .to_le_bytes()
+                    .iter()
+                    .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+            })
+        }
+        let neural = NeuralSelector::with_config(UNetConfig {
+            in_channels: 7,
+            base_channels: 2,
+            levels: 2,
+            seed: 21,
+        });
+        let g = graph();
+        let cases: [(&[GridPoint], u64); 2] = [
+            (&[], 0x4edb_4ed5_d799_7939),
+            (
+                &[GridPoint::new(3, 3, 1), GridPoint::new(1, 4, 0)],
+                0x0a3c_a3d4_1d20_51f0,
+            ),
+        ];
+        for (extra, golden) in cases {
+            let out = fsp(&neural, &g, extra);
+            assert_eq!(out.len(), g.len());
+            assert_eq!(fnv(&out), golden, "{} extra pins", extra.len());
+        }
+    }
+
     /// Shared (`&NeuralSelector`) inference must reproduce the owned
     /// selector bit for bit.
     #[test]
