@@ -51,9 +51,8 @@ cargo test -q -p oarsmt-router --test queue_equivalence
 echo "==> resumable Prim frontier equivalence (persisted-frontier builds == fresh-search-per-step reference)"
 cargo test -q -p oarsmt-router --test prim_frontier
 
-echo "==> batched-path equivalence (B in {4,16} == per-sample B=1 calls of the same kernel, bit for bit, at nn/core/rl levels)"
+echo "==> batched fit-path equivalence (B in {4,16} == per-sample B=1 passes of the same kernel, bit for bit, at nn/rl levels)"
 cargo test -q -p oarsmt-nn batch
-cargo test -q -p oarsmt batch
 cargo test -q -p oarsmt-rl --test batch_equivalence
 
 echo "==> oarsmt_bench dijkstra smoke (quick mode, asserts heap/Auto checksum identity, Auto pops <= heap, polish-free op-count identity)"
@@ -68,7 +67,7 @@ echo "==> oarsmt_bench unet smoke (quick mode, asserts GEMM == naive oracle and 
 cargo run --release -q -p oarsmt-bench --bin oarsmt_bench -- unet --quick \
     --out target/BENCH_unet_smoke.json
 
-echo "==> oarsmt_bench batch smoke (quick mode, asserts B in {4,16} flushes == per-sample B=1 calls of the same kernel, bit for bit)"
+echo "==> oarsmt_bench batch smoke (quick mode, fit only: asserts fit_batch == fit_batch_sequential loss bits)"
 cargo run --release -q -p oarsmt-bench --bin oarsmt_bench -- batch --quick \
     --out target/BENCH_batch_smoke.json
 

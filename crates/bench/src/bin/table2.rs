@@ -52,7 +52,12 @@ fn main() {
             format!("{:.1}%", 100.0 * c.win_rate()),
             format!("{:.1}%", 100.0 * c.loss_rate()),
         ]);
-        eprintln!("[table2] {} done ({} skipped)", result.name, result.skipped);
+        let _ = writeln!(
+            std::io::stderr(),
+            "[table2] {} done ({} skipped)",
+            result.name,
+            result.skipped
+        );
     }
     table.print();
     println!(

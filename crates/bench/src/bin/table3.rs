@@ -68,13 +68,17 @@ fn main() {
             format!("{total:.5}"),
             format!("{:.1}x", base / total),
         ]);
-        eprintln!("[table3] {} done", result.name);
+        let _ = writeln!(std::io::stderr(), "[table3] {} done", result.name);
     }
     table.print();
     if let Some(path) = &trace_path {
         let events = rec.events_in_order();
         std::fs::write(path, tracing::to_chrome_json(&events, rec.dropped())).expect("write trace");
-        eprintln!("[table3] trace ({} events) -> {path}", events.len());
+        let _ = writeln!(
+            std::io::stderr(),
+            "[table3] trace ({} events) -> {path}",
+            events.len()
+        );
     }
     println!("\npaper: speedup 0.8x on T32 rising to ~75x on T512");
 }

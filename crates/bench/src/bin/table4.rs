@@ -10,6 +10,8 @@
 
 #![forbid(unsafe_code)]
 
+use std::io::Write as _;
+
 use oarsmt::rl_router::RlRouter;
 use oarsmt_bench::{harness, Table};
 use oarsmt_geom::benchmarks::BenchmarkSpec;
@@ -54,7 +56,7 @@ fn main() {
             format!("{:+.3}%", 100.0 * imps[1]),
             format!("{:+.3}%", 100.0 * imps[2]),
         ]);
-        eprintln!("[table4] {} done", spec.name);
+        let _ = writeln!(std::io::stderr(), "[table4] {} done", spec.name);
     }
     table.row([
         "avg".to_string(),

@@ -1,6 +1,7 @@
 //! Shared experiment machinery: the pretrained selector and the subset
 //! comparison runner behind Tables 2–3 and Fig. 10.
 
+use std::io::Write as _;
 use std::path::PathBuf;
 
 use oarsmt::eval::CostComparison;
@@ -45,13 +46,16 @@ pub fn pretrained_selector() -> NeuralSelector {
     if path.exists() && selector.load(&path).is_ok() {
         return selector;
     }
-    eprintln!("[harness] training experiment selector (one-time, cached at {path:?})");
+    let _ = writeln!(
+        std::io::stderr(),
+        "[harness] training experiment selector (one-time, cached at {path:?})"
+    );
     let mut trainer = Trainer::new(laptop_schedule(7));
     let reports = trainer
         .run(&mut selector)
         .expect("training on random layouts must succeed");
     for r in &reports {
-        eprintln!("[harness] {r}");
+        let _ = writeln!(std::io::stderr(), "[harness] {r}");
     }
     std::fs::create_dir_all(path.parent().expect("artifacts dir")).expect("create artifacts dir");
     selector.save(&path).expect("cache selector weights");

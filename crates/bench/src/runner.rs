@@ -245,7 +245,7 @@ impl Run {
 
     /// Prints a progress line to stderr.
     pub fn progress(&self, what: &str) {
-        eprintln!("[{}] {what}", self.lane.producer);
+        let _ = writeln!(std::io::stderr(), "[{}] {what}", self.lane.producer);
     }
 
     /// Exports the trace, prints the report and writes the artifact.

@@ -1,5 +1,5 @@
-//! Exit status of the bench binaries on a usage error when their stderr is
-//! a closed pipe.
+//! Exit status of the bench binaries when their stderr is a closed pipe: a
+//! usage error still exits 2, and a lane run still completes.
 
 use std::process::{Command, Stdio};
 
@@ -35,4 +35,19 @@ fn usage_errors_exit_2_when_stderr_is_a_closed_pipe() {
             "{bin}"
         );
     }
+}
+
+#[test]
+fn a_lane_run_exits_0_when_stderr_is_a_closed_pipe() {
+    // The lane writes a `[producer] … done` progress line per rung.
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("BENCH_dijkstra_cli.json");
+    let bench = env!("CARGO_BIN_EXE_oarsmt_bench");
+    assert_eq!(
+        status_with_closed_stderr(
+            bench,
+            &["dijkstra", "--quick", "--out", out.to_str().unwrap()]
+        ),
+        Some(0)
+    );
+    assert!(out.exists(), "the artifact was not written");
 }

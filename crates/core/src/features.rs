@@ -47,19 +47,8 @@ pub fn tensor_offset(graph: &HananGraph, p: GridPoint) -> usize {
 ///
 /// Panics if `channel.len() != graph.len()`.
 pub fn to_graph_order_into(channel: &[f32], graph: &HananGraph, out: &mut Vec<f32>) {
-    out.clear();
-    to_graph_order_append(channel, graph, out);
-}
-
-/// [`to_graph_order_into`] without the clear: appends one reordered channel
-/// to `out`. Batched selector paths call this once per sample to build a
-/// concatenated per-sample probability buffer.
-///
-/// # Panics
-///
-/// Panics if `channel.len() != graph.len()`.
-pub fn to_graph_order_append(channel: &[f32], graph: &HananGraph, out: &mut Vec<f32>) {
     assert_eq!(channel.len(), graph.len());
+    out.clear();
     out.extend((0..graph.len()).map(|idx| channel[tensor_offset(graph, graph.point(idx))]));
 }
 
@@ -135,57 +124,6 @@ pub fn encode_features_into(
     }
     for &p in extra_pins {
         t.set4(0, p.m, p.h, p.v, 1.0);
-    }
-    t
-}
-
-/// Encodes `B` states of one Hanan graph into a channel-major
-/// `[7, B, M, H, V]` batch tensor (the layout `oarsmt_nn::UNet3d::predict_in`
-/// batches over). State `b`'s extra pins are the
-/// `lens[b]` points at their running offset into `pts` (a flattened
-/// state list, so callers queue states without nested allocations).
-///
-/// Sample `b`'s subtensor is bit-identical to
-/// [`encode_features_into`]`(graph, state_b, ws)`: the graph-dependent
-/// channels are encoded once and replicated, and only the pin channel
-/// differs per sample.
-///
-/// # Panics
-///
-/// Panics if `pts.len()` does not equal the sum of `lens`, or `lens` is
-/// empty.
-pub fn encode_features_batch_into(
-    graph: &HananGraph,
-    pts: &[GridPoint],
-    lens: &[u32],
-    ws: &mut NnWorkspace,
-) -> Tensor {
-    let bsz = lens.len();
-    assert!(bsz > 0, "empty batch");
-    assert_eq!(
-        pts.len(),
-        lens.iter().map(|&l| l as usize).sum::<usize>(),
-        "flattened state list does not match lens"
-    );
-    let (h, v, m) = graph.dims();
-    let spatial = m * h * v;
-    let base = encode_features_into(graph, &[], ws);
-    let mut t = ws.alloc(&[FEATURE_CHANNELS, bsz, m, h, v]);
-    for c in 0..FEATURE_CHANNELS {
-        let src = &base.data()[c * spatial..(c + 1) * spatial];
-        for b in 0..bsz {
-            let dst = (c * bsz + b) * spatial;
-            t.data_mut()[dst..dst + spatial].copy_from_slice(src);
-        }
-    }
-    ws.free(base);
-    let mut off = 0usize;
-    for (b, &l) in lens.iter().enumerate() {
-        for &p in &pts[off..off + l as usize] {
-            let at = b * spatial + tensor_offset(graph, p);
-            t.data_mut()[at] = 1.0;
-        }
-        off += l as usize;
     }
     t
 }

@@ -70,11 +70,6 @@ impl<S: Selector> RlRouter<S> {
         }
     }
 
-    /// Access to the wrapped selector.
-    pub fn selector_mut(&mut self) -> &mut S {
-        &mut self.selector
-    }
-
     /// Read-only access to the wrapped selector (used by the parallel
     /// multi-net path to clone per-worker routers).
     pub fn selector(&self) -> &S {

@@ -9,13 +9,13 @@ use oarsmt_nn::unet::{UNet3d, UNetConfig};
 use oarsmt_nn::NnWorkspace;
 
 use crate::error::CoreError;
-use crate::features::{encode_features_batch_into, FEATURE_CHANNELS};
+use crate::features::{encode_features_into, to_graph_order_into, FEATURE_CHANNELS};
 
 /// A Steiner-point selector: anything that can produce the paper's *final
 /// selected probability* `fsp(v)` for every vertex of a Hanan graph.
 ///
 /// `extra_pins` carry the already-selected Steiner points of an MCTS state,
-/// which the selector must treat as pins (Section 3.4). Methods take
+/// which the selector must treat as pins (Section 3.4). The method takes
 /// `&mut self` so stateful selectors fit; neural inference itself is
 /// read-only (`&NeuralSelector` is a selector too).
 ///
@@ -36,52 +36,10 @@ pub trait Selector {
         out: &mut Vec<f32>,
         ws: &mut NnWorkspace,
     );
-
-    /// Batched [`Selector::fsp_into_ws`] over several MCTS states of **one**
-    /// graph. State `b`'s extra pins are the `lens[b]` points at their
-    /// running offset into `pts` (a flattened state list — see
-    /// `oarsmt_router::EvalQueue`); `out` is cleared, then receives the
-    /// `lens.len() · graph.len()` per-state probabilities concatenated in
-    /// state order, each block bit-identical to the single-state call.
-    ///
-    /// The default loops over states through `fsp_into_ws`. Neural
-    /// selectors override it to stack same-shape states into one
-    /// channel-major batch and run the network once (GEMM `N = B·spatial`).
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `pts.len()` differs from the sum of
-    /// `lens`.
-    fn fsp_batch_into_ws(
-        &mut self,
-        graph: &HananGraph,
-        pts: &[GridPoint],
-        lens: &[u32],
-        out: &mut Vec<f32>,
-        ws: &mut NnWorkspace,
-    ) {
-        if let [l] = lens {
-            // Single-state queue: identical (bits, allocations) to calling
-            // `fsp_into_ws` directly, so the MCTS B=1 flush costs nothing.
-            debug_assert_eq!(pts.len(), *l as usize);
-            self.fsp_into_ws(graph, pts, out, ws);
-            return;
-        }
-        let mut tmp = Vec::new(); // default path only; overrides are pooled
-        out.clear();
-        let mut off = 0usize;
-        for &l in lens {
-            let pins = &pts[off..off + l as usize];
-            off += l as usize;
-            self.fsp_into_ws(graph, pins, &mut tmp, ws);
-            out.extend_from_slice(&tmp);
-        }
-    }
 }
 
 /// Mutable references are selectors too, so routers can borrow a selector
-/// without taking ownership. Both methods forward: a `&mut S` that fell
-/// back to the default batch loop would lose the batched kernels.
+/// without taking ownership.
 impl<S: Selector + ?Sized> Selector for &mut S {
     fn fsp_into_ws(
         &mut self,
@@ -91,17 +49,6 @@ impl<S: Selector + ?Sized> Selector for &mut S {
         ws: &mut NnWorkspace,
     ) {
         (**self).fsp_into_ws(graph, extra_pins, out, ws);
-    }
-
-    fn fsp_batch_into_ws(
-        &mut self,
-        graph: &HananGraph,
-        pts: &[GridPoint],
-        lens: &[u32],
-        out: &mut Vec<f32>,
-        ws: &mut NnWorkspace,
-    ) {
-        (**self).fsp_batch_into_ws(graph, pts, lens, out, ws);
     }
 }
 
@@ -116,11 +63,6 @@ pub struct NeuralSelector {
 }
 
 impl NeuralSelector {
-    /// Wraps an existing network.
-    pub fn from_net(net: UNet3d) -> Self {
-        NeuralSelector { net }
-    }
-
     /// A randomly initialized selector with the default architecture
     /// (7 input channels, laptop-scale width).
     pub fn random(seed: u64) -> Self {
@@ -186,34 +128,11 @@ impl Selector for NeuralSelector {
     ) {
         (&*self).fsp_into_ws(graph, extra_pins, out, ws);
     }
-
-    fn fsp_batch_into_ws(
-        &mut self,
-        graph: &HananGraph,
-        pts: &[GridPoint],
-        lens: &[u32],
-        out: &mut Vec<f32>,
-        ws: &mut NnWorkspace,
-    ) {
-        (&*self).fsp_batch_into_ws(graph, pts, lens, out, ws);
-    }
 }
 
-/// Ceiling on `B_chunk · spatial` — the voxel count one batched selector
-/// flush feeds the network at once. Above it, `fsp_batch_into_ws` splits
-/// the flush into chunks: at the large rungs a full 16-state batch's
-/// activations (tens of floats live per voxel across the U-Net levels)
-/// overflow the last-level cache and the batched GEMM starts streaming
-/// from memory, so capping the per-pass working set beats maximal GEMM
-/// width (measured at S48, B = 16 — see EXPERIMENTS.md). Chunking is
-/// invisible in the output: states are arithmetically independent, so
-/// every block stays bit-identical to the single-state path at any chunk
-/// size. The telemetry occupancy metric (`gemm_batch_cols` per
-/// `batch_flushes`) makes the chunk width observable per run.
-const FLUSH_CHUNK_VOXELS: usize = 32 * 1024;
-
 /// Shared-reference inference: a `&NeuralSelector` is itself a selector,
-/// running [`UNet3d::predict_in`] through `&self`. This is what lets
+/// running one rank-4 [`UNet3d::predict_in`] pass through `&self` per call
+/// (encode the state, predict, reorder into graph order). This is what lets
 /// parallel workers and the training harness evaluate one weight set
 /// without cloning it per thread.
 impl Selector for &NeuralSelector {
@@ -224,48 +143,11 @@ impl Selector for &NeuralSelector {
         out: &mut Vec<f32>,
         ws: &mut NnWorkspace,
     ) {
-        // A single state is a batch of one.
-        self.fsp_batch_into_ws(graph, extra_pins, &[extra_pins.len() as u32], out, ws);
-    }
-
-    fn fsp_batch_into_ws(
-        &mut self,
-        graph: &HananGraph,
-        pts: &[GridPoint],
-        lens: &[u32],
-        out: &mut Vec<f32>,
-        ws: &mut NnWorkspace,
-    ) {
-        // Channel-major [7, B, M, H, V] encodes, one network pass per chunk
-        // (GEMM N = B·spatial), per-state reorder of the contiguous
-        // [1, B, M, H, V] probability blocks into graph-index order (see
-        // the layout note in `features`). Large flushes are chunked so each
-        // pass's working set stays cache-resident (see
-        // `FLUSH_CHUNK_VOXELS`); every state's arithmetic is independent of
-        // its batch-mates, so the chunk boundary never changes a bit of
-        // output — only which GEMM panel a state's columns land in.
-        let spatial = graph.len();
-        let max_chunk = (FLUSH_CHUNK_VOXELS / spatial).max(1);
-        out.clear();
-        let mut p0 = 0;
-        let mut b0 = 0;
-        while b0 < lens.len() {
-            let b1 = (b0 + max_chunk).min(lens.len());
-            let npts: usize = lens[b0..b1].iter().map(|&l| l as usize).sum();
-            let x = encode_features_batch_into(graph, &pts[p0..p0 + npts], &lens[b0..b1], ws);
-            let probs = self.net.predict_in(&x, ws);
-            for b in 0..b1 - b0 {
-                crate::features::to_graph_order_append(
-                    &probs.data()[b * spatial..(b + 1) * spatial],
-                    graph,
-                    out,
-                );
-            }
-            ws.free(probs);
-            ws.free(x);
-            p0 += npts;
-            b0 = b1;
-        }
+        let x = encode_features_into(graph, extra_pins, ws);
+        let probs = self.net.predict_in(&x, ws);
+        to_graph_order_into(probs.data(), graph, out);
+        ws.free(probs);
+        ws.free(x);
     }
 }
 
@@ -327,6 +209,16 @@ impl MedianHeuristicSelector {
     }
 }
 
+/// The order statistic `xs[len / 2]` of the sorted coordinates `xs` on one
+/// axis of length `extent`, without sorting: the least `c` with more than
+/// `len / 2` coordinates at or below it.
+fn axis_median(xs: impl Iterator<Item = usize> + Clone, extent: usize) -> f32 {
+    let half = xs.clone().count() / 2;
+    (0..extent)
+        .take_while(|&c| xs.clone().filter(|&x| x <= c).count() <= half)
+        .count() as f32
+}
+
 impl Selector for MedianHeuristicSelector {
     fn fsp_into_ws(
         &mut self,
@@ -336,19 +228,14 @@ impl Selector for MedianHeuristicSelector {
         _ws: &mut NnWorkspace,
     ) {
         out.clear();
-        let mut pins: Vec<GridPoint> = graph.pins().to_vec();
-        pins.extend_from_slice(extra_pins);
-        if pins.is_empty() {
+        if graph.pins().is_empty() && extra_pins.is_empty() {
             out.resize(graph.len(), 0.0);
             return;
         }
-        let median = |mut xs: Vec<usize>| -> f32 {
-            xs.sort_unstable();
-            xs[xs.len() / 2] as f32
-        };
-        let mh = median(pins.iter().map(|p| p.h).collect());
-        let mv = median(pins.iter().map(|p| p.v).collect());
-        let mm = median(pins.iter().map(|p| p.m).collect());
+        let pins = || graph.pins().iter().chain(extra_pins);
+        let mh = axis_median(pins().map(|p| p.h), graph.h());
+        let mv = axis_median(pins().map(|p| p.v), graph.v());
+        let mm = axis_median(pins().map(|p| p.m), graph.m());
         let scale = (graph.h() + graph.v() + graph.m()) as f32;
         out.extend((0..graph.len()).map(|idx| {
             let p = graph.point(idx);
@@ -418,6 +305,21 @@ mod tests {
         }
     }
 
+    /// With an even pin count the median is the upper middle, `xs[len / 2]`
+    /// of each axis' sorted coordinates, extra pins included.
+    #[test]
+    fn median_heuristic_takes_the_upper_middle_with_extra_pins() {
+        let g = graph();
+        // h: 0 2 3 4 -> 3; v: 0 2 2 3 -> 2; m: 0 0 0 1 -> 0.
+        let fsp = fsp(
+            MedianHeuristicSelector::new(),
+            &g,
+            &[GridPoint::new(3, 3, 1)],
+        );
+        assert_eq!(fsp[g.index(GridPoint::new(3, 2, 0))], 1.0);
+        assert_eq!(fsp.iter().filter(|&&p| p == 1.0).count(), 1);
+    }
+
     #[test]
     fn uniform_selector_is_flat() {
         let g = graph();
@@ -447,80 +349,6 @@ mod tests {
         let mut buf = vec![1.0f32; 3];
         uniform.fsp_into_ws(&g, &extra, &mut buf, &mut ws);
         assert_eq!(buf, fsp(uniform, &g, &extra));
-    }
-
-    /// The batched neural path must be bit-identical, per state, to the
-    /// single-state path — and so must the default (looping) batch path of
-    /// the heuristic selectors.
-    #[test]
-    fn fsp_batch_matches_single_state_bitwise() {
-        let g = graph();
-        // Three states: no extras, one extra, two extras.
-        let states: [&[GridPoint]; 3] = [
-            &[],
-            &[GridPoint::new(3, 3, 1)],
-            &[GridPoint::new(1, 4, 0), GridPoint::new(4, 4, 1)],
-        ];
-        let mut pts = Vec::new();
-        let mut lens = Vec::new();
-        for s in &states {
-            pts.extend_from_slice(s);
-            lens.push(s.len() as u32);
-        }
-        let mut neural = NeuralSelector::with_config(UNetConfig {
-            in_channels: 7,
-            base_channels: 2,
-            levels: 2,
-            seed: 5,
-        });
-        let mut ws = NnWorkspace::new();
-        let mut batched = Vec::new();
-        neural.fsp_batch_into_ws(&g, &pts, &lens, &mut batched, &mut ws);
-        assert_eq!(batched.len(), 3 * g.len());
-        let mut single = Vec::new();
-        for (b, s) in states.iter().enumerate() {
-            neural.fsp_into_ws(&g, s, &mut single, &mut ws);
-            for (i, (x, y)) in batched[b * g.len()..(b + 1) * g.len()]
-                .iter()
-                .zip(&single)
-                .enumerate()
-            {
-                assert_eq!(x.to_bits(), y.to_bits(), "state {b} vertex {i}");
-            }
-        }
-        // Heuristic selectors ride the default loop.
-        let mut median = MedianHeuristicSelector::new();
-        let mut mb = Vec::new();
-        median.fsp_batch_into_ws(&g, &pts, &lens, &mut mb, &mut ws);
-        for (b, s) in states.iter().enumerate() {
-            assert_eq!(&mb[b * g.len()..(b + 1) * g.len()], &fsp(median, &g, s)[..]);
-        }
-    }
-
-    /// A borrowed neural selector keeps the batched kernels: three states
-    /// through `&mut NeuralSelector` are one network pass of three columns,
-    /// not three passes of one.
-    #[test]
-    fn borrowed_neural_selector_batches_in_one_pass() {
-        use oarsmt_telemetry::Counter;
-
-        fn flush<S: Selector>(mut s: S, g: &HananGraph, pts: &[GridPoint], lens: &[u32]) {
-            let mut ws = NnWorkspace::new();
-            let mut out = Vec::new();
-            s.fsp_batch_into_ws(g, pts, lens, &mut out, &mut ws);
-            assert_eq!(out.len(), lens.len() * g.len());
-            assert_eq!(ws.counters.get(Counter::BatchFlushes), 1);
-            assert_eq!(ws.counters.get(Counter::GemmBatchCols), 3);
-        }
-        let g = graph();
-        let pts = [GridPoint::new(3, 3, 1), GridPoint::new(1, 4, 0)];
-        let mut neural = NeuralSelector::with_config(UNetConfig {
-            in_channels: 7,
-            base_channels: 2,
-            levels: 1,
-            seed: 5,
-        });
-        flush(&mut neural, &g, &pts, &[0, 1, 1]);
     }
 
     /// Pins the exact output bits of one `&NeuralSelector` inference: an

@@ -1,6 +1,7 @@
 //! Dynamic counterpart of the static D2 zero-alloc rule: a counting
 //! `#[global_allocator]` proves the registered hot paths (`route_in`,
-//! `predict_with_fsp_in`, the batched `fsp_batch_into_ws` flush) perform
+//! `predict_with_fsp_in`, `fsp_into_ws` of the neural and median-heuristic
+//! selectors) perform
 //! **zero** heap allocations in steady state,
 //! and that `search_in` reaches a stable per-call allocation count
 //! (its [`SearchOutcome`] owns freshly allocated label/counter vectors, so
@@ -357,10 +358,25 @@ fn hot_paths_are_allocation_free_in_steady_state() {
         "rollout counters did not advance during the zero-alloc predicts"
     );
 
-    // --- fsp_batch_into_ws: the batched GEMM flush (DESIGN.md §13) is
-    // allocation-free once the workspace pools and the output vector are
-    // warm, at B = 1 and B = 4 alike (one execution path: a single state
-    // is a batch of one). ---
+    // --- MedianHeuristicSelector::fsp_into_ws (the critic lane's
+    // selector): the axis medians are counted, not sorted, so a warm call
+    // into a warm buffer allocates nothing. ---
+    let mut median_ws = NnWorkspace::new();
+    let warm_fsp = fsp.clone();
+    let (n, ()) = allocs_during(|| {
+        for _ in 0..8 {
+            median.fsp_into_ws(&g, &selected, &mut fsp, &mut median_ws);
+        }
+    });
+    assert_eq!(
+        n, 0,
+        "MedianHeuristicSelector::fsp_into_ws allocated {n} times in steady state"
+    );
+    assert_eq!(fsp, warm_fsp, "steady-state median fsp drifted");
+
+    // --- fsp_into_ws: neural inference is allocation-free once the
+    // workspace pools and the output vector are warm, over states with 0,
+    // 1 and 2 extra pins. ---
     let mut neural = NeuralSelector::random(0xA110C);
     let mut ws = NnWorkspace::new();
     let states: Vec<Vec<GridPoint>> = vec![
@@ -369,42 +385,38 @@ fn hot_paths_are_allocation_free_in_steady_state() {
         vec![GridPoint::new(2, 3, 1), GridPoint::new(4, 2, 0)],
         vec![GridPoint::new(3, 3, 0)],
     ];
-    let mut pts = Vec::new();
-    let mut lens = Vec::new();
-    for s in &states {
-        pts.extend_from_slice(s);
-        lens.push(s.len() as u32);
-    }
-    let mut batch_out = Vec::new();
+    let mut out = Vec::new();
     let mut warm_sum = 0.0f32;
     for _ in 0..3 {
-        neural.fsp_batch_into_ws(&g, &pts, &lens, &mut batch_out, &mut ws);
-        neural.fsp_batch_into_ws(&g, &pts[..1], &lens[1..2], &mut batch_out, &mut ws);
-        warm_sum = batch_out.iter().sum();
+        for s in &states {
+            neural.fsp_into_ws(&g, s, &mut out, &mut ws);
+            warm_sum += out.iter().sum::<f32>();
+        }
     }
     let flushes_before = ws.counters.get(Counter::BatchFlushes);
     let wide_before = ws.counters.get(Counter::GemmKernelSimd);
     let (n, steady_sum) = allocs_during(|| {
         let mut sum = 0.0f32;
-        for _ in 0..8 {
-            neural.fsp_batch_into_ws(&g, &pts, &lens, &mut batch_out, &mut ws);
-            neural.fsp_batch_into_ws(&g, &pts[..1], &lens[1..2], &mut batch_out, &mut ws);
-            sum = batch_out.iter().sum();
+        for _ in 0..3 {
+            for s in &states {
+                neural.fsp_into_ws(&g, s, &mut out, &mut ws);
+                sum += out.iter().sum::<f32>();
+            }
         }
         sum
     });
+    assert_eq!(n, 0, "fsp_into_ws allocated {n} times in steady state");
     assert_eq!(
-        n, 0,
-        "fsp_batch_into_ws allocated {n} times in steady state"
+        steady_sum, warm_sum,
+        "steady-state inference result drifted"
     );
-    assert_eq!(steady_sum, warm_sum, "steady-state batched result drifted");
     assert!(
         ws.counters.get(Counter::BatchFlushes) > flushes_before,
-        "batch-flush counters did not advance during the zero-alloc flushes"
+        "network-pass counters did not advance during the zero-alloc inferences"
     );
     // The wide AVX2 tiles (the default lane wherever the host has them)
-    // write through the same pooled buffers: the zero-alloc flushes above
-    // ran them, and a silent scalar fallback would fail here.
+    // write through the same pooled buffers: the zero-alloc inferences
+    // above ran them, and a silent scalar fallback would fail here.
     assert_eq!(
         ws.counters.get(Counter::GemmKernelSimd) > wide_before,
         oarsmt_nn::simd_available(),

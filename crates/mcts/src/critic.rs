@@ -9,7 +9,7 @@
 
 use oarsmt::topk::{select_top_k_into, steiner_budget};
 use oarsmt_geom::{GridPoint, HananGraph};
-use oarsmt_router::{OarmstRouter, QueuePolicy, RouteContext, RouteError};
+use oarsmt_router::{OarmstRouter, RouteContext, RouteError};
 
 /// The critic built on top of a Steiner-point selector.
 #[derive(Debug)]
@@ -36,16 +36,6 @@ impl Critic {
     /// Creates a critic.
     pub fn new() -> Self {
         Critic::default()
-    }
-
-    /// Selects the [`QueuePolicy`] for the critic's OARMST maze queries
-    /// (builder style; default `Auto`, which is bit-identical to the heap
-    /// oracle — see DESIGN.md §12).
-    #[must_use]
-    pub fn with_queue_policy(mut self, policy: QueuePolicy) -> Self {
-        self.oarmst = self.oarmst.with_queue_policy(policy);
-        self.unpruned = self.unpruned.with_queue_policy(policy);
-        self
     }
 
     /// Predicts the final routing cost of a state given the selector's

@@ -339,18 +339,7 @@ impl Engine {
                 (initial_cost - nodes[cur as usize].cost) / initial_cost
             } else {
                 bufs.load_state(nodes, cur, graph);
-                // Leaf evals go through the context's eval queue so the
-                // selector sees the batched entry point; at B = 1 the
-                // flush is bit-identical to a direct `fsp_into_ws` call.
-                ctx.evals.clear();
-                ctx.evals.push_state(&bufs.sel_pts);
-                selector.fsp_batch_into_ws(
-                    graph,
-                    ctx.evals.pts(),
-                    ctx.evals.lens(),
-                    &mut bufs.fsp,
-                    &mut ctx.nn,
-                );
+                selector.fsp_into_ws(graph, &bufs.sel_pts, &mut bufs.fsp, &mut ctx.nn);
                 match scheme {
                     Scheme::Combinatorial(_) => {
                         let last = bufs.sel_idx.last().copied();

@@ -14,7 +14,7 @@
 //!   accept **any** `H × V × M` input,
 //! * residual blocks ([`residual`]) and the full 3D Residual U-Net
 //!   ([`unet`]),
-//! * binary cross-entropy with logits ([`loss`]), SGD and Adam ([`optim`]),
+//! * binary cross-entropy with logits ([`loss`]), Adam ([`optim`]),
 //! * weight (de)serialization ([`serialize`]) and finite-difference
 //!   gradient checking ([`gradcheck`]).
 //!

@@ -1,62 +1,10 @@
-//! First-order optimizers: SGD with momentum and Adam.
+//! The first-order optimizer: Adam.
 //!
-//! Optimizers own per-parameter state vectors keyed by the *order* in which
+//! Adam owns per-parameter state vectors keyed by the *order* in which
 //! a layer reports its parameters (which is deterministic for every layer in
-//! this crate), so they can be applied to any [`Layer`].
+//! this crate), so it can be applied to any [`Layer`].
 
 use crate::layer::Layer;
-
-/// Stochastic gradient descent with classical momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// Creates SGD with learning rate `lr` and momentum coefficient
-    /// `momentum` (0 disables momentum).
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Changes the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    /// Applies one update step using the parameters' accumulated gradients,
-    /// then leaves the gradients untouched (call
-    /// [`Layer::zero_grad`] before the next accumulation).
-    pub fn step<L: Layer + ?Sized>(&mut self, layer: &mut L) {
-        let mut params = layer.params_mut();
-        if self.velocity.len() != params.len() {
-            self.velocity = params.iter().map(|p| vec![0.0; p.value.len()]).collect();
-        }
-        for (p, vel) in params.iter_mut().zip(&mut self.velocity) {
-            for ((w, &g), v) in p
-                .value
-                .data_mut()
-                .iter_mut()
-                .zip(p.grad.data())
-                .zip(vel.iter_mut())
-            {
-                *v = self.momentum * *v + g;
-                *w -= self.lr * *v;
-            }
-        }
-    }
-}
 
 /// The Adam optimizer (Kingma & Ba) with bias correction.
 #[derive(Debug, Clone)]
@@ -219,33 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut bowl = Bowl::new(0.0);
-        let mut opt = Sgd::new(0.1, 0.0);
-        for _ in 0..100 {
-            bowl.zero_grad();
-            bowl.compute_grad();
-            opt.step(&mut bowl);
-        }
-        assert!(bowl.loss() < 1e-6);
-    }
-
-    #[test]
-    fn momentum_accelerates_convergence() {
-        let run = |momentum: f32| {
-            let mut bowl = Bowl::new(0.0);
-            let mut opt = Sgd::new(0.01, momentum);
-            for _ in 0..60 {
-                bowl.zero_grad();
-                bowl.compute_grad();
-                opt.step(&mut bowl);
-            }
-            bowl.loss()
-        };
-        assert!(run(0.9) < run(0.0));
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut bowl = Bowl::new(10.0);
         let mut opt = Adam::new(0.3);
@@ -297,8 +218,5 @@ mod tests {
         let mut opt = Adam::new(0.1);
         opt.set_lr(0.01);
         assert_eq!(opt.lr(), 0.01);
-        let mut sgd = Sgd::new(0.1, 0.0);
-        sgd.set_lr(0.5);
-        assert_eq!(sgd.lr(), 0.5);
     }
 }

@@ -183,11 +183,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, yielding its raw data.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Linear index of a 4-D position. The tensor must be 4-D.
     ///
     /// # Panics

@@ -26,54 +26,6 @@ use oarsmt_telemetry::{Counter, CounterSet};
 
 use crate::tree::{RouteTree, TreeAdjacency};
 
-/// A queue of same-shape selector states awaiting one batched
-/// `fsp` evaluation.
-///
-/// States are stored flattened in the `Selector::fsp_batch_into_ws`
-/// calling convention: `pts` concatenates every queued state's pin list
-/// and `lens[i]` records state `i`'s pin count. The queue never drops
-/// capacity on [`EvalQueue::clear`], so a steady-state
-/// push-flush-clear cycle performs no allocation.
-#[derive(Debug, Clone, Default)]
-pub struct EvalQueue {
-    pts: Vec<GridPoint>,
-    lens: Vec<u32>,
-}
-
-impl EvalQueue {
-    /// Appends one state (its full extra-pin list) to the queue.
-    pub fn push_state(&mut self, pins: &[GridPoint]) {
-        self.pts.extend_from_slice(pins);
-        self.lens.push(pins.len() as u32);
-    }
-
-    /// Number of queued states.
-    pub fn len(&self) -> usize {
-        self.lens.len()
-    }
-
-    /// `true` when no states are queued.
-    pub fn is_empty(&self) -> bool {
-        self.lens.is_empty()
-    }
-
-    /// Drops all queued states, keeping capacity.
-    pub fn clear(&mut self) {
-        self.pts.clear();
-        self.lens.clear();
-    }
-
-    /// Flattened pin lists of all queued states.
-    pub fn pts(&self) -> &[GridPoint] {
-        &self.pts
-    }
-
-    /// Per-state pin counts, parallel to [`EvalQueue::pts`].
-    pub fn lens(&self) -> &[u32] {
-        &self.lens
-    }
-}
-
 /// A reusable per-layout routing/inference workspace.
 ///
 /// The context is bound to a layout on first use (see
@@ -154,12 +106,6 @@ pub struct RouteContext {
     // --- inference scratch (public: owned here, filled by oarsmt/oarsmt-mcts) ---
     /// Selector-output scratch (`Selector::fsp_into_ws` writes here).
     pub fsp: Vec<f32>,
-    /// Queue of same-shape selector states awaiting a batched `fsp`
-    /// flush through `Selector::fsp_batch_into_ws`. MCTS leaf
-    /// evaluation pushes states here and flushes; a `B = 1` flush is the
-    /// very call a direct `fsp_into_ws` makes (one state is a batch of
-    /// one).
-    pub evals: EvalQueue,
     /// Critic completion buffer: selected Steiner points plus the top-k
     /// completion, reused across rollouts.
     pub completion: Vec<GridPoint>,

@@ -42,7 +42,7 @@ pub mod segments;
 pub mod spanning;
 pub mod tree;
 
-pub use context::{EvalQueue, RouteContext};
+pub use context::RouteContext;
 pub use error::RouteError;
 pub use lin18::Lin18Router;
 pub use liu14::Liu14Router;

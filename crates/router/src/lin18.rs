@@ -28,13 +28,14 @@ use crate::error::RouteError;
 use crate::oarmst::OarmstRouter;
 use crate::tree::RouteTree;
 
+/// Maximum implied-Steiner retracing rounds.
+const MAX_RETRACE: usize = 2;
+
 /// The \[14\]-style algorithmic ML-OARSMT router.
 #[derive(Debug, Clone)]
 pub struct Lin18Router {
     /// Bounded-exploration margin in grid steps.
     margin: usize,
-    /// Maximum implied-Steiner retracing rounds.
-    max_retrace: usize,
     /// Whether to run path-assessed reassessment (alternate construction
     /// orders, rounds scaling with the pin count).
     reassess: bool,
@@ -44,7 +45,6 @@ impl Default for Lin18Router {
     fn default() -> Self {
         Lin18Router {
             margin: 2,
-            max_retrace: 2,
             reassess: true,
         }
     }
@@ -61,13 +61,6 @@ impl Lin18Router {
     #[must_use]
     pub fn with_margin(mut self, margin: usize) -> Self {
         self.margin = margin;
-        self
-    }
-
-    /// Sets the retracing budget (builder style).
-    #[must_use]
-    pub fn with_max_retrace(mut self, rounds: usize) -> Self {
-        self.max_retrace = rounds;
         self
     }
 
@@ -131,7 +124,7 @@ impl Lin18Router {
 
         // Implied-Steiner retracing: promote degree>=3 vertices and
         // reconstruct, keeping only improvements.
-        for _ in 0..self.max_retrace {
+        for _ in 0..MAX_RETRACE {
             let implied = best.steiner_vertices(graph, graph.pins());
             if implied.is_empty() {
                 break;
@@ -170,7 +163,7 @@ impl fmt::Display for Lin18Router {
         write!(
             f,
             "lin18 router (margin {}, retrace {})",
-            self.margin, self.max_retrace
+            self.margin, MAX_RETRACE
         )
     }
 }

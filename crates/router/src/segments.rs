@@ -23,11 +23,6 @@ pub struct WireSegment {
 }
 
 impl WireSegment {
-    /// Whether the segment runs horizontally (constant `y`).
-    pub fn is_horizontal(&self) -> bool {
-        self.from.y == self.to.y
-    }
-
     /// Physical (rectilinear) length of the segment.
     pub fn length(&self) -> i64 {
         self.from.manhattan(self.to)

@@ -336,7 +336,7 @@ const HEADLINE_METRICS: [&str; 6] = [
     "reused_rps",
     "dial_speedup",
     "total_fwd_per_s",
-    "batch_states_per_s",
+    "batch_steps_per_s",
     "req_per_s",
     "value",
 ];
