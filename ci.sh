@@ -25,7 +25,9 @@ cargo check -q --workspace --no-default-features
 cargo check -q -p oarsmt-telemetry --features telemetry-timing
 cargo test -q -p oarsmt-telemetry --features telemetry-timing
 
-echo "==> kernel lanes (default build: AVX2 tiles == scalar tiles bit for bit; no-default-features: scalar-only forbid(unsafe_code) build)"
+echo "==> kernel lanes (default build: every lane the host has == scalar tiles bit for bit; no-default-features: scalar-only forbid(unsafe_code) build)"
+# Names the host's lanes; the lane tests below run each of them.
+cargo test -q -p oarsmt-nn host_lanes_are_ordered -- --nocapture | grep "kernel lanes"
 cargo clippy -q -p oarsmt-nn --all-targets -- -D warnings
 cargo test -q -p oarsmt-nn
 cargo test -q -p oarsmt-nn --no-default-features --features naive-ref
@@ -39,7 +41,7 @@ cargo test --release --offline --manifest-path e2e_bench/Cargo.toml
 echo "==> counter determinism (bit-identical totals across thread counts, span recorder armed)"
 cargo test -q --test parallel_determinism counter_totals
 
-echo "==> allocation sanitizer (zero steady-state allocs on registered hot paths, on the default kernel lane)"
+echo "==> allocation sanitizer (zero steady-state allocs on registered hot paths; neural inference on every kernel lane the host has)"
 cargo test --release -q -p oarsmt-lint --features alloc-count --test alloc_sanitizer
 
 echo "==> route-context property tests"

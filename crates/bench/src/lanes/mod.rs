@@ -103,26 +103,33 @@ pub fn f64_sum(data: &[f32]) -> f64 {
 }
 
 /// The kernel lane every `NnWorkspace` on this host runs, as the U-Net
-/// lanes' artifacts name it (`kernel`). Both lanes give the same bits.
+/// lanes' artifacts name it (`kernel`). Every lane gives the same bits.
 pub fn kernel_lane() -> &'static str {
-    if oarsmt_nn::simd_available() {
-        "avx2"
-    } else {
-        "scalar"
-    }
+    oarsmt_nn::host_lane().name()
 }
 
-/// Asserts that the wide tiles ran through `counters` exactly when the
-/// host has them, so a silent scalar fallback cannot pass as wide-lane
-/// numbers.
+/// Asserts that the tiles of the host's lane ([`kernel_lane`]) ran
+/// through `counters`: wide tiles exactly when that lane is wide, and the
+/// AVX-512 forward tile exactly when it is AVX-512, so a silent fallback
+/// to a narrower lane cannot pass as wide-lane numbers.
 ///
 /// # Panics
 ///
-/// Panics when the dispatch counter disagrees with the host.
+/// Panics when a dispatch counter disagrees with the lane.
 pub fn assert_lane_dispatched(rung: &str, counters: &oarsmt_telemetry::CounterSet) {
+    use oarsmt_nn::Lane;
+    use oarsmt_telemetry::Counter;
+    let lane = oarsmt_nn::host_lane();
     assert_eq!(
-        counters.get(oarsmt_telemetry::Counter::GemmKernelSimd) > 0,
-        oarsmt_nn::simd_available(),
-        "{rung}: the wide tiles must dispatch exactly when the host has them"
+        counters.get(Counter::GemmKernelSimd) > 0,
+        lane != Lane::Scalar,
+        "{rung}: the wide tiles must dispatch exactly on a wide lane ({})",
+        lane.name()
+    );
+    assert_eq!(
+        counters.get(Counter::GemmKernelAvx512) > 0,
+        lane == Lane::Avx512,
+        "{rung}: the AVX-512 tile must dispatch exactly on the avx512 lane ({})",
+        lane.name()
     );
 }

@@ -8,9 +8,9 @@
 //! the same input with a sparse synthetic label — the inner loop of
 //! `Trainer::fit_batch`.
 //!
-//! Everything runs on the default kernel lane — the AVX2 tiles wherever
-//! the host has them, bit-identical to the scalar tiles (DESIGN.md §9) —
-//! and the artifact's `kernel` field names the lane that ran. Per rung the
+//! Everything runs on the default kernel lane — the widest the host has
+//! (AVX-512, AVX2 or scalar), all bit-identical (DESIGN.md §9) — and the
+//! artifact's `kernel` field names the lane that ran. Per rung the
 //! lane records an output checksum (forward logits) and gradient checksums
 //! (input gradient, concatenated parameter gradients) as exact `f64` bit
 //! patterns, and asserts:
@@ -24,8 +24,9 @@
 //! 3. implicitly, bit identity across workspace reuse (the timed loops
 //!    reuse one workspace; any drift would change the artifact
 //!    checksums);
-//! 4. that the wide tiles dispatched (`gemm_simd > 0`) exactly when
-//!    [`oarsmt_nn::simd_available`] holds.
+//! 4. that the tiles of the host's lane dispatched: `gemm_simd > 0`
+//!    exactly on a wide lane and `gemm_avx512 > 0` exactly on the AVX-512
+//!    lane ([`oarsmt_nn::host_lane`]).
 //!
 //! The report always ends with a per-layer-kind time split of the timed
 //! loops, read off the workspace's span histograms (real durations under
@@ -210,7 +211,7 @@ fn run_lane(run: &mut Run) -> Result<Output, String> {
         "xfwd",
         "train/s",
         "xtrain",
-        "gemm d/p/f",
+        "simd/avx512",
         "logits checksum",
     ]);
     let mut out = Output::default();
@@ -235,10 +236,9 @@ fn run_lane(run: &mut Run) -> Result<Output, String> {
             format!("{train_per_s:.2}"),
             format!("{:.2}x", train_per_s / base_train),
             format!(
-                "{}/{}/{}",
-                c.get(Counter::GemmDirect),
-                c.get(Counter::GemmPanel),
-                c.get(Counter::GemmFlat)
+                "{}/{}",
+                c.get(Counter::GemmKernelSimd),
+                c.get(Counter::GemmKernelAvx512)
             ),
             format!("{:016x}", res.cs.logits),
         ]);
@@ -250,10 +250,8 @@ fn run_lane(run: &mut Run) -> Result<Output, String> {
             int("train_iters", train_iters),
             num("train_secs", res.train_secs, 6),
             num("train_per_s", train_per_s, 3),
-            int("gemm_direct", c.get(Counter::GemmDirect)),
-            int("gemm_panel", c.get(Counter::GemmPanel)),
-            int("gemm_flat", c.get(Counter::GemmFlat)),
             int("gemm_simd", c.get(Counter::GemmKernelSimd)),
+            int("gemm_avx512", c.get(Counter::GemmKernelAvx512)),
             int("macs", c.total_macs()),
             hex("cs_predict", res.cs.predict),
             hex("cs_logits", res.cs.logits),

@@ -95,6 +95,17 @@ impl<S: Selector> RlRouter<S> {
     /// Returns [`CoreError::Route`] when the pins cannot be connected (see
     /// [`OarmstRouter::route`]).
     pub fn route(&mut self, graph: &HananGraph) -> Result<RouteOutcome, CoreError> {
+        self.route_with(graph, false)
+    }
+
+    /// [`RlRouter::route`], with `always_safeguard` forcing the pins-only
+    /// safeguard build even where it is known to repeat the selected
+    /// build (the reference composition the skip is tested against).
+    fn route_with(
+        &mut self,
+        graph: &HananGraph,
+        always_safeguard: bool,
+    ) -> Result<RouteOutcome, CoreError> {
         // lint: timing-ok(select_time is reported metadata; never feeds results)
         let start = Instant::now();
         let k = steiner_budget(graph.pins().len());
@@ -115,11 +126,16 @@ impl<S: Selector> RlRouter<S> {
         let mut tree = self
             .oarmst
             .route_in(&mut self.ctx, graph, &steiner_points)?;
-        let plain = self.oarmst.route_in(&mut self.ctx, graph, &[])?;
-        if plain.cost() < tree.cost() {
-            self.ctx.recycle_tree(std::mem::replace(&mut tree, plain));
-        } else {
-            self.ctx.recycle_tree(plain);
+        // When pruning dropped every candidate, the selected build's last
+        // Prim pass was over the pins alone, from the same start: the
+        // safeguard tree itself, bit for bit, so it is not built again.
+        if always_safeguard || !self.ctx.kept().is_empty() {
+            let plain = self.oarmst.route_in(&mut self.ctx, graph, &[])?;
+            if plain.cost() < tree.cost() {
+                self.ctx.recycle_tree(std::mem::replace(&mut tree, plain));
+            } else {
+                self.ctx.recycle_tree(plain);
+            }
         }
         // Alternate path-assessed polish (to convergence) with
         // reconstruction over the discovered branch vertices plus the
@@ -214,6 +230,35 @@ mod tests {
             assert!(out.tree.spans_in(&g, g.pins()));
             assert!(out.tree.is_tree());
         }
+    }
+
+    /// Skipping the safeguard after an empty kept set changes no result:
+    /// on random layouts, with a selector whose candidates are mostly
+    /// pruned and one whose candidates often survive, the routed tree
+    /// equals the always-safeguarded composition edge for edge and cost
+    /// bit for bit, and the skip does fire.
+    #[test]
+    fn safeguard_skip_matches_the_unskipped_composition() {
+        fn check<S: Selector + Clone>(selector: S, seed: u64) -> usize {
+            let mut gen = CaseGenerator::new(GeneratorConfig::tiny(10, 10, 2, (3, 8)), seed);
+            let mut fast = RlRouter::new(selector.clone());
+            let mut full = RlRouter::new(selector);
+            let mut skipped = 0;
+            let pops = |r: &RlRouter<S>| r.counters().get(oarsmt_telemetry::Counter::DijkstraPops);
+            for g in gen.generate_many(24) {
+                let (fast0, full0) = (pops(&fast), pops(&full));
+                let (Ok(a), Ok(b)) = (fast.route(&g), full.route_with(&g, true)) else {
+                    continue;
+                };
+                assert_eq!(a.tree.edges(), b.tree.edges());
+                assert_eq!(a.tree.cost().to_bits(), b.tree.cost().to_bits());
+                assert_eq!(a.steiner_points, b.steiner_points);
+                skipped += usize::from(pops(&fast) - fast0 < pops(&full) - full0);
+            }
+            skipped
+        }
+        assert!(check(tiny_neural(5), 11) > 0, "the skip never fired");
+        check(MedianHeuristicSelector::new(), 12);
     }
 
     #[test]

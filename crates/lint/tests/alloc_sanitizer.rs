@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use oarsmt::selector::{MedianHeuristicSelector, NeuralSelector, Selector, UniformSelector};
 use oarsmt_geom::{GridPoint, HananGraph};
 use oarsmt_mcts::{AlphaGoMcts, CombinatorialMcts, Critic, MctsConfig};
-use oarsmt_nn::NnWorkspace;
+use oarsmt_nn::{Lane, NnWorkspace};
 use oarsmt_router::{OarmstRouter, RouteContext};
 use oarsmt_telemetry::{Counter, Span};
 
@@ -376,51 +376,69 @@ fn hot_paths_are_allocation_free_in_steady_state() {
 
     // --- fsp_into_ws: neural inference is allocation-free once the
     // workspace pools and the output vector are warm, over states with 0,
-    // 1 and 2 extra pins. ---
+    // 1 and 2 extra pins, on every kernel lane the host has. ---
     let mut neural = NeuralSelector::random(0xA110C);
-    let mut ws = NnWorkspace::new();
     let states: Vec<Vec<GridPoint>> = vec![
         vec![],
         vec![GridPoint::new(1, 1, 0)],
         vec![GridPoint::new(2, 3, 1), GridPoint::new(4, 2, 0)],
         vec![GridPoint::new(3, 3, 0)],
     ];
-    let mut out = Vec::new();
-    let mut warm_sum = 0.0f32;
-    for _ in 0..3 {
-        for s in &states {
-            neural.fsp_into_ws(&g, s, &mut out, &mut ws);
-            warm_sum += out.iter().sum::<f32>();
-        }
-    }
-    let flushes_before = ws.counters.get(Counter::BatchFlushes);
-    let wide_before = ws.counters.get(Counter::GemmKernelSimd);
-    let (n, steady_sum) = allocs_during(|| {
-        let mut sum = 0.0f32;
+    let mut lane_sums = Vec::new();
+    for lane in Lane::available() {
+        let mut ws = NnWorkspace::new();
+        assert_eq!(ws.set_lane(lane), lane);
+        let mut out = Vec::new();
+        let mut warm_sum = 0.0f32;
         for _ in 0..3 {
             for s in &states {
                 neural.fsp_into_ws(&g, s, &mut out, &mut ws);
-                sum += out.iter().sum::<f32>();
+                warm_sum += out.iter().sum::<f32>();
             }
         }
-        sum
-    });
-    assert_eq!(n, 0, "fsp_into_ws allocated {n} times in steady state");
-    assert_eq!(
-        steady_sum, warm_sum,
-        "steady-state inference result drifted"
-    );
+        let before = ws.counters;
+        let (n, steady_sum) = allocs_during(|| {
+            let mut sum = 0.0f32;
+            for _ in 0..3 {
+                for s in &states {
+                    neural.fsp_into_ws(&g, s, &mut out, &mut ws);
+                    sum += out.iter().sum::<f32>();
+                }
+            }
+            sum
+        });
+        let name = lane.name();
+        assert_eq!(
+            n, 0,
+            "{name}: fsp_into_ws allocated {n} times in steady state"
+        );
+        assert_eq!(
+            steady_sum, warm_sum,
+            "{name}: steady-state inference result drifted"
+        );
+        let ran = ws.counters.delta_since(&before);
+        assert!(
+            ran.get(Counter::BatchFlushes) > 0,
+            "{name}: network-pass counters did not advance during the zero-alloc inferences"
+        );
+        // The lane's tiles write through the same pooled buffers: the
+        // zero-alloc inferences above ran exactly this lane's tiles, and a
+        // silent fallback to a narrower lane would fail here.
+        assert_eq!(
+            ran.get(Counter::GemmKernelSimd) > 0,
+            lane != Lane::Scalar,
+            "{name}: wide tiles dispatched exactly on a wide lane"
+        );
+        assert_eq!(
+            ran.get(Counter::GemmKernelAvx512) > 0,
+            lane == Lane::Avx512,
+            "{name}: AVX-512 tile dispatched exactly on the avx512 lane"
+        );
+        lane_sums.push(steady_sum.to_bits());
+    }
     assert!(
-        ws.counters.get(Counter::BatchFlushes) > flushes_before,
-        "network-pass counters did not advance during the zero-alloc inferences"
-    );
-    // The wide AVX2 tiles (the default lane wherever the host has them)
-    // write through the same pooled buffers: the zero-alloc inferences
-    // above ran them, and a silent scalar fallback would fail here.
-    assert_eq!(
-        ws.counters.get(Counter::GemmKernelSimd) > wide_before,
-        oarsmt_nn::simd_available(),
-        "wide tiles dispatched exactly when the host has them"
+        lane_sums.windows(2).all(|p| p[0] == p[1]),
+        "every lane infers the same bits"
     );
 
     // --- shared-reference inference: `&NeuralSelector` (how the trainer's

@@ -9,17 +9,19 @@
 //! (`K = in_c·k³`, `N` = output voxels), the kernels index a zero-padded
 //! copy of the input through a per-tap offset table: tap `kx` of output
 //! voxel `(x, y, z)` lives at `off[kx] + x·pd2·pd3 + y·pd3 + z` in the
-//! padded volume, and because the `z`/V axis is contiguous, every tap of a
-//! fixed output row is a contiguous slice. Forward is then
-//! `out = W · B + bias` with `B` never written down, computed by a
-//! register-blocked micro-kernel (`MR` output channels × `NR` z lanes,
-//! K ascending).
+//! padded volume. The forward walks each x-plane as one *padded-flat*
+//! span: lane `j = y·pd3 + z` reads `xp[off[kx] + plane + j]`, so a
+//! register tile (`MR` output channels × `FL` lanes, K ascending) runs
+//! across row boundaries. Lanes that land in the z padding (`z ≥ d3`)
+//! are computed and never stored; `1×1×1` convs run the same tile over
+//! the unpadded flat `[in_c, B·spatial]` input, where no lane is junk.
 //!
 //! Activations are channel-major `[C, B, d1, d2, d3]` batches — a rank-4
 //! input is a batch of one, byte for byte — so the one forward and the
 //! one backward below serve inference, shared selectors and training at
-//! every batch size. The batch axis folds into the GEMM `N` axis where
-//! tiles can span samples (flat `1×1×1` GEMMs, shallow-grid panels).
+//! every batch size. The batch axis folds into the GEMM `N` axis: a
+//! `1×1×1` span covers every sample, and the padded spans of each sample
+//! write straight into the batched layout.
 //!
 //! Every kernel in this module preserves the *per-output-element*
 //! accumulation order of the naive seven-loop implementation (kept below as
@@ -44,15 +46,11 @@
 //! unchanged by this lowering.
 
 use crate::init::Initializer;
-use crate::kernels::{self, ICT, MR, NR, WL};
+use crate::kernels::{self, Lane, FL, ICT, MR, NR, WL};
 use crate::layer::{Layer, Param};
 use crate::tensor::{batch_dims, Shape, Tensor};
 use crate::workspace::NnWorkspace;
 use oarsmt_telemetry::{Counter, Span};
-/// Target im2col panel width in columns for the small-`d3` forward path
-/// (panels are whole output rows, so the actual width is the nearest
-/// multiple of `d3`). Keeps the patch panel cache-resident.
-const PANEL_COLS: usize = 4096;
 
 /// A 3D convolution layer: weight `[out_c, in_c, k, k, k]`, bias `[out_c]`,
 /// stride 1, zero same-padding `k / 2` (so spatial dimensions are
@@ -353,259 +351,67 @@ fn tap_offsets(in_c: usize, k: usize, pd1: usize, pd2: usize, pd3: usize, off: &
     }
 }
 
-/// Fills the im2col panel for output rows `[r0, r1)` from the *padded*
-/// input: `bbuf[kx · cols + col0 + j]` holds tap `kx` of output voxel `j`
-/// (columns are `col0 + (row − r0) · d3 + z`). Because `xp` is zero-padded
-/// the extraction is pure row copies through the tap-offset table. `col0`
-/// lets one panel be assembled from several samples' padded volumes.
-///
-/// Taps come in `(ic, a, b)` groups of `k` consecutive z offsets
-/// (`off[g + c] == off[g] + c`), so one padded row segment of
-/// `d3 + k − 1` floats serves all `k` tap rows of a group: read it once
-/// and write the `k` shifted copies together, instead of re-reading the
-/// row per tap. The copies are explicit element loops — this path only
-/// runs for `d3 <` [`NR`], where segments are short enough that a
-/// `memcpy` call would cost more than the moves.
+/// Forward over one padded-flat span: output lane `j < len` is
+/// `bias[oc] + Σ_kx w[oc][kx] · xp[off[kx] + src + j]`, K strictly
+/// ascending. Lane `j` is an output voxel iff `j % row < valid` (`row`
+/// is the padded row stride, `valid` the row's real length); those lanes
+/// are stored in order from `out[oc · ldo + out_base]` on, and the junk
+/// lanes between rows are computed and dropped. Register tiles are
+/// [`MR`] output channels × [`FL`] lanes, single channels on the
+/// `out_c % MR` remainder and a narrower lane width on the span's tail.
 #[allow(clippy::too_many_arguments)]
-fn im2col_from_padded(
+fn conv_span(
+    lane: Lane,
     xp: &[f32],
     off: &[usize],
-    k: usize,
-    d2: usize,
-    d3: usize,
-    pd2: usize,
-    pd3: usize,
-    r0: usize,
-    r1: usize,
-    bbuf: &mut [f32],
-    cols: usize,
-    col0: usize,
-) {
-    debug_assert_eq!(off.len() % k, 0);
-    let mut g = 0;
-    while g < off.len() {
-        let base = off[g];
-        debug_assert_eq!(off[g + k - 1], base + k - 1);
-        // Const-specialize the pooled U-Net geometries (`k = 3`,
-        // `d3 ∈ {2, 3}`) so the per-row copies fully unroll; the third
-        // const is `d3 + k − 1` spelled out (const generics cannot be
-        // computed at the call site).
-        match (k, d3) {
-            (3, 2) => im2col_group::<3, 2, 4>(xp, base, d2, pd2, pd3, r0, r1, bbuf, cols, col0, g),
-            (3, 3) => im2col_group::<3, 3, 5>(xp, base, d2, pd2, pd3, r0, r1, bbuf, cols, col0, g),
-            _ => im2col_group_any(xp, base, k, d2, d3, pd2, pd3, r0, r1, bbuf, cols, col0, g),
-        }
-        g += k;
-    }
-}
-
-/// One `(ic, a, b)` tap group of the im2col fill, `K` and `D3` known at
-/// compile time (`SEG = D3 + K − 1` is the padded row-segment length).
-/// Row coordinates advance incrementally — no division in the row loop.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn im2col_group<const K: usize, const D3: usize, const SEG: usize>(
-    xp: &[f32],
-    base: usize,
-    d2: usize,
-    pd2: usize,
-    pd3: usize,
-    r0: usize,
-    r1: usize,
-    bbuf: &mut [f32],
-    cols: usize,
-    col0: usize,
-    g: usize,
-) {
-    debug_assert_eq!(SEG, D3 + K - 1);
-    let (mut x, mut y) = (r0 / d2, r0 % d2);
-    let mut dst = col0;
-    for _ in r0..r1 {
-        let src = base + (x * pd2 + y) * pd3;
-        // lint: panic-ok(the slice is exactly SEG long by construction, so the array conversion cannot fail; the expect only converts the type)
-        let seg: &[f32; SEG] = xp[src..src + SEG].try_into().expect("segment length");
-        for c in 0..K {
-            let o0 = (g + c) * cols + dst;
-            bbuf[o0..o0 + D3].copy_from_slice(&seg[c..c + D3]);
-        }
-        dst += D3;
-        y += 1;
-        if y == d2 {
-            y = 0;
-            x += 1;
-        }
-    }
-}
-
-/// Runtime-size fallback of [`im2col_group`] for geometries outside the
-/// specialized set.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn im2col_group_any(
-    xp: &[f32],
-    base: usize,
-    k: usize,
-    d2: usize,
-    d3: usize,
-    pd2: usize,
-    pd3: usize,
-    r0: usize,
-    r1: usize,
-    bbuf: &mut [f32],
-    cols: usize,
-    col0: usize,
-    g: usize,
-) {
-    let (mut x, mut y) = (r0 / d2, r0 % d2);
-    let mut dst = col0;
-    for _ in r0..r1 {
-        let src = base + (x * pd2 + y) * pd3;
-        let seg = &xp[src..src + d3 + k - 1];
-        for c in 0..k {
-            let o0 = (g + c) * cols + dst;
-            let krow = &mut bbuf[o0..o0 + d3];
-            for (o, &v) in krow.iter_mut().zip(&seg[c..c + d3]) {
-                *o = v;
-            }
-        }
-        dst += d3;
-        y += 1;
-        if y == d2 {
-            y = 0;
-            x += 1;
-        }
-    }
-}
-
-/// `out[i][col0 + j] = bias[i] + Σ_k a[i][k] · b[k][j]` for `i < m`,
-/// `j < n`, with the K loop strictly ascending per output element.
-/// Dispatched whole through [`kernels::gemm_bias`]: the scalar lane walks
-/// [`MR`]×[`NR`] register tiles (the bit-identity layout), the AVX2 lane
-/// walks wider column-major panels with the same per-element accumulation
-/// order.
-#[allow(clippy::too_many_arguments)]
-fn gemm_bias(
-    m: usize,
-    kd: usize,
-    n: usize,
-    a: &[f32],
-    bias: &[f32],
-    b: &[f32],
-    ldb: usize,
-    out: &mut [f32],
-    ldo: usize,
-    col0: usize,
-    simd: bool,
-) {
-    kernels::gemm_bias(simd, m, kd, n, a, bias, b, ldb, out, ldo, col0);
-}
-
-/// Forward: `out[oc][r][z] = bias[oc] + Σ_kx w[oc][kx] · xp[off[kx] + …]`
-/// with the K loop strictly ascending per output element. Register-blocked
-/// [`MR`]×[`NR`] tiles; ragged edges use narrower tiles with the same
-/// per-element order. Output channel `oc` lands at row `oc * ldo + col0`,
-/// so sample `b` is written straight into the channel-major `[C, B, …]`
-/// layout (`ldo = B·spatial`, `col0 = b·spatial`) with no staging copy.
-#[allow(clippy::too_many_arguments)]
-fn conv_fwd(
-    xp: &[f32],
-    off: &[usize],
-    d2: usize,
-    d3: usize,
-    rows: usize,
-    pd2: usize,
-    pd3: usize,
+    src: usize,
+    len: usize,
+    row: usize,
+    valid: usize,
     w: &[f32],
     bias: &[f32],
     out_c: usize,
     out: &mut [f32],
     ldo: usize,
-    col0: usize,
-    simd: bool,
+    out_base: usize,
 ) {
-    let mut oc0 = 0;
-    while oc0 < out_c {
-        if out_c - oc0 >= MR {
-            fwd_rows::<MR>(
-                xp, off, d2, d3, rows, pd2, pd3, w, bias, oc0, out, ldo, col0, simd,
-            );
-            oc0 += MR;
+    let mut stored = out_base;
+    let mut j0 = 0;
+    while j0 < len {
+        let width = FL.min(len - j0);
+        let keep = if valid == row {
+            kernels::low_lanes(width)
         } else {
-            fwd_rows::<1>(
-                xp, off, d2, d3, rows, pd2, pd3, w, bias, oc0, out, ldo, col0, simd,
-            );
-            oc0 += 1;
+            let mut keep = 0u16;
+            let mut z = j0 % row;
+            for j in 0..width {
+                keep |= u16::from(z < valid) << j;
+                z += 1;
+                if z == row {
+                    z = 0;
+                }
+            }
+            keep
+        };
+        if keep != 0 {
+            let s = src + j0;
+            let mut oc0 = 0;
+            while oc0 < out_c {
+                if out_c - oc0 >= MR {
+                    kernels::flat_tile::<MR>(
+                        lane, xp, off, s, width, w, bias, oc0, out, ldo, stored, keep,
+                    );
+                    oc0 += MR;
+                } else {
+                    kernels::flat_tile::<1>(
+                        lane, xp, off, s, width, w, bias, oc0, out, ldo, stored, keep,
+                    );
+                    oc0 += 1;
+                }
+            }
         }
-    }
-}
-
-/// One block of `M` output channels of the forward pass.
-#[allow(clippy::too_many_arguments)]
-fn fwd_rows<const M: usize>(
-    xp: &[f32],
-    off: &[usize],
-    d2: usize,
-    d3: usize,
-    rows: usize,
-    pd2: usize,
-    pd3: usize,
-    w: &[f32],
-    bias: &[f32],
-    oc0: usize,
-    out: &mut [f32],
-    ldo: usize,
-    col0: usize,
-    simd: bool,
-) {
-    for r in 0..rows {
-        let src_r = ((r / d2) * pd2 + r % d2) * pd3;
-        let out_r = col0 + r * d3;
-        let mut zc = 0;
-        while d3 - zc >= NR {
-            kernels::fwd_tile::<M, NR>(
-                simd,
-                xp,
-                off,
-                src_r + zc,
-                w,
-                bias,
-                oc0,
-                out,
-                ldo,
-                out_r + zc,
-            );
-            zc += NR;
-        }
-        while d3 - zc >= 4 {
-            kernels::fwd_tile::<M, 4>(
-                simd,
-                xp,
-                off,
-                src_r + zc,
-                w,
-                bias,
-                oc0,
-                out,
-                ldo,
-                out_r + zc,
-            );
-            zc += 4;
-        }
-        while zc < d3 {
-            kernels::fwd_tile::<M, 1>(
-                simd,
-                xp,
-                off,
-                src_r + zc,
-                w,
-                bias,
-                oc0,
-                out,
-                ldo,
-                out_r + zc,
-            );
-            zc += 1;
-        }
+        stored += keep.count_ones() as usize;
+        j0 += width;
     }
 }
 
@@ -823,127 +629,71 @@ impl Layer for Conv3d {
 
         let w = self.weight.value.data();
         let bias = self.bias.value.data();
-        let simd = ws.simd_active();
-        if simd {
+        let lane = ws.lane();
+        if lane != Lane::Scalar {
             ws.counters.bump(Counter::GemmKernelSimd);
         }
-        if p == 0 {
-            // 1×1×1: the input *is* the patch matrix with flat `[B·n]`
-            // columns — one GEMM serves the whole batch, with the
-            // per-element accumulation order (bias first, K ascending)
-            // of the naive loops.
-            ws.counters.bump(Counter::GemmFlat);
-            gemm_bias(
-                self.out_c,
-                self.in_c,
+        if lane == Lane::Avx512 {
+            ws.counters.bump(Counter::GemmKernelAvx512);
+        }
+        let mut off = std::mem::take(&mut ws.tap_off);
+        let cache = if p == 0 {
+            // 1×1×1: the input *is* the patch matrix, channel `ic` at flat
+            // offset `ic · B·spatial` — one span over the whole batch, with
+            // no padding and so no junk lane.
+            off.clear();
+            off.extend((0..self.in_c).map(|ic| ic * n));
+            conv_span(
+                lane,
+                x.data(),
+                &off,
+                0,
+                n,
+                n,
                 n,
                 w,
                 bias,
-                x.data(),
-                n,
+                self.out_c,
                 out.data_mut(),
                 n,
                 0,
-                simd,
             );
-            let cache = ws.training().then(|| pad_batch(x, 0, ws));
-            ws.spans.end(t, ws.spans.now());
-            return (out, cache);
-        }
-
-        let xp = pad_batch(x, p, ws);
-        let mut off = std::mem::take(&mut ws.tap_off);
-        tap_offsets(self.in_c, k, pd1, pd2, pd3, &mut off);
-        if d3 >= NR {
-            // Deep-z grids: the implicit-im2col kernel is already
-            // tile-efficient; run it per sample, writing each sample's rows
-            // straight into the batched layout via the kernel's output
-            // stride — no staging copy.
-            ws.counters.bump(Counter::GemmDirect);
+            ws.training().then(|| pad_batch(x, 0, ws))
+        } else {
+            // One padded-flat span per x-plane of each sample, written
+            // straight into the channel-major `[C, B, …]` layout.
+            let xp = pad_batch(x, p, ws);
+            tap_offsets(self.in_c, k, pd1, pd2, pd3, &mut off);
+            // `(d2 − 1)·pd3 + d3`: from the first voxel of the plane to
+            // one past its last.
+            let span = (d2 * pd3).saturating_sub(2 * p);
             for b in 0..bsz {
-                let xpb = &xp.data()[b * self.in_c * pvol..][..self.in_c * pvol];
-                conv_fwd(
-                    xpb,
-                    &off,
-                    d2,
-                    d3,
-                    d1 * d2,
-                    pd2,
-                    pd3,
-                    w,
-                    bias,
-                    self.out_c,
-                    out.data_mut(),
-                    n,
-                    b * spatial,
-                    simd,
-                );
-            }
-        } else {
-            // Shallow-z grids (the pooled U-Net levels): materialize patch
-            // panels over *global* rows `0 .. B·rows` so GEMM tiles run over
-            // flat columns spanning row and sample boundaries — with
-            // `d3 < NR` the implicit-im2col tiles would mostly be scalar
-            // edges.
-            ws.counters.bump(Counter::GemmPanel);
-            let rows = d1 * d2;
-            let rows_g = bsz * rows;
-            let kd = self.in_c * k * k * k;
-            let rows_per_panel = (PANEL_COLS / d3).clamp(1, rows_g);
-            let mut bbuf = ws.take_im2col(kd * rows_per_panel * d3);
-            let xpd = xp.data();
-            let mut r0g = 0;
-            while r0g < rows_g {
-                let r1g = (r0g + rows_per_panel).min(rows_g);
-                let cols = (r1g - r0g) * d3;
-                // A panel may span samples: fill it from each sample's
-                // padded volume at its column offset within the panel.
-                let mut r = r0g;
-                while r < r1g {
-                    let b = r / rows;
-                    let r0 = r % rows;
-                    let r1 = rows.min(r0 + (r1g - r));
-                    let xpb = &xpd[b * self.in_c * pvol..][..self.in_c * pvol];
-                    im2col_from_padded(
-                        xpb,
+                for x1 in 0..d1 {
+                    conv_span(
+                        lane,
+                        xp.data(),
                         &off,
-                        k,
-                        d2,
-                        d3,
-                        pd2,
+                        b * self.in_c * pvol + x1 * pd2 * pd3,
+                        span,
                         pd3,
-                        r0,
-                        r1,
-                        &mut bbuf,
-                        cols,
-                        (r - r0g) * d3,
+                        d3,
+                        w,
+                        bias,
+                        self.out_c,
+                        out.data_mut(),
+                        n,
+                        b * spatial + x1 * d2 * d3,
                     );
-                    r += r1 - r0;
                 }
-                gemm_bias(
-                    self.out_c,
-                    kd,
-                    cols,
-                    w,
-                    bias,
-                    &bbuf,
-                    cols,
-                    out.data_mut(),
-                    n,
-                    r0g * d3,
-                    simd,
-                );
-                r0g = r1g;
             }
-            ws.put_im2col(bbuf);
-        }
-        ws.tap_off = off;
-        let cache = if ws.training() {
-            Some(xp)
-        } else {
-            ws.free(xp);
-            None
+            if ws.training() {
+                Some(xp)
+            } else {
+                ws.free(xp);
+                None
+            }
         };
+        ws.tap_off = off;
         ws.spans.end(t, ws.spans.now());
         (out, cache)
     }
@@ -980,7 +730,7 @@ impl Layer for Conv3d {
         }
 
         let g = grad_out.data();
-        let simd = ws.simd_active();
+        let simd = ws.lane() != Lane::Scalar;
         if simd {
             ws.counters.bump(Counter::GemmKernelSimd);
         }
@@ -1310,53 +1060,86 @@ mod tests {
         }
     }
 
-    /// The default lane (AVX2 wherever the host has it) against the
-    /// forced-scalar lane across the oracle case matrix, at B=1 and B=4:
-    /// forward (direct, flat and panel dispatch), input-gradient gather,
-    /// weight and bias gradients agree bit for bit, and the dispatch
-    /// counter proves which lane ran.
+    /// Every lane the host has against the scalar lane across the oracle
+    /// case matrix, at B=1 and B=4: forward (padded-flat and `1×1×1`
+    /// spans), input-gradient gather, weight and bias gradients agree bit
+    /// for bit, and the dispatch counters prove which lane ran.
     #[test]
-    fn default_lane_matches_forced_scalar_bitwise() {
+    fn every_lane_matches_scalar_bitwise() {
         for (case, &(in_c, out_c, k, [d1, d2, d3])) in ORACLE_CASES.iter().enumerate() {
             for bsz in [1usize, 4] {
                 let seed = 0x51D + case as u64;
                 let proto = conv(in_c, out_c, k, seed);
                 let x = Initializer::new(seed ^ 1).uniform(&[in_c, bsz, d1, d2, d3], 1.0);
                 let gout = Initializer::new(seed ^ 2).uniform(&[out_c, bsz, d1, d2, d3], 1.0);
+                let run = |lane: Lane| {
+                    let mut c = proto.clone();
+                    let mut ws = NnWorkspace::new();
+                    assert_eq!(ws.set_lane(lane), lane);
+                    let (y, gi) = step(&mut c, &x, &gout, &mut ws);
+                    (c, y, gi, ws.counters)
+                };
+                let (scalar, y_s, gi_s, _) = run(Lane::Scalar);
+                for lane in Lane::available() {
+                    let (wide, y_w, gi_w, counters) = run(lane);
+                    let what = format!(
+                        "{} case {case} B{bsz} ({in_c}->{out_c} k{k} {d1}x{d2}x{d3})",
+                        lane.name()
+                    );
+                    assert_bits_eq(&y_w, &y_s, &format!("{what} forward"));
+                    assert_bits_eq(&gi_w, &gi_s, &format!("{what} grad_in"));
+                    assert_bits_eq(
+                        &wide.weight.grad,
+                        &scalar.weight.grad,
+                        &format!("{what} grad_w"),
+                    );
+                    assert_bits_eq(
+                        &wide.bias.grad,
+                        &scalar.bias.grad,
+                        &format!("{what} grad_b"),
+                    );
+                    let simd = if lane == Lane::Scalar { 0 } else { 2 };
+                    assert_eq!(counters.get(Counter::GemmKernelSimd), simd, "{what}");
+                    assert_eq!(
+                        counters.get(Counter::GemmKernelAvx512),
+                        u64::from(lane == Lane::Avx512),
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
 
-                let mut wide = proto.clone();
-                let mut ws = NnWorkspace::new();
-                let (y_w, gi_w) = step(&mut wide, &x, &gout, &mut ws);
-
-                let mut scalar = proto.clone();
-                let mut ws_s = NnWorkspace::new();
-                ws_s.force_scalar();
-                let (y_s, gi_s) = step(&mut scalar, &x, &gout, &mut ws_s);
-
-                let what = format!("case {case} B{bsz} ({in_c}->{out_c} k{k} {d1}x{d2}x{d3})");
-                assert_bits_eq(&y_w, &y_s, &format!("{what} forward"));
-                assert_bits_eq(&gi_w, &gi_s, &format!("{what} grad_in"));
-                assert_bits_eq(
-                    &wide.weight.grad,
-                    &scalar.weight.grad,
-                    &format!("{what} grad_w"),
-                );
-                assert_bits_eq(
-                    &wide.bias.grad,
-                    &scalar.bias.grad,
-                    &format!("{what} grad_b"),
-                );
-                let dispatched = if kernels::simd_available() { 2 } else { 0 };
-                assert_eq!(
-                    ws.counters.get(Counter::GemmKernelSimd),
-                    dispatched,
-                    "{what}"
-                );
-                assert_eq!(
-                    ws_s.counters.get(Counter::GemmKernelSimd),
-                    0,
-                    "{what} forced"
-                );
+    /// The padded-flat forward on every lane against the naive oracle over
+    /// spans that end mid-tile (`span % 16 ≠ 0`), every channel remainder
+    /// of the 4-channel tile, `k ∈ {1, 3, 5}` and the shallow and deep `d3`
+    /// the U-Net levels produce, at B=1 and B=4.
+    #[test]
+    fn flat_forward_matches_naive_on_every_lane() {
+        let mut case = 0u64;
+        for k in [1usize, 3, 5] {
+            for d3 in [1usize, 2, 3, 4, 8, 12] {
+                for out_c in [1usize, 3, 4, 5, 8] {
+                    for bsz in [1usize, 4] {
+                        case += 1;
+                        let (in_c, d1, d2) = (2, 2, 3);
+                        let proto = conv(in_c, out_c, k, 0xF1A7 + case);
+                        let x = Initializer::new(case).uniform(&[in_c, bsz, d1, d2, d3], 1.0);
+                        let mut naive = proto.clone();
+                        naive.set_naive(true);
+                        let y_n = fwd(&naive, &x);
+                        for lane in Lane::available() {
+                            let mut ws = NnWorkspace::new();
+                            ws.set_lane(lane);
+                            let y = proto.forward(&x, &mut ws).0;
+                            let what = format!(
+                                "{} {in_c}->{out_c} k{k} B{bsz} {d1}x{d2}x{d3}",
+                                lane.name()
+                            );
+                            assert_bits_eq(&y, &y_n, &what);
+                        }
+                    }
+                }
             }
         }
     }

@@ -7,219 +7,124 @@
 //! scalar `acc += w * x` performs. FMA is deliberately not in the enabled
 //! target features, so codegen has no fused instruction to contract the
 //! pair into (and Rust never contracts floating-point ops on its own):
-//! every lane computes the scalar tile's bits (DESIGN.md §9). One 8-wide
-//! `__m256` register covers the `NR = 8` z lanes (forward, panel GEMM,
-//! gather) or the `WL = 8` output-channel lanes (weight grad), so the tile
-//! geometry is unchanged.
+//! every lane computes the scalar tile's bits (DESIGN.md §9). Two 8-wide
+//! `__m256` registers cover the `FL = 16` flat lanes of the forward tile;
+//! one covers the `NR = 8` z lanes of the gather or the `WL = 8`
+//! output-channel lanes of the weight gradient, so the tile geometry is
+//! unchanged.
 //!
 //! # Safety
 //!
 //! Every function here carries `#[target_feature(enable = "avx2")]`, so
 //! calling one is `unsafe` with the contract *the running CPU supports
 //! AVX2* — the dispatchers in [`super`] establish that via the cached
-//! [`simd_available`](super::simd_available) probe. The pointer
-//! arithmetic inside touches exactly the indices the scalar tiles address
-//! through checked slices; each `unsafe` block states the bound it relies
-//! on, and debug builds re-check the tile's outermost bounds with
-//! `debug_assert!`.
+//! [`host_lane`](super::host_lane) probe. The pointer arithmetic inside
+//! touches exactly the indices the scalar tiles address through checked
+//! slices; each `unsafe` block states the bound it relies on. The forward
+//! tile asserts those bounds (once per call for the weights and the
+//! output, once per tap for the input); the backward tiles re-check their
+//! outermost bounds with `debug_assert!` in debug builds.
 
 use core::arch::x86_64::{
-    _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
-    _mm256_storeu_ps,
+    _mm256_add_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_ps, _mm256_mul_ps,
+    _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
 };
 
-use super::{ICT, MR, NR, WL};
+use super::{FL, ICT, NR, WL};
 
-/// Forward tile, `MR = 4` output channels × `NR = 8` z lanes: SIMD twin
-/// of [`scalar::fwd_tile`](super::scalar::fwd_tile)`::<4, 8>`.
+/// Padded-flat forward tile, `M` output channels × [`FL`]` = 16` lanes as
+/// two `__m256` per channel: SIMD twin of
+/// [`scalar::flat_tile`](super::scalar::flat_tile). With `FULL` every
+/// load is a plain 16-float read; otherwise (the tail tile of a span,
+/// `width < 16`) `_mm256_maskload_ps` reads only lanes `< width`, so the
+/// tile never touches memory the scalar tile does not, and the zeroed
+/// lanes it leaves are never stored.
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn fwd_tile_4x8(
+pub(crate) fn flat_tile<const M: usize, const FULL: bool>(
     xp: &[f32],
     off: &[usize],
-    src_base: usize,
+    src: usize,
+    width: usize,
     w: &[f32],
     bias: &[f32],
     oc0: usize,
     out: &mut [f32],
     ldo: usize,
     out_base: usize,
+    keep: u16,
 ) {
     let kd = off.len();
-    debug_assert!(bias.len() >= oc0 + MR);
-    debug_assert!(w.len() >= (oc0 + MR) * kd);
-    debug_assert!(out.len() >= (oc0 + MR - 1) * ldo + out_base + NR);
-    let mut acc = [_mm256_setzero_ps(); MR];
-    for (i, a) in acc.iter_mut().enumerate() {
-        *a = _mm256_set1_ps(bias[oc0 + i]);
+    // A full tile reads all 16 lanes.
+    let reach = if FULL { FL } else { width };
+    // The bounds every unchecked access below relies on.
+    assert!(
+        bias.len() >= oc0 + M
+            && w.len() >= (oc0 + M) * kd
+            && out.len() >= (oc0 + M - 1) * ldo + out_base + keep.count_ones() as usize,
+        "flat tile out of bounds"
+    );
+    // Load masks: lane `l` is live iff `l < width` (all-ones `i32`).
+    let live: [i32; FL] = core::array::from_fn(|l| -i32::from(l < width));
+    // SAFETY: `live` is exactly 16 `i32`s, read as two halves of 8.
+    let (m0, m1) = unsafe {
+        (
+            _mm256_loadu_si256(live.as_ptr().cast()),
+            _mm256_loadu_si256(live.as_ptr().add(8).cast()),
+        )
+    };
+    let mut lo = [_mm256_setzero_ps(); M];
+    let mut hi = [_mm256_setzero_ps(); M];
+    for i in 0..M {
+        let b = _mm256_set1_ps(bias[oc0 + i]);
+        lo[i] = b;
+        hi[i] = b;
     }
+    // Row `i` of the weight block: `w[(oc0 + i)·kd ..][..kd]`.
+    let rows: [*const f32; M] = core::array::from_fn(|i| w.as_ptr().wrapping_add((oc0 + i) * kd));
     for (kx, &o) in off.iter().enumerate() {
-        debug_assert!(xp.len() >= o + src_base + NR);
-        // SAFETY: the scalar tile reads `xp[o + src_base .. o + src_base + 8]`
-        // through a checked slice; the caller passes the same `off`/`src_base`.
-        let src = unsafe { _mm256_loadu_ps(xp.as_ptr().add(o + src_base)) };
-        for (i, a) in acc.iter_mut().enumerate() {
-            *a = _mm256_add_ps(
-                *a,
-                _mm256_mul_ps(_mm256_set1_ps(w[(oc0 + i) * kd + kx]), src),
-            );
+        assert!(o + src + reach <= xp.len(), "flat tile input out of bounds");
+        let p = xp.as_ptr().wrapping_add(o + src);
+        let (x0, x1) = if FULL {
+            // SAFETY: `xp[o + src .. o + src + 16]` is in bounds per the
+            // assert (`reach == 16` on a full tile).
+            unsafe { (_mm256_loadu_ps(p), _mm256_loadu_ps(p.wrapping_add(8))) }
+        } else {
+            // SAFETY: masked loads touch only the live lanes, i.e.
+            // `xp[o + src .. o + src + width]`, in bounds per the assert.
+            unsafe {
+                (
+                    _mm256_maskload_ps(p, m0),
+                    _mm256_maskload_ps(p.wrapping_add(8), m1),
+                )
+            }
+        };
+        for i in 0..M {
+            // SAFETY: `kx < kd`, so this is `w[(oc0 + i)·kd + kx]`, in
+            // bounds per the assert above the loop.
+            let wv = _mm256_set1_ps(unsafe { *rows[i].add(kx) });
+            lo[i] = _mm256_add_ps(lo[i], _mm256_mul_ps(wv, x0));
+            hi[i] = _mm256_add_ps(hi[i], _mm256_mul_ps(wv, x1));
         }
     }
-    for (i, a) in acc.iter().enumerate() {
-        // SAFETY: row `oc0 + i` spans `[(oc0 + i)·ldo + out_base, +8)`, in
-        // bounds per the debug_assert above (same slice the scalar tile
-        // writes through `copy_from_slice`).
-        unsafe { _mm256_storeu_ps(out.as_mut_ptr().add((oc0 + i) * ldo + out_base), *a) };
-    }
-}
-
-/// Columns a wide GEMM tile covers: two `__m256` per row, eight
-/// accumulator registers per `MR`-row block — enough independent
-/// multiply-add chains to cover the add latency that the 8-column tile
-/// leaves on the table.
-const NW: usize = 2 * NR;
-
-/// Whole panel/flat GEMM, SIMD lane of
-/// [`scalar::gemm_bias`](super::scalar::gemm_bias). Walks 16-column
-/// panels **column-major** (all row blocks of one panel before the next),
-/// so the `kd`×16 slice of `b` a panel reads stays L1-resident instead of
-/// being re-streamed from L2/L3 once per row block. Per output element
-/// the accumulation is still one bias-first K-ascending chain; only the
-/// tile traversal order differs from the scalar lane, and traversal order
-/// never touches element values.
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_bias_wide(
-    m: usize,
-    kd: usize,
-    n: usize,
-    a: &[f32],
-    bias: &[f32],
-    b: &[f32],
-    ldb: usize,
-    out: &mut [f32],
-    ldo: usize,
-    col0: usize,
-) {
-    let mut j0 = 0;
-    while j0 + NW <= n {
-        let mut i0 = 0;
-        while i0 + MR <= m {
-            gemm_tile_4x16(a, bias, b, ldb, kd, i0, j0, out, ldo, col0);
-            i0 += MR;
+    for i in 0..M {
+        let ob = (oc0 + i) * ldo + out_base;
+        if keep == u16::MAX {
+            // SAFETY: all 16 lanes are kept, so the row spans
+            // `[ob, ob + 16)`, in bounds per the assert above.
+            unsafe {
+                _mm256_storeu_ps(out.as_mut_ptr().add(ob), lo[i]);
+                _mm256_storeu_ps(out.as_mut_ptr().add(ob + 8), hi[i]);
+            }
+        } else {
+            let mut row = [0.0f32; FL];
+            // SAFETY: `row` is exactly 16 floats.
+            unsafe {
+                _mm256_storeu_ps(row.as_mut_ptr(), lo[i]);
+                _mm256_storeu_ps(row.as_mut_ptr().add(8), hi[i]);
+            }
+            super::scalar::store_kept(&row, keep, &mut out[ob..]);
         }
-        if i0 < m {
-            super::scalar::gemm_cols(a, bias, b, ldb, kd, i0, m, j0, j0 + NW, out, ldo, col0);
-        }
-        j0 += NW;
-    }
-    if j0 + NR <= n {
-        let mut i0 = 0;
-        while i0 + MR <= m {
-            gemm_tile_4x8(a, bias, b, ldb, kd, i0, j0, out, ldo, col0);
-            i0 += MR;
-        }
-        if i0 < m {
-            super::scalar::gemm_cols(a, bias, b, ldb, kd, i0, m, j0, j0 + NR, out, ldo, col0);
-        }
-        j0 += NR;
-    }
-    if j0 < n {
-        super::scalar::gemm_cols(a, bias, b, ldb, kd, 0, m, j0, n, out, ldo, col0);
-    }
-}
-
-/// Wide GEMM tile, `MR = 4` rows × [`NW`]` = 16` columns: each of the
-/// eight accumulators is an independent multiply-add chain, and each
-/// broadcast of `a[i][k]` feeds two of them.
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2")]
-fn gemm_tile_4x16(
-    a: &[f32],
-    bias: &[f32],
-    b: &[f32],
-    ldb: usize,
-    kd: usize,
-    i0: usize,
-    j0: usize,
-    out: &mut [f32],
-    ldo: usize,
-    col0: usize,
-) {
-    debug_assert!(bias.len() >= i0 + MR);
-    debug_assert!(a.len() >= (i0 + MR) * kd);
-    debug_assert!(kd == 0 || b.len() >= (kd - 1) * ldb + j0 + NW);
-    debug_assert!(out.len() >= (i0 + MR - 1) * ldo + col0 + j0 + NW);
-    let mut lo = [_mm256_setzero_ps(); MR];
-    let mut hi = [_mm256_setzero_ps(); MR];
-    for i in 0..MR {
-        let bv = _mm256_set1_ps(bias[i0 + i]);
-        lo[i] = bv;
-        hi[i] = bv;
-    }
-    for kx in 0..kd {
-        let base = kx * ldb + j0;
-        // SAFETY: the scalar lane reads `b[kx·ldb + j0 .. +16]` through
-        // checked slices; bounds re-checked by the debug_assert above.
-        let b0 = unsafe { _mm256_loadu_ps(b.as_ptr().add(base)) };
-        // SAFETY: as above, columns `j0 + 8 .. j0 + 16` of row `kx`.
-        let b1 = unsafe { _mm256_loadu_ps(b.as_ptr().add(base + 8)) };
-        for i in 0..MR {
-            let av = _mm256_set1_ps(a[(i0 + i) * kd + kx]);
-            lo[i] = _mm256_add_ps(lo[i], _mm256_mul_ps(av, b0));
-            hi[i] = _mm256_add_ps(hi[i], _mm256_mul_ps(av, b1));
-        }
-    }
-    for i in 0..MR {
-        let o = (i0 + i) * ldo + col0 + j0;
-        // SAFETY: row `i0 + i` spans `[o, o + 16)`, in bounds per the
-        // debug_assert above.
-        unsafe { _mm256_storeu_ps(out.as_mut_ptr().add(o), lo[i]) };
-        // SAFETY: as above, the upper 8 of the same 16-column span.
-        unsafe { _mm256_storeu_ps(out.as_mut_ptr().add(o + 8), hi[i]) };
-    }
-}
-
-/// Narrow GEMM tile, `MR = 4` rows × `NR = 8` columns, for the column
-/// remainder of [`gemm_bias_wide`]: SIMD twin of
-/// [`scalar::gemm_tile`](super::scalar::gemm_tile).
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2")]
-fn gemm_tile_4x8(
-    a: &[f32],
-    bias: &[f32],
-    b: &[f32],
-    ldb: usize,
-    kd: usize,
-    i0: usize,
-    j0: usize,
-    out: &mut [f32],
-    ldo: usize,
-    col0: usize,
-) {
-    debug_assert!(bias.len() >= i0 + MR);
-    debug_assert!(a.len() >= (i0 + MR) * kd);
-    debug_assert!(kd == 0 || b.len() >= (kd - 1) * ldb + j0 + NR);
-    debug_assert!(out.len() >= (i0 + MR - 1) * ldo + col0 + j0 + NR);
-    let mut acc = [_mm256_setzero_ps(); MR];
-    for (i, v) in acc.iter_mut().enumerate() {
-        *v = _mm256_set1_ps(bias[i0 + i]);
-    }
-    for kx in 0..kd {
-        // SAFETY: the scalar tile reads `b[kx·ldb + j0 .. +8]` through a
-        // checked slice; bounds re-checked by the debug_assert above.
-        let brow = unsafe { _mm256_loadu_ps(b.as_ptr().add(kx * ldb + j0)) };
-        for (i, v) in acc.iter_mut().enumerate() {
-            *v = _mm256_add_ps(
-                *v,
-                _mm256_mul_ps(_mm256_set1_ps(a[(i0 + i) * kd + kx]), brow),
-            );
-        }
-    }
-    for (i, v) in acc.iter().enumerate() {
-        // SAFETY: row `i0 + i` spans `[(i0 + i)·ldo + col0 + j0, +8)`, in
-        // bounds per the debug_assert above.
-        unsafe { _mm256_storeu_ps(out.as_mut_ptr().add((i0 + i) * ldo + col0 + j0), *v) };
     }
 }
 
@@ -318,6 +223,7 @@ pub(crate) fn ig_tile_4x8(
     }
 }
 
-// The kernels above hard-code one 8-wide register per tile row; they are
-// only correct at the exact geometry the dispatchers check for.
-const _: () = assert!(MR == 4 && NR == 8 && WL == 8 && ICT == 4);
+// The kernels above hard-code two (forward) or one 8-wide register per
+// tile row; they are only correct at the exact geometry the dispatchers
+// check for.
+const _: () = assert!(FL == 16 && NR == 8 && WL == 8 && ICT == 4);

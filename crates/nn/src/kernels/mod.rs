@@ -1,11 +1,10 @@
-//! GEMM micro-kernel family and runtime kernel dispatch.
+//! Convolution register tiles and runtime kernel-lane dispatch.
 //!
 //! The convolution lowering in [`conv3d`](crate::conv3d) funnels every
-//! FLOP through four register tiles: the forward tile (`MR` output
-//! channels × `NR` z lanes), the panel GEMM tile (same geometry over a
-//! materialized patch panel), the weight-gradient lanes (`WL` output
-//! channels) and the input-gradient gather tile (`ICT` input channels ×
-//! `NR` z lanes). This module owns those tiles in two lanes:
+//! FLOP through three register tiles: the padded-flat forward tile (`MR`
+//! output channels × `FL` flat lanes), the weight-gradient lanes (`WL`
+//! output channels) and the input-gradient gather tile (`ICT` input
+//! channels × `NR` z lanes). This module owns those tiles in three lanes:
 //!
 //! * `scalar` — bit-identical to the naive seven-loop oracle (the
 //!   per-element accumulation-order contract of DESIGN.md §9), and the
@@ -14,22 +13,30 @@
 //!   `simd` cargo feature on `x86_64`. Each step is a separate multiply
 //!   then add, in the scalar tile's per-element order, so the wide lane
 //!   is bit-identical to the scalar one — not an approximation of it.
+//! * `avx512` — the forward tile as one `__m512` per output channel, under
+//!   the same rule; its backward runs the AVX2 tiles.
 //!
 //! Dispatch is automatic: [`NnWorkspace::new`](crate::workspace::NnWorkspace::new)
-//! resolves the lane once from [`simd_available`] — a cached
+//! resolves the lane once from [`host_lane`] — a cached
 //! `is_x86_feature_detected!` probe — and the kernels branch on that
-//! plain `bool`. Because both lanes produce the same bits, the choice is
-//! invisible in every result; the telemetry counter `gemm_kernel_simd`
-//! records each conv kernel entry that ran the wide lane, making the
-//! dispatch observable in tests and bench artifacts.
+//! plain [`Lane`]. Because every lane produces the same bits, the choice
+//! is invisible in every result; the telemetry counters
+//! `gemm_kernel_simd` (any wide tile) and `gemm_kernel_avx512` (the
+//! 16-wide forward tile) record which lane ran, making the dispatch
+//! observable in tests and bench artifacts.
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 pub(crate) mod avx2;
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+pub(crate) mod avx512;
 pub(crate) mod scalar;
 
-/// Micro-kernel rows (output channels per forward register tile).
+/// Output channels per forward register tile.
 pub(crate) const MR: usize = 4;
-/// Micro-kernel columns (z lanes per register tile).
+/// Flat lanes per forward register tile: one `__m512`, two `__m256`, or
+/// sixteen scalar accumulators per output channel.
+pub(crate) const FL: usize = 16;
+/// z lanes per input-gradient gather tile.
 pub(crate) const NR: usize = 8;
 /// Output-channel lanes of the weight-gradient kernel.
 pub(crate) const WL: usize = 8;
@@ -37,85 +44,134 @@ pub(crate) const WL: usize = 8;
 /// gradient-row read across `ICT` register accumulator rows).
 pub(crate) const ICT: usize = 4;
 
-/// Whether the AVX2 kernel lane can run on this build and host: `true`
-/// iff the `simd` feature is compiled in, the target is `x86_64`, and the
-/// CPU reports `avx2`. The CPUID probe runs once and is cached in a
-/// process-wide dispatch table (`OnceLock`), so creating a workspace pays
-/// one atomic load, not a CPUID.
-#[must_use]
-pub fn simd_available() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        use std::sync::OnceLock;
-        static AVAIL: OnceLock<bool> = OnceLock::new();
-        *AVAIL.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        false
+/// The mask of lanes `0 .. n` of a flat tile (`n ≤ FL`).
+#[inline(always)]
+pub(crate) const fn low_lanes(n: usize) -> u16 {
+    if n >= FL {
+        u16::MAX
+    } else {
+        (1u16 << n) - 1
     }
 }
 
-/// Dispatches the forward register tile: `M` output channels × `N` z
-/// lanes, bias first, K strictly ascending per element. The AVX2 lane
-/// runs only for the full `MR`×`NR` geometry; ragged edges always take
-/// the scalar tile (their per-element order is identical either way).
+/// A kernel lane. Ordered narrowest first: a host that runs a lane runs
+/// every narrower one, and every lane computes the same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Lane {
+    /// The scalar tiles: every build and host.
+    Scalar,
+    /// The AVX2 tiles (`simd` feature, `x86_64`, CPU `avx2`).
+    Avx2,
+    /// The 16-wide AVX-512 forward tile beside the AVX2 backward tiles
+    /// (`simd` feature, `x86_64`, CPU `avx2` and `avx512f`).
+    Avx512,
+}
+
+impl Lane {
+    /// Every lane, narrowest first.
+    pub const ALL: [Lane; 3] = [Lane::Scalar, Lane::Avx2, Lane::Avx512];
+
+    /// The lane's name, as bench artifacts and run manifests record it.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Lane::Scalar => "scalar",
+            Lane::Avx2 => "avx2",
+            Lane::Avx512 => "avx512",
+        }
+    }
+
+    /// The lanes this build can run on this host, narrowest first (always
+    /// starts with [`Lane::Scalar`]).
+    pub fn available() -> impl Iterator<Item = Lane> {
+        let widest = host_lane();
+        Lane::ALL.into_iter().filter(move |&l| l <= widest)
+    }
+}
+
+/// The widest kernel lane this build can run on this host. The CPUID probe
+/// runs once and is cached in a process-wide dispatch table (`OnceLock`),
+/// so creating a workspace pays one atomic load, not a CPUID. Without the
+/// `simd` feature, or off `x86_64`, this is [`Lane::Scalar`].
+#[must_use]
+pub fn host_lane() -> Lane {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    {
+        use std::sync::OnceLock;
+        static LANE: OnceLock<Lane> = OnceLock::new();
+        *LANE.get_or_init(|| {
+            if !std::arch::is_x86_feature_detected!("avx2") {
+                Lane::Scalar
+            } else if std::arch::is_x86_feature_detected!("avx512f") {
+                Lane::Avx512
+            } else {
+                Lane::Avx2
+            }
+        })
+    }
+    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    {
+        Lane::Scalar
+    }
+}
+
+/// Dispatches the padded-flat forward tile: `M` output channels ×
+/// `width ≤ FL` lanes, bias first, taps strictly ascending per element.
+/// Lane `j` accumulates `xp[off[kx] + src + j]`; the lanes set in `keep`
+/// are stored, packed in lane order, at `out[(oc0 + i)·ldo + out_base ..]`,
+/// and every other lane is computed and dropped. `width < FL` only on the
+/// tail tile of a span, whose missing lanes are never read.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn fwd_tile<const M: usize, const N: usize>(
-    simd: bool,
+pub(crate) fn flat_tile<const M: usize>(
+    lane: Lane,
     xp: &[f32],
     off: &[usize],
-    src_base: usize,
+    src: usize,
+    width: usize,
     w: &[f32],
     bias: &[f32],
     oc0: usize,
     out: &mut [f32],
     ldo: usize,
     out_base: usize,
+    keep: u16,
 ) {
+    debug_assert!(width > 0 && width <= FL);
+    debug_assert!(u32::from(keep) >> width == 0);
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd && M == MR && N == NR {
-        // SAFETY: `simd` is only true when the workspace observed
-        // `simd_available()`, i.e. the running CPU supports AVX2.
-        unsafe { avx2::fwd_tile_4x8(xp, off, src_base, w, bias, oc0, out, ldo, out_base) };
-        return;
+    match lane {
+        Lane::Avx512 => {
+            // SAFETY: the workspace holds `Lane::Avx512` only when
+            // `host_lane()` observed `avx512f` on the running CPU.
+            unsafe {
+                avx512::flat_tile::<M>(xp, off, src, width, w, bias, oc0, out, ldo, out_base, keep);
+            }
+            return;
+        }
+        Lane::Avx2 if width == FL => {
+            // SAFETY: the workspace holds `Lane::Avx2` or wider only when
+            // `host_lane()` observed `avx2` on the running CPU.
+            unsafe {
+                avx2::flat_tile::<M, true>(
+                    xp, off, src, width, w, bias, oc0, out, ldo, out_base, keep,
+                );
+            }
+            return;
+        }
+        Lane::Avx2 => {
+            // SAFETY: as above.
+            unsafe {
+                avx2::flat_tile::<M, false>(
+                    xp, off, src, width, w, bias, oc0, out, ldo, out_base, keep,
+                );
+            }
+            return;
+        }
+        Lane::Scalar => {}
     }
-    let _ = simd;
-    scalar::fwd_tile::<M, N>(xp, off, src_base, w, bias, oc0, out, ldo, out_base);
-}
-
-/// Dispatches the whole panel/flat GEMM
-/// (`out[i][col0 + j] = bias[i] + Σ_k a[i][k]·b[k][j]`, `i < m`,
-/// `j < n`). The two lanes traverse the output differently — scalar walks
-/// `MR`×`NR` tiles row-block-major (the bit-identity layout), the AVX2
-/// lane walks 16-column panels column-major so each `kd`×16 slice of `b`
-/// stays L1-resident across every row block — but every output element is
-/// still one bias-first K-ascending accumulation in both.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_bias(
-    simd: bool,
-    m: usize,
-    kd: usize,
-    n: usize,
-    a: &[f32],
-    bias: &[f32],
-    b: &[f32],
-    ldb: usize,
-    out: &mut [f32],
-    ldo: usize,
-    col0: usize,
-) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd {
-        // SAFETY: `simd` is only true when the workspace observed
-        // `simd_available()`, i.e. the running CPU supports AVX2.
-        unsafe { avx2::gemm_bias_wide(m, kd, n, a, bias, b, ldb, out, ldo, col0) };
-        return;
-    }
-    let _ = simd;
-    scalar::gemm_bias(m, kd, n, a, bias, b, ldb, out, ldo, col0);
+    let _ = lane;
+    scalar::flat_tile::<M>(xp, off, src, width, w, bias, oc0, out, ldo, out_base, keep);
 }
 
 /// Dispatches the weight-gradient lanes: one fresh z-ascending dot for
@@ -138,8 +194,8 @@ pub(crate) fn wg_lanes<const L: usize>(
 ) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if simd && L == WL && xrow.len() >= ICT {
-        // SAFETY: `simd` is only true when the workspace observed
-        // `simd_available()`, i.e. the running CPU supports AVX2.
+        // SAFETY: `simd` is only true when the workspace's lane is AVX2 or
+        // wider, i.e. `host_lane()` observed `avx2` on the running CPU.
         unsafe { avx2::wg_lanes_8(xrow, gt, gt_base, out_c, oc0, gw, kd, kx) };
         return;
     }
@@ -177,8 +233,8 @@ pub(crate) fn ig_tile<const L: usize, const N: usize>(
 ) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if simd && L == ICT && N == NR {
-        // SAFETY: `simd` is only true when the workspace observed
-        // `simd_available()`, i.e. the running CPU supports AVX2.
+        // SAFETY: `simd` is only true when the workspace's lane is AVX2 or
+        // wider, i.e. `host_lane()` observed `avx2` on the running CPU.
         unsafe {
             avx2::ig_tile_4x8(
                 gsrc, out_c, in_c, k, p, d1, d2, d3, pd1, pd2, pd3, w, gi, ic0, ix, iy, zc, ldo,
@@ -195,11 +251,11 @@ pub(crate) fn ig_tile<const L: usize, const N: usize>(
 
 #[cfg(test)]
 mod tests {
-    //! Wide lane == scalar lane, bit for bit, per dispatcher. Each test
-    //! runs the dispatcher twice on the same random inputs, once with the
-    //! wide lane requested and once forced scalar, over full tiles,
-    //! ragged `m`/`n` edges and empty reductions (`kd = 0`). On a host or
-    //! build without the wide lane there is nothing to compare.
+    //! Every wide lane == the scalar lane, bit for bit, per dispatcher.
+    //! Each test runs the dispatcher on the same random inputs once per
+    //! lane the host has, over full tiles, ragged widths and keep masks,
+    //! and empty reductions (`kd = 0`). On a host or build without a wide
+    //! lane there is nothing to compare.
 
     use super::*;
 
@@ -234,67 +290,66 @@ mod tests {
         }
     }
 
-    fn fwd_case<const M: usize, const N: usize>(kd: usize, seed: u64) {
-        let (oc0, src_base, out_base, ldo) = (1, 3, 2, N + 5);
+    /// The wide lanes of this host (every available lane but scalar).
+    fn wide_lanes() -> impl Iterator<Item = Lane> {
+        Lane::available().filter(|&l| l != Lane::Scalar)
+    }
+
+    /// Also names the host's lanes (`ci.sh` prints them with
+    /// `--nocapture`): every lane test below runs on each of them.
+    #[test]
+    fn host_lanes_are_ordered_and_start_scalar() {
+        let lanes: Vec<Lane> = Lane::available().collect();
+        let names: Vec<&str> = lanes.iter().map(|l| l.name()).collect();
+        println!("kernel lanes on this host: {}", names.join(" "));
+        assert_eq!(lanes[0], Lane::Scalar);
+        assert_eq!(*lanes.last().expect("non-empty"), host_lane());
+        assert!(lanes.windows(2).all(|p| p[0] < p[1]));
+        let names: Vec<&str> = Lane::ALL.iter().map(|l| l.name()).collect();
+        assert_eq!(names, ["scalar", "avx2", "avx512"]);
+    }
+
+    fn flat_case<const M: usize>(kd: usize, width: usize, keep: u16, seed: u64) {
+        // The input ends exactly at the last lane the tile may read, so an
+        // over-read on the tail tile would leave the slice.
+        let (oc0, src, out_base) = (1, 3, 2);
         let off: Vec<usize> = (0..kd).map(|k| (k * 5) % 13).collect();
-        let xp = values(seed, 13 + src_base + N);
+        let xp = values(seed, 12 + src + width);
         let w = values(seed ^ 1, (oc0 + M) * kd);
         let bias = values(seed ^ 2, oc0 + M);
+        let ldo = out_base + keep.count_ones() as usize + 3;
         let fresh = values(seed ^ 3, (oc0 + M) * ldo);
-        let run = |simd: bool| {
+        let run = |lane: Lane| {
             let mut out = fresh.clone();
-            fwd_tile::<M, N>(
-                simd, &xp, &off, src_base, &w, &bias, oc0, &mut out, ldo, out_base,
+            flat_tile::<M>(
+                lane, &xp, &off, src, width, &w, &bias, oc0, &mut out, ldo, out_base, keep,
             );
             out
         };
-        assert_bits(
-            &run(true),
-            &run(false),
-            &format!("fwd_tile {M}x{N} kd {kd}"),
-        );
+        let scalar = run(Lane::Scalar);
+        for lane in wide_lanes() {
+            assert_bits(
+                &run(lane),
+                &scalar,
+                &format!(
+                    "{} flat_tile {M} kd {kd} width {width} keep {keep:#x}",
+                    lane.name()
+                ),
+            );
+        }
     }
 
     #[test]
-    fn fwd_tile_wide_equals_scalar_bitwise() {
-        if !simd_available() {
-            return;
-        }
+    fn flat_tile_wide_equals_scalar_bitwise() {
         for (i, kd) in [0usize, 1, 7, 27, 81].into_iter().enumerate() {
             let seed = 0xF00 + i as u64;
-            fwd_case::<MR, NR>(kd, seed);
-            fwd_case::<3, NR>(kd, seed);
-            fwd_case::<MR, 5>(kd, seed);
-            fwd_case::<1, 1>(kd, seed);
-        }
-    }
-
-    #[test]
-    fn gemm_bias_wide_equals_scalar_bitwise() {
-        if !simd_available() {
-            return;
-        }
-        let mut seed = 0x6E33;
-        for m in [1usize, 3, 4, 5, 8, 9] {
-            for n in [1usize, 7, 8, 9, 15, 16, 17, 24, 33] {
-                for kd in [0usize, 1, 6, 27] {
-                    seed += 1;
-                    let (ldb, col0) = (n + 3, 2);
-                    let ldo = col0 + n + 1;
-                    let a = values(seed, m * kd);
-                    let bias = values(seed ^ 1, m);
-                    let b = values(seed ^ 2, kd * ldb);
-                    let fresh = values(seed ^ 3, m * ldo);
-                    let run = |simd: bool| {
-                        let mut out = fresh.clone();
-                        gemm_bias(simd, m, kd, n, &a, &bias, &b, ldb, &mut out, ldo, col0);
-                        out
-                    };
-                    assert_bits(
-                        &run(true),
-                        &run(false),
-                        &format!("gemm_bias {m}x{n} kd {kd}"),
-                    );
+            for width in [1usize, 5, 8, 9, 15, FL] {
+                let all = low_lanes(width);
+                // Every kept lane, junk lanes in the middle (a padded row
+                // boundary), and only the odd lanes.
+                for keep in [all, all & 0xF3CF, all & 0xAAAA] {
+                    flat_case::<MR>(kd, width, keep, seed);
+                    flat_case::<1>(kd, width, keep, seed);
                 }
             }
         }
@@ -315,7 +370,7 @@ mod tests {
 
     #[test]
     fn wg_lanes_wide_equals_scalar_bitwise() {
-        if !simd_available() {
+        if host_lane() == Lane::Scalar {
             return;
         }
         for (i, z_len) in [0usize, 1, 3, 4, 5, 8, 17, 64].into_iter().enumerate() {
@@ -358,7 +413,7 @@ mod tests {
 
     #[test]
     fn ig_tile_wide_equals_scalar_bitwise() {
-        if !simd_available() {
+        if host_lane() == Lane::Scalar {
             return;
         }
         for (i, (k, d3)) in [(3usize, 16usize), (3, 21), (1, 8), (5, 9)]

@@ -1,155 +1,84 @@
 //! The scalar register tiles: the default kernel family, bit-identical to
-//! the naive seven-loop oracle (moved verbatim from `conv3d`; the
-//! accumulation-order contract lives in that module's docs and DESIGN.md
-//! §9).
+//! the naive seven-loop oracle (the accumulation-order contract lives in
+//! the `conv3d` module docs and DESIGN.md §9).
 
-/// The forward register tile: `M` output channels × `N` z lanes, bias
-/// first, K strictly ascending per element.
+use super::FL;
+
+/// The padded-flat forward tile: `M` output channels × `width ≤ FL`
+/// lanes, bias first, taps strictly ascending per element. Lane `j`
+/// accumulates `xp[off[kx] + src + j]`; the lanes set in `keep` are
+/// stored, packed in lane order, from `out[(oc0 + i)·n + out_base]` on.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn fwd_tile<const M: usize, const N: usize>(
+pub(crate) fn flat_tile<const M: usize>(
     xp: &[f32],
     off: &[usize],
-    src_base: usize,
+    src: usize,
+    width: usize,
     w: &[f32],
     bias: &[f32],
     oc0: usize,
     out: &mut [f32],
     n: usize,
     out_base: usize,
+    keep: u16,
 ) {
-    let kd = off.len();
-    let mut acc = [[0.0f32; N]; M];
+    let mut acc = [[0.0f32; FL]; M];
     for (i, row) in acc.iter_mut().enumerate() {
-        *row = [bias[oc0 + i]; N];
+        *row = [bias[oc0 + i]; FL];
     }
-    for (kx, &o) in off.iter().enumerate() {
-        let src = &xp[o + src_base..o + src_base + N];
-        for (i, row) in acc.iter_mut().enumerate() {
-            let wv = w[(oc0 + i) * kd + kx];
-            for (v, &s) in row.iter_mut().zip(src) {
-                *v += wv * s;
-            }
-        }
+    // A constant width on full tiles lets the compiler unroll and
+    // vectorize the lane loop; the tail tile takes the same loop at its
+    // own width.
+    if width == FL {
+        accumulate(&mut acc, xp, off, src, FL, w, oc0);
+    } else {
+        accumulate(&mut acc, xp, off, src, width, w, oc0);
     }
     for (i, row) in acc.iter().enumerate() {
         let ob = (oc0 + i) * n + out_base;
-        out[ob..ob + N].copy_from_slice(row);
-    }
-}
-
-/// `out[i][col0 + j] = bias[i] + Σ_k a[i][k] · b[k][j]` for `i < m`,
-/// `j < n`, with the K loop strictly ascending per output element.
-/// Register-blocked `MR`×`NR` tiles; edges fall back to scalar columns
-/// (same per-element order either way).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_bias(
-    m: usize,
-    kd: usize,
-    n: usize,
-    a: &[f32],
-    bias: &[f32],
-    b: &[f32],
-    ldb: usize,
-    out: &mut [f32],
-    ldo: usize,
-    col0: usize,
-) {
-    use super::{MR, NR};
-    let mut i0 = 0;
-    while i0 < m {
-        let mr = MR.min(m - i0);
-        let mut j0 = 0;
-        while j0 < n {
-            let nr = NR.min(n - j0);
-            if mr == MR && nr == NR {
-                gemm_tile(a, bias, b, ldb, kd, i0, j0, out, ldo, col0);
-            } else {
-                gemm_cols(
-                    a,
-                    bias,
-                    b,
-                    ldb,
-                    kd,
-                    i0,
-                    i0 + mr,
-                    j0,
-                    j0 + nr,
-                    out,
-                    ldo,
-                    col0,
-                );
-            }
-            j0 += nr;
-        }
-        i0 += mr;
-    }
-}
-
-/// Scalar edge columns of the GEMM: rows `[i0, i1)` × columns `[j0, j1)`,
-/// one fresh bias-first K-ascending accumulation per element (the shared
-/// ragged-edge path of both kernel families).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_cols(
-    a: &[f32],
-    bias: &[f32],
-    b: &[f32],
-    ldb: usize,
-    kd: usize,
-    i0: usize,
-    i1: usize,
-    j0: usize,
-    j1: usize,
-    out: &mut [f32],
-    ldo: usize,
-    col0: usize,
-) {
-    for i in i0..i1 {
-        let arow = &a[i * kd..(i + 1) * kd];
-        for j in j0..j1 {
-            let mut acc = bias[i];
-            for (kx, &av) in arow.iter().enumerate() {
-                acc += av * b[kx * ldb + j];
-            }
-            out[i * ldo + col0 + j] = acc;
+        if keep == u16::MAX {
+            out[ob..ob + FL].copy_from_slice(row);
+        } else {
+            store_kept(row, keep, &mut out[ob..]);
         }
     }
 }
 
-/// The full `MR`×`NR` GEMM tile of the panel/flat paths:
-/// `out[i0 + i][col0 + j0 + j] = bias[i0 + i] + Σ_k a[i0 + i][k]·b[k][j0 + j]`
-/// with the K loop strictly ascending per output element.
+/// The K loop of [`flat_tile`]: lanes `< width` of every row, taps
+/// ascending.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_tile(
-    a: &[f32],
-    bias: &[f32],
-    b: &[f32],
-    ldb: usize,
-    kd: usize,
-    i0: usize,
-    j0: usize,
-    out: &mut [f32],
-    ldo: usize,
-    col0: usize,
+fn accumulate<const M: usize>(
+    acc: &mut [[f32; FL]; M],
+    xp: &[f32],
+    off: &[usize],
+    src: usize,
+    width: usize,
+    w: &[f32],
+    oc0: usize,
 ) {
-    use super::{MR, NR};
-    let mut acc = [[0.0f32; NR]; MR];
-    for (i, row) in acc.iter_mut().enumerate() {
-        *row = [bias[i0 + i]; NR];
-    }
-    for kx in 0..kd {
-        let brow = &b[kx * ldb + j0..kx * ldb + j0 + NR];
+    let kd = off.len();
+    for (kx, &o) in off.iter().enumerate() {
+        let s = &xp[o + src..][..width];
         for (i, row) in acc.iter_mut().enumerate() {
-            let av = a[(i0 + i) * kd + kx];
-            for (v, &bv) in row.iter_mut().zip(brow) {
-                *v += av * bv;
+            let wv = w[(oc0 + i) * kd + kx];
+            for (v, &x) in row.iter_mut().zip(s) {
+                *v += wv * x;
             }
         }
     }
-    for (i, row) in acc.iter().enumerate() {
-        let o = (i0 + i) * ldo + col0 + j0;
-        out[o..o + NR].copy_from_slice(row);
+}
+
+/// Writes the lanes of `row` set in `keep` to `dst`, packed in lane order
+/// (the shared partial-tile store of the scalar and AVX2 tiles).
+#[inline(always)]
+pub(crate) fn store_kept(row: &[f32; FL], keep: u16, dst: &mut [f32]) {
+    let mut m = keep;
+    let mut o = 0;
+    while m != 0 {
+        dst[o] = row[m.trailing_zeros() as usize];
+        o += 1;
+        m &= m - 1;
     }
 }
 

@@ -51,9 +51,10 @@
 //! assert_eq!(dx.shape(), x.shape());
 //! ```
 
-// Unsafe is forbidden except under the default `simd` feature, whose AVX2
-// intrinsics in `kernels::avx2` are the one sanctioned use (each site
-// carries a `// SAFETY:` audit; lint rule D4 enforces both halves).
+// Unsafe is forbidden except under the default `simd` feature, whose
+// intrinsics in `kernels::avx2` and `kernels::avx512` (and the dispatch
+// calls into them in `kernels`) are the one sanctioned use: each site
+// carries a `// SAFETY:` audit, and lint rule D4 enforces both halves.
 // `--no-default-features` builds the crate with `forbid(unsafe_code)`.
 #![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
 #![cfg_attr(feature = "simd", deny(unsafe_op_in_unsafe_fn))]
@@ -76,7 +77,7 @@ pub mod upsample;
 pub mod workspace;
 
 pub use error::NnError;
-pub use kernels::simd_available;
+pub use kernels::{host_lane, Lane};
 pub use layer::{Layer, Param};
 pub use tensor::Tensor;
 pub use unet::{UNet3d, UNetConfig};

@@ -471,13 +471,14 @@ mod tests {
         }
     }
 
-    /// The default kernel lane (AVX2 wherever the host has it) against
-    /// the forced-scalar lane and the naive oracle, over one whole
-    /// forward, backward and Adam step of a selector-shaped network wide
-    /// enough to fill every register tile: logits, input gradients and
-    /// the updated parameters must agree bit for bit.
+    /// Every kernel lane the host has against the naive oracle, over one
+    /// whole forward, backward and Adam step of a selector-shaped network
+    /// wide enough to fill every register tile: logits, input gradients
+    /// and the updated parameters must agree bit for bit, and the dispatch
+    /// counters must name the lane that ran.
     #[test]
-    fn default_lane_matches_scalar_and_naive_through_an_adam_step() {
+    fn every_lane_matches_naive_through_an_adam_step() {
+        use crate::kernels::Lane;
         use crate::optim::Adam;
         let proto = UNet3d::new(UNetConfig {
             in_channels: 7,
@@ -486,28 +487,40 @@ mod tests {
             seed: 71,
         });
         let x = Initializer::new(72).uniform(&[7, 9, 10, 16], 1.0);
-        let run = |lane: &str| {
+        let run = |lane: Option<Lane>| {
             let mut net = proto.clone();
             let mut ws = NnWorkspace::new();
             match lane {
-                "scalar" => ws.force_scalar(),
-                "naive" => net.set_naive(true),
-                _ => {}
+                Some(l) => assert_eq!(ws.set_lane(l), l),
+                None => net.set_naive(true),
             }
             let (y, gi) = train_pass(&mut net, &x, &mut ws);
             Adam::new(1e-2).step(&mut net);
-            let wide = ws.counters.get(Counter::GemmKernelSimd);
-            (net, y, gi, wide)
+            (net, y, gi, ws.counters)
         };
-        let (mut net, y, gi, wide) = run("default");
-        assert_eq!(wide > 0, crate::simd_available(), "default lane dispatch");
-        for lane in ["scalar", "naive"] {
-            let (mut other, y_o, gi_o, wide_o) = run(lane);
-            assert_eq!(wide_o, 0, "{lane}: the wide tiles must not run");
-            assert_bits_eq(&y, &y_o, &format!("{lane} logits"));
-            assert_bits_eq(&gi, &gi_o, &format!("{lane} input grad"));
-            for (p, q) in net.params_mut().iter().zip(other.params_mut().iter()) {
-                assert_bits_eq(&p.value, &q.value, &format!("{lane} param after Adam"));
+        let (mut naive, y_n, gi_n, counters) = run(None);
+        assert_eq!(
+            counters.get(Counter::GemmKernelSimd),
+            0,
+            "naive: no tiles run"
+        );
+        for lane in Lane::available() {
+            let (mut net, y, gi, counters) = run(Some(lane));
+            let name = lane.name();
+            assert_eq!(
+                counters.get(Counter::GemmKernelSimd) > 0,
+                lane != Lane::Scalar,
+                "{name}: wide tiles dispatch"
+            );
+            assert_eq!(
+                counters.get(Counter::GemmKernelAvx512) > 0,
+                lane == Lane::Avx512,
+                "{name}: AVX-512 tile dispatch"
+            );
+            assert_bits_eq(&y, &y_n, &format!("{name} logits"));
+            assert_bits_eq(&gi, &gi_n, &format!("{name} input grad"));
+            for (p, q) in net.params_mut().iter().zip(naive.params_mut().iter()) {
+                assert_bits_eq(&p.value, &q.value, &format!("{name} param after Adam"));
             }
         }
     }

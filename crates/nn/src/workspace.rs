@@ -10,11 +10,11 @@
 //!   [`NnWorkspace::alloc`] and return it with [`NnWorkspace::free`], so
 //!   after warm-up a forward/backward pass performs no heap allocation;
 //! * the **tap-offset table** and the padded/transposed gradient buffers
-//!   of the implicit-im2col GEMM convolution kernels (see
+//!   of the convolution kernels (see
 //!   [`conv3d`](crate::conv3d));
 //! * the U-Net's skip-connection stack;
 //! * the Tier A telemetry [`CounterSet`] of the NN subsystem (pool
-//!   hits/misses, GEMM dispatch mix, per-U-Net-layer MACs) and the
+//!   hits/misses, conv kernel-lane dispatch, per-U-Net-layer MACs) and the
 //!   context's Tier B [`SpanRecorder`]: every layer brackets itself in a
 //!   `Span::Nn*` span (conv/activation/pool/upsample, forward/backward),
 //!   always feeding the per-kind histograms and, when the recorder is
@@ -32,7 +32,7 @@
 
 use oarsmt_telemetry::{Counter, CounterSet, SpanRecorder};
 
-use crate::kernels;
+use crate::kernels::{self, Lane};
 use crate::tensor::Tensor;
 
 /// The reusable scratch arena threaded through every
@@ -46,8 +46,6 @@ pub struct NnWorkspace {
     /// Per-tap padded-volume offsets (the K axis of the convolution's
     /// implicit patch matrix).
     pub(crate) tap_off: Vec<usize>,
-    /// im2col patch panel of the small-grid convolution forward path.
-    pub(crate) im2col: Vec<f32>,
     /// Zero-padded `grad_out` of the convolution input-gradient gather.
     pub(crate) g_pad: Vec<f32>,
     /// `grad_out` transposed to `[spatial][out_c]` for the vectorized
@@ -63,18 +61,18 @@ pub struct NnWorkspace {
     /// The context's span recorder: layer spans here, and the routing
     /// phases of an enclosing `RouteContext`.
     pub spans: SpanRecorder,
-    /// Tier A telemetry of the NN subsystem: pool hits/misses, GEMM
-    /// dispatch per path, per-U-Net-layer MACs. Always on; monotone.
+    /// Tier A telemetry of the NN subsystem: pool hits/misses, conv
+    /// kernel-lane dispatch, per-U-Net-layer MACs. Always on; monotone.
     pub counters: CounterSet,
     /// The counter index MACs are attributed to (`Counter::MacsOther`
     /// outside a tagged U-Net layer; the U-Net forward and backward retag
     /// it per block via [`NnWorkspace::set_mac_slot`]).
     pub(crate) mac_slot: usize,
     /// The kernel lane, resolved once at [`NnWorkspace::new`] from the
-    /// cached [`kernels::simd_available`] probe: `true` iff conv GEMM
-    /// calls run the AVX2 tiles (the kernels branch on this plain bool,
-    /// not on a CPUID probe). Both lanes produce the same bits.
-    simd_active: bool,
+    /// cached [`kernels::host_lane`] probe (the kernels branch on this
+    /// plain value, not on a CPUID probe). Every lane produces the same
+    /// bits.
+    lane: Lane,
 }
 
 impl Default for NnWorkspace {
@@ -89,7 +87,6 @@ impl NnWorkspace {
         NnWorkspace {
             pool: Vec::new(),
             tap_off: Vec::new(),
-            im2col: Vec::new(),
             g_pad: Vec::new(),
             g_t: Vec::new(),
             skips: Vec::new(),
@@ -97,26 +94,27 @@ impl NnWorkspace {
             spans: SpanRecorder::new(),
             counters: CounterSet::new(),
             mac_slot: Counter::MacsOther as usize,
-            simd_active: kernels::simd_available(),
+            lane: kernels::host_lane(),
         }
     }
 
-    /// Pins conv GEMM calls through this workspace to the scalar tiles.
-    /// The lanes are bit-identical, so this changes speed only; it exists
-    /// so tests can run the scalar lane on a host with AVX2. Oracle hook
-    /// only, like `Conv3d::set_naive`.
-    #[cfg(any(test, feature = "naive-ref"))]
-    pub fn force_scalar(&mut self) {
-        self.simd_active = false;
+    /// Runs the conv kernels through this workspace on `lane`, capped at
+    /// the host's widest lane ([`kernels::host_lane`]), and returns the
+    /// lane now in effect. The lanes are bit-identical, so this changes
+    /// speed only; it lets tests and benchmarks run each narrower lane on
+    /// a wide host.
+    pub fn set_lane(&mut self, lane: Lane) -> Lane {
+        self.lane = lane.min(kernels::host_lane());
+        self.lane
     }
 
-    /// Whether conv GEMM calls through this workspace run the AVX2 lane:
-    /// the `simd` build feature and the host CPU, resolved at
-    /// [`NnWorkspace::new`].
+    /// The kernel lane conv calls through this workspace run: the widest
+    /// the `simd` build feature and the host CPU allow, resolved at
+    /// [`NnWorkspace::new`], unless [`NnWorkspace::set_lane`] narrowed it.
     #[inline]
     #[must_use]
-    pub fn simd_active(&self) -> bool {
-        self.simd_active
+    pub fn lane(&self) -> Lane {
+        self.lane
     }
 
     /// Acquires a zeroed tensor of the given shape from the pool.
@@ -152,22 +150,6 @@ impl NnWorkspace {
     /// [`UNet3d::predict_in`](crate::unet::UNet3d::predict_in)).
     pub fn training(&self) -> bool {
         self.training
-    }
-
-    /// Takes the im2col panel buffer, sized to at least `len` (callers
-    /// return it via [`NnWorkspace::put_im2col`]; taking keeps the borrow
-    /// checker out of kernels that also index the workspace).
-    pub(crate) fn take_im2col(&mut self, len: usize) -> Vec<f32> {
-        let mut b = std::mem::take(&mut self.im2col);
-        if b.len() < len {
-            b.resize(len, 0.0);
-        }
-        b
-    }
-
-    /// Returns the im2col panel buffer.
-    pub(crate) fn put_im2col(&mut self, b: Vec<f32>) {
-        self.im2col = b;
     }
 
     /// Retags the MAC-attribution counter slot, returning the previous tag

@@ -89,6 +89,8 @@ pub struct RouteContext {
     /// Sources of a polish reroute: the tree left after stripping a
     /// terminal's branch.
     pub(crate) tree_vertices: Vec<GridPoint>,
+    /// The candidates the last `OarmstRouter::route_in` kept after
+    /// pruning (its final tree is the Prim build over pins + these).
     pub(crate) kept: Vec<GridPoint>,
     /// Maze-query result buffer (`shortest_path_into` and
     /// `prim_path_into` write here), so the Prim/retrace loops never
@@ -185,6 +187,15 @@ impl RouteContext {
     #[inline]
     pub fn is_pin_index(&self, idx: u32) -> bool {
         self.pin_indices.binary_search(&idx).is_ok()
+    }
+
+    /// The candidates the last [`OarmstRouter::route_in`](crate::OarmstRouter::route_in)
+    /// through this context kept after pruning. Its tree is the last Prim
+    /// build, over the pins plus exactly these points, so when this is
+    /// empty that tree is the pins-only build of the same router.
+    #[must_use]
+    pub fn kept(&self) -> &[GridPoint] {
+        &self.kept
     }
 
     /// The search bounds the bounded-exploration router uses for a query

@@ -32,6 +32,7 @@ pub fn reroute_terminal_in(
     terminals: &[GridPoint],
     terminal_idx: usize,
 ) -> Result<Option<RouteTree>, RouteError> {
+    ctx.adj.ensure(graph);
     let mut adj = std::mem::take(&mut ctx.tree_adj);
     adj.rebuild(tree);
     let result = reroute_with_adj(
@@ -49,7 +50,9 @@ pub fn reroute_terminal_in(
 
 /// [`reroute_terminal_in`] against a caller-supplied adjacency of `tree`
 /// (the polish loop builds it once per accepted tree instead of once per
-/// terminal), under the caller's [`QueuePolicy`].
+/// terminal), under the caller's [`QueuePolicy`]. The caller has already
+/// run `ctx.adj.ensure(graph)`, once per polish round rather than once
+/// per terminal.
 #[allow(clippy::too_many_arguments)]
 fn reroute_with_adj(
     ctx: &mut RouteContext,
@@ -111,7 +114,6 @@ fn reroute_with_adj(
         return Ok(None);
     }
     let target = graph.index(terminal);
-    ctx.adj.ensure(graph);
     // Single-target reroute: the terminal itself is the exact A* hint.
     if let Err(e) = ctx.space.shortest_path_into(
         graph,
@@ -165,6 +167,7 @@ pub fn polish_round_policy_in(
 ) -> Result<(RouteTree, bool), RouteError> {
     let mut best = tree;
     let mut improved = false;
+    ctx.adj.ensure(graph);
     let mut adj = std::mem::take(&mut ctx.tree_adj);
     adj.rebuild(&best);
     for idx in 0..terminals.len() {

@@ -49,27 +49,21 @@ pub enum Counter {
     NnPoolHits,
     /// NN tensor acquisitions that had to heap-allocate.
     NnPoolMisses,
-    /// Conv3d forwards dispatched to the implicit-im2col direct path
-    /// (`d3 >= 8` z-lanes).
-    GemmDirect,
-    /// Conv3d forwards dispatched to the materialized row-panel path
-    /// (`d3 < 8`, padded).
-    GemmPanel,
-    /// Conv3d forwards dispatched to the flat `1×1×1` fallback
-    /// (`d3 < 8`, unpadded).
-    GemmFlat,
     /// Sample columns pushed through the selector network, summed over
     /// every forward pass (a batch-`B` pass adds `B`). Divided by
     /// [`Counter::BatchFlushes`] this is the mean batch occupancy.
     GemmBatchCols,
     /// Selector-network forward passes (a batch of any width counts once).
     BatchFlushes,
-    /// Conv3d kernel entries (forward or backward) that ran the wide AVX2
-    /// register tiles on this host. The wide tiles are bit-identical to
-    /// the scalar ones, so this counts speed, not results; it is zero
-    /// when the host lacks AVX2 or `oarsmt-nn` is built without its
-    /// `simd` feature.
+    /// Conv3d kernel entries (forward or backward) that ran wide register
+    /// tiles (the AVX2 or AVX-512 lane) on this host. The wide tiles are
+    /// bit-identical to the scalar ones, so this counts speed, not
+    /// results; it is zero when the host lacks AVX2, `oarsmt-nn` is built
+    /// without its `simd` feature, or the workspace runs the scalar lane.
     GemmKernelSimd,
+    /// Conv3d forwards that ran the 16-wide AVX-512 tile (a subset of
+    /// [`Counter::GemmKernelSimd`]); zero off the AVX-512 lane.
+    GemmKernelAvx512,
     /// Multiply-accumulates in encoder level 0 (deeper levels clamp to 3).
     MacsEnc0,
     /// Multiply-accumulates in encoder level 1.
@@ -95,7 +89,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants.
-pub const NUM_COUNTERS: usize = 29;
+pub const NUM_COUNTERS: usize = 27;
 
 /// Snake-case wire names, indexed by [`Counter`] discriminant. These are
 /// the JSONL `"name"` values, so renaming one is a wire-format change.
@@ -112,12 +106,10 @@ pub const COUNTER_NAMES: [&str; NUM_COUNTERS] = [
     "mcts_backprop_steps",
     "nn_pool_hits",
     "nn_pool_misses",
-    "gemm_direct",
-    "gemm_panel",
-    "gemm_flat",
     "gemm_batch_cols",
     "batch_flushes",
     "gemm_kernel_simd",
+    "gemm_kernel_avx512",
     "macs_enc0",
     "macs_enc1",
     "macs_enc2",
@@ -180,12 +172,10 @@ pub const ALL_COUNTERS: [Counter; NUM_COUNTERS] = [
     Counter::MctsBackpropSteps,
     Counter::NnPoolHits,
     Counter::NnPoolMisses,
-    Counter::GemmDirect,
-    Counter::GemmPanel,
-    Counter::GemmFlat,
     Counter::GemmBatchCols,
     Counter::BatchFlushes,
     Counter::GemmKernelSimd,
+    Counter::GemmKernelAvx512,
     Counter::MacsEnc0,
     Counter::MacsEnc1,
     Counter::MacsEnc2,
@@ -345,9 +335,9 @@ mod tests {
         assert!(c.is_zero());
         c.bump(Counter::DijkstraPops);
         c.add(Counter::DijkstraPops, 4);
-        c.add_at(Counter::GemmPanel as usize, 7);
+        c.add_at(Counter::GemmKernelAvx512 as usize, 7);
         assert_eq!(c.get(Counter::DijkstraPops), 5);
-        assert_eq!(c.get(Counter::GemmPanel), 7);
+        assert_eq!(c.get(Counter::GemmKernelAvx512), 7);
         assert!(!c.is_zero());
         c.clear();
         assert!(c.is_zero());
@@ -372,14 +362,14 @@ mod tests {
     #[test]
     fn delta_since_subtracts() {
         let mut before = CounterSet::new();
-        before.add(Counter::GemmDirect, 2);
+        before.add(Counter::GemmKernelSimd, 2);
         let mut after = before;
-        after.add(Counter::GemmDirect, 5);
-        after.bump(Counter::GemmFlat);
+        after.add(Counter::GemmKernelSimd, 5);
+        after.bump(Counter::GemmKernelAvx512);
         let d = after.delta_since(&before);
-        assert_eq!(d.get(Counter::GemmDirect), 5);
-        assert_eq!(d.get(Counter::GemmFlat), 1);
-        assert_eq!(d.get(Counter::GemmPanel), 0);
+        assert_eq!(d.get(Counter::GemmKernelSimd), 5);
+        assert_eq!(d.get(Counter::GemmKernelAvx512), 1);
+        assert_eq!(d.get(Counter::GemmBatchCols), 0);
     }
 
     #[test]

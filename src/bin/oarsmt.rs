@@ -203,12 +203,7 @@ fn cmd_train(args: &[String], threads_flag: Option<usize>) -> CliResult {
 
     let manifest = oarsmt_telemetry::Manifest {
         run: "train".to_string(),
-        mode: if oarsmt_nn::simd_available() {
-            "avx2"
-        } else {
-            "scalar"
-        }
-        .to_string(),
+        mode: oarsmt_nn::host_lane().name().to_string(),
         threads,
         seed: 1,
         timing: oarsmt_telemetry::TIMING_ENABLED,
