@@ -23,17 +23,22 @@ pub(crate) fn flat_tile<const M: usize>(
     out_base: usize,
     keep: u16,
 ) {
+    // The lanes run in chunks of 8, then 4, then 1, each chunk with its
+    // own K loop over register-resident accumulators (lanes are
+    // independent elements, so no element's order changes).
     let mut acc = [[0.0f32; FL]; M];
-    for (i, row) in acc.iter_mut().enumerate() {
-        *row = [bias[oc0 + i]; FL];
+    let mut lo = 0;
+    while width - lo >= 8 {
+        chunk::<M, 8>(&mut acc, xp, off, src, lo, w, bias, oc0);
+        lo += 8;
     }
-    // A constant width on full tiles lets the compiler unroll and
-    // vectorize the lane loop; the tail tile takes the same loop at its
-    // own width.
-    if width == FL {
-        accumulate(&mut acc, xp, off, src, FL, w, oc0);
-    } else {
-        accumulate(&mut acc, xp, off, src, width, w, oc0);
+    while width - lo >= 4 {
+        chunk::<M, 4>(&mut acc, xp, off, src, lo, w, bias, oc0);
+        lo += 4;
+    }
+    while lo < width {
+        chunk::<M, 1>(&mut acc, xp, off, src, lo, w, bias, oc0);
+        lo += 1;
     }
     for (i, row) in acc.iter().enumerate() {
         let ob = (oc0 + i) * n + out_base;
@@ -45,27 +50,36 @@ pub(crate) fn flat_tile<const M: usize>(
     }
 }
 
-/// The K loop of [`flat_tile`]: lanes `< width` of every row, taps
-/// ascending.
+/// Lanes `lo .. lo + W` of the tile: bias first, taps ascending, in `W`
+/// local accumulators per row, copied into `acc` at the end.
 #[inline(always)]
-fn accumulate<const M: usize>(
+#[allow(clippy::too_many_arguments)]
+fn chunk<const M: usize, const W: usize>(
     acc: &mut [[f32; FL]; M],
     xp: &[f32],
     off: &[usize],
     src: usize,
-    width: usize,
+    lo: usize,
     w: &[f32],
+    bias: &[f32],
     oc0: usize,
 ) {
     let kd = off.len();
+    let mut part = [[0.0f32; W]; M];
+    for (i, row) in part.iter_mut().enumerate() {
+        *row = [bias[oc0 + i]; W];
+    }
     for (kx, &o) in off.iter().enumerate() {
-        let s = &xp[o + src..][..width];
-        for (i, row) in acc.iter_mut().enumerate() {
+        let s = &xp[o + src + lo..][..W];
+        for (i, row) in part.iter_mut().enumerate() {
             let wv = w[(oc0 + i) * kd + kx];
             for (v, &x) in row.iter_mut().zip(s) {
                 *v += wv * x;
             }
         }
+    }
+    for (row, p) in acc.iter_mut().zip(&part) {
+        row[lo..lo + W].copy_from_slice(p);
     }
 }
 
