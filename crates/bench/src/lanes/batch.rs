@@ -91,6 +91,14 @@ struct FitResult {
     counters: CounterSet,
 }
 
+/// Runs `steps` fit steps, returning steps per second and each step's
+/// loss bits.
+fn timed(steps: usize, mut step: impl FnMut() -> f32) -> (f64, Vec<u32>) {
+    let t0 = Instant::now();
+    let losses = (0..steps).map(|_| step().to_bits()).collect();
+    (steps as f64 / t0.elapsed().as_secs_f64(), losses)
+}
+
 /// The median of `xs` (the mean of the middle two for an even count).
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
@@ -131,20 +139,8 @@ fn run_fit_rung(r: &SizeRung, steps: usize, pairs: usize) -> FitResult {
     let mut ratios = Vec::with_capacity(pairs);
     let mut cs_loss = 0u64;
     for pair in 0..pairs {
-        let mut batch_arm = || {
-            let t0 = Instant::now();
-            let losses: Vec<u32> = (0..chunk)
-                .map(|_| t_batch.fit_batch(&mut s_batch, &refs).to_bits())
-                .collect();
-            (chunk as f64 / t0.elapsed().as_secs_f64(), losses)
-        };
-        let mut seq_arm = || {
-            let t0 = Instant::now();
-            let losses: Vec<u32> = (0..chunk)
-                .map(|_| t_seq.fit_batch_sequential(&mut s_seq, &refs).to_bits())
-                .collect();
-            (chunk as f64 / t0.elapsed().as_secs_f64(), losses)
-        };
+        let mut batch_arm = || timed(chunk, || t_batch.fit_batch(&mut s_batch, &refs));
+        let mut seq_arm = || timed(chunk, || t_seq.fit_batch_sequential(&mut s_seq, &refs));
         let ((batch_rate, batch_losses), (seq_rate, seq_losses)) = if pair % 2 == 0 {
             let b = batch_arm();
             (b, seq_arm())
