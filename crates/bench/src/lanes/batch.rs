@@ -12,7 +12,8 @@
 //!    interleaved pairs, alternating which arm runs first, and full mode
 //!    gates on the median of the `PAIRS` per-pair ratios: `fit_batch`
 //!    must never regress below the sequential arm beyond timing noise.
-//!    The recorded baseline artifact (`BENCH_batch_baseline.json`) keeps
+//!    Each arm's reported steps/s is its best pair, as a best-of
+//!    estimator. The recorded baseline artifact (`BENCH_batch_baseline.json`) keeps
 //!    the `vs base` column; it is not a timing gate because this host
 //!    shows ±40% cross-run swings.
 //!
@@ -81,7 +82,7 @@ fn fit_samples(r: &SizeRung) -> Vec<TrainingSample> {
 }
 
 struct FitResult {
-    /// Per-arm medians over the pairs.
+    /// Per-arm best over the pairs (the fastest chunk of each arm).
     batch_steps_per_s: f64,
     seq_steps_per_s: f64,
     /// Median over the pairs of `fit_batch` / sequential throughput.
@@ -99,6 +100,11 @@ fn timed(steps: usize, mut step: impl FnMut() -> f32) -> (f64, Vec<u32>) {
     (steps as f64 / t0.elapsed().as_secs_f64(), losses)
 }
 
+/// The largest of `rates`.
+fn best(rates: &[f64]) -> f64 {
+    rates.iter().copied().fold(0.0, f64::max)
+}
+
 /// The median of `xs` (the mean of the middle two for an even count).
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
@@ -110,7 +116,8 @@ fn median(mut xs: Vec<f64>) -> f64 {
 /// so the bit-identical trajectories make the timing an apples-to-apples
 /// comparison of the same computation. `steps` per arm are timed in
 /// `pairs` equal chunks; each pair runs both arms, the first arm
-/// alternating, so drift in host speed hits both arms alike.
+/// alternating, so drift in host speed hits both arms alike. Each arm
+/// reports its best chunk; the floor gates on the median pair ratio.
 fn run_fit_rung(r: &SizeRung, steps: usize, pairs: usize) -> FitResult {
     assert_eq!(
         steps % pairs,
@@ -165,8 +172,8 @@ fn run_fit_rung(r: &SizeRung, steps: usize, pairs: usize) -> FitResult {
     // Both arms ran on the lane the artifact names.
     assert_lane_dispatched(r.name, &counters);
     FitResult {
-        batch_steps_per_s: median(batch_rates),
-        seq_steps_per_s: median(seq_rates),
+        batch_steps_per_s: best(&batch_rates),
+        seq_steps_per_s: best(&seq_rates),
         live: median(ratios),
         cs_loss,
         counters,

@@ -108,28 +108,19 @@ pub fn kernel_lane() -> &'static str {
     oarsmt_nn::host_lane().name()
 }
 
-/// Asserts that the tiles of the host's lane ([`kernel_lane`]) ran
-/// through `counters`: wide tiles exactly when that lane is wide, and the
-/// AVX-512 forward tile exactly when it is AVX-512, so a silent fallback
-/// to a narrower lane cannot pass as wide-lane numbers.
+/// Asserts that the wide tiles ran through `counters` exactly when the
+/// host's lane ([`kernel_lane`]) is wide, so a silent scalar fallback
+/// cannot pass as wide-lane numbers.
 ///
 /// # Panics
 ///
-/// Panics when a dispatch counter disagrees with the lane.
+/// Panics when the dispatch counter disagrees with the lane.
 pub fn assert_lane_dispatched(rung: &str, counters: &oarsmt_telemetry::CounterSet) {
-    use oarsmt_nn::Lane;
-    use oarsmt_telemetry::Counter;
     let lane = oarsmt_nn::host_lane();
     assert_eq!(
-        counters.get(Counter::GemmKernelSimd) > 0,
-        lane != Lane::Scalar,
+        counters.get(oarsmt_telemetry::Counter::GemmKernelSimd) > 0,
+        lane != oarsmt_nn::Lane::Scalar,
         "{rung}: the wide tiles must dispatch exactly on a wide lane ({})",
-        lane.name()
-    );
-    assert_eq!(
-        counters.get(Counter::GemmKernelAvx512) > 0,
-        lane == Lane::Avx512,
-        "{rung}: the AVX-512 tile must dispatch exactly on the avx512 lane ({})",
         lane.name()
     );
 }

@@ -9,7 +9,7 @@
 //! `Trainer::fit_batch`.
 //!
 //! Everything runs on the default kernel lane — the widest the host has
-//! (AVX-512, AVX2 or scalar), all bit-identical (DESIGN.md §9) — and the
+//! (AVX2 or scalar), both bit-identical (DESIGN.md §9) — and the
 //! artifact's `kernel` field names the lane that ran. Per rung the
 //! lane records an output checksum (forward logits) and gradient checksums
 //! (input gradient, concatenated parameter gradients) as exact `f64` bit
@@ -24,8 +24,7 @@
 //! 3. implicitly, bit identity across workspace reuse (the timed loops
 //!    reuse one workspace; any drift would change the artifact
 //!    checksums);
-//! 4. that the tiles of the host's lane dispatched: `gemm_simd > 0`
-//!    exactly on a wide lane and `gemm_avx512 > 0` exactly on the AVX-512
+//! 4. that the wide tiles dispatched (`gemm_simd > 0`) exactly on a wide
 //!    lane ([`oarsmt_nn::host_lane`]).
 //!
 //! The report always ends with a per-layer-kind time split of the timed
@@ -211,7 +210,7 @@ fn run_lane(run: &mut Run) -> Result<Output, String> {
         "xfwd",
         "train/s",
         "xtrain",
-        "simd/avx512",
+        "simd",
         "logits checksum",
     ]);
     let mut out = Output::default();
@@ -235,11 +234,7 @@ fn run_lane(run: &mut Run) -> Result<Output, String> {
             format!("{:.2}x", fwd_per_s / base_fwd),
             format!("{train_per_s:.2}"),
             format!("{:.2}x", train_per_s / base_train),
-            format!(
-                "{}/{}",
-                c.get(Counter::GemmKernelSimd),
-                c.get(Counter::GemmKernelAvx512)
-            ),
+            c.get(Counter::GemmKernelSimd).to_string(),
             format!("{:016x}", res.cs.logits),
         ]);
         out.rungs.push(vec![
@@ -251,7 +246,6 @@ fn run_lane(run: &mut Run) -> Result<Output, String> {
             num("train_secs", res.train_secs, 6),
             num("train_per_s", train_per_s, 3),
             int("gemm_simd", c.get(Counter::GemmKernelSimd)),
-            int("gemm_avx512", c.get(Counter::GemmKernelAvx512)),
             int("macs", c.total_macs()),
             hex("cs_predict", res.cs.predict),
             hex("cs_logits", res.cs.logits),

@@ -13,28 +13,23 @@
 //!   `simd` cargo feature on `x86_64`. Each step is a separate multiply
 //!   then add, in the scalar tile's per-element order, so the wide lane
 //!   is bit-identical to the scalar one — not an approximation of it.
-//! * `avx512` — the forward tile as one `__m512` per output channel, under
-//!   the same rule; its backward runs the AVX2 tiles.
 //!
 //! Dispatch is automatic: [`NnWorkspace::new`](crate::workspace::NnWorkspace::new)
 //! resolves the lane once from [`host_lane`] — a cached
 //! `is_x86_feature_detected!` probe — and the kernels branch on that
 //! plain [`Lane`]. Because every lane produces the same bits, the choice
-//! is invisible in every result; the telemetry counters
-//! `gemm_kernel_simd` (any wide tile) and `gemm_kernel_avx512` (the
-//! 16-wide forward tile) record which lane ran, making the dispatch
-//! observable in tests and bench artifacts.
+//! is invisible in every result; the telemetry counter `gemm_kernel_simd`
+//! records which lane ran, making the dispatch observable in tests and
+//! bench artifacts.
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 pub(crate) mod avx2;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub(crate) mod avx512;
 pub(crate) mod scalar;
 
 /// Output channels per forward register tile.
 pub(crate) const MR: usize = 4;
-/// Flat lanes per forward register tile: one `__m512`, two `__m256`, or
-/// sixteen scalar accumulators per output channel.
+/// Flat lanes per forward register tile: two `__m256` or sixteen scalar
+/// accumulators per output channel.
 pub(crate) const FL: usize = 16;
 /// z lanes per input-gradient gather tile.
 pub(crate) const NR: usize = 8;
@@ -62,14 +57,11 @@ pub enum Lane {
     Scalar,
     /// The AVX2 tiles (`simd` feature, `x86_64`, CPU `avx2`).
     Avx2,
-    /// The 16-wide AVX-512 forward tile beside the AVX2 backward tiles
-    /// (`simd` feature, `x86_64`, CPU `avx2` and `avx512f`).
-    Avx512,
 }
 
 impl Lane {
     /// Every lane, narrowest first.
-    pub const ALL: [Lane; 3] = [Lane::Scalar, Lane::Avx2, Lane::Avx512];
+    pub const ALL: [Lane; 2] = [Lane::Scalar, Lane::Avx2];
 
     /// The lane's name, as bench artifacts and run manifests record it.
     #[must_use]
@@ -77,7 +69,18 @@ impl Lane {
         match self {
             Lane::Scalar => "scalar",
             Lane::Avx2 => "avx2",
-            Lane::Avx512 => "avx512",
+        }
+    }
+
+    /// The forward-tile work of one span of `len` lanes, in tile steps:
+    /// `FL`-lane tiles on the wide lane (the tail tile costs a full one);
+    /// on the scalar lane 4-lane steps, where each lane of a width's
+    /// remainder mod 4 is a single-lane step that costs as much as a
+    /// 4-lane one.
+    pub(crate) fn span_cost(self, len: usize) -> usize {
+        match self {
+            Lane::Scalar => len / 4 + len % 4,
+            Lane::Avx2 => len.div_ceil(FL),
         }
     }
 
@@ -100,12 +103,10 @@ pub fn host_lane() -> Lane {
         use std::sync::OnceLock;
         static LANE: OnceLock<Lane> = OnceLock::new();
         *LANE.get_or_init(|| {
-            if !std::arch::is_x86_feature_detected!("avx2") {
-                Lane::Scalar
-            } else if std::arch::is_x86_feature_detected!("avx512f") {
-                Lane::Avx512
-            } else {
+            if std::arch::is_x86_feature_detected!("avx2") {
                 Lane::Avx2
+            } else {
+                Lane::Scalar
             }
         })
     }
@@ -141,16 +142,8 @@ pub(crate) fn flat_tile<const M: usize>(
     debug_assert!(u32::from(keep) >> width == 0);
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     match lane {
-        Lane::Avx512 => {
-            // SAFETY: the workspace holds `Lane::Avx512` only when
-            // `host_lane()` observed `avx512f` on the running CPU.
-            unsafe {
-                avx512::flat_tile::<M>(xp, off, src, width, w, bias, oc0, out, ldo, out_base, keep);
-            }
-            return;
-        }
         Lane::Avx2 if width == FL => {
-            // SAFETY: the workspace holds `Lane::Avx2` or wider only when
+            // SAFETY: the workspace holds `Lane::Avx2` only when
             // `host_lane()` observed `avx2` on the running CPU.
             unsafe {
                 avx2::flat_tile::<M, true>(
@@ -194,8 +187,8 @@ pub(crate) fn wg_lanes<const L: usize>(
 ) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if simd && L == WL && xrow.len() >= ICT {
-        // SAFETY: `simd` is only true when the workspace's lane is AVX2 or
-        // wider, i.e. `host_lane()` observed `avx2` on the running CPU.
+        // SAFETY: `simd` is only true when the workspace's lane is AVX2,
+        // i.e. `host_lane()` observed `avx2` on the running CPU.
         unsafe { avx2::wg_lanes_8(xrow, gt, gt_base, out_c, oc0, gw, kd, kx) };
         return;
     }
@@ -233,8 +226,8 @@ pub(crate) fn ig_tile<const L: usize, const N: usize>(
 ) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if simd && L == ICT && N == NR {
-        // SAFETY: `simd` is only true when the workspace's lane is AVX2 or
-        // wider, i.e. `host_lane()` observed `avx2` on the running CPU.
+        // SAFETY: `simd` is only true when the workspace's lane is AVX2,
+        // i.e. `host_lane()` observed `avx2` on the running CPU.
         unsafe {
             avx2::ig_tile_4x8(
                 gsrc, out_c, in_c, k, p, d1, d2, d3, pd1, pd2, pd3, w, gi, ic0, ix, iy, zc, ldo,
@@ -306,7 +299,7 @@ mod tests {
         assert_eq!(*lanes.last().expect("non-empty"), host_lane());
         assert!(lanes.windows(2).all(|p| p[0] < p[1]));
         let names: Vec<&str> = Lane::ALL.iter().map(|l| l.name()).collect();
-        assert_eq!(names, ["scalar", "avx2", "avx512"]);
+        assert_eq!(names, ["scalar", "avx2"]);
     }
 
     fn flat_case<const M: usize>(kd: usize, width: usize, keep: u16, seed: u64) {

@@ -52,8 +52,8 @@
 //! ```
 
 // Unsafe is forbidden except under the default `simd` feature, whose
-// intrinsics in `kernels::avx2` and `kernels::avx512` (and the dispatch
-// calls into them in `kernels`) are the one sanctioned use: each site
+// intrinsics in `kernels::avx2` (and the dispatch calls into them in
+// `kernels`) are the one sanctioned use: each site
 // carries a `// SAFETY:` audit, and lint rule D4 enforces both halves.
 // `--no-default-features` builds the crate with `forbid(unsafe_code)`.
 #![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]

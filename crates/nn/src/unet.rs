@@ -475,7 +475,7 @@ mod tests {
     /// whole forward, backward and Adam step of a selector-shaped network
     /// wide enough to fill every register tile: logits, input gradients
     /// and the updated parameters must agree bit for bit, and the dispatch
-    /// counters must name the lane that ran.
+    /// counter must name the lane that ran.
     #[test]
     fn every_lane_matches_naive_through_an_adam_step() {
         use crate::kernels::Lane;
@@ -511,11 +511,6 @@ mod tests {
                 counters.get(Counter::GemmKernelSimd) > 0,
                 lane != Lane::Scalar,
                 "{name}: wide tiles dispatch"
-            );
-            assert_eq!(
-                counters.get(Counter::GemmKernelAvx512) > 0,
-                lane == Lane::Avx512,
-                "{name}: AVX-512 tile dispatch"
             );
             assert_bits_eq(&y, &y_n, &format!("{name} logits"));
             assert_bits_eq(&gi, &gi_n, &format!("{name} input grad"));

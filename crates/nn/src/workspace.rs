@@ -101,8 +101,9 @@ impl NnWorkspace {
     /// Runs the conv kernels through this workspace on `lane`, capped at
     /// the host's widest lane ([`kernels::host_lane`]), and returns the
     /// lane now in effect. The lanes are bit-identical, so this changes
-    /// speed only; it lets tests and benchmarks run each narrower lane on
-    /// a wide host.
+    /// speed only; it lets the lane tests run the scalar lane on a wide
+    /// host. Oracle hook only, like `Conv3d::set_naive`.
+    #[cfg(any(test, feature = "naive-ref"))]
     pub fn set_lane(&mut self, lane: Lane) -> Lane {
         self.lane = lane.min(kernels::host_lane());
         self.lane
@@ -110,7 +111,8 @@ impl NnWorkspace {
 
     /// The kernel lane conv calls through this workspace run: the widest
     /// the `simd` build feature and the host CPU allow, resolved at
-    /// [`NnWorkspace::new`], unless [`NnWorkspace::set_lane`] narrowed it.
+    /// [`NnWorkspace::new`] (the `naive-ref` test hook `set_lane` may
+    /// narrow it).
     #[inline]
     #[must_use]
     pub fn lane(&self) -> Lane {

@@ -56,14 +56,11 @@ pub enum Counter {
     /// Selector-network forward passes (a batch of any width counts once).
     BatchFlushes,
     /// Conv3d kernel entries (forward or backward) that ran wide register
-    /// tiles (the AVX2 or AVX-512 lane) on this host. The wide tiles are
+    /// tiles (the AVX2 lane) on this host. The wide tiles are
     /// bit-identical to the scalar ones, so this counts speed, not
     /// results; it is zero when the host lacks AVX2, `oarsmt-nn` is built
     /// without its `simd` feature, or the workspace runs the scalar lane.
     GemmKernelSimd,
-    /// Conv3d forwards that ran the 16-wide AVX-512 tile (a subset of
-    /// [`Counter::GemmKernelSimd`]); zero off the AVX-512 lane.
-    GemmKernelAvx512,
     /// Multiply-accumulates in encoder level 0 (deeper levels clamp to 3).
     MacsEnc0,
     /// Multiply-accumulates in encoder level 1.
@@ -89,7 +86,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants.
-pub const NUM_COUNTERS: usize = 27;
+pub const NUM_COUNTERS: usize = 26;
 
 /// Snake-case wire names, indexed by [`Counter`] discriminant. These are
 /// the JSONL `"name"` values, so renaming one is a wire-format change.
@@ -109,7 +106,6 @@ pub const COUNTER_NAMES: [&str; NUM_COUNTERS] = [
     "gemm_batch_cols",
     "batch_flushes",
     "gemm_kernel_simd",
-    "gemm_kernel_avx512",
     "macs_enc0",
     "macs_enc1",
     "macs_enc2",
@@ -175,7 +171,6 @@ pub const ALL_COUNTERS: [Counter; NUM_COUNTERS] = [
     Counter::GemmBatchCols,
     Counter::BatchFlushes,
     Counter::GemmKernelSimd,
-    Counter::GemmKernelAvx512,
     Counter::MacsEnc0,
     Counter::MacsEnc1,
     Counter::MacsEnc2,
@@ -335,9 +330,9 @@ mod tests {
         assert!(c.is_zero());
         c.bump(Counter::DijkstraPops);
         c.add(Counter::DijkstraPops, 4);
-        c.add_at(Counter::GemmKernelAvx512 as usize, 7);
+        c.add_at(Counter::MacsHead as usize, 7);
         assert_eq!(c.get(Counter::DijkstraPops), 5);
-        assert_eq!(c.get(Counter::GemmKernelAvx512), 7);
+        assert_eq!(c.get(Counter::MacsHead), 7);
         assert!(!c.is_zero());
         c.clear();
         assert!(c.is_zero());
@@ -365,10 +360,10 @@ mod tests {
         before.add(Counter::GemmKernelSimd, 2);
         let mut after = before;
         after.add(Counter::GemmKernelSimd, 5);
-        after.bump(Counter::GemmKernelAvx512);
+        after.bump(Counter::BatchFlushes);
         let d = after.delta_since(&before);
         assert_eq!(d.get(Counter::GemmKernelSimd), 5);
-        assert_eq!(d.get(Counter::GemmKernelAvx512), 1);
+        assert_eq!(d.get(Counter::BatchFlushes), 1);
         assert_eq!(d.get(Counter::GemmBatchCols), 0);
     }
 

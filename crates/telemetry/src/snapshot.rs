@@ -340,7 +340,7 @@ mod tests {
             ..TelemetrySnapshot::default()
         };
         snap.counters.add(Counter::DijkstraPops, 123_456);
-        snap.counters.add(Counter::GemmKernelAvx512, 78);
+        snap.counters.add(Counter::GemmKernelSimd, 78);
         snap.counters.add(Counter::MacsEnc0, 9_000_000_000);
         let mut rec = SpanRecorder::new();
         for (span, ns) in [
@@ -435,7 +435,7 @@ mod tests {
         let wire = format!("{}{}", first.to_jsonl(), second.to_jsonl());
         let back = TelemetrySnapshot::from_jsonl(&wire).unwrap();
         assert_eq!(back, second, "second manifest must reset state");
-        assert_eq!(back.counters.get(Counter::GemmKernelAvx512), 0);
+        assert_eq!(back.counters.get(Counter::GemmKernelSimd), 0);
     }
 
     #[test]
