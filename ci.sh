@@ -35,6 +35,10 @@ cargo test -q -p oarsmt-nn --no-default-features --features naive-ref
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> quick examples (each routes one layout: an example that compiles but panics fails here)"
+cargo run --release -q --example quickstart > /dev/null
+cargo run --release -q --example macro_blockage_routing > /dev/null
+
 echo "==> e2e_bench tests (its own workspace: catches public-API breaks the root workspace cannot see)"
 cargo test --release --offline --manifest-path e2e_bench/Cargo.toml
 

@@ -15,14 +15,18 @@ use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
 use oarsmt_geom::HananGraph;
 use oarsmt_nn::NnWorkspace;
 use oarsmt_router::exact::steiner_exact_cost;
-use oarsmt_router::{Lin18Router, OarmstRouter};
+use oarsmt_router::{Lin18Router, OarmstRouter, RouteContext};
 
 fn main() {
     let mut gen = CaseGenerator::new(GeneratorConfig::paper_costs(9, 9, 2, (4, 6)), 0xAB1A);
     let cases: Vec<HananGraph> = gen
         .generate_many(40)
         .into_iter()
-        .filter(|g| OarmstRouter::new().route(g, &[]).is_ok())
+        .filter(|g| {
+            OarmstRouter::new()
+                .route_in(&mut RouteContext::new(), g, &[])
+                .is_ok()
+        })
         .collect();
     println!(
         "quality ablations on {} random 9x9x2 layouts (4-6 pins, paper costs)\n",
@@ -57,7 +61,7 @@ fn main() {
             .map(|g| {
                 OarmstRouter::new()
                     .with_polish_rounds(0)
-                    .route(g, &[])
+                    .route_in(&mut RouteContext::new(), g, &[])
                     .unwrap()
                     .cost()
             })
@@ -67,7 +71,12 @@ fn main() {
         "oarmst (polish, default)",
         cases
             .iter()
-            .map(|g| OarmstRouter::new().route(g, &[]).unwrap().cost())
+            .map(|g| {
+                OarmstRouter::new()
+                    .route_in(&mut RouteContext::new(), g, &[])
+                    .unwrap()
+                    .cost()
+            })
             .collect(),
     );
     row(
@@ -77,7 +86,7 @@ fn main() {
             .map(|g| {
                 OarmstRouter::new()
                     .with_bounds_margin(1)
-                    .route(g, &[])
+                    .route_in(&mut RouteContext::new(), g, &[])
                     .map(|t| t.cost())
                     .unwrap_or(f64::NAN)
             })
@@ -132,7 +141,7 @@ fn main() {
                 );
                 OarmstRouter::new()
                     .with_polish_rounds(0)
-                    .route(g, &points)
+                    .route_in(&mut RouteContext::new(), g, &points)
                     .unwrap()
                     .cost()
             })

@@ -6,7 +6,7 @@
 
 use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
 use oarsmt_router::exact::steiner_exact_cost;
-use oarsmt_router::OarmstRouter;
+use oarsmt_router::{OarmstRouter, RouteContext};
 
 fn main() {
     for (h, v, m, pins) in [
@@ -24,10 +24,10 @@ fn main() {
             let Ok(exact) = steiner_exact_cost(&g) else {
                 continue;
             };
-            let Ok(mst) = plain.route(&g, &[]) else {
+            let Ok(mst) = plain.route_in(&mut RouteContext::new(), &g, &[]) else {
                 continue;
             };
-            let Ok(pol) = polished.route(&g, &[]) else {
+            let Ok(pol) = polished.route_in(&mut RouteContext::new(), &g, &[]) else {
                 continue;
             };
             sum_exact_over_mst += exact / mst.cost();

@@ -9,24 +9,13 @@
 #![forbid(unsafe_code)]
 
 use oarsmt::eval::ObstacleRatioCurve;
-use std::io::Write as _;
 
-use oarsmt::parallel;
 use oarsmt_bench::{harness, Table};
 use oarsmt_geom::gen::TestSubsetSpec;
 use oarsmt_telemetry::SpanRecorder;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = parallel::take_threads_flag(&mut args).unwrap_or_else(|e| {
-        // A closed stderr pipe must not turn this status 2 into a panic.
-        let _ = writeln!(
-            std::io::stderr(),
-            "{e}\nusage: fig10 [--threads N]   (or OARSMT_THREADS=N)"
-        );
-        std::process::exit(2);
-    });
-    let threads = parallel::thread_count(flag);
+    let threads = oarsmt_bench::runner::table_flags("fig10", false).threads;
     println!("Fig. 10: avg improvement ratio vs obstacle ratio, per subset ({threads} threads)\n");
     let selector = harness::pretrained_selector();
     let mut spans = SpanRecorder::new();

@@ -13,6 +13,7 @@ use oarsmt_nn::loss::bce_with_logits;
 use oarsmt_nn::optim::Adam;
 use oarsmt_nn::NnWorkspace;
 use oarsmt_rl::sample::TrainingSample;
+use oarsmt_router::RouteContext;
 
 fn main() {
     // 1. Known-optimum sanity check: a cross layout whose center is the
@@ -27,7 +28,13 @@ fn main() {
         use_critic: false,
         ..MctsConfig::default()
     });
-    let out = mcts.search(&g, &mut UniformSelector::new(0.08)).unwrap();
+    let out = mcts
+        .search_in(
+            &mut RouteContext::new(),
+            &g,
+            &mut UniformSelector::new(0.08),
+        )
+        .unwrap();
     let mut ranked: Vec<(f32, GridPoint)> = (0..g.len())
         .filter(|&i| g.kind_at(i) == VertexKind::Empty)
         .map(|i| (out.label[i], g.point(i)))
@@ -56,7 +63,7 @@ fn main() {
     });
     let mut sel = UniformSelector::new(0.08);
     for graph in gen.generate_many(24) {
-        if let Ok(out) = mcts.search(&graph, &mut sel) {
+        if let Ok(out) = mcts.search_in(&mut RouteContext::new(), &graph, &mut sel) {
             samples.push(TrainingSample::new(graph, vec![], out.label));
         }
     }

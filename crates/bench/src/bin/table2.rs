@@ -9,22 +9,12 @@
 
 use std::io::Write as _;
 
-use oarsmt::parallel;
 use oarsmt_bench::{harness, Table};
 use oarsmt_geom::gen::TestSubsetSpec;
 use oarsmt_telemetry::SpanRecorder;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = parallel::take_threads_flag(&mut args).unwrap_or_else(|e| {
-        // A closed stderr pipe must not turn this status 2 into a panic.
-        let _ = writeln!(
-            std::io::stderr(),
-            "{e}\nusage: table2 [--threads N]   (or OARSMT_THREADS=N)"
-        );
-        std::process::exit(2);
-    });
-    let threads = parallel::thread_count(flag);
+    let threads = oarsmt_bench::runner::table_flags("table2", false).threads;
     println!("Table 2: routing-cost comparison between [14] and our router ({threads} threads)\n");
     let selector = harness::pretrained_selector();
     let mut table = Table::new([

@@ -16,28 +16,15 @@
 
 use std::io::Write as _;
 
-use oarsmt::parallel;
 use oarsmt_bench::{harness, Table};
 use oarsmt_geom::gen::TestSubsetSpec;
 use oarsmt_telemetry::{tracing, Span, SpanRecorder};
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = parallel::take_threads_flag(&mut args).unwrap_or_else(|e| {
-        // A closed stderr pipe must not turn this status 2 into a panic.
-        let _ = writeln!(
-            std::io::stderr(),
-            "{e}\nusage: table3 [--threads N] [--trace FILE]   (or OARSMT_THREADS=N)"
-        );
-        std::process::exit(2);
-    });
-    let threads = parallel::thread_count(flag);
-    let trace_path = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1).cloned());
+    let flags = oarsmt_bench::runner::table_flags("table3", true);
+    let threads = flags.threads;
     let mut rec = SpanRecorder::new();
-    if trace_path.is_some() {
+    if flags.trace.is_some() {
         rec.arm(1 << 16);
     }
     println!("Table 3: runtime comparison between [14] and our router ({threads} threads)\n");
@@ -71,7 +58,7 @@ fn main() {
         let _ = writeln!(std::io::stderr(), "[table3] {} done", result.name);
     }
     table.print();
-    if let Some(path) = &trace_path {
+    if let Some(path) = &flags.trace {
         let events = rec.events_in_order();
         std::fs::write(path, tracing::to_chrome_json(&events, rec.dropped())).expect("write trace");
         let _ = writeln!(

@@ -10,7 +10,8 @@
 //! Usage: `oarsmt_bench <critic|unet|batch|dijkstra> [--quick] [--out PATH]
 //! [--baseline PATH] [--trace FILE] [--runlog DIR]`.
 //! A lane given a flag it does not take exits with status 2; each lane's
-//! module documents the flags it takes.
+//! module documents the flags it takes. [`table_flags`] holds the same rule
+//! for the table and figure binaries.
 
 use std::io::Write as _;
 use std::path::Path;
@@ -301,6 +302,48 @@ impl Run {
             write(&self.baseline, header);
             println!("bootstrapped baseline (speedup gate active from the next full run)");
         }
+    }
+}
+
+/// The flags of a table or figure binary (`table2`, `table3`, `fig10`).
+#[derive(Debug)]
+pub struct TableFlags {
+    /// Worker count: `--threads N`, else `OARSMT_THREADS`, else every core.
+    pub threads: usize,
+    /// `--trace FILE`, for a binary that exports its ladder's spans.
+    pub trace: Option<String>,
+}
+
+/// Parses a table or figure binary's command line: `--threads N` and, when
+/// `takes_trace`, `--trace FILE`. Any other argument, or a flag without its
+/// value, prints the error and `usage: BIN …` to stderr and exits 2.
+pub fn table_flags(bin: &str, takes_trace: bool) -> TableFlags {
+    fn fail(bin: &str, takes_trace: bool, e: &str) -> ! {
+        let trace = if takes_trace { " [--trace FILE]" } else { "" };
+        // Not `eprintln!`: a closed stderr pipe must not turn status 2
+        // into a panic.
+        let _ = writeln!(
+            std::io::stderr(),
+            "{e}\nusage: {bin} [--threads N]{trace}   (or OARSMT_THREADS=N)"
+        );
+        std::process::exit(2);
+    }
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let threads = oarsmt::parallel::take_threads_flag(&mut args)
+        .unwrap_or_else(|e| fail(bin, takes_trace, &e));
+    let mut trace = None;
+    let mut rest = args.into_iter();
+    while let Some(arg) = rest.next() {
+        if takes_trace && arg == "--trace" {
+            let path = rest.next();
+            trace = Some(path.unwrap_or_else(|| fail(bin, takes_trace, "--trace needs a FILE")));
+        } else {
+            fail(bin, takes_trace, &format!("unknown argument `{arg}`"));
+        }
+    }
+    TableFlags {
+        threads: oarsmt::parallel::thread_count(threads),
+        trace,
     }
 }
 

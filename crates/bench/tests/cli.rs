@@ -24,17 +24,22 @@ fn usage_errors_exit_2_when_stderr_is_a_closed_pipe() {
         status_with_closed_stderr(bench, &["critic", "--baseline", "nope.json"]),
         Some(2)
     );
+    let table3 = env!("CARGO_BIN_EXE_table3");
     for bin in [
         env!("CARGO_BIN_EXE_table2"),
-        env!("CARGO_BIN_EXE_table3"),
+        table3,
         env!("CARGO_BIN_EXE_fig10"),
     ] {
-        assert_eq!(
-            status_with_closed_stderr(bin, &["--threads", "x"]),
-            Some(2),
-            "{bin}"
-        );
+        for args in [&["--threads", "x"][..], &["--bogus"]] {
+            assert_eq!(
+                status_with_closed_stderr(bin, args),
+                Some(2),
+                "{bin} {args:?}"
+            );
+        }
     }
+    // `--trace` without its FILE.
+    assert_eq!(status_with_closed_stderr(table3, &["--trace"]), Some(2));
 }
 
 #[test]

@@ -11,7 +11,7 @@
 use std::fmt;
 
 use oarsmt_geom::HananGraph;
-use oarsmt_router::{OarmstRouter, RouteError, RouteTree};
+use oarsmt_router::{OarmstRouter, RouteContext, RouteError, RouteTree};
 
 /// Accumulator comparing a baseline cost `a` against our cost `b` across
 /// layouts (Table 2 semantics: improvement is `(a − b) / a`).
@@ -116,7 +116,7 @@ impl fmt::Display for CostComparison {
 ///
 /// Propagates OARMST routing errors for the pins-only tree.
 pub fn st_to_mst_ratio(graph: &HananGraph, tree: &RouteTree) -> Result<f64, RouteError> {
-    let mst = OarmstRouter::new().route(graph, &[])?;
+    let mst = OarmstRouter::new().route_in(&mut RouteContext::new(), graph, &[])?;
     Ok(tree.cost() / mst.cost())
 }
 
@@ -211,7 +211,9 @@ mod tests {
         let mut g = HananGraph::uniform(4, 1, 1, 1.0, 1.0, 3.0);
         g.add_pin(GridPoint::new(0, 0, 0)).unwrap();
         g.add_pin(GridPoint::new(3, 0, 0)).unwrap();
-        let tree = OarmstRouter::new().route(&g, &[]).unwrap();
+        let tree = OarmstRouter::new()
+            .route_in(&mut RouteContext::new(), &g, &[])
+            .unwrap();
         let r = st_to_mst_ratio(&g, &tree).unwrap();
         assert!((r - 1.0).abs() < 1e-9);
     }
@@ -223,7 +225,7 @@ mod tests {
             g.add_pin(GridPoint::new(h, v, 0)).unwrap();
         }
         let steiner = OarmstRouter::new()
-            .route(&g, &[GridPoint::new(2, 2, 0)])
+            .route_in(&mut RouteContext::new(), &g, &[GridPoint::new(2, 2, 0)])
             .unwrap();
         let r = st_to_mst_ratio(&g, &steiner).unwrap();
         assert!(r <= 1.0);

@@ -43,7 +43,6 @@
 pub mod error;
 pub mod eval;
 pub mod features;
-pub mod multi_net;
 pub mod parallel;
 pub mod rl_router;
 pub mod selector;

@@ -1,10 +1,10 @@
 //! Deterministic scoped worker pool for evaluation and sample generation.
 //!
 //! Every fan-out in this workspace — Table 2/3/4 and Fig. 10 layout
-//! evaluation, MCTS sample generation, batch multi-net scoring — shares the
-//! same shape: a list of independent jobs, each identified by its index, that
-//! must produce **bit-identical results regardless of thread count**. This
-//! module provides that shape once:
+//! evaluation and MCTS sample generation — shares the same shape: a list of
+//! independent jobs, each identified by its index, that must produce
+//! **bit-identical results regardless of thread count**. This module
+//! provides that shape once:
 //!
 //! * Each job's randomness comes from [`derive_seed`]`(master, index)`, never
 //!   from a shared stream, so job `i` sees the same seed whether it runs
@@ -18,11 +18,12 @@
 //! external crates — and is therefore available everywhere `std` is.
 //!
 //! ```
-//! use oarsmt::parallel::{derive_seed, run_seeded};
+//! use oarsmt::parallel::{derive_seed, run_seeded_with};
 //!
 //! // Square each job's derived seed; 1 thread and 4 threads must agree.
-//! let one = run_seeded(8, 42, 1, |i, seed| (i, seed.wrapping_mul(seed)));
-//! let four = run_seeded(8, 42, 4, |i, seed| (i, seed.wrapping_mul(seed)));
+//! let square = |_: &mut (), i: usize, seed: u64| (i, seed.wrapping_mul(seed));
+//! let one = run_seeded_with(8, 42, 1, || (), square);
+//! let four = run_seeded_with(8, 42, 4, || (), square);
 //! assert_eq!(one, four);
 //! assert_eq!(one[3].1, derive_seed(42, 3).wrapping_mul(derive_seed(42, 3)));
 //! ```
@@ -124,35 +125,23 @@ fn parse_threads(v: &str) -> Result<usize, String> {
 /// Runs `tasks` independent jobs across `threads` workers and returns their
 /// results **in index order**.
 ///
-/// Job `i` receives `(i, derive_seed(master_seed, i))`. With `threads <= 1`
-/// the jobs run inline on the calling thread; either way the returned
-/// `Vec` is ordered by index, so results are identical for any thread count
-/// as long as `job` itself is a pure function of its arguments.
-///
-/// ```
-/// use oarsmt::parallel::run_seeded;
-/// let r = run_seeded(4, 9, 2, |i, _seed| i * 10);
-/// assert_eq!(r, vec![0, 10, 20, 30]);
-/// ```
-///
-/// # Panics
-///
-/// Propagates panics from `job` once all workers have stopped.
-pub fn run_seeded<R, F>(tasks: usize, master_seed: u64, threads: usize, job: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, u64) -> R + Sync,
-{
-    run_seeded_with(tasks, master_seed, threads, || (), |(), i, s| job(i, s))
-}
-
-/// Like [`run_seeded`], but each worker first builds private mutable state
-/// with `init` (e.g. a cloned [`crate::selector::NeuralSelector`]) and every
-/// job on that worker gets `&mut` access to it.
+/// Each worker first builds private mutable state with `init` (e.g. a
+/// cloned [`crate::selector::NeuralSelector`]; `|| ()` when the jobs need
+/// none), and job `i` receives `(&mut state, i, derive_seed(master_seed,
+/// i))`. With `threads <= 1` the jobs run inline on the calling thread;
+/// either way the returned `Vec` is ordered by index, so results are
+/// identical for any thread count as long as `job` itself is a pure
+/// function of its index and seed.
 ///
 /// The state must not carry information between jobs that affects results —
 /// job `i` may run on any worker — so it is only suitable for caches,
 /// scratch buffers, and cloned read-only models.
+///
+/// ```
+/// use oarsmt::parallel::run_seeded_with;
+/// let r = run_seeded_with(4, 9, 2, || (), |(), i, _seed| i * 10);
+/// assert_eq!(r, vec![0, 10, 20, 30]);
+/// ```
 ///
 /// # Panics
 ///
@@ -238,7 +227,7 @@ mod tests {
     #[test]
     fn results_come_back_in_index_order_for_any_thread_count() {
         for threads in [1, 2, 3, 8, 64] {
-            let r = run_seeded(37, 5, threads, |i, seed| (i, seed));
+            let r = run_seeded_with(37, 5, threads, || (), |(), i, seed| (i, seed));
             for (i, &(idx, seed)) in r.iter().enumerate() {
                 assert_eq!(idx, i);
                 assert_eq!(seed, derive_seed(5, i as u64));
@@ -267,7 +256,7 @@ mod tests {
 
     #[test]
     fn zero_tasks_is_empty() {
-        let r: Vec<u64> = run_seeded(0, 1, 8, |_, s| s);
+        let r: Vec<u64> = run_seeded_with(0, 1, 8, || (), |(), _, s| s);
         assert!(r.is_empty());
     }
 

@@ -70,8 +70,8 @@ impl<S: Selector> RlRouter<S> {
         }
     }
 
-    /// Read-only access to the wrapped selector (used by the parallel
-    /// multi-net path to clone per-worker routers).
+    /// Read-only access to the wrapped selector, e.g. to clone it into a
+    /// second router or a trainer.
     pub fn selector(&self) -> &S {
         &self.selector
     }
@@ -93,7 +93,7 @@ impl<S: Selector> RlRouter<S> {
     /// # Errors
     ///
     /// Returns [`CoreError::Route`] when the pins cannot be connected (see
-    /// [`OarmstRouter::route`]).
+    /// [`OarmstRouter::route_in`]).
     pub fn route(&mut self, graph: &HananGraph) -> Result<RouteOutcome, CoreError> {
         self.route_with(graph, false)
     }
@@ -222,7 +222,7 @@ mod tests {
         let oarmst = OarmstRouter::new();
         let mut router = RlRouter::new(tiny_neural(0));
         for g in gen.generate_many(10) {
-            let Ok(plain) = oarmst.route(&g, &[]) else {
+            let Ok(plain) = oarmst.route_in(&mut RouteContext::new(), &g, &[]) else {
                 continue;
             };
             let out = router.route(&g).unwrap();

@@ -286,6 +286,81 @@ mod tests {
         ));
     }
 
+    /// Fails the case, naming the input, when `parse_case` panics on it.
+    fn parses_without_panic(text: &str) -> proptest::test_runner::TestCaseResult {
+        match std::panic::catch_unwind(|| parse_case(text)) {
+            Ok(_) => Ok(()),
+            Err(_) => Err(proptest::test_runner::TestCaseError::fail(format!(
+                "parse_case panicked on {text:?}"
+            ))),
+        }
+    }
+
+    /// A token that breaks a well-formed case: kind 0 a small integer,
+    /// 1 any `u64`, 2 an integer past every integer type, 3 a negative
+    /// number, 4 `NaN`, 5 `inf`/`-inf`.
+    fn hostile_token(kind: u8, n: u64) -> String {
+        match kind {
+            0 => (n % 1000).to_string(),
+            1 => n.to_string(),
+            2 => format!("{n}000000000000000000000"),
+            3 => format!("-{}", n % 1000),
+            4 => "NaN".to_string(),
+            _ => if n.is_multiple_of(2) { "inf" } else { "-inf" }.to_string(),
+        }
+    }
+
+    // The hostile inputs that first got typed errors (oversized grids,
+    // overflowing costs) are the fixed cases of these properties; they stay
+    // in `oversized_grids_and_overflowing_costs_are_rejected`, which asserts
+    // their exact errors.
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes (read as lossy UTF-8) parse to `Ok` or `Err`,
+        /// never a panic.
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            bytes in proptest::collection::vec(0u8..=255, 0..256),
+        ) {
+            parses_without_panic(&String::from_utf8_lossy(&bytes))?;
+        }
+
+        /// A valid `write_case` text with one token replaced by a hostile
+        /// one parses to `Ok` or `Err`, never a panic.
+        #[test]
+        fn one_hostile_token_never_panics(
+            dims in (4usize..8, 4usize..8, 1usize..3),
+            seed in 0u64..1_000_000,
+            at in 0usize..usize::MAX,
+            kind in 0u8..6,
+            n in 0u64..u64::MAX,
+        ) {
+            let (h, v, m) = dims;
+            let config = crate::gen::GeneratorConfig::tiny(h, v, m, (2, 3));
+            let text = write_case(&crate::gen::CaseGenerator::new(config, seed).generate());
+            let tokens = text.split_whitespace().count();
+            let target = at % tokens;
+            let mut seen = 0;
+            let mut hostile = String::new();
+            for line in text.lines() {
+                for (i, token) in line.split_whitespace().enumerate() {
+                    if i > 0 {
+                        hostile.push(' ');
+                    }
+                    if seen == target {
+                        hostile.push_str(&hostile_token(kind, n));
+                    } else {
+                        hostile.push_str(token);
+                    }
+                    seen += 1;
+                }
+                hostile.push('\n');
+            }
+            parses_without_panic(&hostile)?;
+        }
+    }
+
     #[test]
     fn wrong_cost_count_is_a_geometry_error() {
         let err = parse_case("hanan 3 3 1\nxcosts 1\n").unwrap_err();

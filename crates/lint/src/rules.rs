@@ -15,8 +15,8 @@
 //!   `panic!`-family macros, or (opt-in) postfix indexing. Escape:
 //!   `// lint: panic-ok(reason)`; pre-existing cold sites live in the
 //!   baseline.
-//! * **D3 wrapper conformance** — a `pub fn foo` with a `foo_in`/`foo_into`
-//!   sibling in the same file must be a thin delegating wrapper.
+//! * **D3 one entry point** — a `pub fn foo` must not have a
+//!   `foo_in`/`foo_into` sibling in the same file.
 //! * **D4 unsafe policy** — every `unsafe` needs a nearby `// SAFETY:`
 //!   comment; packages whose `src/` tree is unsafe-free must declare
 //!   `#![forbid(unsafe_code)]` in every crate/binary root.
@@ -807,10 +807,11 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              lint.toml in the same change, or the engine would silently check nothing."
         }
         "D3-wrapper" => {
-            "D3-wrapper — a `pub fn foo` with a `foo_in`/`foo_into` sibling must be a\n\
-             thin delegating wrapper (the `_in` variant holds the real logic and takes\n\
-             the caller-owned workspace). This keeps the allocating convenience API and\n\
-             the zero-alloc API from drifting apart."
+            "D3-wrapper — a `pub fn foo` must not sit beside a `foo_in`/`foo_into` in the\n\
+             same file, not even as a thin delegating wrapper. Each answer has one entry\n\
+             point: the `_in`/`_into` variant that takes the caller-owned workspace.\n\
+             Callers without a warm workspace pass a fresh one (`&mut RouteContext::new()`),\n\
+             which returns the same bits."
         }
         "D4-safety" | "D4-forbid" | "D4-gate" => {
             "D4 — unsafe hygiene. Every `unsafe` token needs a `// SAFETY:` comment on\n\
@@ -868,10 +869,9 @@ pub(crate) fn matching_angle(tokens: &[Token], open: usize) -> Option<usize> {
     None
 }
 
-/// How many body tokens a delegating wrapper may have before D3 flags it.
-const WRAPPER_MAX_TOKENS: usize = 80;
-
-/// D3: `pub fn foo` with a `foo_in`/`foo_into` sibling must delegate.
+/// D3: a `pub fn foo` must not sit beside a `foo_in`/`foo_into`: each
+/// answer has one entry point, the one that takes the caller-owned
+/// workspace.
 pub fn check_wrappers(f: &FileAnalysis, findings: &mut Vec<Finding>) {
     let toks = &f.lexed.tokens;
     let mut fn_names: BTreeSet<String> = BTreeSet::new();
@@ -896,39 +896,18 @@ pub fn check_wrappers(f: &FileAnalysis, findings: &mut Vec<Finding>) {
         if !fn_names.contains(&sib_in) && !fn_names.contains(&sib_into) {
             continue;
         }
-        let Some(&(start, end)) = fn_bodies(f, &name.text)
-            .iter()
-            .find(|&&(s, _)| s > i)
-            .filter(|&&(s, _)| {
-                // The body must belong to *this* `fn` occurrence: no other
-                // `fn` token between the name and the body open brace.
-                !toks[i + 3..s].iter().any(|t| t.is_ident("fn"))
-            })
-        else {
-            continue; // declaration without body
-        };
-        let body = &toks[start..=end.min(toks.len().saturating_sub(1))];
-        let delegates = body
-            .iter()
-            .any(|t| t.is_ident(&name.text) || t.is_ident(&sib_in) || t.is_ident(&sib_into));
-        if body.len() > WRAPPER_MAX_TOKENS || !delegates {
-            findings.push(Finding {
-                rule: "D3-wrapper",
-                path: f.path.clone(),
-                line: name.line,
-                ident: name.text.clone(),
-                message: format!(
-                    "`pub fn {}` has a `{}`/`{}` sibling but is not a thin delegating wrapper \
-                     ({} body tokens{}) — the `_in`/`_into` variant must hold the real logic",
-                    name.text,
-                    sib_in,
-                    sib_into,
-                    body.len(),
-                    if delegates { "" } else { ", no delegation" },
-                ),
-                chain: None,
-            });
-        }
+        findings.push(Finding {
+            rule: "D3-wrapper",
+            path: f.path.clone(),
+            line: name.line,
+            ident: name.text.clone(),
+            message: format!(
+                "`pub fn {}` has a `{}`/`{}` sibling — fold it into the `_in`/`_into` \
+                 variant so the answer has one entry point",
+                name.text, sib_in, sib_into,
+            ),
+            chain: None,
+        });
     }
 }
 
@@ -1164,25 +1143,45 @@ mod tests {
     }
 
     #[test]
-    fn wrapper_rule_accepts_thin_delegation_only() {
-        let good = "
+    fn wrapper_rule_flags_any_pub_fn_beside_an_in_sibling() {
+        for src in [
+            // A thin delegating wrapper is flagged too.
+            "
             pub fn route(&self) -> T { self.route_in(&mut Ctx::new()) }
             pub fn route_in(&self, ctx: &mut Ctx) -> T { long_body(); long_body(); T }
+            ",
+            "
+            pub fn route(&self) -> T { completely_inline_logic(); other_stuff() }
+            fn route_in(&self, ctx: &mut Ctx) -> T { T }
+            ",
+            "
+            pub fn fill(&self) -> Vec<T> { let mut v = Vec::new(); self.fill_into(&mut v); v }
+            pub fn fill_into(&self, out: &mut Vec<T>) {}
+            ",
+        ] {
+            let f = FileAnalysis::new("crates/x/src/lib.rs", src);
+            let mut out = Vec::new();
+            check_wrappers(&f, &mut out);
+            assert_eq!(out.len(), 1, "{src}");
+            assert_eq!(out[0].rule, "D3-wrapper");
+        }
+
+        // A lone `_in` entry point, a crate-private pair and a test-only
+        // pair are all fine.
+        let ok = "
+            pub fn route_in(&self, ctx: &mut Ctx) -> T { T }
+            pub(crate) fn build(&self) -> T { self.build_in(&mut Ctx::new()) }
+            fn build_in(&self, ctx: &mut Ctx) -> T { T }
+            #[cfg(test)]
+            mod tests {
+                pub fn probe() -> T { probe_in(&mut Ctx::new()) }
+                pub fn probe_in(ctx: &mut Ctx) -> T { T }
+            }
         ";
-        let f = FileAnalysis::new("crates/x/src/lib.rs", good);
+        let f = FileAnalysis::new("crates/x/src/lib.rs", ok);
         let mut out = Vec::new();
         check_wrappers(&f, &mut out);
         assert!(out.is_empty(), "{out:?}");
-
-        let bad = "
-            pub fn route(&self) -> T { completely_inline_logic(); other_stuff() }
-            fn route_in(&self, ctx: &mut Ctx) -> T { T }
-        ";
-        let f = FileAnalysis::new("crates/x/src/lib.rs", bad);
-        let mut out = Vec::new();
-        check_wrappers(&f, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].rule, "D3-wrapper");
     }
 
     #[test]

@@ -297,7 +297,10 @@ fn hot_paths_are_allocation_free_in_steady_state() {
             let cand: Vec<GridPoint> = (0..12)
                 .map(|k| GridPoint::new(3 + 3 * k, 37 - 3 * k, k % 3))
                 .collect();
-            router.route(&g, &cand).is_ok().then_some((g, cand))
+            router
+                .route_in(&mut RouteContext::new(), &g, &cand)
+                .is_ok()
+                .then_some((g, cand))
         })
         .expect("some seed yields a routable layout");
     let mut warm_large = 0.0;

@@ -1,5 +1,6 @@
 //! D3 fixtures: a fat `pub fn` shadowing its `_in` sibling (violation),
-//! a thin delegating wrapper (clean), and a pub fn with no sibling.
+//! a thin delegating wrapper beside its `_into` sibling (also a violation:
+//! each answer has one entry point), and a pub fn with no sibling (clean).
 
 /// Workspace type stand-in.
 pub struct Ctx {
@@ -29,7 +30,8 @@ impl Ctx {
         scratch.iter().sum()
     }
 
-    /// CLEAN: thin wrapper delegating to its `_into` sibling.
+    /// VIOLATION (D3-wrapper): a thin wrapper delegating to its `_into`
+    /// sibling is still a second entry point to the same answer.
     pub fn fsp(&mut self, xs: &[u32]) -> Vec<u32> {
         let mut out = Vec::new();
         self.fsp_into(xs, &mut out);

@@ -24,7 +24,7 @@ fn mini_cfg() -> config::Config {
 /// per deliberate violation; every clean counterpart must stay silent.
 /// Order follows the report sort: (path, line, rule, ident), with
 /// file-level findings (D2-missing, D4-forbid) anchored at line 1.
-const EXPECTED_KEYS: [&str; 18] = [
+const EXPECTED_KEYS: [&str; 19] = [
     "D4-forbid|crates/clean/src/lib.rs|clean|0",
     "D1-hash-iter|crates/det/src/determinism.rs|m|0",
     "D1-hash-iter|crates/det/src/determinism.rs|s|0",
@@ -43,6 +43,7 @@ const EXPECTED_KEYS: [&str; 18] = [
     "D2-alloc|crates/det/src/tracebuf.rs|record_labeled|0",
     "D4-safety|crates/det/src/unsafety.rs|unsafe|0",
     "D3-wrapper|crates/det/src/wrappers.rs|route|0",
+    "D3-wrapper|crates/det/src/wrappers.rs|fsp|0",
 ];
 
 #[test]

@@ -65,21 +65,8 @@ impl AlphaGoMcts {
     }
 
     /// Runs the conventional search, producing one sample per executed
-    /// move.
-    ///
-    /// # Errors
-    ///
-    /// Propagates OARMST routing failures.
-    pub fn search<S: Selector>(
-        &self,
-        graph: &HananGraph,
-        selector: &mut S,
-    ) -> Result<AlphaGoOutcome, RouteError> {
-        self.search_in(&mut RouteContext::new(), graph, selector)
-    }
-
-    /// [`AlphaGoMcts::search`] through a caller-owned [`RouteContext`]
-    /// (see [`crate::search::CombinatorialMcts::search_in`]).
+    /// move, through a caller-owned [`RouteContext`] (see
+    /// [`crate::search::CombinatorialMcts::search_in`]).
     ///
     /// # Errors
     ///
@@ -157,7 +144,7 @@ mod tests {
     fn per_move_samples_are_distributions() {
         let g = cross();
         let out = AlphaGoMcts::new(MctsConfig::tiny())
-            .search(&g, &mut UniformSelector::new(0.5))
+            .search_in(&mut RouteContext::new(), &g, &mut UniformSelector::new(0.5))
             .unwrap();
         for s in &out.samples {
             let sum: f32 = s.label.iter().sum();
@@ -183,10 +170,16 @@ mod tests {
         let mut sel = UniformSelector::new(0.5);
         let (mut comb_nodes, mut conv_nodes) = (0usize, 0usize);
         for g in gen.generate_many(6) {
-            let Ok(comb) = CombinatorialMcts::new(cfg.clone()).search(&g, &mut sel) else {
+            let Ok(comb) = CombinatorialMcts::new(cfg.clone()).search_in(
+                &mut RouteContext::new(),
+                &g,
+                &mut sel,
+            ) else {
                 continue;
             };
-            let conv = AlphaGoMcts::new(cfg.clone()).search(&g, &mut sel).unwrap();
+            let conv = AlphaGoMcts::new(cfg.clone())
+                .search_in(&mut RouteContext::new(), &g, &mut sel)
+                .unwrap();
             comb_nodes += comb.nodes_created;
             conv_nodes += conv.nodes_created;
         }
@@ -245,7 +238,9 @@ mod tests {
         };
         let g = cross();
         let mcts = AlphaGoMcts::new(MctsConfig::tiny());
-        let out = mcts.search(&g, &mut UniformSelector::new(0.4)).unwrap();
+        let out = mcts
+            .search_in(&mut RouteContext::new(), &g, &mut UniformSelector::new(0.4))
+            .unwrap();
         check(
             out,
             8,
@@ -255,7 +250,11 @@ mod tests {
             0x9b86_5197_9bb5_8831,
         );
         let out = mcts
-            .search(&g, &mut MedianHeuristicSelector::new())
+            .search_in(
+                &mut RouteContext::new(),
+                &g,
+                &mut MedianHeuristicSelector::new(),
+            )
             .unwrap();
         check(
             out,
@@ -267,7 +266,9 @@ mod tests {
         );
 
         let g = CaseGenerator::new(GeneratorConfig::tiny(6, 6, 1, (4, 6)), 17).generate();
-        let out = mcts.search(&g, &mut UniformSelector::new(0.5)).unwrap();
+        let out = mcts
+            .search_in(&mut RouteContext::new(), &g, &mut UniformSelector::new(0.5))
+            .unwrap();
         check(
             out,
             4,
@@ -284,7 +285,7 @@ mod tests {
             ..MctsConfig::default()
         };
         let out = AlphaGoMcts::new(cfg)
-            .search(&g, &mut UniformSelector::new(0.5))
+            .search_in(&mut RouteContext::new(), &g, &mut UniformSelector::new(0.5))
             .unwrap();
         check(
             out,
@@ -304,7 +305,7 @@ mod tests {
         let mut ctx = RouteContext::new(); // reused across every layout
         for g in gen.generate_many(6) {
             let mut sel = MedianHeuristicSelector::new();
-            let Ok(fresh) = mcts.search(&g, &mut sel) else {
+            let Ok(fresh) = mcts.search_in(&mut RouteContext::new(), &g, &mut sel) else {
                 continue;
             };
             let reused = mcts.search_in(&mut ctx, &g, &mut sel).unwrap();
@@ -320,7 +321,11 @@ mod tests {
     fn executed_cost_never_exceeds_initial() {
         let g = cross();
         let out = AlphaGoMcts::new(MctsConfig::tiny())
-            .search(&g, &mut MedianHeuristicSelector::new())
+            .search_in(
+                &mut RouteContext::new(),
+                &g,
+                &mut MedianHeuristicSelector::new(),
+            )
             .unwrap();
         assert!(out.final_cost <= out.initial_cost + 1e-9);
     }

@@ -155,7 +155,7 @@ impl SearchBuffers {
     }
 
     /// Rebuilds the selection of `node` into `sel_idx` / `sel_pts`.
-    fn load_state(&mut self, nodes: &[Node], node: u32, graph: &HananGraph) {
+    fn load_selection(&mut self, nodes: &[Node], node: u32, graph: &HananGraph) {
         reconstruct_selected(nodes, node, &mut self.sel_idx);
         self.sel_pts.clear();
         self.sel_pts
@@ -262,7 +262,7 @@ impl Engine {
                     for e in edges {
                         label[e.action as usize] = e.n as f32 / total as f32;
                     }
-                    bufs.load_state(&nodes, root, graph);
+                    bufs.load_selection(&nodes, root, graph);
                     samples.push(AlphaGoSample {
                         state: bufs.sel_pts.clone(),
                         label,
@@ -272,7 +272,7 @@ impl Engine {
             root = self.materialize_child(ctx, bufs, graph, &mut nodes, root, best, budget)?;
         }
 
-        bufs.load_state(&nodes, root, graph);
+        bufs.load_selection(&nodes, root, graph);
         Ok(Run {
             executed: bufs.sel_pts.clone(),
             final_cost: nodes[root as usize].cost,
@@ -338,7 +338,7 @@ impl Engine {
                 // Terminal: value from the state's own routing cost.
                 (initial_cost - nodes[cur as usize].cost) / initial_cost
             } else {
-                bufs.load_state(nodes, cur, graph);
+                bufs.load_selection(nodes, cur, graph);
                 selector.fsp_into_ws(graph, &bufs.sel_pts, &mut bufs.fsp, &mut ctx.nn);
                 match scheme {
                     Scheme::Combinatorial(_) => {
@@ -410,7 +410,7 @@ impl Engine {
             return Ok(c);
         }
         let action = nodes[parent as usize].edges[edge_idx].action;
-        bufs.load_state(nodes, parent, graph);
+        bufs.load_selection(nodes, parent, graph);
         bufs.sel_idx.push(action);
         bufs.sel_pts.push(graph.point(action as usize));
         let cost = self.critic.state_cost_in(ctx, graph, &bufs.sel_pts)?;

@@ -69,22 +69,11 @@ impl CombinatorialMcts {
     /// action, until the root is terminal (Section 3.4). Returns the label
     /// of Eq. (3) plus the executed combination.
     ///
-    /// # Errors
-    ///
-    /// Propagates OARMST routing failures (e.g. disconnected pins).
-    pub fn search<S: Selector>(
-        &self,
-        graph: &HananGraph,
-        selector: &mut S,
-    ) -> Result<SearchOutcome, RouteError> {
-        self.search_in(&mut RouteContext::new(), graph, selector)
-    }
-
-    /// [`CombinatorialMcts::search`] through a caller-owned
-    /// [`RouteContext`]: every critic rollout routes through the context's
-    /// workspaces, and the selection/inference scratch buffers are borrowed
-    /// from it for the duration of the search. One context per worker
-    /// thread; results are bit-identical to [`CombinatorialMcts::search`].
+    /// Every critic rollout routes through the caller-owned
+    /// [`RouteContext`], and the selection/inference scratch buffers are
+    /// borrowed from it for the duration of the search. One context per
+    /// worker thread; a reused context gives results bit-identical to a
+    /// fresh one's.
     ///
     /// # Errors
     ///
@@ -133,7 +122,9 @@ mod tests {
         g.add_pin(GridPoint::new(0, 0, 0)).unwrap();
         g.add_pin(GridPoint::new(3, 3, 0)).unwrap();
         let mcts = CombinatorialMcts::new(MctsConfig::tiny());
-        let out = mcts.search(&g, &mut UniformSelector::new(0.5)).unwrap();
+        let out = mcts
+            .search_in(&mut RouteContext::new(), &g, &mut UniformSelector::new(0.5))
+            .unwrap();
         assert!(out.executed.is_empty());
         assert_eq!(out.final_cost, out.initial_cost);
         assert!(out.label.iter().all(|&l| l == 0.0));
@@ -144,7 +135,11 @@ mod tests {
         let g = cross();
         let mcts = CombinatorialMcts::new(MctsConfig::tiny());
         let out = mcts
-            .search(&g, &mut MedianHeuristicSelector::new())
+            .search_in(
+                &mut RouteContext::new(),
+                &g,
+                &mut MedianHeuristicSelector::new(),
+            )
             .unwrap();
         // Terminal rule 2 stops any execution that increases cost, so the
         // executed state can cost at most the initial cost.
@@ -160,7 +155,11 @@ mod tests {
             ..MctsConfig::default()
         };
         let out = CombinatorialMcts::new(cfg)
-            .search(&g, &mut MedianHeuristicSelector::new())
+            .search_in(
+                &mut RouteContext::new(),
+                &g,
+                &mut MedianHeuristicSelector::new(),
+            )
             .unwrap();
         assert!(
             out.executed.contains(&GridPoint::new(2, 2, 0)),
@@ -174,7 +173,7 @@ mod tests {
     fn labels_are_probabilities_on_valid_vertices_only() {
         let g = cross();
         let out = CombinatorialMcts::new(MctsConfig::tiny())
-            .search(&g, &mut UniformSelector::new(0.4))
+            .search_in(&mut RouteContext::new(), &g, &mut UniformSelector::new(0.4))
             .unwrap();
         for idx in 0..g.len() {
             let l = out.label[idx];
@@ -195,7 +194,7 @@ mod tests {
         let mcts = CombinatorialMcts::new(MctsConfig::tiny());
         let mut sel = MedianHeuristicSelector::new();
         for g in gen.generate_many(5) {
-            let Ok(out) = mcts.search(&g, &mut sel) else {
+            let Ok(out) = mcts.search_in(&mut RouteContext::new(), &g, &mut sel) else {
                 continue;
             };
             for w in out.executed.windows(2) {
@@ -215,7 +214,7 @@ mod tests {
             ..MctsConfig::tiny()
         };
         let out = CombinatorialMcts::new(cfg)
-            .search(&g, &mut UniformSelector::new(0.5))
+            .search_in(&mut RouteContext::new(), &g, &mut UniformSelector::new(0.5))
             .unwrap();
         assert!(out.final_cost <= out.initial_cost + 1e-9);
         assert!(out.simulations > 0);
@@ -231,7 +230,7 @@ mod tests {
         let sum = |xs: &[u32]| xs.iter().map(|&x| u64::from(x)).sum::<u64>();
 
         let out = CombinatorialMcts::new(MctsConfig::tiny())
-            .search(&g, &mut UniformSelector::new(0.4))
+            .search_in(&mut RouteContext::new(), &g, &mut UniformSelector::new(0.4))
             .unwrap();
         assert_eq!(sum(out.counters.n_sel()), 9);
         assert_eq!(sum(out.counters.n_opp()), 183);
@@ -245,7 +244,11 @@ mod tests {
         );
 
         let out = CombinatorialMcts::new(MctsConfig::tiny())
-            .search(&g, &mut MedianHeuristicSelector::new())
+            .search_in(
+                &mut RouteContext::new(),
+                &g,
+                &mut MedianHeuristicSelector::new(),
+            )
             .unwrap();
         assert_eq!(sum(out.counters.n_sel()), 8);
         assert_eq!(sum(out.counters.n_opp()), 78);
@@ -262,7 +265,11 @@ mod tests {
             ..MctsConfig::default()
         };
         let out = CombinatorialMcts::new(cfg)
-            .search(&g, &mut MedianHeuristicSelector::new())
+            .search_in(
+                &mut RouteContext::new(),
+                &g,
+                &mut MedianHeuristicSelector::new(),
+            )
             .unwrap();
         assert_eq!(sum(out.counters.n_sel()), 183);
         assert_eq!(sum(out.counters.n_opp()), 1335);
@@ -288,7 +295,7 @@ mod tests {
             ..MctsConfig::tiny()
         };
         let out = CombinatorialMcts::new(cfg)
-            .search(&g, &mut UniformSelector::new(0.0))
+            .search_in(&mut RouteContext::new(), &g, &mut UniformSelector::new(0.0))
             .unwrap();
         assert_eq!(out.executed, vec![GridPoint::new(0, 0, 0)]);
         assert_eq!(out.nodes_created, 4);
@@ -303,7 +310,7 @@ mod tests {
         let mut ctx = RouteContext::new(); // reused across every layout
         for g in gen.generate_many(6) {
             let mut sel = MedianHeuristicSelector::new();
-            let Ok(fresh) = mcts.search(&g, &mut sel) else {
+            let Ok(fresh) = mcts.search_in(&mut RouteContext::new(), &g, &mut sel) else {
                 continue;
             };
             let reused = mcts.search_in(&mut ctx, &g, &mut sel).unwrap();
@@ -349,7 +356,7 @@ mod tests {
     fn node_count_is_reported() {
         let g = cross();
         let out = CombinatorialMcts::new(MctsConfig::tiny())
-            .search(&g, &mut UniformSelector::new(0.5))
+            .search_in(&mut RouteContext::new(), &g, &mut UniformSelector::new(0.5))
             .unwrap();
         assert!(out.nodes_created >= 1);
     }

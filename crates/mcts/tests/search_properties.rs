@@ -27,7 +27,7 @@ proptest! {
         let mut gen = CaseGenerator::new(GeneratorConfig::paper_costs(6, 6, 1, (3, 5)), seed);
         let g = gen.generate();
         let mcts = CombinatorialMcts::new(config(36, 48));
-        let Ok(out) = mcts.search(&g, &mut UniformSelector::new(0.1)) else {
+        let Ok(out) = mcts.search_in(&mut RouteContext::new(), &g, &mut UniformSelector::new(0.1)) else {
             return Ok(());
         };
         for (i, (&s, &o)) in out
@@ -53,7 +53,7 @@ proptest! {
         let comb = CombinatorialMcts::new(config(36, 24));
         let conv = AlphaGoMcts::new(config(36, 24));
         let mut sel = UniformSelector::new(0.1);
-        let (Ok(a), Ok(b)) = (comb.search(&g, &mut sel), conv.search(&g, &mut sel)) else {
+        let (Ok(a), Ok(b)) = (comb.search_in(&mut RouteContext::new(), &g, &mut sel), conv.search_in(&mut RouteContext::new(), &g, &mut sel)) else {
             return Ok(());
         };
         // Both start from the same pins-only cost.

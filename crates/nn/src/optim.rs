@@ -33,68 +33,6 @@ impl Adam {
         }
     }
 
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Changes the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    /// Serializes the optimizer state (step count and moment vectors) so a
-    /// training run can resume exactly where it stopped.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on write failure.
-    pub fn save_state<W: std::io::Write>(&self, mut writer: W) -> std::io::Result<()> {
-        writer.write_all(&self.t.to_le_bytes())?;
-        writer.write_all(&(self.m.len() as u64).to_le_bytes())?;
-        for vecs in [&self.m, &self.v] {
-            for vec in vecs {
-                writer.write_all(&(vec.len() as u64).to_le_bytes())?;
-                for &x in vec {
-                    writer.write_all(&x.to_le_bytes())?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Restores state saved by [`Adam::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on read failure or truncation.
-    pub fn load_state<R: std::io::Read>(&mut self, mut reader: R) -> std::io::Result<()> {
-        let mut b8 = [0u8; 8];
-        reader.read_exact(&mut b8)?;
-        self.t = u64::from_le_bytes(b8);
-        reader.read_exact(&mut b8)?;
-        let count = u64::from_le_bytes(b8) as usize;
-        let read_group = |reader: &mut R| -> std::io::Result<Vec<Vec<f32>>> {
-            let mut group = Vec::with_capacity(count);
-            for _ in 0..count {
-                let mut b8 = [0u8; 8];
-                reader.read_exact(&mut b8)?;
-                let len = u64::from_le_bytes(b8) as usize;
-                let mut vec = vec![0.0f32; len];
-                for x in &mut vec {
-                    let mut b4 = [0u8; 4];
-                    reader.read_exact(&mut b4)?;
-                    *x = f32::from_le_bytes(b4);
-                }
-                group.push(vec);
-            }
-            Ok(group)
-        };
-        self.m = read_group(&mut reader)?;
-        self.v = read_group(&mut reader)?;
-        Ok(())
-    }
-
     /// Applies one Adam step using the parameters' accumulated gradients.
     pub fn step<L: Layer + ?Sized>(&mut self, layer: &mut L) {
         let mut params = layer.params_mut();
@@ -176,47 +114,5 @@ mod tests {
             opt.step(&mut bowl);
         }
         assert!(bowl.loss() < 1e-3, "loss {}", bowl.loss());
-    }
-
-    #[test]
-    fn adam_state_round_trips_and_resumes_identically() {
-        // Train two bowls identically; checkpoint one mid-way and resume.
-        let run_straight = || {
-            let mut bowl = Bowl::new(0.0);
-            let mut opt = Adam::new(0.1);
-            for _ in 0..20 {
-                bowl.zero_grad();
-                bowl.compute_grad();
-                opt.step(&mut bowl);
-            }
-            bowl.w.value.data()[0]
-        };
-        let run_resumed = || {
-            let mut bowl = Bowl::new(0.0);
-            let mut opt = Adam::new(0.1);
-            for _ in 0..10 {
-                bowl.zero_grad();
-                bowl.compute_grad();
-                opt.step(&mut bowl);
-            }
-            let mut bytes = Vec::new();
-            opt.save_state(&mut bytes).unwrap();
-            let mut opt2 = Adam::new(0.1);
-            opt2.load_state(bytes.as_slice()).unwrap();
-            for _ in 0..10 {
-                bowl.zero_grad();
-                bowl.compute_grad();
-                opt2.step(&mut bowl);
-            }
-            bowl.w.value.data()[0]
-        };
-        assert_eq!(run_straight(), run_resumed());
-    }
-
-    #[test]
-    fn lr_is_adjustable() {
-        let mut opt = Adam::new(0.1);
-        opt.set_lr(0.01);
-        assert_eq!(opt.lr(), 0.01);
     }
 }

@@ -251,53 +251,6 @@ impl Tensor {
     pub fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
     }
-
-    /// Concatenates two 4-D tensors along the channel axis; the spatial
-    /// shapes must agree.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank or spatial-shape mismatch.
-    pub fn concat_channels(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 4);
-        assert_eq!(&self.shape[1..], &other.shape[1..], "spatial mismatch");
-        let mut out = Tensor::zeros(&[
-            self.shape[0] + other.shape[0],
-            self.shape[1],
-            self.shape[2],
-            self.shape[3],
-        ]);
-        out.data[..self.data.len()].copy_from_slice(&self.data);
-        out.data[self.data.len()..].copy_from_slice(&other.data);
-        out
-    }
-
-    /// Splits a 4-D tensor along the channel axis into `(first, rest)` where
-    /// `first` has `c0` channels — the inverse of
-    /// [`Tensor::concat_channels`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c0` exceeds the channel count.
-    pub fn split_channels(&self, c0: usize) -> (Tensor, Tensor) {
-        assert_eq!(self.shape.len(), 4);
-        assert!(c0 < self.shape[0], "split point must leave both halves");
-        let spatial: usize = self.shape[1..].iter().product();
-        let first = Tensor {
-            shape: vec![c0, self.shape[1], self.shape[2], self.shape[3]],
-            data: self.data[..c0 * spatial].to_vec(),
-        };
-        let rest = Tensor {
-            shape: vec![
-                self.shape[0] - c0,
-                self.shape[1],
-                self.shape[2],
-                self.shape[3],
-            ],
-            data: self.data[c0 * spatial..].to_vec(),
-        };
-        (first, rest)
-    }
 }
 
 /// A tensor shape of rank ≤ 5 held on the stack, so layers can build
@@ -414,17 +367,6 @@ mod tests {
         assert_eq!(t.at4(1, 1, 1, 1), 1111.0);
         // Row-major: last axis contiguous.
         assert_eq!(t.data()[1], 1.0);
-    }
-
-    #[test]
-    fn concat_then_split_round_trips() {
-        let a = Tensor::from_fn4(&[2, 2, 3, 1], |c, x, y, _| (c + x + y) as f32);
-        let b = Tensor::from_fn4(&[3, 2, 3, 1], |c, x, y, _| (10 * (c + 1) + x + y) as f32);
-        let cat = a.concat_channels(&b);
-        assert_eq!(cat.shape(), &[5, 2, 3, 1]);
-        let (a2, b2) = cat.split_channels(2);
-        assert_eq!(a, a2);
-        assert_eq!(b, b2);
     }
 
     #[test]

@@ -262,81 +262,6 @@ impl Trainer {
         })
     }
 
-    /// Saves a training checkpoint: the selector weights, the optimizer
-    /// moments and the next stage index, so a long run (the paper trains
-    /// for 159 hours) can resume exactly where it stopped.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on I/O failure.
-    pub fn save_checkpoint<P: AsRef<std::path::Path>>(
-        &self,
-        selector: &mut NeuralSelector,
-        next_stage: usize,
-        path: P,
-    ) -> std::io::Result<()> {
-        use std::io::Write;
-        let mut weights = Vec::new();
-        oarsmt_nn::serialize::save_params(selector.net_mut(), &mut weights)
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
-        let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
-        file.write_all(b"OARSMTCK")?;
-        file.write_all(&(next_stage as u64).to_le_bytes())?;
-        file.write_all(&(weights.len() as u64).to_le_bytes())?;
-        file.write_all(&weights)?;
-        self.optimizer.save_state(&mut file)?;
-        Ok(())
-    }
-
-    /// Restores a checkpoint written by [`Trainer::save_checkpoint`] into
-    /// this trainer and selector, returning the next stage index to run.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on I/O failure or a malformed/incompatible file.
-    pub fn load_checkpoint<P: AsRef<std::path::Path>>(
-        &mut self,
-        selector: &mut NeuralSelector,
-        path: P,
-    ) -> std::io::Result<usize> {
-        use std::io::Read;
-        let mut file = std::io::BufReader::new(std::fs::File::open(path)?);
-        let mut magic = [0u8; 8];
-        file.read_exact(&mut magic)?;
-        if &magic != b"OARSMTCK" {
-            return Err(std::io::Error::other("not a trainer checkpoint"));
-        }
-        let mut b8 = [0u8; 8];
-        file.read_exact(&mut b8)?;
-        let next_stage = u64::from_le_bytes(b8) as usize;
-        file.read_exact(&mut b8)?;
-        let len = u64::from_le_bytes(b8) as usize;
-        let mut weights = vec![0u8; len];
-        file.read_exact(&mut weights)?;
-        oarsmt_nn::serialize::load_params(selector.net_mut(), weights.as_slice())
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
-        self.optimizer.load_state(&mut file)?;
-        Ok(next_stage)
-    }
-
-    /// Runs stages `start_stage..config.stages` (the resume companion of
-    /// [`Trainer::run`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Trainer::run`].
-    pub fn run_from(
-        &mut self,
-        selector: &mut NeuralSelector,
-        start_stage: usize,
-    ) -> Result<Vec<StageReport>, oarsmt_router::RouteError> {
-        let mut reports = Vec::new();
-        for stage in start_stage..self.config.stages {
-            reports.push(self.run_stage(selector, stage)?);
-        }
-        Ok(reports)
-    }
-
     /// The curriculum of Section 3.6: fixed pin counts and no critic during
     /// the first stages, then random pin counts with the critic.
     fn stage_settings(&self, stage: usize) -> ((usize, usize), bool) {
@@ -690,44 +615,6 @@ mod tests {
         assert_eq!(trainer.stage_settings(1), ((4, 4), false));
         assert_eq!(trainer.stage_settings(3), ((6, 6), false));
         assert_eq!(trainer.stage_settings(4), ((3, 6), true));
-    }
-
-    #[test]
-    fn checkpoint_resume_matches_uninterrupted_training() {
-        let dir = std::env::temp_dir().join("oarsmt_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trainer.ckpt");
-        let mut cfg = tiny_config();
-        cfg.stages = 4;
-
-        // Straight-through run.
-        let mut t1 = Trainer::new(cfg.clone());
-        let mut s1 = tiny_selector(5);
-        t1.run(&mut s1).unwrap();
-
-        // Interrupted run: 2 stages, checkpoint, fresh trainer, resume.
-        let mut t2 = Trainer::new(cfg.clone());
-        let mut s2 = tiny_selector(5);
-        for stage in 0..2 {
-            t2.run_stage(&mut s2, stage).unwrap();
-        }
-        t2.save_checkpoint(&mut s2, 2, &path).unwrap();
-        let mut t3 = Trainer::new(cfg);
-        let mut s3 = tiny_selector(999); // wrong init, overwritten by load
-        let next = t3.load_checkpoint(&mut s3, &path).unwrap();
-        assert_eq!(next, 2);
-        t3.run_from(&mut s3, next).unwrap();
-
-        // Same seeds after resume would require RNG state capture too; the
-        // meaningful guarantee is that weights+optimizer round-trip exactly
-        // at the checkpoint boundary.
-        let g = oarsmt_geom::HananGraph::uniform(5, 5, 1, 1.0, 1.0, 3.0);
-        let before = fsp(&mut s2, &g);
-        let mut s4 = tiny_selector(999);
-        let mut t4 = Trainer::new(tiny_config());
-        t4.load_checkpoint(&mut s4, &path).unwrap();
-        assert_eq!(before, fsp(&mut s4, &g));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

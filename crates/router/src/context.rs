@@ -338,7 +338,7 @@ mod tests {
             use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
             let mut gen = CaseGenerator::new(GeneratorConfig::tiny(7, 7, 2, (3, 5)), seed);
             for g in gen.generate_many(4) {
-                let fresh = router.route(&g, &[]);
+                let fresh = router.route_in(&mut RouteContext::new(), &g, &[]);
                 let reused = router.route_in(&mut ctx, &g, &[]);
                 match (fresh, reused) {
                     (Ok(a), Ok(b)) => {

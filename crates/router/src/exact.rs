@@ -167,6 +167,7 @@ mod tests {
     use super::*;
     use crate::lin18::Lin18Router;
     use crate::oarmst::OarmstRouter;
+    use crate::RouteContext;
     use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
 
     fn pins(g: &mut HananGraph, pts: &[(usize, usize, usize)]) {
@@ -234,7 +235,10 @@ mod tests {
             let Ok(exact) = steiner_exact_cost(&g) else {
                 continue;
             };
-            let heuristic = OarmstRouter::new().route(&g, &[]).unwrap().cost();
+            let heuristic = OarmstRouter::new()
+                .route_in(&mut RouteContext::new(), &g, &[])
+                .unwrap()
+                .cost();
             let lin = Lin18Router::new().route(&g).unwrap().cost();
             assert!(heuristic >= exact - 1e-9, "heuristic below optimum");
             assert!(lin >= exact - 1e-9, "lin18 below optimum");

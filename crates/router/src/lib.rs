@@ -17,13 +17,13 @@
 //!
 //! ```
 //! use oarsmt_geom::{HananGraph, GridPoint};
-//! use oarsmt_router::oarmst::OarmstRouter;
+//! use oarsmt_router::{OarmstRouter, RouteContext};
 //!
 //! let mut g = HananGraph::uniform(5, 5, 1, 1.0, 1.0, 3.0);
 //! g.add_pin(GridPoint::new(0, 0, 0))?;
 //! g.add_pin(GridPoint::new(4, 0, 0))?;
 //! g.add_pin(GridPoint::new(2, 4, 0))?;
-//! let tree = OarmstRouter::new().route(&g, &[])?;
+//! let tree = OarmstRouter::new().route_in(&mut RouteContext::new(), &g, &[])?;
 //! assert!(tree.spans_in(&g, g.pins()));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

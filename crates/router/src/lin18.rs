@@ -31,11 +31,12 @@ use crate::tree::RouteTree;
 /// Maximum implied-Steiner retracing rounds.
 const MAX_RETRACE: usize = 2;
 
+/// Bounded-exploration margin in grid steps.
+const MARGIN: usize = 2;
+
 /// The \[14\]-style algorithmic ML-OARSMT router.
 #[derive(Debug, Clone)]
 pub struct Lin18Router {
-    /// Bounded-exploration margin in grid steps.
-    margin: usize,
     /// Whether to run path-assessed reassessment (alternate construction
     /// orders, rounds scaling with the pin count).
     reassess: bool,
@@ -43,10 +44,7 @@ pub struct Lin18Router {
 
 impl Default for Lin18Router {
     fn default() -> Self {
-        Lin18Router {
-            margin: 2,
-            reassess: true,
-        }
+        Lin18Router { reassess: true }
     }
 }
 
@@ -55,13 +53,6 @@ impl Lin18Router {
     /// (2 rounds).
     pub fn new() -> Self {
         Lin18Router::default()
-    }
-
-    /// Sets the bounded-exploration margin (builder style).
-    #[must_use]
-    pub fn with_margin(mut self, margin: usize) -> Self {
-        self.margin = margin;
-        self
     }
 
     /// Disables path-assessed reassessment (builder style). Mostly useful
@@ -87,7 +78,7 @@ impl Lin18Router {
     ///
     /// # Errors
     ///
-    /// Same as [`OarmstRouter::route`]; additionally, when bounded
+    /// Same as [`OarmstRouter::route_in`]; additionally, when bounded
     /// exploration makes pins unreachable, the router automatically falls
     /// back to an unbounded search before reporting
     /// [`RouteError::Disconnected`].
@@ -148,7 +139,7 @@ impl Lin18Router {
         graph: &HananGraph,
         candidates: &[GridPoint],
     ) -> Result<RouteTree, RouteError> {
-        let bounded = OarmstRouter::new().with_bounds_margin(self.margin);
+        let bounded = OarmstRouter::new().with_bounds_margin(MARGIN);
         match bounded.route_in(ctx, graph, candidates) {
             Err(RouteError::Disconnected { .. }) => {
                 OarmstRouter::new().route_in(ctx, graph, candidates)
@@ -160,11 +151,7 @@ impl Lin18Router {
 
 impl fmt::Display for Lin18Router {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "lin18 router (margin {}, retrace {})",
-            self.margin, MAX_RETRACE
-        )
+        write!(f, "lin18 router (margin {MARGIN}, retrace {MAX_RETRACE})")
     }
 }
 
@@ -192,7 +179,9 @@ mod tests {
     fn retracing_never_worsens_cost() {
         let mut g = HananGraph::uniform(7, 7, 2, 1.0, 1.0, 3.0);
         pins(&mut g, &[(0, 3, 0), (6, 3, 0), (3, 0, 1), (3, 6, 1)]);
-        let plain = OarmstRouter::new().route(&g, &[]).unwrap();
+        let plain = OarmstRouter::new()
+            .route_in(&mut RouteContext::new(), &g, &[])
+            .unwrap();
         let lin = Lin18Router::new().route(&g).unwrap();
         assert!(lin.cost() <= plain.cost() + 1e-9);
         assert!(lin.spans_in(&g, g.pins()));
@@ -208,13 +197,19 @@ mod tests {
         }
         pins(&mut g, &[(3, 0, 0), (5, 0, 0)]);
         assert!(matches!(
-            OarmstRouter::new().with_bounds_margin(1).route(&g, &[]),
+            OarmstRouter::new().with_bounds_margin(MARGIN).route_in(
+                &mut RouteContext::new(),
+                &g,
+                &[]
+            ),
             Err(RouteError::Disconnected { .. })
         ));
-        let t = Lin18Router::new().with_margin(1).route(&g).unwrap();
+        let t = Lin18Router::new().route(&g).unwrap();
         assert!(t.spans_in(&g, g.pins()));
         // The fallback is exactly an unbounded route, bit for bit.
-        let unbounded = OarmstRouter::new().route(&g, &[]).unwrap();
+        let unbounded = OarmstRouter::new()
+            .route_in(&mut RouteContext::new(), &g, &[])
+            .unwrap();
         assert_eq!(t.cost().to_bits(), unbounded.cost().to_bits());
         assert_eq!(t.edges(), unbounded.edges());
     }

@@ -15,6 +15,7 @@ use std::fmt;
 
 use oarsmt_geom::HananGraph;
 
+use crate::context::RouteContext;
 use crate::error::RouteError;
 use crate::oarmst::OarmstRouter;
 use crate::spanning::SpanningRouter;
@@ -44,7 +45,7 @@ impl Liu14Router {
         if implied.is_empty() {
             return Ok(base);
         }
-        let reduced = OarmstRouter::new().route(graph, &implied)?;
+        let reduced = OarmstRouter::new().route_in(&mut RouteContext::new(), graph, &implied)?;
         Ok(if reduced.cost() < base.cost() {
             reduced
         } else {

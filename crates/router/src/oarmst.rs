@@ -114,7 +114,10 @@ impl OarmstRouter {
     }
 
     /// Builds the OARMST connecting `graph.pins()` plus the given Steiner
-    /// `candidates`, pruning redundant candidates.
+    /// `candidates`, pruning redundant candidates, through a caller-owned
+    /// [`RouteContext`]: no per-query allocation of the Dijkstra arrays,
+    /// index sets, or scratch buffers once the context is warm, and results
+    /// bit-identical to a fresh context's.
     ///
     /// Candidates that duplicate a pin or sit on an obstacle are ignored.
     ///
@@ -124,21 +127,6 @@ impl OarmstRouter {
     ///   pins.
     /// * [`RouteError::BlockedTerminal`] if a pin is blocked.
     /// * [`RouteError::Disconnected`] if the pins cannot all be connected.
-    pub fn route(
-        &self,
-        graph: &HananGraph,
-        candidates: &[GridPoint],
-    ) -> Result<RouteTree, RouteError> {
-        self.route_in(&mut RouteContext::new(), graph, candidates)
-    }
-
-    /// [`OarmstRouter::route`] through a caller-owned [`RouteContext`]:
-    /// bit-identical results, no per-query allocation of the Dijkstra
-    /// arrays, index sets, or scratch buffers.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`OarmstRouter::route`].
     pub fn route_in(
         &self,
         ctx: &mut RouteContext,
@@ -213,7 +201,7 @@ impl OarmstRouter {
     ///
     /// # Errors
     ///
-    /// Same as [`OarmstRouter::route`].
+    /// Same as [`OarmstRouter::route_in`].
     pub fn route_cost_in(
         &self,
         ctx: &mut RouteContext,
@@ -363,7 +351,9 @@ mod tests {
     #[test]
     fn two_pin_route_is_shortest_path() {
         let g = grid_with_pins(6, 6, 1, &[(0, 0, 0), (5, 3, 0)]);
-        let tree = OarmstRouter::new().route(&g, &[]).unwrap();
+        let tree = OarmstRouter::new()
+            .route_in(&mut RouteContext::new(), &g, &[])
+            .unwrap();
         assert_eq!(tree.cost(), 8.0);
         assert!(tree.is_tree());
         assert!(tree.spans_in(&g, g.pins()));
@@ -374,9 +364,11 @@ mod tests {
         // Pins at three arms of a cross; the center is the optimal Steiner
         // point.
         let g = grid_with_pins(5, 5, 1, &[(0, 2, 0), (4, 2, 0), (2, 0, 0)]);
-        let no_steiner = OarmstRouter::new().route(&g, &[]).unwrap();
+        let no_steiner = OarmstRouter::new()
+            .route_in(&mut RouteContext::new(), &g, &[])
+            .unwrap();
         let with_steiner = OarmstRouter::new()
-            .route(&g, &[GridPoint::new(2, 2, 0)])
+            .route_in(&mut RouteContext::new(), &g, &[GridPoint::new(2, 2, 0)])
             .unwrap();
         // Both span; with the center the tree is a perfect cross of cost 6.
         assert!(with_steiner.cost() <= no_steiner.cost());
@@ -390,7 +382,7 @@ mod tests {
         // A candidate on the straight path has degree 2 -> redundant; one
         // far off the path has degree 1 after routing -> redundant.
         let tree = OarmstRouter::new()
-            .route(&g, &[GridPoint::new(2, 0, 0)])
+            .route_in(&mut RouteContext::new(), &g, &[GridPoint::new(2, 0, 0)])
             .unwrap();
         assert_eq!(tree.cost(), 5.0);
         // No degree>=3 vertices at all.
@@ -403,7 +395,7 @@ mod tests {
         // A candidate far off the straight path would add a degree-1 stub;
         // pruning must remove it and return the straight route.
         let tree = OarmstRouter::new()
-            .route(&g, &[GridPoint::new(2, 5, 0)])
+            .route_in(&mut RouteContext::new(), &g, &[GridPoint::new(2, 5, 0)])
             .unwrap();
         assert_eq!(tree.cost(), 5.0);
     }
@@ -414,7 +406,9 @@ mod tests {
         for v in 0..2 {
             g.add_obstacle_vertex(GridPoint::new(2, v, 0)).unwrap();
         }
-        let tree = OarmstRouter::new().route(&g, &[]).unwrap();
+        let tree = OarmstRouter::new()
+            .route_in(&mut RouteContext::new(), &g, &[])
+            .unwrap();
         for &(a, b) in tree.edges() {
             assert!(!g.is_blocked(g.point(a as usize)));
             assert!(!g.is_blocked(g.point(b as usize)));
@@ -426,7 +420,9 @@ mod tests {
     #[test]
     fn multilayer_route_uses_vias() {
         let g = grid_with_pins(3, 1, 2, &[(0, 0, 0), (2, 0, 1)]);
-        let tree = OarmstRouter::new().route(&g, &[]).unwrap();
+        let tree = OarmstRouter::new()
+            .route_in(&mut RouteContext::new(), &g, &[])
+            .unwrap();
         assert_eq!(tree.via_count(&g), 1);
         assert_eq!(tree.cost(), 5.0); // 2 horizontal + via 3
     }
@@ -436,7 +432,7 @@ mod tests {
         let mut g = HananGraph::uniform(3, 3, 1, 1.0, 1.0, 3.0);
         g.add_pin(GridPoint::new(0, 0, 0)).unwrap();
         assert_eq!(
-            OarmstRouter::new().route(&g, &[]),
+            OarmstRouter::new().route_in(&mut RouteContext::new(), &g, &[]),
             Err(RouteError::TooFewTerminals(1))
         );
     }
@@ -450,7 +446,7 @@ mod tests {
         g.add_pin(GridPoint::new(0, 0, 0)).unwrap();
         g.add_pin(GridPoint::new(2, 2, 0)).unwrap();
         assert!(matches!(
-            OarmstRouter::new().route(&g, &[]),
+            OarmstRouter::new().route_in(&mut RouteContext::new(), &g, &[]),
             Err(RouteError::Disconnected { .. })
         ));
     }
@@ -460,7 +456,8 @@ mod tests {
         let mut g = grid_with_pins(5, 5, 1, &[(0, 0, 0), (4, 4, 0)]);
         g.add_obstacle_vertex(GridPoint::new(2, 3, 0)).unwrap();
         let tree = OarmstRouter::new()
-            .route(
+            .route_in(
+                &mut RouteContext::new(),
                 &g,
                 &[
                     GridPoint::new(0, 0, 0), // pin
@@ -478,7 +475,7 @@ mod tests {
         let unpruned = OarmstRouter::new()
             .with_max_prune_rounds(0)
             .with_polish_rounds(0)
-            .route(&g, &[GridPoint::new(2, 3, 0)])
+            .route_in(&mut RouteContext::new(), &g, &[GridPoint::new(2, 3, 0)])
             .unwrap();
         // The stub to the off-path candidate is kept.
         assert!(unpruned.cost() > 5.0);
@@ -490,7 +487,7 @@ mod tests {
         let g = grid_with_pins(8, 8, 1, &[(0, 0, 0), (7, 7, 0), (0, 7, 0)]);
         let tree = OarmstRouter::new()
             .with_bounds_margin(2)
-            .route(&g, &[])
+            .route_in(&mut RouteContext::new(), &g, &[])
             .unwrap();
         assert!(tree.spans_in(&g, g.pins()));
         assert!(tree.is_tree());
@@ -503,7 +500,7 @@ mod tests {
         let router = OarmstRouter::new();
         let mut routed = 0;
         for g in gen.generate_many(15) {
-            match router.route(&g, &[]) {
+            match router.route_in(&mut RouteContext::new(), &g, &[]) {
                 Ok(tree) => {
                     assert!(tree.is_tree());
                     assert!(tree.spans_in(&g, g.pins()));
@@ -542,7 +539,9 @@ mod pocket_tests {
         g.add_pin(GridPoint::new(0, 0, 0)).unwrap();
         g.add_pin(GridPoint::new(0, 5, 0)).unwrap();
         let pocket = GridPoint::new(5, 5, 0);
-        let tree = OarmstRouter::new().route(&g, &[pocket]).unwrap();
+        let tree = OarmstRouter::new()
+            .route_in(&mut RouteContext::new(), &g, &[pocket])
+            .unwrap();
         assert!(tree.spans_in(&g, g.pins()));
         assert!(!tree.contains_vertex(&g, pocket));
     }
@@ -556,7 +555,7 @@ mod pocket_tests {
         g.add_pin(GridPoint::new(0, 0, 0)).unwrap();
         g.add_pin(GridPoint::new(5, 5, 0)).unwrap(); // inside the pocket
         assert!(matches!(
-            OarmstRouter::new().route(&g, &[]),
+            OarmstRouter::new().route_in(&mut RouteContext::new(), &g, &[]),
             Err(RouteError::Disconnected { .. })
         ));
     }

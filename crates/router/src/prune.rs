@@ -18,7 +18,7 @@ use crate::tree::RouteTree;
 ///
 /// ```
 /// use oarsmt_geom::{HananGraph, GridPoint};
-/// use oarsmt_router::{oarmst::OarmstRouter, prune::redundant_candidates};
+/// use oarsmt_router::{prune::redundant_candidates, OarmstRouter, RouteContext};
 ///
 /// let mut g = HananGraph::uniform(6, 1, 1, 1.0, 1.0, 3.0);
 /// g.add_pin(GridPoint::new(0, 0, 0))?;
@@ -28,7 +28,7 @@ use crate::tree::RouteTree;
 /// let tree = OarmstRouter::new()
 ///     .with_max_prune_rounds(0)
 ///     .with_polish_rounds(0)
-///     .route(&g, &cand)?;
+///     .route_in(&mut RouteContext::new(), &g, &cand)?;
 /// // The on-path candidate has degree 2: redundant.
 /// assert_eq!(redundant_candidates(&g, &tree, &cand), vec![cand[0]]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -95,6 +95,7 @@ pub fn partition_candidates(
 mod tests {
     use super::*;
     use crate::oarmst::OarmstRouter;
+    use crate::RouteContext;
 
     #[test]
     fn center_of_a_cross_is_irredundant() {
@@ -106,7 +107,7 @@ mod tests {
         let tree = OarmstRouter::new()
             .with_max_prune_rounds(0)
             .with_polish_rounds(0)
-            .route(&g, &[center])
+            .route_in(&mut RouteContext::new(), &g, &[center])
             .unwrap();
         let (keep, drop) = partition_candidates(&g, &tree, &[center]);
         assert_eq!(keep, vec![center]);
@@ -125,7 +126,7 @@ mod tests {
         let tree = OarmstRouter::new()
             .with_max_prune_rounds(0)
             .with_polish_rounds(0)
-            .route(&g, &cands)
+            .route_in(&mut RouteContext::new(), &g, &cands)
             .unwrap();
         let redundant = redundant_candidates(&g, &tree, &cands);
         let mut kept = cands.to_vec();
@@ -145,7 +146,7 @@ mod tests {
         let tree = OarmstRouter::new()
             .with_max_prune_rounds(0)
             .with_polish_rounds(0)
-            .route(&g, &[])
+            .route_in(&mut RouteContext::new(), &g, &[])
             .unwrap();
         let ghost = GridPoint::new(1, 0, 0);
         // ghost lies on the path with degree 2 -> redundant; a vertex not in

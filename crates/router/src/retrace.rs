@@ -203,7 +203,9 @@ mod tests {
         for &(h, v) in &[(0, 0), (7, 0), (0, 7), (7, 7), (3, 4)] {
             g.add_pin(GridPoint::new(h, v, 0)).unwrap();
         }
-        let tree = OarmstRouter::new().route(&g, &[]).unwrap();
+        let tree = OarmstRouter::new()
+            .route_in(&mut RouteContext::new(), &g, &[])
+            .unwrap();
         let pins = g.pins().to_vec();
         let mut ctx = RouteContext::new();
         for idx in 0..pins.len() {
@@ -220,7 +222,9 @@ mod tests {
         for &(h, v, m) in &[(0, 0, 0), (5, 5, 1), (0, 5, 0), (5, 0, 1)] {
             g.add_pin(GridPoint::new(h, v, m)).unwrap();
         }
-        let tree = OarmstRouter::new().route(&g, &[]).unwrap();
+        let tree = OarmstRouter::new()
+            .route_in(&mut RouteContext::new(), &g, &[])
+            .unwrap();
         let pins = g.pins().to_vec();
         let (t1, _) = polish_round_in(&mut RouteContext::new(), &g, tree, &pins).unwrap();
         let (t2, improved2) =
@@ -238,7 +242,9 @@ mod tests {
         for h in [0, 2, 4] {
             g.add_pin(GridPoint::new(h, 0, 0)).unwrap();
         }
-        let tree = OarmstRouter::new().route(&g, &[]).unwrap();
+        let tree = OarmstRouter::new()
+            .route_in(&mut RouteContext::new(), &g, &[])
+            .unwrap();
         let pins = g.pins().to_vec();
         // Middle pin (index 1) is interior.
         assert!(

@@ -203,13 +203,16 @@ pub fn render_layer(graph: &HananGraph, tree: &RouteTree, layer: usize) -> Strin
 mod tests {
     use super::*;
     use crate::oarmst::OarmstRouter;
+    use crate::RouteContext;
 
     fn l_route() -> (HananGraph, RouteTree) {
         let mut g = HananGraph::uniform(4, 4, 2, 1.0, 1.0, 3.0);
         g.add_pin(GridPoint::new(0, 0, 0)).unwrap();
         g.add_pin(GridPoint::new(3, 0, 0)).unwrap();
         g.add_pin(GridPoint::new(3, 3, 1)).unwrap();
-        let t = OarmstRouter::new().route(&g, &[]).unwrap();
+        let t = OarmstRouter::new()
+            .route_in(&mut RouteContext::new(), &g, &[])
+            .unwrap();
         (g, t)
     }
 
@@ -218,7 +221,9 @@ mod tests {
         let mut g = HananGraph::uniform(5, 1, 1, 1.0, 1.0, 3.0);
         g.add_pin(GridPoint::new(0, 0, 0)).unwrap();
         g.add_pin(GridPoint::new(4, 0, 0)).unwrap();
-        let t = OarmstRouter::new().route(&g, &[]).unwrap();
+        let t = OarmstRouter::new()
+            .route_in(&mut RouteContext::new(), &g, &[])
+            .unwrap();
         let geo = RouteGeometry::extract(&g, &t);
         assert_eq!(geo.wires.len(), 1);
         assert_eq!(geo.wires[0].length(), 4);
@@ -254,7 +259,9 @@ mod tests {
             .with_pin(Pin::new(Coord::new(100, 0), 0))
             .with_obstacle(Obstacle::new(Rect::new(40, 10, 60, 20), 0));
         let g = HananGraph::from_layout(&layout).unwrap();
-        let t = OarmstRouter::new().route(&g, &[]).unwrap();
+        let t = OarmstRouter::new()
+            .route_in(&mut RouteContext::new(), &g, &[])
+            .unwrap();
         let geo = RouteGeometry::extract(&g, &t);
         assert_eq!(geo.wirelength(), 100);
         let xs: Vec<i64> = geo.wires.iter().flat_map(|w| [w.from.x, w.to.x]).collect();
@@ -267,7 +274,7 @@ mod tests {
         let router = OarmstRouter::new();
         let mut gen = CaseGenerator::new(GeneratorConfig::tiny(8, 8, 2, (3, 6)), 23);
         for g in gen.generate_many(6) {
-            let Ok(tree) = router.route(&g, &[]) else {
+            let Ok(tree) = router.route_in(&mut RouteContext::new(), &g, &[]) else {
                 continue;
             };
             let reference = RouteGeometry::extract(&g, &tree);
@@ -283,7 +290,7 @@ mod tests {
             }
             assert_eq!(RouteGeometry::extract(&g, &reversed), reference);
             // And a fresh routing run of the same layout.
-            let again = router.route(&g, &[]).unwrap();
+            let again = router.route_in(&mut RouteContext::new(), &g, &[]).unwrap();
             assert_eq!(RouteGeometry::extract(&g, &again), reference);
         }
     }

@@ -92,6 +92,7 @@ impl fmt::Display for SpanningRouter {
 mod tests {
     use super::*;
     use crate::oarmst::OarmstRouter;
+    use crate::RouteContext;
     use oarsmt_geom::GridPoint;
 
     fn pins(g: &mut HananGraph, pts: &[(usize, usize, usize)]) {
@@ -116,7 +117,7 @@ mod tests {
         pins(&mut g, &[(0, 2, 0), (4, 2, 0), (2, 0, 0), (2, 4, 0)]);
         let span = SpanningRouter::new().route(&g).unwrap();
         let steiner = OarmstRouter::new()
-            .route(&g, &[GridPoint::new(2, 2, 0)])
+            .route_in(&mut RouteContext::new(), &g, &[GridPoint::new(2, 2, 0)])
             .unwrap();
         assert_eq!(steiner.cost(), 8.0);
         assert!(span.cost() >= steiner.cost());

@@ -65,7 +65,7 @@ proptest! {
         for g in gen.generate_many(3) {
             for _ in 0..2 {
                 let cand = random_candidates(&g, &mut rng);
-                let fresh = router.route(&g, &cand);
+                let fresh = router.route_in(&mut RouteContext::new(), &g, &cand);
                 let reused = router.route_in(&mut ctx, &g, &cand);
                 assert_identical(&g, &fresh, &reused);
             }
@@ -82,13 +82,15 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xC0575);
         for _ in 0..3 {
             let cand = random_candidates(&g, &mut rng);
-            match (router.route(&g, &cand), router.route_cost_in(&mut ctx, &g, &cand)) {
+            let fresh = router.route_in(&mut RouteContext::new(), &g, &cand);
+            match (fresh, router.route_cost_in(&mut ctx, &g, &cand)) {
                 (Ok(t), Ok(c)) => prop_assert_eq!(t.cost().to_bits(), c.to_bits()),
                 (Err(a), Err(b)) => prop_assert_eq!(a, b),
                 (a, b) => return Err(TestCaseError::fail(format!("route {a:?} vs cost {b:?}"))),
             }
             let build_only = router.clone().with_max_prune_rounds(0).with_polish_rounds(0);
-            match (build_only.route(&g, &cand), build_only.route_cost_in(&mut ctx, &g, &cand)) {
+            let fresh = build_only.route_in(&mut RouteContext::new(), &g, &cand);
+            match (fresh, build_only.route_cost_in(&mut ctx, &g, &cand)) {
                 (Ok(t), Ok(c)) => prop_assert_eq!(t.cost().to_bits(), c.to_bits()),
                 (Err(a), Err(b)) => prop_assert_eq!(a, b),
                 (a, b) => return Err(TestCaseError::fail(format!("unpruned {a:?} vs {b:?}"))),
@@ -105,7 +107,7 @@ proptest! {
         let mut ctx = RouteContext::new();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xB0B);
         let cand = random_candidates(&g, &mut rng);
-        let fresh = router.route(&g, &cand);
+        let fresh = router.route_in(&mut RouteContext::new(), &g, &cand);
         let reused = router.route_in(&mut ctx, &g, &cand);
         assert_identical(&g, &fresh, &reused);
     }

@@ -139,8 +139,8 @@ proptest! {
         let cand = random_candidates(&g, &mut rng);
         let oracle = OarmstRouter::new()
             .with_queue_policy(QueuePolicy::Heap)
-            .route(&g, &cand);
-        let auto = OarmstRouter::new().route(&g, &cand); // default policy
+            .route_in(&mut RouteContext::new(), &g, &cand);
+        let auto = OarmstRouter::new().route_in(&mut RouteContext::new(), &g, &cand); // default policy
         assert_identical(&g, &oracle, &auto, "auto vs heap");
     }
 
@@ -172,7 +172,7 @@ fn dial_falls_back_on_fractional_costs() {
         .route_in(&mut ctx, &g, &[]);
     let oracle = OarmstRouter::new()
         .with_queue_policy(QueuePolicy::Heap)
-        .route(&g, &[]);
+        .route_in(&mut RouteContext::new(), &g, &[]);
     assert_identical(&g, &oracle, &dial, "fractional fallback");
     let delta = ctx.counters_total().delta_since(&before);
     assert_eq!(

@@ -10,6 +10,7 @@ use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
 use oarsmt_mcts::{AlphaGoMcts, CombinatorialMcts, MctsConfig};
 use oarsmt_nn::unet::UNetConfig;
 use oarsmt_rl::ppo::{PpoConfig, PpoTrainer};
+use oarsmt_router::RouteContext;
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -35,12 +36,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut n = 0usize;
     for graph in &cases {
         let t0 = Instant::now();
-        let Ok(comb) = CombinatorialMcts::new(cfg.clone()).search(graph, &mut selector) else {
+        let Ok(comb) = CombinatorialMcts::new(cfg.clone()).search_in(
+            &mut RouteContext::new(),
+            graph,
+            &mut selector,
+        ) else {
             continue;
         };
         comb_time += t0.elapsed();
         let t0 = Instant::now();
-        let conv = AlphaGoMcts::new(cfg.clone()).search(graph, &mut selector)?;
+        let conv = AlphaGoMcts::new(cfg.clone()).search_in(
+            &mut RouteContext::new(),
+            graph,
+            &mut selector,
+        )?;
         conv_time += t0.elapsed();
         comb_nodes += comb.nodes_created;
         conv_nodes += conv.nodes_created;

@@ -10,7 +10,7 @@ use oarsmt_mcts::{CombinatorialMcts, MctsConfig};
 use oarsmt_nn::NnWorkspace;
 use oarsmt_rl::augment::{transform_sample, Symmetry};
 use oarsmt_rl::sample::TrainingSample;
-use oarsmt_router::{OarmstRouter, RouteError};
+use oarsmt_router::{OarmstRouter, RouteContext, RouteError};
 use proptest::prelude::*;
 
 fn arbitrary_layout() -> impl Strategy<Value = Layout> {
@@ -63,7 +63,7 @@ proptest! {
     #[test]
     fn routed_trees_satisfy_all_invariants(layout in arbitrary_layout()) {
         let graph = HananGraph::from_layout(&layout).unwrap();
-        match OarmstRouter::new().route(&graph, &[]) {
+        match OarmstRouter::new().route_in(&mut RouteContext::new(), &graph, &[]) {
             Ok(tree) => {
                 prop_assert!(tree.is_tree());
                 prop_assert!(tree.spans_in(&graph, graph.pins()));
@@ -94,7 +94,7 @@ proptest! {
                 "symmetry {:?}: {} vs {}", sym, texact, exact);
             // The heuristic may differ by tie-breaking but must stay near
             // the optimum in every orientation.
-            let Ok(ht) = OarmstRouter::new().route(&tg, &[]) else {
+            let Ok(ht) = OarmstRouter::new().route_in(&mut RouteContext::new(), &tg, &[]) else {
                 return Ok(());
             };
             prop_assert!(ht.cost() >= texact - 1e-6);
@@ -160,7 +160,7 @@ fn mcts_labels_bounded_and_zero_on_invalid_vertices() {
     let mut sel = UniformSelector::new(0.1);
     let mut checked = 0;
     for graph in gen.generate_many(6) {
-        let Ok(out) = mcts.search(&graph, &mut sel) else {
+        let Ok(out) = mcts.search_in(&mut RouteContext::new(), &graph, &mut sel) else {
             continue;
         };
         for idx in 0..graph.len() {

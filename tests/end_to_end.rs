@@ -6,7 +6,9 @@ use oarsmt::selector::{MedianHeuristicSelector, NeuralSelector};
 use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
 use oarsmt_geom::{Coord, GridPoint, HananGraph, Layout, Obstacle, Pin, Rect};
 use oarsmt_nn::unet::UNetConfig;
-use oarsmt_router::{Lin18Router, Liu14Router, OarmstRouter, RouteError, SpanningRouter};
+use oarsmt_router::{
+    Lin18Router, Liu14Router, OarmstRouter, RouteContext, RouteError, SpanningRouter,
+};
 
 fn tiny_selector(seed: u64) -> NeuralSelector {
     NeuralSelector::with_config(UNetConfig {
@@ -47,7 +49,10 @@ fn all_routers_agree_on_two_pin_shortest_path() {
     g.add_pin(GridPoint::new(6, 4, 1)).unwrap();
     let expected = 6.0 * 2.0 + 4.0 * 3.0 + 4.0; // straight route + one via
 
-    let plain = OarmstRouter::new().route(&g, &[]).unwrap().cost();
+    let plain = OarmstRouter::new()
+        .route_in(&mut RouteContext::new(), &g, &[])
+        .unwrap()
+        .cost();
     let lin = Lin18Router::new().route(&g).unwrap().cost();
     let liu = Liu14Router::new().route(&g).unwrap().cost();
     let span = SpanningRouter::new().route(&g).unwrap().cost();
@@ -95,7 +100,7 @@ fn rl_router_never_loses_to_plain_oarmst_with_safeguard() {
     let oarmst = OarmstRouter::new();
     let mut router = RlRouter::new(tiny_selector(2));
     for g in gen.generate_many(10) {
-        let Ok(plain) = oarmst.route(&g, &[]) else {
+        let Ok(plain) = oarmst.route_in(&mut RouteContext::new(), &g, &[]) else {
             continue;
         };
         let out = router.route(&g).unwrap();

@@ -1,14 +1,12 @@
 //! Integration tests for the adoption features beyond the paper's scope:
-//! exact optimum, geometry export, multi-net routing, text-format I/O.
+//! exact optimum, geometry export, text-format I/O.
 
-use oarsmt::multi_net::{MultiNetRouter, Net};
 use oarsmt::selector::MedianHeuristicSelector;
 use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
 use oarsmt_geom::io::{parse_case, write_case};
-use oarsmt_geom::{GridPoint, HananGraph};
 use oarsmt_router::exact::steiner_exact_cost;
 use oarsmt_router::segments::{render_layer, RouteGeometry};
-use oarsmt_router::{Lin18Router, OarmstRouter};
+use oarsmt_router::{Lin18Router, OarmstRouter, RouteContext};
 
 #[test]
 fn text_format_round_trips_generated_cases() {
@@ -18,8 +16,10 @@ fn text_format_round_trips_generated_cases() {
         let back = parse_case(&text).expect("own output parses");
         assert_eq!(g, back);
         // And the parsed case routes identically.
-        if let Ok(t1) = OarmstRouter::new().route(&g, &[]) {
-            let t2 = OarmstRouter::new().route(&back, &[]).unwrap();
+        if let Ok(t1) = OarmstRouter::new().route_in(&mut RouteContext::new(), &g, &[]) {
+            let t2 = OarmstRouter::new()
+                .route_in(&mut RouteContext::new(), &back, &[])
+                .unwrap();
             assert_eq!(t1.cost(), t2.cost());
         }
     }
@@ -29,7 +29,7 @@ fn text_format_round_trips_generated_cases() {
 fn geometry_export_covers_the_tree() {
     let mut gen = CaseGenerator::new(GeneratorConfig::tiny(8, 8, 2, (4, 6)), 61);
     for g in gen.generate_many(5) {
-        let Ok(tree) = OarmstRouter::new().route(&g, &[]) else {
+        let Ok(tree) = OarmstRouter::new().route_in(&mut RouteContext::new(), &g, &[]) else {
             continue;
         };
         let geo = RouteGeometry::extract(&g, &tree);
@@ -54,7 +54,10 @@ fn exact_optimum_lower_bounds_every_router() {
         let Ok(optimum) = steiner_exact_cost(&g) else {
             continue;
         };
-        let plain = OarmstRouter::new().route(&g, &[]).unwrap().cost();
+        let plain = OarmstRouter::new()
+            .route_in(&mut RouteContext::new(), &g, &[])
+            .unwrap()
+            .cost();
         let lin = Lin18Router::new().route(&g).unwrap().cost();
         let mut rl = oarsmt::RlRouter::new(MedianHeuristicSelector::new());
         let ours = rl.route(&g).unwrap().tree.cost();
@@ -67,41 +70,6 @@ fn exact_optimum_lower_bounds_every_router() {
         compared += 1;
     }
     assert!(compared >= 5);
-}
-
-#[test]
-fn multi_net_trees_remain_disjoint_on_random_layouts() {
-    let template = HananGraph::uniform(12, 12, 3, 1.0, 1.0, 3.0);
-    let nets = vec![
-        Net::new(
-            "n0",
-            vec![GridPoint::new(0, 0, 0), GridPoint::new(11, 0, 0)],
-        ),
-        Net::new(
-            "n1",
-            vec![
-                GridPoint::new(0, 11, 0),
-                GridPoint::new(11, 11, 0),
-                GridPoint::new(5, 6, 1),
-            ],
-        ),
-        Net::new(
-            "n2",
-            vec![GridPoint::new(5, 0, 2), GridPoint::new(5, 11, 2)],
-        ),
-    ];
-    let mut router = MultiNetRouter::new(MedianHeuristicSelector::new());
-    let out = router.route_nets(&template, &nets).unwrap();
-    assert_eq!(out.failed, 0);
-    let trees: Vec<_> = out.nets.iter().filter_map(|n| n.tree.as_ref()).collect();
-    for i in 0..trees.len() {
-        for j in (i + 1)..trees.len() {
-            assert!(
-                trees[i].vertices().is_disjoint(&trees[j].vertices()),
-                "nets {i} and {j} overlap"
-            );
-        }
-    }
 }
 
 #[test]
@@ -118,7 +86,9 @@ obstacle 2 2 1
 ";
     let g = parse_case(text).expect("hand-written case parses");
     assert_eq!(g.dims(), (5, 5, 2));
-    let tree = OarmstRouter::new().route(&g, &[]).unwrap();
+    let tree = OarmstRouter::new()
+        .route_in(&mut RouteContext::new(), &g, &[])
+        .unwrap();
     assert!(tree.spans_in(&g, g.pins()));
     for &(a, b) in tree.edges() {
         assert!(!g.is_blocked(g.point(a as usize)));

@@ -94,7 +94,7 @@ fn combinatorial_search_emits_priority_ordered_combinations() {
     let mcts = CombinatorialMcts::new(MctsConfig::tiny());
     let mut sel = UniformSelector::new(0.1);
     for g in gen.generate_many(6) {
-        let Ok(out) = mcts.search(&g, &mut sel) else {
+        let Ok(out) = mcts.search_in(&mut RouteContext::new(), &g, &mut sel) else {
             continue;
         };
         for w in out.executed.windows(2) {
@@ -125,7 +125,7 @@ fn all_declared_workloads_are_routable() {
     for spec in BenchmarkSpec::all() {
         let g = spec.build();
         oarmst
-            .route(&g, &[])
+            .route_in(&mut RouteContext::new(), &g, &[])
             .unwrap_or_else(|e| panic!("{} must route: {e}", spec.name));
     }
     // Layouts from each Table 1 rung: dense random obstacles occasionally
@@ -135,7 +135,7 @@ fn all_declared_workloads_are_routable() {
         let mut gen = spec.generator(1);
         let mut ok = 0;
         for g in gen.generate_many(5) {
-            if let Ok(t) = oarmst.route(&g, &[]) {
+            if let Ok(t) = oarmst.route_in(&mut RouteContext::new(), &g, &[]) {
                 assert!(t.spans_in(&g, g.pins()));
                 ok += 1;
             }

@@ -5,7 +5,7 @@
 //! folded in index order, so the worker partition can never leak into the
 //! output.
 
-use oarsmt::parallel::{derive_seed, run_seeded, run_seeded_with};
+use oarsmt::parallel::{derive_seed, run_seeded_with};
 use oarsmt::rl_router::RlRouter;
 use oarsmt::selector::NeuralSelector;
 use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
@@ -85,7 +85,7 @@ fn mcts_labels_are_bit_identical_across_thread_counts() {
             |sel, _i, seed| {
                 let graph = layout(seed);
                 let mcts = CombinatorialMcts::new(config.clone());
-                match mcts.search(&graph, sel) {
+                match mcts.search_in(&mut RouteContext::new(), &graph, sel) {
                     Ok(out) => out.label.iter().map(|p| p.to_bits()).collect(),
                     Err(_) => Vec::new(),
                 }
@@ -191,6 +191,6 @@ fn counter_totals_survive_an_active_trace_recorder() {
 #[test]
 fn derived_seeds_are_a_pure_function_of_master_and_index() {
     let direct: Vec<u64> = (0..16).map(|i| derive_seed(3, i)).collect();
-    let pooled = run_seeded(16, 3, 4, |_i, seed| seed);
+    let pooled = run_seeded_with(16, 3, 4, || (), |(), _i, seed| seed);
     assert_eq!(direct, pooled);
 }
