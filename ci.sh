@@ -102,6 +102,11 @@ if cargo run --release -q -p oarsmt-repro --bin oarsmt -- report --check \
     exit 1
 fi
 
+echo "==> congested tiny layouts (oarsmt gen on a 2x2x1 grid must redraw obstacles that leave no room for the pins, not panic)"
+for seed in 1 3 4; do
+    cargo run --release -q -p oarsmt-repro --bin oarsmt -- gen 2 2 1 2 "$seed" > /dev/null
+done
+
 echo "==> trace smoke (flight-record a route, export + verify Chrome trace_event JSON)"
 cargo run --release -q -p oarsmt-repro --bin oarsmt -- \
     gen 8 8 2 4 42 target/trace_case.json > /dev/null

@@ -261,6 +261,49 @@ mod tests {
         check(MedianHeuristicSelector::new(), 12);
     }
 
+    /// Degenerate geometry through a neural selector whose pooling takes
+    /// every thin axis down to 1: single-layer grids and `1×N` / `N×1`
+    /// strips of one to three layers. No route panics; each returns a
+    /// tree that spans the pins, or a typed routing error where the
+    /// obstacles wall a pin off.
+    #[test]
+    fn degenerate_grids_route_or_fail_typed() {
+        let mut router = RlRouter::new(NeuralSelector::with_config(UNetConfig {
+            in_channels: 7,
+            base_channels: 4,
+            levels: 3,
+            seed: 9,
+        }));
+        let dims = [
+            (1, 1, 3),
+            (1, 2, 1),
+            (1, 8, 1),
+            (8, 1, 1),
+            (1, 12, 2),
+            (12, 1, 3),
+            (2, 9, 1),
+            (9, 4, 1),
+            (6, 6, 1),
+        ];
+        let (mut routed, mut failed) = (0, 0);
+        for (h, v, m) in dims {
+            let pins = (2, (h * v * m).min(5));
+            let mut gen = CaseGenerator::new(GeneratorConfig::tiny(h, v, m, pins), (h * v) as u64);
+            for g in gen.generate_many(8) {
+                match router.route(&g) {
+                    Ok(out) => {
+                        assert!(out.tree.is_tree(), "{h}x{v}x{m}");
+                        assert!(out.tree.spans_in(&g, g.pins()), "{h}x{v}x{m}");
+                        routed += 1;
+                    }
+                    Err(CoreError::Route(_)) => failed += 1,
+                    Err(e) => panic!("{h}x{v}x{m}: unexpected error {e}"),
+                }
+            }
+        }
+        assert!(routed >= dims.len() * 4, "routed {routed}, failed {failed}");
+    }
+
     #[test]
     fn steiner_budget_matches_pin_count() {
         let g = cross_graph(); // 4 pins -> 2 candidates

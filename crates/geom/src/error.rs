@@ -38,6 +38,14 @@ pub enum GeomError {
     PathCostOverflow(f64),
     /// A layout has fewer than two pins, so no routing tree exists.
     TooFewPins(usize),
+    /// A generator configuration asks for more pins than its grid has
+    /// vertices, so some of its layouts can never be drawn.
+    TooManyPins {
+        /// The largest pin count the configuration may draw.
+        pins: usize,
+        /// The grid's vertex count.
+        vertices: usize,
+    },
     /// The layout geometry produced no Hanan cuts (no pins or obstacles).
     NoCuts,
 }
@@ -76,6 +84,9 @@ impl fmt::Display for GeomError {
             GeomError::TooFewPins(n) => {
                 write!(f, "layout has {n} pins but routing needs at least 2")
             }
+            GeomError::TooManyPins { pins, vertices } => {
+                write!(f, "{pins} pins do not fit on a grid of {vertices} vertices")
+            }
             GeomError::NoCuts => write!(f, "layout produced no hanan cuts"),
         }
     }
@@ -103,6 +114,10 @@ mod tests {
             },
             GeomError::PathCostOverflow(1e308),
             GeomError::TooFewPins(1),
+            GeomError::TooManyPins {
+                pins: 5,
+                vertices: 4,
+            },
             GeomError::NoCuts,
         ];
         for e in errors {

@@ -16,6 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::coord::GridPoint;
+use crate::error::GeomError;
 use crate::hanan::{HananGraph, VertexKind};
 
 /// Configuration of the random Hanan-graph generator.
@@ -104,6 +105,26 @@ impl GeneratorConfig {
             obstacle_len: (2, 3),
         }
     }
+
+    /// Checks that every layout this configuration may draw exists: the
+    /// grid is non-empty and within [`MAX_VERTICES`](crate::hanan::MAX_VERTICES),
+    /// and the largest pin count fits on it.
+    ///
+    /// # Errors
+    ///
+    /// * [`GeomError::EmptyDimension`] or [`GeomError::TooManyVertices`]
+    ///   for a grid [`HananGraph::checked_len`] rejects.
+    /// * [`GeomError::TooManyPins`] if `pins.1` exceeds the vertex count.
+    pub fn validate(&self) -> Result<(), GeomError> {
+        let vertices = HananGraph::checked_len(self.h, self.v, self.m)?;
+        if self.pins.1 > vertices {
+            return Err(GeomError::TooManyPins {
+                pins: self.pins.1,
+                vertices,
+            });
+        }
+        Ok(())
+    }
 }
 
 impl fmt::Display for GeneratorConfig {
@@ -148,16 +169,21 @@ impl CaseGenerator {
 
     /// Generates one random routing case.
     ///
-    /// Obstacle strips that would fully surround a pin are avoided by
-    /// placing obstacles before pins; pins are drawn only from empty
+    /// Obstacles are placed before pins, and pins are drawn only from empty
     /// vertices, so every generated case is well-formed by construction.
+    /// When the obstacles leave fewer empty vertices than the drawn pin
+    /// count, they are redrawn from the same random stream with half as
+    /// many strips, until the pins fit (with no strips they always do).
+    /// A case whose pins fit on the first draw never takes that branch.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration leaves no room for pins (obstacles cover
-    /// the whole grid), which cannot happen for the provided presets.
+    /// Panics if the configuration fails [`GeneratorConfig::validate`].
     pub fn generate(&mut self) -> HananGraph {
         let c = self.config.clone();
+        if let Err(e) = c.validate() {
+            panic!("invalid generator configuration: {e}");
+        }
         let x_costs = (0..c.h - 1)
             .map(|_| {
                 self.rng
@@ -178,8 +204,43 @@ impl CaseGenerator {
         let mut g = HananGraph::with_costs(c.h, c.v, c.m, x_costs, y_costs, via)
             .expect("generator config produces valid grids");
 
-        let n_obstacles = self.rng.gen_range(c.obstacles.0..=c.obstacles.1);
-        for _ in 0..n_obstacles {
+        let mut n_obstacles = self.rng.gen_range(c.obstacles.0..=c.obstacles.1);
+        self.place_obstacles(&mut g, n_obstacles);
+        let n_pins = self.rng.gen_range(c.pins.0..=c.pins.1);
+        while g.len() - g.obstacle_count() < n_pins {
+            n_obstacles /= 2;
+            g = HananGraph::with_costs(
+                c.h,
+                c.v,
+                c.m,
+                g.x_costs().to_vec(),
+                g.y_costs().to_vec(),
+                via,
+            )
+            .expect("the same costs built the first grid");
+            self.place_obstacles(&mut g, n_obstacles);
+        }
+
+        // At least as many empty vertices as pins still to place, so the
+        // rejection sampling ends.
+        let mut placed = 0;
+        while placed < n_pins {
+            let p = GridPoint::new(
+                self.rng.gen_range(0..c.h),
+                self.rng.gen_range(0..c.v),
+                self.rng.gen_range(0..c.m),
+            );
+            if g.kind(p) == VertexKind::Empty && g.add_pin(p).is_ok() {
+                placed += 1;
+            }
+        }
+        g
+    }
+
+    /// Draws `n` obstacle strips onto `g`.
+    fn place_obstacles(&mut self, g: &mut HananGraph, n: usize) {
+        let c = &self.config;
+        for _ in 0..n {
             let len = self.rng.gen_range(c.obstacle_len.0..=c.obstacle_len.1);
             let horizontal = self.rng.gen_bool(0.5);
             let m = self.rng.gen_range(0..c.m);
@@ -203,26 +264,6 @@ impl CaseGenerator {
                 }
             }
         }
-
-        let n_pins = self.rng.gen_range(c.pins.0..=c.pins.1);
-        let mut placed = 0;
-        let mut attempts = 0;
-        while placed < n_pins {
-            attempts += 1;
-            assert!(
-                attempts < 100_000,
-                "generator could not place pins; grid too congested"
-            );
-            let p = GridPoint::new(
-                self.rng.gen_range(0..c.h),
-                self.rng.gen_range(0..c.v),
-                self.rng.gen_range(0..c.m),
-            );
-            if g.kind(p) == VertexKind::Empty && g.add_pin(p).is_ok() {
-                placed += 1;
-            }
-        }
-        g
     }
 
     /// Generates `n` random routing cases.
@@ -338,6 +379,96 @@ impl fmt::Display for TestSubsetSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// FNV-1a over the case text of every layout `config` draws for
+    /// `seeds`, one generator per seed.
+    fn layouts_hash(config: &GeneratorConfig, seeds: &[u64]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &seed in seeds {
+            let text = crate::io::write_case(&CaseGenerator::new(config.clone(), seed).generate());
+            for b in text.bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Layouts that generated without a redraw keep their exact text
+    /// (hashes recorded before the redraw branch existed).
+    #[test]
+    fn layouts_that_fit_first_time_are_unchanged() {
+        let cases = [
+            (
+                GeneratorConfig::tiny(8, 8, 2, (3, 6)),
+                &[0u64, 1, 2, 3, 4, 5, 6, 7][..],
+                0x61a8_f295_d5f2_f85f,
+            ),
+            (
+                GeneratorConfig::paper_costs(2, 2, 1, (2, 2)),
+                &[2, 5, 6, 7, 8],
+                0x73e1_4ef5_8a7b_6a3d,
+            ),
+            (
+                GeneratorConfig::training_16x16x4(),
+                &[1, 2],
+                0xf31c_9e17_6ff3_6ab4,
+            ),
+            (
+                GeneratorConfig::paper_costs(12, 12, 2, (3, 6)),
+                &[9, 10, 11],
+                0xa60e_fc20_cd0a_7c5f,
+            ),
+        ];
+        for (cfg, seeds, want) in cases {
+            assert_eq!(layouts_hash(&cfg, seeds), want, "{cfg}");
+        }
+    }
+
+    /// The tiny configurations whose obstacles can cover every vertex:
+    /// `oarsmt gen 2 2 1 2 SEED` (seeds 1, 3 and 4 used to panic) and the
+    /// `tiny` 2–3 × 2–3 × 1 grids with 2–3 pins.
+    #[test]
+    fn congested_tiny_grids_redraw_their_obstacles() {
+        let mut configs = vec![GeneratorConfig::paper_costs(2, 2, 1, (2, 2))];
+        for h in 2..=3 {
+            for v in 2..=3 {
+                configs.push(GeneratorConfig::tiny(h, v, 1, (2, 3)));
+            }
+        }
+        for cfg in configs {
+            for seed in 0..64 {
+                let g = CaseGenerator::new(cfg.clone(), seed).generate();
+                let pins = g.pins().len();
+                assert!(
+                    (cfg.pins.0..=cfg.pins.1).contains(&pins),
+                    "{cfg} seed {seed}"
+                );
+                for &p in g.pins() {
+                    assert_eq!(g.kind(p), VertexKind::Pin);
+                }
+                assert_eq!(g, CaseGenerator::new(cfg.clone(), seed).generate());
+            }
+        }
+    }
+
+    #[test]
+    fn configs_whose_pins_cannot_fit_are_rejected() {
+        assert_eq!(
+            GeneratorConfig::paper_costs(1, 2, 1, (3, 3)).validate(),
+            Err(GeomError::TooManyPins {
+                pins: 3,
+                vertices: 2
+            })
+        );
+        assert_eq!(
+            GeneratorConfig::tiny(0, 2, 1, (2, 2)).validate(),
+            Err(GeomError::EmptyDimension { dims: (0, 2, 1) })
+        );
+        assert_eq!(
+            GeneratorConfig::paper_costs(1, 2, 1, (2, 2)).validate(),
+            Ok(())
+        );
+    }
 
     #[test]
     fn generator_is_deterministic_per_seed() {

@@ -342,6 +342,13 @@ impl HananGraph {
         self.kind[idx]
     }
 
+    /// The classification of every vertex, indexed by
+    /// [`HananGraph::index`].
+    #[inline]
+    pub fn kinds(&self) -> &[VertexKind] {
+        &self.kind
+    }
+
     /// Whether a vertex is blocked by an obstacle.
     #[inline]
     pub fn is_blocked(&self, p: GridPoint) -> bool {

@@ -74,8 +74,7 @@ impl GridAdjacency {
             && self.via_cost.to_bits() == graph.via_cost().to_bits()
             && self.x_costs == graph.x_costs()
             && self.y_costs == graph.y_costs()
-            && self.kinds.len() == graph.len()
-            && (0..graph.len()).all(|i| self.kinds[i] == graph.kind_at(i))
+            && self.kinds == graph.kinds()
     }
 
     /// Rebuilds the arrays from `graph` unless the fingerprint already
@@ -86,28 +85,62 @@ impl GridAdjacency {
         if self.matches(graph) {
             return;
         }
-        let n = graph.len();
-        self.offsets.clear();
-        self.offsets.reserve(n + 1);
-        self.nbr.clear();
-        self.cost.clear();
-        self.offsets.push(0);
-        for idx in 0..n {
-            let p = graph.point(idx);
-            for (q, w) in graph.neighbors(p) {
-                self.nbr.push(graph.index(q) as u32);
-                self.cost.push(w);
+        // One pass in index order, `(h, v, m)` lexicographic: the `±h`,
+        // `±v` and `±m` neighbors sit `v·m`, `m` and 1 indices away.
+        let (h, v, m) = graph.dims();
+        let kinds = graph.kinds();
+        let (xc, yc, via) = (graph.x_costs(), graph.y_costs(), graph.via_cost());
+        let (sh, sv) = (v * m, m);
+        let GridAdjacency {
+            offsets, nbr, cost, ..
+        } = self;
+        offsets.clear();
+        offsets.reserve(kinds.len() + 1);
+        nbr.clear();
+        cost.clear();
+        offsets.push(0);
+        // Appends neighbor `j` at edge cost `c` unless an obstacle blocks it.
+        let push = |nbr: &mut Vec<u32>, cost: &mut Vec<f64>, j: usize, c: f64| {
+            if kinds[j] != VertexKind::Obstacle {
+                nbr.push(j as u32);
+                cost.push(c);
             }
-            self.offsets.push(self.nbr.len() as u32);
+        };
+        let mut idx = 0;
+        for ih in 0..h {
+            for iv in 0..v {
+                for im in 0..m {
+                    if ih + 1 < h {
+                        push(nbr, cost, idx + sh, xc[ih]);
+                    }
+                    if ih > 0 {
+                        push(nbr, cost, idx - sh, xc[ih - 1]);
+                    }
+                    if iv + 1 < v {
+                        push(nbr, cost, idx + sv, yc[iv]);
+                    }
+                    if iv > 0 {
+                        push(nbr, cost, idx - sv, yc[iv - 1]);
+                    }
+                    if im + 1 < m {
+                        push(nbr, cost, idx + 1, via);
+                    }
+                    if im > 0 {
+                        push(nbr, cost, idx - 1, via);
+                    }
+                    offsets.push(nbr.len() as u32);
+                    idx += 1;
+                }
+            }
         }
-        self.dims = graph.dims();
-        self.via_cost = graph.via_cost();
+        self.dims = (h, v, m);
+        self.via_cost = via;
         self.x_costs.clear();
-        self.x_costs.extend_from_slice(graph.x_costs());
+        self.x_costs.extend_from_slice(xc);
         self.y_costs.clear();
-        self.y_costs.extend_from_slice(graph.y_costs());
+        self.y_costs.extend_from_slice(yc);
         self.kinds.clear();
-        self.kinds.extend((0..n).map(|i| graph.kind_at(i)));
+        self.kinds.extend_from_slice(kinds);
     }
 
     /// Whether the adjacency has been built at all.

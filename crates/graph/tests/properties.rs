@@ -178,6 +178,37 @@ proptest! {
         }
     }
 
+    /// The CSR built in one index-order pass equals
+    /// `HananGraph::neighbors` at every vertex, neighbor order and edge-cost
+    /// bits included, on generated 1–8 × 1–8 layouts of one to three layers
+    /// with obstacles. One adjacency serves two layouts in turn, so the
+    /// second build starts from a stale cache.
+    #[test]
+    fn csr_equals_graph_neighbors_on_generated_layouts(
+        seed in 0u64..800,
+        h in 1usize..9,
+        v in 1usize..9,
+        m in 1usize..4,
+    ) {
+        let pins = (1, (h * v * m).min(4));
+        let mut gen = CaseGenerator::new(GeneratorConfig::paper_costs(h, v, m, pins), seed);
+        let mut adj = GridAdjacency::new();
+        for g in gen.generate_many(2) {
+            adj.ensure(&g);
+            prop_assert!(adj.matches(&g));
+            prop_assert_eq!(adj.len(), g.len());
+            for idx in 0..g.len() {
+                let want: Vec<(u32, u64)> = g
+                    .neighbors(g.point(idx))
+                    .map(|(q, c)| (g.index(q) as u32, c.to_bits()))
+                    .collect();
+                let got: Vec<(u32, u64)> =
+                    adj.neighbors(idx).map(|(j, c)| (j, c.to_bits())).collect();
+                prop_assert_eq!(want, got, "vertex {}", idx);
+            }
+        }
+    }
+
     #[test]
     fn dijkstra_distances_satisfy_triangle_inequality(seed in 0u64..800) {
         let g = random_case(seed);

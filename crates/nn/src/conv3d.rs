@@ -37,18 +37,30 @@
 //!   realized as a gather with loop order `oc asc, a desc, b desc, c asc`
 //!   over a zero-padded output-gradient buffer.
 //!
-//! Out-of-range taps either vanish with the whole `(a, b)` plane (skipped,
-//! exactly as the naive loops skip them) or appear as explicit `±0.0`
-//! terms read from the padded buffers; since IEEE-754 addition of `-0.0`
-//! never changes a value and the accumulators provably never hold `-0.0`,
-//! both treatments are bit-identical to the naive loops. Blocking only
+//! Out-of-range taps are skipped where a whole plane of them falls
+//! outside the grid, exactly as the naive loops skip them, and otherwise
+//! appear as explicit `±0.0` terms read from the padded buffers:
+//!
+//! * forward: x-plane `x1` reads only the layer planes `a` with
+//!   `x1 + a − p` in `0 .. d1` (one contiguous run of each input
+//!   channel's `k³` taps); the `b` rows and `c` columns outside the grid
+//!   are `±0.0` terms;
+//! * weight grad: row `(x1, y)` skips the taps whose `a` plane or `b` row
+//!   is out of range (each would be a fresh `+0.0` dot); the `c` columns
+//!   are `±0.0` terms inside the dots;
+//! * input grad: the gather skips the out-of-range `(a, b)` planes; the
+//!   `c` columns are `±0.0` terms.
+//!
+//! Since IEEE-754 addition of `±0.0` never changes a nonzero value or
+//! `+0.0`, and the accumulators provably never hold `-0.0`, both
+//! treatments are bit-identical to the naive loops. Blocking only
 //! ever groups *independent* output elements (output-channel lanes, z
 //! lanes, input-channel lanes), never the terms of one element's sum, so
 //! logits, gradients, and therefore whole training trajectories are
 //! unchanged by this lowering.
 
 use crate::init::Initializer;
-use crate::kernels::{self, Lane, FL, ICT, MR, NR, WL};
+use crate::kernels::{self, Lane, Taps, FL, ICT, MR, NR, WL};
 use crate::layer::{Layer, Param};
 use crate::tensor::{batch_dims, Shape, Tensor};
 use crate::workspace::NnWorkspace;
@@ -307,6 +319,15 @@ fn tap_range(d: usize, c: usize, p: usize) -> (usize, usize, usize) {
     (z0, z1.max(z0), i0)
 }
 
+/// The kernel offsets `a ∈ [lo, hi)` along one axis whose input index
+/// `x + a − p` lies in `0 .. d` for output index `x < d` (size-`k`
+/// kernel, padding `p`): the taps of every other offset read only the
+/// zero halo. Never empty, since `a = p` reads `x` itself.
+#[inline]
+fn in_range_taps(x: usize, d: usize, k: usize, p: usize) -> (usize, usize) {
+    (p.saturating_sub(x), (d + p - x).min(k))
+}
+
 /// Builds the sample-major zero-padded cache `[B, in_c, d1+2p, d2+2p,
 /// d3+2p]` from a channel-major input `[in_c, B, d1, d2, d3]` (or a rank-4
 /// batch of one). Sample `b`'s subtensor is one contiguous padded volume,
@@ -354,9 +375,10 @@ fn tap_offsets(in_c: usize, k: usize, pd1: usize, pd2: usize, pd3: usize, off: &
 }
 
 /// Forward over one padded-flat span: output lane `j < len` is
-/// `bias[oc] + Σ_kx w[oc][kx] · xp[off[kx] + src + j]`, K strictly
-/// ascending. Lane `j` is an output voxel iff `j % row < valid` (`row`
-/// is the padded row stride, `valid` the row's real length); those lanes
+/// `bias[oc] + Σ_kx w[oc][kx] · xp[off[kx] + src + j]` over the taps of
+/// `taps`, K strictly ascending. Lane `j` is an output voxel iff
+/// `j % row < valid` (`row` is the padded row stride, `valid` the row's
+/// real length); those lanes
 /// are stored in order from `out[oc · ldo + out_base]` on, and the junk
 /// lanes between rows are computed and dropped. Register tiles are
 /// [`MR`] output channels × [`FL`] lanes, single channels on the
@@ -366,6 +388,7 @@ fn conv_span(
     lane: Lane,
     xp: &[f32],
     off: &[usize],
+    taps: Taps,
     src: usize,
     len: usize,
     row: usize,
@@ -401,12 +424,12 @@ fn conv_span(
             while oc0 < out_c {
                 if out_c - oc0 >= MR {
                     kernels::flat_tile::<MR>(
-                        lane, xp, off, s, width, w, bias, oc0, out, ldo, stored, keep,
+                        lane, xp, off, taps, s, width, w, bias, oc0, out, ldo, stored, keep,
                     );
                     oc0 += MR;
                 } else {
                     kernels::flat_tile::<1>(
-                        lane, xp, off, s, width, w, bias, oc0, out, ldo, stored, keep,
+                        lane, xp, off, taps, s, width, w, bias, oc0, out, ldo, stored, keep,
                     );
                     oc0 += 1;
                 }
@@ -455,35 +478,53 @@ fn transpose_into(g: &[f32], out_c: usize, n: usize, gt: &mut Vec<f32>) {
 /// Accumulates weight gradients: `gw[oc][kx] += dot(g[oc][row],
 /// xp[off[kx] + row])` with one fresh z-ascending dot per row (the naive
 /// order), rows ascending, vectorized across [`WL`] output-channel lanes
-/// through the transposed gradient `gt`.
+/// through the transposed gradient `gt`. Row `(x1, y)` skips the taps
+/// whose layer plane `a` or row `b` lies outside the grid, as the naive
+/// loops do: their dots read only the zero halo.
 #[allow(clippy::too_many_arguments)]
 fn weight_grad(
     gt: &[f32],
     out_c: usize,
     xp: &[f32],
     off: &[usize],
+    k: usize,
+    d1: usize,
     d2: usize,
     d3: usize,
-    rows: usize,
     pd2: usize,
     pd3: usize,
     gw: &mut [f32],
     simd: bool,
 ) {
     let kd = off.len();
-    for r in 0..rows {
-        let src_r = ((r / d2) * pd2 + r % d2) * pd3;
-        let gt_base = r * d3 * out_c;
-        for (kx, &o) in off.iter().enumerate() {
-            let xrow = &xp[o + src_r..o + src_r + d3];
-            let mut oc0 = 0;
-            while oc0 < out_c {
-                if out_c - oc0 >= WL {
-                    kernels::wg_lanes::<WL>(simd, xrow, gt, gt_base, out_c, oc0, gw, kd, kx);
-                    oc0 += WL;
-                } else {
-                    kernels::wg_lanes::<1>(simd, xrow, gt, gt_base, out_c, oc0, gw, kd, kx);
-                    oc0 += 1;
+    let (p, kk) = (k / 2, k * k);
+    for x1 in 0..d1 {
+        let (a_lo, a_hi) = in_range_taps(x1, d1, k, p);
+        for y in 0..d2 {
+            let (b_lo, b_hi) = in_range_taps(y, d2, k, p);
+            let src_r = (x1 * pd2 + y) * pd3;
+            let gt_base = (x1 * d2 + y) * d3 * out_c;
+            for base in (0..kd).step_by(k * kk) {
+                for a in a_lo..a_hi {
+                    let run = base + a * kk + b_lo * k;
+                    for (t, &o) in off[run..run + (b_hi - b_lo) * k].iter().enumerate() {
+                        let kx = run + t;
+                        let xrow = &xp[o + src_r..o + src_r + d3];
+                        let mut oc0 = 0;
+                        while oc0 < out_c {
+                            if out_c - oc0 >= WL {
+                                kernels::wg_lanes::<WL>(
+                                    simd, xrow, gt, gt_base, out_c, oc0, gw, kd, kx,
+                                );
+                                oc0 += WL;
+                            } else {
+                                kernels::wg_lanes::<1>(
+                                    simd, xrow, gt, gt_base, out_c, oc0, gw, kd, kx,
+                                );
+                                oc0 += 1;
+                            }
+                        }
+                    }
                 }
             }
         }
@@ -646,6 +687,7 @@ impl Layer for Conv3d {
                 lane,
                 x.data(),
                 &off,
+                Taps::all(self.in_c),
                 0,
                 n,
                 n,
@@ -662,9 +704,12 @@ impl Layer for Conv3d {
             // One padded-flat span per x-plane of each sample, written
             // straight into the channel-major `[C, B, …]` layout — or one
             // span per row, where the rows cost the lane's tiles no more
-            // than the plane with its junk lanes does.
+            // than the plane with its junk lanes does. Each plane reads
+            // only the layer planes `a` of each channel's `k³` taps that
+            // lie inside the grid.
             let xp = pad_batch(x, p, ws);
             tap_offsets(self.in_c, k, pd1, pd2, pd3, &mut off);
+            let (kk, k3) = (k * k, k * k * k);
             // `(d2 − 1)·pd3 + d3`: from the first voxel of the plane to
             // one past its last.
             let span = (d2 * pd3).saturating_sub(2 * p);
@@ -675,11 +720,20 @@ impl Layer for Conv3d {
             };
             for b in 0..bsz {
                 for x1 in 0..d1 {
+                    let taps = match in_range_taps(x1, d1, k, p) {
+                        (0, hi) if hi == k => Taps::all(off.len()),
+                        (lo, hi) => Taps {
+                            per: k3,
+                            lo: lo * kk,
+                            hi: hi * kk,
+                        },
+                    };
                     for y in 0..rows {
                         conv_span(
                             lane,
                             xp.data(),
                             &off,
+                            taps,
                             b * self.in_c * pvol + x1 * pd2 * pd3 + y * stride,
                             len,
                             row,
@@ -772,7 +826,9 @@ impl Layer for Conv3d {
             for b in 0..bsz {
                 let gtb = &gt[b * spatial * self.out_c..][..spatial * self.out_c];
                 let xpb = &xc.data()[b * self.in_c * pvol..][..self.in_c * pvol];
-                weight_grad(gtb, self.out_c, xpb, &off, d2, d3, rows, pd2, pd3, gw, simd);
+                weight_grad(
+                    gtb, self.out_c, xpb, &off, k, d1, d2, d3, pd2, pd3, gw, simd,
+                );
             }
         }
         ws.tap_off = off;
@@ -1118,30 +1174,86 @@ mod tests {
     /// of the 4-channel tile, `k ∈ {1, 3, 5}` and the shallow and deep `d3`
     /// the U-Net levels produce, at B=1 and B=4. Each lane meets both span
     /// partitions: per plane (e.g. `d3 = 3`) and per row (scalar at
-    /// `d3 % 4 == 0`, AVX2 at `d3 ∈ {12, 16}`).
+    /// `d3 % 4 == 0`, AVX2 at `d3 ∈ {12, 16}`). With `k > 1` the layer
+    /// depth runs over `d1 ∈ {1, 2, 3, 4}`, so every plane reads a
+    /// different run of layer taps: at `k = 5` and `d1 ≤ 2` a plane loses
+    /// two tap planes on each side.
     #[test]
     fn flat_forward_matches_naive_on_every_lane() {
         let mut case = 0u64;
         for k in [1usize, 3, 5] {
-            for d3 in [1usize, 2, 3, 4, 8, 12, 16] {
-                for out_c in [1usize, 3, 4, 5, 8] {
-                    for bsz in [1usize, 4] {
-                        case += 1;
-                        let (in_c, d1, d2) = (2, 2, 3);
-                        let proto = conv(in_c, out_c, k, 0xF1A7 + case);
-                        let x = Initializer::new(case).uniform(&[in_c, bsz, d1, d2, d3], 1.0);
-                        let mut naive = proto.clone();
-                        naive.set_naive(true);
-                        let y_n = fwd(&naive, &x);
-                        for lane in Lane::available() {
-                            let mut ws = NnWorkspace::new();
-                            ws.set_lane(lane);
-                            let y = proto.forward(&x, &mut ws).0;
-                            let what = format!(
-                                "{} {in_c}->{out_c} k{k} B{bsz} {d1}x{d2}x{d3}",
-                                lane.name()
-                            );
-                            assert_bits_eq(&y, &y_n, &what);
+            let depths: &[usize] = if k == 1 { &[2] } else { &[1, 2, 3, 4] };
+            for &d1 in depths {
+                for d3 in [1usize, 2, 3, 4, 8, 12, 16] {
+                    for out_c in [1usize, 3, 4, 5, 8] {
+                        for bsz in [1usize, 4] {
+                            case += 1;
+                            let (in_c, d2) = (2, 3);
+                            let proto = conv(in_c, out_c, k, 0xF1A7 + case);
+                            let x = Initializer::new(case).uniform(&[in_c, bsz, d1, d2, d3], 1.0);
+                            let mut naive = proto.clone();
+                            naive.set_naive(true);
+                            let y_n = fwd(&naive, &x);
+                            for lane in Lane::available() {
+                                let mut ws = NnWorkspace::new();
+                                ws.set_lane(lane);
+                                let y = proto.forward(&x, &mut ws).0;
+                                let what = format!(
+                                    "{} {in_c}->{out_c} k{k} B{bsz} {d1}x{d2}x{d3}",
+                                    lane.name()
+                                );
+                                assert_bits_eq(&y, &y_n, &what);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The weight gradient on every lane against the naive oracle where
+    /// most taps fall outside the grid: one or two layer planes and a
+    /// single row (`d1 ∈ {1, 2}`, `d2 = 1`), `k ∈ {3, 5}`, output channels
+    /// below, at and past the 8-lane weight-gradient tile, shallow and
+    /// deep rows, at B=1 and B=3.
+    #[test]
+    fn weight_grad_matches_naive_on_thin_grids_on_every_lane() {
+        let mut case = 0u64;
+        for k in [3usize, 5] {
+            for d1 in [1usize, 2] {
+                for d3 in [1usize, 4, 7] {
+                    for out_c in [1usize, 8, 9] {
+                        for bsz in [1usize, 3] {
+                            case += 1;
+                            let (in_c, d2) = (3, 1);
+                            let proto = conv(in_c, out_c, k, 0x3617 + case);
+                            let x = Initializer::new(case).uniform(&[in_c, bsz, d1, d2, d3], 1.0);
+                            let gout = Initializer::new(case ^ 0x55)
+                                .uniform(&[out_c, bsz, d1, d2, d3], 1.0);
+                            let mut naive = proto.clone();
+                            naive.set_naive(true);
+                            let (_, gi_n) = step(&mut naive, &x, &gout, &mut NnWorkspace::new());
+                            for lane in Lane::available() {
+                                let mut c = proto.clone();
+                                let mut ws = NnWorkspace::new();
+                                ws.set_lane(lane);
+                                let (_, gi) = step(&mut c, &x, &gout, &mut ws);
+                                let what = format!(
+                                    "{} {in_c}->{out_c} k{k} B{bsz} {d1}x{d2}x{d3}",
+                                    lane.name()
+                                );
+                                assert_bits_eq(
+                                    &c.weight.grad,
+                                    &naive.weight.grad,
+                                    &format!("{what} grad_w"),
+                                );
+                                assert_bits_eq(
+                                    &c.bias.grad,
+                                    &naive.bias.grad,
+                                    &format!("{what} grad_b"),
+                                );
+                                assert_bits_eq(&gi, &gi_n, &format!("{what} grad_in"));
+                            }
                         }
                     }
                 }

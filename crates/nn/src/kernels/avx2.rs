@@ -30,7 +30,7 @@ use core::arch::x86_64::{
     _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
 };
 
-use super::{FL, ICT, NR, WL};
+use super::{Taps, FL, ICT, NR, WL};
 
 /// Padded-flat forward tile, `M` output channels × [`FL`]` = 16` lanes as
 /// two `__m256` per channel: SIMD twin of
@@ -44,6 +44,7 @@ use super::{FL, ICT, NR, WL};
 pub(crate) fn flat_tile<const M: usize, const FULL: bool>(
     xp: &[f32],
     off: &[usize],
+    taps: Taps,
     src: usize,
     width: usize,
     w: &[f32],
@@ -82,29 +83,33 @@ pub(crate) fn flat_tile<const M: usize, const FULL: bool>(
     }
     // Row `i` of the weight block: `w[(oc0 + i)·kd ..][..kd]`.
     let rows: [*const f32; M] = core::array::from_fn(|i| w.as_ptr().wrapping_add((oc0 + i) * kd));
-    for (kx, &o) in off.iter().enumerate() {
-        assert!(o + src + reach <= xp.len(), "flat tile input out of bounds");
-        let p = xp.as_ptr().wrapping_add(o + src);
-        let (x0, x1) = if FULL {
-            // SAFETY: `xp[o + src .. o + src + 16]` is in bounds per the
-            // assert (`reach == 16` on a full tile).
-            unsafe { (_mm256_loadu_ps(p), _mm256_loadu_ps(p.wrapping_add(8))) }
-        } else {
-            // SAFETY: masked loads touch only the live lanes, i.e.
-            // `xp[o + src .. o + src + width]`, in bounds per the assert.
-            unsafe {
-                (
-                    _mm256_maskload_ps(p, m0),
-                    _mm256_maskload_ps(p.wrapping_add(8), m1),
-                )
+    for base in (0..kd).step_by(taps.per) {
+        let run = base + taps.lo;
+        for (t, &o) in off[run..base + taps.hi].iter().enumerate() {
+            let kx = run + t;
+            assert!(o + src + reach <= xp.len(), "flat tile input out of bounds");
+            let p = xp.as_ptr().wrapping_add(o + src);
+            let (x0, x1) = if FULL {
+                // SAFETY: `xp[o + src .. o + src + 16]` is in bounds per the
+                // assert (`reach == 16` on a full tile).
+                unsafe { (_mm256_loadu_ps(p), _mm256_loadu_ps(p.wrapping_add(8))) }
+            } else {
+                // SAFETY: masked loads touch only the live lanes, i.e.
+                // `xp[o + src .. o + src + width]`, in bounds per the assert.
+                unsafe {
+                    (
+                        _mm256_maskload_ps(p, m0),
+                        _mm256_maskload_ps(p.wrapping_add(8), m1),
+                    )
+                }
+            };
+            for i in 0..M {
+                // SAFETY: `kx < kd`, so this is `w[(oc0 + i)·kd + kx]`, in
+                // bounds per the assert above the loop.
+                let wv = _mm256_set1_ps(unsafe { *rows[i].add(kx) });
+                lo[i] = _mm256_add_ps(lo[i], _mm256_mul_ps(wv, x0));
+                hi[i] = _mm256_add_ps(hi[i], _mm256_mul_ps(wv, x1));
             }
-        };
-        for i in 0..M {
-            // SAFETY: `kx < kd`, so this is `w[(oc0 + i)·kd + kx]`, in
-            // bounds per the assert above the loop.
-            let wv = _mm256_set1_ps(unsafe { *rows[i].add(kx) });
-            lo[i] = _mm256_add_ps(lo[i], _mm256_mul_ps(wv, x0));
-            hi[i] = _mm256_add_ps(hi[i], _mm256_mul_ps(wv, x1));
         }
     }
     for i in 0..M {

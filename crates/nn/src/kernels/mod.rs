@@ -49,6 +49,29 @@ pub(crate) const fn low_lanes(n: usize) -> u16 {
     }
 }
 
+/// The taps a forward tile reads: in each input channel's block of `per`
+/// taps, the contiguous run `lo .. hi`. A conv's blocks are its `k³` taps
+/// in `(a, b, c)` order, so the layer planes `a` whose input plane lies
+/// inside the grid are one run `a_lo·k² .. a_hi·k²`; the taps outside it
+/// read only the zero halo and are skipped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Taps {
+    pub(crate) per: usize,
+    pub(crate) lo: usize,
+    pub(crate) hi: usize,
+}
+
+impl Taps {
+    /// Every tap of a `kd`-tap weight row, as one run.
+    pub(crate) fn all(kd: usize) -> Taps {
+        Taps {
+            per: kd.max(1),
+            lo: 0,
+            hi: kd,
+        }
+    }
+}
+
 /// A kernel lane. Ordered narrowest first: a host that runs a lane runs
 /// every narrower one, and every lane computes the same bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -117,10 +140,11 @@ pub fn host_lane() -> Lane {
 }
 
 /// Dispatches the padded-flat forward tile: `M` output channels ×
-/// `width ≤ FL` lanes, bias first, taps strictly ascending per element.
-/// Lane `j` accumulates `xp[off[kx] + src + j]`; the lanes set in `keep`
-/// are stored, packed in lane order, at `out[(oc0 + i)·ldo + out_base ..]`,
-/// and every other lane is computed and dropped. `width < FL` only on the
+/// `width ≤ FL` lanes, bias first, the taps of `taps` strictly ascending
+/// per element. Lane `j` accumulates `xp[off[kx] + src + j]`; the lanes
+/// set in `keep` are stored, packed in lane order, at
+/// `out[(oc0 + i)·ldo + out_base ..]`, and every other lane is computed
+/// and dropped. `width < FL` only on the
 /// tail tile of a span, whose missing lanes are never read.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
@@ -128,6 +152,7 @@ pub(crate) fn flat_tile<const M: usize>(
     lane: Lane,
     xp: &[f32],
     off: &[usize],
+    taps: Taps,
     src: usize,
     width: usize,
     w: &[f32],
@@ -140,6 +165,7 @@ pub(crate) fn flat_tile<const M: usize>(
 ) {
     debug_assert!(width > 0 && width <= FL);
     debug_assert!(u32::from(keep) >> width == 0);
+    debug_assert!(taps.lo <= taps.hi && taps.hi <= taps.per && off.len().is_multiple_of(taps.per));
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     match lane {
         Lane::Avx2 if width == FL => {
@@ -147,7 +173,7 @@ pub(crate) fn flat_tile<const M: usize>(
             // `host_lane()` observed `avx2` on the running CPU.
             unsafe {
                 avx2::flat_tile::<M, true>(
-                    xp, off, src, width, w, bias, oc0, out, ldo, out_base, keep,
+                    xp, off, taps, src, width, w, bias, oc0, out, ldo, out_base, keep,
                 );
             }
             return;
@@ -156,7 +182,7 @@ pub(crate) fn flat_tile<const M: usize>(
             // SAFETY: as above.
             unsafe {
                 avx2::flat_tile::<M, false>(
-                    xp, off, src, width, w, bias, oc0, out, ldo, out_base, keep,
+                    xp, off, taps, src, width, w, bias, oc0, out, ldo, out_base, keep,
                 );
             }
             return;
@@ -164,7 +190,9 @@ pub(crate) fn flat_tile<const M: usize>(
         Lane::Scalar => {}
     }
     let _ = lane;
-    scalar::flat_tile::<M>(xp, off, src, width, w, bias, oc0, out, ldo, out_base, keep);
+    scalar::flat_tile::<M>(
+        xp, off, taps, src, width, w, bias, oc0, out, ldo, out_base, keep,
+    );
 }
 
 /// Dispatches the weight-gradient lanes: one fresh z-ascending dot for
@@ -302,7 +330,7 @@ mod tests {
         assert_eq!(names, ["scalar", "avx2"]);
     }
 
-    fn flat_case<const M: usize>(kd: usize, width: usize, keep: u16, seed: u64) {
+    fn flat_case<const M: usize>(kd: usize, taps: Taps, width: usize, keep: u16, seed: u64) {
         // The input ends exactly at the last lane the tile may read, so an
         // over-read on the tail tile would leave the slice.
         let (oc0, src, out_base) = (1, 3, 2);
@@ -315,7 +343,7 @@ mod tests {
         let run = |lane: Lane| {
             let mut out = fresh.clone();
             flat_tile::<M>(
-                lane, &xp, &off, src, width, &w, &bias, oc0, &mut out, ldo, out_base, keep,
+                lane, &xp, &off, taps, src, width, &w, &bias, oc0, &mut out, ldo, out_base, keep,
             );
             out
         };
@@ -325,24 +353,74 @@ mod tests {
                 &run(lane),
                 &scalar,
                 &format!(
-                    "{} flat_tile {M} kd {kd} width {width} keep {keep:#x}",
+                    "{} flat_tile {M} kd {kd} {taps:?} width {width} keep {keep:#x}",
                     lane.name()
                 ),
             );
         }
     }
 
+    /// Every tap, and the sub-runs a conv plane reads: the `k = 3`
+    /// blocks' first, last and middle layer planes, the `k = 5` blocks'
+    /// middle plane, and an empty run.
     #[test]
     fn flat_tile_wide_equals_scalar_bitwise() {
-        for (i, kd) in [0usize, 1, 7, 27, 81].into_iter().enumerate() {
+        let runs = [
+            (0usize, Taps::all(0)),
+            (1, Taps::all(1)),
+            (7, Taps::all(7)),
+            (27, Taps::all(27)),
+            (81, Taps::all(81)),
+            (
+                27,
+                Taps {
+                    per: 27,
+                    lo: 9,
+                    hi: 27,
+                },
+            ),
+            (
+                54,
+                Taps {
+                    per: 27,
+                    lo: 0,
+                    hi: 18,
+                },
+            ),
+            (
+                81,
+                Taps {
+                    per: 27,
+                    lo: 9,
+                    hi: 18,
+                },
+            ),
+            (
+                250,
+                Taps {
+                    per: 125,
+                    lo: 50,
+                    hi: 75,
+                },
+            ),
+            (
+                27,
+                Taps {
+                    per: 27,
+                    lo: 9,
+                    hi: 9,
+                },
+            ),
+        ];
+        for (i, (kd, taps)) in runs.into_iter().enumerate() {
             let seed = 0xF00 + i as u64;
             for width in [1usize, 5, 8, 9, 15, FL] {
                 let all = low_lanes(width);
                 // Every kept lane, junk lanes in the middle (a padded row
                 // boundary), and only the odd lanes.
                 for keep in [all, all & 0xF3CF, all & 0xAAAA] {
-                    flat_case::<MR>(kd, width, keep, seed);
-                    flat_case::<1>(kd, width, keep, seed);
+                    flat_case::<MR>(kd, taps, width, keep, seed);
+                    flat_case::<1>(kd, taps, width, keep, seed);
                 }
             }
         }

@@ -2,10 +2,11 @@
 //! the naive seven-loop oracle (the accumulation-order contract lives in
 //! the `conv3d` module docs and DESIGN.md §9).
 
-use super::FL;
+use super::{Taps, FL};
 
 /// The padded-flat forward tile: `M` output channels × `width ≤ FL`
-/// lanes, bias first, taps strictly ascending per element. Lane `j`
+/// lanes, bias first, the taps of `taps` strictly ascending per element
+/// (each channel block's run `lo .. hi` of `off`). Lane `j`
 /// accumulates `xp[off[kx] + src + j]`; the lanes set in `keep` are
 /// stored, packed in lane order, from `out[(oc0 + i)·n + out_base]` on.
 #[inline(always)]
@@ -13,6 +14,7 @@ use super::FL;
 pub(crate) fn flat_tile<const M: usize>(
     xp: &[f32],
     off: &[usize],
+    taps: Taps,
     src: usize,
     width: usize,
     w: &[f32],
@@ -29,15 +31,15 @@ pub(crate) fn flat_tile<const M: usize>(
     let mut acc = [[0.0f32; FL]; M];
     let mut lo = 0;
     while width - lo >= 8 {
-        chunk::<M, 8>(&mut acc, xp, off, src, lo, w, bias, oc0);
+        chunk::<M, 8>(&mut acc, xp, off, taps, src, lo, w, bias, oc0);
         lo += 8;
     }
     while width - lo >= 4 {
-        chunk::<M, 4>(&mut acc, xp, off, src, lo, w, bias, oc0);
+        chunk::<M, 4>(&mut acc, xp, off, taps, src, lo, w, bias, oc0);
         lo += 4;
     }
     while lo < width {
-        chunk::<M, 1>(&mut acc, xp, off, src, lo, w, bias, oc0);
+        chunk::<M, 1>(&mut acc, xp, off, taps, src, lo, w, bias, oc0);
         lo += 1;
     }
     for (i, row) in acc.iter().enumerate() {
@@ -58,6 +60,7 @@ fn chunk<const M: usize, const W: usize>(
     acc: &mut [[f32; FL]; M],
     xp: &[f32],
     off: &[usize],
+    taps: Taps,
     src: usize,
     lo: usize,
     w: &[f32],
@@ -69,12 +72,15 @@ fn chunk<const M: usize, const W: usize>(
     for (i, row) in part.iter_mut().enumerate() {
         *row = [bias[oc0 + i]; W];
     }
-    for (kx, &o) in off.iter().enumerate() {
-        let s = &xp[o + src + lo..][..W];
-        for (i, row) in part.iter_mut().enumerate() {
-            let wv = w[(oc0 + i) * kd + kx];
-            for (v, &x) in row.iter_mut().zip(s) {
-                *v += wv * x;
+    for base in (0..kd).step_by(taps.per) {
+        let run = base + taps.lo;
+        for (t, &o) in off[run..base + taps.hi].iter().enumerate() {
+            let s = &xp[o + src + lo..][..W];
+            for (i, row) in part.iter_mut().enumerate() {
+                let wv = w[(oc0 + i) * kd + run + t];
+                for (v, &x) in row.iter_mut().zip(s) {
+                    *v += wv * x;
+                }
             }
         }
     }

@@ -112,10 +112,9 @@ fn cmd_gen(args: &[String]) -> CliResult {
     let [h, v, m, pins, seed] = nums[..] else {
         return Err("gen expects: H V M PINS SEED [FILE]".into());
     };
-    let mut gen = CaseGenerator::new(
-        GeneratorConfig::paper_costs(h, v, m, (pins, pins)),
-        seed as u64,
-    );
+    let config = GeneratorConfig::paper_costs(h, v, m, (pins, pins));
+    config.validate()?;
+    let mut gen = CaseGenerator::new(config, seed as u64);
     let text = write_case(&gen.generate());
     match args.get(5) {
         Some(path) => {

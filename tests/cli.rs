@@ -1,4 +1,5 @@
-//! Exit statuses of the `oarsmt` binary when its stderr is a closed pipe.
+//! Exit statuses of the `oarsmt` binary: with its stderr a closed pipe, and
+//! on generator configurations that are congested or cannot fit their pins.
 
 use std::process::Command;
 
@@ -26,4 +27,29 @@ fn usage_errors_exit_2_when_stderr_is_a_closed_pipe() {
 fn command_errors_exit_1_when_stderr_is_a_closed_pipe() {
     // `route` without a case file is a command error, like at a terminal.
     assert_eq!(status_with_closed_stderr(&["route"]), Some(1));
+}
+
+#[test]
+fn gen_redraws_congested_grids_and_rejects_unfittable_pins() {
+    let gen = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_oarsmt"))
+            .arg("gen")
+            .args(args)
+            .output()
+            .expect("spawn oarsmt")
+    };
+    // A 2×2×1 grid whose obstacle strips can cover every vertex.
+    for seed in ["1", "3", "4"] {
+        let out = gen(&["2", "2", "1", "2", seed]);
+        assert_eq!(out.status.code(), Some(0), "seed {seed}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(text.lines().filter(|l| l.starts_with("pin ")).count(), 2);
+    }
+    let out = gen(&["1", "1", "1", "2", "1"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("2 pins do not fit on a grid of 1 vertices"),
+        "{err}"
+    );
 }
