@@ -51,6 +51,10 @@ cargo test --release -q -p oarsmt-lint --features alloc-count --test alloc_sanit
 echo "==> route-context property tests"
 cargo test -q -p oarsmt-router --test context_properties
 
+echo "==> route-tree queries (every router's edges distinct; is_tree/spans_in/steiner_vertices/prune == brute force; [12]/[16] golden trees)"
+cargo test -q --test cross_crate_invariants route_tree_queries_match_brute_force
+cargo test -q -p oarsmt-router --test tree_invariants
+
 echo "==> queue-policy equivalence (Auto == heap oracle trees bit for bit incl. bounded; exact op counts polish-free, no more pops with A* polish; golden pins)"
 cargo test -q -p oarsmt-router --test queue_equivalence
 
@@ -107,9 +111,11 @@ for seed in 1 3 4; do
     cargo run --release -q -p oarsmt-repro --bin oarsmt -- gen 2 2 1 2 "$seed" > /dev/null
 done
 
-echo "==> trace smoke (flight-record a route, export + verify Chrome trace_event JSON)"
+echo "==> trace smoke (flight-record a route, export + verify Chrome trace_event JSON; compare runs the [12]/[16] baselines and exact on the same case)"
 cargo run --release -q -p oarsmt-repro --bin oarsmt -- \
     gen 8 8 2 4 42 target/trace_case.json > /dev/null
+cargo run --release -q -p oarsmt-repro --bin oarsmt -- \
+    compare target/trace_case.json > /dev/null
 cargo run --release -q -p oarsmt-repro --bin oarsmt -- \
     trace target/trace_case.json --out target/trace_smoke.json > /dev/null
 cargo run --release -q -p oarsmt-repro --bin oarsmt -- \

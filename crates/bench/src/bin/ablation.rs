@@ -1,7 +1,7 @@
 //! Quality ablations for the design choices called out in DESIGN.md §4:
 //! what each mechanism of the routers buys, measured on one random
-//! workload. (The matching *runtime* ablations live in the Criterion
-//! benches.)
+//! workload. Runtimes are measured by `table3` and the `oarsmt_bench`
+//! lanes, not here.
 //!
 //! `cargo run --release -p oarsmt-bench --bin ablation`
 

@@ -23,7 +23,7 @@ fn main() {
     let mut router = RlRouter::new(&mut selector);
     let spanning = SpanningRouter::new();
     let liu = Liu14Router::new();
-    let lin = Lin18Router::new();
+    let mut lin = Lin18Router::new();
 
     let mut table = Table::new([
         "case", "HxVxM", "pins", "obst", "[12] (a)", "[16] (b)", "[14] (c)", "ours (d)", "(a-d)/a",

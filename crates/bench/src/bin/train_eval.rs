@@ -14,7 +14,7 @@ use oarsmt_rl::trainer::{st_to_mst_over_cases, InferenceMode, Trainer, TrainerCo
 use oarsmt_router::Lin18Router;
 
 fn eval_vs_lin18(selector: &mut NeuralSelector, spec: &TestSubsetSpec) -> CostComparison {
-    let lin18 = Lin18Router::new();
+    let mut lin18 = Lin18Router::new();
     let mut cmp = CostComparison::new();
     let mut router = RlRouter::new(&mut *selector);
     let mut gen = spec.generator(0xE7A1);

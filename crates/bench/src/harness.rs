@@ -112,7 +112,8 @@ enum LayoutOutcome {
 /// the measured times vary. Workers share `selector` read-only (a
 /// `&NeuralSelector` is itself a `Selector`, running the cache-free
 /// inference path, which is bit-identical to the owned path) — no worker
-/// clones the weight set.
+/// clones the weight set. Each worker owns its RL router and its \[14\]
+/// router, and with them their routing contexts.
 ///
 /// # Errors
 ///
@@ -130,13 +131,12 @@ pub fn run_subset(
     // earlier rung may have ended ahead of `now()`: start after it.
     let mut t = spans.now().max(spans.latest_ns());
     let rung = spans.begin(Span::BenchRung, t);
-    let lin18 = Lin18Router::new();
     let outcomes = parallel::run_seeded_with(
         spec.layouts,
         seed,
         threads,
-        || RlRouter::new(selector),
-        |router, _idx, layout_seed| -> Result<(LayoutOutcome, CounterSet), RouteError> {
+        || (RlRouter::new(selector), Lin18Router::new()),
+        |(router, lin18), _idx, layout_seed| -> Result<(LayoutOutcome, CounterSet), RouteError> {
             let graph = spec.generator(layout_seed).generate();
             // Each job reports its counter delta (the worker's router
             // context is reused, so absolute readings mix layouts).

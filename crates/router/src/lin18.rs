@@ -35,16 +35,24 @@ const MAX_RETRACE: usize = 2;
 const MARGIN: usize = 2;
 
 /// The \[14\]-style algorithmic ML-OARSMT router.
+///
+/// The router owns the [`RouteContext`] its routing loop reuses (DESIGN.md
+/// §8), so one router serves one thread; a context never changes results,
+/// only allocation.
 #[derive(Debug, Clone)]
 pub struct Lin18Router {
     /// Whether to run path-assessed reassessment (alternate construction
     /// orders, rounds scaling with the pin count).
     reassess: bool,
+    ctx: RouteContext,
 }
 
 impl Default for Lin18Router {
     fn default() -> Self {
-        Lin18Router { reassess: true }
+        Lin18Router {
+            reassess: true,
+            ctx: RouteContext::new(),
+        }
     }
 }
 
@@ -82,9 +90,11 @@ impl Lin18Router {
     /// exploration makes pins unreachable, the router automatically falls
     /// back to an unbounded search before reporting
     /// [`RouteError::Disconnected`].
-    pub fn route(&self, graph: &HananGraph) -> Result<RouteTree, RouteError> {
-        let mut ctx = RouteContext::new();
-        let mut best = self.bounded_route_in(&mut ctx, graph, &[])?;
+    pub fn route(&mut self, graph: &HananGraph) -> Result<RouteTree, RouteError> {
+        let k = graph.pins().len();
+        let rounds = self.reassess_rounds(k);
+        let ctx = &mut self.ctx;
+        let mut best = bounded_route_in(ctx, graph, &[])?;
 
         // Path-assessed retracing: for each pin, rip up its branch (the
         // degree-≤2 path from the pin to the first branch vertex or other
@@ -94,16 +104,11 @@ impl Lin18Router {
         // [14]'s executable runs its full retracing schedule regardless of
         // intermediate improvement, which is what makes it slow on large
         // layouts (Table 3); the rounds are therefore not gated.
-        let k = graph.pins().len();
-        for _ in 0..self.reassess_rounds(k) {
+        for _ in 0..rounds {
             for pin_idx in 0..k {
-                if let Some(better) = crate::retrace::reroute_terminal_in(
-                    &mut ctx,
-                    graph,
-                    &best,
-                    graph.pins(),
-                    pin_idx,
-                )? {
+                if let Some(better) =
+                    crate::retrace::reroute_terminal_in(ctx, graph, &best, graph.pins(), pin_idx)?
+                {
                     if better.cost() + 1e-9 < best.cost() {
                         ctx.recycle_tree(std::mem::replace(&mut best, better));
                     } else {
@@ -120,32 +125,32 @@ impl Lin18Router {
             if implied.is_empty() {
                 break;
             }
-            let retraced = self.bounded_route_in(&mut ctx, graph, &implied)?;
+            let retraced = bounded_route_in(ctx, graph, &implied)?;
             if retraced.cost() + 1e-9 < best.cost() {
-                best = retraced;
+                ctx.recycle_tree(std::mem::replace(&mut best, retraced));
             } else {
+                ctx.recycle_tree(retraced);
                 break;
             }
         }
         Ok(best)
     }
+}
 
-    /// \[14\]'s bounded exploration: one OARMST build restricted to the
-    /// terminals' bounding box plus the margin, retried unbounded only
-    /// when that window cannot connect the pins.
-    fn bounded_route_in(
-        &self,
-        ctx: &mut RouteContext,
-        graph: &HananGraph,
-        candidates: &[GridPoint],
-    ) -> Result<RouteTree, RouteError> {
-        let bounded = OarmstRouter::new().with_bounds_margin(MARGIN);
-        match bounded.route_in(ctx, graph, candidates) {
-            Err(RouteError::Disconnected { .. }) => {
-                OarmstRouter::new().route_in(ctx, graph, candidates)
-            }
-            other => other,
+/// \[14\]'s bounded exploration: one OARMST build restricted to the
+/// terminals' bounding box plus the margin, retried unbounded only when
+/// that window cannot connect the pins.
+fn bounded_route_in(
+    ctx: &mut RouteContext,
+    graph: &HananGraph,
+    candidates: &[GridPoint],
+) -> Result<RouteTree, RouteError> {
+    let bounded = OarmstRouter::new().with_bounds_margin(MARGIN);
+    match bounded.route_in(ctx, graph, candidates) {
+        Err(RouteError::Disconnected { .. }) => {
+            OarmstRouter::new().route_in(ctx, graph, candidates)
         }
+        other => other,
     }
 }
 
@@ -218,7 +223,7 @@ mod tests {
     fn random_cases_route_validly() {
         use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
         let mut gen = CaseGenerator::new(GeneratorConfig::tiny(10, 10, 2, (3, 6)), 5);
-        let r = Lin18Router::new();
+        let mut r = Lin18Router::new();
         for g in gen.generate_many(10) {
             match r.route(&g) {
                 Ok(t) => {

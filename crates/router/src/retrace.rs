@@ -97,8 +97,7 @@ fn reroute_with_adj(
 
     // The remaining tree's vertices are the multi-source frontier. Source
     // *order* does not affect the result (the maze heap settles ties by
-    // cost then index), so edge-iteration order replaces the old hash-set
-    // collection bit-identically.
+    // cost then index), so they are collected in edge-list order.
     ctx.mark.begin(graph.len());
     ctx.tree_vertices.clear();
     for &(a, b) in stripped.edges() {

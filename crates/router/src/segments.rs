@@ -154,7 +154,7 @@ impl fmt::Display for RouteGeometry {
 pub fn render_layer(graph: &HananGraph, tree: &RouteTree, layer: usize) -> String {
     use oarsmt_geom::VertexKind;
     let (h_dim, v_dim, _) = graph.dims();
-    let verts = tree.vertices();
+    let verts = tree.sorted_endpoints();
     // Character grid: vertices at even positions, edges between.
     let w = 2 * h_dim - 1;
     let rows = 2 * v_dim - 1;
@@ -166,7 +166,7 @@ pub fn render_layer(graph: &HananGraph, tree: &RouteTree, layer: usize) -> Strin
             canvas[2 * v][2 * h] = match graph.kind(p) {
                 VertexKind::Obstacle => '#',
                 VertexKind::Pin => 'o',
-                VertexKind::Empty if verts.contains(&idx) => '+',
+                VertexKind::Empty if verts.binary_search(&idx).is_ok() => '+',
                 VertexKind::Empty => '.',
             };
         }

@@ -59,8 +59,10 @@ impl SpanningRouter {
         }
         let mst = prim_mst(&dist, n).map_err(RouteError::from)?;
 
-        // Embed each MST edge with an independent maze route.
+        // Embed each MST edge with an independent maze route. Routes may
+        // overlap: a grid edge is placed once, at its first occurrence.
         let mut tree = RouteTree::new();
+        let mut placed: Vec<(u32, u32)> = Vec::new();
         let mut path = Vec::new();
         for e in &mst {
             let target = graph.index(pins[e.b]);
@@ -75,7 +77,12 @@ impl SpanningRouter {
                 &mut path,
             )?;
             for w in path.windows(2) {
-                tree.add_edge(graph, w[0], w[1]);
+                let (a, b) = (graph.index(w[0]) as u32, graph.index(w[1]) as u32);
+                let key = (a.min(b), a.max(b));
+                if let Err(at) = placed.binary_search(&key) {
+                    placed.insert(at, key);
+                    tree.add_edge(graph, w[0], w[1]);
+                }
             }
         }
         Ok(tree)
@@ -130,11 +137,9 @@ mod tests {
         for g in gen.generate_many(8) {
             match SpanningRouter::new().route(&g) {
                 Ok(t) => {
+                    // Overlapping embeddings may close a cycle, so the
+                    // edge set need not pass is_tree; it must still span.
                     assert!(t.spans_in(&g, g.pins()));
-                    // Edge-sharing may create degree>=3 joints but the edge
-                    // set must still be connected; is_tree can be false only
-                    // through cycles formed by overlapping embeddings, which
-                    // dedup prevents for distinct MST paths in practice.
                     assert!(t.cost() > 0.0);
                 }
                 Err(RouteError::Disconnected { .. }) => {}
@@ -147,8 +152,8 @@ mod tests {
     fn too_few_pins_is_an_error() {
         let g = HananGraph::uniform(3, 3, 1, 1.0, 1.0, 3.0);
         assert_eq!(
-            SpanningRouter::new().route(&g),
-            Err(RouteError::TooFewTerminals(0))
+            SpanningRouter::new().route(&g).unwrap_err(),
+            RouteError::TooFewTerminals(0)
         );
     }
 }

@@ -1,13 +1,13 @@
 //! Routing trees over Hanan grid graphs.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use oarsmt_geom::{GridPoint, HananGraph};
 use oarsmt_graph::UnionFind;
 
-/// A rectilinear routing tree embedded in a Hanan grid graph: a set of grid
-/// edges (each between adjacent vertices) plus the total routing cost.
+/// A rectilinear routing tree embedded in a Hanan grid graph: a list of
+/// distinct grid edges (each between adjacent vertices) plus the total
+/// routing cost.
 ///
 /// The tree is built by routers in this crate; its invariants (acyclicity,
 /// connectivity, spanning the terminals) can be checked with
@@ -15,9 +15,8 @@ use oarsmt_graph::UnionFind;
 #[derive(Debug, Clone, Default)]
 pub struct RouteTree {
     /// Grid edges as `(min_index, max_index)` pairs of linear vertex
-    /// indices; each pair appears once.
+    /// indices, in insertion order; each pair appears once (DESIGN.md §7).
     edges: Vec<(u32, u32)>,
-    edge_set: HashSet<(u32, u32)>,
     cost: f64,
 }
 
@@ -27,31 +26,23 @@ impl RouteTree {
         RouteTree::default()
     }
 
-    /// Total routing cost (each shared grid edge counted once).
+    /// Total routing cost (each grid edge counted once).
     pub fn cost(&self) -> f64 {
         self.cost
     }
 
-    /// Removes all edges, keeping the allocations (used by the
+    /// Removes all edges, keeping the allocation (used by the
     /// [`crate::context::RouteContext`] tree pool).
     pub fn clear(&mut self) {
         self.edges.clear();
-        self.edge_set.clear();
         self.cost = 0.0;
     }
 
-    /// Makes `self` a copy of `other`, reusing `self`'s allocations where
+    /// Makes `self` a copy of `other`, reusing `self`'s allocation where
     /// possible (a `clone_from` under a clearer name).
     pub fn copy_from(&mut self, other: &RouteTree) {
         self.edges.clear();
         self.edges.extend_from_slice(&other.edges);
-        // Rebuild the set from the edge list rather than `clone_from` it:
-        // clearing keeps the table's capacity, so a warm tree performs no
-        // hash-table allocation here.
-        self.edge_set.clear();
-        for &e in &other.edges {
-            self.edge_set.insert(e);
-        }
         self.cost = other.cost;
     }
 
@@ -70,13 +61,15 @@ impl RouteTree {
         &self.edges
     }
 
-    /// Adds a grid edge between adjacent vertices `a` and `b` if not already
-    /// present, accumulating its cost. Returns `true` if the edge was new.
+    /// Appends the grid edge between adjacent vertices `a` and `b`,
+    /// accumulating its cost. The edge must not be in the tree yet
+    /// (checked in debug builds); callers whose paths may overlap skip
+    /// the edges they have already placed.
     ///
     /// # Panics
     ///
     /// Panics if `a` and `b` are not grid neighbors.
-    pub fn add_edge(&mut self, graph: &HananGraph, a: GridPoint, b: GridPoint) -> bool {
+    pub fn add_edge(&mut self, graph: &HananGraph, a: GridPoint, b: GridPoint) {
         // lint: panic-ok(documented caller contract — see # Panics above; a non-adjacent edge is a corrupt tree and must not be silently priced)
         let w = graph
             .edge_cost(a, b)
@@ -84,76 +77,35 @@ impl RouteTree {
         let ai = graph.index(a) as u32;
         let bi = graph.index(b) as u32;
         let key = (ai.min(bi), ai.max(bi));
-        if self.edge_set.insert(key) {
-            self.edges.push(key);
-            self.cost += w;
-            true
-        } else {
-            false
-        }
+        debug_assert!(!self.edges.contains(&key), "duplicate tree edge {key:?}");
+        self.edges.push(key);
+        self.cost += w;
     }
 
     /// Removes a grid edge (given as a vertex-index pair in either order),
-    /// subtracting its cost. Returns `true` if the edge was present.
+    /// keeping the order of the others and subtracting its cost. Returns
+    /// `true` if the edge was present.
     pub fn remove_edge(&mut self, graph: &HananGraph, a: u32, b: u32) -> bool {
         let key = (a.min(b), a.max(b));
-        if self.edge_set.remove(&key) {
-            self.edges.retain(|&e| e != key);
-            let pa = graph.point(key.0 as usize);
-            let pb = graph.point(key.1 as usize);
-            // lint: panic-ok(structural: the key came out of edge_set, so add_edge already proved adjacency when it was inserted)
-            self.cost -= graph
-                .edge_cost(pa, pb)
-                .expect("stored edges connect grid neighbors");
-            true
-        } else {
-            false
-        }
+        let Some(at) = self.edges.iter().position(|&e| e == key) else {
+            return false;
+        };
+        self.edges.remove(at);
+        let pa = graph.point(key.0 as usize);
+        let pb = graph.point(key.1 as usize);
+        // lint: panic-ok(structural: the key came out of the edge list, so add_edge already proved adjacency when it was appended)
+        self.cost -= graph
+            .edge_cost(pa, pb)
+            .expect("stored edges connect grid neighbors");
+        true
     }
 
-    /// Adjacency lists of the tree (vertex index → neighbor indices).
-    pub fn adjacency(&self) -> HashMap<u32, Vec<u32>> {
-        let mut adj: HashMap<u32, Vec<u32>> = HashMap::with_capacity(self.edges.len() + 1);
-        for &(a, b) in &self.edges {
-            adj.entry(a).or_default().push(b);
-            adj.entry(b).or_default().push(a);
-        }
-        adj
-    }
-
-    /// Whether the tree uses the given vertex.
-    pub fn contains_vertex(&self, graph: &HananGraph, p: GridPoint) -> bool {
-        let i = graph.index(p) as u32;
-        self.edges.iter().any(|&(a, b)| a == i || b == i)
-    }
-
-    /// The set of vertices used by the tree (linear indices).
-    pub fn vertices(&self) -> HashSet<u32> {
-        let mut s = HashSet::with_capacity(self.edges.len() + 1);
-        for &(a, b) in &self.edges {
-            s.insert(a);
-            s.insert(b);
-        }
-        s
-    }
-
-    /// Degree of every used vertex (linear index → degree).
-    pub fn degrees(&self) -> HashMap<u32, u32> {
-        let mut d: HashMap<u32, u32> = HashMap::with_capacity(self.edges.len() + 1);
-        for &(a, b) in &self.edges {
-            *d.entry(a).or_insert(0) += 1;
-            *d.entry(b).or_insert(0) += 1;
-        }
-        d
-    }
-
-    /// Degree of one vertex in the tree.
-    pub fn degree_of(&self, graph: &HananGraph, p: GridPoint) -> u32 {
-        let i = graph.index(p) as u32;
-        self.edges
-            .iter()
-            .map(|&(a, b)| (a == i) as u32 + (b == i) as u32)
-            .sum()
+    /// Both endpoints of every edge, ascending: each vertex appears once
+    /// per incident edge, so a vertex's run length is its tree degree.
+    pub(crate) fn sorted_endpoints(&self) -> Vec<u32> {
+        let mut ends: Vec<u32> = self.edges.iter().flat_map(|&(a, b)| [a, b]).collect();
+        ends.sort_unstable();
+        ends
     }
 
     /// Whether the edge set forms a single tree: connected and acyclic
@@ -162,21 +114,13 @@ impl RouteTree {
         if self.edges.is_empty() {
             return true; // empty or single-vertex tree
         }
-        let verts: Vec<u32> = {
-            // lint: ordered-ok(drained into a Vec and sorted before use)
-            let mut v: Vec<u32> = self.vertices().into_iter().collect();
-            v.sort_unstable();
-            v
-        };
-        let index_of: HashMap<u32, usize> =
-            verts.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+        let mut verts = self.sorted_endpoints();
+        verts.dedup();
+        let slot = |v: u32| verts.partition_point(|&x| x < v);
         let mut uf = UnionFind::new(verts.len());
-        for &(a, b) in &self.edges {
-            if !uf.union(index_of[&a], index_of[&b]) {
-                return false; // cycle
-            }
-        }
-        uf.components() == 1
+        // Acyclic with |V| - 1 edges leaves one component.
+        verts.len() == self.edges.len() + 1
+            && self.edges.iter().all(|&(a, b)| uf.union(slot(a), slot(b)))
     }
 
     /// Whether every terminal is a vertex of the tree, resolving indices
@@ -185,25 +129,23 @@ impl RouteTree {
         if terminals.len() <= 1 && self.edges.is_empty() {
             return true;
         }
-        let verts = self.vertices();
+        let ends = self.sorted_endpoints();
         terminals
             .iter()
-            .all(|&t| verts.contains(&(graph.index(t) as u32)))
+            .all(|&t| ends.binary_search(&(graph.index(t) as u32)).is_ok())
     }
 
     /// Grid vertices acting as Steiner vertices of the tree: degree ≥ 3 and
-    /// not one of `exclude` (typically the pins).
+    /// not one of `exclude` (typically the pins), ascending.
     pub fn steiner_vertices(&self, graph: &HananGraph, exclude: &[GridPoint]) -> Vec<GridPoint> {
-        let excl: HashSet<u32> = exclude.iter().map(|&p| graph.index(p) as u32).collect();
-        // lint: ordered-ok(collected into a Vec and sorted before return)
-        let mut out: Vec<GridPoint> = self
-            .degrees()
-            .into_iter()
-            .filter(|&(v, d)| d >= 3 && !excl.contains(&v))
-            .map(|(v, _)| graph.point(v as usize))
-            .collect();
-        out.sort_unstable();
-        out
+        // Vertex-index order is `GridPoint` order, so the runs come out
+        // sorted.
+        self.sorted_endpoints()
+            .chunk_by(|a, b| a == b)
+            .filter(|run| run.len() >= 3)
+            .map(|run| graph.point(run[0] as usize))
+            .filter(|p| !exclude.contains(p))
+            .collect()
     }
 
     /// Number of via edges (layer changes) in the tree.
@@ -219,17 +161,15 @@ impl RouteTree {
     }
 }
 
-/// Reusable sorted-half-edge adjacency of a [`RouteTree`] — the
-/// deterministic, allocation-free replacement for [`RouteTree::adjacency`]
-/// in the retrace/polish hot path.
+/// Reusable sorted-half-edge adjacency of a [`RouteTree`], for the
+/// retrace/polish hot path.
 ///
 /// Rebuilding collects every edge as two `(vertex, neighbor)` half-edges
-/// and sorts them; neighbor queries binary-search the sorted list. Neighbor
-/// *order* therefore differs from the hash-map adjacency's insertion order,
-/// but the retrace consumers only ever inspect degree-1 and degree-2
+/// and sorts them in place, so a warm rebuild allocates nothing; neighbor
+/// queries binary-search the sorted list and return neighbors in ascending
+/// index order. The retrace consumers only inspect degree-1 and degree-2
 /// neighborhoods ("the single neighbor", "the neighbor that is not
-/// `prev`"), which are order-insensitive, so routing results are
-/// bit-identical.
+/// `prev`"), where that order cannot change which neighbor is picked.
 #[derive(Debug, Clone, Default)]
 pub struct TreeAdjacency {
     pairs: Vec<(u32, u32)>,
@@ -262,17 +202,6 @@ impl TreeAdjacency {
         let hi = self.pairs.partition_point(|&(x, _)| x <= v);
         &self.pairs[lo..hi]
     }
-
-    /// Degree of `v` in the underlying tree (0 when absent).
-    pub fn degree(&self, v: u32) -> usize {
-        self.neighbors(v).len()
-    }
-}
-
-impl PartialEq for RouteTree {
-    fn eq(&self, other: &Self) -> bool {
-        self.edge_set == other.edge_set
-    }
 }
 
 impl fmt::Display for RouteTree {
@@ -295,17 +224,27 @@ mod tests {
     }
 
     #[test]
-    fn add_edge_dedups_and_accumulates_cost() {
+    fn add_edge_appends_and_accumulates_cost() {
         let g = grid();
         let mut t = RouteTree::new();
         let a = GridPoint::new(0, 0, 0);
         let b = GridPoint::new(1, 0, 0);
-        assert!(t.add_edge(&g, a, b));
-        assert!(!t.add_edge(&g, b, a), "reversed duplicate is rejected");
-        assert_eq!(t.edge_count(), 1);
-        assert_eq!(t.cost(), 1.0);
-        assert!(t.add_edge(&g, b, GridPoint::new(1, 0, 1)));
+        t.add_edge(&g, b, a);
+        t.add_edge(&g, b, GridPoint::new(1, 0, 1));
+        assert_eq!(t.edges(), [(0, 8), (8, 9)]);
         assert_eq!(t.cost(), 4.0); // via costs 3
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "duplicate tree edge")]
+    fn add_edge_rejects_duplicates_in_debug_builds() {
+        let g = grid();
+        let mut t = RouteTree::new();
+        let a = GridPoint::new(0, 0, 0);
+        let b = GridPoint::new(1, 0, 0);
+        t.add_edge(&g, a, b);
+        t.add_edge(&g, b, a);
     }
 
     #[test]
@@ -317,10 +256,26 @@ mod tests {
     }
 
     #[test]
+    fn remove_edge_keeps_order_and_subtracts_cost() {
+        let g = grid();
+        let p = |h, v, m| GridPoint::new(h, v, m);
+        let mut t = RouteTree::new();
+        t.add_edge(&g, p(0, 0, 0), p(1, 0, 0));
+        t.add_edge(&g, p(1, 0, 0), p(1, 0, 1));
+        t.add_edge(&g, p(1, 0, 1), p(1, 1, 1));
+        assert!(t.remove_edge(&g, 9, 8));
+        assert_eq!(t.edges(), [(0, 8), (9, 11)]);
+        assert_eq!(t.cost(), 2.0);
+        assert!(!t.remove_edge(&g, 8, 9), "absent edge");
+        assert_eq!(t.cost(), 2.0);
+    }
+
+    #[test]
     fn is_tree_detects_cycles_and_disconnection() {
         let g = grid();
         let mut t = RouteTree::new();
         let p = |h, v| GridPoint::new(h, v, 0);
+        assert!(t.is_tree());
         t.add_edge(&g, p(0, 0), p(1, 0));
         t.add_edge(&g, p(1, 0), p(1, 1));
         assert!(t.is_tree());
@@ -334,17 +289,21 @@ mod tests {
         t2.add_edge(&g, p(1, 1), p(0, 1));
         t2.add_edge(&g, p(0, 1), p(0, 0));
         assert!(!t2.is_tree());
+        // A cycle plus a separate edge: |V| = |E| + 1, still no tree.
+        t2.add_edge(&g, p(3, 3), p(2, 3));
+        t2.add_edge(&g, p(2, 3), p(2, 2));
+        assert!(!t2.is_tree());
     }
 
     #[test]
-    fn degrees_and_steiner_vertices() {
+    fn steiner_vertices_are_degree_three_joints() {
         let g = grid();
         let mut t = RouteTree::new();
         let c = GridPoint::new(1, 1, 0);
         t.add_edge(&g, c, GridPoint::new(0, 1, 0));
         t.add_edge(&g, c, GridPoint::new(2, 1, 0));
+        assert!(t.steiner_vertices(&g, &[]).is_empty());
         t.add_edge(&g, c, GridPoint::new(1, 0, 0));
-        assert_eq!(t.degree_of(&g, c), 3);
         assert_eq!(t.steiner_vertices(&g, &[]), vec![c]);
         assert!(t.steiner_vertices(&g, &[c]).is_empty());
     }
@@ -370,7 +329,7 @@ mod tests {
     }
 
     #[test]
-    fn tree_adjacency_matches_hash_adjacency() {
+    fn tree_adjacency_lists_sorted_neighbors() {
         let g = grid();
         let p = |h, v| GridPoint::new(h, v, 0);
         let mut t = RouteTree::new();
@@ -380,22 +339,23 @@ mod tests {
         t.add_edge(&g, p(2, 1), p(3, 1));
         let mut adj = TreeAdjacency::new();
         adj.rebuild(&t);
-        let hash_adj = t.adjacency();
-        for (&v, nbrs) in &hash_adj {
-            let mut expect: Vec<u32> = nbrs.clone();
+        for v in 0..g.len() as u32 {
+            let mut expect: Vec<u32> = t
+                .edges()
+                .iter()
+                .filter_map(|&(a, b)| (a == v).then_some(b).or((b == v).then_some(a)))
+                .collect();
             expect.sort_unstable();
             let got: Vec<u32> = adj.neighbors(v).iter().map(|&(_, n)| n).collect();
             assert_eq!(got, expect, "vertex {v}");
-            assert_eq!(adj.degree(v), nbrs.len());
         }
         assert!(adj.neighbors(999).is_empty());
-        assert_eq!(adj.degree(999), 0);
         // Rebuild on a smaller tree reuses storage and forgets old edges.
         let mut t2 = RouteTree::new();
         t2.add_edge(&g, p(0, 0), p(1, 0));
         adj.rebuild(&t2);
-        assert_eq!(adj.degree(g.index(p(1, 1)) as u32), 0);
-        assert_eq!(adj.degree(g.index(p(0, 0)) as u32), 1);
+        assert!(adj.neighbors(g.index(p(1, 1)) as u32).is_empty());
+        assert_eq!(adj.neighbors(g.index(p(0, 0)) as u32).len(), 1);
     }
 
     #[test]
@@ -408,21 +368,7 @@ mod tests {
         let mut b = RouteTree::new();
         b.add_edge(&g, p(3, 3), p(2, 3));
         b.copy_from(&a);
-        assert_eq!(a, b);
         assert_eq!(a.cost().to_bits(), b.cost().to_bits());
         assert_eq!(a.edges(), b.edges());
-    }
-
-    #[test]
-    fn equality_ignores_edge_insertion_order() {
-        let g = grid();
-        let p = |h, v| GridPoint::new(h, v, 0);
-        let mut t1 = RouteTree::new();
-        t1.add_edge(&g, p(0, 0), p(1, 0));
-        t1.add_edge(&g, p(1, 0), p(1, 1));
-        let mut t2 = RouteTree::new();
-        t2.add_edge(&g, p(1, 0), p(1, 1));
-        t2.add_edge(&g, p(0, 0), p(1, 0));
-        assert_eq!(t1, t2);
     }
 }

@@ -1,16 +1,23 @@
 //! Property-based integration tests across crates: Hanan reduction, tree
-//! invariants, augmentation symmetries, actor policies, MCTS labels.
+//! invariants (every router's tree queries against brute force),
+//! augmentation symmetries, actor policies, MCTS labels.
 
+use oarsmt::rl_router::RlRouter;
 use oarsmt::selector::{Selector, UniformSelector};
 use oarsmt::topk::select_top_k_into;
 use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
-use oarsmt_geom::{Coord, HananGraph, Layout, Obstacle, Pin, Rect, VertexKind};
+use oarsmt_geom::{Coord, GridPoint, HananGraph, Layout, Obstacle, Pin, Rect, VertexKind};
+use oarsmt_graph::StampMap;
 use oarsmt_mcts::actor::action_policy_into;
 use oarsmt_mcts::{CombinatorialMcts, MctsConfig};
 use oarsmt_nn::NnWorkspace;
 use oarsmt_rl::augment::{transform_sample, Symmetry};
 use oarsmt_rl::sample::TrainingSample;
-use oarsmt_router::{OarmstRouter, RouteContext, RouteError};
+use oarsmt_router::prune::retain_irredundant_in;
+use oarsmt_router::retrace::polish_round_in;
+use oarsmt_router::{
+    Lin18Router, Liu14Router, OarmstRouter, RouteContext, RouteError, RouteTree, SpanningRouter,
+};
 use proptest::prelude::*;
 
 fn arbitrary_layout() -> impl Strategy<Value = Layout> {
@@ -150,6 +157,148 @@ proptest! {
             b.sort_by(f32::total_cmp);
             prop_assert_eq!(a, b, "label multiset preserved under {:?}", sym);
         }
+    }
+}
+
+/// Whether `edges` over `n` vertices form one tree, by a depth-first walk.
+fn brute_is_tree(n: usize, edges: &[(u32, u32)]) -> bool {
+    let mut used = vec![false; n];
+    for &(a, b) in edges {
+        used[a as usize] = true;
+        used[b as usize] = true;
+    }
+    let used = used.iter().filter(|&&u| u).count();
+    let mut reached = vec![false; n];
+    let mut stack: Vec<u32> = edges.first().map(|e| e.0).into_iter().collect();
+    while let Some(v) = stack.pop() {
+        if std::mem::replace(&mut reached[v as usize], true) {
+            continue;
+        }
+        for &(a, b) in edges {
+            if a == v || b == v {
+                stack.push(a ^ b ^ v);
+            }
+        }
+    }
+    let connected = reached.iter().filter(|&&r| r).count() == used;
+    edges.is_empty() || (connected && used == edges.len() + 1)
+}
+
+/// Checks one router's tree against answers computed here from its edge
+/// list alone: distinct edges, `is_tree` (also with one edge cut out),
+/// `spans_in`, `steiner_vertices`, and which candidates the prune keeps
+/// (exactly those of degree ≥ 3).
+fn check_tree_queries(graph: &HananGraph, tree: &RouteTree, what: &str) -> TestCaseResult {
+    let edges = tree.edges();
+    let mut distinct = edges.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    prop_assert_eq!(distinct.len(), edges.len(), "{}: repeated edge", what);
+
+    prop_assert_eq!(
+        tree.is_tree(),
+        brute_is_tree(graph.len(), edges),
+        "{}: is_tree",
+        what
+    );
+    if let Some(&(a, b)) = edges.get(edges.len() / 2) {
+        let mut cut = RouteTree::new();
+        cut.copy_from(tree);
+        prop_assert!(cut.remove_edge(graph, a, b));
+        prop_assert_eq!(
+            cut.is_tree(),
+            brute_is_tree(graph.len(), cut.edges()),
+            "{}: is_tree with an edge cut",
+            what
+        );
+    }
+
+    let mut deg = vec![0u32; graph.len()];
+    for &(a, b) in edges {
+        deg[a as usize] += 1;
+        deg[b as usize] += 1;
+    }
+    let pins = graph.pins();
+    let spans =
+        (edges.is_empty() && pins.len() <= 1) || pins.iter().all(|&p| deg[graph.index(p)] > 0);
+    prop_assert_eq!(tree.spans_in(graph, pins), spans, "{}: spans_in pins", what);
+    for (i, &d) in deg.iter().enumerate() {
+        let one = [graph.point(i)];
+        prop_assert_eq!(
+            tree.spans_in(graph, &one),
+            edges.is_empty() || d > 0,
+            "{}: spans_in vertex {}",
+            what,
+            i
+        );
+    }
+
+    let joints: Vec<GridPoint> = (0..graph.len())
+        .filter(|&i| deg[i] >= 3)
+        .map(|i| graph.point(i))
+        .collect();
+    prop_assert_eq!(
+        tree.steiner_vertices(graph, &[]),
+        joints,
+        "{}: joints",
+        what
+    );
+    let steiner: Vec<GridPoint> = joints
+        .iter()
+        .copied()
+        .filter(|p| !pins.contains(p))
+        .collect();
+    prop_assert_eq!(
+        tree.steiner_vertices(graph, pins),
+        steiner,
+        "{}: Steiner",
+        what
+    );
+
+    let mut kept: Vec<GridPoint> = (0..graph.len()).map(|i| graph.point(i)).collect();
+    let removed = retain_irredundant_in(&mut StampMap::new(), graph, tree, &mut kept);
+    prop_assert_eq!(
+        removed,
+        graph.len() - joints.len(),
+        "{}: pruned count",
+        what
+    );
+    prop_assert_eq!(kept, joints, "{}: kept candidates", what);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn route_tree_queries_match_brute_force(
+        m in 1usize..4,
+        seed in 0u64..100_000,
+        picks in prop::collection::vec(0usize..100_000, 0..6),
+    ) {
+        let graph =
+            CaseGenerator::new(GeneratorConfig::paper_costs(9, 8, m, (3, 7)), seed).generate();
+        let candidates: Vec<GridPoint> =
+            picks.iter().map(|&i| graph.point(i % graph.len())).collect();
+        let mut ctx = RouteContext::new();
+        let built = match OarmstRouter::new()
+            .with_polish_rounds(0)
+            .route_in(&mut ctx, &graph, &candidates)
+        {
+            Ok(t) => t,
+            Err(RouteError::Disconnected { .. }) => return Ok(()),
+            Err(e) => return Err(TestCaseError::fail(format!("route_in: {e}"))),
+        };
+        check_tree_queries(&graph, &built, "route_in (unpolished)")?;
+        let (polished, _) = polish_round_in(&mut ctx, &graph, built, graph.pins()).unwrap();
+        check_tree_queries(&graph, &polished, "polish_round_in")?;
+        let full = OarmstRouter::new().route_in(&mut ctx, &graph, &candidates).unwrap();
+        check_tree_queries(&graph, &full, "route_in")?;
+        let rl = RlRouter::new(UniformSelector::new(0.3)).route(&graph).unwrap();
+        check_tree_queries(&graph, &rl.tree, "RlRouter::route")?;
+        check_tree_queries(&graph, &Lin18Router::new().route(&graph).unwrap(), "Lin18Router")?;
+        check_tree_queries(&graph, &Liu14Router::new().route(&graph).unwrap(), "Liu14Router")?;
+        check_tree_queries(&graph, &SpanningRouter::new().route(&graph).unwrap(), "SpanningRouter")?;
     }
 }
 

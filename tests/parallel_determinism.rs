@@ -33,13 +33,12 @@ fn evaluate(threads: usize) -> (Vec<(u64, u64)>, usize) {
     const LAYOUTS: usize = 10;
     const SEED: u64 = 0xDAC2024;
     let selector = small_selector(5);
-    let lin18 = Lin18Router::new();
     let rows = run_seeded_with(
         LAYOUTS,
         SEED,
         threads,
-        || RlRouter::new(selector.clone()),
-        |router, _i, seed| {
+        || (RlRouter::new(selector.clone()), Lin18Router::new()),
+        |(router, lin18), _i, seed| {
             let graph = layout(seed);
             let base = lin18.route(&graph).ok()?;
             let ours = router.route(&graph).ok()?;
