@@ -55,10 +55,11 @@ echo "==> route-tree queries (every router's edges distinct; is_tree/spans_in/st
 cargo test -q --test cross_crate_invariants route_tree_queries_match_brute_force
 cargo test -q -p oarsmt-router --test tree_invariants
 
-echo "==> queue-policy equivalence (Auto == heap oracle trees bit for bit incl. bounded; exact op counts polish-free, no more pops with A* polish; golden pins)"
+echo "==> queue-policy equivalence (key-indexed Dial queue == (key, index) heap oracle under push/bounded-pop/rewind; Auto == heap oracle trees bit for bit incl. bounded; exact op counts polish-free, no more pops with A* polish; golden pins)"
+cargo test -q -p oarsmt-graph --test properties bucket_queue_matches_heap_oracle
 cargo test -q -p oarsmt-router --test queue_equivalence
 
-echo "==> resumable Prim frontier equivalence (persisted-frontier builds == fresh-search-per-step reference)"
+echo "==> resumable Prim frontier equivalence (persisted-frontier builds, each step stopping at its own target == fresh-search-per-step reference)"
 cargo test -q -p oarsmt-router --test prim_frontier
 
 echo "==> batched fit-path equivalence (B in {4,16} == per-sample B=1 passes of the same kernel, bit for bit, at nn/rl levels)"

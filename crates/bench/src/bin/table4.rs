@@ -22,7 +22,7 @@ fn main() {
     let mut selector = harness::pretrained_selector();
     let mut router = RlRouter::new(&mut selector);
     let spanning = SpanningRouter::new();
-    let liu = Liu14Router::new();
+    let mut liu = Liu14Router::new();
     let mut lin = Lin18Router::new();
 
     let mut table = Table::new([

@@ -110,14 +110,21 @@ impl fmt::Display for CostComparison {
 
 /// The ST-to-MST ratio of Figs. 11–12: the cost of `tree` over the cost of
 /// the obstacle-avoiding spanning tree built **without** Steiner points.
-/// Lower is better; 1.0 means the Steiner points bought nothing.
+/// Lower is better; 1.0 means the Steiner points bought nothing. The
+/// pins-only tree is built in `ctx` and returned to its pool.
 ///
 /// # Errors
 ///
 /// Propagates OARMST routing errors for the pins-only tree.
-pub fn st_to_mst_ratio(graph: &HananGraph, tree: &RouteTree) -> Result<f64, RouteError> {
-    let mst = OarmstRouter::new().route_in(&mut RouteContext::new(), graph, &[])?;
-    Ok(tree.cost() / mst.cost())
+pub fn st_to_mst_ratio(
+    ctx: &mut RouteContext,
+    graph: &HananGraph,
+    tree: &RouteTree,
+) -> Result<f64, RouteError> {
+    let mst = OarmstRouter::new().route_in(ctx, graph, &[])?;
+    let ratio = tree.cost() / mst.cost();
+    ctx.recycle_tree(mst);
+    Ok(ratio)
 }
 
 /// The Fig. 10 curve: improvement ratios binned by layout obstacle ratio.
@@ -211,10 +218,9 @@ mod tests {
         let mut g = HananGraph::uniform(4, 1, 1, 1.0, 1.0, 3.0);
         g.add_pin(GridPoint::new(0, 0, 0)).unwrap();
         g.add_pin(GridPoint::new(3, 0, 0)).unwrap();
-        let tree = OarmstRouter::new()
-            .route_in(&mut RouteContext::new(), &g, &[])
-            .unwrap();
-        let r = st_to_mst_ratio(&g, &tree).unwrap();
+        let mut ctx = RouteContext::new();
+        let tree = OarmstRouter::new().route_in(&mut ctx, &g, &[]).unwrap();
+        let r = st_to_mst_ratio(&mut ctx, &g, &tree).unwrap();
         assert!((r - 1.0).abs() < 1e-9);
     }
 
@@ -224,10 +230,11 @@ mod tests {
         for &(h, v) in &[(0, 2), (4, 2), (2, 0), (2, 4)] {
             g.add_pin(GridPoint::new(h, v, 0)).unwrap();
         }
+        let mut ctx = RouteContext::new();
         let steiner = OarmstRouter::new()
-            .route_in(&mut RouteContext::new(), &g, &[GridPoint::new(2, 2, 0)])
+            .route_in(&mut ctx, &g, &[GridPoint::new(2, 2, 0)])
             .unwrap();
-        let r = st_to_mst_ratio(&g, &steiner).unwrap();
+        let r = st_to_mst_ratio(&mut ctx, &g, &steiner).unwrap();
         assert!(r <= 1.0);
     }
 

@@ -17,16 +17,20 @@
 //! [`DijkstraWorkspace::prim_step`] and
 //! [`DijkstraWorkspace::prim_path_into`] per step, which resume the same
 //! relaxation loop and return exactly what a fresh query from the whole
-//! tree would (DESIGN.md §12.5).
+//! tree would (DESIGN.md §12.5). A step pops only while the least queued
+//! key lies below the best open terminal's label; everything above it
+//! waits for later steps.
 //!
 //! The loop is generic over its frontier, chosen per query by a
 //! [`QueuePolicy`]: the binary heap (the retained oracle) or `Auto`, which
-//! takes A* on the heap for a query with a target hint and Dial's bucket
-//! queue otherwise, whenever the cost model is integer. Every query reads
-//! its path out with one canonical walk (the least `(distance, index)`
-//! predecessor), so `Auto` returns the oracle's path bit for bit; A* only
-//! settles fewer vertices. The search-order and tie-break contract is
-//! specified in DESIGN.md §12.
+//! takes A* on the heap for a query with a target hint and Dial's
+//! key-indexed bucket queue otherwise, whenever the cost model is
+//! integer. The loop asks its goal when to stop: a fixed bound and a
+//! target test for a one-shot query, the falling best open label for a
+//! Prim step. Every query reads its path out with one canonical walk (the
+//! least `(distance, index)` predecessor), so `Auto` returns the oracle's
+//! path bit for bit; A* only settles fewer vertices. The search-order and
+//! tie-break contract is specified in DESIGN.md §12.
 //!
 //! ```
 //! use oarsmt_geom::{GridPoint, HananGraph};
@@ -141,9 +145,9 @@ impl SearchBounds {
 /// Largest integer edge cost for which the Dial bucket queue is used.
 ///
 /// The paper's cost model caps gap costs at 1000 and via costs at 5; the
-/// ceiling leaves generous slack while bounding the bucket ring (a Dial
-/// query keeps `ceiling + 1` buckets, rounded up to a power of two) and
-/// the occupancy words its reset clears.
+/// ceiling leaves generous slack. The key-indexed queue itself would hold
+/// any integer keys (DESIGN.md §12.2); the ceiling keeps DBU-scaled cost
+/// models on the heap.
 pub const DIAL_MAX_EDGE_COST: u64 = 4096;
 
 /// Largest path-cost bound for which A* runs: below 2⁵³ every integer
@@ -178,8 +182,7 @@ pub enum QueuePolicy {
 enum ResolvedQueue {
     #[default]
     Heap,
-    /// Dial with the graph's integer cost ceiling.
-    Dial(u64),
+    Dial,
     AStar,
 }
 
@@ -195,7 +198,7 @@ impl QueuePolicy {
             Some(_) if have_targets && graph.path_cost_bound() < ASTAR_MAX_PATH_COST => {
                 ResolvedQueue::AStar
             }
-            Some(c) if c <= DIAL_MAX_EDGE_COST => ResolvedQueue::Dial(c),
+            Some(c) if c <= DIAL_MAX_EDGE_COST => ResolvedQueue::Dial,
             _ => ResolvedQueue::Heap,
         }
     }
@@ -285,13 +288,13 @@ impl RectilinearBound {
 
 /// The priority queue behind one query. `push` takes the tentative
 /// distance `g`; a frontier that orders by something else (A*'s
-/// `g + h`) derives its key itself, and `limit` is then a bound on that
-/// key. `pop` yields vertices in key order, stale duplicates included —
-/// the relaxation loop skips those — and stops at the first key above
-/// `limit`, leaving it queued.
+/// `g + h`) derives its key itself, and `below` is then a bound on that
+/// key. `pop` yields vertices in `(key, index)` order, stale duplicates
+/// included — the relaxation loop skips those — and stops at the first key
+/// not below `below`, leaving it queued.
 trait Frontier {
     fn push(&mut self, g: f64, idx: u32);
-    fn pop(&mut self, limit: f64) -> Option<u32>;
+    fn pop(&mut self, below: f64) -> Option<u32>;
 }
 
 /// The binary heap keyed by `g`: the oracle.
@@ -302,9 +305,9 @@ impl Frontier for BinaryHeap<Entry> {
     }
 
     #[inline]
-    fn pop(&mut self, limit: f64) -> Option<u32> {
+    fn pop(&mut self, below: f64) -> Option<u32> {
         let top = self.peek_mut()?;
-        if top.cost > limit {
+        if top.cost >= below {
             return None;
         }
         Some(PeekMut::pop(top).idx)
@@ -312,7 +315,7 @@ impl Frontier for BinaryHeap<Entry> {
 }
 
 /// Dial's bucket queue keyed by the integer `g`, counting the keys its
-/// cursor advances.
+/// cursor advances. Its bounds are labels or infinity, so integers too.
 struct Dial<'a> {
     queue: &'a mut BucketQueue,
     scans: u64,
@@ -325,10 +328,10 @@ impl Frontier for Dial<'_> {
     }
 
     #[inline]
-    fn pop(&mut self, limit: f64) -> Option<u32> {
-        // An infinite limit saturates to `u64::MAX`.
+    fn pop(&mut self, below: f64) -> Option<u32> {
+        // An infinite bound saturates to `u64::MAX`.
         self.queue
-            .pop_min(limit as u64, &mut self.scans)
+            .pop_min(below as u64, &mut self.scans)
             .map(|(_, idx)| idx)
     }
 }
@@ -354,8 +357,29 @@ impl Frontier for AStar<'_> {
     }
 
     #[inline]
-    fn pop(&mut self, limit: f64) -> Option<u32> {
-        Frontier::pop(&mut *self.heap, limit)
+    fn pop(&mut self, below: f64) -> Option<u32> {
+        Frontier::pop(&mut *self.heap, below)
+    }
+}
+
+/// When the relaxation loop stops: it pops while the least key lies below
+/// `best.0` and returns the first settled vertex `is_target` accepts. A
+/// relaxation that lowers a vertex `is_open` accepts to a label `d` with
+/// `(d, index)` below `best` makes it the new best, which is how a Prim
+/// step tracks its nearest open terminal (DESIGN.md §12.5). A one-shot
+/// query opens nothing, so its bound stays fixed.
+struct Goal<T, O> {
+    is_target: T,
+    is_open: O,
+    best: (f64, u32),
+}
+
+impl<T: Fn(usize) -> bool, O: Fn(usize) -> bool> Goal<T, O> {
+    #[inline]
+    fn lower(&mut self, idx: usize, d: f64) {
+        if (d, idx as u32) < self.best && (self.is_open)(idx) {
+            self.best = (d, idx as u32);
+        }
     }
 }
 
@@ -443,72 +467,101 @@ impl Labels {
         if !self.seed(graph, sources, frontier, counters) {
             return Err(GraphError::BlockedSource(sources[0]));
         }
-        self.settle_within(
-            graph,
-            adj,
-            frontier,
-            bounds,
+        let mut goal = Goal {
             is_target,
-            f64::INFINITY,
-            counters,
-        )
-        .ok_or(GraphError::Unreachable {
-            from: sources[0],
-            to: None,
-        })
+            is_open: |_| false,
+            best: (f64::INFINITY, u32::MAX),
+        };
+        self.settle_within(graph, adj, frontier, bounds, &mut goal, counters)
+            .ok_or(GraphError::Unreachable {
+                from: sources[0],
+                to: None,
+            })
+    }
+
+    /// One step of the resumable Prim frontier (DESIGN.md §12.5): seeds
+    /// `joined` at distance 0, takes the best open terminal — the least
+    /// `(label, index)` over `open` — and settles while the least queued
+    /// key lies below its label, lowering it as relaxations lower open
+    /// labels. Returns that terminal, `None` when no open terminal has a
+    /// label.
+    #[allow(clippy::too_many_arguments)]
+    fn prim_step<Q: Frontier, F: Fn(usize) -> bool>(
+        &mut self,
+        graph: &HananGraph,
+        adj: &GridAdjacency,
+        joined: &[GridPoint],
+        bounds: Option<SearchBounds>,
+        open: &[u32],
+        is_open: F,
+        frontier: &mut Q,
+        counters: &mut CounterSet,
+    ) -> Option<usize> {
+        self.seed(graph, joined, frontier, counters);
+        let mut goal = Goal {
+            is_target: |_| false,
+            is_open,
+            best: (f64::INFINITY, u32::MAX),
+        };
+        for &t in open {
+            let t = t as usize;
+            if self.stamp[t] == self.epoch {
+                goal.lower(t, self.dist[t]);
+            }
+        }
+        self.settle_within(graph, adj, frontier, bounds, &mut goal, counters);
+        let (d, t) = goal.best;
+        (d < f64::INFINITY).then_some(t as usize)
     }
 
     /// [`Labels::settle`] inside an optional search window. The unbounded
     /// instance gets a constant-true window, so its relaxation carries no
     /// bounds test at all.
-    #[allow(clippy::too_many_arguments)]
     #[inline]
-    fn settle_within<Q: Frontier, F: Fn(usize) -> bool>(
+    fn settle_within<Q: Frontier, T: Fn(usize) -> bool, O: Fn(usize) -> bool>(
         &mut self,
         graph: &HananGraph,
         adj: &GridAdjacency,
         frontier: &mut Q,
         bounds: Option<SearchBounds>,
-        is_target: F,
-        limit: f64,
+        goal: &mut Goal<T, O>,
         counters: &mut CounterSet,
     ) -> Option<usize> {
         match bounds {
-            None => self.settle(adj, frontier, |_| true, is_target, limit, counters),
+            None => self.settle(adj, frontier, |_| true, goal, counters),
             Some(b) => self.settle(
                 adj,
                 frontier,
                 |q| b.contains(graph.point(q)),
-                is_target,
-                limit,
+                goal,
                 counters,
             ),
         }
     }
 
-    /// The relaxation loop: pops until a target settles or the frontier
-    /// has no entry left at or below `limit`, relaxing the CSR neighbors
-    /// `admits` lets through. One stale rule for every frontier: a popped
-    /// vertex that is already `done` is a duplicate (for the heap this is
-    /// exactly its `cost > dist` skip, DESIGN.md §12.3).
+    /// The relaxation loop: pops while the least key lies below the goal's
+    /// bound and returns the first settled vertex the goal accepts,
+    /// relaxing the CSR neighbors `admits` lets through. One stale rule
+    /// for every frontier: a popped vertex that is already `done` is a
+    /// duplicate (for the heap this is exactly its `cost > dist` skip,
+    /// DESIGN.md §12.3).
     #[inline]
-    fn settle<Q: Frontier, W: Fn(usize) -> bool, F: Fn(usize) -> bool>(
+    fn settle<Q: Frontier, W: Fn(usize) -> bool, T: Fn(usize) -> bool, O: Fn(usize) -> bool>(
         &mut self,
         adj: &GridAdjacency,
         frontier: &mut Q,
         admits: W,
-        is_target: F,
-        limit: f64,
+        goal: &mut Goal<T, O>,
         counters: &mut CounterSet,
     ) -> Option<usize> {
-        while let Some(idx) = frontier.pop(limit) {
+        while let Some(idx) = frontier.pop(goal.best.0) {
             let idx = idx as usize;
             if self.done[idx] == self.epoch {
                 continue;
             }
             self.done[idx] = self.epoch;
             counters.bump(Counter::DijkstraPops);
-            if is_target(idx) {
+            if (goal.is_target)(idx) {
                 return Some(idx);
             }
             let g = self.dist[idx];
@@ -522,49 +575,11 @@ impl Labels {
                 if self.improve(q, nd) {
                     counters.bump(Counter::DijkstraPushes);
                     frontier.push(nd, q as u32);
+                    goal.lower(q, nd);
                 }
             }
         }
         None
-    }
-
-    /// The second half of a Prim step, once every label up to `horizon`
-    /// is exact: the nearest open terminal (least `(label, index)` over
-    /// `open`) when it lies within the horizon. Otherwise settles on until
-    /// the first open terminal settles — the nearest one — then finishes
-    /// its key and raises the horizon to it. `None` when no open terminal
-    /// can be reached.
-    #[allow(clippy::too_many_arguments)]
-    fn prim_target<Q: Frontier, F: Fn(usize) -> bool>(
-        &mut self,
-        graph: &HananGraph,
-        adj: &GridAdjacency,
-        frontier: &mut Q,
-        bounds: Option<SearchBounds>,
-        open: &[u32],
-        is_open: F,
-        horizon: &mut f64,
-        counters: &mut CounterSet,
-    ) -> Option<usize> {
-        let mut best: Option<(f64, u32)> = None;
-        for &t in open {
-            if self.stamp[t as usize] != self.epoch {
-                continue;
-            }
-            let d = self.dist[t as usize];
-            if best.is_none_or(|(bd, bt)| d < bd || (d == bd && t < bt)) {
-                best = Some((d, t));
-            }
-        }
-        let limit = match best {
-            Some((d, t)) if d <= *horizon => return Some(t as usize),
-            Some((d, _)) => d,
-            None => f64::INFINITY,
-        };
-        let target = self.settle_within(graph, adj, frontier, bounds, is_open, limit, counters)?;
-        *horizon = self.dist[target];
-        self.settle_within(graph, adj, frontier, bounds, |_| false, *horizon, counters);
-        Some(target)
     }
 
     /// Writes the path from the sources to `target` into `out` (cleared
@@ -621,9 +636,6 @@ struct PrimState {
     /// The frontier [`DijkstraWorkspace::prim_begin`] resolved (never
     /// A*: a Prim step has no target hint).
     queue: ResolvedQueue,
-    /// Every label at or below the horizon is the exact distance from the
-    /// tree, and every queued entry lies above it.
-    horizon: f64,
     /// The label epoch the frontier was started in (debug check that no
     /// other query ran in between).
     epoch: u32,
@@ -642,13 +654,9 @@ pub struct DijkstraWorkspace {
     labels: Labels,
     heap: BinaryHeap<Entry>,
     /// The Dial bucket queue (`Auto` on bounded-integer cost models
-    /// without a target hint); the persisted ring of the resumable Prim
-    /// frontier.
+    /// without a target hint), one-shot queries and the resumable Prim
+    /// frontier alike.
     bucket: BucketQueue,
-    /// The resumable Prim frontier's per-step Dial ring: the wave from the
-    /// newly joined path runs here up to the horizon, then its leftovers
-    /// fold into `bucket`.
-    wave: BucketQueue,
     prim: PrimState,
     /// The A* lower bound, rebuilt per A* query.
     bound: RectilinearBound,
@@ -758,12 +766,11 @@ impl DijkstraWorkspace {
         self.labels.prepare(graph.len());
         let queue = policy.resolve(graph, false);
         match queue {
-            ResolvedQueue::Dial(ceiling) => self.bucket.reset(ceiling.max(1) as usize),
+            ResolvedQueue::Dial => self.bucket.reset(),
             _ => self.heap.clear(),
         }
         self.prim = PrimState {
             queue,
-            horizon: 0.0,
             epoch: self.labels.epoch,
         };
     }
@@ -782,9 +789,9 @@ impl DijkstraWorkspace {
     ///   [`Self::shortest_path_into`]; pass the same window on every step.
     ///
     /// Labels persist across steps and only strict improvements are
-    /// pushed, so a step re-settles only what the new path brings closer,
-    /// plus the shell up to the horizon (the largest target distance so
-    /// far). Follow with [`Self::prim_path_into`].
+    /// pushed, so a step settles only what the new path brings closer,
+    /// and only below its own target's label; entries above it wait for
+    /// later steps. Follow with [`Self::prim_path_into`].
     #[allow(clippy::too_many_arguments)]
     pub fn prim_step<F: Fn(usize) -> bool>(
         &mut self,
@@ -803,67 +810,34 @@ impl DijkstraWorkspace {
             labels,
             heap,
             bucket,
-            wave,
             prim,
             counters,
             ..
         } = self;
-        let horizon = prim.horizon;
         match prim.queue {
-            ResolvedQueue::Dial(ceiling) => {
-                // Every persisted key lies in (horizon, horizon + ceiling],
-                // but the wave starts at 0: run it in its own ring up to
-                // the horizon, then fold what is left into the main one.
-                wave.reset(ceiling.max(1) as usize);
-                let mut front = Dial {
-                    queue: wave,
+            ResolvedQueue::Dial => {
+                // The joined path enters at key 0, below the waiting keys.
+                bucket.rewind();
+                let mut dial = Dial {
+                    queue: bucket,
                     scans: 0,
                 };
-                labels.seed(graph, joined, &mut front, counters);
-                labels.settle_within(graph, adj, &mut front, bounds, |_| false, horizon, counters);
-                let mut scans = front.scans;
-                bucket.advance_to(horizon as u64 + 1, &mut scans);
-                bucket.fold_from(wave);
-                let mut main = Dial {
-                    queue: bucket,
-                    scans,
-                };
-                let target = labels.prim_target(
-                    graph,
-                    adj,
-                    &mut main,
-                    bounds,
-                    open,
-                    is_open,
-                    &mut prim.horizon,
-                    counters,
+                let target = labels.prim_step(
+                    graph, adj, joined, bounds, open, is_open, &mut dial, counters,
                 );
-                counters.add(Counter::DijkstraBucketScans, main.scans);
+                counters.add(Counter::DijkstraBucketScans, dial.scans);
                 target
             }
-            _ => {
-                labels.seed(graph, joined, heap, counters);
-                labels.settle_within(graph, adj, heap, bounds, |_| false, horizon, counters);
-                labels.prim_target(
-                    graph,
-                    adj,
-                    heap,
-                    bounds,
-                    open,
-                    is_open,
-                    &mut prim.horizon,
-                    counters,
-                )
-            }
+            _ => labels.prim_step(graph, adj, joined, bounds, open, is_open, heap, counters),
         }
     }
 
     /// Writes the path from the tree to the `target` that
     /// [`Self::prim_step`] returned into `out` (cleared first, tree end
     /// first) and returns its cost. This is the read-out every query
-    /// uses: every label up to the horizon is exact and settled, so the
-    /// path is the one a fresh search from the whole tree returns
-    /// (DESIGN.md §12.5).
+    /// uses: every vertex below the target's label is settled at its exact
+    /// distance, so the path is the one a fresh search from the whole tree
+    /// returns (DESIGN.md §12.5).
     pub fn prim_path_into(
         &self,
         graph: &HananGraph,
@@ -907,8 +881,8 @@ impl DijkstraWorkspace {
                 heap.clear();
                 labels.search(graph, adj, sources, is_target, bounds, heap, counters)
             }
-            ResolvedQueue::Dial(ceiling) => {
-                bucket.reset(ceiling.max(1) as usize);
+            ResolvedQueue::Dial => {
+                bucket.reset();
                 let mut dial = Dial {
                     queue: bucket,
                     scans: 0,
@@ -925,8 +899,12 @@ impl DijkstraWorkspace {
                 let first = labels.search(
                     graph, adj, sources, &is_target, bounds, &mut astar, counters,
                 )?;
-                let f_star = labels.dist[first];
-                labels.settle_within(graph, adj, &mut astar, bounds, |_| false, f_star, counters);
+                let mut exhaust = Goal {
+                    is_target: |_| false,
+                    is_open: |_| false,
+                    best: (labels.dist[first].next_up(), u32::MAX),
+                };
+                labels.settle_within(graph, adj, &mut astar, bounds, &mut exhaust, counters);
                 let l = &*labels;
                 Ok(targets
                     .iter()

@@ -15,9 +15,10 @@
 //!   predecessor) serves every query, so `Auto` returns the heap's paths
 //!   bit for bit (DESIGN.md §12). An OARMST build resumes one search
 //!   across its Prim steps instead ([`DijkstraWorkspace::prim_step`],
-//!   §12.5),
-//! * [`bucket`] — the power-of-two bucket ring and its occupancy bitmap
-//!   behind the Dial frontier,
+//!   §12.5), each step stopping at its own target,
+//! * [`bucket`] — the key-indexed bucket queue behind the Dial frontier:
+//!   one occupancy bit and one slot per key, pooled bucket storage, and a
+//!   cursor a Prim step rewinds to key 0,
 //! * [`csr`] — flattened CSR adjacency for the relaxation inner loop,
 //! * [`stamp`] — `O(1)`-reset stamped index sets,
 //! * [`mst`] — Prim's algorithm over dense terminal-distance matrices,

@@ -1,10 +1,15 @@
 //! Property-based tests for the graph-search substrate.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
 use oarsmt_geom::{GridPoint, HananGraph};
 use oarsmt_graph::dijkstra::SearchBounds;
 use oarsmt_graph::mst::{mst_cost, prim_mst};
-use oarsmt_graph::{DijkstraWorkspace, GraphError, GridAdjacency, QueuePolicy, UnionFind};
+use oarsmt_graph::{
+    BucketQueue, DijkstraWorkspace, GraphError, GridAdjacency, QueuePolicy, UnionFind,
+};
 use oarsmt_telemetry::Counter;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -309,5 +314,88 @@ proptest! {
             }
             prop_assert!(best <= cost + 1e-9, "prim {best} vs random {cost}");
         }
+    }
+}
+
+/// One operation of a random [`BucketQueue`] session; keys and bounds are
+/// relative to the queue's cursor (the last popped key, 0 after a rewind).
+#[derive(Debug, Clone)]
+enum QueueOp {
+    /// Push `idx` at `cursor + offset`. Offset 0 right after a pop is a
+    /// same-key arrival while that key is open.
+    Push { offset: u64, idx: u32 },
+    /// Pop at most `count` entries whose keys lie below `cursor + bound`.
+    Pop { bound: u64, count: usize },
+    /// Move the cursor back to key 0, under every waiting key.
+    Rewind,
+}
+
+/// Six pushes to three pops to one rewind. A push offset is small (same
+/// key or the next few), near (within 100) or far (1000 to 20000 keys up);
+/// a pop bound is near or unbounded.
+fn queue_op() -> impl Strategy<Value = QueueOp> {
+    (0u8..10, 0u8..3, 0u64..20_000, 0u32..64, 1usize..8).prop_map(
+        |(kind, class, raw, idx, count)| match kind {
+            0..=5 => QueueOp::Push {
+                offset: [raw % 3, raw % 100, 1000 + raw % 19_000][class as usize],
+                idx,
+            },
+            6..=8 => QueueOp::Pop {
+                bound: if class == 0 { u64::MAX } else { raw % 200 },
+                count,
+            },
+            _ => QueueOp::Rewind,
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The key-indexed Dial queue against a `BinaryHeap<Reverse<(key,
+    /// index)>>` oracle over random push / bounded-pop / rewind sequences:
+    /// every pop is the oracle's least entry, a pop is refused exactly when
+    /// the oracle's least key is not below the bound, and the scan counter
+    /// is the sum of the cursor's forward walks. Keys reach far above the
+    /// queue's current key range (growth), and same-key arrivals land on
+    /// an open key.
+    #[test]
+    fn bucket_queue_matches_heap_oracle(
+        ops in proptest::collection::vec(queue_op(), 1..120),
+    ) {
+        let mut q = BucketQueue::new();
+        let mut oracle: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+        let (mut cursor, mut walked, mut scans) = (0u64, 0u64, 0u64);
+        for op in ops {
+            match op {
+                QueueOp::Push { offset, idx } => {
+                    q.push(cursor + offset, idx);
+                    oracle.push(Reverse((cursor + offset, idx)));
+                }
+                QueueOp::Pop { bound, count } => {
+                    let below = cursor.saturating_add(bound);
+                    for _ in 0..count {
+                        let expect = oracle
+                            .peek()
+                            .map(|r| r.0)
+                            .filter(|&(k, _)| k < below);
+                        prop_assert_eq!(q.pop_min(below, &mut scans), expect);
+                        let Some((k, _)) = expect else { break };
+                        oracle.pop();
+                        walked += k - cursor;
+                        cursor = k;
+                    }
+                }
+                QueueOp::Rewind => {
+                    q.rewind();
+                    cursor = 0;
+                }
+            }
+            prop_assert_eq!(q.len(), oracle.len());
+            prop_assert_eq!(scans, walked);
+        }
+        q.reset();
+        prop_assert!(q.is_empty());
+        prop_assert_eq!(q.pop_min(u64::MAX, &mut scans), None);
     }
 }

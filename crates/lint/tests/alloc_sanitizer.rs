@@ -238,10 +238,10 @@ fn hot_paths_are_allocation_free_in_steady_state() {
         "steady-state bounded result drifted"
     );
 
-    // --- route_in on a wide Dial ring: paper-scale gap costs (up to 1000)
-    // size the bucket ring at 1024 slots, so pops scan across several
-    // occupancy words; once the ring has grown, warm routes allocate
-    // nothing either. ---
+    // --- route_in on a wide Dial key range: paper-scale gap costs (up to
+    // 1000) push keys into the thousands, so pops scan across many
+    // occupancy words; once the key range and the bucket pool have grown,
+    // warm routes allocate nothing either. ---
     let mut wide = HananGraph::with_costs(
         6,
         6,
@@ -272,21 +272,21 @@ fn hot_paths_are_allocation_free_in_steady_state() {
     });
     assert_eq!(
         n, 0,
-        "wide-ring route_in allocated {n} times in steady state"
+        "wide-cost route_in allocated {n} times in steady state"
     );
     assert_eq!(
         steady_wide, warm_wide,
-        "steady-state wide-ring result drifted"
+        "steady-state wide-cost result drifted"
     );
     assert!(
         ctx.counters_total().get(Counter::DijkstraBucketScans) - scans_before > 8 * 1024,
-        "the wide-ring routes never walked past one lap of the ring"
+        "the wide-cost routes never walked 1024 keys per route"
     );
 
     // --- route_in on a 40x40x3 paper-cost layout with candidates: dozens
-    // of Prim steps per build, so the resumable frontier's persisted heap
-    // and rings, its per-step wave ring and the folds between them all
-    // reach their high-water marks in the warm-up and stay there. ---
+    // of Prim steps per build, so the resumable frontier's persisted heap,
+    // its key range and its bucket pool reach their high-water marks in
+    // the warm-up and stay there. ---
     let (large, large_cand) = (0u64..)
         .find_map(|seed| {
             let g = oarsmt_geom::gen::CaseGenerator::new(

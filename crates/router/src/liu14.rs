@@ -22,9 +22,13 @@ use crate::spanning::SpanningRouter;
 use crate::tree::RouteTree;
 
 /// The \[16\]-style geometric-reduction router.
+///
+/// The router owns the [`RouteContext`] its reduction build reuses
+/// (DESIGN.md §8), so one router serves one thread; a context never changes
+/// results, only allocation.
 #[derive(Debug, Clone, Default)]
 pub struct Liu14Router {
-    _private: (),
+    ctx: RouteContext,
 }
 
 impl Liu14Router {
@@ -39,16 +43,18 @@ impl Liu14Router {
     /// # Errors
     ///
     /// Same as [`SpanningRouter::route`].
-    pub fn route(&self, graph: &HananGraph) -> Result<RouteTree, RouteError> {
+    pub fn route(&mut self, graph: &HananGraph) -> Result<RouteTree, RouteError> {
         let base = SpanningRouter::new().route(graph)?;
         let implied = base.steiner_vertices(graph, graph.pins());
         if implied.is_empty() {
             return Ok(base);
         }
-        let reduced = OarmstRouter::new().route_in(&mut RouteContext::new(), graph, &implied)?;
+        let reduced = OarmstRouter::new().route_in(&mut self.ctx, graph, &implied)?;
         Ok(if reduced.cost() < base.cost() {
+            self.ctx.recycle_tree(base);
             reduced
         } else {
+            self.ctx.recycle_tree(reduced);
             base
         })
     }
@@ -80,12 +86,13 @@ mod tests {
     #[test]
     fn never_worse_than_spanning_on_random_cases() {
         let mut gen = CaseGenerator::new(GeneratorConfig::tiny(9, 9, 2, (4, 7)), 31);
+        let mut router = Liu14Router::new();
         for g in gen.generate_many(10) {
             let span = match SpanningRouter::new().route(&g) {
                 Ok(t) => t,
                 Err(_) => continue,
             };
-            let liu = Liu14Router::new().route(&g).unwrap();
+            let liu = router.route(&g).unwrap();
             assert!(liu.cost() <= span.cost() + 1e-9);
             assert!(liu.spans_in(&g, g.pins()));
         }

@@ -396,3 +396,47 @@ fn frontier_matches_on_walled_off_candidates_and_pins() {
         }
     }
 }
+
+/// Targets whose distances fall from step to step: the first lies three
+/// wide gaps from the root, each later one a unit gap from the path just
+/// joined. Every later step's path enters at key 0 while the first steps'
+/// entries wait thousands of keys above it (Dial, integer costs far under
+/// the ceiling), and a last pin far across the grid drains them.
+#[test]
+fn frontier_matches_when_later_targets_lie_much_nearer() {
+    let mut ctx = RouteContext::new();
+    let mut g = HananGraph::with_costs(
+        8,
+        4,
+        2,
+        vec![900.0, 1000.0, 1.0, 700.0, 1.0, 1000.0, 3.0],
+        vec![1.0, 950.0, 1.0],
+        5.0,
+    )
+    .unwrap();
+    g.add_obstacle_vertex(GridPoint::new(2, 1, 0)).unwrap();
+    for p in [(0, 0, 0), (3, 0, 0), (3, 1, 0), (4, 1, 0), (7, 3, 1)] {
+        g.add_pin(GridPoint::new(p.0, p.1, p.2)).unwrap();
+    }
+    assert!(g.integer_cost_ceiling().is_some_and(|c| c <= 1000));
+    let cand = [GridPoint::new(5, 1, 0), GridPoint::new(4, 0, 1)];
+    for start in 0..5 {
+        for policy in POLICIES {
+            for margin in [None, Some(0)] {
+                for c in [&[][..], &cand] {
+                    check(
+                        "nearer later targets",
+                        &mut ctx,
+                        &g,
+                        c,
+                        Setup {
+                            margin,
+                            start,
+                            policy,
+                        },
+                    );
+                }
+            }
+        }
+    }
+}

@@ -237,30 +237,30 @@ fn bounded_golden_pins() {
         lines.push(format!("s{seed} lin18 {lin}"));
     }
     let golden = [
-        "s3 m0 409c880000000000 614cf4889a0ebe7 [209, 789, 280] [153, 554, 192]",
-        "s3 m1 409c880000000000 614cf4889a0ebe7 [251, 978, 340] [195, 743, 252]",
-        "s3 m2 409c880000000000 614cf4889a0ebe7 [273, 1082, 372] [217, 847, 284]",
-        "s3 m3 409c880000000000 614cf4889a0ebe7 [273, 1087, 377] [217, 852, 289]",
+        "s3 m0 409c880000000000 614cf4889a0ebe7 [198, 769, 277] [142, 534, 189]",
+        "s3 m1 409c880000000000 614cf4889a0ebe7 [240, 952, 331] [184, 717, 243]",
+        "s3 m2 409c880000000000 614cf4889a0ebe7 [262, 1056, 363] [206, 821, 275]",
+        "s3 m3 409c880000000000 614cf4889a0ebe7 [262, 1061, 368] [206, 826, 280]",
         "s3 lin18 409c880000000000 614cf4889a0ebe7",
-        "s11 m0 40a4d60000000000 3f5a015a5e332c8e [262, 1068, 391] [190, 744, 272]",
-        "s11 m1 40a4d60000000000 3f5a015a5e332c8e [300, 1249, 457] [228, 925, 338]",
-        "s11 m2 40a4d60000000000 3f5a015a5e332c8e [314, 1315, 480] [242, 991, 361]",
-        "s11 m3 40a4d60000000000 3f5a015a5e332c8e [317, 1331, 489] [245, 1007, 370]",
+        "s11 m0 40a4d60000000000 3f5a015a5e332c8e [245, 1029, 379] [173, 705, 260]",
+        "s11 m1 40a4d60000000000 3f5a015a5e332c8e [275, 1177, 435] [203, 853, 316]",
+        "s11 m2 40a4d60000000000 3f5a015a5e332c8e [285, 1225, 452] [213, 901, 333]",
+        "s11 m3 40a4d60000000000 3f5a015a5e332c8e [288, 1237, 457] [216, 913, 338]",
         "s11 lin18 40a4d60000000000 3f5a015a5e332c8e",
-        "s42 m0 40c2f70000000000 d96b5cdeb7cc34f7 [500, 1913, 673] [126, 432, 254]",
-        "s42 m1 40c2f70000000000 d96b5cdeb7cc34f7 [540, 2092, 724] [166, 611, 305]",
-        "s42 m2 40c2f70000000000 d96b5cdeb7cc34f7 [548, 2123, 735] [174, 642, 316]",
-        "s42 m3 40c2f70000000000 d96b5cdeb7cc34f7 [548, 2123, 735] [174, 642, 316]",
+        "s42 m0 40c2f70000000000 d96b5cdeb7cc34f7 [487, 1887, 670] [113, 406, 251]",
+        "s42 m1 40c2f70000000000 d96b5cdeb7cc34f7 [523, 2046, 714] [149, 565, 295]",
+        "s42 m2 40c2f70000000000 d96b5cdeb7cc34f7 [531, 2075, 723] [157, 594, 304]",
+        "s42 m3 40c2f70000000000 d96b5cdeb7cc34f7 [531, 2075, 723] [157, 594, 304]",
         "s42 lin18 40c2f70000000000 d96b5cdeb7cc34f7",
-        "s77 m0 40b4f20000000000 c6a7988c4f945069 [332, 1118, 484] [189, 603, 290]",
-        "s77 m1 40b4f20000000000 c6a7988c4f945069 [416, 1433, 590] [273, 918, 396]",
-        "s77 m2 40b4f20000000000 c6a7988c4f945069 [474, 1662, 662] [331, 1147, 468]",
-        "s77 m3 40b4f20000000000 c6a7988c4f945069 [492, 1744, 685] [349, 1229, 491]",
+        "s77 m0 40b4f20000000000 c6a7988c4f945069 [300, 1046, 472] [157, 531, 278]",
+        "s77 m1 40b4f20000000000 c6a7988c4f945069 [342, 1227, 543] [199, 712, 349]",
+        "s77 m2 40b4f20000000000 c6a7988c4f945069 [367, 1330, 586] [224, 815, 392]",
+        "s77 m3 40b4f20000000000 c6a7988c4f945069 [373, 1356, 595] [230, 841, 401]",
         "s77 lin18 40b4f20000000000 c6a7988c4f945069",
-        "s123 m0 40c3e28000000000 7ccb4230fc561828 [668, 2747, 815] [381, 1552, 540]",
-        "s123 m1 40c3e28000000000 7ccb4230fc561828 [668, 2753, 821] [381, 1558, 546]",
-        "s123 m2 40c3e28000000000 7ccb4230fc561828 [668, 2753, 821] [381, 1558, 546]",
-        "s123 m3 40c3e28000000000 7ccb4230fc561828 [668, 2753, 821] [381, 1558, 546]",
+        "s123 m0 40c3e28000000000 7ccb4230fc561828 [622, 2580, 778] [335, 1385, 503]",
+        "s123 m1 40c3e28000000000 7ccb4230fc561828 [622, 2586, 784] [335, 1391, 509]",
+        "s123 m2 40c3e28000000000 7ccb4230fc561828 [622, 2586, 784] [335, 1391, 509]",
+        "s123 m3 40c3e28000000000 7ccb4230fc561828 [622, 2586, 784] [335, 1391, 509]",
         "s123 lin18 40c3e28000000000 7ccb4230fc561828",
     ];
     assert_eq!(lines, golden, "bounded routing behaviour changed");
@@ -303,16 +303,16 @@ fn dial_counter_golden_pins() {
         }
     }
     let golden = [
-        "s3 None 409c880000000000 614cf4889a0ebe7 [118, 443, 181, 3927]",
-        "s3 Some(1) 409c880000000000 614cf4889a0ebe7 [105, 376, 149, 3889]",
-        "s11 None 40a4d60000000000 3f5a015a5e332c8e [190, 785, 314, 7801]",
-        "s11 Some(1) 40a4d60000000000 3f5a015a5e332c8e [180, 727, 282, 7752]",
-        "s42 None 40c2f70000000000 d96b5cdeb7cc34f7 [344, 1277, 528, 22184]",
-        "s42 Some(1) 40c2f70000000000 d96b5cdeb7cc34f7 [322, 1194, 502, 21930]",
-        "s77 None 40b4f20000000000 c6a7988c4f945069 [175, 611, 276, 7454]",
-        "s77 Some(1) 40b4f20000000000 c6a7988c4f945069 [128, 417, 217, 6128]",
-        "s123 None 40c3e28000000000 7ccb4230fc561828 [638, 2616, 888, 37455]",
-        "s123 Some(1) 40c3e28000000000 7ccb4230fc561828 [638, 2616, 888, 37455]",
+        "s3 None 409c880000000000 614cf4889a0ebe7 [111, 431, 178, 4041]",
+        "s3 Some(1) 409c880000000000 614cf4889a0ebe7 [98, 364, 146, 4041]",
+        "s11 None 40a4d60000000000 3f5a015a5e332c8e [150, 640, 264, 6353]",
+        "s11 Some(1) 40a4d60000000000 3f5a015a5e332c8e [144, 608, 246, 6325]",
+        "s42 None 40c2f70000000000 d96b5cdeb7cc34f7 [299, 1149, 502, 20951]",
+        "s42 Some(1) 40c2f70000000000 d96b5cdeb7cc34f7 [284, 1092, 484, 20899]",
+        "s77 None 40b4f20000000000 c6a7988c4f945069 [110, 387, 222, 4822]",
+        "s77 Some(1) 40b4f20000000000 c6a7988c4f945069 [90, 307, 192, 4819]",
+        "s123 None 40c3e28000000000 7ccb4230fc561828 [582, 2408, 843, 35844]",
+        "s123 Some(1) 40c3e28000000000 7ccb4230fc561828 [582, 2408, 843, 35844]",
     ];
     assert_eq!(lines, golden, "Dial counters changed");
 }

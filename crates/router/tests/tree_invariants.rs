@@ -36,6 +36,7 @@ fn pin(tree: Result<RouteTree, RouteError>) -> String {
 #[test]
 fn spanning_and_liu14_golden_pins() {
     let mut gen = CaseGenerator::new(GeneratorConfig::paper_costs(16, 16, 3, (4, 10)), 0x5EA7);
+    let mut liu = Liu14Router::new();
     let lines: Vec<String> = gen
         .generate_many(8)
         .iter()
@@ -44,7 +45,7 @@ fn spanning_and_liu14_golden_pins() {
             format!(
                 "{i} span {} liu {}",
                 pin(SpanningRouter::new().route(g)),
-                pin(Liu14Router::new().route(g))
+                pin(liu.route(g))
             )
         })
         .collect();

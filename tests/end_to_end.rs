@@ -78,12 +78,13 @@ fn baseline_quality_ordering_holds_on_average() {
     let mut gen = CaseGenerator::new(GeneratorConfig::tiny(10, 10, 2, (5, 8)), 404);
     let (mut span_sum, mut liu_sum, mut lin_sum) = (0.0, 0.0, 0.0);
     let mut n = 0;
+    let (mut liu14, mut lin18) = (Liu14Router::new(), Lin18Router::new());
     for g in gen.generate_many(12) {
         let Ok(span) = SpanningRouter::new().route(&g) else {
             continue;
         };
-        let liu = Liu14Router::new().route(&g).unwrap();
-        let lin = Lin18Router::new().route(&g).unwrap();
+        let liu = liu14.route(&g).unwrap();
+        let lin = lin18.route(&g).unwrap();
         span_sum += span.cost();
         liu_sum += liu.cost();
         lin_sum += lin.cost();

@@ -110,9 +110,10 @@ fn combinatorial_search_emits_priority_ordered_combinations() {
 fn safeguarded_st_to_mst_is_at_most_one() {
     let mut gen = CaseGenerator::new(GeneratorConfig::tiny(8, 8, 2, (4, 6)), 33);
     let mut router = RlRouter::new(UniformSelector::new(0.2));
+    let mut ctx = RouteContext::new();
     for g in gen.generate_many(8) {
         let Ok(out) = router.route(&g) else { continue };
-        let ratio = st_to_mst_ratio(&g, &out.tree).unwrap();
+        let ratio = st_to_mst_ratio(&mut ctx, &g, &out.tree).unwrap();
         assert!(ratio <= 1.0 + 1e-9, "safeguard caps the ratio at 1.0");
     }
 }
