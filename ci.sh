@@ -51,7 +51,7 @@ cargo test --release -q -p oarsmt-lint --features alloc-count --test alloc_sanit
 echo "==> route-context property tests"
 cargo test -q -p oarsmt-router --test context_properties
 
-echo "==> route-tree queries (every router's edges distinct; is_tree/spans_in/steiner_vertices/prune == brute force; [12]/[16] golden trees)"
+echo "==> route-tree queries (every router's edges distinct; is_tree/spans_in/steiner_vertices/prune == brute force; [12]/[16] golden trees in spanning_and_liu14_golden_pins, [14] golden trees in lin18_golden_pins)"
 cargo test -q --test cross_crate_invariants route_tree_queries_match_brute_force
 cargo test -q -p oarsmt-router --test tree_invariants
 
@@ -112,7 +112,7 @@ for seed in 1 3 4; do
     cargo run --release -q -p oarsmt-repro --bin oarsmt -- gen 2 2 1 2 "$seed" > /dev/null
 done
 
-echo "==> trace smoke (flight-record a route, export + verify Chrome trace_event JSON; compare runs the [12]/[16] baselines and exact on the same case)"
+echo "==> trace smoke (flight-record RlRouter routes with the median heuristic and with the committed selector, export + verify Chrome trace_event JSON; compare runs the [12]/[16] baselines and exact on the same case)"
 cargo run --release -q -p oarsmt-repro --bin oarsmt -- \
     gen 8 8 2 4 42 target/trace_case.json > /dev/null
 cargo run --release -q -p oarsmt-repro --bin oarsmt -- \
@@ -121,6 +121,12 @@ cargo run --release -q -p oarsmt-repro --bin oarsmt -- \
     trace target/trace_case.json --out target/trace_smoke.json > /dev/null
 cargo run --release -q -p oarsmt-repro --bin oarsmt -- \
     trace --verify target/trace_smoke.json
+cargo run --release -q -p oarsmt-repro --bin oarsmt -- \
+    trace target/trace_case.json --selector crates/bench/artifacts/selector-v1.bin \
+    --out target/trace_selector_smoke.json > target/trace_selector_summary.txt
+grep -q '^nn_conv_fwd' target/trace_selector_summary.txt
+cargo run --release -q -p oarsmt-repro --bin oarsmt -- \
+    trace --verify target/trace_selector_smoke.json
 
 echo "==> lane trace export (oarsmt_bench critic --trace through the rung contexts, then verify the Chrome JSON)"
 cargo run --release -q -p oarsmt-bench --bin oarsmt_bench -- critic --quick \

@@ -21,7 +21,7 @@ fn main() {
     println!("Table 4: routing cost on public benchmark layouts (via cost 3)\n");
     let mut selector = harness::pretrained_selector();
     let mut router = RlRouter::new(&mut selector);
-    let spanning = SpanningRouter::new();
+    let mut spanning = SpanningRouter::new();
     let mut liu = Liu14Router::new();
     let mut lin = Lin18Router::new();
 

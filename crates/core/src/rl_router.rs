@@ -86,6 +86,13 @@ impl<S: Selector> RlRouter<S> {
         self.ctx.counters_total()
     }
 
+    /// The span recorder every route through this router feeds: the
+    /// selector's U-Net layer spans and the OARMST builds' prepare and
+    /// Dijkstra phases. Arm it to flight-record routes.
+    pub fn spans_mut(&mut self) -> &mut oarsmt_telemetry::SpanRecorder {
+        &mut self.ctx.nn.spans
+    }
+
     /// Routes a layout: one selector inference, top `n − 2` Steiner points,
     /// OARMST construction with pruning, the pins-only safeguard, and
     /// refinement.

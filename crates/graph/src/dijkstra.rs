@@ -719,9 +719,11 @@ impl DijkstraWorkspace {
         Ok(self.labels.path_into(graph, adj, target, out))
     }
 
-    /// Full single-source distances: a heap query that never meets a
-    /// target, read out as the distance to every vertex (`f64::INFINITY`
-    /// where unreachable). `adj` must be built for `graph`.
+    /// Full single-source distances: a query that never meets a target,
+    /// read out into `out` as the distance to every vertex
+    /// (`f64::INFINITY` where unreachable). `out` is caller-owned scratch,
+    /// overwritten with exactly `graph.len()` entries. `adj` must be built
+    /// for `graph`.
     ///
     /// # Errors
     ///
@@ -731,29 +733,30 @@ impl DijkstraWorkspace {
         graph: &HananGraph,
         adj: &GridAdjacency,
         source: GridPoint,
-    ) -> Result<Vec<f64>, GraphError> {
+        out: &mut Vec<f64>,
+    ) -> Result<(), GraphError> {
         match self.search(
             graph,
             adj,
             &[source],
             |_| false,
             None,
-            QueuePolicy::Heap,
+            QueuePolicy::Auto,
             &[],
         ) {
             Ok(_) | Err(GraphError::Unreachable { .. }) => {}
             Err(e) => return Err(e),
         }
         let l = &self.labels;
-        Ok((0..graph.len())
-            .map(|i| {
-                if l.stamp[i] == l.epoch {
-                    l.dist[i]
-                } else {
-                    f64::INFINITY
-                }
-            })
-            .collect())
+        out.clear();
+        out.extend((0..graph.len()).map(|i| {
+            if l.stamp[i] == l.epoch {
+                l.dist[i]
+            } else {
+                f64::INFINITY
+            }
+        }));
+        Ok(())
     }
 
     /// Starts a resumable Prim frontier on `graph` (DESIGN.md §12.5):
@@ -972,7 +975,9 @@ mod tests {
     fn distances(g: &HananGraph, source: GridPoint) -> Result<Vec<f64>, GraphError> {
         let mut adj = GridAdjacency::new();
         adj.ensure(g);
-        DijkstraWorkspace::new().distances_from(g, &adj, source)
+        let mut out = Vec::new();
+        DijkstraWorkspace::new().distances_from(g, &adj, source, &mut out)?;
+        Ok(out)
     }
 
     const OPS: [Counter; 3] = [

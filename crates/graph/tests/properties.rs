@@ -223,8 +223,9 @@ proptest! {
         let c = random_free_point(&g, &mut rng);
         let adj = adjacency(&g);
         let mut ws = DijkstraWorkspace::new();
-        let da = ws.distances_from(&g, &adj, a).unwrap();
-        let db = ws.distances_from(&g, &adj, b).unwrap();
+        let (mut da, mut db) = (Vec::new(), Vec::new());
+        ws.distances_from(&g, &adj, a, &mut da).unwrap();
+        ws.distances_from(&g, &adj, b, &mut db).unwrap();
         let ab = da[g.index(b)];
         let bc = db[g.index(c)];
         let ac = da[g.index(c)];

@@ -3,8 +3,9 @@
 //! `predict_with_fsp_in`, `fsp_into_ws` of the neural and median-heuristic
 //! selectors) perform
 //! **zero** heap allocations in steady state,
-//! and that `search_in` reaches a stable per-call allocation count
-//! (its [`SearchOutcome`] owns freshly allocated label/counter vectors, so
+//! and that `search_in` and the warm \[16\]/\[14\] baselines
+//! (`Liu14Router::route`, `Lin18Router::route`) reach a stable per-call
+//! allocation count (their outputs own freshly allocated vectors, so
 //! zero is not the target there — stability across identical runs is).
 //! It also proves the always-on Tier A telemetry counters advance *inside*
 //! those zero-alloc windows: observability costs no heap traffic.
@@ -27,7 +28,7 @@ use oarsmt::selector::{MedianHeuristicSelector, NeuralSelector, Selector, Unifor
 use oarsmt_geom::{GridPoint, HananGraph};
 use oarsmt_mcts::{AlphaGoMcts, CombinatorialMcts, Critic, MctsConfig};
 use oarsmt_nn::{Lane, NnWorkspace};
-use oarsmt_router::{OarmstRouter, RouteContext};
+use oarsmt_router::{Lin18Router, Liu14Router, OarmstRouter, RouteContext};
 use oarsmt_telemetry::{Counter, Span};
 
 /// Counts every allocation and reallocation made through the global
@@ -522,4 +523,38 @@ fn hot_paths_are_allocation_free_in_steady_state() {
         "counter deltas differ between identical conventional searches"
     );
     assert!(da.get(Counter::MctsRollouts) > 0);
+
+    // --- the [16] and [14] baselines: each router owns its context, so a
+    // warm route on a repeated layout costs the same allocations every
+    // call (the returned tree, the MST edge list and the implied-Steiner
+    // vectors), never a per-call CSR, Dijkstra workspace or distance
+    // vector. ---
+    let layout = oarsmt_geom::gen::CaseGenerator::new(
+        oarsmt_geom::gen::GeneratorConfig::paper_costs(16, 16, 3, (4, 10)),
+        0x5EA7,
+    )
+    .generate_many(4)
+    .swap_remove(3);
+    let mut liu = Liu14Router::new();
+    let mut lin = Lin18Router::new();
+    for _ in 0..2 {
+        liu.route(&layout).unwrap();
+        lin.route(&layout).unwrap();
+    }
+    let (a, first) = allocs_during(|| liu.route(&layout).unwrap());
+    let (b, second) = allocs_during(|| liu.route(&layout).unwrap());
+    eprintln!("warm Liu14Router::route: {a} allocations per call");
+    assert_eq!(
+        a, b,
+        "Liu14Router::route allocation count changed between identical runs ({a} vs {b})"
+    );
+    assert_eq!(first.edges(), second.edges());
+    let (a, first) = allocs_during(|| lin.route(&layout).unwrap());
+    let (b, second) = allocs_during(|| lin.route(&layout).unwrap());
+    eprintln!("warm Lin18Router::route: {a} allocations per call");
+    assert_eq!(
+        a, b,
+        "Lin18Router::route allocation count changed between identical runs ({a} vs {b})"
+    );
+    assert_eq!(first.edges(), second.edges());
 }

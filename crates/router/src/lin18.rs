@@ -91,31 +91,19 @@ impl Lin18Router {
     /// back to an unbounded search before reporting
     /// [`RouteError::Disconnected`].
     pub fn route(&mut self, graph: &HananGraph) -> Result<RouteTree, RouteError> {
-        let k = graph.pins().len();
-        let rounds = self.reassess_rounds(k);
+        let rounds = self.reassess_rounds(graph.pins().len());
         let ctx = &mut self.ctx;
         let mut best = bounded_route_in(ctx, graph, &[])?;
 
-        // Path-assessed retracing: for each pin, rip up its branch (the
-        // degree-≤2 path from the pin to the first branch vertex or other
-        // terminal) and reroute it against the rest of the tree, accepting
-        // improvements. Rounds grow with the pin count, mirroring the
-        // per-path retracing expense of [14].
-        // [14]'s executable runs its full retracing schedule regardless of
-        // intermediate improvement, which is what makes it slow on large
-        // layouts (Table 3); the rounds are therefore not gated.
+        // Path-assessed retracing: each round rips up every pin's branch
+        // (the degree-≤2 path from the pin to the first branch vertex or
+        // other terminal) and reroutes it against the rest of the tree,
+        // accepting improvements — one polish round on the pins. Rounds
+        // grow with the pin count and are not gated on improvement:
+        // [14]'s executable runs its full retracing schedule, which is what
+        // makes it slow on large layouts (Table 3).
         for _ in 0..rounds {
-            for pin_idx in 0..k {
-                if let Some(better) =
-                    crate::retrace::reroute_terminal_in(ctx, graph, &best, graph.pins(), pin_idx)?
-                {
-                    if better.cost() + 1e-9 < best.cost() {
-                        ctx.recycle_tree(std::mem::replace(&mut best, better));
-                    } else {
-                        ctx.recycle_tree(better);
-                    }
-                }
-            }
+            best = crate::retrace::polish_round_in(ctx, graph, best, graph.pins())?.0;
         }
 
         // Implied-Steiner retracing: promote degree>=3 vertices and

@@ -15,7 +15,6 @@ use std::fmt;
 
 use oarsmt_geom::HananGraph;
 
-use crate::context::RouteContext;
 use crate::error::RouteError;
 use crate::oarmst::OarmstRouter;
 use crate::spanning::SpanningRouter;
@@ -23,12 +22,13 @@ use crate::tree::RouteTree;
 
 /// The \[16\]-style geometric-reduction router.
 ///
-/// The router owns the [`RouteContext`] its reduction build reuses
-/// (DESIGN.md §8), so one router serves one thread; a context never changes
-/// results, only allocation.
+/// The router owns one [`SpanningRouter`] and runs its reduction build on
+/// that router's [`RouteContext`](crate::RouteContext) (DESIGN.md §8), so
+/// one router serves one thread; a context never changes results, only
+/// allocation.
 #[derive(Debug, Clone, Default)]
 pub struct Liu14Router {
-    ctx: RouteContext,
+    spanning: SpanningRouter,
 }
 
 impl Liu14Router {
@@ -44,17 +44,18 @@ impl Liu14Router {
     ///
     /// Same as [`SpanningRouter::route`].
     pub fn route(&mut self, graph: &HananGraph) -> Result<RouteTree, RouteError> {
-        let base = SpanningRouter::new().route(graph)?;
+        let base = self.spanning.route(graph)?;
         let implied = base.steiner_vertices(graph, graph.pins());
         if implied.is_empty() {
             return Ok(base);
         }
-        let reduced = OarmstRouter::new().route_in(&mut self.ctx, graph, &implied)?;
+        let ctx = &mut self.spanning.ctx;
+        let reduced = OarmstRouter::new().route_in(ctx, graph, &implied)?;
         Ok(if reduced.cost() < base.cost() {
-            self.ctx.recycle_tree(base);
+            ctx.recycle_tree(base);
             reduced
         } else {
-            self.ctx.recycle_tree(reduced);
+            ctx.recycle_tree(reduced);
             base
         })
     }
@@ -86,9 +87,9 @@ mod tests {
     #[test]
     fn never_worse_than_spanning_on_random_cases() {
         let mut gen = CaseGenerator::new(GeneratorConfig::tiny(9, 9, 2, (4, 7)), 31);
-        let mut router = Liu14Router::new();
+        let (mut router, mut spanning) = (Liu14Router::new(), SpanningRouter::new());
         for g in gen.generate_many(10) {
-            let span = match SpanningRouter::new().route(&g) {
+            let span = match spanning.route(&g) {
                 Ok(t) => t,
                 Err(_) => continue,
             };

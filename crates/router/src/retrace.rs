@@ -12,47 +12,16 @@ use crate::tree::{RouteTree, TreeAdjacency};
 
 /// Rips up `terminal`'s branch — the degree-≤2 chain from the terminal to
 /// the first branch vertex or other terminal — and reroutes the terminal
-/// against the remaining tree. The Dijkstra workspace, stamped sets, and
-/// candidate tree all come from the caller's [`RouteContext`] instead of
-/// per-call allocation.
+/// against the remaining tree under `policy`. `adj` is the caller's
+/// adjacency of `tree` (the polish loop builds it once per accepted tree
+/// instead of once per terminal), and the caller has already run
+/// `ctx.adj.ensure(graph)`, once per round. The Dijkstra workspace,
+/// stamped sets and candidate tree all come from `ctx`.
 ///
 /// Returns `None` when the terminal is an interior vertex (tree degree ≠ 1)
 /// or the stripped tree would be empty; the returned tree is never more
 /// expensive than the input by more than floating-point noise (the reroute
 /// finds a shortest path where the original branch is one candidate).
-///
-/// # Errors
-///
-/// Propagates graph-search failures (cannot normally occur: the original
-/// branch is always a valid route back).
-pub fn reroute_terminal_in(
-    ctx: &mut RouteContext,
-    graph: &HananGraph,
-    tree: &RouteTree,
-    terminals: &[GridPoint],
-    terminal_idx: usize,
-) -> Result<Option<RouteTree>, RouteError> {
-    ctx.adj.ensure(graph);
-    let mut adj = std::mem::take(&mut ctx.tree_adj);
-    adj.rebuild(tree);
-    let result = reroute_with_adj(
-        ctx,
-        graph,
-        tree,
-        &adj,
-        terminals,
-        terminal_idx,
-        QueuePolicy::Auto,
-    );
-    ctx.tree_adj = adj;
-    result
-}
-
-/// [`reroute_terminal_in`] against a caller-supplied adjacency of `tree`
-/// (the polish loop builds it once per accepted tree instead of once per
-/// terminal), under the caller's [`QueuePolicy`]. The caller has already
-/// run `ctx.adj.ensure(graph)`, once per polish round rather than once
-/// per terminal.
 #[allow(clippy::too_many_arguments)]
 fn reroute_with_adj(
     ctx: &mut RouteContext,
@@ -140,7 +109,8 @@ fn reroute_with_adj(
 ///
 /// # Errors
 ///
-/// See [`reroute_terminal_in`].
+/// Propagates graph-search failures (cannot normally occur: each
+/// terminal's original branch is always a valid route back).
 pub fn polish_round_in(
     ctx: &mut RouteContext,
     graph: &HananGraph,
@@ -156,7 +126,7 @@ pub fn polish_round_in(
 ///
 /// # Errors
 ///
-/// See [`reroute_terminal_in`].
+/// See [`polish_round_in`].
 pub fn polish_round_policy_in(
     ctx: &mut RouteContext,
     graph: &HananGraph,
@@ -197,7 +167,7 @@ mod tests {
     use crate::oarmst::OarmstRouter;
 
     #[test]
-    fn reroute_preserves_spanning_and_never_worsens() {
+    fn round_keeps_terminals_spanned_and_never_raises_cost() {
         let mut g = HananGraph::uniform(8, 8, 1, 1.0, 1.0, 3.0);
         for &(h, v) in &[(0, 0), (7, 0), (0, 7), (7, 7), (3, 4)] {
             g.add_pin(GridPoint::new(h, v, 0)).unwrap();
@@ -206,13 +176,11 @@ mod tests {
             .route_in(&mut RouteContext::new(), &g, &[])
             .unwrap();
         let pins = g.pins().to_vec();
-        let mut ctx = RouteContext::new();
-        for idx in 0..pins.len() {
-            if let Some(t) = reroute_terminal_in(&mut ctx, &g, &tree, &pins, idx).unwrap() {
-                assert!(t.spans_in(&g, &pins), "terminal {idx}");
-                assert!(t.cost() <= tree.cost() + 1e-9);
-            }
-        }
+        let (polished, _) =
+            polish_round_in(&mut RouteContext::new(), &g, tree.clone(), &pins).unwrap();
+        assert!(polished.spans_in(&g, &pins));
+        assert!(polished.is_tree());
+        assert!(polished.cost() <= tree.cost() + 1e-9);
     }
 
     #[test]
@@ -235,8 +203,9 @@ mod tests {
     }
 
     #[test]
-    fn interior_terminals_are_skipped() {
-        // A straight 3-pin line: the middle pin has degree 2.
+    fn straight_line_round_keeps_its_edges() {
+        // A straight 3-pin line: the middle pin is interior (degree 2) and
+        // each end pin's branch is already its shortest way back.
         let mut g = HananGraph::uniform(5, 1, 1, 1.0, 1.0, 3.0);
         for h in [0, 2, 4] {
             g.add_pin(GridPoint::new(h, 0, 0)).unwrap();
@@ -245,11 +214,10 @@ mod tests {
             .route_in(&mut RouteContext::new(), &g, &[])
             .unwrap();
         let pins = g.pins().to_vec();
-        // Middle pin (index 1) is interior.
-        assert!(
-            reroute_terminal_in(&mut RouteContext::new(), &g, &tree, &pins, 1)
-                .unwrap()
-                .is_none()
-        );
+        let (polished, improved) =
+            polish_round_in(&mut RouteContext::new(), &g, tree.clone(), &pins).unwrap();
+        assert!(!improved);
+        assert_eq!(polished.edges(), tree.edges());
+        assert_eq!(polished.cost().to_bits(), tree.cost().to_bits());
     }
 }

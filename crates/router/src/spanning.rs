@@ -14,15 +14,29 @@ use std::fmt;
 
 use oarsmt_geom::HananGraph;
 use oarsmt_graph::mst::prim_mst;
-use oarsmt_graph::{DijkstraWorkspace, GridAdjacency, QueuePolicy};
+use oarsmt_graph::QueuePolicy;
 
+use crate::context::RouteContext;
 use crate::error::RouteError;
 use crate::tree::RouteTree;
 
 /// The \[12\]-style spanning-graph router.
+///
+/// The router owns the [`RouteContext`] its maze queries run on
+/// (DESIGN.md §8), plus the distance scratch of its terminal-level MST, so
+/// one router serves one thread; a context never changes results, only
+/// allocation.
 #[derive(Debug, Clone, Default)]
 pub struct SpanningRouter {
-    _private: (),
+    /// Also the context of the \[16\] reduction build that
+    /// [`Liu14Router`](crate::Liu14Router) runs on top of this router.
+    pub(crate) ctx: RouteContext,
+    /// One pin's distances to every grid vertex.
+    dist: Vec<f64>,
+    /// Dense pin-to-pin distance matrix, row-major.
+    pair: Vec<f64>,
+    /// Grid edges placed so far, sorted.
+    placed: Vec<(u32, u32)>,
 }
 
 impl SpanningRouter {
@@ -39,48 +53,46 @@ impl SpanningRouter {
     ///   pins.
     /// * [`RouteError::BlockedTerminal`] / [`RouteError::Disconnected`] on
     ///   blocked or mutually unreachable pins.
-    pub fn route(&self, graph: &HananGraph) -> Result<RouteTree, RouteError> {
+    pub fn route(&mut self, graph: &HananGraph) -> Result<RouteTree, RouteError> {
         let pins = graph.pins();
         let n = pins.len();
         if n < 2 {
             return Err(RouteError::TooFewTerminals(n));
         }
-        let mut adj = GridAdjacency::new();
-        adj.ensure(graph);
-        let mut space = DijkstraWorkspace::new();
+        let ctx = &mut self.ctx;
+        ctx.adj.ensure(graph);
 
         // Dense pairwise obstacle-avoiding distances.
-        let mut dist = vec![0.0f64; n * n];
-        for (i, &p) in pins.iter().enumerate() {
-            let d = space.distances_from(graph, &adj, p)?;
-            for (j, &q) in pins.iter().enumerate() {
-                dist[i * n + j] = d[graph.index(q)];
-            }
+        self.pair.clear();
+        for &p in pins {
+            ctx.space
+                .distances_from(graph, &ctx.adj, p, &mut self.dist)?;
+            self.pair
+                .extend(pins.iter().map(|&q| self.dist[graph.index(q)]));
         }
-        let mst = prim_mst(&dist, n).map_err(RouteError::from)?;
+        let mst = prim_mst(&self.pair, n)?;
 
         // Embed each MST edge with an independent maze route. Routes may
         // overlap: a grid edge is placed once, at its first occurrence.
-        let mut tree = RouteTree::new();
-        let mut placed: Vec<(u32, u32)> = Vec::new();
-        let mut path = Vec::new();
+        let mut tree = ctx.take_tree();
+        self.placed.clear();
         for e in &mst {
             let target = graph.index(pins[e.b]);
-            space.shortest_path_into(
+            ctx.space.shortest_path_into(
                 graph,
-                &adj,
-                &[pins[e.a]],
+                &ctx.adj,
+                &pins[e.a..=e.a],
                 |i| i == target,
                 None,
-                QueuePolicy::Heap,
-                &[],
-                &mut path,
+                QueuePolicy::Auto,
+                &pins[e.b..=e.b],
+                &mut ctx.path_buf,
             )?;
-            for w in path.windows(2) {
+            for w in ctx.path_buf.windows(2) {
                 let (a, b) = (graph.index(w[0]) as u32, graph.index(w[1]) as u32);
                 let key = (a.min(b), a.max(b));
-                if let Err(at) = placed.binary_search(&key) {
-                    placed.insert(at, key);
+                if let Err(at) = self.placed.binary_search(&key) {
+                    self.placed.insert(at, key);
                     tree.add_edge(graph, w[0], w[1]);
                 }
             }

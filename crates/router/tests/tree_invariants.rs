@@ -5,9 +5,12 @@
 //!   on fixed 16×16×3 layouts, where the spanning router's per-MST-edge
 //!   paths overlap and must place each shared grid edge once, at its
 //!   first occurrence.
+//! * The same pins freeze \[14\] (`Lin18Router`) on the same layouts:
+//!   bounded build, ungated polish rounds and implied-Steiner retracing.
 
 use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
-use oarsmt_router::{Liu14Router, RouteError, RouteTree, SpanningRouter};
+use oarsmt_geom::HananGraph;
+use oarsmt_router::{Lin18Router, Liu14Router, RouteError, RouteTree, SpanningRouter};
 
 /// FNV-1a over a tree's edge list (order-sensitive): a compact,
 /// toolchain-stable geometry fingerprint.
@@ -33,12 +36,15 @@ fn pin(tree: Result<RouteTree, RouteError>) -> String {
     }
 }
 
+/// The eight paper-cost 16×16×3 layouts every golden pin routes.
+fn golden_layouts() -> Vec<HananGraph> {
+    CaseGenerator::new(GeneratorConfig::paper_costs(16, 16, 3, (4, 10)), 0x5EA7).generate_many(8)
+}
+
 #[test]
 fn spanning_and_liu14_golden_pins() {
-    let mut gen = CaseGenerator::new(GeneratorConfig::paper_costs(16, 16, 3, (4, 10)), 0x5EA7);
     let mut liu = Liu14Router::new();
-    let lines: Vec<String> = gen
-        .generate_many(8)
+    let lines: Vec<String> = golden_layouts()
         .iter()
         .enumerate()
         .map(|(i, g)| {
@@ -60,4 +66,25 @@ fn spanning_and_liu14_golden_pins() {
         "7 span 41 40cd188000000000 65f4cb9c7cd643f7 liu 41 40cd188000000000 65f4cb9c7cd643f7",
     ];
     assert_eq!(lines, golden, "baseline tree shapes changed");
+}
+
+#[test]
+fn lin18_golden_pins() {
+    let mut lin = Lin18Router::new();
+    let lines: Vec<String> = golden_layouts()
+        .iter()
+        .enumerate()
+        .map(|(i, g)| format!("{i} lin {}", pin(lin.route(g))))
+        .collect();
+    let golden = [
+        "0 lin 49 40d0fc8000000000 4ea5312c5e534056",
+        "1 lin 51 40d5b68000000000 fa5861ee14b78438",
+        "2 lin 21 40bacd0000000000 8f7668c0f0ce7534",
+        "3 lin 37 40ca228000000000 823458b63c966a9c",
+        "4 lin 29 40cd248000000000 36dd6185b3dd8019",
+        "5 lin 22 40c37e8000000000 c5e4844b7ce9c9fb",
+        "6 lin 32 40c3578000000000 28af4f203f86661e",
+        "7 lin 41 40cc8f0000000000 d525e3c207a97fa0",
+    ];
+    assert_eq!(lines, golden, "[14] tree shapes changed");
 }

@@ -6,7 +6,7 @@
 //! oarsmt compare FILE                 run all routers on a case
 //! oarsmt train OUT.bin [STAGES] [--threads N] [--trace FILE] [--run-id ID]
 //!                                     train a selector, save weights
-//! oarsmt trace CASE [--out FILE] [--cap N] [--repeat N]
+//! oarsmt trace CASE [--selector W] [--out FILE] [--cap N] [--repeat N]
 //! oarsmt trace --verify FILE          flight-record a route / check a trace
 //! oarsmt report FILE [FILE2]          render (or diff) telemetry snapshots
 //! oarsmt report RUNDIR [RUNDIR2]      render (or diff) run-metrics streams
@@ -38,7 +38,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use oarsmt::rl_router::RlRouter;
-use oarsmt::selector::{MedianHeuristicSelector, NeuralSelector};
+use oarsmt::selector::{MedianHeuristicSelector, NeuralSelector, Selector};
 use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
 use oarsmt_geom::io::{parse_case, write_case};
 use oarsmt_geom::HananGraph;
@@ -69,7 +69,7 @@ fn main() -> ExitCode {
         _ => {
             let _ = writeln!(
                 io::stderr(),
-                "usage:\n  oarsmt gen H V M PINS SEED [FILE]\n  oarsmt route FILE [--selector WEIGHTS.bin]\n  oarsmt compare FILE\n  oarsmt train OUT.bin [STAGES] [--threads N] [--trace FILE] [--run-id ID]\n  oarsmt trace CASE [--out FILE] [--cap N] [--repeat N]\n  oarsmt trace --verify FILE\n  oarsmt report FILE-or-RUNDIR [FILE2-or-RUNDIR2]\n  oarsmt report --check CURRENT BASELINE [--policy report.toml]\n  oarsmt report --summary DIR [--out FILE]\n\nreport renders the telemetry snapshot embedded in a BENCH_*.json artifact\n(or a raw .jsonl snapshot, or a runs/<id> directory); with two arguments\nit prints a diff. --check exits nonzero when counters drift or wall-clock\nleaves the policy band. trace exports Chrome trace_event JSON\n(chrome://tracing; real timestamps need --features telemetry-timing).\nOARSMT_THREADS=N sets the default worker count."
+                "usage:\n  oarsmt gen H V M PINS SEED [FILE]\n  oarsmt route FILE [--selector WEIGHTS.bin]\n  oarsmt compare FILE\n  oarsmt train OUT.bin [STAGES] [--threads N] [--trace FILE] [--run-id ID]\n  oarsmt trace CASE [--selector WEIGHTS.bin] [--out FILE] [--cap N] [--repeat N]\n  oarsmt trace --verify FILE\n  oarsmt report FILE-or-RUNDIR [FILE2-or-RUNDIR2]\n  oarsmt report --check CURRENT BASELINE [--policy report.toml]\n  oarsmt report --summary DIR [--out FILE]\n\nreport renders the telemetry snapshot embedded in a BENCH_*.json artifact\n(or a raw .jsonl snapshot, or a runs/<id> directory); with two arguments\nit prints a diff. --check exits nonzero when counters drift or wall-clock\nleaves the policy band. trace exports Chrome trace_event JSON\n(chrome://tracing; real timestamps need --features telemetry-timing).\nOARSMT_THREADS=N sets the default worker count."
             );
             return ExitCode::from(2);
         }
@@ -126,15 +126,10 @@ fn cmd_gen(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn cmd_route(args: &[String]) -> CliResult {
-    let path = args.first().ok_or("route expects a case file")?;
-    let graph = load_case(path)?;
-    let weights = args
-        .iter()
-        .position(|a| a == "--selector")
-        .and_then(|i| args.get(i + 1));
-
-    let outcome = match weights {
+/// The selector `route` and `trace` route with: the `--selector` weights
+/// when given, else the median heuristic.
+fn take_selector(args: &mut Vec<String>) -> Result<Box<dyn Selector>, Box<dyn std::error::Error>> {
+    Ok(match take_value_flag(args, "--selector")? {
         Some(w) => {
             let mut selector = NeuralSelector::with_config(UNetConfig {
                 in_channels: 7,
@@ -143,10 +138,18 @@ fn cmd_route(args: &[String]) -> CliResult {
                 seed: 0,
             });
             selector.load(w)?;
-            RlRouter::new(selector).route(&graph)?
+            Box::new(selector)
         }
-        None => RlRouter::new(MedianHeuristicSelector::new()).route(&graph)?,
-    };
+        None => Box::new(MedianHeuristicSelector::new()),
+    })
+}
+
+fn cmd_route(args: &[String]) -> CliResult {
+    let mut args = args.to_vec();
+    let mut selector = take_selector(&mut args)?;
+    let path = args.first().ok_or("route expects a case file")?;
+    let graph = load_case(path)?;
+    let outcome = RlRouter::new(&mut *selector).route(&graph)?;
     println!("{graph}");
     println!("{outcome}");
     let geometry = RouteGeometry::extract(&graph, &outcome.tree);
@@ -291,6 +294,7 @@ fn cmd_trace(args: &[String]) -> CliResult {
         Some(v) => v.parse().map_err(|_| format!("bad --repeat `{v}`"))?,
         None => 3,
     };
+    let mut selector = take_selector(&mut args)?;
     let path = args.first().ok_or("trace expects a case file")?;
     let graph = load_case(path)?;
 
@@ -300,14 +304,12 @@ fn cmd_trace(args: &[String]) -> CliResult {
              recorded but every timestamp is zero"
         );
     }
-    let router = oarsmt_router::OarmstRouter::new();
-    let mut ctx = oarsmt_router::RouteContext::new();
-    ctx.nn.spans.arm(cap);
+    let mut router = RlRouter::new(&mut *selector);
+    router.spans_mut().arm(cap);
     for _ in 0..repeat.max(1) {
-        let tree = router.route_in(&mut ctx, &graph, &[])?;
-        ctx.recycle_tree(tree);
+        router.route(&graph)?;
     }
-    let rec = &ctx.nn.spans;
+    let rec = router.spans_mut();
     let events = rec.events_in_order();
     print!("{}", tracing::render_summary(&tracing::summarize(&events)));
     if rec.dropped() > 0 {

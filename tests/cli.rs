@@ -1,5 +1,6 @@
 //! Exit statuses of the `oarsmt` binary: with its stderr a closed pipe, and
-//! on generator configurations that are congested or cannot fit their pins.
+//! on generator configurations that are congested or cannot fit their pins;
+//! and which spans `oarsmt trace` records for each selector.
 
 use std::process::Command;
 
@@ -52,4 +53,30 @@ fn gen_redraws_congested_grids_and_rejects_unfittable_pins() {
         err.contains("2 pins do not fit on a grid of 1 vertices"),
         "{err}"
     );
+}
+
+#[test]
+fn trace_routes_through_the_rl_router_with_the_chosen_selector() {
+    let oarsmt = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_oarsmt"))
+            .args(args)
+            .output()
+            .expect("spawn oarsmt");
+        assert_eq!(out.status.code(), Some(0), "oarsmt {args:?}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let case = format!("{}/trace_case.txt", env!("CARGO_TARGET_TMPDIR"));
+    oarsmt(&["gen", "8", "8", "2", "4", "42", &case]);
+    let weights = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/bench/artifacts/selector-v1.bin"
+    );
+    // The median heuristic runs no network; the selector's U-Net layers
+    // land in the same ring as the routing phases.
+    let median = oarsmt(&["trace", &case]);
+    assert!(median.contains("route_dijkstra"), "{median}");
+    assert!(!median.contains("nn_conv_fwd"), "{median}");
+    let neural = oarsmt(&["trace", &case, "--selector", weights]);
+    assert!(neural.contains("route_dijkstra"), "{neural}");
+    assert!(neural.contains("nn_conv_fwd"), "{neural}");
 }
