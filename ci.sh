@@ -55,18 +55,23 @@ echo "==> route-tree queries (every router's edges distinct; is_tree/spans_in/st
 cargo test -q --test cross_crate_invariants route_tree_queries_match_brute_force
 cargo test -q -p oarsmt-router --test tree_invariants
 
-echo "==> queue-policy equivalence (key-indexed Dial queue == (key, index) heap oracle under push/bounded-pop/rewind; Auto == heap oracle trees bit for bit incl. bounded; exact op counts polish-free, no more pops with A* polish; golden pins)"
+echo "==> queue-policy equivalence (key-indexed Dial queue == (key, index) heap oracle under push/bounded-pop/rewind; Auto == heap oracle trees bit for bit incl. bounded, no more pops; a layout and its x8 DBU scaling (Dial A* vs heap A*) equal in every op count; golden pins)"
 cargo test -q -p oarsmt-graph --test properties bucket_queue_matches_heap_oracle
 cargo test -q -p oarsmt-router --test queue_equivalence
 
-echo "==> resumable Prim frontier equivalence (persisted-frontier builds, each step stopping at its own target == fresh-search-per-step reference)"
+echo "==> resumable Prim frontier equivalence (persisted A* frontier builds, each step stopping at its own target == fresh-search-per-step reference)"
 cargo test -q -p oarsmt-router --test prim_frontier
+
+echo "==> Prim A* bound (open-terminal L1 transform == brute force and <= obstacle-aware distance; bound refreshed mid-pass with a walled-off terminal; costs near the 2^32 ceiling)"
+cargo test -q -p oarsmt-graph --lib open_bound_is_the_l1_transform_and_admissible
+cargo test -q -p oarsmt-router --test prim_frontier frontier_matches_when_the_bound_refreshes_mid_pass
+cargo test -q -p oarsmt-router --test prim_frontier frontier_matches_near_the_integer_cost_ceiling
 
 echo "==> batched fit-path equivalence (B in {4,16} == per-sample B=1 passes of the same kernel, bit for bit, at nn/rl levels)"
 cargo test -q -p oarsmt-nn batch
 cargo test -q -p oarsmt-rl --test batch_equivalence
 
-echo "==> oarsmt_bench dijkstra smoke (quick mode, asserts heap/Auto checksum identity, Auto pops <= heap, polish-free op-count identity)"
+echo "==> oarsmt_bench dijkstra smoke (quick mode, asserts heap/Auto checksum identity and Auto pops <= heap, with polish and polish-free)"
 cargo run --release -q -p oarsmt-bench --bin oarsmt_bench -- dijkstra --quick \
     --out target/BENCH_dijkstra_smoke.json
 
@@ -125,6 +130,7 @@ cargo run --release -q -p oarsmt-repro --bin oarsmt -- \
     trace target/trace_case.json --selector crates/bench/artifacts/selector-v1.bin \
     --out target/trace_selector_smoke.json > target/trace_selector_summary.txt
 grep -q '^nn_conv_fwd' target/trace_selector_summary.txt
+grep -q '^route_retrace' target/trace_selector_summary.txt
 cargo run --release -q -p oarsmt-repro --bin oarsmt -- \
     trace --verify target/trace_selector_smoke.json
 

@@ -1,9 +1,9 @@
 //! `oarsmt_bench dijkstra`: the router-core queue-policy micro-bench —
 //! the binary heap (oracle) vs `QueuePolicy::Auto` on the Table 1 ladder
-//! rungs. `Auto` runs the Prim builds on the Dial bucket queue (every
-//! ladder layout's integer cost ceiling is far below
-//! `DIAL_MAX_EDGE_COST`) and the single-target polish reroutes as A*; its
-//! labels and JSON keys keep the `dial` name.
+//! rungs. `Auto` runs the Prim builds as A* on the Dial bucket queue
+//! (every ladder layout's integer cost ceiling is far below
+//! `DIAL_MAX_EDGE_COST`) and the single-target polish reroutes as A* on
+//! the heap; its labels and JSON keys keep the `dial` name.
 //!
 //! Every rung routes the same deterministic layout sequence through one
 //! [`OarmstRouter`] per [`QueuePolicy`], timing the full OARMST
@@ -15,10 +15,9 @@
 //! Checked invariants (DESIGN.md §12), each fatal:
 //!
 //! * heap and `Auto` per-rung cost checksums match **bit-identically**,
-//!   and `Auto` pops no more than the heap (A* settles a subset);
-//! * on a polish-free arm (`with_polish_rounds(0)`, so `Auto` is Dial
-//!   throughout) the checksums and the pops/relaxations/pushes op
-//!   counters are exactly equal.
+//!   and `Auto` pops no more than the heap;
+//! * the same on a polish-free arm (`with_polish_rounds(0)`: Prim builds
+//!   alone).
 //!
 //! Emits a `BENCH_dijkstra.json` artifact with per-rung wall-clock,
 //! speedups, op-count deltas, and an embedded telemetry snapshot.
@@ -166,28 +165,25 @@ fn run_lane(run: &mut Run) -> Result<Output, String> {
             "{}: Auto popped {dial_pops} > heap {heap_pops}",
             spec.name
         );
-        // Polish-free arm: Dial alone, so every op count is the heap's.
+        // Polish-free arm: the Prim builds alone.
         let build = |policy| router(policy).with_polish_rounds(0);
         let heap0 = run_policy(spec, &build(QueuePolicy::Heap), layouts_per_rung, 1, None);
         let dial0 = run_policy(spec, &build(QueuePolicy::Auto), layouts_per_rung, 1, None);
         assert_eq!(
             heap0.checksum.to_bits(),
             dial0.checksum.to_bits(),
-            "{}: polish-free Dial diverged from the heap oracle",
+            "{}: polish-free Auto diverged from the heap oracle",
             spec.name
         );
-        for c in [
-            Counter::DijkstraPops,
-            Counter::DijkstraRelaxations,
-            Counter::DijkstraPushes,
-        ] {
-            assert_eq!(
-                heap0.counters.get(c),
-                dial0.counters.get(c),
-                "{}: {c:?} op count diverged between heap and Dial",
-                spec.name
-            );
-        }
+        let (heap0_pops, dial0_pops) = (
+            heap0.counters.get(Counter::DijkstraPops),
+            dial0.counters.get(Counter::DijkstraPops),
+        );
+        assert!(
+            dial0_pops <= heap0_pops,
+            "{}: polish-free Auto popped {dial0_pops} > heap {heap0_pops}",
+            spec.name
+        );
 
         let pop_save = 1.0 - dial_pops as f64 / heap_pops.max(1) as f64;
         table.row([

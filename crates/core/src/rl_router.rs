@@ -5,6 +5,7 @@ use std::time::{Duration, Instant};
 
 use oarsmt_geom::{GridPoint, HananGraph};
 use oarsmt_router::{OarmstRouter, RouteContext, RouteTree};
+use oarsmt_telemetry::Span;
 
 use crate::error::CoreError;
 use crate::selector::Selector;
@@ -152,12 +153,12 @@ impl<S: Selector> RlRouter<S> {
             let mut terminals: Vec<GridPoint> = graph.pins().to_vec();
             terminals.extend(tree.steiner_vertices(graph, graph.pins()));
             for _ in 0..8 {
-                let (polished, improved) = oarsmt_router::retrace::polish_round_in(
-                    &mut self.ctx,
-                    graph,
-                    tree,
-                    &terminals,
-                )?;
+                let spans = &mut self.ctx.nn.spans;
+                let span = spans.begin(Span::RouteRetrace, spans.now());
+                let round =
+                    oarsmt_router::retrace::polish_round_in(&mut self.ctx, graph, tree, &terminals);
+                self.ctx.nn.spans.end(span, self.ctx.nn.spans.now());
+                let (polished, improved) = round?;
                 tree = polished;
                 if !improved {
                     break;

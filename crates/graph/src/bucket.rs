@@ -19,15 +19,16 @@
 //!
 //! The cursor moves forward as entries pop, and a push must lie at or
 //! above it. [`BucketQueue::rewind`] moves it back to key 0: a resumable
-//! Prim step (DESIGN.md §12.5) seeds its newly joined path at key 0 while
-//! older entries wait at keys up to the farthest target plus the cost
-//! ceiling.
+//! Prim step (DESIGN.md §12.5) keys its frontier by A*'s `f = g + h` and
+//! seeds its newly joined path at keys `h`, below entries that wait from
+//! earlier steps; the key range reaches the largest `f` pushed.
 //!
 //! Pop order is part of the repo's determinism contract (DESIGN.md §12):
 //! entries pop in ascending `(key, vertex index)` order, exactly the binary
 //! heap's. A key's bucket is sorted when the cursor opens it. Dijkstra with
-//! edge costs `≥ 1` never pushes to the open key; a push that does makes
-//! the next pop sort the key's live entries again.
+//! edge costs `≥ 1` never pushes to the open key, but A* does whenever an
+//! edge's cost equals the drop in `h` along it; such a push makes the next
+//! pop sort the key's live entries again.
 //!
 //! A pop takes an exclusive key bound and leaves the queue untouched when
 //! its least key is not below it, which is how a Prim step stops at its

@@ -17,20 +17,23 @@
 //! [`DijkstraWorkspace::prim_step`] and
 //! [`DijkstraWorkspace::prim_path_into`] per step, which resume the same
 //! relaxation loop and return exactly what a fresh query from the whole
-//! tree would (DESIGN.md §12.5). A step pops only while the least queued
-//! key lies below the best open terminal's label; everything above it
-//! waits for later steps.
+//! tree would (DESIGN.md §12.5). Under `Auto` a step is A*: the frontier
+//! keys by the label plus an L1 distance transform to the open terminals,
+//! recomputed each time the open set halves, and a step pops while the
+//! least key lies at or below the best open terminal's label; everything
+//! above it waits for later steps.
 //!
 //! The loop is generic over its frontier, chosen per query by a
-//! [`QueuePolicy`]: the binary heap (the retained oracle) or `Auto`, which
-//! takes A* on the heap for a query with a target hint and Dial's
-//! key-indexed bucket queue otherwise, whenever the cost model is
-//! integer. The loop asks its goal when to stop: a fixed bound and a
-//! target test for a one-shot query, the falling best open label for a
-//! Prim step. Every query reads its path out with one canonical walk (the
-//! least `(distance, index)` predecessor), so `Auto` returns the oracle's
-//! path bit for bit; A* only settles fewer vertices. The search-order and
-//! tie-break contract is specified in DESIGN.md §12.
+//! [`QueuePolicy`]: the binary heap (the retained oracle, plain Dijkstra)
+//! or `Auto`, which on an integer cost model takes A* for a query with a
+//! target hint (on the heap) and for every Prim step (on Dial's key-indexed
+//! bucket queue up to its ceiling, on the heap past it), and plain Dial for
+//! a query without a hint. The loop asks its goal when to stop: a fixed
+//! bound and a target test for a one-shot query, the falling best open
+//! label for a Prim step. Every query reads its path out with one canonical
+//! walk (the least `(distance, index)` predecessor), so `Auto` returns the
+//! oracle's path bit for bit; A* only settles fewer vertices. The
+//! search-order and tie-break contract is specified in DESIGN.md §12.
 //!
 //! ```
 //! use oarsmt_geom::{GridPoint, HananGraph};
@@ -50,11 +53,13 @@
 //! # Ok::<(), oarsmt_graph::GraphError>(())
 //! ```
 
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
+use std::iter;
 
-use oarsmt_geom::{GridPoint, HananGraph};
+use oarsmt_geom::{GridPoint, HananGraph, VertexKind};
 use oarsmt_telemetry::{Counter, CounterSet};
 
 use crate::bucket::BucketQueue;
@@ -161,11 +166,12 @@ const ASTAR_MAX_PATH_COST: f64 = (1u64 << 53) as f64;
 /// for a query with a target hint, when every path cost is an exact
 /// `f64` integer ([`HananGraph::path_cost_bound`] below 2⁵³), and Dial's
 /// bucket queue for a query without one, when the ceiling is at most
-/// [`DIAL_MAX_EDGE_COST`]. Otherwise it takes the heap. Paths, costs and
-/// trees are bit-identical to `Heap` either way: Dial pops in exactly the
-/// heap's `(cost, vertex index)` order, and A* settles every vertex on
-/// every shortest path before the canonical read-out walks it
-/// (DESIGN.md §12.3–§12.4). The heap stays available as the oracle the
+/// [`DIAL_MAX_EDGE_COST`]. A Prim step takes A* wherever a hinted query
+/// would, on Dial's queue up to the ceiling. Otherwise it takes the heap.
+/// Paths, costs and trees are bit-identical to `Heap` either way: Dial
+/// pops in exactly the heap's `(cost, vertex index)` order, and A* settles
+/// every vertex on every shortest path before the canonical read-out walks
+/// it (DESIGN.md §12.3–§12.5). The heap stays available as the oracle the
 /// equivalence property tests and benches compare against.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum QueuePolicy {
@@ -288,13 +294,26 @@ impl RectilinearBound {
 
 /// The priority queue behind one query. `push` takes the tentative
 /// distance `g`; a frontier that orders by something else (A*'s
-/// `g + h`) derives its key itself, and `below` is then a bound on that
-/// key. `pop` yields vertices in `(key, index)` order, stale duplicates
-/// included — the relaxation loop skips those — and stops at the first key
-/// not below `below`, leaving it queued.
+/// `g + h`) derives its key itself. `pop` yields vertices in
+/// `(key, index)` order, stale duplicates included — the relaxation loop
+/// skips those — and stops at the first key past `bound`, leaving it
+/// queued: a key not below it for a plain frontier, a key above it for A*,
+/// which must pop its ties at the bound.
 trait Frontier {
     fn push(&mut self, g: f64, idx: u32);
-    fn pop(&mut self, below: f64) -> Option<u32>;
+    fn pop(&mut self, bound: f64) -> Option<u32>;
+}
+
+impl<Q: Frontier + ?Sized> Frontier for &mut Q {
+    #[inline]
+    fn push(&mut self, g: f64, idx: u32) {
+        (**self).push(g, idx);
+    }
+
+    #[inline]
+    fn pop(&mut self, bound: f64) -> Option<u32> {
+        (**self).pop(bound)
+    }
 }
 
 /// The binary heap keyed by `g`: the oracle.
@@ -314,8 +333,9 @@ impl Frontier for BinaryHeap<Entry> {
     }
 }
 
-/// Dial's bucket queue keyed by the integer `g`, counting the keys its
-/// cursor advances. Its bounds are labels or infinity, so integers too.
+/// Dial's bucket queue keyed by the integer `g` (or A*'s integer `f`),
+/// counting the keys its cursor advances. Its bounds are integers or
+/// infinity.
 struct Dial<'a> {
     queue: &'a mut BucketQueue,
     scans: u64,
@@ -336,38 +356,122 @@ impl Frontier for Dial<'_> {
     }
 }
 
-/// The binary heap keyed by `f = g + h`; one `graph.point` per push pays
-/// for the `h` evaluation. Every key at or below the target's is an exact
-/// integer-valued `f64` (path costs stay below 2⁵³), so the settled labels
-/// are the oracle's bit for bit.
-struct AStar<'a> {
-    heap: &'a mut BinaryHeap<Entry>,
-    bound: &'a RectilinearBound,
-    graph: &'a HananGraph,
+/// A frontier keyed by `f = g + h` for a consistent lower bound `h` on the
+/// distance to the goal: a one-shot query's [`RectilinearBound`]
+/// (DESIGN.md §12.4) on the heap, or a Prim step's [`OpenBound`] (§12.5)
+/// on the heap or Dial's queue. Every key at or below a label is an exact
+/// integer `f64` (path costs stay below 2⁵³), so popping the ties at
+/// `bound` is the inner frontier popping below `bound + 1`.
+struct AStar<Q, H> {
+    inner: Q,
+    h: H,
 }
 
-impl Frontier for AStar<'_> {
+impl<Q: Frontier, H: Fn(usize) -> u64> Frontier for AStar<Q, H> {
     #[inline]
     fn push(&mut self, g: f64, idx: u32) {
-        let h = self.bound.eval(self.graph.point(idx as usize));
-        self.heap.push(Entry {
-            cost: g + h as f64,
-            idx,
-        });
+        self.inner.push(g + (self.h)(idx as usize) as f64, idx);
     }
 
     #[inline]
-    fn pop(&mut self, below: f64) -> Option<u32> {
-        Frontier::pop(&mut *self.heap, below)
+    fn pop(&mut self, bound: f64) -> Option<u32> {
+        self.inner.pop(bound + 1.0)
+    }
+}
+
+/// A Prim step's A* lower bound (DESIGN.md §12.5): per `(h, v)` column,
+/// the prefix-space L1 distance to the nearest terminal of the open set
+/// it was last transformed for. Vias are dropped, so every layer of a
+/// column shares one value. A grid step pays at least the prefix-space
+/// step it moves, so the bound is admissible and consistent for that set
+/// and for every subset of it.
+#[derive(Debug, Clone, Default)]
+struct OpenBound {
+    /// The bound per column `h · V + v`.
+    plane: Vec<u64>,
+    /// The vertical gap costs as integers.
+    gaps: Vec<u64>,
+    /// `⌈2⁶⁴ / M⌉` for the graph's `M` layers: vertex `i` lies in column
+    /// `i · magic >> 64`, exactly `i / M` since `i · M < 2⁶⁴`.
+    magic: u128,
+}
+
+impl OpenBound {
+    /// Recomputes the bound for the terminals `open` (vertex indices; zero
+    /// everywhere for an empty set) by a separable distance transform over
+    /// the `H × V` plane: a sweep each way along every column carries each
+    /// terminal's 0 down and up it, then a sweep each way along `h`
+    /// carries the columns across, one contiguous block of `V` against
+    /// the next.
+    fn transform(&mut self, graph: &HananGraph, open: &[u32]) {
+        // Far above any distance and far enough below `u64::MAX` that
+        // adding one gap cannot wrap.
+        const FAR: u64 = u64::MAX / 2;
+        let (cols, rows, layers) = graph.dims();
+        self.magic = (1u128 << 64).div_ceil(layers as u128);
+        if self.plane.len() < cols * rows {
+            // lint: alloc-ok(grow-once: the plane grows to the largest grid a workspace has built on, inside its first Prim step there; later transforms overwrite it in place)
+            self.plane.resize(cols * rows, 0);
+        }
+        let plane = &mut self.plane[..cols * rows];
+        if open.is_empty() {
+            plane.fill(0);
+            return;
+        }
+        self.gaps.clear();
+        // lint: alloc-ok(grow-once: one entry per row gap, capacity kept across transforms)
+        self.gaps.extend(graph.y_costs().iter().map(|&c| c as u64));
+        plane.fill(FAR);
+        for &t in open {
+            plane[t as usize / layers] = 0;
+        }
+        for col in plane.chunks_exact_mut(rows) {
+            let mut run = FAR;
+            for (c, &g) in col.iter_mut().zip(iter::once(&0).chain(&self.gaps)) {
+                run = (run + g).min(*c);
+                *c = run;
+            }
+            run = FAR;
+            for (c, &g) in col
+                .iter_mut()
+                .rev()
+                .zip(iter::once(&0).chain(self.gaps.iter().rev()))
+            {
+                run = (run + g).min(*c);
+                *c = run;
+            }
+        }
+        let x_gaps = graph.x_costs();
+        for h in 1..cols {
+            let (done, rest) = plane.split_at_mut(h * rows);
+            let gap = x_gaps[h - 1] as u64;
+            for (c, &p) in rest[..rows].iter_mut().zip(&done[(h - 1) * rows..]) {
+                *c = (*c).min(p + gap);
+            }
+        }
+        for h in (0..cols - 1).rev() {
+            let (head, tail) = plane.split_at_mut((h + 1) * rows);
+            let gap = x_gaps[h] as u64;
+            for (c, &q) in head[h * rows..].iter_mut().zip(&tail[..rows]) {
+                *c = (*c).min(q + gap);
+            }
+        }
+    }
+
+    /// The bound at vertex `idx`, read from its plane column.
+    #[inline]
+    fn at(&self, idx: usize) -> u64 {
+        self.plane[((idx as u128 * self.magic) >> 64) as usize]
     }
 }
 
 /// When the relaxation loop stops: it pops while the least key lies below
-/// `best.0` and returns the first settled vertex `is_target` accepts. A
-/// relaxation that lowers a vertex `is_open` accepts to a label `d` with
-/// `(d, index)` below `best` makes it the new best, which is how a Prim
-/// step tracks its nearest open terminal (DESIGN.md §12.5). A one-shot
-/// query opens nothing, so its bound stays fixed.
+/// `best.0` (at or below it under A*) and returns the first settled vertex
+/// `is_target` accepts. A relaxation that lowers a vertex `is_open`
+/// accepts to a label `d` with `(d, index)` below `best` makes it the new
+/// best, which is how a Prim step tracks its nearest open terminal
+/// (DESIGN.md §12.5). A one-shot query opens nothing, so its bound stays
+/// fixed.
 struct Goal<T, O> {
     is_target: T,
     is_open: O,
@@ -482,9 +586,9 @@ impl Labels {
     /// One step of the resumable Prim frontier (DESIGN.md §12.5): seeds
     /// `joined` at distance 0, takes the best open terminal — the least
     /// `(label, index)` over `open` — and settles while the least queued
-    /// key lies below its label, lowering it as relaxations lower open
-    /// labels. Returns that terminal, `None` when no open terminal has a
-    /// label.
+    /// key lies below its label (at or below it under A*), lowering it as
+    /// relaxations lower open labels. Returns that terminal, `None` when no
+    /// open terminal has a label.
     #[allow(clippy::too_many_arguments)]
     fn prim_step<Q: Frontier, F: Fn(usize) -> bool>(
         &mut self,
@@ -539,12 +643,12 @@ impl Labels {
         }
     }
 
-    /// The relaxation loop: pops while the least key lies below the goal's
-    /// bound and returns the first settled vertex the goal accepts,
-    /// relaxing the CSR neighbors `admits` lets through. One stale rule
-    /// for every frontier: a popped vertex that is already `done` is a
-    /// duplicate (for the heap this is exactly its `cost > dist` skip,
-    /// DESIGN.md §12.3).
+    /// The relaxation loop: pops while the frontier admits its least key
+    /// under the goal's bound and returns the first settled vertex the
+    /// goal accepts, relaxing the CSR neighbors `admits` lets through. One
+    /// stale rule for every frontier: a popped vertex that is already
+    /// `done` is a duplicate (for the heap this is exactly its
+    /// `cost > dist` skip, DESIGN.md §12.3).
     #[inline]
     fn settle<Q: Frontier, W: Fn(usize) -> bool, T: Fn(usize) -> bool, O: Fn(usize) -> bool>(
         &mut self,
@@ -633,9 +737,14 @@ impl Labels {
 /// [`DijkstraWorkspace::prim_step`] calls.
 #[derive(Debug, Clone, Copy, Default)]
 struct PrimState {
-    /// The frontier [`DijkstraWorkspace::prim_begin`] resolved (never
-    /// A*: a Prim step has no target hint).
+    /// The queue [`DijkstraWorkspace::prim_begin`] resolved: Dial's or
+    /// the heap.
     queue: ResolvedQueue,
+    /// Whether the frontier keys by A*'s `f` with the [`OpenBound`].
+    astar: bool,
+    /// How many open terminals the bound was last transformed for; 0
+    /// before the first transform of the build.
+    covered: usize,
     /// The label epoch the frontier was started in (debug check that no
     /// other query ran in between).
     epoch: u32,
@@ -658,8 +767,10 @@ pub struct DijkstraWorkspace {
     /// frontier alike.
     bucket: BucketQueue,
     prim: PrimState,
-    /// The A* lower bound, rebuilt per A* query.
+    /// The one-shot A* lower bound, rebuilt per A* query.
     bound: RectilinearBound,
+    /// The Prim steps' A* lower bound, transformed as the open set halves.
+    open_bound: OpenBound,
     /// Tier A telemetry: settled pops, relaxation attempts, queue pushes
     /// and Dial cursor key advances ([`Counter::DijkstraPops`] and
     /// friends). Monotone across queries; owners read deltas (see
@@ -719,27 +830,34 @@ impl DijkstraWorkspace {
         Ok(self.labels.path_into(graph, adj, target, out))
     }
 
-    /// Full single-source distances: a query that never meets a target,
-    /// read out into `out` as the distance to every vertex
-    /// (`f64::INFINITY` where unreachable). `out` is caller-owned scratch,
-    /// overwritten with exactly `graph.len()` entries. `adj` must be built
-    /// for `graph`.
+    /// Distances from `source` to every pin of `graph`, appended to `out`
+    /// as one row in [`HananGraph::pins`] order (`f64::INFINITY` where
+    /// unreachable). The query stops once it has settled every pin, so
+    /// it settles no farther than the farthest reachable one. `adj` must
+    /// be built for `graph`.
     ///
     /// # Errors
     ///
     /// [`GraphError::BlockedSource`] if the source vertex is blocked.
-    pub fn distances_from(
+    pub fn pin_distances_from(
         &mut self,
         graph: &HananGraph,
         adj: &GridAdjacency,
         source: GridPoint,
         out: &mut Vec<f64>,
     ) -> Result<(), GraphError> {
+        let left = Cell::new(graph.pins().len());
+        let last_pin = |i| {
+            graph.kind_at(i) == VertexKind::Pin && {
+                left.set(left.get() - 1);
+                left.get() == 0
+            }
+        };
         match self.search(
             graph,
             adj,
             &[source],
-            |_| false,
+            last_pin,
             None,
             QueuePolicy::Auto,
             &[],
@@ -748,9 +866,9 @@ impl DijkstraWorkspace {
             Err(e) => return Err(e),
         }
         let l = &self.labels;
-        out.clear();
-        out.extend((0..graph.len()).map(|i| {
-            if l.stamp[i] == l.epoch {
+        out.extend(graph.pins().iter().map(|&p| {
+            let i = graph.index(p);
+            if l.done[i] == l.epoch {
                 l.dist[i]
             } else {
                 f64::INFINITY
@@ -762,9 +880,11 @@ impl DijkstraWorkspace {
     /// Starts a resumable Prim frontier on `graph` (DESIGN.md §12.5):
     /// forgets every label and queued entry. [`Self::prim_step`] then
     /// grows it one Prim step at a time; any other query on this workspace
-    /// ends it. A Prim step has no target hint, so `Auto` takes Dial or
-    /// the heap, never A*, and `Auto` and `Heap` frontiers stay
-    /// bit-identical, op counters included.
+    /// ends it. Where a hinted query would take A*, `Auto` keys the
+    /// frontier by `g` plus an L1 distance transform to the open
+    /// terminals, on Dial's queue up to its ceiling and on the heap past
+    /// it; `Heap` stays plain Dijkstra. The trees are bit-identical either
+    /// way.
     pub fn prim_begin(&mut self, graph: &HananGraph, policy: QueuePolicy) {
         self.labels.prepare(graph.len());
         let queue = policy.resolve(graph, false);
@@ -774,6 +894,8 @@ impl DijkstraWorkspace {
         }
         self.prim = PrimState {
             queue,
+            astar: policy.resolve(graph, true) == ResolvedQueue::AStar,
+            covered: 0,
             epoch: self.labels.epoch,
         };
     }
@@ -791,9 +913,13 @@ impl DijkstraWorkspace {
     /// * `bounds` restricts expansion like it does for
     ///   [`Self::shortest_path_into`]; pass the same window on every step.
     ///
+    /// * `open` must be a subset of the previous step's: the A* bound is
+    ///   transformed for an earlier open set and refreshed only once the
+    ///   set has halved since.
+    ///
     /// Labels persist across steps and only strict improvements are
     /// pushed, so a step settles only what the new path brings closer,
-    /// and only below its own target's label; entries above it wait for
+    /// and only up to its own target's key; entries above it wait for
     /// later steps. Follow with [`Self::prim_path_into`].
     #[allow(clippy::too_many_arguments)]
     pub fn prim_step<F: Fn(usize) -> bool>(
@@ -814,22 +940,39 @@ impl DijkstraWorkspace {
             heap,
             bucket,
             prim,
+            open_bound,
             counters,
             ..
         } = self;
-        match prim.queue {
-            ResolvedQueue::Dial => {
-                // The joined path enters at key 0, below the waiting keys.
+        if prim.astar && (prim.covered == 0 || (!open.is_empty() && 2 * open.len() <= prim.covered))
+        {
+            open_bound.transform(graph, open);
+            prim.covered = open.len();
+        }
+        let h = |i| open_bound.at(i);
+        match (prim.queue, prim.astar) {
+            (ResolvedQueue::Dial, astar) => {
+                debug_assert!(astar, "a Dial-eligible graph is A*-eligible");
+                // The joined path enters below the waiting keys.
                 bucket.rewind();
-                let mut dial = Dial {
-                    queue: bucket,
-                    scans: 0,
+                let mut dial = AStar {
+                    inner: Dial {
+                        queue: bucket,
+                        scans: 0,
+                    },
+                    h,
                 };
                 let target = labels.prim_step(
                     graph, adj, joined, bounds, open, is_open, &mut dial, counters,
                 );
-                counters.add(Counter::DijkstraBucketScans, dial.scans);
+                counters.add(Counter::DijkstraBucketScans, dial.inner.scans);
                 target
+            }
+            (_, true) => {
+                let mut astar = AStar { inner: heap, h };
+                labels.prim_step(
+                    graph, adj, joined, bounds, open, is_open, &mut astar, counters,
+                )
             }
             _ => labels.prim_step(graph, adj, joined, bounds, open, is_open, heap, counters),
         }
@@ -838,9 +981,9 @@ impl DijkstraWorkspace {
     /// Writes the path from the tree to the `target` that
     /// [`Self::prim_step`] returned into `out` (cleared first, tree end
     /// first) and returns its cost. This is the read-out every query
-    /// uses: every vertex below the target's label is settled at its exact
-    /// distance, so the path is the one a fresh search from the whole tree
-    /// returns (DESIGN.md §12.5).
+    /// uses: every vertex on a shortest path to the target is settled at
+    /// its exact distance, so the path is the one a fresh search from the
+    /// whole tree returns (DESIGN.md §12.5).
     pub fn prim_path_into(
         &self,
         graph: &HananGraph,
@@ -898,14 +1041,17 @@ impl DijkstraWorkspace {
             ResolvedQueue::AStar => {
                 heap.clear();
                 bound.prepare(graph, targets);
-                let mut astar = AStar { heap, bound, graph };
+                let mut astar = AStar {
+                    inner: heap,
+                    h: |i| bound.eval(graph.point(i)),
+                };
                 let first = labels.search(
                     graph, adj, sources, &is_target, bounds, &mut astar, counters,
                 )?;
                 let mut exhaust = Goal {
                     is_target: |_| false,
                     is_open: |_| false,
-                    best: (labels.dist[first].next_up(), u32::MAX),
+                    best: (labels.dist[first], u32::MAX),
                 };
                 labels.settle_within(graph, adj, &mut astar, bounds, &mut exhaust, counters);
                 let l = &*labels;
@@ -972,11 +1118,11 @@ mod tests {
         )
     }
 
-    fn distances(g: &HananGraph, source: GridPoint) -> Result<Vec<f64>, GraphError> {
+    fn pin_distances(g: &HananGraph, source: GridPoint) -> Result<Vec<f64>, GraphError> {
         let mut adj = GridAdjacency::new();
         adj.ensure(g);
         let mut out = Vec::new();
-        DijkstraWorkspace::new().distances_from(g, &adj, source, &mut out)?;
+        DijkstraWorkspace::new().pin_distances_from(g, &adj, source, &mut out)?;
         Ok(out)
     }
 
@@ -1051,7 +1197,7 @@ mod tests {
         let err = path(&g, GridPoint::new(0, 0, 0), GridPoint::new(2, 2, 0)).unwrap_err();
         assert_eq!(err, GraphError::BlockedSource(GridPoint::new(0, 0, 0)));
         assert_eq!(
-            distances(&g, GridPoint::new(0, 0, 0)).unwrap_err(),
+            pin_distances(&g, GridPoint::new(0, 0, 0)).unwrap_err(),
             GraphError::BlockedSource(GridPoint::new(0, 0, 0))
         );
     }
@@ -1092,17 +1238,39 @@ mod tests {
         let mut g = open_grid(6, 6, 2);
         g.add_obstacle_vertex(GridPoint::new(2, 2, 0)).unwrap();
         g.add_obstacle_vertex(GridPoint::new(3, 2, 0)).unwrap();
-        let src = GridPoint::new(0, 0, 0);
-        let dist = distances(&g, src).unwrap();
-        for idx in (0..g.len()).step_by(7) {
-            let p = g.point(idx);
-            if g.is_blocked(p) {
-                assert!(dist[idx].is_infinite());
-                continue;
-            }
-            let (cost, _) = path(&g, src, p).unwrap();
-            assert!((dist[idx] - cost).abs() < 1e-9, "distance mismatch at {p}");
+        // (5, 5, 1) is walled off by its three neighbours.
+        for p in [(4, 5, 1), (5, 4, 1), (5, 5, 0)] {
+            g.add_obstacle_vertex(GridPoint::new(p.0, p.1, p.2))
+                .unwrap();
         }
+        for p in [(0, 0, 0), (3, 3, 1), (5, 0, 0), (1, 5, 1), (5, 5, 1)] {
+            g.add_pin(GridPoint::new(p.0, p.1, p.2)).unwrap();
+        }
+        let src = GridPoint::new(2, 3, 0);
+        let dist = pin_distances(&g, src).unwrap();
+        assert_eq!(dist.len(), g.pins().len());
+        assert!(dist[4].is_infinite(), "the walled-off pin");
+        for (&p, &d) in g.pins()[..4].iter().zip(&dist) {
+            let (cost, _) = path(&g, src, p).unwrap();
+            assert_eq!(d, cost, "distance mismatch at {p}");
+        }
+    }
+
+    /// The pin query stops at its farthest pin: it settles the near pins
+    /// without draining the grid.
+    #[test]
+    fn pin_distances_stop_at_the_last_pin() {
+        let mut g = open_grid(20, 20, 1);
+        g.add_pin(GridPoint::new(0, 0, 0)).unwrap();
+        g.add_pin(GridPoint::new(2, 1, 0)).unwrap();
+        let mut adj = GridAdjacency::new();
+        adj.ensure(&g);
+        let mut ws = DijkstraWorkspace::new();
+        let mut out = vec![7.0];
+        ws.pin_distances_from(&g, &adj, GridPoint::new(0, 0, 0), &mut out)
+            .unwrap();
+        assert_eq!(out, vec![7.0, 0.0, 3.0], "appends one row");
+        assert!(ws.counters.get(Counter::DijkstraPops) < 20);
     }
 
     #[test]
@@ -1424,6 +1592,76 @@ mod tests {
             assert_eq!(QueuePolicy::Heap.resolve(&g, true), ResolvedQueue::Heap);
             // Without a hint the ceiling is far past Dial's: the heap.
             assert_eq!(QueuePolicy::Auto.resolve(&g, false), ResolvedQueue::Heap);
+        }
+    }
+
+    /// The Prim steps' bound is exactly the brute-force prefix-space L1
+    /// distance to the nearest open terminal, layers dropped, and never
+    /// exceeds the obstacle-aware distance to it — on random 1–4-layer
+    /// grids with non-uniform gaps, and again after the open set shrinks.
+    #[test]
+    fn open_bound_is_the_l1_transform_and_admissible() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let mut bound = OpenBound::default();
+        let mut ws = DijkstraWorkspace::new();
+        for round in 0..24 {
+            let (h, v, m) = (2 + next(7), 2 + next(7), 1 + round % 4);
+            let xs: Vec<f64> = (1..h).map(|_| (1 + next(40)) as f64).collect();
+            let ys: Vec<f64> = (1..v).map(|_| (1 + next(40)) as f64).collect();
+            let mut g = HananGraph::with_costs(h, v, m, xs, ys, 3.0).unwrap();
+            for _ in 0..next(h * v * m / 3 + 1) {
+                let p = GridPoint::new(next(h), next(v), next(m));
+                let _ = g.add_obstacle_vertex(p);
+            }
+            let mut open: Vec<u32> = (0..1 + next(5))
+                .map(|_| next(g.len()))
+                .filter(|&i| !g.is_blocked(g.point(i)))
+                .map(|i| i as u32)
+                .collect();
+            open.dedup();
+            let mut adj = GridAdjacency::new();
+            adj.ensure(&g);
+            let prefix = |costs: &[f64], i: usize| costs[..i].iter().sum::<f64>() as u64;
+            while !open.is_empty() {
+                bound.transform(&g, &open);
+                let targets: Vec<GridPoint> = open.iter().map(|&t| g.point(t as usize)).collect();
+                for idx in 0..g.len() {
+                    let p = g.point(idx);
+                    let brute = targets
+                        .iter()
+                        .map(|t| {
+                            prefix(g.x_costs(), p.h).abs_diff(prefix(g.x_costs(), t.h))
+                                + prefix(g.y_costs(), p.v).abs_diff(prefix(g.y_costs(), t.v))
+                        })
+                        .min()
+                        .unwrap();
+                    assert_eq!(bound.at(idx), brute, "round {round} at {p}");
+                    if g.is_blocked(p) {
+                        continue;
+                    }
+                    let mut path = Vec::new();
+                    let d = ws.shortest_path_into(
+                        &g,
+                        &adj,
+                        &[p],
+                        |i| open.contains(&(i as u32)),
+                        None,
+                        QueuePolicy::Heap,
+                        &[],
+                        &mut path,
+                    );
+                    if let Ok(d) = d {
+                        assert!(bound.at(idx) as f64 <= d, "round {round} at {p}");
+                    }
+                }
+                open.pop();
+            }
         }
     }
 

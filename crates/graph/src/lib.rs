@@ -15,7 +15,8 @@
 //!   predecessor) serves every query, so `Auto` returns the heap's paths
 //!   bit for bit (DESIGN.md §12). An OARMST build resumes one search
 //!   across its Prim steps instead ([`DijkstraWorkspace::prim_step`],
-//!   §12.5), each step stopping at its own target,
+//!   §12.5), an A\* search under `Auto` toward the nearest open terminal,
+//!   each step stopping at its own target,
 //! * [`bucket`] — the key-indexed bucket queue behind the Dial frontier:
 //!   one occupancy bit and one slot per key, pooled bucket storage, and a
 //!   cursor a Prim step rewinds to key 0,

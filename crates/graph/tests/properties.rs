@@ -217,20 +217,23 @@ proptest! {
     #[test]
     fn dijkstra_distances_satisfy_triangle_inequality(seed in 0u64..800) {
         let g = random_case(seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 99);
-        let a = random_free_point(&g, &mut rng);
-        let b = random_free_point(&g, &mut rng);
-        let c = random_free_point(&g, &mut rng);
         let adj = adjacency(&g);
         let mut ws = DijkstraWorkspace::new();
-        let (mut da, mut db) = (Vec::new(), Vec::new());
-        ws.distances_from(&g, &adj, a, &mut da).unwrap();
-        ws.distances_from(&g, &adj, b, &mut db).unwrap();
-        let ab = da[g.index(b)];
-        let bc = db[g.index(c)];
-        let ac = da[g.index(c)];
-        if ab.is_finite() && bc.is_finite() {
-            prop_assert!(ac <= ab + bc + 1e-9);
+        let mut d = Vec::new();
+        for &p in g.pins() {
+            ws.pin_distances_from(&g, &adj, p, &mut d).unwrap();
+        }
+        let n = g.pins().len();
+        for a in 0..n {
+            for b in 0..n {
+                prop_assert_eq!(d[a * n + b].to_bits(), d[b * n + a].to_bits());
+                for c in 0..n {
+                    let (ab, bc, ac) = (d[a * n + b], d[b * n + c], d[a * n + c]);
+                    if ab.is_finite() && bc.is_finite() {
+                        prop_assert!(ac <= ab + bc);
+                    }
+                }
+            }
         }
     }
 

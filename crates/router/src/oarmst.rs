@@ -34,10 +34,11 @@ use crate::tree::RouteTree;
 ///   remaining terminals expanded by the margin (used by the \[14\]
 ///   baseline; `None` searches the whole grid),
 /// * `queue_policy` — the [`QueuePolicy`] every maze query runs under.
-///   The default `Auto` runs Prim builds on Dial's bucket queue and the
-///   single-target polish reroutes as A*, on integer cost models,
-///   bit-identical to the heap either way (DESIGN.md §12.3–§12.4);
-///   `QueuePolicy::Heap` forces the oracle.
+///   The default `Auto` runs Prim builds as A* toward the open terminals
+///   on Dial's bucket queue (the heap past its ceiling) and the
+///   single-target polish reroutes as A* on the heap, on integer cost
+///   models, bit-identical to the heap oracle either way (DESIGN.md
+///   §12.4–§12.5); `QueuePolicy::Heap` forces the oracle.
 #[derive(Debug, Clone)]
 pub struct OarmstRouter {
     max_prune_rounds: Option<usize>,

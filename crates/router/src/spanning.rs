@@ -23,16 +23,14 @@ use crate::tree::RouteTree;
 /// The \[12\]-style spanning-graph router.
 ///
 /// The router owns the [`RouteContext`] its maze queries run on
-/// (DESIGN.md §8), plus the distance scratch of its terminal-level MST, so
-/// one router serves one thread; a context never changes results, only
-/// allocation.
+/// (DESIGN.md §8), plus the pin distance matrix of its terminal-level
+/// MST, so one router serves one thread; a context never changes results,
+/// only allocation.
 #[derive(Debug, Clone, Default)]
 pub struct SpanningRouter {
     /// Also the context of the \[16\] reduction build that
     /// [`Liu14Router`](crate::Liu14Router) runs on top of this router.
     pub(crate) ctx: RouteContext,
-    /// One pin's distances to every grid vertex.
-    dist: Vec<f64>,
     /// Dense pin-to-pin distance matrix, row-major.
     pair: Vec<f64>,
     /// Grid edges placed so far, sorted.
@@ -62,13 +60,11 @@ impl SpanningRouter {
         let ctx = &mut self.ctx;
         ctx.adj.ensure(graph);
 
-        // Dense pairwise obstacle-avoiding distances.
+        // Dense pairwise obstacle-avoiding distances, one row per pin.
         self.pair.clear();
         for &p in pins {
             ctx.space
-                .distances_from(graph, &ctx.adj, p, &mut self.dist)?;
-            self.pair
-                .extend(pins.iter().map(|&q| self.dist[graph.index(q)]));
+                .pin_distances_from(graph, &ctx.adj, p, &mut self.pair)?;
         }
         let mst = prim_mst(&self.pair, n)?;
 

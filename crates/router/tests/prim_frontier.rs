@@ -440,3 +440,99 @@ fn frontier_matches_when_later_targets_lie_much_nearer() {
         }
     }
 }
+
+/// Many terminals, so the A* bound to the open set (DESIGN.md §12.5) is
+/// transformed again mid-pass each time the open set halves (12 open, then
+/// at 6, 3 and 1), while a walled-off candidate stays open to the end and
+/// the last step drains the frontier. Gap costs vary, so the prefix-space
+/// bound is not a plain grid distance.
+#[test]
+fn frontier_matches_when_the_bound_refreshes_mid_pass() {
+    let mut ctx = RouteContext::new();
+    let mut g = HananGraph::with_costs(
+        10,
+        9,
+        2,
+        vec![3.0, 40.0, 1.0, 7.0, 2.0, 90.0, 1.0, 5.0, 12.0],
+        vec![6.0, 1.0, 30.0, 2.0, 2.0, 8.0, 1.0, 4.0],
+        5.0,
+    )
+    .unwrap();
+    // (9, 8, 1) is walled off on both layers.
+    for p in [(8, 8, 0), (8, 8, 1), (9, 7, 0), (9, 7, 1), (9, 8, 0)] {
+        g.add_obstacle_vertex(GridPoint::new(p.0, p.1, p.2))
+            .unwrap();
+    }
+    for p in [(4, 2, 0), (4, 3, 0), (4, 4, 1), (5, 4, 1)] {
+        g.add_obstacle_vertex(GridPoint::new(p.0, p.1, p.2))
+            .unwrap();
+    }
+    let pins = [
+        (0, 0, 0),
+        (9, 0, 1),
+        (0, 8, 1),
+        (5, 5, 0),
+        (2, 6, 0),
+        (7, 2, 1),
+        (3, 1, 0),
+        (8, 5, 0),
+        (1, 3, 1),
+        (6, 7, 0),
+    ];
+    for p in pins {
+        g.add_pin(GridPoint::new(p.0, p.1, p.2)).unwrap();
+    }
+    let cand = [
+        GridPoint::new(9, 8, 1),
+        GridPoint::new(4, 6, 0),
+        GridPoint::new(2, 2, 1),
+    ];
+    for start in 0..4 {
+        for policy in POLICIES {
+            for margin in [None, Some(0), Some(2)] {
+                check(
+                    "refreshed bound",
+                    &mut ctx,
+                    &g,
+                    &cand,
+                    Setup {
+                        margin,
+                        start,
+                        policy,
+                    },
+                );
+            }
+        }
+    }
+}
+
+/// Gap costs near the 2³² integer ceiling: path costs stay below 2⁵³, so
+/// `Auto` still keys its Prim builds by A*, on the heap, with keys far
+/// past 2³²; the trees are the plain searches' bit for bit.
+#[test]
+fn frontier_matches_near_the_integer_cost_ceiling() {
+    let mut ctx = RouteContext::new();
+    let top = (1u64 << 32) as f64;
+    let base = CaseGenerator::new(GeneratorConfig::paper_costs(7, 6, 2, (3, 6)), 5).generate();
+    let g = with_mapped_costs(&base, |c| top - 1000.0 + c);
+    assert!(g.integer_cost_ceiling().is_some_and(|c| c <= 1 << 32));
+    let mut rng = StdRng::seed_from_u64(0x2032);
+    let cand = random_candidates(&g, &mut rng, 5);
+    for start in 0..3 {
+        for policy in POLICIES {
+            for margin in [None, Some(1)] {
+                check(
+                    "near 2^32",
+                    &mut ctx,
+                    &g,
+                    &cand,
+                    Setup {
+                        margin,
+                        start,
+                        policy,
+                    },
+                );
+            }
+        }
+    }
+}

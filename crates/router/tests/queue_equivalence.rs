@@ -4,12 +4,13 @@
 //!   same cost bits, same edge list, same pruned Steiner set — across
 //!   random layouts, random candidate sets, and bounded-exploration
 //!   margins. On the paper's bounded-integer cost models its Prim builds
-//!   take the Dial bucket queue and its single-target polish reroutes take
-//!   A* with the canonical read-out (§12.4).
-//! * Op counters: a polish-free route (`with_polish_rounds(0)`) runs only
-//!   Dial and matches the oracle's pops/relaxations/pushes exactly
-//!   (§12.3); a full route pops no more than the oracle, since A* settles
-//!   a subset of what the heap settles.
+//!   take A* keyed by the open-terminal bound on the Dial bucket queue
+//!   (§12.5) and its single-target polish reroutes take A* on the heap
+//!   (§12.4), each with the canonical read-out.
+//! * Op counters: `Auto` pops no more than the oracle, polish or not.
+//!   Exact equality needs no oracle: a layout and its ×8 DBU scaling run
+//!   the same A* keys ×8, on Dial's queue and on the heap, so they match
+//!   in every op count.
 //! * On cost models that are not integer, `Auto` falls back to the heap
 //!   (zero bucket scans) and stays identical trivially.
 //! * Golden pins freeze bounded-exploration routing (cost bits, edge
@@ -20,7 +21,8 @@
 //! reference in `prim_frontier.rs`.
 
 use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
-use oarsmt_geom::{GridPoint, HananGraph};
+use oarsmt_geom::{GridPoint, HananGraph, VertexKind};
+use oarsmt_graph::DIAL_MAX_EDGE_COST;
 use oarsmt_router::{Lin18Router, OarmstRouter, QueuePolicy, RouteContext, RouteError, RouteTree};
 use oarsmt_telemetry::{Counter, CounterSet};
 use proptest::prelude::*;
@@ -83,8 +85,7 @@ fn route(
 }
 
 /// `Auto` against the heap oracle under `router`'s settings: identical
-/// trees always; on a polish-free route identical pops/relaxations/pushes
-/// and a Dial frontier, on a full route no more pops than the oracle.
+/// trees, no more pops, and a Dial frontier on a polish-free route.
 fn assert_auto_matches_heap(
     router: OarmstRouter,
     graph: &HananGraph,
@@ -97,17 +98,11 @@ fn assert_auto_matches_heap(
         let (auto, da) = route(&r.with_queue_policy(QueuePolicy::Auto), graph, cand);
         assert_identical(graph, &oracle, &auto, &format!("{label} polish {polish}"));
         assert_eq!(dh.get(Counter::DijkstraBucketScans), 0, "{label}");
-        if polish == 0 {
-            for c in OPS {
-                assert_eq!(dh.get(c), da.get(c), "{label}: {c:?} diverged");
-            }
-            if oracle.is_ok() {
-                assert!(da.get(Counter::DijkstraBucketScans) > 0, "{label}: no Dial");
-            }
-        } else {
-            let (ph, pa) = (dh.get(Counter::DijkstraPops), da.get(Counter::DijkstraPops));
-            assert!(pa <= ph, "{label}: Auto popped {pa} > oracle {ph}");
+        if polish == 0 && oracle.is_ok() {
+            assert!(da.get(Counter::DijkstraBucketScans) > 0, "{label}: no Dial");
         }
+        let (ph, pa) = (dh.get(Counter::DijkstraPops), da.get(Counter::DijkstraPops));
+        assert!(pa <= ph, "{label}: Auto popped {pa} > oracle {ph}");
     }
 }
 
@@ -115,8 +110,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The acceptance property: `Auto` ≡ heap oracle bit for bit on
-    /// random paper-cost layouts; op counts equal on polish-free routes,
-    /// pops no greater on full ones.
+    /// random paper-cost layouts, with no more pops.
     #[test]
     fn auto_routes_bit_identically_to_heap_oracle(seed in 0u64..500) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD1A1);
@@ -153,6 +147,67 @@ proptest! {
         let cand = random_candidates(&g, &mut rng);
         let router = OarmstRouter::new().with_bounds_margin(margin);
         assert_auto_matches_heap(router, &g, &cand, "bounded auto vs heap");
+    }
+}
+
+/// The same layout with every cost ×8 (the DBU scaling of `route_dbu`).
+fn scaled_x8(g: &HananGraph) -> HananGraph {
+    let (h, v, m) = g.dims();
+    let x8 = |c: &[f64]| c.iter().map(|&c| 8.0 * c).collect();
+    let mut out = HananGraph::with_costs(
+        h,
+        v,
+        m,
+        x8(g.x_costs()),
+        x8(g.y_costs()),
+        8.0 * g.via_cost(),
+    )
+    .unwrap();
+    for i in 0..g.len() {
+        if g.kind_at(i) == VertexKind::Obstacle {
+            out.add_obstacle_vertex(g.point(i)).unwrap();
+        }
+    }
+    for &p in g.pins() {
+        out.add_pin(p).unwrap();
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The exact op-count identity that needs no oracle: a layout and its
+    /// ×8 scaling key every A* entry ×8 (`g` and both bounds scale), so
+    /// the Prim builds on Dial's queue and on the heap (past the ceiling)
+    /// pop the same `(key, index)` sequence. Same edges, the cost ×8 bit
+    /// for bit, and equal pops, relaxations and pushes, polish or not.
+    #[test]
+    fn dbu_scaling_keeps_every_op_count(seed in 0u64..500) {
+        let g = random_case(seed);
+        let big = scaled_x8(&g);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xDB08);
+        let cand = random_candidates(&g, &mut rng);
+        for polish in [0, 1] {
+            let router = OarmstRouter::new().with_polish_rounds(polish);
+            let (a, da) = route(&router, &g, &cand);
+            let (b, db) = route(&router, &big, &cand);
+            let label = format!("seed {seed} polish {polish}");
+            match (&a, &b) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert_eq!((8.0 * a.cost()).to_bits(), b.cost().to_bits(), "{}", label);
+                    prop_assert_eq!(a.edges(), b.edges(), "{}", label);
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(a, b, "{}", label),
+                (a, b) => panic!("{label}: {a:?} but scaled {b:?}"),
+            }
+            for c in OPS {
+                prop_assert_eq!(da.get(c), db.get(c), "{}: {:?}", label, c);
+            }
+            if big.integer_cost_ceiling().is_some_and(|c| c > DIAL_MAX_EDGE_COST) {
+                prop_assert_eq!(db.get(Counter::DijkstraBucketScans), 0, "{}", label);
+            }
+        }
     }
 }
 
@@ -197,9 +252,9 @@ fn edge_hash(tree: &RouteTree) -> u64 {
 /// Golden pins for bounded-exploration routing: tree cost bits, an
 /// edge-list hash, and the Dijkstra op-count deltas of
 /// `with_bounds_margin(0..=3)` routes under `Heap` and under `Auto` (whose
-/// trees must agree; its A* polish pops less), plus [14]'s `Lin18Router`,
-/// whose sweep starts bounded. Any change to how bounded maze queries
-/// expand shows up here.
+/// trees must agree; its A* builds and polish pop less), plus [14]'s
+/// `Lin18Router`, whose sweep starts bounded. Any change to how bounded
+/// maze queries expand shows up here.
 #[test]
 fn bounded_golden_pins() {
     let mut lines = Vec::new();
@@ -237,37 +292,37 @@ fn bounded_golden_pins() {
         lines.push(format!("s{seed} lin18 {lin}"));
     }
     let golden = [
-        "s3 m0 409c880000000000 614cf4889a0ebe7 [198, 769, 277] [142, 534, 189]",
-        "s3 m1 409c880000000000 614cf4889a0ebe7 [240, 952, 331] [184, 717, 243]",
-        "s3 m2 409c880000000000 614cf4889a0ebe7 [262, 1056, 363] [206, 821, 275]",
-        "s3 m3 409c880000000000 614cf4889a0ebe7 [262, 1061, 368] [206, 826, 280]",
+        "s3 m0 409c880000000000 614cf4889a0ebe7 [198, 769, 277] [79, 299, 157]",
+        "s3 m1 409c880000000000 614cf4889a0ebe7 [240, 952, 331] [81, 328, 180]",
+        "s3 m2 409c880000000000 614cf4889a0ebe7 [262, 1056, 363] [81, 329, 181]",
+        "s3 m3 409c880000000000 614cf4889a0ebe7 [262, 1061, 368] [81, 329, 181]",
         "s3 lin18 409c880000000000 614cf4889a0ebe7",
-        "s11 m0 40a4d60000000000 3f5a015a5e332c8e [245, 1029, 379] [173, 705, 260]",
-        "s11 m1 40a4d60000000000 3f5a015a5e332c8e [275, 1177, 435] [203, 853, 316]",
-        "s11 m2 40a4d60000000000 3f5a015a5e332c8e [285, 1225, 452] [213, 901, 333]",
-        "s11 m3 40a4d60000000000 3f5a015a5e332c8e [288, 1237, 457] [216, 913, 338]",
+        "s11 m0 40a4d60000000000 3f5a015a5e332c8e [245, 1029, 379] [108, 435, 214]",
+        "s11 m1 40a4d60000000000 3f5a015a5e332c8e [275, 1177, 435] [114, 480, 241]",
+        "s11 m2 40a4d60000000000 3f5a015a5e332c8e [285, 1225, 452] [114, 480, 241]",
+        "s11 m3 40a4d60000000000 3f5a015a5e332c8e [288, 1237, 457] [114, 480, 241]",
         "s11 lin18 40a4d60000000000 3f5a015a5e332c8e",
-        "s42 m0 40c2f70000000000 d96b5cdeb7cc34f7 [487, 1887, 670] [113, 406, 251]",
-        "s42 m1 40c2f70000000000 d96b5cdeb7cc34f7 [523, 2046, 714] [149, 565, 295]",
-        "s42 m2 40c2f70000000000 d96b5cdeb7cc34f7 [531, 2075, 723] [157, 594, 304]",
-        "s42 m3 40c2f70000000000 d96b5cdeb7cc34f7 [531, 2075, 723] [157, 594, 304]",
+        "s42 m0 40c2f70000000000 d96b5cdeb7cc34f7 [487, 1887, 670] [80, 281, 235]",
+        "s42 m1 40c2f70000000000 d96b5cdeb7cc34f7 [523, 2046, 714] [88, 324, 258]",
+        "s42 m2 40c2f70000000000 d96b5cdeb7cc34f7 [531, 2075, 723] [92, 340, 265]",
+        "s42 m3 40c2f70000000000 d96b5cdeb7cc34f7 [531, 2075, 723] [92, 340, 265]",
         "s42 lin18 40c2f70000000000 d96b5cdeb7cc34f7",
-        "s77 m0 40b4f20000000000 c6a7988c4f945069 [300, 1046, 472] [157, 531, 278]",
-        "s77 m1 40b4f20000000000 c6a7988c4f945069 [342, 1227, 543] [199, 712, 349]",
-        "s77 m2 40b4f20000000000 c6a7988c4f945069 [367, 1330, 586] [224, 815, 392]",
-        "s77 m3 40b4f20000000000 c6a7988c4f945069 [373, 1356, 595] [230, 841, 401]",
+        "s77 m0 40b4f20000000000 c6a7988c4f945069 [300, 1046, 472] [116, 385, 254]",
+        "s77 m1 40b4f20000000000 c6a7988c4f945069 [342, 1227, 543] [122, 441, 295]",
+        "s77 m2 40b4f20000000000 c6a7988c4f945069 [367, 1330, 586] [123, 450, 301]",
+        "s77 m3 40b4f20000000000 c6a7988c4f945069 [373, 1356, 595] [123, 451, 302]",
         "s77 lin18 40b4f20000000000 c6a7988c4f945069",
-        "s123 m0 40c3e28000000000 7ccb4230fc561828 [622, 2580, 778] [335, 1385, 503]",
-        "s123 m1 40c3e28000000000 7ccb4230fc561828 [622, 2586, 784] [335, 1391, 509]",
-        "s123 m2 40c3e28000000000 7ccb4230fc561828 [622, 2586, 784] [335, 1391, 509]",
-        "s123 m3 40c3e28000000000 7ccb4230fc561828 [622, 2586, 784] [335, 1391, 509]",
+        "s123 m0 40c3e28000000000 7ccb4230fc561828 [622, 2580, 778] [180, 737, 397]",
+        "s123 m1 40c3e28000000000 7ccb4230fc561828 [622, 2586, 784] [180, 740, 400]",
+        "s123 m2 40c3e28000000000 7ccb4230fc561828 [622, 2586, 784] [180, 740, 400]",
+        "s123 m3 40c3e28000000000 7ccb4230fc561828 [622, 2586, 784] [180, 740, 400]",
         "s123 lin18 40c3e28000000000 7ccb4230fc561828",
     ];
     assert_eq!(lines, golden, "bounded routing behaviour changed");
 }
 
 /// Golden pins for the default lane's counters: every op count of an
-/// `Auto` route (Dial builds, A* polish) on fixed seeds,
+/// `Auto` route (A* builds on Dial's queue, A* polish) on fixed seeds,
 /// `dijkstra_bucket_scans` included, plus the cost bits and edge hash,
 /// unbounded and at margin 1. The scan count is the number of keys the
 /// bucket cursor walked (DESIGN.md §12.3), so it is a property of the pop
@@ -303,16 +358,16 @@ fn dial_counter_golden_pins() {
         }
     }
     let golden = [
-        "s3 None 409c880000000000 614cf4889a0ebe7 [111, 431, 178, 4041]",
-        "s3 Some(1) 409c880000000000 614cf4889a0ebe7 [98, 364, 146, 4041]",
-        "s11 None 40a4d60000000000 3f5a015a5e332c8e [150, 640, 264, 6353]",
-        "s11 Some(1) 40a4d60000000000 3f5a015a5e332c8e [144, 608, 246, 6325]",
-        "s42 None 40c2f70000000000 d96b5cdeb7cc34f7 [299, 1149, 502, 20951]",
-        "s42 Some(1) 40c2f70000000000 d96b5cdeb7cc34f7 [284, 1092, 484, 20899]",
-        "s77 None 40b4f20000000000 c6a7988c4f945069 [110, 387, 222, 4822]",
-        "s77 Some(1) 40b4f20000000000 c6a7988c4f945069 [90, 307, 192, 4819]",
-        "s123 None 40c3e28000000000 7ccb4230fc561828 [582, 2408, 843, 35844]",
-        "s123 Some(1) 40c3e28000000000 7ccb4230fc561828 [582, 2408, 843, 35844]",
+        "s3 None 409c880000000000 614cf4889a0ebe7 [50, 192, 118, 4234]",
+        "s3 Some(1) 409c880000000000 614cf4889a0ebe7 [50, 191, 117, 4234]",
+        "s11 None 40a4d60000000000 3f5a015a5e332c8e [87, 354, 203, 6571]",
+        "s11 Some(1) 40a4d60000000000 3f5a015a5e332c8e [87, 354, 203, 6571]",
+        "s42 None 40c2f70000000000 d96b5cdeb7cc34f7 [170, 665, 432, 21744]",
+        "s42 Some(1) 40c2f70000000000 d96b5cdeb7cc34f7 [164, 641, 420, 21744]",
+        "s77 None 40b4f20000000000 c6a7988c4f945069 [58, 200, 176, 5362]",
+        "s77 Some(1) 40b4f20000000000 c6a7988c4f945069 [56, 189, 168, 5362]",
+        "s123 None 40c3e28000000000 7ccb4230fc561828 [290, 1188, 592, 36133]",
+        "s123 Some(1) 40c3e28000000000 7ccb4230fc561828 [290, 1188, 592, 36133]",
     ];
     assert_eq!(lines, golden, "Dial counters changed");
 }
